@@ -1,22 +1,12 @@
-"""End-to-end execution-simulator benchmark: the three data-plane tiers.
+"""End-to-end execution-simulator benchmark.
 
 This is the perf trajectory for the simulator itself — the substrate
 every Figure 9–17 experiment and the ``service_throughput`` bench run
-on.  It drives PigMix-style query streams through full
-:class:`~repro.session.ReStoreSession` instances at two scales, three
-times with byte-identical inputs:
-
-* ``batched`` — the production default: the zero-copy plane plus
-  columnar batch evaluation — operators process ``List[Row]`` chunks
-  through compiled batch handlers, the shuffle decorates whole chunks
-  in one pass, and copy-style stores clone their producer's serialized
-  payload (``ReStoreConfig()``);
-* ``fast`` — the PR-4 zero-copy plane with per-row compiled dispatch
-  (``ReStoreConfig(batch_size=0)``), kept as the batching ablation
-  baseline;
-* ``legacy`` — the historical path: every workflow edge serializes
-  rows to PigStorage text and the next job re-parses it
-  (``ReStoreConfig(fast_data_plane=False)``).
+on.  It drives a PigMix-style query stream through a full
+:class:`~repro.session.ReStoreSession` at two table sizes and records
+absolute numbers: workflow wall time and rows/sec (host-dependent,
+recorded but not gated) next to counts and digests that repeat
+exactly.
 
 The workload mirrors ReStore's target setting: a shared events table
 is ingested once through the typed API (as an upstream job would have
@@ -24,27 +14,19 @@ produced it), then each of two filter thresholds gets one aggregation
 producer and a fan-out of drill-down consumers whose plans share the
 ``load → filter → group`` prefix, so ReStore's sub-job reuse rewrites
 the consumers to read the stored group output (and identical drill
-queries degrade to whole-job copy rewrites — the payload-reuse path).
-Reuse decisions are identical in every mode — the measured difference
-is purely the data plane.
+queries degrade to whole-job copy rewrites — the payload-clone path).
 
 Gates (see :func:`check_exec_sim_gates`, enforced by ``bench-smoke``):
 
-* ``speedup`` — batched must beat legacy by >= 3x end-to-end workflow
-  wall time at every scale;
-* ``batch_speedup`` — batched must beat the per-row fast plane by
-  >= 1.5x at the largest measured scale;
-* ``outputs_identical`` — the full DFS namespace (every file's bytes)
-  must match across all three modes;
-* ``counters_identical`` — every per-job :class:`JobStats` counter and
-  simulated time must match;
-* ``dfs_counters_identical`` — ``bytes_read`` / ``bytes_written`` /
-  ``replica_bytes_written`` must be value-identical;
-* ``decisions_identical`` — the typed rewrite/elimination/registration
-  event log must match;
-* ``payload_reuses`` — on the fast tiers every whole-job copy rewrite
-  must have cloned its producer's payload (zero re-serialization for
-  copy-style stores).
+* ``digests`` — the full DFS namespace (every file's bytes), every
+  per-job :class:`JobStats` counter and simulated time, the DFS byte
+  counters and the typed rewrite/elimination/registration event log
+  must equal the committed golden record for the table size
+  (:mod:`repro.bench.golden`; skipped for a size or seed the corpus
+  does not hold);
+* ``payload_clones`` — every whole-job copy rewrite must have cloned
+  its producer's payload (zero re-serialization for copy-style
+  stores), and the workload must produce such rewrites.
 """
 
 from __future__ import annotations
@@ -54,15 +36,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.manager import ReStoreConfig
+from repro.bench.golden import digests, golden_record, job_counters, observables
 from repro.events import RewriteApplied
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-
-#: minimum batched-vs-legacy wall-time speedup the gate demands
-SPEEDUP_FLOOR = 3.0
-#: minimum batched-vs-per-row speedup demanded at the largest scale
-BATCH_SPEEDUP_FLOOR = 1.5
 
 EVENTS_PATH = "bench/events"
 EVENTS_SCHEMA = Schema.of(
@@ -78,9 +55,8 @@ THRESHOLDS = (10, 35)
 CONSUMERS_PER_CHAIN = 5
 
 DEFAULT_EXEC_SCALES = (6000, 20000)
-#: quick mode keeps the full-size large scale: the batch-speedup gate
-#: applies at the largest measured scale, and dispatch-vs-fixed-cost
-#: ratios at small N would make that gate meaningless in CI
+#: quick mode keeps the full-size large scale, so the rows/sec a CI
+#: smoke run records is comparable with a full run's
 QUICK_EXEC_SCALES = (2000, 20000)
 
 
@@ -132,17 +108,9 @@ def build_queries() -> List[Tuple[str, str]]:
     return queries
 
 
-#: mode name -> ReStoreConfig keyword arguments
-EXEC_MODES: Dict[str, dict] = {
-    "batched": {},
-    "fast": {"batch_size": 0},
-    "legacy": {"fast_data_plane": False},
-}
-
-
 @dataclass
-class ExecModeResult:
-    """One data plane's measurements over the query stream."""
+class ExecResult:
+    """One run of the query stream: measurements plus its golden record."""
 
     workflow_wall_s: float = 0.0
     session_wall_s: float = 0.0
@@ -150,18 +118,13 @@ class ExecModeResult:
     jobs_run: int = 0
     jobs_eliminated: int = 0
     rewrites: int = 0
-    #: whole-job matches degraded to copy jobs (the payload-reuse shape)
+    #: whole-job matches degraded to copy jobs (the payload-clone shape)
     copy_rewrites: int = 0
     #: stores that cloned their producer's serialized payload
-    payload_reuses: int = 0
-    #: per-run per-job counter tuples (equivalence asserted across modes)
-    job_counters: List[tuple] = field(default_factory=list)
-    #: typed decision log (reprs of RewriteApplied/JobEliminated/...)
-    decisions: List[str] = field(default_factory=list)
-    #: (bytes_read, bytes_written, replica_bytes_written)
-    dfs_counters: Tuple[int, int, int] = (0, 0, 0)
-    #: full DFS namespace snapshot, path -> file bytes (not serialized)
-    snapshot: Dict[str, bytes] = field(default_factory=dict)
+    payload_clones: int = 0
+    #: DFS file digests, job counters, DFS byte counters, decision log
+    #: (:func:`repro.bench.golden.observables`)
+    record: dict = field(default_factory=dict)
 
     @property
     def rows_per_sec(self) -> float:
@@ -179,153 +142,74 @@ class ExecModeResult:
             "jobs_eliminated": self.jobs_eliminated,
             "rewrites": self.rewrites,
             "copy_rewrites": self.copy_rewrites,
-            "payload_reuses": self.payload_reuses,
+            "payload_clones": self.payload_clones,
         }
 
 
-def run_exec_mode(
-    rows: List[tuple],
-    queries: List[Tuple[str, str]],
-    *,
-    mode: str,
-    reps: int = 1,
-) -> ExecModeResult:
+def run_exec_stream(
+    rows: List[tuple], queries: List[Tuple[str, str]], reps: int = 1
+) -> ExecResult:
     """Run the stream through *reps* fresh sessions; keep the first
     rep's artifacts (runs are deterministic, so counters/outputs are
     rep-invariant) with the minimum measured walls (standard
     best-of-N to shed scheduler noise)."""
-    result = _run_exec_mode_once(rows, queries, mode=mode)
+    result = _run_exec_stream_once(rows, queries)
     for _ in range(reps - 1):
-        again = _run_exec_mode_once(rows, queries, mode=mode)
+        again = _run_exec_stream_once(rows, queries)
         result.workflow_wall_s = min(result.workflow_wall_s, again.workflow_wall_s)
         result.session_wall_s = min(result.session_wall_s, again.session_wall_s)
     return result
 
 
-def _run_modes_interleaved(
-    rows: List[tuple],
-    queries: List[Tuple[str, str]],
-    reps: int,
-) -> Dict[str, ExecModeResult]:
-    """Best-of-*reps* per mode with the rounds *interleaved*.
-
-    Running each mode's repetitions back to back lets slow machine
-    drift (thermal throttling, a noisy CI neighbour) land entirely on
-    one mode and bias the reported ratios; cycling batched → fast →
-    legacy each round spreads any drift evenly, so the per-mode
-    minima stay comparable.
-    """
-    results: Dict[str, ExecModeResult] = {}
-    for _ in range(reps):
-        for mode in EXEC_MODES:
-            fresh = _run_exec_mode_once(rows, queries, mode=mode)
-            held = results.get(mode)
-            if held is None:
-                results[mode] = fresh
-            else:
-                held.workflow_wall_s = min(
-                    held.workflow_wall_s, fresh.workflow_wall_s
-                )
-                held.session_wall_s = min(
-                    held.session_wall_s, fresh.session_wall_s
-                )
-    return results
-
-
-def _run_exec_mode_once(
-    rows: List[tuple],
-    queries: List[Tuple[str, str]],
-    *,
-    mode: str,
-) -> ExecModeResult:
+def _run_exec_stream_once(
+    rows: List[tuple], queries: List[Tuple[str, str]]
+) -> ExecResult:
     """Run the whole stream through one fresh session and measure."""
     from repro.session import ReStoreSession
 
-    result = ExecModeResult()
-    config = ReStoreConfig(**EXEC_MODES[mode])
-    with ReStoreSession(datanodes=4, config=config) as session:
+    result = ExecResult()
+    counters: List[tuple] = []
+    decisions: List[str] = []
+    with ReStoreSession(datanodes=4) as session:
         # typed ingestion: the table enters through the same API an
         # upstream job's store would have used, so the dataset cache
-        # starts warm in fast mode; the bytes written are identical
+        # starts warm
         session.dfs.write_rows(EVENTS_PATH, rows, EVENTS_SCHEMA)
-        # materialize the ingested text before the timer starts:
-        # otherwise the legacy plane's first read would be billed for
-        # the deferred ingestion serialization, inflating the speedup
+        # read the ingested text once, outside the timer: the golden
+        # records' DFS read counter includes this read
         session.dfs.read_file(EVENTS_PATH)
         started = time.perf_counter()
         for name, source in queries:
             run = session.run(source, name=name)
             result.workflow_wall_s += run.stats.wall_seconds
             result.jobs_eliminated += len(run.stats.eliminated_jobs)
-            for job_id in sorted(run.stats.job_stats):
-                stats = run.stats.job_stats[job_id]
-                result.jobs_run += 1
-                result.input_records += stats.input_records
-                result.job_counters.append(
-                    (
-                        job_id,
-                        stats.input_records,
-                        stats.map_output_records,
-                        stats.shuffle_records,
-                        stats.shuffle_bytes,
-                        stats.reduce_groups,
-                        stats.op_records,
-                        tuple(sorted(stats.load_bytes.items())),
-                        tuple(
-                            (s.path, s.bytes, s.records, s.phase, s.side)
-                            for s in stats.stores
-                        ),
-                        stats.sim_seconds,
-                    )
-                )
-            result.decisions.extend(repr(event) for event in run.events)
+            result.jobs_run += len(run.stats.job_stats)
+            result.input_records += sum(
+                stats.input_records for stats in run.stats.job_stats.values()
+            )
+            counters.extend(job_counters(run.stats))
+            decisions.extend(repr(event) for event in run.events)
             result.copy_rewrites += sum(
                 1
                 for event in run.events
                 if isinstance(event, RewriteApplied) and event.whole_job
             )
         result.session_wall_s = time.perf_counter() - started
-        result.rewrites = sum(
-            1 for d in result.decisions if d.startswith("RewriteApplied")
-        )
-        result.payload_reuses = session.dfs.payload_reuses
-        result.dfs_counters = (
-            session.dfs.bytes_read,
-            session.dfs.bytes_written,
-            session.dfs.replica_bytes_written,
-        )
-        # snapshot after the counters: these reads are not part of the
-        # measured run, and materializing lazy payloads here proves the
-        # deferred bytes are identical too
-        result.snapshot = {
-            path: session.dfs.read_file(path) for path in session.dfs.list_paths()
-        }
+        result.rewrites = sum(1 for d in decisions if d.startswith("RewriteApplied"))
+        result.payload_clones = session.dfs.payload_clones
+        result.record = observables(session.dfs, counters, decisions)
     return result
 
 
 def run_exec_scale(n_rows: int, seed: int, reps: int = 4) -> Dict:
-    """Measure one table size in all three modes and compare everything."""
-    rows = generate_event_rows(n_rows, seed)
+    """Measure one table size."""
     queries = build_queries()
-    results = _run_modes_interleaved(rows, queries, reps)
-    batched, fast, legacy = results["batched"], results["fast"], results["legacy"]
-    others = (fast, legacy)
-    speedup = legacy.workflow_wall_s / max(batched.workflow_wall_s, 1e-9)
-    batch_speedup = fast.workflow_wall_s / max(batched.workflow_wall_s, 1e-9)
+    result = run_exec_stream(generate_event_rows(n_rows, seed), queries, reps)
     return {
         "n_rows": n_rows,
         "n_queries": len(queries),
-        "modes": {mode: result.to_dict() for mode, result in results.items()},
-        "speedup": round(speedup, 2),
-        "batch_speedup": round(batch_speedup, 2),
-        "outputs_identical": all(batched.snapshot == m.snapshot for m in others),
-        "counters_identical": all(
-            batched.job_counters == m.job_counters for m in others
-        ),
-        "dfs_counters_identical": all(
-            batched.dfs_counters == m.dfs_counters for m in others
-        ),
-        "decisions_identical": all(batched.decisions == m.decisions for m in others),
+        **result.to_dict(),
+        "digests": digests(result.record),
     }
 
 
@@ -334,73 +218,51 @@ def run_exec_sim_benchmark(
     seed: int = 13,
     quick: bool = False,
 ) -> Dict:
-    """The full exec_sim section: every scale, both planes."""
+    """The full exec_sim section: every scale."""
     if scales is None:
         scales = QUICK_EXEC_SCALES if quick else DEFAULT_EXEC_SCALES
     return {
         "benchmark": "exec_sim",
         "quick": quick,
         "seed": seed,
-        "speedup_floor": SPEEDUP_FLOOR,
         "scales": [run_exec_scale(n, seed) for n in scales],
     }
 
 
-def check_exec_sim_gates(payload: Optional[Dict]) -> List[str]:
+def check_exec_sim_gates(
+    payload: Optional[Dict],
+    golden: Optional[Dict] = None,
+    skipped: Optional[Dict[str, str]] = None,
+) -> List[str]:
     """CI regression gates over an exec_sim payload (empty = green):
 
-    the batched plane must be >= 3x faster than legacy end to end at
-    every scale and >= 1.5x faster than the per-row fast plane at the
-    largest scale, with byte-identical DFS contents, value-identical
-    job and DFS counters, an identical decision log across all three
-    planes, and no copy-style store re-serializing on the fast tiers.
+    every observable's digest must equal the golden corpus record for
+    the table size, and no copy-style store may re-serialize.  A scale
+    the corpus holds no record for (another size or seed, or no corpus
+    at all) lands in *skipped* as ``gate -> reason``.
     """
     if not payload:
         return []
     failures = []
-    scales = payload["scales"]
-    largest = max((scale["n_rows"] for scale in scales), default=0)
-    for scale in scales:
+    for scale in payload["scales"]:
         n = scale["n_rows"]
-        if not scale["outputs_identical"]:
-            failures.append(f"exec_sim N={n}: DFS contents differ between planes")
-        if not scale["counters_identical"]:
-            failures.append(f"exec_sim N={n}: JobStats counters differ between planes")
-        if not scale["dfs_counters_identical"]:
-            failures.append(f"exec_sim N={n}: DFS byte counters differ between planes")
-        if not scale["decisions_identical"]:
+        record = golden_record(golden, "exec_sim", n, payload.get("seed"))
+        if record is None:
+            if skipped is not None:
+                skipped[f"exec_sim.digests[N={n}]"] = "no golden record"
+        else:
+            for part, want in digests(record).items():
+                if scale["digests"][part] != want:
+                    failures.append(f"exec_sim N={n}: {part} differ from the golden")
+        if scale["payload_clones"] < scale["copy_rewrites"]:
             failures.append(
-                f"exec_sim N={n}: rewrite/elimination decisions differ between planes"
+                f"exec_sim N={n}: re-serialized "
+                f"{scale['copy_rewrites'] - scale['payload_clones']} of "
+                f"{scale['copy_rewrites']} copy-style stores"
             )
-        if scale["speedup"] < SPEEDUP_FLOOR:
-            batched = scale["modes"]["batched"]
-            legacy = scale["modes"]["legacy"]
+        if scale["copy_rewrites"] == 0:
             failures.append(
-                f"exec_sim N={n}: speedup {scale['speedup']}x is below the "
-                f"{SPEEDUP_FLOOR}x floor ({legacy['workflow_wall_s']}s legacy "
-                f"vs {batched['workflow_wall_s']}s batched)"
+                f"exec_sim N={n}: workload produced no whole-job copy "
+                "rewrites; the payload-clone path was not exercised"
             )
-        if n == largest and scale["batch_speedup"] < BATCH_SPEEDUP_FLOOR:
-            batched = scale["modes"]["batched"]
-            fast = scale["modes"]["fast"]
-            failures.append(
-                f"exec_sim N={n}: batch speedup {scale['batch_speedup']}x is "
-                f"below the {BATCH_SPEEDUP_FLOOR}x floor "
-                f"({fast['workflow_wall_s']}s per-row vs "
-                f"{batched['workflow_wall_s']}s batched)"
-            )
-        for mode_name in ("batched", "fast"):
-            mode = scale["modes"][mode_name]
-            if mode["payload_reuses"] < mode["copy_rewrites"]:
-                failures.append(
-                    f"exec_sim N={n}: {mode_name} plane re-serialized "
-                    f"{mode['copy_rewrites'] - mode['payload_reuses']} of "
-                    f"{mode['copy_rewrites']} copy-style stores"
-                )
-            if mode["copy_rewrites"] == 0:
-                failures.append(
-                    f"exec_sim N={n}: workload produced no whole-job copy "
-                    f"rewrites on the {mode_name} plane; the payload-reuse "
-                    "path was not exercised"
-                )
     return failures

@@ -1,20 +1,17 @@
-"""Repository-scale matching benchmark: indexed vs full-scan.
+"""Repository-scale matching benchmark.
 
 This is the repo's perf trajectory for the §3 hot path.  It grows a
 repository to N entries over a generated multi-tenant workload (many
 datasets, overlapping filter/project/group pipelines), then matches a
-stream of probe jobs against it twice with byte-identical inputs:
-
-* ``indexed`` — the fingerprint-inverted index prunes candidates
-  before Algorithm 1's pairwise traversal (production default);
-* ``full_scan`` — the historical behaviour: every ordered entry gets
-  a traversal (``ReStoreConfig(indexed_matching=False)``).
-
-Both modes must produce identical rewrite decisions (same entries
-matched in the same order, same final plan fingerprints); the payoff
-is counted in pairwise traversals and wall-clock per match.  Results
-are written to ``BENCH_repo_scale.json`` by ``scripts/run_benchmarks.py``
-and gated in CI (see the ``bench-smoke`` job).
+stream of probe jobs against it: the fingerprint-inverted index prunes
+candidates before Algorithm 1's pairwise traversal.  Recorded per
+scale: pairwise traversals and candidates examined (counts that repeat
+exactly, gated against the golden corpus together with the rewrite
+decisions — same entries matched in the same order, same final plan
+fingerprints) and wall-clock per match (host-dependent, not gated).
+Results are written to ``BENCH_repo_scale.json`` by
+``scripts/run_benchmarks.py`` and gated in CI (see the ``bench-smoke``
+job).
 
 ``run_service_throughput`` extends the trajectory to the *shared
 service* deployment: the same probe stream is executed — not just
@@ -32,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.golden import digests, golden_record, jsonable
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.dfs.filesystem import DistributedFileSystem
@@ -95,8 +93,8 @@ class ProbeSpec:
 
 
 @dataclass
-class ModeResult:
-    """One matching mode's measurements over the probe stream."""
+class MatchResult:
+    """Measurements of one pass over the probe stream."""
 
     traversals: int = 0
     candidates_examined: int = 0
@@ -107,8 +105,7 @@ class ModeResult:
     build_s: float = 0.0
     total_match_s: float = 0.0
     match_ms: List[float] = field(default_factory=list)
-    #: per-probe decision log + final plan fingerprint (equivalence
-    #: is asserted across modes before any speedup is reported)
+    #: per-probe decision log + final plan fingerprint
     decisions: List[Tuple] = field(default_factory=list)
 
     @property
@@ -134,6 +131,19 @@ class ModeResult:
             "mean_match_ms": round(self.mean_match_ms, 4),
             "max_match_ms": round(self.max_match_ms, 4),
         }
+
+    @property
+    def record(self) -> dict:
+        """The golden record: decisions and the counts that repeat."""
+        return jsonable(
+            {
+                "decisions": self.decisions,
+                "rewrites": self.rewrites,
+                "eliminations": self.eliminations,
+                "traversals": self.traversals,
+                "candidates_examined": self.candidates_examined,
+            }
+        )
 
 
 # -- plan generation ----------------------------------------------------------
@@ -267,15 +277,11 @@ def _probe_job(
 # -- measurement --------------------------------------------------------------
 
 
-def run_mode(
-    entry_specs: List[EntrySpec],
-    probe_specs: List[ProbeSpec],
-    *,
-    indexed: bool,
-    seed: int,
-) -> ModeResult:
+def run_match_stream(
+    entry_specs: List[EntrySpec], probe_specs: List[ProbeSpec], seed: int
+) -> MatchResult:
     """Build the repository and match every probe once."""
-    result = ModeResult()
+    result = MatchResult()
     started = time.perf_counter()
     repository = build_repository(entry_specs, seed)
     repository.ordered_entries()  # pay ordering up front, like a session
@@ -285,11 +291,7 @@ def run_mode(
     manager = ReStoreManager(
         dfs,
         repository=repository,
-        config=ReStoreConfig(
-            inject_enabled=False,
-            register_whole_jobs="none",
-            indexed_matching=indexed,
-        ),
+        config=ReStoreConfig(inject_enabled=False, register_whole_jobs="none"),
     )
     decisions_log: List[tuple] = []
     manager.events.subscribe(
@@ -325,22 +327,15 @@ def run_mode(
 
 
 def run_scale(n_entries: int, n_probes: int, seed: int = 13) -> Dict:
-    """Measure one repository size in both modes and compare."""
+    """Measure one repository size."""
     entry_specs = generate_entry_specs(n_entries, seed)
     probe_specs = generate_probe_specs(entry_specs, n_probes, seed)
-    indexed = run_mode(entry_specs, probe_specs, indexed=True, seed=seed)
-    full = run_mode(entry_specs, probe_specs, indexed=False, seed=seed)
-    identical = indexed.decisions == full.decisions
-    reduction = full.traversals / max(1, indexed.traversals)
+    result = run_match_stream(entry_specs, probe_specs, seed)
     return {
         "n_entries": n_entries,
         "n_probes": n_probes,
-        "modes": {
-            "indexed": indexed.to_dict(),
-            "full_scan": full.to_dict(),
-        },
-        "traversal_reduction": round(reduction, 2),
-        "decisions_identical": identical,
+        **result.to_dict(),
+        "decisions_digest": digests(result.record)["decisions"],
     }
 
 
@@ -587,6 +582,9 @@ def _available_cpus() -> int:
 
 DEFAULT_SCALES = (10, 100, 1000)
 QUICK_SCALES = (10, 100)
+#: probe-stream length of a full and of a ``quick`` run
+FULL_PROBES = 20
+QUICK_PROBES = 8
 DEFAULT_SERVICE_SCALES = (1000, 10000)
 QUICK_SERVICE_SCALES = (300,)
 DEFAULT_SERVICE_WORKERS = (1, 4, 8)
@@ -639,18 +637,18 @@ def run_service_benchmark(
 
 def run_repo_scale_benchmark(
     scales: Optional[Tuple[int, ...]] = None,
-    n_probes: int = 20,
+    n_probes: int = FULL_PROBES,
     seed: int = 13,
     quick: bool = False,
 ) -> Dict:
-    """The full benchmark: every scale, both modes, plus gate inputs.
+    """The full benchmark: every scale, plus gate inputs.
 
     ``quick`` trims the scales and probe stream for CI smoke runs.
     """
     if scales is None:
         scales = QUICK_SCALES if quick else DEFAULT_SCALES
     if quick:
-        n_probes = min(n_probes, 8)
+        n_probes = min(n_probes, QUICK_PROBES)
     return {
         "benchmark": "repo_scale",
         "version": 1,
@@ -660,32 +658,35 @@ def run_repo_scale_benchmark(
     }
 
 
-def check_gates(payload: Dict, require_reduction_at: int = 1000) -> List[str]:
-    """CI regression gates over a benchmark payload.  Returns failure
-    messages (empty = green):
+def check_gates(payload: Dict, golden: Optional[Dict] = None) -> Dict:
+    """CI regression gates over a benchmark payload.  Returns the
+    payload's ``gates`` block: ``passed``, the ``failures`` messages
+    (empty = green) and a per-gate ``status`` of ``passed``,
+    ``failed`` or ``skipped(reason)`` — a gate that could not run on
+    this host or configuration never reads as passed.  *golden* is the
+    committed corpus (:func:`repro.bench.golden.load_golden`).
 
-    * decisions must be byte-identical between modes at every scale;
     * indexed matching must never examine more candidates than the
-      unindexed entry count (the index would be worse than no index);
-    * at ``require_reduction_at`` entries (when measured), indexed
-      matching must run ≥10x fewer pairwise traversals;
+      entries it saw (the index would be worse than no index);
+    * per scale, ``traversals`` and ``candidates_examined`` must equal
+      the golden counts and the rewrite decisions the golden decisions
+      (skipped for a scale, probe count or seed the corpus does not
+      hold);
     * when a ``service_throughput`` section is present: the 1-worker
       service run must reproduce the serial decision log byte for
       byte, and every worker count must sustain more than 1 job/sec
       per worker (a deliberately loose floor — a stalled pool or a
       lock serializing whole runs misses it, machine noise does not);
     * when its ``process_lane`` sub-section is present: the 1-worker-
-      *process* run must also reproduce the serial decision log, and —
-      on hosts with ≥4 CPUs, where process parallelism is physically
-      expressible — 4 worker processes must deliver ≥2.5x the
-      aggregate jobs/sec of 1 (the scaling the thread lane's GIL
-      ceiling forbids); the measured speedup and CPU count are always
-      recorded;
-    * when an ``exec_sim`` section is present: the batched data plane
-      must be ≥3x faster than the legacy plane at every scale and
-      ≥1.5x faster than the per-row fast plane at the largest scale,
-      with byte-identical outputs, counters, and decisions across all
-      three planes, and copy-style stores must never re-serialize (see
+      *process* run must also reproduce the serial decision log, and 4
+      worker processes must deliver ≥2.5x the aggregate jobs/sec of 1
+      (the scaling the thread lane's GIL ceiling forbids) — skipped on
+      hosts with fewer than 4 CPUs, where process parallelism is not
+      physically expressible; the measured speedup and CPU count are
+      always recorded;
+    * when an ``exec_sim`` section is present: every observable's
+      digest must equal the golden record and copy-style stores must
+      never re-serialize (see
       :func:`repro.bench.exec_sim.check_exec_sim_gates`);
     * when a ``subjob_enum`` section is present: enumeration must
       inject every expected candidate (see
@@ -716,6 +717,8 @@ def check_gates(payload: Dict, require_reduction_at: int = 1000) -> List[str]:
       recovery, one promotion, one quarantine), and keep p99 latency
       inflation bounded (see
       :func:`repro.bench.fault_resilience.check_fault_resilience_gates`).
+
+    Sections the payload does not carry are not listed.
     """
     from repro.bench.exec_sim import check_exec_sim_gates
     from repro.bench.fault_resilience import check_fault_resilience_gates
@@ -726,44 +729,53 @@ def check_gates(payload: Dict, require_reduction_at: int = 1000) -> List[str]:
     from repro.bench.repo_persistence import check_repo_persistence_gates
     from repro.bench.subjob_enum import check_subjob_enum_gates
 
+    skipped: Dict[str, str] = {}
+    sections = {"repo_scale": _repo_scale_gate_failures(payload, golden, skipped)}
+    for name, check in (
+        ("service_throughput", lambda s: _service_gate_failures(s, skipped)),
+        ("exec_sim", lambda s: check_exec_sim_gates(s, golden, skipped)),
+        ("subjob_enum", check_subjob_enum_gates),
+        ("repo_persistence", check_repo_persistence_gates),
+        ("payload_durability", check_payload_durability_gates),
+        ("incremental", check_incremental_gates),
+        ("fault_resilience", check_fault_resilience_gates),
+    ):
+        if payload.get(name):
+            sections[name] = check(payload[name])
+    failures = [failure for found in sections.values() for failure in found]
+    status = {name: "failed" if found else "passed" for name, found in sections.items()}
+    status.update({gate: f"skipped({reason})" for gate, reason in skipped.items()})
+    return {"passed": not failures, "failures": failures, "status": status}
+
+
+def _repo_scale_gate_failures(
+    payload: Dict, golden: Optional[Dict], skipped: Dict[str, str]
+) -> List[str]:
     failures = []
-    failures.extend(_service_gate_failures(payload.get("service_throughput")))
-    failures.extend(check_exec_sim_gates(payload.get("exec_sim")))
-    failures.extend(check_subjob_enum_gates(payload.get("subjob_enum")))
-    failures.extend(
-        check_repo_persistence_gates(payload.get("repo_persistence"))
-    )
-    failures.extend(
-        check_payload_durability_gates(payload.get("payload_durability"))
-    )
-    failures.extend(check_incremental_gates(payload.get("incremental")))
-    fault_section = payload.get("fault_resilience")
-    if fault_section:
-        failures.extend(check_fault_resilience_gates(fault_section))
     for scale in payload["scales"]:
         n = scale["n_entries"]
-        indexed = scale["modes"]["indexed"]
-        full = scale["modes"]["full_scan"]
-        if not scale["decisions_identical"]:
-            failures.append(f"N={n}: indexed and full-scan rewrite decisions differ")
-        if indexed["candidates_examined"] > full["entries_seen"]:
+        if scale["candidates_examined"] > scale["entries_seen"]:
             failures.append(
                 f"N={n}: indexed matching examined "
-                f"{indexed['candidates_examined']} candidates, more than "
-                f"the unindexed entry count {full['entries_seen']}"
+                f"{scale['candidates_examined']} candidates, more than "
+                f"the {scale['entries_seen']} entries it saw"
             )
-        if n >= require_reduction_at and scale["traversal_reduction"] < 10.0:
-            failures.append(
-                f"N={n}: traversal reduction "
-                f"{scale['traversal_reduction']}x is below the 10x target "
-                f"({indexed['traversals']} vs {full['traversals']})"
-            )
+        key = f"{n}x{scale['n_probes']}"
+        record = golden_record(golden, "repo_scale", key, payload.get("seed"))
+        if record is None:
+            skipped[f"repo_scale.golden[N={n}]"] = "no golden record"
+            continue
+        for count in ("traversals", "candidates_examined"):
+            if scale[count] != record[count]:
+                failures.append(
+                    f"N={n}: {scale[count]} {count}, the golden has {record[count]}"
+                )
+        if scale["decisions_digest"] != digests(record)["decisions"]:
+            failures.append(f"N={n}: rewrite decisions differ from the golden")
     return failures
 
 
-def _service_gate_failures(service: Optional[Dict]) -> List[str]:
-    if not service:
-        return []
+def _service_gate_failures(service: Dict, skipped: Dict[str, str]) -> List[str]:
     failures = []
     for scale in service["scales"]:
         n = scale["n_entries"]
@@ -790,11 +802,17 @@ def _service_gate_failures(service: Optional[Dict]) -> List[str]:
                 f"diverge from the serial run"
             )
         speedup = scale.get("speedup_4v1")
+        cpus = scale.get("cpus", 0)
+        gate = f"service_throughput.process_lane.scaling[N={n}]"
         # the scaling floor only binds where the host can physically
         # express process parallelism: on < 4 CPUs the 4-worker run is
         # time-sliced onto the same cores and the measurement records
         # overhead, not architecture
-        if scale.get("cpus", 0) >= 4 and speedup is not None and speedup < 2.5:
+        if cpus < 4:
+            skipped[gate] = f"{cpus} cpu(s); the 2.5x floor needs >= 4"
+        elif speedup is None:
+            skipped[gate] = "no 1-worker and 4-worker pair measured"
+        elif speedup < 2.5:
             failures.append(
                 f"process lane N={n}: {speedup}x jobs/sec at 4 worker "
                 f"processes vs 1 is below the 2.5x scaling floor"

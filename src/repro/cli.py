@@ -31,10 +31,6 @@ serving it::
     python -m repro run q1.pig --data pv.tsv=data/pv --snapshot state.snap
     python -m repro run q2.pig --data pv.tsv=data/pv --snapshot state.snap
     # q2's overlapping sub-jobs are answered from q1's stored results
-
-A legacy ``<snapshot>.files/`` sidecar directory (written by older
-versions) is imported into the block store once, on the first warm
-start that finds it, and is no longer written afterwards.
 """
 
 from __future__ import annotations
@@ -73,47 +69,6 @@ def _persistence_config(args):
     )
 
 
-def _sidecar_dir(config) -> pathlib.Path:
-    return pathlib.Path(config.snapshot_path + ".files")
-
-
-def _migrate_sidecar(config) -> int:
-    """One-shot import of a legacy ``<snapshot>.files/`` sidecar.
-
-    Earlier versions mirrored stored DFS files into a local sidecar
-    directory; payloads now live natively in the block store.  The
-    first warm start that finds a sidecar folds every file into block
-    generation 0 and journals its segment ref (so the recovery that
-    follows restores the bytes and the scrub verifies them), then
-    retires the directory — the sidecar is deprecated and never
-    written again.  Must run *before* recovery: the scrub condemns
-    entries whose bytes it cannot find.
-    """
-    root = _sidecar_dir(config)
-    if not root.is_dir():
-        return 0
-    from repro.persistence.blockstore import BlockStore
-    from repro.persistence.journal import Journal
-
-    store = BlockStore(config.blockstore_storage(None, 0), 0)
-    journal = Journal(config.journal_storage(None))
-    records = []
-    for local in sorted(root.rglob("*")):
-        if not local.is_file():
-            continue
-        dfs_path = local.relative_to(root).as_posix()
-        ref = store.append(dfs_path, local.read_bytes())
-        records.append(
-            {"type": "payload_stored", "path": dfs_path, "ref": ref.to_list()}
-        )
-    if records:
-        journal.append_payloads(records)
-    import shutil
-
-    shutil.rmtree(root, ignore_errors=True)
-    return len(records)
-
-
 def _load_data(target, mappings: List[str]) -> None:
     for mapping in mappings:
         if "=" not in mapping:
@@ -136,8 +91,6 @@ def _build_session(args) -> ReStoreSession:
             builder.evict(*args.evict)
         if persistence is not None:
             builder.persistence(persistence)
-    if persistence is not None:
-        _migrate_sidecar(persistence)
     try:
         session = builder.build()
     except ValueError as exc:
@@ -162,8 +115,6 @@ def _run_via_service(args, source: str, name: str):
             "(drop --no-restore, or drop the service flags)"
         )
     persistence = _persistence_config(args)
-    if persistence is not None:
-        _migrate_sidecar(persistence)
     timeout = getattr(args, "exchange_timeout", 30.0)
     service_config = ServiceConfig(
         executor=args.executor or "threads",
@@ -343,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="persist the repository to a local snapshot file and "
                  "recover from it on the next run (journals to "
                  "PATH.journal unless --journal overrides; stored "
-                 "payloads live in PATH.blocks.g<N>; a legacy "
-                 "PATH.files/ sidecar is imported once and deprecated)",
+                 "payloads live in PATH.blocks.g<N>)",
         )
         p.add_argument(
             "--journal",

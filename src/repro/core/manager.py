@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.enumerator import CandidateSubJob, SubJobEnumerator
@@ -47,7 +47,6 @@ from repro.core.selector import Selector, selector_by_name
 from repro.costmodel.model import CostModel, estimate_standalone_time
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
-from repro.execution.interpreter import DEFAULT_BATCH_SIZE
 from repro.events import (
     DeltaFallback,
     EntryEvicted,
@@ -96,35 +95,6 @@ class ReStoreConfig:
     #: correct either way, only the recomputation volume differs
     delta_enabled: bool = True
     inject_enabled: bool = True
-    #: when True (default) the repository's fingerprint index prunes
-    #: match candidates before the pairwise traversal; False restores
-    #: the historical full scan (ablation / benchmark baseline) —
-    #: decisions are identical either way, only the work differs
-    indexed_matching: bool = True
-    #: when True (default) the execution simulator runs on the
-    #: zero-copy data plane: loads come from the DFS typed-dataset
-    #: cache, stores write typed rows, and map segments run through
-    #: fused operator closures.  False restores the
-    #: serialize-to-text-at-every-edge path (ablation / ``exec_sim``
-    #: baseline) — every byte counter, store output, and rewrite
-    #: decision is identical either way, only wall time differs
-    fast_data_plane: bool = True
-    #: chunk size of the batched operator-evaluation tier (fast plane
-    #: only): operators process ``List[Row]`` chunks through compiled
-    #: batch handlers — filters as one list comprehension per chunk,
-    #: foreach through precompiled projection closures, the shuffle
-    #: decorated chunk-at-a-time.  0 restores per-row fast-plane
-    #: dispatch (the batching ablation baseline); outputs, counters,
-    #: and decisions are byte-identical at every setting
-    batch_size: int = DEFAULT_BATCH_SIZE
-    #: when True (default, fast plane only) a copy-style store whose
-    #: input rows are provably the unchanged pinned dataset of an
-    #: existing file clones that file's serialized payload instead of
-    #: re-serializing — whole-job copy rewrites and load-teeing side
-    #: stores never render the same text twice.  False forces every
-    #: store to serialize its own payload (ablation knob); bytes and
-    #: decisions are identical either way
-    payload_reuse: bool = True
     #: whole-job registration policy (§2.1 type 1): "all", "none", or
     #: "temporary-only".  The last registers only intermediate
     #: (workflow-internal) job outputs — it isolates sub-job reuse for
@@ -170,20 +140,7 @@ class ReStoreConfig:
                 "register_whole_jobs": "temporary-only",
             })
         """
-        known = {
-            "heuristic",
-            "rewrite_enabled",
-            "delta_enabled",
-            "inject_enabled",
-            "indexed_matching",
-            "fast_data_plane",
-            "batch_size",
-            "payload_reuse",
-            "register_whole_jobs",
-            "selector",
-            "eviction_policies",
-            "max_rewrite_passes",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
@@ -485,9 +442,8 @@ class ReStoreManager(JobListener):
         until no plan matches (paper §3).
 
         Each pass asks the repository for fingerprint-pruned
-        candidates (the full ordered scan when ``indexed_matching`` is
-        off); the expensive pairwise traversal only runs against those,
-        outside any manager-level lock — the candidate list is a
+        candidates; the expensive pairwise traversal only runs against
+        those, outside any manager-level lock — the candidate list is a
         snapshot, and the job plan being rewritten is submission-local.
         A :class:`~repro.events.MatchScanned` telemetry event goes out
         on the bus when the scan completes.
@@ -496,9 +452,7 @@ class ReStoreManager(JobListener):
         try:
             for _ in range(self.config.max_rewrite_passes):
                 matched = False
-                candidates, pass_stats = self.repository.match_candidates(
-                    job.plan, indexed=self.config.indexed_matching
-                )
+                candidates, pass_stats = self.repository.match_candidates(job.plan)
                 scan.passes += 1
                 scan.entries_total = pass_stats.entries_total
                 scan.candidates += pass_stats.candidates

@@ -52,7 +52,6 @@ every tie), so any maintenance strategy converges to the same list.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 import zlib
@@ -615,19 +614,16 @@ class Repository:
         return all(outer.get(sig, 0) >= n for sig, n in inner.items())
 
     def match_candidates(
-        self, plan: PhysicalPlan, *, indexed: bool = True
+        self, plan: PhysicalPlan
     ) -> Tuple[List[RepositoryEntry], MatchScanStats]:
         """Scan-ordered entries that can possibly be contained in
         *plan*, plus what the pruning saw.
 
-        With ``indexed=False`` this degrades to the historical full
-        scan (every entry is a candidate) — kept as the benchmark and
-        ablation baseline.  Pruning is sound: it only removes entries
-        whose Load set or operator-signature multiset proves Algorithm
-        1 would reject them, so the surviving first match is byte-for-
-        byte the one the full scan finds.  The returned list is a
-        snapshot: entries removed concurrently stay visible to a scan
-        already in flight.
+        Pruning is sound: it only removes entries whose Load set or
+        operator-signature multiset proves Algorithm 1 would reject
+        them, so the surviving first match is the one a scan of every
+        ordered entry finds.  The returned list is a snapshot: entries
+        removed concurrently stay visible to a scan already in flight.
         """
         load_sigs = plan.load_signature_set()
         counts = dict(plan.signature_counts())
@@ -635,11 +631,6 @@ class Repository:
             ordered = self._ordered_entries_locked()
             total = len(ordered)
             stats = MatchScanStats(entries_total=total)
-            if not indexed:
-                stats.candidates = total
-                self.index_stats.scans += 1
-                self.index_stats.candidates_examined += total
-                return ordered, stats
             pool = self._load_sig_pool(load_sigs)
             if pool:
                 keep = {
@@ -914,27 +905,6 @@ class Repository:
             else:
                 records = journal
             ReplayTarget(repo).apply_all(records)
-        return repo
-
-    @classmethod
-    def from_legacy_json(
-        cls, text: str, matcher: Optional[PlanMatcher] = None
-    ) -> "Repository":
-        """The one legacy-JSON loader: rebuild a repository from the
-        pre-snapshot ``{"entries": [...]}`` dump shape via batched
-        re-registration.
-
-        Everything else goes through the snapshot codec —
-        :meth:`restore` for snapshot/journal bytes, or
-        :class:`repro.persistence.RepositorySnapshot` to capture and
-        encode live state.
-        """
-        data = json.loads(text)
-        repo = cls(matcher=matcher)
-        repo.add_batch(
-            RepositoryEntry.from_dict(entry_data)
-            for entry_data in data.get("entries", [])
-        )
         return repo
 
     def __repr__(self) -> str:

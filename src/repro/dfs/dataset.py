@@ -105,9 +105,7 @@ def rows_are_canonical(rows, schema: Schema) -> bool:
 _COLUMNAR_MIN_ROWS = 64
 
 
-def canonical_ascii_size(
-    rows, schema: Schema, columnar: bool = True
-) -> Optional[int]:
+def canonical_ascii_size(rows, schema: Schema) -> Optional[int]:
     """One-pass canonicality check + exact byte sizing.
 
     Returns the exact byte length of ``serialize_rows(rows).encode()``
@@ -117,23 +115,16 @@ def canonical_ascii_size(
     does the byte-size accounting that lets text serialization be
     deferred.
 
-    With ``columnar`` (the default; the batched data plane's write
-    path) large writes check and size each field as a *column* through
+    Large writes check and size each field as a *column* through
     C-level passes (``map``/``set``/``sum`` plus substring scans over
     one joined text per string column), with bag fields flattened
     across all rows so even short bags amortize — the remaining
     per-value Python work is ``str``/``repr`` on numeric columns,
-    which serialization would pay anyway.  Small writes, shapes the
-    columnar pass cannot prove (exotic types, Bag subclasses), and
-    ``columnar=False`` callers (the per-row fast plane, which keeps
-    PR-4 behaviour as the batching ablation baseline) use the compiled
-    per-row closures; the two paths are value-identical.
+    which serialization would pay anyway.  Small writes and shapes the
+    columnar pass cannot prove (exotic types, Bag subclasses) use the
+    compiled per-row closures; the two paths are value-identical.
     """
-    if (
-        columnar
-        and isinstance(rows, (list, tuple))
-        and len(rows) >= _COLUMNAR_MIN_ROWS
-    ):
+    if isinstance(rows, (list, tuple)) and len(rows) >= _COLUMNAR_MIN_ROWS:
         sizer = _columnar_sizer(schema)
         if sizer is not None:
             total = sizer(rows)

@@ -64,7 +64,7 @@ class DistributedFileSystem:
         self.replica_bytes_written = 0
         #: stores that cloned an existing file's serialized payload
         #: instead of re-serializing (see :meth:`write_rows` ``source``)
-        self.payload_reuses = 0
+        self.payload_clones = 0
         #: PigStorage renders actually performed for row writes (eager
         #: builds plus lazy payloads something genuinely byte-read)
         self.serializations = 0
@@ -190,8 +190,6 @@ class DistributedFileSystem:
         schema: Optional[Schema] = None,
         overwrite: bool = False,
         source: Optional[str] = None,
-        reuse_payload: bool = True,
-        columnar: bool = True,
         snapshot: bool = True,
     ) -> FileStatus:
         """Create *path* from typed rows (the zero-copy write path).
@@ -208,34 +206,30 @@ class DistributedFileSystem:
         off it, both fully verified here (a wrong or stale hint just
         falls back to serializing):
 
-        * **payload clone** (``reuse_payload``) — when the source's
-          pinned dataset is provably these very rows (element
-          identity, current generation, *exact* serialization), the
-          new file shares the producer's payload: the text of a copied
-          result is rendered at most once no matter how many copies
-          exist;
-        * **subset sizing** (``columnar``) — when the rows are an
-          identity-subset of an ASCII-sized pinned dataset (a filter
-          passes row references through untouched), canonicality is
-          already proven, so the write sizes the rows in one columnar
-          pass and skips both the canonical re-check and the snapshot.
+        * **payload clone** — when the source's pinned dataset is
+          provably these very rows (element identity, current
+          generation, *exact* serialization), the new file shares the
+          producer's payload: the text of a copied result is rendered
+          at most once no matter how many copies exist;
+        * **subset sizing** — when the rows are an identity-subset of
+          an ASCII-sized pinned dataset (a filter passes row references
+          through untouched), canonicality is already proven, so the
+          write sizes the rows in one columnar pass and skips both the
+          canonical re-check and the snapshot.
 
         Byte counters move exactly as a fresh write would move them on
-        every path.  ``columnar=False`` and ``snapshot=False`` are for
-        the execution planes: the per-row fast plane keeps PR-4's
-        closure sizing, and the interpreter owns its flush rows (no
-        caller can mutate them later), so the batched plane skips the
-        defensive copy.
+        every path.  ``snapshot=False`` is for the interpreter, which
+        owns its flush rows (no caller can mutate them later) and so
+        skips the defensive copy.
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
-        fast = None
         if source is not None and schema is not None:
-            fast = self._try_source_fast_path(
-                path, rows, schema, source, overwrite, reuse_payload, columnar
-            )
-        if fast is not None:
-            return fast
+            fast = self._clone_payload(path, rows, schema, source, overwrite)
+            if fast is None:
+                fast = self._write_subset(path, rows, schema, source, overwrite)
+            if fast is not None:
+                return fast
         if snapshot:
             # snapshot at call time, like write_file snapshots bytes: a
             # caller mutating a Bag after this returns must not corrupt
@@ -246,9 +240,7 @@ class DistributedFileSystem:
         payload: bytes | LazyPayload
         # one pass decides pinning eligibility and sizes the bytes
         total_bytes = (
-            canonical_ascii_size(rows, schema, columnar=columnar)
-            if schema is not None
-            else None
+            canonical_ascii_size(rows, schema) if schema is not None else None
         )
         if total_bytes is None:
             # non-canonical or non-ASCII rows: readers will genuinely
@@ -282,24 +274,6 @@ class DistributedFileSystem:
                     ascii_sized=ascii_sized,
                 )
             return self.namenode.stat(path)
-
-    def _try_source_fast_path(
-        self,
-        path: str,
-        rows,
-        schema: Schema,
-        source: str,
-        overwrite: bool,
-        reuse_payload: bool,
-        columnar: bool,
-    ) -> Optional[FileStatus]:
-        if reuse_payload:
-            status = self._clone_payload(path, rows, schema, source, overwrite)
-            if status is not None:
-                return status
-        if columnar:
-            return self._write_subset(path, rows, schema, source, overwrite)
-        return None
 
     def _write_subset(
         self,
@@ -421,7 +395,7 @@ class DistributedFileSystem:
                 exact=True,
                 ascii_sized=dataset.ascii_sized,
             )
-            self.payload_reuses += 1
+            self.payload_clones += 1
             return self.namenode.stat(path)
 
     def _append_blocks(

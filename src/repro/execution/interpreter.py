@@ -6,35 +6,19 @@ jobs), the shuffle buffer sorts and groups, and the reduce segment
 runs from POPackage to the stores.  All byte/record counters that the
 cost model and ReStore statistics need are collected on the way.
 
-Three data planes share this interpreter:
-
-* the **batched plane** (default) reads inputs through the DFS
-  typed-dataset cache and streams ``List[Row]`` chunks of
-  ``batch_size`` rows through *batch handlers* compiled per operator:
-  filters run compiled predicates inside one list comprehension per
-  chunk, foreach runs precompiled projection closures, split tees
-  forward the same chunk object to every branch, and the shuffle
-  decorates whole chunks in one pass
-  (:meth:`~repro.mapreduce.shuffle.ShuffleBuffer.add_batch`) — one
-  Python call per operator per *chunk* instead of per row;
-* the **fast plane** (``batch_size=0``) keeps the typed-dataset cache
-  and lazy serialization but dispatches one compiled closure call per
-  row per operator (the PR-4 behaviour, kept as the batching ablation
-  baseline);
-* the **legacy plane** (``fast_data_plane=False``) re-parses text at
-  every edge and dispatches per row, exactly as before.
-
-Both fast tiers additionally hand :meth:`write_rows` a *payload
-source* for pass-through stores (a store fed only by a load, possibly
-through split tees — the shape of whole-job copy rewrites and
-load-teeing side stores), letting the DFS clone the producer's
-serialized payload instead of rendering the same text twice
-(``payload_reuse`` knob).
-
-Every counter a :class:`~repro.mapreduce.stats.JobStats` carries and
-every byte the DFS accounts is value-identical between the planes —
-the ``exec_sim`` benchmark gate and the differential tests hold all
-three planes to byte-identical outputs and decisions.
+Inputs are read through the DFS typed-dataset cache and stream as
+``List[Row]`` chunks of :attr:`JobInterpreter.CHUNK_ROWS` rows through
+one *chunk handler* compiled per operator: filters run compiled
+predicates inside one list comprehension per chunk, foreach runs
+precompiled projection closures, split tees forward the same chunk
+object to every branch, and the shuffle decorates whole chunks in one
+pass (:meth:`~repro.mapreduce.shuffle.ShuffleBuffer.add_batch`) — one
+Python call per operator per *chunk*.  Stores hand
+:meth:`~repro.dfs.filesystem.DistributedFileSystem.write_rows` typed
+rows plus a *payload source* hint for pass-through stores (a store fed
+only by a load, possibly through split tees — the shape of whole-job
+copy rewrites and load-teeing side stores), letting the DFS clone the
+producer's serialized payload instead of rendering the same text twice.
 """
 
 from __future__ import annotations
@@ -68,45 +52,32 @@ from repro.relational.compiled import (
     compile_key,
     compile_projection,
 )
-from repro.relational.tuples import (
-    Bag,
-    Row,
-    deserialize_row,
-    iter_data_lines,
-    serialize_row,
-)
-
-#: a compiled row handler: (row, source operator) -> None
-Handler = Callable[[Row, Optional[PhysicalOperator]], None]
+from repro.relational.tuples import Bag, Row
 
 #: a compiled chunk handler: (rows, source operator) -> None
 BatchHandler = Callable[[Sequence[Row], Optional[PhysicalOperator]], None]
 
-#: chunk size of the batched plane; 0 falls back to per-row dispatch
-DEFAULT_BATCH_SIZE = 1024
-
 
 class JobInterpreter:
     """Executes one job plan against the DFS and reports statistics."""
+
+    #: rows per chunk handed to each operator's handler
+    CHUNK_ROWS = 1024
 
     def __init__(
         self,
         job: MapReduceJob,
         dfs: DistributedFileSystem,
         n_reduce_tasks: int = 8,
-        fast_data_plane: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        payload_reuse: bool = True,
     ):
         self.job = job
         self.plan = job.plan
         self.dfs = dfs
         self.n_reduce_tasks = max(1, n_reduce_tasks)
-        self.fast_data_plane = fast_data_plane
-        self.batch_size = max(0, batch_size)
-        self.payload_reuse = payload_reuse
+        #: this run's chunk length, decided in :meth:`run` once the
+        #: null-key policies are known
+        self.chunk_rows = self.CHUNK_ROWS
         self._shuffle: Optional[ShuffleBuffer] = None
-        self._store_lines: Dict[int, List[str]] = defaultdict(list)
         self._store_rows: Dict[int, List[Row]] = defaultdict(list)
         self._limit_counts: Dict[int, int] = defaultdict(int)
         #: POFRJoin op_id -> [probe rows, build rows]
@@ -117,18 +88,13 @@ class JobInterpreter:
         #: POLocalRearrange op_id -> null-key policy (join semantics)
         self._null_key_policy: Dict[int, str] = {}
         self._null_counter = 0
-        #: op_id -> compiled handler / successor handler list (fast plane)
-        self._handlers: Dict[int, Handler] = {}
-        self._succ_handlers: Dict[int, List[Handler]] = {}
-        #: op_id -> compiled chunk handler / successor list (batched plane)
+        #: op_id -> compiled chunk handler / successor handler list
         self._batch_handlers: Dict[int, BatchHandler] = {}
         self._succ_batch_handlers: Dict[int, List[BatchHandler]] = {}
-        #: decided in :meth:`run` once null-key policies are known
-        self._batching = False
         #: id(row) -> serialized width, merged from every load's pinned
-        #: dataset (batched plane); rows reaching the shuffle untouched
-        #: skip re-sizing.  ``_memo_keepalive`` pins the source row
-        #: tuples so the ids stay unambiguous for this job's lifetime.
+        #: dataset; rows reaching the shuffle untouched skip re-sizing.
+        #: ``_memo_keepalive`` pins the source row tuples so the ids
+        #: stay unambiguous for this job's lifetime.
         self._size_memo: Dict[int, int] = {}
         self._memo_keepalive: List[tuple] = []
 
@@ -148,93 +114,57 @@ class JobInterpreter:
             self._shuffle = ShuffleBuffer(n_partitions)
             self._reduce_phase_ids = self.plan.downstream_closure(gr)
             self._configure_null_key_policy(package)
-        self._batching = (
-            self.fast_data_plane and self.batch_size > 0 and self._batch_safe()
-        )
+        self.chunk_rows = self._safe_chunk_rows()
 
         # Map phase: stream every load's rows through its branch.
         for load in self.plan.loads():
             if load.schema is None:
                 raise ExecutionError(f"load without schema: {load!r}")
-            if self.fast_data_plane:
-                # cached typed read: a matching pinned dataset skips
-                # text parsing (and byte materialization) entirely
-                rows = self.dfs.read_rows(load.path, load.schema)
-                rows_read = len(rows)
-                if self._batching:
-                    if self._shuffle is not None:
-                        # the memo only feeds shuffle wire accounting;
-                        # map-only jobs must not pay for building it
-                        memo, keepalive = self.dfs.row_size_memo(
-                            load.path, load.schema
-                        )
-                        if memo:
-                            self._size_memo.update(memo)
-                            self._memo_keepalive.append(keepalive)
-                    handlers = self._batch_handlers_after(load)
-                    for chunk in self._chunks(rows):
-                        for handler in handlers:
-                            handler(chunk, load)
-                else:
-                    handlers = self._handlers_after(load)
-                    for row in rows:
-                        for handler in handlers:
-                            handler(row, load)
-            else:
-                rows_read = 0
-                for line in iter_data_lines(self.dfs.read_text(load.path)):
-                    row = deserialize_row(line, load.schema)
-                    rows_read += 1
-                    self._forward(load, row)
+            # cached typed read: a matching pinned dataset skips text
+            # parsing (and byte materialization) entirely
+            rows = self.dfs.read_rows(load.path, load.schema)
+            if self._shuffle is not None:
+                # the memo only feeds shuffle wire accounting;
+                # map-only jobs must not pay for building it
+                memo, keepalive = self.dfs.row_size_memo(load.path, load.schema)
+                if memo:
+                    self._size_memo.update(memo)
+                    self._memo_keepalive.append(keepalive)
+            handlers = self._batch_handlers_after(load)
+            for chunk in self._chunks(rows):
+                for handler in handlers:
+                    handler(chunk, load)
             stats.load_bytes[load.path] = self.dfs.file_size(load.path)
-            stats.input_records += rows_read
+            stats.input_records += len(rows)
 
         # Map-side joins: all inputs are buffered once the loads drain.
         self._finalize_frjoins()
 
         # Reduce phase.
         if gr is not None:
-            package = self._package_after(gr)
-            if self._batching:
-                self._run_reduce_batched(package, stats)
-            else:
-                for key, branch_rows in self._shuffle.all_groups():
-                    stats.reduce_groups += 1
-                    for row in self._package_rows(package, key, branch_rows):
-                        self._op_records += 1
-                        self._forward(package, row)
+            self._run_reduce_batched(self._package_after(gr), stats)
             stats.shuffle_records = self._shuffle.records
             stats.shuffle_bytes = self._shuffle.bytes
 
         # Flush stores.
         for store in self.plan.stores():
-            if self.fast_data_plane:
-                rows = self._store_rows.get(store.op_id, [])
-                status = self.dfs.write_rows(
-                    store.path,
-                    rows,
-                    store.schema,
-                    overwrite=True,
-                    source=self._source_hint(store),
-                    reuse_payload=self.payload_reuse,
-                    # the batched plane sizes columns and owns its
-                    # flush rows outright (nothing can mutate them
-                    # after this call), so the defensive snapshot is
-                    # skipped; batch_size=0 keeps PR-4's per-row write
-                    columnar=self._batching,
-                    snapshot=not self._batching,
-                )
-                store_bytes, store_records = status.size, len(rows)
-            else:
-                lines = self._store_lines.get(store.op_id, [])
-                text = "".join(line + "\n" for line in lines)
-                self.dfs.write_file(store.path, text, overwrite=True)
-                store_bytes, store_records = len(text.encode()), len(lines)
+            rows = self._store_rows.get(store.op_id, [])
+            status = self.dfs.write_rows(
+                store.path,
+                rows,
+                store.schema,
+                overwrite=True,
+                source=self._source_hint(store),
+                # the interpreter owns its flush rows outright (nothing
+                # can mutate them after this call), so the defensive
+                # snapshot is skipped
+                snapshot=False,
+            )
             stats.stores.append(
                 StoreStat(
                     path=store.path,
-                    bytes=store_bytes,
-                    records=store_records,
+                    bytes=status.size,
+                    records=len(rows),
                     phase="reduce" if store.op_id in self._reduce_phase_ids else "map",
                     side=store.side,
                 )
@@ -245,37 +175,27 @@ class JobInterpreter:
         stats.wall_seconds = time.perf_counter() - started
         return stats
 
-    # -- row routing -------------------------------------------------------------------
+    # -- chunk dispatch ----------------------------------------------------------------
 
-    def _forward(self, op: PhysicalOperator, row: Row) -> None:
-        if self.fast_data_plane:
-            for handler in self._handlers_after(op):
-                handler(row, op)
-        else:
-            for succ in self.plan.successors(op):
-                self._process(succ, row, source=op)
-
-    # -- batched dispatch (batched plane) ----------------------------------------------
-
-    def _batch_safe(self) -> bool:
-        """Whether chunk-at-a-time forwarding is output-identical here.
+    def _safe_chunk_rows(self) -> int:
+        """The chunk length that keeps null-key numbering row-major.
 
         The one piece of cross-operator order-sensitive state is the
         null-isolation counter: a split tee feeding *two* isolating
-        rearranges would number their null keys row-major on the
-        per-row plane but chunk-major on the batched plane, reordering
+        rearranges must number their null keys row by row, and whole
+        chunks would number them one rearrange at a time, reordering
         the isolated singleton groups.  With at most one isolating
-        rearrange every consumer sees rows in stream order on both
-        planes, so numbering is identical; plans beyond that (full
-        self outer joins) fall back to per-row dispatch.
+        rearrange every consumer sees rows in stream order at any
+        chunk length; plans beyond that (full self outer joins) run
+        with one-row chunks, which are row-major by construction.
         """
         isolating = sum(
             1 for policy in self._null_key_policy.values() if policy == "isolate"
         )
-        return isolating <= 1
+        return self.CHUNK_ROWS if isolating <= 1 else 1
 
     def _chunks(self, rows: Sequence[Row]) -> List[Sequence[Row]]:
-        batch = self.batch_size
+        batch = self.chunk_rows
         if len(rows) <= batch:
             return [rows] if rows else []
         return [rows[start : start + batch] for start in range(0, len(rows), batch)]
@@ -287,10 +207,10 @@ class JobInterpreter:
         so rows accumulate across groups until a chunk fills — the
         reduce tail (foreach → store) then runs batch-at-a-time just
         like the map side.  ``op_records`` moves once per package
-        output row, exactly as the per-row loop moves it.
+        output row.
         """
         handlers = self._batch_handlers_after(package)
-        batch = self.batch_size
+        batch = self.chunk_rows
         buffer: List[Row] = []
         for key, branch_rows in self._shuffle.all_groups():
             stats.reduce_groups += 1
@@ -315,19 +235,20 @@ class JobInterpreter:
     def _compile_batch(self, op: PhysicalOperator) -> BatchHandler:
         """One chunk handler per operator.
 
-        Counter semantics mirror :meth:`_process` exactly — every
-        operator visit moves ``op_records`` once per row on all three
-        planes — but the per-row work runs inside one call per chunk:
-        filters evaluate a compiled predicate in a list comprehension,
-        foreach maps a precompiled projection, rearranges decorate the
-        whole chunk via :meth:`ShuffleBuffer.add_batch`, and tees
-        forward the same chunk object to every branch.
+        Every operator visit moves ``op_records`` once per row, but
+        the per-row work runs inside one call per chunk: filters
+        evaluate a compiled predicate in a list comprehension, foreach
+        maps a precompiled projection, rearranges decorate the whole
+        chunk via :meth:`ShuffleBuffer.add_batch`, and tees forward
+        the same chunk object to every branch.  :meth:`run` validated
+        the plan, so only a split has more than one successor and
+        every non-store operator has at least one.
         """
         handler = self._batch_handlers.get(op.op_id)
         if handler is not None:
             return handler
         successors = self.plan.successors(op)
-        if isinstance(op, POFilter) and len(successors) == 1:
+        if isinstance(op, POFilter):
             inner = self._compile_batch(successors[0])
             filter_rows = compile_filter_list(op.predicate)
 
@@ -337,7 +258,7 @@ class JobInterpreter:
                 if out:
                     _inner(out, _op)
 
-        elif isinstance(op, POForEach) and len(successors) == 1:
+        elif isinstance(op, POForEach):
             inner = self._compile_batch(successors[0])
             project = compile_projection(op.exprs, op.flattens)
             if project is not None:
@@ -398,11 +319,10 @@ class JobInterpreter:
                 branch = self._frjoin_branch(_op, source)
                 self._frjoin_buffers[_op.op_id][branch].extend(rows)
 
+        elif isinstance(op, (POGlobalRearrange, POPackage, POLoad)):
+            raise ExecutionError(f"operator {op!r} cannot appear mid-pipeline")
         else:
-
-            def handler(rows, source, _op=op):
-                for row in rows:
-                    self._process(_op, row, source=source)
+            raise PlanError(f"interpreter cannot execute {op!r}")
 
         self._batch_handlers[op.op_id] = handler
         return handler
@@ -473,7 +393,7 @@ class JobInterpreter:
             return None
         return sum(sizes)
 
-    # -- payload reuse / subset sizing (fast tiers) ------------------------------------
+    # -- payload reuse / subset sizing -------------------------------------------------
 
     #: operators that forward row *objects* unchanged: a store whose
     #: ancestry up to a single load crosses only these receives a
@@ -494,8 +414,6 @@ class JobInterpreter:
         verifies row identity against the source's pinned dataset
         before using either path.
         """
-        if not self.fast_data_plane:
-            return None
         schema = store.schema
         if schema is None:
             return None
@@ -515,134 +433,6 @@ class JobInterpreter:
             if not isinstance(pred, self._IDENTITY_OPS):
                 return None
             op = pred
-
-    # -- compiled dispatch (fast plane) ------------------------------------------------
-
-    def _handlers_after(self, op: PhysicalOperator) -> List[Handler]:
-        handlers = self._succ_handlers.get(op.op_id)
-        if handlers is None:
-            handlers = [self._compile(succ) for succ in self.plan.successors(op)]
-            self._succ_handlers[op.op_id] = handlers
-        return handlers
-
-    def _compile(self, op: PhysicalOperator) -> Handler:
-        """One closure per operator, fusing straight-line map segments.
-
-        Filter→foreach chains with single successors collapse into
-        nested closures — one Python call per row per segment instead
-        of the per-operator isinstance dispatch.  Counter increments
-        mirror :meth:`_process` exactly: ``op_records`` moves once per
-        operator visit on both planes.
-        """
-        handler = self._handlers.get(op.op_id)
-        if handler is not None:
-            return handler
-        successors = self.plan.successors(op)
-        if isinstance(op, POFilter) and len(successors) == 1:
-            inner = self._compile(successors[0])
-            predicate_eval = op.predicate.eval
-
-            def handler(row, source, _op=op, _inner=inner):
-                self._op_records += 1
-                if bool(predicate_eval(row)):
-                    _inner(row, _op)
-
-        elif isinstance(op, POForEach) and len(successors) == 1:
-            inner = self._compile(successors[0])
-
-            def handler(row, source, _op=op, _inner=inner):
-                self._op_records += 1
-                for out in self._foreach_rows(_op, row):
-                    _inner(out, _op)
-
-        elif isinstance(op, POLocalRearrange):
-            shuffle_add = None  # bound lazily: the buffer exists by first row
-
-            def handler(row, source, _op=op):
-                nonlocal shuffle_add
-                self._op_records += 1
-                key = _op.make_key(row)
-                if _is_null_key(key):
-                    policy = self._null_key_policy.get(_op.op_id, "keep")
-                    if policy == "drop":
-                        return  # Pig: null keys never match in inner joins
-                    if policy == "isolate":
-                        self._null_counter += 1
-                        key = ("__null__", self._null_counter)
-                if shuffle_add is None:
-                    shuffle_add = self._shuffle.add
-                shuffle_add(key, _op.branch, row)
-                self._map_output_records += 1
-
-        elif isinstance(op, POStore):
-            append_row = self._store_rows[op.op_id].append
-
-            def handler(row, source, _append=append_row):
-                self._op_records += 1
-                _append(row)
-
-        elif isinstance(op, (POSplit, POUnion)):
-            inner_handlers = None  # bound lazily: successors compile on demand
-
-            def handler(row, source, _op=op):
-                nonlocal inner_handlers
-                self._op_records += 1
-                if inner_handlers is None:
-                    inner_handlers = self._handlers_after(_op)
-                for inner in inner_handlers:
-                    inner(row, _op)
-
-        else:
-
-            def handler(row, source, _op=op):
-                self._process(_op, row, source=source)
-
-        self._handlers[op.op_id] = handler
-        return handler
-
-    def _process(
-        self,
-        op: PhysicalOperator,
-        row: Row,
-        source: Optional[PhysicalOperator] = None,
-    ) -> None:
-        self._op_records += 1
-        if isinstance(op, POFRJoin):
-            branch = self._frjoin_branch(op, source)
-            self._frjoin_buffers[op.op_id][branch].append(row)
-        elif isinstance(op, POFilter):
-            if bool(op.predicate.eval(row)):
-                self._forward(op, row)
-        elif isinstance(op, POForEach):
-            for out in self._foreach_rows(op, row):
-                self._forward(op, out)
-        elif isinstance(op, POLocalRearrange):
-            key = op.make_key(row)
-            if _is_null_key(key):
-                policy = self._null_key_policy.get(op.op_id, "keep")
-                if policy == "drop":
-                    return  # Pig: null keys never match in inner joins
-                if policy == "isolate":
-                    # outer-preserved side: the row survives, unmatched
-                    self._null_counter += 1
-                    key = ("__null__", self._null_counter)
-            self._shuffle.add(key, op.branch, row)
-            self._map_output_records += 1
-        elif isinstance(op, POStore):
-            if self.fast_data_plane:
-                self._store_rows[op.op_id].append(row)
-            else:
-                self._store_lines[op.op_id].append(serialize_row(row))
-        elif isinstance(op, (POSplit, POUnion)):
-            self._forward(op, row)
-        elif isinstance(op, POLimit):
-            if self._limit_counts[op.op_id] < op.n:
-                self._limit_counts[op.op_id] += 1
-                self._forward(op, row)
-        elif isinstance(op, (POGlobalRearrange, POPackage, POLoad)):
-            raise ExecutionError(f"operator {op!r} cannot appear mid-pipeline")
-        else:
-            raise PlanError(f"interpreter cannot execute {op!r}")
 
     def _configure_null_key_policy(self, package: POPackage) -> None:
         """Pig join semantics for null keys: dropped on inner sides,
@@ -682,27 +472,18 @@ class JobInterpreter:
                 key = op.make_key(1, row)
                 if not _is_null_key(key):
                     table[key].append(row)
-            if self._batching:
-                out: List[Row] = []
-                for row in probe_rows:
-                    key = op.make_key(0, row)
-                    if _is_null_key(key):
-                        continue
-                    for match in table.get(key, ()):
-                        self._op_records += 1
-                        out.append(tuple(row) + tuple(match))
-                handlers = self._batch_handlers_after(op)
-                for chunk in self._chunks(out):
-                    for handler in handlers:
-                        handler(chunk, op)
-                continue
+            out: List[Row] = []
             for row in probe_rows:
                 key = op.make_key(0, row)
                 if _is_null_key(key):
                     continue
                 for match in table.get(key, ()):
                     self._op_records += 1
-                    self._forward(op, tuple(row) + tuple(match))
+                    out.append(tuple(row) + tuple(match))
+            handlers = self._batch_handlers_after(op)
+            for chunk in self._chunks(out):
+                for handler in handlers:
+                    handler(chunk, op)
 
     # -- foreach ----------------------------------------------------------------------------
 

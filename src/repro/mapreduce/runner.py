@@ -14,7 +14,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.execution.interpreter import DEFAULT_BATCH_SIZE, JobInterpreter
+from repro.execution.interpreter import JobInterpreter
 from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.job import MapReduceJob, Workflow
 from repro.mapreduce.stats import JobStats, WorkflowStats
@@ -70,9 +70,6 @@ class HadoopSimulator:
         dfs: DistributedFileSystem,
         cluster: Optional[ClusterConfig] = None,
         cost_model: Optional["CostModel"] = None,
-        fast_data_plane: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        payload_reuse: bool = True,
     ):
         # Imported here to break the mapreduce <-> costmodel cycle:
         # the model consumes this package's ClusterConfig and stats.
@@ -81,26 +78,12 @@ class HadoopSimulator:
         self.dfs = dfs
         self.cluster = cluster or ClusterConfig()
         self.cost_model = cost_model or CostModel(cluster=self.cluster)
-        #: route execution through the typed-dataset cache + compiled
-        #: dispatch; False restores the text-at-every-edge path (the
-        #: ``exec_sim`` ablation baseline) — counters and outputs are
-        #: byte-identical either way, only wall time differs
-        self.fast_data_plane = fast_data_plane
-        #: chunk size of the batched operator-evaluation tier; 0 keeps
-        #: the per-row fast plane (see :class:`JobInterpreter`)
-        self.batch_size = batch_size
-        #: let copy-style stores clone their producer's serialized
-        #: payload instead of re-serializing (fast plane only)
-        self.payload_reuse = payload_reuse
 
     def run_job(self, job: MapReduceJob) -> JobStats:
         interpreter = JobInterpreter(
             job,
             self.dfs,
             n_reduce_tasks=self.cluster.n_reduce_tasks(job.conf.n_reducers),
-            fast_data_plane=self.fast_data_plane,
-            batch_size=self.batch_size,
-            payload_reuse=self.payload_reuse,
         )
         stats = interpreter.run()
         stats.sim = self.cost_model.job_time(stats, job.conf.n_reducers)

@@ -1,12 +1,11 @@
 """The append-only payload block store.
 
-Repository metadata became crash-safe with the snapshot + journal
-subsystem, but the bytes a matched entry actually *serves* — its DFS
-output file — lived only in memory (mirrored, for the CLI, by a
-best-effort ``.files/`` sidecar).  This module persists those payloads
-natively, with exactly the journal's torn-tail discipline, so a
-recovered entry is never served unless its output bytes are durable
-and intact.
+The snapshot + journal subsystem makes repository metadata
+crash-safe; the bytes a matched entry actually *serves* — its DFS
+output file — live in the in-memory DFS.  This module persists those
+payloads natively, with exactly the journal's torn-tail discipline,
+so a recovered entry is never served unless its output bytes are
+durable and intact.
 
 One block-store *generation* is a single append-only file of framed
 segments::

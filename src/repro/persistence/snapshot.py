@@ -16,24 +16,16 @@ in O(entries read) — **without re-registering a single plan**:
 * optionally the owning manager's kept-path set and eviction clock,
   and the DFS script/sub-job id floors.
 
-Layout (version 2)::
+Layout (version 3, the only version this reader accepts)::
 
     magic "RSNP" | version u8 | crc32 u32 | index_len u32 | body_len u32
     index (JSON) | cold blob (concatenated per-entry plan JSON)
 
-Version 2 adds one entry-row column, ``input_extents`` (the per-input
-identity/length fingerprints freshness classification compares).
-Version-1 snapshots still load: their 15-element rows are recognised
-by length and decode with empty extents, which the freshness layer
-treats as legacy entries (any mtime movement classifies as
-rewritten — conservative, never stale-serving).
-
-Version 3 adds one *optional* top-level index key, ``payloads`` —
-the block-store generation and the path → segment-ref table captured
-at rotation time (see :mod:`repro.persistence.blockstore`).  The
-entry rows are unchanged, so version-2 snapshots load as v3 with an
-empty payload table (the recovery scrub treats their entries as
-legacy: tolerated when the DFS already holds their bytes).
+Each entry row carries ``input_extents`` (the per-input
+identity/length fingerprints freshness classification compares), and
+the index has one *optional* top-level key, ``payloads`` — the
+block-store generation and the path → segment-ref table captured at
+rotation time (see :mod:`repro.persistence.blockstore`).
 
 The CRC covers the whole body (index + cold blob): a half-written or
 bit-rotted snapshot is rejected as a unit, never partially applied.
@@ -69,9 +61,7 @@ _MAGIC = b"RSNP"
 #: magic, version, crc32(body), index length, total body length
 _HEADER = struct.Struct(">4sBIII")
 
-# positional entry-row columns, version 2 (order is part of the
-# format; version-1 rows lack "input_extents" and are told apart by
-# row length in _entry_from_row)
+# positional entry-row columns (order is part of the format)
 _COLUMNS = (
     "entry_id",
     "seq",
@@ -94,6 +84,19 @@ _COLUMNS = (
 
 class SnapshotError(ReproError):
     """A snapshot could not be encoded, validated, or decoded."""
+
+
+def _check_version(version) -> None:
+    if not isinstance(version, int) or version < SNAPSHOT_VERSION:
+        raise SnapshotError(
+            f"unsupported snapshot version {version!r}: this reader "
+            f"supports version {SNAPSHOT_VERSION} only"
+        )
+    if version > SNAPSHOT_VERSION:
+        raise SnapshotError(
+            f"snapshot version {version} is newer than this reader "
+            f"(max {SNAPSHOT_VERSION})"
+        )
 
 
 class LazyPlan:
@@ -300,10 +303,6 @@ def _entry_row(
 
 
 def _entry_from_row(row: list, blob: memoryview) -> Tuple[RepositoryEntry, int]:
-    if len(row) == len(_COLUMNS) - 1:
-        # version-1 row: splice in an empty input_extents column, which
-        # downgrades the entry to legacy (mtime-only) freshness checks
-        row = row[:9] + [{}] + row[9:]
     (
         entry_id,
         seq,
@@ -359,14 +358,7 @@ class RepositorySnapshot:
             raise SnapshotError(
                 f"not a repository snapshot: format={payload.get('format')!r}"
             )
-        version = payload.get("version")
-        if not isinstance(version, int) or version < 1:
-            raise SnapshotError(f"bad snapshot version: {version!r}")
-        if version > SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot version {version} is newer than this reader "
-                f"(max {SNAPSHOT_VERSION})"
-            )
+        _check_version(payload.get("version"))
         self.payload = payload
         self.cold = cold
 
@@ -435,10 +427,7 @@ class RepositorySnapshot:
         magic, version, crc, index_len, body_len = _HEADER.unpack_from(data)
         if magic != _MAGIC:
             raise SnapshotError(f"bad snapshot magic: {magic!r}")
-        if version > SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot version {version} is newer than this reader"
-            )
+        _check_version(version)
         body = data[_HEADER.size : _HEADER.size + body_len]
         if len(body) != body_len or index_len > body_len:
             raise SnapshotError("snapshot truncated: body incomplete")
@@ -467,7 +456,7 @@ class RepositorySnapshot:
 
     @property
     def payload_state(self) -> dict:
-        """The block-store table (empty for pre-v3 snapshots)."""
+        """The block-store table (empty when captured without one)."""
         return self.payload.get("payloads", {})
 
     def __len__(self) -> int:

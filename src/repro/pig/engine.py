@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import ReStoreEvent
-from repro.execution.interpreter import DEFAULT_BATCH_SIZE
 from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.job import Workflow
 from repro.mapreduce.runner import HadoopSimulator, JobListener
@@ -24,7 +23,7 @@ from repro.pig.logical.optimizer import LogicalOptimizer
 from repro.pig.mrcompiler import MRCompiler
 from repro.pig.parser import parse
 from repro.relational.schema import Schema
-from repro.relational.tuples import Row, deserialize_rows, snapshot_rows
+from repro.relational.tuples import Row, snapshot_rows
 
 
 @dataclass
@@ -65,22 +64,11 @@ class PigServer:
         restore: Optional[JobListener] = None,
         optimize: bool = True,
         default_parallel: int = 28,
-        fast_data_plane: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        payload_reuse: bool = True,
     ):
         self.dfs = dfs
         self.cluster = cluster or ClusterConfig()
         self.cost_model = cost_model or CostModel(cluster=self.cluster)
-        self.fast_data_plane = fast_data_plane
-        self.runner = HadoopSimulator(
-            dfs,
-            self.cluster,
-            self.cost_model,
-            fast_data_plane=fast_data_plane,
-            batch_size=batch_size,
-            payload_reuse=payload_reuse,
-        )
+        self.runner = HadoopSimulator(dfs, self.cluster, self.cost_model)
         self.restore = restore
         self.optimize = optimize
         self.default_parallel = default_parallel
@@ -154,20 +142,14 @@ class PigServer:
             path = store.path
             if self.dfs.exists(path):
                 schema = store.schema or Schema()
-                if self.fast_data_plane:
-                    # served straight from the typed-dataset cache the
-                    # store just pinned — no re-parse of final outputs.
-                    # Bags are defensively copied: outputs are caller-
-                    # owned (legacy handed out fresh parses), and a
-                    # caller mutating a cache-pinned Bag would corrupt
-                    # every later read of this path
-                    result.outputs[path] = list(
-                        snapshot_rows(self.dfs.read_rows(path, schema))
-                    )
-                else:
-                    result.outputs[path] = deserialize_rows(
-                        self.dfs.read_text(path), schema
-                    )
+                # served straight from the typed-dataset cache the
+                # store just pinned — no re-parse of final outputs.
+                # Bags are defensively copied: outputs are caller-
+                # owned, and a caller mutating a cache-pinned Bag
+                # would corrupt every later read of this path
+                result.outputs[path] = list(
+                    snapshot_rows(self.dfs.read_rows(path, schema))
+                )
 
         # Stock Pig deletes intermediate outputs when the workflow ends;
         # ReStore keeps the ones registered in its repository (§1).

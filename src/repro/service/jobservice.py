@@ -341,9 +341,6 @@ class JobService:
                     "datanodes": len(self.dfs.datanodes),
                     "optimize": service.optimize,
                     "default_parallel": service.default_parallel,
-                    "fast_data_plane": self.config.fast_data_plane,
-                    "batch_size": self.config.batch_size,
-                    "payload_reuse": self.config.payload_reuse,
                     "faults": (
                         active_injector.plan
                         if active_injector is not None

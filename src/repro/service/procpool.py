@@ -192,9 +192,6 @@ def worker_main(conn, context: dict, ordinal: int = 0) -> None:
         restore=proxy,
         optimize=context["optimize"],
         default_parallel=context["default_parallel"],
-        fast_data_plane=context["fast_data_plane"],
-        batch_size=context["batch_size"],
-        payload_reuse=context["payload_reuse"],
     )
     while True:
         try:

@@ -158,9 +158,6 @@ class ReStoreSession:
             restore=self.manager,
             optimize=optimize,
             default_parallel=default_parallel,
-            fast_data_plane=self.config.fast_data_plane,
-            batch_size=self.config.batch_size,
-            payload_reuse=self.config.payload_reuse,
         )
         self._events = self.manager.events if self.manager else EventBus()
         self._closed = False
@@ -433,26 +430,6 @@ class SessionBuilder:
 
     def rewrite(self, enabled: bool) -> "SessionBuilder":
         self._config_kwargs["rewrite_enabled"] = enabled
-        return self
-
-    def indexed_matching(self, enabled: bool) -> "SessionBuilder":
-        self._config_kwargs["indexed_matching"] = enabled
-        return self
-
-    def fast_data_plane(self, enabled: bool) -> "SessionBuilder":
-        """Toggle the zero-copy execution data plane (default on)."""
-        self._config_kwargs["fast_data_plane"] = enabled
-        return self
-
-    def batch_size(self, n: int) -> "SessionBuilder":
-        """Chunk size of the batched operator-evaluation tier
-        (0 = per-row fast-plane dispatch)."""
-        self._config_kwargs["batch_size"] = n
-        return self
-
-    def payload_reuse(self, enabled: bool) -> "SessionBuilder":
-        """Toggle serialized-payload cloning for copy-style stores."""
-        self._config_kwargs["payload_reuse"] = enabled
         return self
 
     def inject(self, enabled: bool) -> "SessionBuilder":

@@ -1,21 +1,31 @@
-"""Batch-vs-row differential tests for the columnar data plane.
+"""Chunk-length invariance of the data plane.
 
-The contract under test: ``ReStoreConfig.batch_size`` changes wall
-time and nothing else.  Whole PigMix-style streams run under every
-tier — legacy text plane, per-row fast plane (``batch_size=0``), and
-batched planes at several chunk sizes including pathological ones —
-and every observable must match byte for byte: the full DFS snapshot,
-all ``JobStats`` counters, the DFS byte counters, and the typed
-decision log.  A Hypothesis differential drives the same assertion
-over generated tables (nulls, skew, empty relations included).
+The contract under test: :attr:`JobInterpreter.CHUNK_ROWS` changes
+wall time and nothing else.  Whole PigMix-style streams run at several
+chunk lengths including pathological ones, and every observable must
+match the golden corpus byte for byte: the full DFS snapshot, all
+``JobStats`` counters, the DFS byte counters, and the typed decision
+log.  A Hypothesis differential drives the same invariance over
+generated tables (nulls, skew, empty relations included) and holds the
+outputs to a no-reuse session and to a plain-Python oracle.
 """
 
+from collections import defaultdict
+
 import pytest
+from golden_corpus import (
+    CHUNK_LENGTHS,
+    EVENTS,
+    GROUPED,
+    NAMES,
+    static_stream,
+    assert_stream_matches_golden,
+    run_stream,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.manager import ReStoreConfig
-from repro.execution.interpreter import DEFAULT_BATCH_SIZE, JobInterpreter
+from repro.execution.interpreter import JobInterpreter
 from repro.relational.compiled import (
     compile_expression,
     compile_filter_list,
@@ -36,152 +46,33 @@ from repro.relational.expressions import (
 from repro.relational.tuples import Bag
 from repro.session import ReStoreSession
 
-#: the tiers every stream is replayed under; legacy is the oracle
-TIERS = [
-    {"batch_size": 0},
-    {"batch_size": 1},
-    {"batch_size": 7},
-    {"batch_size": DEFAULT_BATCH_SIZE},
-]
-
-
-def _run_stream(payloads, scripts, **config_kwargs):
-    """Run *scripts* in one session over *payloads*; return every
-    observable the planes must agree on."""
-    config = ReStoreConfig(**config_kwargs)
-    with ReStoreSession(datanodes=3, config=config) as session:
-        for path, text in payloads.items():
-            session.write_file(path, text)
-        counters, decisions, outputs = [], [], []
-        for i, source in enumerate(scripts):
-            result = session.run(source, name=f"q{i}")
-            outputs.append(result.outputs)
-            decisions.extend(repr(e) for e in result.events)
-            for job_id in sorted(result.stats.job_stats):
-                stats = result.stats.job_stats[job_id]
-                counters.append(
-                    (
-                        job_id,
-                        stats.input_records,
-                        stats.map_output_records,
-                        stats.shuffle_records,
-                        stats.shuffle_bytes,
-                        stats.reduce_groups,
-                        stats.op_records,
-                        tuple(sorted(stats.load_bytes.items())),
-                        tuple(
-                            (s.path, s.bytes, s.records, s.phase, s.side)
-                            for s in stats.stores
-                        ),
-                        stats.sim_seconds,
-                    )
-                )
-            counters.append(tuple(sorted(result.stats.eliminated_jobs)))
-        snapshot = {
-            path: session.dfs.read_file(path) for path in session.dfs.list_paths()
-        }
-        dfs_counters = (
-            session.dfs.bytes_read,
-            session.dfs.bytes_written,
-            session.dfs.replica_bytes_written,
-        )
-        return snapshot, counters, decisions, dfs_counters, outputs
-
-
-def _assert_all_tiers_match(payloads, scripts):
-    oracle = _run_stream(payloads, scripts, fast_data_plane=False)
-    for tier in TIERS:
-        got = _run_stream(payloads, scripts, **tier)
-        for part, want, have in zip(
-            ("snapshot", "counters", "decisions", "dfs_counters", "outputs"),
-            oracle,
-            got,
-        ):
-            assert have == want, f"batch tier {tier} diverged on {part}"
-
-
-EVENTS = "u1\t5\t1.5\nu2\t2\t0.5\nu1\t9\t2.25\n\t4\t1.0\nu3\t7\t0.75\nu2\t8\t0.25\n"
-NAMES = "u1\talice\nu9\tzed\n"
-
 
 class TestDeterministicDifferentials:
-    def test_filter_group_aggregate_chain_with_reuse(self):
-        prefix = (
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "B = filter A by a > 3;\n"
-            "C = group B by u;\n"
+    def test_filter_group_aggregate_chain_with_reuse(self, monkeypatch):
+        assert_stream_matches_golden(
+            "filter_group_aggregate_chain_with_reuse", monkeypatch
         )
-        scripts = [
-            prefix + "D = foreach C generate group, COUNT(B), SUM(B.r);\n"
-            "store D into 'out/agg';",
-            prefix + "D = foreach C generate group, MAX(B.r);\nstore D into 'out/d0';",
-            # identical computation, new path: whole-job copy rewrite
-            prefix + "D = foreach C generate group, MAX(B.r);\nstore D into 'out/d1';",
-        ]
-        _assert_all_tiers_match({"data/ev": EVENTS}, scripts)
 
-    def test_left_outer_join_isolating_null_keys(self):
-        scripts = [
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "B = load 'data/names' as (u:chararray, n:chararray);\n"
-            "C = join A by u left outer, B by u;\n"
-            "store C into 'out/join';"
-        ]
-        _assert_all_tiers_match({"data/ev": EVENTS, "data/names": NAMES}, scripts)
+    def test_left_outer_join_isolating_null_keys(self, monkeypatch):
+        assert_stream_matches_golden("left_outer_join_isolating_null_keys", monkeypatch)
 
-    def test_full_outer_self_join_falls_back_to_per_row(self):
-        # two isolating rearranges fed from one load: the batched
-        # plane must detect the null-numbering hazard and fall back
-        scripts = [
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "B = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "C = join A by u full outer, B by u;\n"
-            "store C into 'out/full';"
-        ]
-        _assert_all_tiers_match({"data/ev": EVENTS}, scripts)
+    def test_full_outer_self_join_falls_back_to_per_row(self, monkeypatch):
+        # two isolating rearranges fed from one load: the plane must
+        # detect the null-numbering hazard and run one-row chunks,
+        # whatever CHUNK_ROWS says
+        assert_stream_matches_golden("full_outer_self_join", monkeypatch)
 
-    def test_order_by_with_limit(self):
-        scripts = [
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "B = order A by r;\n"
-            "C = limit B 3;\n"
-            "store C into 'out/top';"
-        ]
-        _assert_all_tiers_match({"data/ev": EVENTS}, scripts)
+    def test_order_by_with_limit(self, monkeypatch):
+        assert_stream_matches_golden("order_by_with_limit", monkeypatch)
 
-    def test_union_distinct_and_split_stores(self):
-        scripts = [
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "B = load 'data/ev2' as (u:chararray, a:int, r:double);\n"
-            "C = union A, B;\n"
-            "D = distinct C;\n"
-            "store D into 'out/u';",
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "B = filter A by a > 3;\n"
-            "store B into 'out/s1';\n"
-            "store B into 'out/s2';",
-        ]
-        payloads = {"data/ev": EVENTS, "data/ev2": "u4\t1\t0.5\nu1\t5\t1.5\n"}
-        _assert_all_tiers_match(payloads, scripts)
+    def test_union_distinct_and_split_stores(self, monkeypatch):
+        assert_stream_matches_golden("union_distinct_and_split_stores", monkeypatch)
 
-    def test_replicated_join(self):
-        scripts = [
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            "B = load 'data/names' as (u:chararray, n:chararray);\n"
-            "C = join A by u, B by u using 'replicated';\n"
-            "store C into 'out/fr';"
-        ]
-        _assert_all_tiers_match({"data/ev": EVENTS, "data/names": NAMES}, scripts)
+    def test_replicated_join(self, monkeypatch):
+        assert_stream_matches_golden("replicated_join", monkeypatch)
 
-    def test_empty_input_relation(self):
-        scripts = [
-            "A = load 'data/empty' as (u:chararray, a:int, r:double);\n"
-            "B = filter A by a > 3;\n"
-            "C = group B by u;\n"
-            "D = foreach C generate group, COUNT(B);\n"
-            "store D into 'out/empty';"
-        ]
-        _assert_all_tiers_match({"data/empty": ""}, scripts)
+    def test_empty_input_relation(self, monkeypatch):
+        assert_stream_matches_golden("empty_input_relation", monkeypatch)
 
 
 def _rows_to_text(rows):
@@ -226,27 +117,60 @@ def event_tables(draw):
     return rows, threshold
 
 
+def _plain_python_aggregate(rows, threshold):
+    """filter a > threshold / group by u / COUNT, SUM(r) over the
+    generated rows, sharing no code with ``repro``: COUNT counts
+    tuples, SUM skips nulls and is null when nothing is left."""
+    groups = defaultdict(list)
+    for u, a, r in rows:
+        if a is not None and a > threshold:
+            groups[u].append(r)
+    out = {}
+    for u, values in groups.items():
+        kept = [float(v) for v in values if v is not None]
+        out[u] = (len(values), sum(kept) if kept else None)
+    return out
+
+
 class TestHypothesisDifferential:
     @settings(
         max_examples=12,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
     )
     @given(event_tables())
-    def test_pigmix_style_chain_is_tier_invariant(self, table):
+    def test_pigmix_style_chain_is_tier_invariant(self, monkeypatch, table):
         rows, threshold = table
-        prefix = (
-            "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
-            f"B = filter A by a > {threshold};\n"
-            "C = group B by u;\n"
+        prefix = GROUPED.replace("a > 3", f"a > {threshold}")
+        stream = static_stream(
+            {"data/ev": _rows_to_text(rows)},
+            [
+                prefix + "D = foreach C generate group, COUNT(B), SUM(B.r);\n"
+                "store D into 'out/agg';",
+                prefix + "D = foreach C generate group;\nstore D into 'out/d0';",
+                prefix + "D = foreach C generate group;\nstore D into 'out/d1';",
+            ],
         )
-        scripts = [
-            prefix + "D = foreach C generate group, COUNT(B), SUM(B.r);\n"
-            "store D into 'out/agg';",
-            prefix + "D = foreach C generate group;\nstore D into 'out/d0';",
-            prefix + "D = foreach C generate group;\nstore D into 'out/d1';",
-        ]
-        _assert_all_tiers_match({"data/ev": _rows_to_text(rows)}, scripts)
+        runs = []
+        for chunk_rows in CHUNK_LENGTHS:
+            monkeypatch.setattr(JobInterpreter, "CHUNK_ROWS", chunk_rows)
+            runs.append(run_stream(*stream))
+        assert runs[1:] == runs[:-1]  # every observable, every chunk length
+        outputs = runs[0][1]
+        no_reuse = run_stream(*stream, rewrite_enabled=False, inject_enabled=False)
+        assert outputs == no_reuse[1]
+        want = _plain_python_aggregate(rows, threshold)
+        got = {u: (n, total) for u, n, total in outputs[0]["out/agg"]}
+        assert got.keys() == want.keys()
+        for u, (n, total) in want.items():
+            assert got[u][0] == n
+            assert got[u][1] == pytest.approx(total)
+        assert sorted(outputs[1]["out/d0"], key=repr) == sorted(
+            ((u,) for u in want), key=repr
+        )
 
 
 ROWS = [
@@ -318,31 +242,30 @@ class TestCompiledExpressions:
 
 
 class TestBatchSafety:
-    def test_two_isolating_rearranges_disable_batching(self, tmp_path=None):
-        with ReStoreSession(datanodes=2) as session:
-            session.write_file("d", EVENTS)
-            workflow = session.server.compile(
-                "A = load 'd' as (u:chararray, a:int, r:double);\n"
-                "B = load 'd' as (u:chararray, a:int, r:double);\n"
-                "C = join A by u full outer, B by u;\n"
-                "store C into 'o';"
-            )
-            job = next(j for j in workflow.topo_order() if j.has_shuffle)
-            interp = JobInterpreter(job, session.dfs)
-            interp.run()
-            assert interp._batching is False
-
-    def test_single_isolating_rearrange_keeps_batching(self):
+    def _chunk_rows_chosen(self, join):
         with ReStoreSession(datanodes=2) as session:
             session.write_file("d", EVENTS)
             session.write_file("n", NAMES)
             workflow = session.server.compile(
                 "A = load 'd' as (u:chararray, a:int, r:double);\n"
-                "B = load 'n' as (u:chararray, n:chararray);\n"
-                "C = join A by u left outer, B by u;\n"
+                f"{join}\n"
                 "store C into 'o';"
             )
             job = next(j for j in workflow.topo_order() if j.has_shuffle)
             interp = JobInterpreter(job, session.dfs)
             interp.run()
-            assert interp._batching is True
+            return interp.chunk_rows
+
+    def test_two_isolating_rearranges_disable_batching(self):
+        chosen = self._chunk_rows_chosen(
+            "B = load 'd' as (u:chararray, a:int, r:double);\n"
+            "C = join A by u full outer, B by u;"
+        )
+        assert chosen == 1
+
+    def test_single_isolating_rearrange_keeps_batching(self):
+        chosen = self._chunk_rows_chosen(
+            "B = load 'n' as (u:chararray, n:chararray);\n"
+            "C = join A by u left outer, B by u;"
+        )
+        assert chosen == JobInterpreter.CHUNK_ROWS

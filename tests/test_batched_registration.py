@@ -15,7 +15,6 @@ to amortize upkeep — it must be observationally equivalent:
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -144,20 +143,6 @@ class TestBatchAmortization:
         repo.flush()
         repo.ordered_entries()
         assert repo.index_stats.subsume_checks == checks
-
-    def test_legacy_json_restores_via_batch(self):
-        # the pre-snapshot entries-only JSON shape still loads, paying
-        # one batched re-registration pass
-        repo = Repository()
-        repo.add_batch(self._random_entries(6))
-        repo.flush()
-        legacy = json.dumps({"entries": [e.to_dict() for e in repo.entries()]})
-        restored = Repository.from_legacy_json(legacy)
-        assert [e.entry_id for e in restored.ordered_entries()] == [
-            e.entry_id for e in repo.ordered_entries()
-        ]
-        assert restored.index_stats.batch_flushes == 1
-        assert_index_consistent(restored)
 
     def test_snapshot_restores_without_matcher_work(self):
         # the snapshot codec fast-restores the recorded order

@@ -471,33 +471,3 @@ class TestTimerRotation:
         recovered = recover(config, DistributedFileSystem(n_datanodes=2))
         assert len(recovered.repository) == 2
         assert recovered.payloads_condemned == []
-
-
-class TestSidecarMigration:
-    def test_legacy_sidecar_imported_once_then_retired(self, tmp_path):
-        from repro.cli import _migrate_sidecar, _sidecar_dir
-
-        repo = build_repository(generate_entry_specs(3, seed=SEED), SEED)
-        repo.ordered_entries()
-        config = _config(tmp_path)
-        # a legacy lane: snapshot without a payloads table, bytes only
-        # in the .files/ sidecar
-        config.snapshot_storage().write(
-            RepositorySnapshot.capture(repo).to_bytes()
-        )
-        sidecar = _sidecar_dir(config)
-        for entry in repo.entries():
-            local = sidecar / entry.output_path
-            local.parent.mkdir(parents=True, exist_ok=True)
-            local.write_bytes(_payload_for(entry.output_path))
-        assert _migrate_sidecar(config) == 3
-        assert not sidecar.exists()  # retired: never written again
-        assert _migrate_sidecar(config) == 0  # one-shot
-        fresh = DistributedFileSystem(n_datanodes=2)
-        recovered = recover(config, fresh)
-        assert len(recovered.repository) == 3
-        assert recovered.payloads_condemned == []
-        for entry in recovered.repository.entries():
-            assert fresh.read_file(entry.output_path) == _payload_for(
-                entry.output_path
-            )

@@ -1,199 +1,114 @@
-"""Differential tests for the zero-copy data plane + exec_sim bench.
+"""Golden-corpus tests for the data plane + the exec_sim bench.
 
-The load-bearing guarantee: the data-plane tier (legacy / per-row fast
-/ batched) changes wall time and nothing else.  A multi-job
-PigMix-style workflow run on every tier must produce byte-identical
-DFS contents, identical ``WorkflowStats``/``JobStats`` counters,
-identical DFS byte counters, and an identical rewrite/elimination
-decision log.
+The load-bearing guarantee: the chunk length changes wall time and
+nothing else.  A multi-job PigMix-style workflow must reproduce the
+DFS contents, ``WorkflowStats``/``JobStats`` counters, DFS byte
+counters and rewrite/elimination decision log that the legacy
+text-at-every-edge plane recorded into the golden corpus.
 """
 
 import pytest
+from golden_corpus import STREAMS, run_stream
 
 from repro.bench.exec_sim import (
-    BATCH_SPEEDUP_FLOOR,
-    SPEEDUP_FLOOR,
     build_queries,
     check_exec_sim_gates,
     generate_event_rows,
-    run_exec_mode,
     run_exec_scale,
+    run_exec_stream,
 )
-from repro.core.manager import ReStoreConfig
-from repro.pigmix.datagen import PigMixConfig, PigMixDataGenerator
-from repro.pigmix.queries import build_query
+from repro.bench.golden import digests, load_golden
+from repro.execution.interpreter import JobInterpreter
 from repro.session import ReStoreSession
-
-
-def _job_counters(result):
-    out = []
-    for run in result:
-        for job_id in sorted(run.stats.job_stats):
-            stats = run.stats.job_stats[job_id]
-            out.append(
-                (
-                    job_id,
-                    stats.input_records,
-                    stats.map_output_records,
-                    stats.shuffle_records,
-                    stats.shuffle_bytes,
-                    stats.reduce_groups,
-                    stats.op_records,
-                    tuple(sorted(stats.load_bytes.items())),
-                    tuple(
-                        (s.path, s.bytes, s.records, s.phase, s.side)
-                        for s in stats.stores
-                    ),
-                    stats.sim_seconds,
-                )
-            )
-        out.append(tuple(sorted(run.stats.eliminated_jobs)))
-    return out
-
-
-def _run_pigmix_stream(**config_kwargs):
-    """A multi-job PigMix stream (L2/L3 share the join prefix, L5 is
-    an anti-join, L3 again for whole-job reuse) through one session."""
-    config = ReStoreConfig(**config_kwargs)
-    with ReStoreSession(datanodes=4, config=config) as session:
-        dataset = PigMixDataGenerator(
-            PigMixConfig(n_page_views=150, n_users=30, n_widerow=40)
-        ).generate(session.dfs)
-        results = []
-        for i, query in enumerate(["L2", "L3", "L5", "L3"]):
-            source = build_query(query, dataset, out=f"out/{query}_{i}")
-            results.append(session.run(source, name=f"{query}_{i}"))
-        snapshot = {
-            path: session.dfs.read_file(path) for path in session.dfs.list_paths()
-        }
-        counters = _job_counters(results)
-        decisions = [repr(e) for res in results for e in res.events]
-        dfs_counters = (
-            session.dfs.bytes_read,
-            session.dfs.bytes_written,
-            session.dfs.replica_bytes_written,
-        )
-        outputs = [res.outputs for res in results]
-        return snapshot, counters, decisions, dfs_counters, outputs
 
 
 class TestDifferentialPigMix:
     @pytest.mark.parametrize(
-        "config_kwargs",
-        [
-            {"fast_data_plane": True},  # batched (production default)
-            {"batch_size": 0},  # per-row fast plane
-            {"batch_size": 3},  # chunk boundaries mid-stream
-        ],
+        "chunk_rows",
+        [JobInterpreter.CHUNK_ROWS, 1, 3],
         ids=["batched", "per-row", "batch-3"],
     )
-    def test_fast_tiers_match_the_legacy_plane(self, config_kwargs):
-        fast = _run_pigmix_stream(**config_kwargs)
-        legacy = _run_pigmix_stream(fast_data_plane=False)
-        snapshot_f, counters_f, decisions_f, dfs_f, outputs_f = fast
-        snapshot_l, counters_l, decisions_l, dfs_l, outputs_l = legacy
-        assert snapshot_f == snapshot_l  # byte-identical DFS contents
-        assert counters_f == counters_l
-        assert decisions_f == decisions_l
-        assert dfs_f == dfs_l
-        assert outputs_f == outputs_l
+    def test_fast_tiers_match_the_legacy_plane(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(JobInterpreter, "CHUNK_ROWS", chunk_rows)
+        record, _ = run_stream(*STREAMS["pigmix_l2_l3_l5_l3"])
+        assert record == load_golden()["streams"]["pigmix_l2_l3_l5_l3"]
+
+
+#: a golden corpus holding one exec_sim record, and a scale matching it
+GOLDEN = {"seed": 13, "exec_sim": {"1000": {"dfs": {}, "decisions": ["d"]}}}
 
 
 def _green_scale(n_rows=1000):
     """A payload scale every gate accepts."""
     return {
         "n_rows": n_rows,
-        "speedup": SPEEDUP_FLOOR + 1.0,
-        "batch_speedup": BATCH_SPEEDUP_FLOOR + 0.5,
-        "outputs_identical": True,
-        "counters_identical": True,
-        "dfs_counters_identical": True,
-        "decisions_identical": True,
-        "modes": {
-            "batched": {
-                "workflow_wall_s": 0.05,
-                "copy_rewrites": 2,
-                "payload_reuses": 2,
-            },
-            "fast": {
-                "workflow_wall_s": 0.1,
-                "copy_rewrites": 2,
-                "payload_reuses": 2,
-            },
-            "legacy": {"workflow_wall_s": 0.5},
-        },
+        "copy_rewrites": 2,
+        "payload_clones": 2,
+        "digests": digests(GOLDEN["exec_sim"]["1000"]),
     }
 
 
 class TestExecSimBench:
     def test_scale_run_reports_identical(self):
-        scale = run_exec_scale(300, seed=5, reps=1)
-        assert scale["outputs_identical"]
-        assert scale["counters_identical"]
-        assert scale["dfs_counters_identical"]
-        assert scale["decisions_identical"]
+        golden = load_golden()
+        scale = run_exec_scale(2000, seed=golden["seed"], reps=1)
+        assert scale["digests"] == digests(golden["exec_sim"]["2000"])
         assert scale["n_queries"] == len(build_queries())
-        for mode in ("batched", "fast", "legacy"):
-            stats = scale["modes"][mode]
-            assert stats["input_records"] > 0
-            assert stats["jobs_run"] > 0
-            assert stats["rows_per_sec"] > 0
+        assert scale["input_records"] > 0
+        assert scale["jobs_run"] > 0
+        assert scale["rows_per_sec"] > 0
         # reuse actually happened: consumers were rewritten, identical
-        # drill queries degraded to copy jobs, and on the fast tiers
-        # every copy store cloned its producer's payload
-        for mode in ("batched", "fast"):
-            stats = scale["modes"][mode]
-            assert stats["rewrites"] > 0
-            assert stats["copy_rewrites"] > 0
-            assert stats["payload_reuses"] >= stats["copy_rewrites"]
-        assert scale["modes"]["legacy"]["payload_reuses"] == 0
+        # drill queries degraded to copy jobs, and every copy store
+        # cloned its producer's payload
+        assert scale["rewrites"] > 0
+        assert scale["copy_rewrites"] > 0
+        assert scale["payload_clones"] >= scale["copy_rewrites"]
+        payload = {"seed": golden["seed"], "scales": [scale]}
+        assert check_exec_sim_gates(payload, golden) == []
 
     def test_mode_result_shape(self):
         rows = generate_event_rows(120, seed=5)
         queries = build_queries()[:3]
-        result = run_exec_mode(rows, queries, mode="batched")
+        result = run_exec_stream(rows, queries)
         assert result.jobs_run >= len(queries)
-        assert len(result.snapshot) > 0
-        assert result.dfs_counters[1] > 0  # bytes_written moved
+        assert len(result.record["dfs"]) > 0
+        assert result.record["dfs_counters"][1] > 0  # bytes_written moved
 
     def test_gates_green_on_identical_fast_payload(self):
-        payload = {"scales": [_green_scale()]}
-        assert check_exec_sim_gates(payload) == []
+        payload = {"seed": 13, "scales": [_green_scale()]}
+        assert check_exec_sim_gates(payload, GOLDEN) == []
         assert check_exec_sim_gates(None) == []
 
-    def test_gates_trip_on_slow_or_divergent(self):
-        slow = _green_scale()
-        slow["speedup"] = SPEEDUP_FLOOR - 0.5
-        divergent = _green_scale(n_rows=2000)
-        divergent["outputs_identical"] = False
-        failures = check_exec_sim_gates({"scales": [slow, divergent]})
-        assert len(failures) == 2
-        assert any("below" in f for f in failures)
+    def test_gates_trip_on_golden_divergence(self):
+        divergent = _green_scale()
+        divergent["digests"]["decisions"] = "0" * 64
+        failures = check_exec_sim_gates({"seed": 13, "scales": [divergent]}, GOLDEN)
+        assert failures == ["exec_sim N=1000: decisions differ from the golden"]
 
-    def test_gates_trip_on_batch_regression_at_largest_scale(self):
-        small = _green_scale(n_rows=1000)
-        small["batch_speedup"] = 1.0  # not the largest scale: ignored
-        large = _green_scale(n_rows=5000)
-        large["batch_speedup"] = BATCH_SPEEDUP_FLOOR - 0.2
-        failures = check_exec_sim_gates({"scales": [small, large]})
-        assert len(failures) == 1
-        assert "batch speedup" in failures[0]
+    def test_golden_gate_is_skipped_not_passed_without_a_record(self):
+        for payload, golden in (
+            ({"seed": 13, "scales": [_green_scale(n_rows=5000)]}, GOLDEN),
+            ({"seed": 99, "scales": [_green_scale()]}, GOLDEN),
+            ({"seed": 13, "scales": [_green_scale()]}, None),
+        ):
+            skipped = {}
+            assert check_exec_sim_gates(payload, golden, skipped) == []
+            assert list(skipped.values()) == ["no golden record"]
 
     def test_gates_trip_on_reserialized_copy_stores(self):
         scale = _green_scale()
-        scale["modes"]["batched"]["payload_reuses"] = 0
-        failures = check_exec_sim_gates({"scales": [scale]})
+        scale["payload_clones"] = 0
+        failures = check_exec_sim_gates({"seed": 13, "scales": [scale]}, GOLDEN)
         assert len(failures) == 1
         assert "re-serialized" in failures[0]
 
     def test_gates_trip_when_no_copy_rewrites_happen(self):
         scale = _green_scale()
-        for mode in ("batched", "fast"):
-            scale["modes"][mode]["copy_rewrites"] = 0
-            scale["modes"][mode]["payload_reuses"] = 0
-        failures = check_exec_sim_gates({"scales": [scale]})
-        assert len(failures) == 2
-        assert all("copy" in f for f in failures)
+        scale["copy_rewrites"] = 0
+        scale["payload_clones"] = 0
+        failures = check_exec_sim_gates({"seed": 13, "scales": [scale]}, GOLDEN)
+        assert len(failures) == 1
+        assert "copy" in failures[0]
 
 
 class TestOutputsAreCallerOwned:

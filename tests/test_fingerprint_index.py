@@ -9,8 +9,9 @@ Covers the tentpole guarantees:
 * the index and the incrementally maintained §3 order stay consistent
   through adds, removals, and evictions (checked against from-scratch
   oracles, including the historical two-pass sort);
-* candidate pruning never changes rewrite decisions, and at N=1000 it
-  runs ≥10x fewer pairwise traversals than the full scan;
+* candidate pruning is sound — it drops only entries Algorithm 1
+  rejects, in scan order — and at N=1000 it runs ≥10x fewer pairwise
+  traversals than there are entries to scan;
 * entry ids are scoped per repository (deterministic across sessions
   in one process).
 """
@@ -20,8 +21,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.repo_scale import run_scale
-from repro.core.manager import ReStoreConfig, ReStoreManager
+from repro.bench.golden import digests, load_golden
+from repro.bench.repo_scale import (
+    _probe_job,
+    build_repository,
+    check_gates,
+    generate_entry_specs,
+    generate_probe_specs,
+    run_repo_scale_benchmark,
+    run_scale,
+)
+from repro.core.manager import ReStoreManager
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.events import MatchScanned
@@ -335,24 +345,21 @@ class TestEntryIdScoping:
         assert_index_consistent(restored)
 
 
-def small_data_dfs():
-    """Fresh DFS with the conftest micro dataset (needed twice, so a
-    plain function rather than the function-scoped fixture)."""
-    from repro.dfs.filesystem import DistributedFileSystem
-
-    dfs = DistributedFileSystem(n_datanodes=4, block_size=4 * 1024)
-    page_views = [
-        "alice\t1\t100\t1.5\tinfoA\tlinksA",
-        "bob\t1\t102\t4.0\tinfoC\tlinksC",
-        "carol\t3\t103\t8.0\tinfoD\tlinksD",
-        "dave\t2\t105\t3.0\tinfoF\tlinksF",
-    ]
-    dfs.write_file("data/page_views", "\n".join(page_views) + "\n")
-    return dfs
+def assert_pruning_sound(repository, plan):
+    """Every ordered entry ``match_candidates`` leaves out is one
+    Algorithm 1 rejects, and the candidates keep the scan order."""
+    ordered = repository.ordered_entries()
+    candidates, _ = repository.match_candidates(plan)
+    kept = {entry.entry_id for entry in candidates}
+    assert candidates == [entry for entry in ordered if entry.entry_id in kept]
+    matcher = PlanMatcher()
+    for entry in ordered:
+        if entry.entry_id not in kept:
+            assert matcher.match(plan, entry.plan) is None, entry.entry_id
 
 
 class TestCandidatePruningDecisions:
-    def test_indexed_and_full_scan_sessions_agree(self):
+    def test_pruning_drops_only_entries_the_matcher_rejects(self, small_data):
         queries = [
             """
             A = load 'data/page_views' as (user, action:int, timestamp:int,
@@ -373,43 +380,19 @@ class TestCandidatePruningDecisions:
             store E into 'out/%d_cnt';
             """,
         ]
+        session = ReStoreSession(dfs=small_data)
+        for i, template in enumerate(queries * 2):
+            workflow = session.server.compile(template % i)
+            for job in workflow.jobs:
+                assert_pruning_sound(session.manager.repository, job.plan)
+            session.run_workflow(workflow)
+        assert session.match_stats.candidates_pruned > 0
+        assert session.match_stats.traversals > 0
 
-        from repro.events import JobEliminated, RewriteApplied
-
-        def run_stream(indexed):
-            session = ReStoreSession(
-                dfs=small_data_dfs(),
-                config=ReStoreConfig(indexed_matching=indexed),
-            )
-            outputs, decisions = [], []
-            for i, template in enumerate(queries * 2):
-                result = session.run(template % i)
-                outputs.append(sorted(
-                    (path, tuple(map(repr, rows)))
-                    for path, rows in result.outputs.items()
-                ))
-                # job ids and sub-job paths come from process-global
-                # counters, so compare the structural decision only
-                decisions.append([
-                    (type(e).__name__, e.entry_id, e.anchor_kind)
-                    for e in result.events
-                    if isinstance(e, RewriteApplied)
-                ] + [
-                    (type(e).__name__, e.entry_id, e.reason)
-                    for e in result.events
-                    if isinstance(e, JobEliminated)
-                ])
-            return outputs, decisions, session
-
-        outputs_on, decisions_on, session_on = run_stream(True)
-        outputs_off, decisions_off, session_off = run_stream(False)
-        assert outputs_on == outputs_off
-        assert decisions_on == decisions_off
-        totals_on = session_on.match_stats
-        totals_off = session_off.match_stats
-        assert totals_on.candidates_pruned > 0
-        assert totals_off.candidates_pruned == 0
-        assert totals_on.traversals <= totals_off.traversals
+        entry_specs = generate_entry_specs(100, seed=13)
+        repository = build_repository(entry_specs, seed=13)
+        for spec in generate_probe_specs(entry_specs, 20, seed=13):
+            assert_pruning_sound(repository, _probe_job(spec)[0].plan)
 
     def test_match_scanned_events_on_bus_only(self, small_data):
         session = ReStoreSession(dfs=small_data)
@@ -435,10 +418,32 @@ class TestCandidatePruningDecisions:
 class TestScaleGate:
     def test_1000_entries_tenfold_fewer_traversals(self):
         scale = run_scale(n_entries=1000, n_probes=20, seed=13)
-        assert scale["decisions_identical"]
-        assert scale["traversal_reduction"] >= 10.0
-        indexed = scale["modes"]["indexed"]
-        full = scale["modes"]["full_scan"]
-        assert indexed["rewrites"] == full["rewrites"]
-        assert indexed["eliminations"] == full["eliminations"]
-        assert indexed["candidates_examined"] <= full["entries_seen"]
+        golden = load_golden()["repo_scale"]["1000x20"]
+        for count in ("traversals", "candidates_examined", "rewrites", "eliminations"):
+            assert scale[count] == golden[count]
+        assert scale["decisions_digest"] == digests(golden)["decisions"]
+        assert scale["traversals"] * 10 <= scale["entries_seen"]
+
+    def test_a_gate_that_cannot_run_is_skipped_not_passed(self):
+        payload = run_repo_scale_benchmark(scales=(10,), quick=True)
+        lane = {
+            "n_entries": 1000,
+            "one_worker_decisions_identical": True,
+            "speedup_4v1": 1.05,
+            "cpus": 1,
+        }
+        payload["service_throughput"] = {
+            "scales": [],
+            "process_lane": {"scales": [lane]},
+        }
+        scaling = "service_throughput.process_lane.scaling[N=1000]"
+        gates = check_gates(payload, load_golden())
+        assert gates["passed"] and gates["status"]["repo_scale"] == "passed"
+        assert gates["status"][scaling].startswith("skipped(1 cpu")
+        lane["cpus"] = 8
+        gates = check_gates(payload, load_golden())
+        assert not gates["passed"] and scaling not in gates["status"]
+        assert gates["status"]["service_throughput"] == "failed"
+        # without a corpus the golden comparison is skipped as well
+        status = check_gates(payload)["status"]
+        assert status["repo_scale.golden[N=10]"] == "skipped(no golden record)"

@@ -9,7 +9,6 @@ serialization), the counter parity with a re-serializing twin, and
 the end-to-end behaviour of whole-job copy rewrites.
 """
 
-from repro.core.manager import ReStoreConfig
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
@@ -44,7 +43,7 @@ class TestPayloadClone:
         dfs.write_rows("src", ROWS, SCHEMA)
         rows = dfs.read_rows("src", SCHEMA)
         dfs.write_rows("dst", list(rows), SCHEMA, source="src")
-        assert dfs.payload_reuses == 1
+        assert dfs.payload_clones == 1
         src_inode = dfs.namenode.lookup("src")
         dst_inode = dfs.namenode.lookup("dst")
         assert dst_inode.payload is src_inode.payload  # one shared buffer
@@ -74,7 +73,7 @@ class TestPayloadClone:
         rows = list(dfs.read_rows("src", SCHEMA))
         dfs.append("src", "dave\t5\t1.5\n")  # bumps the generation
         dfs.write_rows("dst", rows, SCHEMA, source="src")
-        assert dfs.payload_reuses == 0
+        assert dfs.payload_clones == 0
         assert dfs.read_file("dst")  # written via the normal path
 
     def test_non_identical_rows_do_not_clone(self):
@@ -87,7 +86,7 @@ class TestPayloadClone:
         # into the very object the module already shares)
         fresh[0] = tuple(["alice", 1, 0.5])
         dfs.write_rows("dst", fresh, SCHEMA, source="src")
-        assert dfs.payload_reuses == 0
+        assert dfs.payload_clones == 0
         assert dfs.read_file("dst") == dfs.read_file("src")
 
     def test_parse_filled_datasets_are_not_exact_sources(self):
@@ -97,21 +96,13 @@ class TestPayloadClone:
         dfs.write_file("src", "alice\t03\t0.5\n")
         rows = dfs.read_rows("src", SCHEMA)
         dfs.write_rows("dst", list(rows), SCHEMA, source="src")
-        assert dfs.payload_reuses == 0
+        assert dfs.payload_clones == 0
         assert dfs.read_file("dst") == b"alice\t3\t0.5\n"
-
-    def test_reuse_payload_flag_disables_cloning(self):
-        dfs = DistributedFileSystem(n_datanodes=3)
-        dfs.write_rows("src", ROWS, SCHEMA)
-        rows = dfs.read_rows("src", SCHEMA)
-        dfs.write_rows("dst", list(rows), SCHEMA, source="src", reuse_payload=False)
-        assert dfs.payload_reuses == 0
-        assert dfs.read_file("dst") == dfs.read_file("src")
 
     def test_missing_or_unpinned_source_falls_back(self):
         dfs = DistributedFileSystem(n_datanodes=3)
         dfs.write_rows("dst", ROWS, SCHEMA, source="nowhere")
-        assert dfs.payload_reuses == 0
+        assert dfs.payload_clones == 0
         assert dfs.file_size("dst") > 0
 
 
@@ -132,17 +123,6 @@ class TestSubsetSizing:
         assert dataset.exact and dataset.ascii_sized
         assert dfs.read_rows("sub", SCHEMA) == tuple(subset)
 
-    def test_subset_path_respects_columnar_flag(self):
-        dfs = DistributedFileSystem(n_datanodes=3)
-        dfs.write_rows("src", ROWS, SCHEMA)
-        rows = dfs.read_rows("src", SCHEMA)
-        subset = [row for row in rows if row[1] > 1]
-        # per-row plane (columnar off): subset shortcut must not run,
-        # but the write is still byte-identical
-        dfs.write_rows("sub", subset, SCHEMA, source="src", columnar=False)
-        twin_bytes, _, _, _ = _twin_write(subset, SCHEMA)
-        assert dfs.read_file("sub") == twin_bytes
-
 
 class TestEndToEndCopyRewrites:
     SCRIPT = (
@@ -152,9 +132,8 @@ class TestEndToEndCopyRewrites:
         "D = foreach C generate group, COUNT(B);\n"
     )
 
-    def _run(self, **config_kwargs):
-        config = ReStoreConfig(**config_kwargs)
-        with ReStoreSession(datanodes=3, config=config) as session:
+    def _run(self):
+        with ReStoreSession(datanodes=3) as session:
             session.write_file(
                 "data/ev", "u1\t5\t1.5\nu2\t2\t0.5\nu1\t9\t2.25\nu3\t7\t0.75\n"
             )
@@ -166,7 +145,7 @@ class TestEndToEndCopyRewrites:
                 path: session.dfs.read_file(path)
                 for path in session.dfs.list_paths()
             }
-            return session.dfs.payload_reuses, snapshot, result
+            return session.dfs.payload_clones, snapshot, result
 
     def test_whole_job_copy_rewrite_never_reserializes(self):
         reuses, snapshot, result = self._run()
@@ -176,9 +155,3 @@ class TestEndToEndCopyRewrites:
             for e in result.events
         )
         assert snapshot["out/second"] == snapshot["out/first"]
-
-    def test_ablation_knob_produces_identical_bytes_without_reuse(self):
-        on_reuses, on_snapshot, _ = self._run()
-        off_reuses, off_snapshot, _ = self._run(payload_reuse=False)
-        assert on_reuses == 1 and off_reuses == 0
-        assert on_snapshot == off_snapshot

@@ -165,24 +165,3 @@ class TestSessionWarmRestart:
             stats = successor.manager
             assert stats.rewrite_count + stats.elimination_count >= 1
         assert result.outputs["out/svc2"]
-
-
-class TestLegacyJsonLoader:
-    """The one surviving legacy loader: the pre-snapshot entries-only
-    JSON dump still rebuilds a repository (via batched re-registration);
-    everything else goes through the snapshot codec."""
-
-    def test_from_legacy_json_round_trip(self, small_data):
-        import json
-
-        manager = ReStoreManager(small_data)
-        server = PigServer(small_data, restore=manager)
-        server.run(Q2.replace("OUT", "out/shim"))
-        legacy = json.dumps(
-            {"entries": [e.to_dict() for e in manager.repository.entries()]}
-        )
-        restored = Repository.from_legacy_json(legacy)
-        assert len(restored) == len(manager.repository)
-        assert [e.entry_id for e in restored.ordered_entries()] == [
-            e.entry_id for e in manager.repository.ordered_entries()
-        ]

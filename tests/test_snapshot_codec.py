@@ -8,7 +8,6 @@ must never collide with persisted state.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -115,6 +114,16 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="newer"):
             RepositorySnapshot.from_bytes(snapshot.to_bytes())
 
+    def test_older_version_refused_naming_the_supported_one(self, repository):
+        data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
+        data[4] = 2  # the header's version byte
+        with pytest.raises(SnapshotError, match="supports version 3 only"):
+            RepositorySnapshot.from_bytes(bytes(data))
+        snapshot = RepositorySnapshot.capture(repository)
+        snapshot.payload["version"] = 2
+        with pytest.raises(SnapshotError, match="supports version 3 only"):
+            RepositorySnapshot.from_bytes(snapshot.to_bytes())
+
 
 class TestLazyPlan:
     def test_metadata_served_without_materializing(self, repository):
@@ -203,8 +212,6 @@ def _unowned_record(repository: Repository) -> dict:
 
 
 class TestInputExtentsColumn:
-    """Version 2 adds the ``input_extents`` entry-row column; version-1
-    snapshots (one column short) must keep loading with empty extents."""
 
     def _with_extents(self, repository: Repository) -> Repository:
         for i, entry in enumerate(repository.entries()[:3]):
@@ -225,23 +232,6 @@ class TestInputExtentsColumn:
             assert restored.get(entry.entry_id).input_extents == (
                 entry.input_extents
             )
-
-    def test_v1_rows_load_with_empty_extents(self, repository):
-        snapshot = roundtrip(self._with_extents(repository))
-        payload = json.loads(json.dumps(snapshot.payload))
-        payload["version"] = 1
-        payload["repository"]["entries"] = [
-            row[:9] + row[10:] for row in payload["repository"]["entries"]
-        ]
-        restored = RepositorySnapshot(
-            payload, snapshot.cold
-        ).restore_repository()
-        assert len(restored) == len(repository)
-        for entry in repository.entries():
-            twin = restored.get(entry.entry_id)
-            assert twin.input_extents == {}
-            assert twin.input_mtimes == entry.input_mtimes
-            assert twin.plan.fingerprint() == entry.plan.fingerprint()
 
     def test_entry_record_round_trips_extents(self, repository):
         source = self._with_extents(repository)
