@@ -18,9 +18,8 @@ data-plane trajectory (end-to-end workflow wall time and rows/sec
 over PigMix-style chains at two table sizes), and the
 ``subjob_enum`` enumeration trajectory (wall time and candidates/sec
 at N ∈ {100, 1000} heuristic anchors), the ``repo_persistence``
-durability trajectory (snapshot cold-start vs rebuild-by-re-
-registration at a 10k-entry repository, plus torn-tail journal
-recovery), and the ``incremental`` delta-recomputation trajectory
+durability trajectory (snapshot cold-start time and entries/sec at a
+10k-entry repository, plus torn-tail journal recovery), and the ``incremental`` delta-recomputation trajectory
 (delta refresh over an appended tail vs a full no-reuse rerun).  The
 process exits non-zero when a regression gate trips (CI's
 ``bench-smoke`` job relies on this); a gate that cannot run here is
@@ -37,10 +36,10 @@ recorded and printed as ``skipped``, never as passed:
 * the ``exec_sim`` DFS contents, job and DFS counters, and decisions
   must equal the golden corpus, with zero copy-store re-serialization;
 * sub-job enumeration must inject every expected candidate;
-* restoring from a snapshot must be ≥10x faster than rebuilding by
-  re-registration, with byte-identical rewrite decisions, zero
-  subsumption traversals spent on the restore, and every intact
-  journal record recovered past a torn tail;
+* restoring from a snapshot must yield byte-identical rewrite
+  decisions, spend zero subsumption traversals, and recover every
+  intact journal record past a torn tail (restore time is recorded,
+  not gated);
 * the delta probe over an appended input must be ≥3x faster than the
   full-rerun oracle with byte-identical outputs, and a shuffle probe
   must fall back (typed ``DeltaFallback``) yet recompute correctly.

@@ -691,10 +691,11 @@ def check_gates(payload: Dict, golden: Optional[Dict] = None) -> Dict:
     * when a ``subjob_enum`` section is present: enumeration must
       inject every expected candidate (see
       :func:`repro.bench.subjob_enum.check_subjob_enum_gates`);
-    * when a ``repo_persistence`` section is present: snapshot cold
-      start must be ≥10x faster than rebuild-by-re-registration with
-      byte-identical rewrite decisions, zero subsumption traversals
-      spent restoring, and clean torn-tail journal recovery (see
+    * when a ``repo_persistence`` section is present: a snapshot cold
+      start must reproduce the original's rewrite decisions byte for
+      byte, spend zero subsumption traversals restoring, and recover
+      a torn journal tail cleanly (restore time is recorded, not
+      gated; see
       :func:`repro.bench.repo_persistence.check_repo_persistence_gates`);
     * when a ``payload_durability`` section is present: crashing a
       block-store append at every byte boundary must recover with zero

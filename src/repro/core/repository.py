@@ -894,18 +894,14 @@ class Repository:
         """
         from repro.persistence.durability import ReplayTarget
         from repro.persistence.journal import decode_journal
-        from repro.persistence.snapshot import RepositorySnapshot
 
-        if isinstance(snapshot, (bytes, bytearray, memoryview)):
-            snapshot = RepositorySnapshot.from_bytes(bytes(snapshot))
-        repo = snapshot.restore_repository(matcher=matcher, n_shards=n_shards)
-        if journal:
-            if isinstance(journal, (bytes, bytearray, memoryview)):
-                records = decode_journal(bytes(journal)).records
-            else:
-                records = journal
-            ReplayTarget(repo).apply_all(records)
-        return repo
+        target = ReplayTarget.from_snapshot(
+            snapshot, matcher=matcher, n_shards=n_shards
+        )
+        if isinstance(journal, (bytes, bytearray, memoryview)):
+            journal = decode_journal(bytes(journal)).records
+        target.apply_all(journal or ())
+        return target.repository
 
     def __repr__(self) -> str:
         return (

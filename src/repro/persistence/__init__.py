@@ -13,10 +13,13 @@ and fast to recover:
   incremental §3 subsumption order, and the entry-id counter, so a
   cold start rebuilds all inverted indexes in O(entries read) without
   re-registering a single plan;
-* :mod:`repro.persistence.journal` — an append-only journal of every
-  post-snapshot mutation (entry add/evict, kept-path commit, reuse
-  statistics) in checksummed, length-prefixed records, so a torn tail
-  from a mid-flush crash is detected and truncated, never replayed;
+* :mod:`repro.persistence.framedlog` — the one append-only log
+  primitive (``u32 len | crc32 | body`` frames; a torn tail from a
+  mid-append crash is detected and truncated, never replayed; bit rot
+  with an intact continuation is quarantined), with two body codecs
+  over it: :mod:`repro.persistence.journal` (every post-snapshot
+  mutation as a JSON record) and :mod:`repro.persistence.blockstore`
+  (the stored outputs' payload bytes);
 * :mod:`repro.persistence.durability` — the live wiring: a
   :class:`RepositoryPersister` journals mutations as they commit,
   rotates snapshots, and exposes crash :func:`recover`;
@@ -46,11 +49,7 @@ from repro.persistence.durability import (
     RepositoryPersister,
     recover,
 )
-from repro.persistence.journal import (
-    JournalError,
-    JournalRecord,
-    read_journal,
-)
+from repro.persistence.journal import JournalRecord
 from repro.persistence.snapshot import (
     RepositorySnapshot,
     SnapshotError,
@@ -58,7 +57,6 @@ from repro.persistence.snapshot import (
 from repro.persistence.standby import StandbyReplica
 
 __all__ = [
-    "JournalError",
     "JournalRecord",
     "PersistenceConfig",
     "RecoveredState",
@@ -66,6 +64,5 @@ __all__ = [
     "RepositorySnapshot",
     "SnapshotError",
     "StandbyReplica",
-    "read_journal",
     "recover",
 ]

@@ -52,12 +52,12 @@ from repro.events import (
 )
 from repro.faults import injector as faults
 from repro.persistence.blockstore import (
-    BlockScan,
     BlockStore,
     BlockStoreError,
     SegmentRef,
     verify_ref,
 )
+from repro.persistence.framedlog import FrameScan
 from repro.persistence.journal import Journal, JournalRecord
 from repro.persistence.snapshot import (
     RepositorySnapshot,
@@ -89,19 +89,14 @@ class PersistenceConfig:
     #: via ``snapshot_interval``); a timer rotation that fails aborts
     #: without touching the journal, like any other rotation
     snapshot_interval_s: float = 0.0
-    #: base path of the payload block store (generation files append
-    #: ``.g<N>``); defaults to ``snapshot_path + ".blocks"``
-    blockstore_path: Optional[str] = None
     #: buffered records per journal write; 1 (default) is write-through
     flush_every: int = 1
-    #: circuit breaker: while journal writes are failing, only every
-    #: N-th flush attempt probes storage again (the rest buffer in
-    #: memory instantly instead of eating an I/O error each)
-    probe_every: int = 3
 
     @property
     def blockstore_base(self) -> str:
-        return self.blockstore_path or self.snapshot_path + ".blocks"
+        """Base path of the payload block store (generation files
+        append ``.g<N>``)."""
+        return self.snapshot_path + ".blocks"
 
     def blockstore_file(self, gen: int) -> str:
         return f"{self.blockstore_base}.g{gen}"
@@ -164,41 +159,53 @@ class RecoveredState:
 class ReplayTarget:
     """Mutable state a journal replay folds records into.
 
-    Used by crash recovery and by the standby replica; both need the
-    same semantics, so they live in one place.  Replay is idempotent:
-    every handler is a no-op or a max-merge when its effect is already
-    present.
+    The one replay pipeline — :meth:`from_snapshot`, :meth:`apply_all`,
+    :meth:`finish` — shared by crash recovery, the standby replica and
+    :meth:`Repository.restore`.  Replay is idempotent: every handler is
+    a no-op or a max-merge when its effect is already present.
     """
 
-    def __init__(
-        self,
-        repository: Repository,
-        kept_paths=None,
-        clock: int = 0,
-        id_floors: Optional[Dict[str, int]] = None,
-        payloads: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, repository: Repository) -> None:
         self.repository = repository
-        self.kept_paths: Set[str] = set(kept_paths or ())
-        self.clock = int(clock)
+        self.kept_paths: Set[str] = set()
+        self.clock = 0
         self.id_floors: Dict[str, int] = {"next_script_id": 1, "next_subjob_id": 1}
-        for key, value in (id_floors or {}).items():
-            self.id_floors[key] = max(self.id_floors.get(key, 1), int(value))
         #: path → raw block-store segment ref; seeded from the
         #: snapshot's payload table, extended by ``payload_stored``
         #: journal records
-        payloads = payloads or {}
-        self.payload_refs: Dict[str, list] = {
-            path: list(ref) for path, ref in payloads.get("refs", {}).items()
-        }
-        self.payload_gen = int(payloads.get("gen", 0))
+        self.payload_refs: Dict[str, list] = {}
+        self.payload_gen = 0
+        #: entries that came from the snapshot itself
+        self.snapshot_entries = 0
+
+    @classmethod
+    def from_snapshot(
+        cls, snapshot, *, matcher=None, n_shards: Optional[int] = None
+    ) -> "ReplayTarget":
+        """The replay's starting state: *snapshot* (a
+        :class:`RepositorySnapshot`, its encoded bytes, or ``None`` /
+        empty for "no snapshot yet") restored, or an empty repository."""
+        if not isinstance(snapshot, RepositorySnapshot):
+            if not snapshot:
+                return cls(Repository(matcher=matcher))
+            snapshot = RepositorySnapshot.from_bytes(bytes(snapshot))
+        target = cls(snapshot.restore_repository(matcher=matcher, n_shards=n_shards))
+        manager_state = snapshot.manager_state
+        target.kept_paths.update(manager_state.get("kept_paths", ()))
+        target.clock = int(manager_state.get("clock", 0))
+        for key, value in snapshot.dfs_state.items():
+            target.id_floors[key] = max(target.id_floors.get(key, 1), int(value))
+        payloads = snapshot.payload_state
+        for path, ref in payloads.get("refs", {}).items():
+            target.payload_refs[path] = list(ref)
+        target.payload_gen = int(payloads.get("gen", 0))
+        target.snapshot_entries = len(snapshot)
+        return target
 
     def apply(self, record: JournalRecord) -> None:
         data = record.data
-        if record.type == "entry_added":
-            self.repository.add(entry_from_record(data["entry"]))
-        elif record.type == "entry_refreshed":
-            # delta merge: the record carries the entry's full
+        if record.type in ("entry_added", "entry_refreshed"):
+            # a refresh (delta merge) carries the entry's full
             # post-refresh state; a same-id add replaces in place
             # (idempotent on replay, no-op ordering hazards)
             self.repository.add(entry_from_record(data["entry"]))
@@ -239,6 +246,30 @@ class ReplayTarget:
             self.apply(record)
             count += 1
         return count
+
+    def finish(self, **counts) -> "RecoveredState":
+        """The replayed state as a :class:`RecoveredState`: id floors
+        merged with what the restored paths imply, the clock raised past
+        every entry's timestamps, and the block-store generation new
+        appends continue into.  *counts* fills the caller's bookkeeping
+        fields (``journal_records``, scrub results, ...)."""
+        for key, value in derive_id_floors(self.repository).items():
+            self.id_floors[key] = max(self.id_floors.get(key, 1), value)
+        for entry in self.repository.entries():
+            self.clock = max(self.clock, entry.created_at, entry.last_used_at)
+        gen = self.payload_gen
+        for raw in self.payload_refs.values():
+            gen = max(gen, int(raw[0]))
+        return RecoveredState(
+            repository=self.repository,
+            kept_paths=set(self.kept_paths),
+            clock=self.clock,
+            id_floors=dict(self.id_floors),
+            snapshot_entries=self.snapshot_entries,
+            payload_refs={p: list(r) for p, r in self.payload_refs.items()},
+            blockstore_gen=gen,
+            **counts,
+        )
 
 
 #: id-bearing paths a repository entry can reference: enumerator
@@ -295,9 +326,9 @@ class _PayloadScrub:
         self.legacy = 0
         self.condemned: List[Tuple[str, str, str]] = []
         self.kept_condemned: List[str] = []
-        self._scans: Dict[int, BlockScan] = {}
+        self._scans: Dict[int, FrameScan] = {}
 
-    def _scan_gen(self, gen: int) -> BlockScan:
+    def _scan_gen(self, gen: int) -> FrameScan:
         scan = self._scans.get(gen)
         if scan is None:
             store = BlockStore(self.config.blockstore_storage(self.dfs, gen), gen)
@@ -399,57 +430,32 @@ def recover(
     floors.  When *dfs* is given the id floors are pushed into it
     immediately via :meth:`ensure_id_floor`.
     """
-    snapshot_storage = config.snapshot_storage(dfs)
     journal = Journal(config.journal_storage(dfs))
-    snapshot_entries = 0
-    if snapshot_storage.exists() and snapshot_storage.size() > 0:
+    storage = config.snapshot_storage(dfs)
+    data = storage.read() if storage.exists() else b""
+    if data:
         # injection site "snapshot.read": corruption here must surface
         # as a SnapshotError, never as silent partial state
-        data = faults.fire("snapshot.read", data=snapshot_storage.read())
-        snapshot = RepositorySnapshot.from_bytes(data)
-        repository = snapshot.restore_repository(matcher=matcher)
-        snapshot_entries = len(snapshot)
-        manager_state = snapshot.manager_state
-        target = ReplayTarget(
-            repository,
-            kept_paths=manager_state.get("kept_paths", ()),
-            clock=manager_state.get("clock", 0),
-            id_floors=snapshot.dfs_state,
-            payloads=snapshot.payload_state,
-        )
-    else:
-        target = ReplayTarget(Repository(matcher=matcher))
+        data = faults.fire("snapshot.read", data=data)
+    target = ReplayTarget.from_snapshot(data, matcher=matcher)
     scan = journal.scan()
     replayed = target.apply_all(scan.records)
     if scan.torn:
         journal.repair(scan)
     scrub = _PayloadScrub(config, dfs, journal)
     scrub.run(target)
-    for key, value in derive_id_floors(target.repository).items():
-        target.id_floors[key] = max(target.id_floors.get(key, 1), value)
-    for entry in target.repository.entries():
-        target.clock = max(target.clock, entry.created_at, entry.last_used_at)
-    if dfs is not None:
-        dfs.ensure_id_floor(**target.id_floors)
-    blockstore_gen = target.payload_gen
-    for raw in target.payload_refs.values():
-        blockstore_gen = max(blockstore_gen, int(raw[0]))
-    return RecoveredState(
-        repository=target.repository,
-        kept_paths=target.kept_paths,
-        clock=target.clock,
-        id_floors=target.id_floors,
-        snapshot_entries=snapshot_entries,
+    state = target.finish(
         journal_records=replayed,
         journal_torn_bytes=scan.torn_bytes,
         journal_skipped=scan.skipped,
-        payload_refs=dict(target.payload_refs),
-        blockstore_gen=blockstore_gen,
         payloads_restored=scrub.restored,
         payloads_condemned=scrub.condemned,
         kept_paths_condemned=scrub.kept_condemned,
         payloads_legacy=scrub.legacy,
     )
+    if dfs is not None:
+        dfs.ensure_id_floor(**state.id_floors)
+    return state
 
 
 def announce_scrub_condemnations(manager, recovered: RecoveredState) -> None:
@@ -476,6 +482,25 @@ def announce_scrub_condemnations(manager, recovered: RecoveredState) -> None:
         )
 
 
+def adopt_recovered(
+    manager, state: RecoveredState, config: PersistenceConfig
+) -> "RepositoryPersister":
+    """Make *state* (from :func:`recover` or a standby promotion) the
+    live state of *manager* — already built over ``state.repository`` —
+    and return its attached persister.
+
+    Kept paths, clock and id floors land before the persister
+    subscribes, so nothing already durable is journaled again; the
+    scrub's condemnations are announced last, to a fully wired manager.
+    """
+    manager.kept_paths.update(state.kept_paths)
+    manager.clock = max(manager.clock, state.clock)
+    manager.dfs.ensure_id_floor(**state.id_floors)
+    persister = RepositoryPersister(manager, config, recovered=state)
+    announce_scrub_condemnations(manager, state)
+    return persister
+
+
 class RepositoryPersister:
     """Journals live mutations and rotates snapshots for one manager.
 
@@ -499,6 +524,11 @@ class RepositoryPersister:
     :class:`JournalAppended`/:class:`SnapshotTaken` so standby
     replicas never touch the manager bus.
     """
+
+    #: circuit breaker: while storage writes are failing, only every
+    #: N-th flush attempt probes storage again (the rest buffer in
+    #: memory instantly instead of eating an I/O error each)
+    PROBE_EVERY = 3
 
     def __init__(
         self,
@@ -539,7 +569,7 @@ class RepositoryPersister:
         self._backlog: List[dict] = []
         #: circuit breaker over journal/snapshot writes: open = storage
         #: is failing, records accumulate in ``_backlog`` and only
-        #: every ``probe_every``-th flush attempt touches storage
+        #: every ``PROBE_EVERY``-th flush attempt touches storage
         self._breaker_open = False
         self._breaker_failures = 0
         self._probe_countdown = 0
@@ -577,10 +607,17 @@ class RepositoryPersister:
             try:
                 if self._records_since_snapshot > 0:
                     self.take_snapshot()
-            except Exception:
-                # rotation failures already report via the breaker /
-                # events; the timer itself must never die of one
-                continue
+            except Exception as exc:
+                # storage failures never get here (take_snapshot turns
+                # them into a breaker trip), so this is unexpected: say
+                # so, but the timer itself must never die of it
+                self.events.emit(
+                    PersistenceDegraded(
+                        path=self.snapshot_storage.location,
+                        error=repr(exc),
+                        buffered=self.buffered_records,
+                    )
+                )
 
     # -- record sources -----------------------------------------------------------
 
@@ -701,7 +738,7 @@ class RepositoryPersister:
         propagating: the records stay staged in ``_backlog`` (nothing
         is lost from the in-memory view), a
         :class:`PersistenceDegraded` event announces the degraded mode,
-        and while open only every ``probe_every``-th flush attempt
+        and while open only every ``PROBE_EVERY``-th flush attempt
         probes storage again (*force* bypasses the gating — used on
         close).  The first successful probe drains the whole backlog in
         order and emits :class:`PersistenceRecovered`.
@@ -719,38 +756,17 @@ class RepositoryPersister:
                 self._probe_countdown -= 1
                 if self._probe_countdown > 0:
                     return 0  # buffered in memory; not yet time to probe
-                self._probe_countdown = max(1, self.config.probe_every)
+                self._probe_countdown = self.PROBE_EVERY
             batch = list(self._backlog)
             try:
                 nbytes = self.journal.append_payloads(batch)
             except OSError as exc:
-                self._breaker_failures += 1
-                if not self._breaker_open:
-                    self._breaker_open = True
-                    self.breaker_trips += 1
-                    self._probe_countdown = max(1, self.config.probe_every)
-                    pending.append(
-                        PersistenceDegraded(
-                            path=self.journal.location,
-                            error=str(exc),
-                            buffered=len(batch),
-                        )
-                    )
+                self._breaker_trip(pending, self.journal.location, exc, len(batch))
             else:
                 self._backlog.clear()
                 self._records_since_snapshot += len(batch)
                 written = len(batch)
-                if self._breaker_open:
-                    self._breaker_open = False
-                    self.breaker_recoveries += 1
-                    pending.append(
-                        PersistenceRecovered(
-                            path=self.journal.location,
-                            flushed=len(batch),
-                            failures=self._breaker_failures,
-                        )
-                    )
-                    self._breaker_failures = 0
+                self._breaker_heal(pending, self.journal.location, len(batch))
                 pending.append(
                     JournalAppended(
                         path=self.journal.location,
@@ -762,6 +778,31 @@ class RepositoryPersister:
             self.events.emit(event)
         return written
 
+    def _breaker_trip(self, pending, location, exc, buffered) -> None:
+        """A storage write failed (io lock held): count it and, on the
+        closed → open edge, stage :class:`PersistenceDegraded`."""
+        self._breaker_failures += 1
+        if not self._breaker_open:
+            self._breaker_open = True
+            self.breaker_trips += 1
+            self._probe_countdown = self.PROBE_EVERY
+            pending.append(
+                PersistenceDegraded(path=location, error=str(exc), buffered=buffered)
+            )
+
+    def _breaker_heal(self, pending, location, flushed) -> None:
+        """A storage write succeeded (io lock held): on the open →
+        closed edge, stage :class:`PersistenceRecovered`."""
+        if self._breaker_open:
+            self._breaker_open = False
+            self.breaker_recoveries += 1
+            pending.append(
+                PersistenceRecovered(
+                    path=location, flushed=flushed, failures=self._breaker_failures
+                )
+            )
+            self._breaker_failures = 0
+
     @property
     def breaker_open(self) -> bool:
         return self._breaker_open
@@ -771,10 +812,6 @@ class RepositoryPersister:
         """Records staged in memory but not yet durably journaled."""
         with self._buffer_lock:
             return len(self._buffer) + len(self._backlog)
-
-    @property
-    def records_since_snapshot(self) -> int:
-        return self._records_since_snapshot
 
     def maybe_snapshot(self) -> bool:
         interval = self.config.snapshot_interval
@@ -823,7 +860,7 @@ class RepositoryPersister:
                     try:
                         if new_store.storage.exists():
                             # debris from an earlier aborted rotation
-                            new_store.storage.truncate(0)
+                            new_store.reset()
                         for path in sorted(live):
                             if self.dfs is None or not self.dfs.exists(path):
                                 continue  # nothing durable to carry over
@@ -849,20 +886,12 @@ class RepositoryPersister:
                         self.snapshot_storage.write(data)
                         self.journal.reset()
                     except OSError as exc:
-                        self._breaker_failures += 1
-                        if not self._breaker_open:
-                            self._breaker_open = True
-                            self.breaker_trips += 1
-                            self._probe_countdown = max(
-                                1, self.config.probe_every
-                            )
-                            pending.append(
-                                PersistenceDegraded(
-                                    path=self.snapshot_storage.location,
-                                    error=str(exc),
-                                    buffered=self.buffered_records,
-                                )
-                            )
+                        self._breaker_trip(
+                            pending,
+                            self.snapshot_storage.location,
+                            exc,
+                            self.buffered_records,
+                        )
                     else:
                         old_gen = self.blockstore.gen
                         self.blockstore = new_store
@@ -884,17 +913,7 @@ class RepositoryPersister:
                             self._buffer.clear()
                         self._backlog.clear()
                         self._records_since_snapshot = 0
-                        if self._breaker_open:
-                            self._breaker_open = False
-                            self.breaker_recoveries += 1
-                            pending.append(
-                                PersistenceRecovered(
-                                    path=self.snapshot_storage.location,
-                                    flushed=0,
-                                    failures=self._breaker_failures,
-                                )
-                            )
-                            self._breaker_failures = 0
+                        self._breaker_heal(pending, self.snapshot_storage.location, 0)
                         event = SnapshotTaken(
                             path=self.snapshot_storage.location,
                             entries=len(snapshot),

@@ -1,19 +1,12 @@
-"""The append-only mutation journal.
+"""The append-only mutation journal: JSON record bodies in a framed log.
 
 Every repository mutation after the last snapshot lands here as one
-framed record::
+frame of :mod:`repro.persistence.framedlog` (which owns the frame
+format and the torn-tail / bit-rot scan discipline) whose body is a
+compact, key-sorted JSON object.
 
-    length u32 | crc32 u32 | payload (compact JSON, ``length`` bytes)
-
-The framing makes a mid-flush crash recoverable by construction: a
-torn tail — an incomplete frame header, a payload shorter than its
-declared length, or a payload whose checksum disagrees — stops the
-scan at the last complete record.  Everything before the tear is
-intact (appends never rewrite earlier bytes), so recovery replays the
-clean prefix and truncates the tear instead of guessing at it.
-
-Record payloads are JSON objects with a ``type`` field; the types the
-persister writes (``entry_added``, ``entry_removed``, ``entry_used``,
+Record bodies carry a ``type`` field; the types the persister writes
+(``entry_added``, ``entry_removed``, ``entry_used``,
 ``kept_path_added``, ``kept_path_removed``, ``counters``) are applied
 by :class:`repro.persistence.durability.ReplayTarget`.  Unknown types
 are preserved by the scan and skipped by replay, so old readers
@@ -23,21 +16,15 @@ tolerate journals written by newer code.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from dataclasses import dataclass, field
-from typing import List, Mapping
+from typing import Mapping, Optional
 
-from repro.exceptions import ReproError
-from repro.faults import injector as faults
-from repro.faults.injector import PartialWriteFault
-
-#: payload length, crc32(payload)
-_FRAME = struct.Struct(">II")
-
-
-class JournalError(ReproError):
-    """A journal could not be written or scanned."""
+from repro.persistence.framedlog import (
+    FramedLog,
+    FrameScan,
+    encode_frame,
+    scan_frames,
+)
 
 
 @dataclass(frozen=True)
@@ -48,11 +35,6 @@ class JournalRecord:
     type: str
     data: dict = field(default_factory=dict)
 
-    def to_payload(self) -> dict:
-        payload = dict(self.data)
-        payload["type"] = self.type
-        return payload
-
     @classmethod
     def from_payload(cls, payload: Mapping) -> "JournalRecord":
         data = dict(payload)
@@ -61,149 +43,37 @@ class JournalRecord:
 
 
 def encode_record(payload: Mapping) -> bytes:
-    """Frame one record payload (length-prefixed + checksummed)."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
-    return _FRAME.pack(len(body), zlib.crc32(body)) + body
+    """Frame one record payload."""
+    return encode_frame(
+        json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    )
 
 
-@dataclass
-class JournalScan:
-    """The result of decoding a journal byte string.
-
-    ``clean_bytes`` is the length of the longest prefix made of intact
-    records; anything past it is a torn tail from a crash mid-append.
-    """
-
-    records: List[JournalRecord]
-    clean_bytes: int
-    total_bytes: int
-    #: mid-journal records skipped over a CRC failure (quarantined:
-    #: the frame length was intact and valid records follow, so one
-    #: record was bit-rotted in place rather than the tail torn)
-    skipped: int = 0
-
-    @property
-    def torn(self) -> bool:
-        return self.clean_bytes < self.total_bytes
-
-    @property
-    def torn_bytes(self) -> int:
-        return self.total_bytes - self.clean_bytes
+def _decode_record(body: bytes) -> Optional[JournalRecord]:
+    try:
+        payload = json.loads(body.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None  # checksummed garbage: a torn rewrite
+    if not isinstance(payload, dict):
+        return None
+    return JournalRecord.from_payload(payload)
 
 
-def _frame_intact(data: bytes, offset: int) -> bool:
-    """True when a complete, checksum-valid frame starts at *offset*."""
-    total = len(data)
-    if total - offset < _FRAME.size:
-        return False
-    length, crc = _FRAME.unpack_from(data, offset)
-    start = offset + _FRAME.size
-    end = start + length
-    return end <= total and zlib.crc32(data[start:end]) == crc
+def decode_journal(data: bytes) -> FrameScan:
+    """Scan journal bytes; ``scan.records`` are the intact
+    :class:`JournalRecord` s in order."""
+    return scan_frames(data, _decode_record)
 
 
-def decode_journal(data: bytes) -> JournalScan:
-    """Decode every intact record; stop (never raise) at a torn tail.
-
-    A record whose checksum fails *mid*-journal — its declared length
-    lands on another intact frame — is bit rot, not a tear: the bad
-    record is quarantined (skipped, counted in ``skipped``) and the
-    scan continues, so one flipped byte can never erase the intact
-    suffix of the log.  Only damage with no valid continuation is
-    treated as a torn tail.
-    """
-    records: List[JournalRecord] = []
-    offset = 0
-    skipped = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < _FRAME.size:
-            break  # torn frame header
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        end = start + length
-        if end > total:
-            break  # torn payload
-        body = data[start:end]
-        payload = None
-        if zlib.crc32(body) == crc:
-            try:
-                payload = json.loads(body.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = None  # checksummed garbage: a torn rewrite
-        if payload is None:
-            if end < total and _frame_intact(data, end):
-                skipped += 1
-                offset = end  # quarantine the rotten record, resync
-                continue
-            break  # no valid continuation: a genuine torn tail
-        records.append(JournalRecord.from_payload(payload))
-        offset = end
-    return JournalScan(records, offset, total, skipped=skipped)
-
-
-def read_journal(source) -> JournalScan:
-    """Scan a journal from raw bytes or a storage backend."""
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return decode_journal(bytes(source))
-    data = source.read() if source.exists() else b""
-    return decode_journal(data)
-
-
-class Journal:
-    """An append-only record log over one storage backend."""
+class Journal(FramedLog):
+    """The record log over one storage backend (fault sites
+    ``journal.append`` / ``journal.read``)."""
 
     def __init__(self, storage) -> None:
-        self.storage = storage
-
-    @property
-    def location(self) -> str:
-        return self.storage.location
+        super().__init__(storage, "journal", _decode_record)
 
     def append_payloads(self, payloads) -> int:
         """Append framed records for *payloads* in order; returns the
         bytes written (one storage append, so records from a single
         flush are contiguous)."""
-        data = b"".join(encode_record(payload) for payload in payloads)
-        if data:
-            # injection site "journal.append": an OSError here is what
-            # trips the persister's circuit breaker; a ``partial`` rule
-            # lands its prefix first, leaving a genuinely torn tail for
-            # the next scan to truncate; ``suppress`` models a lost
-            # write (the flush claims success, nothing hit the medium)
-            try:
-                data = faults.fire("journal.append", data=data)
-            except PartialWriteFault as fault:
-                if fault.prefix:
-                    self.storage.append(fault.prefix)
-                raise
-            if not data:
-                return 0
-            self.storage.append(data)
-        return len(data)
-
-    def scan(self) -> JournalScan:
-        data = self.storage.read() if self.storage.exists() else b""
-        # injection site "journal.read": bit rot on the read-back path
-        # (exercises record quarantine / torn-tail truncation)
-        data = faults.fire("journal.read", data=data)
-        return decode_journal(data)
-
-    def repair(self, scan: JournalScan = None) -> int:
-        """Truncate a torn tail in place; returns the bytes dropped."""
-        if scan is None:
-            scan = self.scan()
-        if scan.torn:
-            self.storage.truncate(scan.clean_bytes)
-        return scan.torn_bytes
-
-    def reset(self) -> None:
-        """Start a fresh epoch (called right after a snapshot commits:
-        every journaled mutation is now folded into the snapshot)."""
-        self.storage.truncate(0)
-
-    def size(self) -> int:
-        return self.storage.size()
-
-    def __repr__(self) -> str:
-        return f"Journal({self.location!r}, bytes={self.size()})"
+        return self.append_frames(b"".join(map(encode_record, payloads)))

@@ -27,13 +27,8 @@ import threading
 
 from repro.core.repository import Repository
 from repro.events import JournalAppended, SnapshotTaken
-from repro.persistence.durability import (
-    RecoveredState,
-    ReplayTarget,
-    derive_id_floors,
-)
+from repro.persistence.durability import RecoveredState, ReplayTarget
 from repro.persistence.journal import decode_journal
-from repro.persistence.snapshot import RepositorySnapshot
 
 
 class StandbyReplica:
@@ -43,10 +38,9 @@ class StandbyReplica:
         self.persister = persister
         self._matcher = matcher
         self._lock = threading.RLock()
-        self._target: ReplayTarget = ReplayTarget(Repository(matcher=matcher))
+        self._target = ReplayTarget.from_snapshot(None, matcher=matcher)
         #: journal bytes already applied (always a record boundary)
         self._offset = 0
-        self._snapshot_entries = 0
         self.records_applied = 0
         self._unsubscribe = persister.events.subscribe(self._on_event)
         # events that fired before the subscription are covered here:
@@ -67,42 +61,30 @@ class StandbyReplica:
         at offset zero)."""
         with self._lock:
             storage = self.persister.snapshot_storage
-            if storage.exists() and storage.size() > 0:
-                snapshot = RepositorySnapshot.from_bytes(storage.read())
-                manager_state = snapshot.manager_state
-                self._target = ReplayTarget(
-                    snapshot.restore_repository(matcher=self._matcher),
-                    kept_paths=manager_state.get("kept_paths", ()),
-                    clock=manager_state.get("clock", 0),
-                    id_floors=snapshot.dfs_state,
-                    payloads=snapshot.payload_state,
-                )
-                self._snapshot_entries = len(snapshot)
-            else:
-                self._target = ReplayTarget(Repository(matcher=self._matcher))
-                self._snapshot_entries = 0
+            self._target = ReplayTarget.from_snapshot(
+                storage.read() if storage.exists() else b"",
+                matcher=self._matcher,
+            )
             self._offset = 0
-            self._catch_up_locked()
+            self.catch_up()
 
     def catch_up(self) -> int:
         """Apply every intact journal record past the tracked offset;
         returns how many were applied."""
         with self._lock:
-            return self._catch_up_locked()
-
-    def _catch_up_locked(self) -> int:
-        storage = self.persister.journal.storage
-        data = storage.read() if storage.exists() else b""
-        if len(data) < self._offset:
-            # the journal shrank under us: a snapshot rotation we have
-            # not processed yet (its event is in flight) — restart from
-            # the beginning; offsets are record boundaries either way
-            self._offset = 0
-        scan = decode_journal(data[self._offset :])
-        applied = self._target.apply_all(scan.records)
-        self._offset += scan.clean_bytes
-        self.records_applied += applied
-        return applied
+            storage = self.persister.journal.storage
+            data = storage.read() if storage.exists() else b""
+            if len(data) < self._offset:
+                # the journal shrank under us: a snapshot rotation we
+                # have not processed yet (its event is in flight) —
+                # restart from the beginning; offsets are record
+                # boundaries either way
+                self._offset = 0
+            scan = decode_journal(data[self._offset :])
+            applied = self._target.apply_all(scan.records)
+            self._offset += scan.clean_bytes
+            self.records_applied += applied
+            return applied
 
     # -- promotion ----------------------------------------------------------------
 
@@ -115,35 +97,10 @@ class StandbyReplica:
         past the circuit breaker's probe gating — promotion is the last
         chance to drain a backlog the breaker parked in memory.
         """
-        try:
-            self.persister.flush(force=True)
-        except TypeError:  # pre-breaker persisters (tests stub them)
-            self.persister.flush()
+        self.persister.flush(force=True)
         with self._lock:
-            self._catch_up_locked()
-            target = self._target
-            for key, value in derive_id_floors(target.repository).items():
-                target.id_floors[key] = max(target.id_floors.get(key, 1), value)
-            for entry in target.repository.entries():
-                target.clock = max(
-                    target.clock, entry.created_at, entry.last_used_at
-                )
-            blockstore_gen = target.payload_gen
-            for raw in target.payload_refs.values():
-                blockstore_gen = max(blockstore_gen, int(raw[0]))
-            return RecoveredState(
-                repository=target.repository,
-                kept_paths=set(target.kept_paths),
-                clock=target.clock,
-                id_floors=dict(target.id_floors),
-                snapshot_entries=self._snapshot_entries,
-                journal_records=self.records_applied,
-                payload_refs={
-                    path: list(ref)
-                    for path, ref in target.payload_refs.items()
-                },
-                blockstore_gen=blockstore_gen,
-            )
+            self.catch_up()
+            return self._target.finish(journal_records=self.records_applied)
 
     def close(self) -> None:
         if self._unsubscribe is not None:

@@ -82,7 +82,7 @@ from repro.mapreduce.job import Workflow
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
-    announce_scrub_condemnations,
+    adopt_recovered,
     recover,
 )
 from repro.persistence.standby import StandbyReplica
@@ -305,12 +305,7 @@ class JobService:
             config=self.config,
         )
         if recovered is not None:
-            self.manager.kept_paths.update(recovered.kept_paths)
-            self.manager.clock = max(self.manager.clock, recovered.clock)
-            self.persister = RepositoryPersister(
-                self.manager, persistence, recovered=recovered
-            )
-            announce_scrub_condemnations(self.manager, recovered)
+            self.persister = adopt_recovered(self.manager, recovered, persistence)
         self._optimize = service.optimize
         self._default_parallel = service.default_parallel
         self._pool: Optional[ProcessWorkerPool] = None
@@ -653,25 +648,18 @@ class JobService:
             self.standby = None  # single promotion in flight
         state = standby.promote()
         standby.close()
-        if self.persister is not None:
-            self.persister.close()
+        # a standby is only ever armed beside a persister
+        self.persister.close()
         manager = ReStoreManager(
             self.dfs,
             cost_model=self.cost_model,
             repository=state.repository,
             config=self.config,
         )
-        manager.kept_paths.update(state.kept_paths)
-        manager.clock = max(manager.clock, state.clock)
-        self.dfs.ensure_id_floor(**state.id_floors)
-        persister = None
-        if self._persistence_config is not None:
-            # the promoted state carries the replica's payload-ref
-            # table, so the new persister resumes block-store dedup
-            # where the old coordinator left off
-            persister = RepositoryPersister(
-                manager, self._persistence_config, recovered=state
-            )
+        # the promoted state carries the replica's payload-ref table, so
+        # the new persister resumes block-store dedup where the old
+        # coordinator left off
+        persister = adopt_recovered(manager, state, self._persistence_config)
         with self._lock:
             self.manager = manager
             self.persister = persister
@@ -690,15 +678,13 @@ class JobService:
         injector = faults.active()
         if injector is not None:
             injector.revive("coordinator.heartbeat")
-        if persister is not None:
-            self.standby = StandbyReplica(persister)
+        self.standby = StandbyReplica(persister)
         event = StandbyPromoted(
             entries=len(state.repository),
             records_applied=state.journal_records,
             missed_beats=missed_beats,
         )
-        if persister is not None:
-            persister.events.emit(event)
+        persister.events.emit(event)
         return event
 
     # -- lifecycle ---------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.mapreduce.cluster import ClusterConfig
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
-    announce_scrub_condemnations,
+    adopt_recovered,
     recover,
 )
 from repro.pig.engine import PigRunResult, PigServer
@@ -144,13 +144,8 @@ class ReStoreSession:
                 if restore_enabled
                 else None
             )
-        if recovered is not None and self.manager is not None:
-            self.manager.kept_paths.update(recovered.kept_paths)
-            self.manager.clock = max(self.manager.clock, recovered.clock)
-            self.persister = RepositoryPersister(
-                self.manager, persistence, recovered=recovered
-            )
-            announce_scrub_condemnations(self.manager, recovered)
+        if recovered is not None:
+            self.persister = adopt_recovered(self.manager, recovered, persistence)
         self.server = PigServer(
             self.dfs,
             cluster=self.cluster,

@@ -12,7 +12,6 @@ Seeds default to 13; set ``CHAOS_SEED`` to sweep another timeline.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 
@@ -21,13 +20,9 @@ import pytest
 from repro.bench.repo_scale import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.events import EntryQuarantined
+from repro.events import EntryQuarantined, PersistenceDegraded
 from repro.faults import injector as faults
-from repro.faults.injector import (
-    FaultInjector,
-    InjectedFault,
-    PartialWriteFault,
-)
+from repro.faults.injector import FaultInjector, InjectedFault
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.persistence.blockstore import (
     BlockStore,
@@ -43,31 +38,24 @@ from repro.persistence.durability import (
     announce_scrub_condemnations,
     recover,
 )
-from repro.persistence.journal import Journal
 from repro.persistence.snapshot import RepositorySnapshot
 from repro.persistence.storage import LocalStorage
-
-SEED = int(os.environ.get("CHAOS_SEED", "13"))
-
-FRAMES = [
-    encode_segment("tmp/s1/sj1", b"payload-one"),
-    encode_segment("tmp/s1/sj2", b"payload-two-longer"),
-    encode_segment("tmp/s2/sj7", b"p3"),
-]
-LAST = FRAMES[-1]
+from test_framedlog import BLOCKS, SEED, TornWriteSweep, inject
 
 
-def _config(tmp_path) -> PersistenceConfig:
+
+def _config(tmp_path, **extra) -> PersistenceConfig:
     return PersistenceConfig(
         snapshot_path=str(tmp_path / "repo.snap"),
         journal_path=str(tmp_path / "repo.journal"),
         backend="local",
+        **extra,
     )
 
 
-def _persister(tmp_path):
+def _persister(tmp_path, **extra):
     dfs = DistributedFileSystem(n_datanodes=2)
-    config = _config(tmp_path)
+    config = _config(tmp_path, **extra)
     manager = ReStoreManager(dfs)
     persister = RepositoryPersister(manager, config)
     return dfs, config, manager, persister
@@ -88,7 +76,15 @@ def _add_entries(dfs, manager, n=3, seed=5):
     return added
 
 
-class TestSegmentCodec:
+class TestSegmentCodec(TornWriteSweep):
+    """The block-store codec under the shared torn-write sweep, plus
+    what only this codec has: refs and their integrity check."""
+
+    codec = BLOCKS
+    test_every_byte_boundary_of_last_segment = (
+        TornWriteSweep.every_byte_boundary_of_last_frame
+    )
+
     def test_round_trip_through_store(self, tmp_path):
         store = BlockStore(LocalStorage(str(tmp_path / "b.g0")), 0)
         refs = {
@@ -96,7 +92,7 @@ class TestSegmentCodec:
             for path, data in (("a/b", b"xx"), ("c/d", b"yyyy"))
         }
         scan = store.scan()
-        assert len(scan.segments) == 2
+        assert len(scan.frames) == 2
         assert not scan.torn
         assert verify_ref(scan, refs["a/b"], "a/b") == b"xx"
         assert verify_ref(scan, refs["c/d"], "c/d") == b"yyyy"
@@ -118,41 +114,9 @@ class TestSegmentCodec:
         with pytest.raises(BlockStoreError, match="too long"):
             encode_segment("x" * 0x10000, b"")
 
-    @pytest.mark.parametrize("cut", range(len(LAST)))
-    def test_every_byte_boundary_of_last_segment(self, cut):
-        """Tear the last segment at byte *cut*: the two intact segments
-        always survive; the tail is torn except at cut == 0."""
-        data = b"".join(FRAMES[:-1]) + LAST[:cut]
-        scan = decode_blockstore(data)
-        assert len(scan.segments) == 2
-        assert scan.clean_bytes == len(FRAMES[0]) + len(FRAMES[1])
-        assert scan.torn == (cut > 0)
-        assert scan.torn_bytes == cut
-
-    def test_bit_rot_mid_file_is_quarantined_not_torn(self):
-        data = bytearray(b"".join(FRAMES))
-        data[len(FRAMES[0]) + 12] ^= 0xFF  # inside the middle segment
-        scan = decode_blockstore(bytes(data))
-        assert scan.skipped == 1
-        assert not scan.torn  # an intact frame followed: resync, no tear
-        paths = {path for _, path, _ in scan.segments.values()}
-        assert paths == {"tmp/s1/sj1", "tmp/s2/sj7"}
-
-    def test_repair_truncates_in_place(self, tmp_path):
-        path = tmp_path / "b.g0"
-        path.write_bytes(b"".join(FRAMES) + LAST[:5])
-        store = BlockStore(LocalStorage(str(path)), 0)
-        assert store.repair() == 5
-        rescan = store.scan()
-        assert not rescan.torn
-        assert len(rescan.segments) == 3
-        # the repaired store appends cleanly at the segment boundary
-        store.append("tmp/s9/sj9", b"fresh")
-        assert len(store.scan().segments) == 4
-
     def test_verify_ref_catches_every_drift(self):
-        scan = decode_blockstore(b"".join(FRAMES))
-        ref = SegmentRef(0, 0, len(FRAMES[0]), zlib.crc32(b"payload-one"))
+        scan = decode_blockstore(b"".join(BLOCKS.frames))
+        ref = SegmentRef(0, 0, len(BLOCKS.frames[0]), zlib.crc32(b"payload-one"))
         assert verify_ref(scan, ref, "tmp/s1/sj1") == b"payload-one"
         # missing segment (offset never written / torn away)
         assert verify_ref(scan, SegmentRef(0, 999, 10, ref.crc), "x") is None
@@ -178,9 +142,9 @@ class TestEveryByteCrashRecovery:
         journal_bytes = (tmp_path / "repo.journal").read_bytes()
         block_bytes = block_path.read_bytes()
         base = decode_blockstore(block_bytes)
-        assert len(base.segments) == 2 and not base.torn
-        last_offset = max(base.segments)
-        last_length = base.segments[last_offset][0]
+        assert len(base.frames) == 2 and not base.torn
+        last_offset = max(base.frames)
+        last_length = base.frames[last_offset][0]
         for cut in range(last_length + 1):
             # rewind the lane: recovery repairs/journals in place
             (tmp_path / "repo.journal").write_bytes(journal_bytes)
@@ -227,7 +191,7 @@ class TestEveryByteCrashRecovery:
         block_path = tmp_path / "repo.snap.blocks.g0"
         data = bytearray(block_path.read_bytes())
         scan = decode_blockstore(bytes(data))
-        victim_offset = sorted(scan.segments)[1]
+        victim_offset = sorted(scan.frames)[1]
         # flip a payload byte inside the middle segment
         data[victim_offset + 12] ^= 0xFF
         block_path.write_bytes(bytes(data))
@@ -270,79 +234,8 @@ class TestEveryByteCrashRecovery:
 
 
 class TestPartialAndSlowActions:
-    def test_partial_append_lands_prefix_then_raises(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                seed=SEED,
-                rules=(
-                    FaultRule(
-                        site="blockstore.append", action="partial", arg=5
-                    ),
-                ),
-            )
-        )
-        store = BlockStore(LocalStorage(str(tmp_path / "b.g0")), 0)
-        with pytest.raises(PartialWriteFault):
-            store.append("p", b"payload")
-        faults.uninstall()
-        assert store.size() == 5  # the torn prefix really landed
-        scan = store.scan()
-        assert scan.torn and not scan.segments
-        store.repair(scan)
-        ref = store.append("p", b"payload")
-        assert verify_ref(store.scan(), ref, "p") == b"payload"
-
-    def test_partial_arg_zero_lands_nothing(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                seed=SEED,
-                rules=(
-                    FaultRule(
-                        site="journal.append", action="partial", arg=0
-                    ),
-                ),
-            )
-        )
-        journal = Journal(LocalStorage(str(tmp_path / "wal")))
-        with pytest.raises(PartialWriteFault):
-            journal.append_payloads([{"type": "kept_path_added", "path": "x"}])
-        faults.uninstall()
-        assert not (tmp_path / "wal").exists() or (
-            len((tmp_path / "wal").read_bytes()) == 0
-        )
-
-    def test_partial_journal_append_tears_mid_record(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                seed=SEED,
-                rules=(
-                    FaultRule(
-                        site="journal.append", action="partial", arg=7
-                    ),
-                ),
-            )
-        )
-        journal = Journal(LocalStorage(str(tmp_path / "wal")))
-        with pytest.raises(PartialWriteFault):
-            journal.append_payloads([{"type": "kept_path_added", "path": "x"}])
-        faults.uninstall()
-        scan = journal.scan()
-        assert scan.torn and scan.torn_bytes == 7 and not scan.records
-        journal.repair()
-        journal.append_payloads([{"type": "kept_path_added", "path": "x"}])
-        assert len(journal.scan().records) == 1
-
     def test_slow_disk_delays_but_preserves_bytes(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                seed=SEED,
-                rules=(
-                    FaultRule(
-                        site="blockstore.append", action="slow", arg=0.05
-                    ),
-                ),
-            )
-        )
+        inject("blockstore.append", "slow", arg=0.05)
         store = BlockStore(LocalStorage(str(tmp_path / "b.g0")), 0)
         started = time.monotonic()
         ref = store.append("p", b"unhurried")
@@ -356,16 +249,7 @@ class TestPartialAndSlowActions:
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=2, seed=SEED)
         journal_len = len((tmp_path / "repo.journal").read_bytes())
-        faults.install(
-            FaultPlan(
-                seed=SEED,
-                rules=(
-                    FaultRule(
-                        site="snapshot.write", action="partial", arg=9
-                    ),
-                ),
-            )
-        )
+        inject("snapshot.write", "partial", arg=9)
         persister.take_snapshot()  # breaker: degraded, not raised
         faults.uninstall()
         # the rotation aborted: no snapshot, the journal was NOT reset
@@ -408,15 +292,9 @@ class TestTimerRotation:
     def test_interval_rotates_snapshot_without_workflow_boundary(
         self, tmp_path
     ):
-        dfs = DistributedFileSystem(n_datanodes=2)
-        config = PersistenceConfig(
-            snapshot_path=str(tmp_path / "repo.snap"),
-            journal_path=str(tmp_path / "repo.journal"),
-            backend="local",
-            snapshot_interval_s=0.05,
+        dfs, config, manager, persister = _persister(
+            tmp_path, snapshot_interval_s=0.05
         )
-        manager = ReStoreManager(dfs)
-        persister = RepositoryPersister(manager, config)
         try:
             added = _add_entries(dfs, manager, n=2, seed=SEED)
             assert self._wait_for(
@@ -437,27 +315,10 @@ class TestTimerRotation:
         assert recovered.payloads_condemned == []
 
     def test_rotation_failure_keeps_journal_intact(self, tmp_path):
-        dfs = DistributedFileSystem(n_datanodes=2)
-        config = PersistenceConfig(
-            snapshot_path=str(tmp_path / "repo.snap"),
-            journal_path=str(tmp_path / "repo.journal"),
-            backend="local",
-            snapshot_interval_s=0.03,
+        inject("snapshot.write", "raise", sticky=True)
+        dfs, config, manager, persister = _persister(
+            tmp_path, snapshot_interval_s=0.03
         )
-        faults.install(
-            FaultPlan(
-                seed=SEED,
-                rules=(
-                    FaultRule(
-                        site="snapshot.write",
-                        action="raise",
-                        sticky=True,
-                    ),
-                ),
-            )
-        )
-        manager = ReStoreManager(dfs)
-        persister = RepositoryPersister(manager, config)
         try:
             _add_entries(dfs, manager, n=2, seed=SEED)
             # let the timer attempt (and fail) at least one rotation
@@ -467,6 +328,34 @@ class TestTimerRotation:
         finally:
             persister.close()
             faults.uninstall()
+        assert not (tmp_path / "repo.snap").exists()
+        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        assert len(recovered.repository) == 2
+        assert recovered.payloads_condemned == []
+
+    def test_unexpected_rotation_error_is_announced_timer_survives(
+        self, tmp_path, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("not a storage failure")
+
+        monkeypatch.setattr(RepositorySnapshot, "capture", boom)
+        dfs, config, manager, persister = _persister(
+            tmp_path, snapshot_interval_s=0.03
+        )
+        degraded = []
+        persister.events.subscribe(
+            degraded.append, event_types=(PersistenceDegraded,)
+        )
+        try:
+            _add_entries(dfs, manager, n=2, seed=SEED)
+            # two announcements = the timer outlived the first failure
+            assert self._wait_for(lambda: len(degraded) >= 2)
+        finally:
+            persister.close()
+        assert degraded[0].path == config.snapshot_path
+        assert "not a storage failure" in degraded[0].error
+        assert not persister.breaker_open  # not a storage failure
         assert not (tmp_path / "repo.snap").exists()
         recovered = recover(config, DistributedFileSystem(n_datanodes=2))
         assert len(recovered.repository) == 2

@@ -26,7 +26,6 @@ Seeds default to 13; set ``CHAOS_SEED`` to sweep another timeline.
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -62,8 +61,7 @@ from repro.persistence.durability import (
 from repro.persistence.journal import Journal, encode_record
 from repro.persistence.storage import LocalStorage
 from repro.service import JobService, ServiceConfig
-
-SEED = int(os.environ.get("CHAOS_SEED", "13"))
+from test_framedlog import SEED, inject
 
 
 @pytest.fixture(autouse=True)
@@ -291,7 +289,6 @@ class TestCircuitBreaker:
             backend="local",
             snapshot_path=str(tmp_path / "repository.snapshot"),
             journal_path=str(tmp_path / "repository.journal"),
-            probe_every=3,
         )
         dfs = DistributedFileSystem(n_datanodes=2)
         manager = ReStoreManager(dfs, config=_probe_config())
@@ -304,17 +301,7 @@ class TestCircuitBreaker:
             events.append,
             event_types=(PersistenceDegraded, PersistenceRecovered),
         )
-        faults.install(
-            FaultInjector(
-                FaultPlan(
-                    rules=(
-                        FaultRule(
-                            site="journal.append", action="raise", hits=(1, 2)
-                        ),
-                    )
-                )
-            )
-        )
+        inject("journal.append", "raise", hits=(1, 2))
         persister.note_kept_path("kept/one", True)  # write-through flush
         assert persister.breaker_open
         assert persister.buffered_records >= 1
@@ -337,17 +324,7 @@ class TestCircuitBreaker:
     def test_failed_snapshot_rotation_keeps_the_journal(self, tmp_path):
         manager, persister, config = self._persister(tmp_path)
         persister.note_kept_path("kept/rotate", True)
-        faults.install(
-            FaultInjector(
-                FaultPlan(
-                    rules=(
-                        FaultRule(
-                            site="snapshot.write", action="raise", hits=(1,)
-                        ),
-                    )
-                )
-            )
-        )
+        inject("snapshot.write", "raise", hits=(1,))
         assert persister.take_snapshot() is None
         assert persister.breaker_open
         assert persister.journal.size() > 0, (
@@ -582,17 +559,7 @@ class TestRepairFsync:
 
     def test_fsync_failure_during_repair_surfaces(self, tmp_path):
         journal = self._torn_journal(tmp_path)
-        faults.install(
-            FaultInjector(
-                FaultPlan(
-                    rules=(
-                        FaultRule(
-                            site="storage.fsync", action="raise", hits=(1,)
-                        ),
-                    )
-                )
-            )
-        )
+        inject("storage.fsync", "raise", hits=(1,))
         try:
             with pytest.raises(OSError):
                 journal.repair()

@@ -8,8 +8,6 @@ times the same records are replayed.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.repo_scale import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
@@ -21,68 +19,18 @@ from repro.persistence.durability import (
     RepositoryPersister,
     recover,
 )
-from repro.persistence.journal import (
-    Journal,
-    JournalRecord,
-    decode_journal,
-    encode_record,
-)
+from repro.persistence.journal import Journal, JournalRecord
 from repro.persistence.snapshot import RepositorySnapshot, entry_record
-from repro.persistence.storage import LocalStorage
+from test_framedlog import JOURNAL, TornWriteSweep
 
 
-def _payloads():
-    return [
-        {"type": "kept_path_added", "path": "tmp/s1/sj1"},
-        {"type": "kept_path_added", "path": "tmp/s1/sj2"},
-        {"type": "counters", "next_script_id": 5, "next_subjob_id": 9},
-    ]
+class TestTornTail(TornWriteSweep):
+    """The journal codec under the shared torn-write sweep."""
 
-
-FRAMES = [encode_record(p) for p in _payloads()]
-LAST = FRAMES[-1]
-
-
-class TestTornTail:
-    @pytest.mark.parametrize("cut", range(len(LAST)))
-    def test_every_byte_boundary_of_last_record(self, cut):
-        """Tear the last record at byte *cut*: the two intact records
-        always survive; the tail is torn except at cut == 0 (a clean
-        boundary, nothing lost)."""
-        data = b"".join(FRAMES[:-1]) + LAST[:cut]
-        scan = decode_journal(data)
-        assert len(scan.records) == 2
-        assert scan.clean_bytes == len(FRAMES[0]) + len(FRAMES[1])
-        assert scan.torn == (cut > 0)
-        assert scan.torn_bytes == cut
-
-    def test_corrupted_checksum_stops_scan(self):
-        data = bytearray(b"".join(FRAMES))
-        data[-2] ^= 0xFF  # flip a bit inside the last payload
-        scan = decode_journal(bytes(data))
-        assert len(scan.records) == 2
-        assert scan.torn
-
-    def test_torn_middle_censors_the_rest(self):
-        # appends never rewrite earlier bytes, so a tear can only be at
-        # the tail — but if bytes *were* lost mid-file, everything
-        # after the damage must be dropped, never resynchronized
-        data = FRAMES[0] + FRAMES[1][:-3] + FRAMES[2]
-        scan = decode_journal(data)
-        assert len(scan.records) == 1
-
-    def test_repair_truncates_in_place(self, tmp_path):
-        path = tmp_path / "wal"
-        path.write_bytes(b"".join(FRAMES) + LAST[:7])
-        journal = Journal(LocalStorage(str(path)))
-        dropped = journal.repair()
-        assert dropped == 7
-        rescan = journal.scan()
-        assert not rescan.torn
-        assert len(rescan.records) == 3
-        # the repaired journal appends cleanly at the record boundary
-        journal.append_payloads([{"type": "kept_path_removed", "path": "x"}])
-        assert len(journal.scan().records) == 4
+    codec = JOURNAL
+    test_every_byte_boundary_of_last_record = (
+        TornWriteSweep.every_byte_boundary_of_last_frame
+    )
 
 
 class TestReplaySemantics:
