@@ -6,7 +6,6 @@ Usage::
     python -m repro explain script.pig
     python -m repro experiment fig10 --rows 300
     python -m repro list-experiments
-    python -m repro bench --quick
 
 ``run``/``explain`` build a fresh session (simulated cluster + ReStore;
 disable with ``--no-restore``), copy the given local files into the
@@ -40,6 +39,7 @@ import pathlib
 import sys
 from typing import List, Optional
 
+from repro.events import LOG_EVENTS, render_events
 from repro.session import ReStoreSession
 
 
@@ -151,8 +151,6 @@ def _run_via_service(args, source: str, name: str):
 
 
 def cmd_run(args) -> int:
-    from repro.core.manager import ReStoreManager
-
     source = pathlib.Path(args.script).read_text()
     name = pathlib.Path(args.script).stem
     if args.executor is not None or args.workers > 1:
@@ -177,7 +175,7 @@ def cmd_run(args) -> int:
             print(f"... {len(rows) - args.max_rows} more rows")
     print(f"\nsimulated time: {result.sim_minutes:.2f} min "
           f"({result.stats.n_jobs_executed} job(s) executed)")
-    decisions = ReStoreManager.legacy_strings(result.events)
+    decisions = render_events(result.events, LOG_EVENTS)
     if decisions:
         print("ReStore rewrites:")
         for line in decisions:
@@ -239,12 +237,6 @@ def cmd_list_experiments(_args) -> int:
     for name in sorted(_experiment_registry()):
         print(name)
     return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.bench.harness import run_from_args
-
-    return run_from_args(args, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,21 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_p = sub.add_parser("list-experiments", help="list experiment names")
     list_p.set_defaults(func=cmd_list_experiments)
-
-    from repro.bench.harness import add_benchmark_arguments
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the repository-scale + service-throughput benchmarks",
-    )
-    add_benchmark_arguments(bench_p)
-    bench_p.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=pathlib.Path("BENCH_repo_scale.json"),
-        help="where to write the JSON trajectory",
-    )
-    bench_p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -14,7 +14,7 @@ on ``manager.events`` (an :class:`repro.events.EventBus`); the engine
 collects them through the :class:`repro.mapreduce.runner.JobListener`
 protocol's ``drain()``.  Reports that want the pre-1.1 log lines can
 project any typed event list through
-:meth:`ReStoreManager.legacy_strings`.
+``repro.events.render_events(events, LOG_EVENTS)``.
 
 The manager is **multi-tenant and concurrency-safe**: many sessions
 (threads) may drive jobs through one manager against one shared
@@ -34,7 +34,7 @@ import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.enumerator import CandidateSubJob, SubJobEnumerator
 from repro.core.eviction import EvictionPolicy, eviction_by_name
@@ -60,6 +60,7 @@ from repro.events import (
     SubJobDiscarded,
     SubJobStored,
 )
+from repro.exceptions import RepositoryError
 from repro.persistence.snapshot import SnapshotError
 from repro.mapreduce.job import MapReduceJob, Workflow
 from repro.mapreduce.runner import JobListener
@@ -813,7 +814,7 @@ class ReStoreManager(JobListener):
                     output_bytes_delta=len(delta_bytes),
                     output_records_delta=delta_records,
                 )
-            except Exception:
+            except RepositoryError:
                 return  # condemned mid-merge; the rerun re-registers
             with self._lock:
                 self.delta_refresh_count += 1
@@ -1083,7 +1084,7 @@ class ReStoreManager(JobListener):
         """
         try:
             self.repository.remove(entry.entry_id)
-        except Exception:
+        except RepositoryError:
             return None
         with self._lock:
             owned = entry.output_path in self.kept_paths
@@ -1103,27 +1104,6 @@ class ReStoreManager(JobListener):
 
     def _discard_file(self, path: str) -> None:
         self.dfs.delete_if_exists(path)
-
-    # -- reporting ---------------------------------------------------------------------------------
-
-    #: event types whose rendered form the legacy string channel carried
-    _LEGACY_EVENT_TYPES = (
-        RewriteApplied,
-        JobEliminated,
-        SubJobDiscarded,
-        EntryEvicted,
-    )
-
-    @classmethod
-    def legacy_strings(cls, events: Sequence[ReStoreEvent]) -> List[str]:
-        """Project typed events onto the pre-1.1 string log (which had
-        no 'stored' lines — only rewrites, eliminations, discards, and
-        evictions)."""
-        return [
-            event.render()
-            for event in events
-            if isinstance(event, cls._LEGACY_EVENT_TYPES)
-        ]
 
     def __repr__(self) -> str:
         return (

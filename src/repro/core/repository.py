@@ -16,7 +16,7 @@ match found during the sequential scan is the best one:
 The repository is fingerprint-indexed and **concurrency-safe**.  The
 three inverted indexes from the fingerprint work are now *sharded*:
 each index key (whole-plan fingerprint, load signature, input path)
-hashes to one of ``n_shards`` stripes, each with its own lock.  Be
+hashes to one of ``N_SHARDS`` stripes, each with its own lock.  Be
 clear about what that buys today: entry-level operations (add,
 remove, match, ordering) still serialize on the repository lock, so
 under CPython's GIL the striping is not a parallelism knob — it lets
@@ -67,6 +67,11 @@ from repro.pig.physical.plan import PhysicalPlan
 from repro.relational.schema import Schema
 
 _ENTRY_ID_PATTERN = re.compile(r"^entry_(\d+)$")
+
+#: lock stripes of the inverted indexes.  Persisted state records the
+#: value for the record only: a snapshot written with another count
+#: restores onto this one (the stripes are rebuilt from the entries)
+N_SHARDS = 8
 
 
 @dataclass
@@ -213,27 +218,23 @@ class _IndexShard:
 class Repository:
     """Fingerprint-indexed, scan-ordered, concurrency-safe collection.
 
-    ``n_shards`` controls the lock striping of the inverted indexes
-    (shard assignment is a deterministic CRC of the key, so layouts are
-    stable across processes).  All public methods may be called from
-    any thread; reads return snapshots.
+    The inverted indexes are lock-striped :data:`N_SHARDS` ways (shard
+    assignment is a deterministic CRC of the key, so layouts are stable
+    across processes).  All public methods may be called from any
+    thread; reads return snapshots.
     """
 
     def __init__(
         self,
         matcher: Optional[PlanMatcher] = None,
         ordering_enabled: bool = True,
-        n_shards: int = 8,
     ):
-        if n_shards < 1:
-            raise ValueError("need at least one index shard")
         self.matcher = matcher or PlanMatcher()
         #: when False, ordered_entries() returns insertion order —
         #: an ablation knob showing why §3's ordering rules matter
         #: (the first match found is used for the rewrite)
         self.ordering_enabled = ordering_enabled
         self.index_stats = RepositoryIndexStats()
-        self.n_shards = n_shards
         #: guards the entry table, sequence numbers, sig counts, the
         #: ordering structures, and index_stats; shard locks are only
         #: ever taken while holding (or after) this lock, never before
@@ -244,7 +245,7 @@ class Repository:
         #: entry id -> insertion sequence (stable-sort tie-break)
         self._seq: Dict[str, int] = {}
         # -- sharded fingerprint indexes (kept in step with _entries) --
-        self._shards: List[_IndexShard] = [_IndexShard() for _ in range(n_shards)]
+        self._shards: List[_IndexShard] = [_IndexShard() for _ in range(N_SHARDS)]
         self._sig_counts: Dict[str, Dict[str, int]] = {}
         # -- incremental §3 ordering ---------------------------------
         #: entry id -> how many other entries its plan subsumes
@@ -468,7 +469,7 @@ class Repository:
     # -- sharded fingerprint indexes ----------------------------------------------
 
     def _shard_of(self, key: str) -> _IndexShard:
-        return self._shards[zlib.crc32(key.encode()) % self.n_shards]
+        return self._shards[zlib.crc32(key.encode()) % N_SHARDS]
 
     def _index_entry(self, entry: RepositoryEntry) -> None:
         eid = entry.entry_id
@@ -799,7 +800,7 @@ class Repository:
                 "id_counter": self._id_counter,
                 "seq_counter": self._seq_counter,
                 "ordering_enabled": self.ordering_enabled,
-                "n_shards": self.n_shards,
+                "n_shards": N_SHARDS,
                 "seq": dict(self._seq),
                 "order": {
                     "scores": dict(self._scores),
@@ -819,7 +820,6 @@ class Repository:
         state: Mapping,
         *,
         matcher: Optional[PlanMatcher] = None,
-        n_shards: Optional[int] = None,
     ) -> "Repository":
         """Install persisted entries and ordering state directly —
         O(entries) index rebuild, zero matcher traversals, zero
@@ -832,7 +832,6 @@ class Repository:
         repo = cls(
             matcher=matcher,
             ordering_enabled=bool(state.get("ordering_enabled", True)),
-            n_shards=n_shards or int(state.get("n_shards", 8)),
         )
         with repo._lock:
             max_seq = -1
@@ -879,7 +878,6 @@ class Repository:
         journal=None,
         *,
         matcher: Optional[PlanMatcher] = None,
-        n_shards: Optional[int] = None,
     ) -> "Repository":
         """Rebuild a repository from a persisted snapshot plus the
         post-snapshot journal — the crash-recovery entry point.
@@ -895,9 +893,7 @@ class Repository:
         from repro.persistence.durability import ReplayTarget
         from repro.persistence.journal import decode_journal
 
-        target = ReplayTarget.from_snapshot(
-            snapshot, matcher=matcher, n_shards=n_shards
-        )
+        target = ReplayTarget.from_snapshot(snapshot, matcher=matcher)
         if isinstance(journal, (bytes, bytearray, memoryview)):
             journal = decode_journal(bytes(journal)).records
         target.apply_all(journal or ())

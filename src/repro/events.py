@@ -8,8 +8,8 @@ through an :class:`EventBus` that supports subscription with type and
 predicate filters.
 
 ``render()`` on each event reproduces the legacy log line;
-``ReStoreManager.legacy_strings(events)`` projects a typed event list
-onto that byte-identical text for reports that still want it.
+``render_events(events, LOG_EVENTS)`` projects a typed event list onto
+that byte-identical text for reports that still want it.
 """
 
 from __future__ import annotations
@@ -441,6 +441,14 @@ class EventBus:
         return event
 
 
-def render_events(events: Iterable[ReStoreEvent]) -> List[str]:
-    """Legacy string projection of an event stream."""
-    return [event.render() for event in events]
+#: the reuse decisions differentials compare byte for byte
+DECISION_EVENTS = (RewriteApplied, JobEliminated)
+#: what the pre-1.1 string log carried (it had no 'stored' lines)
+LOG_EVENTS = (RewriteApplied, JobEliminated, SubJobDiscarded, EntryEvicted)
+
+
+def render_events(
+    events: Iterable[ReStoreEvent], event_types: EventTypes = ReStoreEvent
+) -> List[str]:
+    """The log lines of the *event_types* events among *events*."""
+    return [event.render() for event in events if isinstance(event, event_types)]

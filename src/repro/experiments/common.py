@@ -30,6 +30,7 @@ from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.costmodel.calibration import GB
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.events import LOG_EVENTS, render_events
 from repro.mapreduce.cluster import ClusterConfig
 from repro.pig.engine import PigRunResult, PigServer
 from repro.pigmix.datagen import PigMixConfig, PigMixDataGenerator, PigMixDataset
@@ -264,7 +265,7 @@ def measure_subjob_reuse(
         sandbox, sandbox.query(query_name, f"out/{query_name}_reuse"), manager
     )
     measurement.t_reusing = reusing.sim_seconds
-    measurement.events = ReStoreManager.legacy_strings(reusing.events)
+    measurement.events = render_events(reusing.events, LOG_EVENTS)
     return measurement
 
 
@@ -286,7 +287,7 @@ def measure_whole_job_reuse(
     )
     measurement.t_generating = measurement.t_no_reuse  # no injection overhead
     measurement.t_reusing = reusing.sim_seconds
-    measurement.events = ReStoreManager.legacy_strings(reusing.events)
+    measurement.events = render_events(reusing.events, LOG_EVENTS)
     return measurement
 
 

@@ -179,9 +179,7 @@ class ReplayTarget:
         self.snapshot_entries = 0
 
     @classmethod
-    def from_snapshot(
-        cls, snapshot, *, matcher=None, n_shards: Optional[int] = None
-    ) -> "ReplayTarget":
+    def from_snapshot(cls, snapshot, *, matcher=None) -> "ReplayTarget":
         """The replay's starting state: *snapshot* (a
         :class:`RepositorySnapshot`, its encoded bytes, or ``None`` /
         empty for "no snapshot yet") restored, or an empty repository."""
@@ -189,7 +187,7 @@ class ReplayTarget:
             if not snapshot:
                 return cls(Repository(matcher=matcher))
             snapshot = RepositorySnapshot.from_bytes(bytes(snapshot))
-        target = cls(snapshot.restore_repository(matcher=matcher, n_shards=n_shards))
+        target = cls(snapshot.restore_repository(matcher=matcher))
         manager_state = snapshot.manager_state
         target.kept_paths.update(manager_state.get("kept_paths", ()))
         target.clock = int(manager_state.get("clock", 0))

@@ -464,9 +464,7 @@ class RepositorySnapshot:
 
     # -- restore ------------------------------------------------------------------
 
-    def restore_repository(
-        self, *, matcher=None, n_shards: Optional[int] = None
-    ) -> Repository:
+    def restore_repository(self, *, matcher=None) -> Repository:
         """Rebuild the repository: every inverted index and the full §3
         order, in one pass over the recorded rows."""
         state = dict(self.repository_state)
@@ -478,9 +476,7 @@ class RepositorySnapshot:
             entry, seq = _entry_from_row(row, blob)
             entries.append(entry)
             seqs[entry.entry_id] = seq
-        return Repository.from_persisted_state(
-            entries, seqs, state, matcher=matcher, n_shards=n_shards
-        )
+        return Repository.from_persisted_state(entries, seqs, state, matcher=matcher)
 
     def __repr__(self) -> str:
         return (

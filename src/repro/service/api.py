@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.events import JobEliminated, ReStoreEvent, RewriteApplied
+from repro.events import DECISION_EVENTS, ReStoreEvent, render_events
 from repro.mapreduce.job import Workflow
 from repro.mapreduce.stats import WorkflowStats
 from repro.pig.engine import PigRunResult
@@ -187,11 +187,7 @@ class JobOutcome:
     @property
     def decisions(self) -> Tuple[str, ...]:
         """The byte-comparable reuse decisions of this run."""
-        return tuple(
-            event.render()
-            for event in self.events
-            if isinstance(event, (RewriteApplied, JobEliminated))
-        )
+        return tuple(render_events(self.events, DECISION_EVENTS))
 
     @property
     def sim_seconds(self) -> float:

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.events import JobEliminated, RewriteApplied
+from repro.events import DECISION_EVENTS, render_events
 from repro.mapreduce.job import Workflow
 from repro.pig.engine import PigRunResult
 from repro.service.jobservice import JobService
@@ -71,11 +71,7 @@ class DriverResult:
 def decision_log(result) -> Tuple[str, ...]:
     """The byte-comparable reuse decisions of one job's run (accepts
     anything with typed ``events`` — JobOutcome or PigRunResult)."""
-    return tuple(
-        event.render()
-        for event in result.events
-        if isinstance(event, (RewriteApplied, JobEliminated))
-    )
+    return tuple(render_events(result.events, DECISION_EVENTS))
 
 
 class WorkloadDriver:

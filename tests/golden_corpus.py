@@ -3,7 +3,8 @@
 Every stream runs through one :class:`ReStoreSession`; what it leaves
 behind — DFS file digests, ``JobStats`` counters, DFS byte counters,
 the typed decision log — is one golden record (see
-:func:`repro.bench.golden.observables`).  ``golden/README.md`` says
+:func:`observables`).  The ``repo_scale`` records are what
+``repo_stream.run_match_stream`` decides.  ``golden/README.md`` says
 which commit and configuration the committed records came from.
 
 Re-record (from the sole remaining plane)::
@@ -11,32 +12,25 @@ Re-record (from the sole remaining plane)::
     PYTHONPATH=src python tests/golden_corpus.py
 """
 
+import hashlib
 import json
+import pathlib
+import random
 
-from repro.bench.exec_sim import (
-    DEFAULT_EXEC_SCALES,
-    QUICK_EXEC_SCALES,
-    build_queries,
-    generate_event_rows,
-    run_exec_stream,
-)
-from repro.bench.golden import GOLDEN_PATH, job_counters, load_golden, observables
-from repro.bench.repo_scale import (
-    DEFAULT_SCALES,
-    FULL_PROBES,
-    QUICK_PROBES,
-    QUICK_SCALES,
-    generate_entry_specs,
-    generate_probe_specs,
-    run_match_stream,
-)
+from repo_stream import GOLDEN_SCALES, run_match_stream
+
 from repro.core.manager import ReStoreConfig
+from repro.events import RewriteApplied
 from repro.execution.interpreter import JobInterpreter
 from repro.pigmix.datagen import PigMixConfig, PigMixDataGenerator
 from repro.pigmix.queries import build_query
+from repro.relational.schema import Schema
+from repro.relational.types import DataType
 from repro.session import ReStoreSession
 
-#: the seed every bench golden was recorded at (the harness default)
+GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "golden/corpus.json"
+
+#: the seed every golden record was taken at
 SEED = 13
 #: chunk lengths the plane must be invariant under: the row-major
 #: route, a length that cuts every stream mid-chunk, and production's
@@ -46,6 +40,61 @@ EVENTS = "u1\t5\t1.5\nu2\t2\t0.5\nu1\t9\t2.25\n\t4\t1.0\nu3\t7\t0.75\nu2\t8\t0.2
 NAMES = "u1\talice\nu9\tzed\n"
 EV = "A = load 'data/ev' as (u:chararray, a:int, r:double);\n"
 GROUPED = EV + "B = filter A by a > 3;\nC = group B by u;\n"
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def jsonable(value):
+    """*value* through JSON once, so a fresh record compares equal to
+    a loaded one (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
+def job_counters(stats) -> list:
+    """Every counter of one workflow run's executed jobs, in job-id
+    order, then the ids of the jobs the repository eliminated."""
+    out = []
+    for job_id in sorted(stats.job_stats):
+        job = stats.job_stats[job_id]
+        out.append(
+            (
+                job_id,
+                job.input_records,
+                job.map_output_records,
+                job.shuffle_records,
+                job.shuffle_bytes,
+                job.reduce_groups,
+                job.op_records,
+                tuple(sorted(job.load_bytes.items())),
+                tuple(
+                    (s.path, s.bytes, s.records, s.phase, s.side) for s in job.stores
+                ),
+                job.sim_seconds,
+            )
+        )
+    out.append(tuple(sorted(stats.eliminated_jobs)))
+    return out
+
+
+def observables(dfs, counters, decisions) -> dict:
+    """One stream's golden record, taken from the session's *dfs* once
+    the stream has run: digests and counters, no row data."""
+    # the byte counters first: hashing reads every file, and those
+    # reads (which also render still-lazy payloads) are not the stream's
+    dfs_counters = [dfs.bytes_read, dfs.bytes_written, dfs.replica_bytes_written]
+    return jsonable(
+        {
+            "dfs": {
+                path: hashlib.sha256(dfs.read_file(path)).hexdigest()
+                for path in sorted(dfs.list_paths())
+            },
+            "counters": list(counters),
+            "dfs_counters": dfs_counters,
+            "decisions": list(decisions),
+        }
+    )
 
 
 def static_stream(payloads, scripts):
@@ -163,31 +212,133 @@ def assert_stream_matches_golden(name, monkeypatch):
     assert outputs[1:] == outputs[:-1]
 
 
+# -- the exec_sim stream ------------------------------------------------------
+#
+# A shared events table is ingested once through the typed API (as an
+# upstream job would have produced it), then each of two filter
+# thresholds gets one aggregation producer and a fan-out of drill-down
+# consumers sharing the ``load → filter → group`` prefix: sub-job reuse
+# rewrites the consumers to read the stored group output, and identical
+# drill queries degrade to whole-job copy rewrites (the payload-clone
+# path).
+
+EVENTS_PATH = "bench/events"
+EVENTS_SCHEMA = Schema.of(
+    ("u", DataType.CHARARRAY),
+    ("a", DataType.INT),
+    ("r", DataType.DOUBLE),
+    ("info", DataType.CHARARRAY),
+)
+#: filter thresholds: each starts one producer + consumer fan-out chain
+THRESHOLDS = (10, 35)
+#: drill-down consumers per threshold (every third one aggregates)
+CONSUMERS_PER_CHAIN = 5
+#: events-table sizes the corpus holds a record for; tier-1 replays
+#: the first and the last at every chunk length
+EXEC_SCALES = (2000, 6000, 20000)
+
+
+def generate_event_rows(n_rows: int, seed: int) -> list:
+    """A deterministic page_views-like table: skewed users, numeric
+    measures, and a wide string payload (parsing it is the cost the
+    typed-dataset cache removes)."""
+    rng = random.Random(seed)
+    n_users = max(50, n_rows // 40)
+    rows = []
+    for _ in range(n_rows):
+        user = f"user{int(n_users * rng.random() ** 2):05d}"
+        action = rng.randrange(100)
+        revenue = round(rng.uniform(0.0, 10.0), 4)
+        info = "info_" + "x" * (20 + rng.randrange(40))
+        rows.append((user, action, revenue, info))
+    return rows
+
+
+def build_queries() -> list:
+    """(name, source) pairs: per threshold, one aggregation producer
+    then drill-down consumers sharing the load→filter→group prefix."""
+    queries = []
+    for threshold in THRESHOLDS:
+        prefix = (
+            f"A = load '{EVENTS_PATH}' as "
+            "(u:chararray, a:int, r:double, info:chararray);\n"
+            f"B = filter A by a > {threshold};\n"
+            "C = group B by u;\n"
+        )
+        queries.append(
+            (
+                f"agg_t{threshold}",
+                prefix
+                + "D = foreach C generate group, COUNT(B), SUM(B.r);\n"
+                + f"store D into 'out/agg_t{threshold}';\n",
+            )
+        )
+        for i in range(CONSUMERS_PER_CHAIN):
+            tail = "group, MAX(B.r)" if i % 3 == 0 else "group"
+            queries.append(
+                (
+                    f"drill_t{threshold}_{i}",
+                    prefix
+                    + f"D = foreach C generate {tail};\n"
+                    + f"store D into 'out/drill_t{threshold}_{i}';\n",
+                )
+            )
+    return queries
+
+
+def run_exec_stream(rows, queries):
+    """Run the query stream through one fresh session: (golden record,
+    whole-job copy rewrites, stores that cloned their producer's
+    serialized payload)."""
+    counters, decisions, copy_rewrites = [], [], 0
+    with ReStoreSession(datanodes=4) as session:
+        # typed ingestion: the table enters through the same API an
+        # upstream job's store would have used, so the dataset cache
+        # starts warm
+        session.dfs.write_rows(EVENTS_PATH, rows, EVENTS_SCHEMA)
+        # the golden records' DFS read counter includes this read
+        session.dfs.read_file(EVENTS_PATH)
+        for name, source in queries:
+            run = session.run(source, name=name)
+            counters.extend(job_counters(run.stats))
+            decisions.extend(repr(event) for event in run.events)
+            copy_rewrites += sum(
+                isinstance(event, RewriteApplied) and event.whole_job
+                for event in run.events
+            )
+        record = observables(session.dfs, counters, decisions)
+        return record, copy_rewrites, session.dfs.payload_clones
+
+
 def exec_sim_record(n_rows):
-    return run_exec_stream(generate_event_rows(n_rows, SEED), build_queries()).record
+    return run_exec_stream(generate_event_rows(n_rows, SEED), build_queries())[0]
+
+
+def match_record(result):
+    """The golden record of one ``repo_stream.MatchResult``."""
+    return jsonable(
+        {
+            "decisions": result.decisions,
+            "rewrites": result.rewrites,
+            "eliminations": result.eliminations,
+            "traversals": result.traversals,
+            "candidates_examined": result.candidates_examined,
+        }
+    )
 
 
 def repo_scale_record(n_entries, n_probes):
-    entry_specs = generate_entry_specs(n_entries, SEED)
-    probe_specs = generate_probe_specs(entry_specs, n_probes, SEED)
-    return run_match_stream(entry_specs, probe_specs, seed=SEED).record
+    return match_record(run_match_stream(n_entries, n_probes, SEED))
 
 
 def record_corpus():
     return {
         "seed": SEED,
         "streams": {name: run_stream(*STREAMS[name])[0] for name in STREAMS},
-        "exec_sim": {
-            str(n): exec_sim_record(n)
-            for n in sorted({*QUICK_EXEC_SCALES, *DEFAULT_EXEC_SCALES})
-        },
+        "exec_sim": {str(n): exec_sim_record(n) for n in EXEC_SCALES},
         "repo_scale": {
             f"{n}x{probes}": repo_scale_record(n, probes)
-            for scales, probes in (
-                (QUICK_SCALES, QUICK_PROBES),
-                (DEFAULT_SCALES, FULL_PROBES),
-            )
-            for n in scales
+            for n, probes in GOLDEN_SCALES
         },
     }
 

@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from repro.bench.repo_scale import build_repository, generate_entry_specs
+from repo_stream import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import EntryQuarantined, PersistenceDegraded

@@ -3,6 +3,7 @@
 
 from repro.core.manager import ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.events import LOG_EVENTS, render_events
 from repro.pig.engine import PigServer
 
 
@@ -167,7 +168,7 @@ class TestReuseEdgeCases:
             base + "D = group C by u; E = foreach D generate group, AVG(C.v); store E into 'o2';"
         )
         # reused at least the group sub-job
-        assert ReStoreManager.legacy_strings(result.events)
+        assert render_events(result.events, LOG_EVENTS)
         fresh = PigServer(dfs).run(
             base + "D = group C by u; E = foreach D generate group, AVG(C.v); store E into 'o3';"
         )
@@ -190,7 +191,7 @@ class TestReuseEdgeCases:
         """)
         reuse_events = [
             line
-            for line in ReStoreManager.legacy_strings(result.events)
+            for line in render_events(result.events, LOG_EVENTS)
             if "reused" in line or "whole job" in line
         ]
         assert not reuse_events  # different predicate: no reuse
@@ -218,7 +219,7 @@ class TestReuseEdgeCases:
         """)
         reuse_events = [
             line
-            for line in ReStoreManager.legacy_strings(result.events)
+            for line in render_events(result.events, LOG_EVENTS)
             if "reused" in line or "whole job" in line
         ]
         assert not reuse_events

@@ -6,8 +6,11 @@ from repro.core.heuristics import (
     ConservativeHeuristic,
     NoHeuristic,
 )
+from repro.mapreduce.job import MapReduceJob
 from repro.pig.engine import PigServer
 from repro.pig.physical.operators import POSplit, POStore
+from repro.pig.physical.plan import linear_plan
+from repo_stream import EntrySpec, pipeline_ops
 
 PV = "user, action:int, timestamp:int, est_revenue:double, page_info, page_links"
 USERS = "name, phone, address, city"
@@ -69,6 +72,18 @@ class TestInjection:
         job = compile_job(server)
         SubJobEnumerator(NoHeuristic()).enumerate_and_inject(job)
         job.validate()
+
+    def test_generated_pipeline_injects_three_of_its_four_anchors(self):
+        """load → filter → project → group → aggregate → store: HA
+        anchors four operators; the aggregate feeds the store, so
+        three candidates are injected — for every job of a stream."""
+        enumerator = SubJobEnumerator(AggressiveHeuristic())
+        for index in range(10):
+            spec = EntrySpec(index, f"enum/ds{index}", 1 + index % 37, "aggregate")
+            ops = pipeline_ops(spec, spec.shape)
+            ops.append(POStore(f"enum/out{index}", ops[-1].schema))
+            job = MapReduceJob(linear_plan(*ops), job_id=f"enum_{index}")
+            assert len(enumerator.enumerate_and_inject(job)) == 3
 
     def test_unique_store_paths(self, server):
         job = compile_job(server)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.manager import ReStoreManager
 from repro.events import (
+    LOG_EVENTS,
     EntryEvicted,
     EventBus,
     JobEliminated,
@@ -183,7 +184,7 @@ class TestManagerEmitsTypedEvents:
         session = ReStoreSession(dfs=small_data)
         session.run(Q1)
         result = session.run(Q2)
-        assert ReStoreManager.legacy_strings(result.events) == [
+        assert render_events(result.events, LOG_EVENTS) == [
             e.render() for e in result.events
             if not isinstance(e, SubJobStored)
         ]
@@ -196,7 +197,7 @@ class TestLegacyStringProjection:
             job_id="job_1", entry_id="entry_000001",
             anchor_kind="group", output_path="tmp/s1/t2",
         ))
-        assert ReStoreManager.legacy_strings(manager.drain()) == [
+        assert render_events(manager.drain(), LOG_EVENTS) == [
             "job_1: reused sub-job entry_000001 (group) from tmp/s1/t2"
         ]
         assert manager.drain() == []  # drained
@@ -204,7 +205,7 @@ class TestLegacyStringProjection:
     def test_legacy_strings_hide_store_events(self, small_data):
         manager = ReStoreManager(small_data)
         manager._emit(SubJobStored(entry_id="e", output_path="p"))
-        assert ReStoreManager.legacy_strings(manager.drain()) == []
+        assert render_events(manager.drain(), LOG_EVENTS) == []
 
     def test_typed_drain_returns_everything(self, small_data):
         manager = ReStoreManager(small_data)

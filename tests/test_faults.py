@@ -30,14 +30,19 @@ import time
 
 import pytest
 
-from repro.bench.fault_resilience import _lane_dir, _seed_state
-from repro.bench.repo_scale import (
-    _service_workload,
+from repo_stream import (
+    FULL_GRID_ENTRIES,
     generate_entry_specs,
     generate_probe_specs,
+    lane_dir,
     prepare_service_dfs,
+    probe_config,
+    probe_job,
+    seed_state,
+    service_workload,
 )
-from repro.core.manager import ReStoreConfig, ReStoreManager
+
+from repro.core.manager import ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import (
     EntryQuarantined,
@@ -72,10 +77,6 @@ def _no_leaked_injector():
     faults.uninstall()
 
 
-def _probe_config() -> ReStoreConfig:
-    return ReStoreConfig(inject_enabled=False, register_whole_jobs="none")
-
-
 def _entry_ids(config: PersistenceConfig):
     return sorted(
         entry.entry_id for entry in recover(config).repository.entries()
@@ -84,8 +85,8 @@ def _entry_ids(config: PersistenceConfig):
 
 def _seeded_lane(tmp_path, label: str, n_entries: int = 40):
     entry_specs = generate_entry_specs(n_entries, SEED)
-    snapshot = _seed_state(str(tmp_path), entry_specs, SEED)
-    return entry_specs, _lane_dir(str(tmp_path), label, snapshot)
+    seed_dir = seed_state(str(tmp_path), entry_specs, SEED)
+    return entry_specs, lane_dir(str(tmp_path), label, seed_dir)
 
 
 class TestPlansAndRules:
@@ -238,7 +239,7 @@ class TestChaosSweep:
                 service = JobService(
                     dfs=dfs,
                     persistence=config,
-                    config=_probe_config(),
+                    config=probe_config(),
                     service=ServiceConfig(
                         executor="processes",
                         max_workers=1,
@@ -252,7 +253,7 @@ class TestChaosSweep:
             live_ids = None
             if service is not None:
                 session = service.open_session("chaos")
-                for builder in _service_workload(probe_specs, "chaos/out"):
+                for builder in service_workload(probe_specs, "chaos/out"):
                     try:
                         session.submit_workflow(builder()).result(timeout=60)
                     except Exception:
@@ -291,7 +292,7 @@ class TestCircuitBreaker:
             journal_path=str(tmp_path / "repository.journal"),
         )
         dfs = DistributedFileSystem(n_datanodes=2)
-        manager = ReStoreManager(dfs, config=_probe_config())
+        manager = ReStoreManager(dfs, config=probe_config())
         return manager, RepositoryPersister(manager, config), config
 
     def test_breaker_degrades_buffers_and_recovers_on_probe(self, tmp_path):
@@ -340,13 +341,11 @@ class TestQuarantine:
     def _drive(self, entry_specs, probe_specs, config, plan):
         """Recover the lane, run the probes through a manager, close;
         returns (ids left, quarantined events, quarantine_count)."""
-        from repro.bench.repo_scale import _probe_job
-
         state = recover(config)
         dfs = DistributedFileSystem(n_datanodes=2)
         prepare_service_dfs(dfs, entry_specs, probe_specs)
         manager = ReStoreManager(
-            dfs, repository=state.repository, config=_probe_config()
+            dfs, repository=state.repository, config=probe_config()
         )
         persister = RepositoryPersister(manager, config)
         quarantined = []
@@ -357,7 +356,7 @@ class TestQuarantine:
             faults.install(FaultInjector(plan))
         try:
             for spec in probe_specs:  # served as misses or clean matches
-                job, workflow = _probe_job(spec, "quarantine/out")
+                job, workflow = probe_job(spec, "quarantine/out")
                 manager.before_job(job, workflow)
                 manager.drain()
                 manager.on_workflow_end(workflow)
@@ -372,8 +371,8 @@ class TestQuarantine:
         self, tmp_path
     ):
         entry_specs, config = _seeded_lane(tmp_path, "quarantine")
-        twin_config = _lane_dir(
-            str(tmp_path), "quarantine-twin", config.snapshot_path
+        twin_config = lane_dir(
+            str(tmp_path), "quarantine-twin", str(tmp_path / "seed")
         )
         probe_specs = [
             spec
@@ -401,7 +400,7 @@ class TestQuarantine:
         gone = quarantined[0].entry_id
         assert gone not in live
         # modulo the quarantined entry, the fault run keeps exactly the
-        # fault-free twin's repository (stale-input evictions and all)
+        # fault-free twin's repository
         assert live == sorted(set(twin_ids) - {gone})
         recovered_ids = _entry_ids(config)
         assert gone not in recovered_ids, "quarantine must be journaled"
@@ -410,7 +409,7 @@ class TestQuarantine:
 
 class TestStandbyPromotion:
     def _run_stream(self, tmp_path, label: str, plan):
-        entry_specs, config = _seeded_lane(tmp_path, label)
+        entry_specs, config = _seeded_lane(tmp_path, label, FULL_GRID_ENTRIES)
         probe_specs = generate_probe_specs(entry_specs, 6, SEED)
         dfs = DistributedFileSystem(n_datanodes=2)
         prepare_service_dfs(dfs, entry_specs, probe_specs)
@@ -420,7 +419,7 @@ class TestStandbyPromotion:
             service = JobService(
                 dfs=dfs,
                 persistence=config,
-                config=_probe_config(),
+                config=probe_config(),
                 service=ServiceConfig(
                     executor="processes",
                     max_workers=1,
@@ -433,7 +432,7 @@ class TestStandbyPromotion:
             )
             session = service.open_session("tenant")
             decisions = []
-            for builder in _service_workload(probe_specs, f"{label}/out"):
+            for builder in service_workload(probe_specs, f"{label}/out"):
                 outcome = session.submit_workflow(builder()).result(timeout=60)
                 decisions.append(outcome.decisions)
             promotions = service.stats.promotions
@@ -469,6 +468,14 @@ class TestStandbyPromotion:
         assert stormy[0] == clean[0], (
             "the failed-over service must make the fault-free decisions"
         )
+        # ... and compare decisions, not empty tuples: every probe
+        # that is not a miss is rewritten, at least half of them are
+        probe_specs = generate_probe_specs(
+            generate_entry_specs(FULL_GRID_ENTRIES, SEED), 6, SEED
+        )
+        decided = [bool(lines) for lines in clean[0]]
+        assert decided == [spec.kind != "miss" for spec in probe_specs]
+        assert sum(decided) * 2 >= len(decided)
         assert stormy[3] == clean[3]
         # the promoted lane's durable state survives a restart too
         assert _entry_ids(stormy[4]) == stormy[3]
@@ -499,7 +506,7 @@ class TestShutdownKillsHungWorkers:
             service = JobService(
                 dfs=dfs,
                 persistence=config,
-                config=_probe_config(),
+                config=probe_config(),
                 service=ServiceConfig(
                     executor="processes",
                     max_workers=1,
@@ -511,7 +518,7 @@ class TestShutdownKillsHungWorkers:
             kills = []
             service.events.subscribe(kills.append, event_types=(WorkerKilled,))
             session = service.open_session("tenant")
-            builder = _service_workload(probe_specs, "hang/out")[0]
+            builder = service_workload(probe_specs, "hang/out")[0]
             future = session.submit_workflow(builder())
             time.sleep(1.5)  # let the worker spawn and enter its hang
             started = time.monotonic()

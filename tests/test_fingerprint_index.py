@@ -21,16 +21,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.golden import digests, load_golden
-from repro.bench.repo_scale import (
-    _probe_job,
+from golden_corpus import load_golden, match_record
+from repo_stream import (
     build_repository,
-    check_gates,
     generate_entry_specs,
     generate_probe_specs,
-    run_repo_scale_benchmark,
-    run_scale,
+    probe_job,
+    run_match_stream,
 )
+
 from repro.core.manager import ReStoreManager
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
@@ -392,7 +391,7 @@ class TestCandidatePruningDecisions:
         entry_specs = generate_entry_specs(100, seed=13)
         repository = build_repository(entry_specs, seed=13)
         for spec in generate_probe_specs(entry_specs, 20, seed=13):
-            assert_pruning_sound(repository, _probe_job(spec)[0].plan)
+            assert_pruning_sound(repository, probe_job(spec)[0].plan)
 
     def test_match_scanned_events_on_bus_only(self, small_data):
         session = ReStoreSession(dfs=small_data)
@@ -417,33 +416,10 @@ class TestCandidatePruningDecisions:
 
 class TestScaleGate:
     def test_1000_entries_tenfold_fewer_traversals(self):
-        scale = run_scale(n_entries=1000, n_probes=20, seed=13)
-        golden = load_golden()["repo_scale"]["1000x20"]
-        for count in ("traversals", "candidates_examined", "rewrites", "eliminations"):
-            assert scale[count] == golden[count]
-        assert scale["decisions_digest"] == digests(golden)["decisions"]
-        assert scale["traversals"] * 10 <= scale["entries_seen"]
-
-    def test_a_gate_that_cannot_run_is_skipped_not_passed(self):
-        payload = run_repo_scale_benchmark(scales=(10,), quick=True)
-        lane = {
-            "n_entries": 1000,
-            "one_worker_decisions_identical": True,
-            "speedup_4v1": 1.05,
-            "cpus": 1,
-        }
-        payload["service_throughput"] = {
-            "scales": [],
-            "process_lane": {"scales": [lane]},
-        }
-        scaling = "service_throughput.process_lane.scaling[N=1000]"
-        gates = check_gates(payload, load_golden())
-        assert gates["passed"] and gates["status"]["repo_scale"] == "passed"
-        assert gates["status"][scaling].startswith("skipped(1 cpu")
-        lane["cpus"] = 8
-        gates = check_gates(payload, load_golden())
-        assert not gates["passed"] and scaling not in gates["status"]
-        assert gates["status"]["service_throughput"] == "failed"
-        # without a corpus the golden comparison is skipped as well
-        status = check_gates(payload)["status"]
-        assert status["repo_scale.golden[N=10]"] == "skipped(no golden record)"
+        scale = run_match_stream(n_entries=1000, n_probes=20, seed=13)
+        assert match_record(scale) == load_golden()["repo_scale"]["1000x20"]
+        assert scale.rewrites > 0
+        # the index is never worse than no index, and at this size it
+        # prunes at least nine candidates in ten before Algorithm 1
+        assert scale.candidates_examined <= scale.entries_seen
+        assert scale.traversals * 10 <= scale.entries_seen

@@ -71,6 +71,28 @@ class TestDeltaRefresh:
         rewrites = [e for e in events_of(result, RewriteApplied) if e.delta]
         assert len(rewrites) == 1
         assert "delta over appended tail" in rewrites[0].render()
+        # O(tail), by counters: the probe read the stored output (three
+        # rows) plus the appended bytes, and never the base file
+        (probe,) = result.stats.job_stats.values()
+        assert "data/page_views" not in probe.load_bytes
+        (tail_bytes,) = (n for p, n in probe.load_bytes.items() if p != "f_out")
+        assert tail_bytes == len(TAIL)
+        assert probe.input_records == 3 + TAIL.count("\n")
+
+    def test_failing_durability_listener_is_not_swallowed(self, small_data):
+        """``refresh_entry`` mutates before it notifies; only "already
+        condemned" (``RepositoryError``) may read as nothing to do."""
+        server, manager = make(small_data)
+        server.run(FILTER_Q)
+        small_data.append("data/page_views", TAIL)
+
+        def journal_down(kind, entry):
+            if kind == "refreshed":
+                raise OSError("journal down")
+
+        manager.repository.subscribe_mutations(journal_down)
+        with pytest.raises(OSError, match="journal down"):
+            server.run(FILTER_Q)
 
     def test_refreshed_entry_answers_the_next_probe_outright(self, small_data):
         server, manager = make(small_data)

@@ -8,7 +8,7 @@ times the same records are replayed.
 
 from __future__ import annotations
 
-from repro.bench.repo_scale import build_repository, generate_entry_specs
+from repo_stream import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem

@@ -5,9 +5,11 @@ queries (Q1 -> Q2), sub-job reuse, repository chaining across multi-job
 workflows, resubmission, and eviction effects.
 """
 
+import pytest
 
 from repro.core.eviction import InputModifiedEviction, TimeWindowEviction
 from repro.core.manager import ReStoreConfig, ReStoreManager
+from repro.events import LOG_EVENTS, render_events
 from repro.pig.engine import PigServer
 
 PV = "user, action:int, timestamp:int, est_revenue:double, page_info, page_links"
@@ -52,7 +54,7 @@ class TestPaperExample:
         result = server.run(Q2)
         assert sorted(result.outputs["q2_out"]) == Q2_EXPECTED
         assert manager.elimination_count == 1
-        decisions = ReStoreManager.legacy_strings(result.events)
+        decisions = render_events(result.events, LOG_EVENTS)
         assert any("whole job" in line for line in decisions)
 
     def test_q2_correct_without_priming(self, small_data):
@@ -80,7 +82,7 @@ class TestPaperExample:
         assert sorted(result.outputs["q2avg_out"]) == [
             ("alice", 1.5), ("bob", 4.0), ("carol", 8.0),
         ]
-        decisions = ReStoreManager.legacy_strings(result.events)
+        decisions = render_events(result.events, LOG_EVENTS)
         assert any("group" in line for line in decisions)
 
     def test_resubmission_same_output_eliminated(self, small_data):
@@ -198,6 +200,28 @@ class TestEviction:
         evicted = manager.run_evictions()
         assert evicted
         assert len(manager.repository) == 0
+
+    def test_failing_durability_listener_is_not_swallowed(self, small_data):
+        """``Repository.remove`` deletes the entry before it notifies:
+        an eviction that hid the listener's error would lose the entry
+        with no ``EntryEvicted`` and leak its kept file.  Only "already
+        gone" (``RepositoryError``) reads as nothing to evict."""
+        server, manager = make(
+            small_data, eviction_policies=[InputModifiedEviction()]
+        )
+        server.run(Q1)
+        gone = manager.repository.entries()[0]
+        manager.repository.remove(gone.entry_id)
+        assert manager._evict(gone, "test") is None
+
+        def journal_down(kind, entry):
+            raise OSError("journal down")
+
+        manager.repository.subscribe_mutations(journal_down)
+        small_data.write_file("data/users", "x\t1\t1\t1\n", overwrite=True)
+        manager.clock += 1
+        with pytest.raises(OSError, match="journal down"):
+            manager.run_evictions()
 
     def test_stale_entries_not_reused_after_eviction(self, small_data):
         server, manager = make(

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.repository import Repository
+from repro.events import LOG_EVENTS, render_events
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
@@ -90,7 +91,7 @@ class TestCrossSessionReuse:
         assert sorted(result.outputs["out/vmax"]) == sorted(
             fresh.outputs["out/vfresh"]
         )
-        decisions = ReStoreManager.legacy_strings(result.events)
+        decisions = render_events(result.events, LOG_EVENTS)
         assert any("group" in line for line in decisions)
 
     def test_restored_statistics_preserve_ordering(self, small_data):
@@ -140,6 +141,37 @@ class TestSessionWarmRestart:
         second.close()
         assert sorted(result2.outputs["out/s2"]) == sorted(result1.outputs["out/s1"])
         assert second.manager.rewrite_count + second.manager.elimination_count >= 1
+
+    def test_restart_on_a_fresh_dfs_serves_stored_bytes_without_running(
+        self, small_data, tmp_path
+    ):
+        """Local-backend state outlives the DFS: the successor, over a
+        new ``DistributedFileSystem`` holding only the inputs, restores
+        the stored payloads from the block store and executes nothing."""
+        from repro.dfs.filesystem import DistributedFileSystem
+        from repro.session import ReStoreSession
+
+        config = PersistenceConfig(
+            backend="local",
+            snapshot_path=str(tmp_path / "repo.snap"),
+            journal_path=str(tmp_path / "repo.journal"),
+        )
+        script = Q2.replace("OUT", "out/daily")
+        cold_session = ReStoreSession(dfs=small_data, persistence=config)
+        cold = cold_session.run(script)
+        cold_session.persister.take_snapshot()
+        cold_session.close()
+        assert cold.stats.n_jobs_executed >= 1
+
+        warm_dfs = DistributedFileSystem(n_datanodes=2)
+        for path in ("data/page_views", "data/users"):
+            warm_dfs.write_file(path, small_data.read_file(path))
+        warm_session = ReStoreSession(dfs=warm_dfs, persistence=config)
+        warm = warm_session.run(script)
+        warm_session.close()
+        assert warm.stats.n_jobs_executed == 0
+        assert warm_dfs.read_file("out/daily") == small_data.read_file("out/daily")
+        assert warm.outputs == cold.outputs
 
     def test_session_validates_conflicting_arguments(self, small_data):
         from repro.session import ReStoreSession

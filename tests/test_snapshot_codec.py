@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.repo_scale import build_repository, generate_entry_specs
+from repo_stream import (
+    FULL_GRID_ENTRIES,
+    build_repository,
+    generate_entry_specs,
+    generate_probe_specs,
+    match_stream,
+)
+from test_fingerprint_index import assert_index_consistent
+
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
@@ -63,6 +71,30 @@ class TestRoundTrip:
         restored.ordered_entries()
         assert restored.index_stats.subsume_checks == 0
         assert restored.index_stats.order_integrations == 0
+
+    def test_recorded_shard_count_is_kept_on_disk_and_ignored(self, repository):
+        snapshot = roundtrip(repository)
+        assert snapshot.repository_state["n_shards"] == 8
+        snapshot.repository_state["n_shards"] = 3
+        restored = snapshot.restore_repository()
+        assert_index_consistent(restored)
+        assert [e.entry_id for e in restored.ordered_entries()] == [
+            e.entry_id for e in repository.ordered_entries()
+        ]
+
+    def test_restored_repository_makes_the_originals_decisions(self):
+        """Same entries matched in the same order, same rewritten-plan
+        fingerprints — on a stream that does rewrite."""
+        entry_specs = generate_entry_specs(FULL_GRID_ENTRIES, seed=13)
+        probe_specs = generate_probe_specs(entry_specs, 20, seed=13)
+        dfs = DistributedFileSystem(n_datanodes=2)
+        original = build_repository(entry_specs, 13, dfs, probe_specs)
+        original.ordered_entries()
+        restored = roundtrip(original).restore_repository()
+        after = match_stream(restored, dfs, probe_specs)
+        before = match_stream(original, dfs, probe_specs)
+        assert after.decisions == before.decisions
+        assert before.rewrites >= len(probe_specs) // 2
 
     def test_manager_and_dfs_state_travel(self, repository):
         snapshot = roundtrip(
