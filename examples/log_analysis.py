@@ -62,7 +62,6 @@ def analyst_queries(day: int):
 def main() -> None:
     session = (
         ReStoreSession.builder()
-        .datanodes(4)
         .heuristic("aggressive")
         .evict("time-window:6", "input-modified")
         .build()

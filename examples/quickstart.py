@@ -12,7 +12,7 @@ from repro import ReStoreSession
 
 # 1. A session: simulated HDFS + cluster + ReStore, wired together -------------------
 
-session = ReStoreSession(datanodes=4)
+session = ReStoreSession()
 session.write_file(
     "data/page_views",
     "\n".join(

@@ -15,7 +15,7 @@ PV = "user, action:int, timestamp:int, est_revenue:double, page_info, page_links
 
 
 def main() -> None:
-    session = ReStoreSession(datanodes=4)
+    session = ReStoreSession()
     session.write_file(
         "data/page_views",
         "\n".join(

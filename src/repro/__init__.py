@@ -21,8 +21,9 @@ every reuse decision as typed events on ``session.events``.  The
 pre-session entry points (``PigServer``, ``ReStoreManager``) remain
 available for piecewise wiring.
 
-See README.md for the architecture and EXPERIMENTS.md for the
-paper-vs-measured reproduction results.
+See README.md for the architecture; ``python -m repro experiment <name>``
+prints a figure's paper-vs-measured table, and ``bench_e2e/README.md``
+("Paper ratios") holds the measured wall-time ratios.
 """
 
 from repro.core.manager import ReStoreConfig, ReStoreManager

@@ -81,7 +81,7 @@ def _load_data(target, mappings: List[str]) -> None:
 
 
 def _build_session(args) -> ReStoreSession:
-    builder = ReStoreSession.builder().datanodes(args.datanodes)
+    builder = ReStoreSession.builder()
     persistence = _persistence_config(args)
     if args.no_restore:
         builder.without_restore()
@@ -129,7 +129,6 @@ def _run_via_service(args, source: str, name: str):
     )
     try:
         service = JobService(
-            datanodes=args.datanodes,
             config=config,
             persistence=persistence,
             service=service_config,
@@ -199,7 +198,6 @@ def _experiment_registry() -> dict:
     registry = {
         name: module.run for name, module in ALL_EXPERIMENTS.items()
     }
-    registry["ablation-ordering"] = ablations.run_ordering_ablation
     registry["ablation-selector"] = ablations.run_selector_ablation
     registry["ablation-optimizer"] = ablations.run_optimizer_ablation
     registry["workload-stream"] = ablations.run_workload_stream
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="LOCAL=DFS_PATH",
             help="copy a local file into the simulated DFS (repeatable)",
         )
-        p.add_argument("--datanodes", type=int, default=4)
         p.add_argument(
             "--no-restore",
             action="store_true",
@@ -334,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_p.set_defaults(func=cmd_explain)
 
     exp_p = sub.add_parser("experiment", help="run a paper experiment")
-    exp_p.add_argument("name", help="e.g. fig10, table1, ablation-ordering")
+    exp_p.add_argument("name", help="e.g. fig10, table1, ablation-selector")
     exp_p.add_argument(
         "--rows", type=int, default=300, help="generated page_views rows"
     )

@@ -170,12 +170,10 @@ def classify_entry(entry, dfs) -> EntryFreshness:
 
 
 #: operators that are row-local and order-preserving, so they commute
-#: with input concatenation (the same family the payload-reuse hints'
-#: ancestry walk trusts — see ``JobInterpreter._source_hint``).  LIMIT
-#: is deliberately absent: limit(old ++ tail) != limit(old) ++
-#: limit(tail).  UNION is absent because a multi-input merge
-#: interleaves by chunk arrival, which is not stable across different
-#: input partitionings.
+#: with input concatenation.  LIMIT is deliberately absent:
+#: limit(old ++ tail) != limit(old) ++ limit(tail).  UNION is absent
+#: because a multi-input merge interleaves by chunk arrival, which is
+#: not stable across different input partitionings.
 _CHAIN_OPS = (POFilter, POForEach, POSplit)
 
 

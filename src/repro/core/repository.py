@@ -224,16 +224,8 @@ class Repository:
     thread; reads return snapshots.
     """
 
-    def __init__(
-        self,
-        matcher: Optional[PlanMatcher] = None,
-        ordering_enabled: bool = True,
-    ):
+    def __init__(self, matcher: Optional[PlanMatcher] = None):
         self.matcher = matcher or PlanMatcher()
-        #: when False, ordered_entries() returns insertion order —
-        #: an ablation knob showing why §3's ordering rules matter
-        #: (the first match found is used for the rewrite)
-        self.ordering_enabled = ordering_enabled
         self.index_stats = RepositoryIndexStats()
         #: guards the entry table, sequence numbers, sig counts, the
         #: ordering structures, and index_stats; shard locks are only
@@ -461,8 +453,6 @@ class Repository:
         do; exposed so batch writers can pay the upkeep at a chosen
         point (e.g. between workloads) instead of inside a match scan.
         """
-        if not self.ordering_enabled:
-            return
         with self._lock:
             self._flush_pending_locked()
 
@@ -763,8 +753,6 @@ class Repository:
         self._scores.pop(entry_id, None)
 
     def _ordered_entries_locked(self) -> List[RepositoryEntry]:
-        if not self.ordering_enabled:
-            return list(self._entries.values())
         self._flush_pending_locked()
         return [self._entries[eid] for eid in self._sorted]
 
@@ -790,7 +778,7 @@ class Repository:
 
     def snapshot_state(self) -> dict:
         """Everything beyond the entries themselves that a faithful
-        restore needs: the id/sequence counters, configuration, the
+        restore needs: the id/sequence counters, the
         per-entry insertion sequence, and the full incremental §3
         ordering state (scores keep zero-valued members — membership
         in ``scores`` is what marks an entry as *integrated*, which
@@ -799,8 +787,6 @@ class Repository:
             return {
                 "id_counter": self._id_counter,
                 "seq_counter": self._seq_counter,
-                "ordering_enabled": self.ordering_enabled,
-                "n_shards": N_SHARDS,
                 "seq": dict(self._seq),
                 "order": {
                     "scores": dict(self._scores),
@@ -829,10 +815,7 @@ class Repository:
         entries are already persisted, and the persister attaches only
         after recovery completes.
         """
-        repo = cls(
-            matcher=matcher,
-            ordering_enabled=bool(state.get("ordering_enabled", True)),
-        )
+        repo = cls(matcher=matcher)
         with repo._lock:
             max_seq = -1
             max_id = 0

@@ -1,25 +1,12 @@
-"""Simulated distributed file system (HDFS-like)."""
+"""Simulated distributed file system: the HDFS-shaped interface the
+job engine calls (paths, sizes, payloads, logical byte counters)."""
 
-from repro.dfs.blocks import Block, BlockId, split_into_blocks
-from repro.dfs.datanode import DataNode
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import FileStatus, INode, NameNode
-from repro.dfs.replication import (
-    PlacementPolicy,
-    RandomPlacement,
-    RoundRobinPlacement,
-)
 
 __all__ = [
-    "Block",
-    "BlockId",
-    "DataNode",
     "DistributedFileSystem",
     "FileStatus",
     "INode",
     "NameNode",
-    "PlacementPolicy",
-    "RandomPlacement",
-    "RoundRobinPlacement",
-    "split_into_blocks",
 ]

@@ -54,27 +54,11 @@ class TypedDataset:
     #: text (``"03"`` parses to ``3``, which renders as ``"3"``), so
     #: only exact datasets are eligible for serialized-payload reuse.
     exact: bool = False
-    #: True when every row was proven canonical **and all-ASCII** at
-    #: pin time, i.e. each row's serialized byte length equals its
-    #: :func:`~repro.relational.tuples.serialized_row_size`.  A store
-    #: whose input rows are an identity-subset of such a dataset (the
-    #: shape of filtered side stores) can be sized without re-checking
-    #: canonicality — see ``write_rows``'s subset fast path.
-    ascii_sized: bool = False
-    #: lazily built ``frozenset(map(id, rows))`` for subset proofs;
-    #: valid for the dataset's lifetime because ``rows`` keeps every
-    #: member alive (a live id can only name the original object)
-    _row_ids: Optional[frozenset] = None
     #: lazily built ``id(row) -> serialized_row_size(row)``; rows flow
     #: through many consumers by identity (filters, tees, shuffles),
     #: so each row's serialized width is computed once per dataset
     #: lifetime instead of once per chunk per job
     _size_memo: Optional[dict] = None
-
-    def row_ids(self) -> frozenset:
-        if self._row_ids is None:
-            self._row_ids = frozenset(map(id, self.rows))
-        return self._row_ids
 
     def size_memo(self) -> dict:
         if self._size_memo is None:

@@ -1,4 +1,4 @@
-"""NameNode: the DFS namespace (paths -> block lists + metadata).
+"""NameNode: the DFS namespace (paths -> inodes holding the payload).
 
 Modification times use a logical clock (monotone counter) rather than
 wall time so tests and experiments are deterministic; ReStore's
@@ -8,20 +8,58 @@ logical mtimes.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
-from repro.dfs.blocks import BlockId, LazyPayload
 from repro.dfs.dataset import TypedDataset
 from repro.exceptions import FileAlreadyExists, FileNotFoundInDFS
 
 
+class LazyPayload:
+    """A payload segment that is built on first byte access.
+
+    The zero-copy write path knows a file's exact byte size without
+    serializing it (``canonical_ascii_size``); the text itself is
+    only ever needed if something genuinely reads bytes.  Files cloned
+    from one another share a single LazyPayload, so the text is built
+    at most once no matter which copy is read first.
+    """
+
+    __slots__ = ("_build", "_data", "_size")
+
+    def __init__(self, build: Callable[[], bytes], size: int):
+        self._build: Optional[Callable[[], bytes]] = build
+        self._data: Optional[bytes] = None
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def get(self) -> bytes:
+        if self._data is None:
+            self._data = self._build()
+            self._build = None
+        return self._data
+
+    @property
+    def materialized(self) -> bool:
+        return self._data is not None
+
+
+Segment = Union[bytes, LazyPayload]
+
+
 @dataclass
 class INode:
-    """Metadata for one file."""
+    """One file: its metadata and its payload."""
 
     path: str
-    block_ids: List[BlockId] = field(default_factory=list)
+    #: the file's bytes in order, one segment per write/append; a
+    #: file written in one shot has exactly one, which copy-style
+    #: stores whose input rows are provably this file's unchanged
+    #: pinned dataset share instead of re-serializing
+    segments: List[Segment] = field(default_factory=list)
     size: int = 0
     mtime: int = 0
     #: logical-clock tick at which this inode was created.  The clock
@@ -29,7 +67,6 @@ class INode:
     #: deleted-and-recreated path can never alias its predecessor:
     #: identical (path, size, generation) still differ in ``birth``.
     birth: int = 0
-    replication: int = 3
     #: bumped on every mutation (append/delete/rename); pinned typed
     #: datasets record the generation they were built at and become
     #: invisible the moment it moves
@@ -37,16 +74,49 @@ class INode:
     #: schema fingerprint -> typed rows parsed from / written as this
     #: file's bytes (the zero-copy data plane's cache)
     datasets: Dict[tuple, TypedDataset] = field(default_factory=dict)
-    #: the whole-file payload when the file was written in one shot
-    #: (None after appends); copy-style stores whose input rows are
-    #: provably this file's unchanged pinned dataset clone it instead
-    #: of re-serializing — blocks of both files then share one
-    #: (possibly still lazy) byte buffer
-    payload: Optional[Union[bytes, LazyPayload]] = None
 
     def invalidate_datasets(self) -> None:
         self.generation += 1
         self.datasets.clear()
+
+    def read(self, start: int = 0, end: Optional[int] = None) -> bytes:
+        """The bytes ``[start, end)`` of the file (all of it by
+        default), building only the lazy segments the range overlaps."""
+        end = self.size if end is None else min(end, self.size)
+        if start >= end:
+            return b""
+        chunks = []
+        offset = 0
+        for segment in self.segments:
+            if offset >= end:
+                break
+            segment_end = offset + len(segment)
+            if segment_end > start:
+                data = segment.get() if isinstance(segment, LazyPayload) else segment
+                # a slice covering all of ``data`` is ``data`` itself
+                chunks.append(data[max(0, start - offset) : end - offset])
+            offset = segment_end
+        return b"".join(chunks)
+
+    def prefix_crc32(self, size: Optional[int] = None) -> Optional[int]:
+        """crc32 of the first *size* bytes (all of them by default),
+        or None when that would force a still-deferred lazy segment
+        into serializing."""
+        end = self.size if size is None else min(size, self.size)
+        crc = 0
+        offset = 0
+        for segment in self.segments:
+            if offset >= end:
+                break
+            if not segment:
+                continue  # an empty write holds no byte to defer
+            if isinstance(segment, LazyPayload):
+                if not segment.materialized:
+                    return None
+                segment = segment.get()
+            crc = zlib.crc32(segment[: end - offset], crc)
+            offset += len(segment)
+        return crc
 
 
 @dataclass(frozen=True)
@@ -56,8 +126,6 @@ class FileStatus:
     path: str
     size: int
     mtime: int
-    block_count: int
-    replication: int
 
 
 @dataclass(frozen=True)
@@ -112,9 +180,8 @@ class NameNode:
     def __init__(self):
         self._inodes: Dict[str, INode] = {}
         self._clock = 0
-        self._next_block = 0
 
-    # -- clock / ids -----------------------------------------------------------
+    # -- clock -----------------------------------------------------------
 
     def tick(self) -> int:
         self._clock += 1
@@ -124,20 +191,16 @@ class NameNode:
     def clock(self) -> int:
         return self._clock
 
-    def new_block_id(self) -> BlockId:
-        self._next_block += 1
-        return BlockId(self._next_block)
-
     # -- namespace operations ----------------------------------------------------
 
     def exists(self, path: str) -> bool:
         return path in self._inodes
 
-    def create(self, path: str, replication: int) -> INode:
+    def create(self, path: str) -> INode:
         if path in self._inodes:
             raise FileAlreadyExists(f"path already exists: {path}")
         tick = self.tick()
-        inode = INode(path=path, mtime=tick, birth=tick, replication=replication)
+        inode = INode(path=path, mtime=tick, birth=tick)
         self._inodes[path] = inode
         return inode
 
@@ -169,13 +232,7 @@ class NameNode:
 
     def stat(self, path: str) -> FileStatus:
         inode = self.lookup(path)
-        return FileStatus(
-            path=inode.path,
-            size=inode.size,
-            mtime=inode.mtime,
-            block_count=len(inode.block_ids),
-            replication=inode.replication,
-        )
+        return FileStatus(path=inode.path, size=inode.size, mtime=inode.mtime)
 
     def list_paths(self, prefix: str = "") -> List[str]:
         return sorted(p for p in self._inodes if p.startswith(prefix))

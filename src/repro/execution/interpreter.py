@@ -393,26 +393,21 @@ class JobInterpreter:
             return None
         return sum(sizes)
 
-    # -- payload reuse / subset sizing -------------------------------------------------
+    # -- payload reuse ----------------------------------------------------------------
 
-    #: operators that forward row *objects* unchanged: a store whose
-    #: ancestry up to a single load crosses only these receives a
-    #: subset of the load's row stream by identity (splits and unions
-    #: forward everything; filters and limits drop rows but never
-    #: rebuild them)
-    _IDENTITY_OPS = (POSplit, POFilter, POLimit, POUnion)
+    #: operators that forward every row *object* unchanged: a store
+    #: whose ancestry up to a single load crosses only these receives
+    #: the load's row stream by identity
+    _IDENTITY_OPS = (POSplit, POUnion)
 
     def _source_hint(self, store: POStore) -> Optional[str]:
         """The load path this store's rows identity-descend from.
 
-        Feeds :meth:`write_rows`'s two source fast paths: a *pure*
-        pass-through (splits only — the shape of whole-job copy
-        rewrites and load-teeing side stores) clones the producer's
-        serialized payload, and a *filtered* descent (the shape of
-        injected filter side stores) sizes the subset in one columnar
-        pass.  The returned path is only a hint: ``write_rows``
-        verifies row identity against the source's pinned dataset
-        before using either path.
+        Feeds :meth:`write_rows`'s payload clone: a pure pass-through
+        (the shape of whole-job copy rewrites and load-teeing side
+        stores) shares the producer's serialized payload.  The
+        returned path is only a hint: ``write_rows`` verifies row
+        identity against the source's pinned dataset before cloning.
         """
         schema = store.schema
         if schema is None:

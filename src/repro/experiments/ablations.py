@@ -1,9 +1,6 @@
 """Ablation studies for ReStore's design choices (beyond the paper's
 figures; DESIGN.md commits to benching these).
 
-* **Repository ordering** (§3's two ordering rules): ReStore uses the
-  *first* match for the rewrite, so scan order decides rewrite quality.
-  We compare ordered vs insertion-order scans.
 * **Selector rules** (§5 rules 1-2) vs the paper's keep-all policy:
   how many bytes the rules save and what reuse benefit costs.
 * **Logical optimizer** as match canonicalizer: two spellings of the
@@ -17,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.manager import ReStoreConfig, ReStoreManager
-from repro.core.repository import Repository
 from repro.core.selector import KeepAllSelector, RuleBasedSelector
 from repro.experiments.common import (
     ExperimentResult,
@@ -29,51 +25,13 @@ from repro.pigmix.datagen import PigMixConfig
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
 
 
-def _manager(sandbox, ordering_enabled=True, selector=None):
+def _manager(sandbox, selector=None):
     config = ReStoreConfig(
         heuristic="aggressive",
         register_whole_jobs="temporary-only",
         selector=selector or KeepAllSelector(),
     )
-    repository = Repository(ordering_enabled=ordering_enabled)
-    return ReStoreManager(
-        sandbox.dfs, sandbox.cost_model, repository=repository, config=config
-    )
-
-
-# -- ordering ablation ---------------------------------------------------------------
-
-
-def run_ordering_ablation(
-    scale: str = "150GB",
-    pigmix_config: Optional[PigMixConfig] = None,
-    queries=("L3", "L4", "L6"),
-) -> ExperimentResult:
-    """Reuse time with §3 ordering on vs off (insertion-order scan)."""
-    rows = []
-    for name in queries:
-        row = {"query": name}
-        for label, enabled in (("ordered", True), ("unordered", False)):
-            sandbox = PigMixSandbox(scale, pigmix_config)
-            manager = _manager(sandbox, ordering_enabled=enabled)
-            run_script(sandbox, sandbox.query(name, f"o/{name}_p"), manager)
-            reused = run_script(
-                sandbox, sandbox.query(name, f"o/{name}_r"), manager
-            )
-            row[f"reuse_{label}_min"] = reused.sim_seconds / 60.0
-        row["penalty"] = (
-            row["reuse_unordered_min"] / max(1e-9, row["reuse_ordered_min"])
-        )
-        rows.append(row)
-    return ExperimentResult(
-        title=f"Ablation: repository ordering (§3 rules), {scale}",
-        columns=["query", "reuse_ordered_min", "reuse_unordered_min", "penalty"],
-        rows=rows,
-        paper_claim=(
-            "ordering makes the first match the best match; without it "
-            "a small sub-plan can shadow a subsuming one"
-        ),
-    )
+    return ReStoreManager(sandbox.dfs, sandbox.cost_model, config=config)
 
 
 # -- selector ablation ----------------------------------------------------------------

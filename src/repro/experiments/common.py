@@ -45,7 +45,7 @@ from repro.pigmix.synthetic import (
 
 @dataclass
 class ExperimentResult:
-    """Uniform result shape consumed by benches and EXPERIMENTS.md."""
+    """Uniform result shape every experiment returns and the CLI prints."""
 
     title: str
     columns: List[str]
@@ -94,9 +94,7 @@ class PigMixSandbox:
     ):
         self.scale = scale
         self.cluster = cluster or ClusterConfig()
-        self.dfs = DistributedFileSystem(
-            n_datanodes=self.cluster.n_worker_nodes
-        )
+        self.dfs = DistributedFileSystem()
         generator = PigMixDataGenerator(pigmix_config)
         self.dataset: PigMixDataset = generator.generate(self.dfs)
         self.cost_model = CostModel(
@@ -151,9 +149,7 @@ class SyntheticSandbox:
         cluster: Optional[ClusterConfig] = None,
     ):
         self.cluster = cluster or ClusterConfig()
-        self.dfs = DistributedFileSystem(
-            n_datanodes=self.cluster.n_worker_nodes
-        )
+        self.dfs = DistributedFileSystem()
         generator = SyntheticDataGenerator(config)
         self.dataset: SyntheticDataset = generator.generate(self.dfs)
         self.cost_model = CostModel(

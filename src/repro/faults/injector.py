@@ -115,7 +115,7 @@ SITE_SNAPSHOT_MATERIALIZE = register_site(
     "snapshot.materialize", "LazyPlan plan-graph rebuild at match time"
 )
 #: DFS block read (corrupted payload)
-SITE_DFS_READ = register_site("dfs.read", "DFS file read (block payload)")
+SITE_DFS_READ = register_site("dfs.read", "DFS file read (file payload)")
 #: block-store segment append (partial write → torn segment, OSError →
 #: payload capture skipped, scrub condemns at recovery)
 SITE_BLOCKSTORE_APPEND = register_site(

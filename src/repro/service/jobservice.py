@@ -236,7 +236,6 @@ class JobService:
         self,
         dfs: Optional[DistributedFileSystem] = None,
         *,
-        datanodes: Optional[int] = None,
         cluster: Optional[ClusterConfig] = None,
         cost_model: Optional[CostModel] = None,
         repository: Optional[Repository] = None,
@@ -279,9 +278,7 @@ class JobService:
             )
         self.service_config = service
         self.cluster = cluster or ClusterConfig()
-        self.dfs = dfs or DistributedFileSystem(
-            n_datanodes=datanodes or self.cluster.n_worker_nodes
-        )
+        self.dfs = dfs or DistributedFileSystem()
         self.cost_model = cost_model or CostModel(cluster=self.cluster)
         self.config = config or ReStoreConfig()
         #: the attached RepositoryPersister when persistence= is given
@@ -333,7 +330,6 @@ class JobService:
                 {
                     "cluster": self.cluster,
                     "cost_model": self.cost_model,
-                    "datanodes": len(self.dfs.datanodes),
                     "optimize": service.optimize,
                     "default_parallel": service.default_parallel,
                     "faults": (

@@ -183,7 +183,7 @@ def worker_main(conn, context: dict, ordinal: int = 0) -> None:
     plan = context.get("faults")
     if plan is not None:
         faults.install(faults.FaultInjector(plan, worker_ordinal=ordinal))
-    dfs = DistributedFileSystem(n_datanodes=context["datanodes"])
+    dfs = DistributedFileSystem()
     proxy = _CoordinatorProxy(conn, dfs)
     server = PigServer(
         dfs,

@@ -66,7 +66,6 @@ class ReStoreSession:
         self,
         dfs: Optional[DistributedFileSystem] = None,
         *,
-        datanodes: Optional[int] = None,
         cluster: Optional[ClusterConfig] = None,
         cost_model: Optional[CostModel] = None,
         repository: Optional[Repository] = None,
@@ -101,9 +100,7 @@ class ReStoreSession:
                 )
             dfs = manager.dfs
         if dfs is None:
-            dfs = DistributedFileSystem(
-                n_datanodes=datanodes or self.cluster.n_worker_nodes
-            )
+            dfs = DistributedFileSystem()
         self.dfs = dfs
         #: the attached RepositoryPersister when persistence= is given
         self.persister: Optional[RepositoryPersister] = None
@@ -169,16 +166,16 @@ class ReStoreSession:
         """Build a session from JSON-shaped configuration::
 
             ReStoreSession.from_dict({
-                "datanodes": 4,
+                "default_parallel": 14,
                 "restore": {"heuristic": "conservative",
                             "eviction_policies": ["time-window:4"]},
             })
 
-        Top-level keys: ``datanodes``, ``restore`` (a
+        Top-level keys: ``restore`` (a
         :meth:`ReStoreConfig.from_dict` mapping, or ``False`` to
         disable ReStore), ``optimize``, ``default_parallel``.
         """
-        known = {"datanodes", "restore", "optimize", "default_parallel"}
+        known = {"restore", "optimize", "default_parallel"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
@@ -191,7 +188,6 @@ class ReStoreSession:
         else:
             config, enabled = ReStoreConfig.from_dict(restore or {}), True
         return cls(
-            datanodes=data.get("datanodes"),
             config=config,
             restore_enabled=enabled,
             optimize=data.get("optimize", True),
@@ -323,7 +319,6 @@ class SessionBuilder:
     """Fluent construction of a :class:`ReStoreSession`::
 
         session = (ReStoreSession.builder()
-                   .datanodes(4)
                    .heuristic("conservative")
                    .selector("rules")
                    .evict("time-window:4", "input-modified")
@@ -336,7 +331,6 @@ class SessionBuilder:
 
     def __init__(self):
         self._dfs: Optional[DistributedFileSystem] = None
-        self._datanodes: Optional[int] = None
         self._cluster: Optional[ClusterConfig] = None
         self._cost_model: Optional[CostModel] = None
         self._repository: Optional[Repository] = None
@@ -354,10 +348,6 @@ class SessionBuilder:
 
     def dfs(self, dfs: DistributedFileSystem) -> "SessionBuilder":
         self._dfs = dfs
-        return self
-
-    def datanodes(self, n: int) -> "SessionBuilder":
-        self._datanodes = n
         return self
 
     def cluster(self, cluster: ClusterConfig) -> "SessionBuilder":
@@ -447,7 +437,6 @@ class SessionBuilder:
             config = ReStoreConfig(**kwargs)
         session = ReStoreSession(
             dfs=self._dfs,
-            datanodes=self._datanodes,
             cluster=self._cluster,
             cost_model=self._cost_model,
             repository=self._repository,

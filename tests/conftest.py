@@ -39,7 +39,7 @@ USERS_SCHEMA = "name, phone, address, city"
 
 @pytest.fixture
 def dfs() -> DistributedFileSystem:
-    return DistributedFileSystem(n_datanodes=4, block_size=4 * 1024)
+    return DistributedFileSystem()
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ def restore_server(small_data: DistributedFileSystem):
 
 @pytest.fixture
 def pigmix_dfs() -> DistributedFileSystem:
-    return DistributedFileSystem(n_datanodes=4)
+    return DistributedFileSystem()
 
 
 @pytest.fixture

@@ -83,7 +83,7 @@ def observables(dfs, counters, decisions) -> dict:
     the stream has run: digests and counters, no row data."""
     # the byte counters first: hashing reads every file, and those
     # reads (which also render still-lazy payloads) are not the stream's
-    dfs_counters = [dfs.bytes_read, dfs.bytes_written, dfs.replica_bytes_written]
+    dfs_counters = [dfs.bytes_read, dfs.bytes_written]
     return jsonable(
         {
             "dfs": {
@@ -103,7 +103,7 @@ def static_stream(payloads, scripts):
             session.write_file(path, text)
         return scripts
 
-    return 3, prepare
+    return prepare
 
 
 def _pigmix(session):
@@ -118,7 +118,7 @@ def _pigmix(session):
     ]
 
 
-#: name -> (datanodes, prepare(session) -> scripts)
+#: name -> prepare(session) -> scripts
 STREAMS = {
     "filter_group_aggregate_chain_with_reuse": static_stream(
         {"data/ev": EVENTS},
@@ -182,14 +182,14 @@ STREAMS = {
             "store D into 'out/empty';"
         ],
     ),
-    "pigmix_l2_l3_l5_l3": (4, _pigmix),
+    "pigmix_l2_l3_l5_l3": _pigmix,
 }
 
 
-def run_stream(datanodes, prepare, **config_kwargs):
+def run_stream(prepare, **config_kwargs):
     """Run one stream in a fresh session: (golden record, outputs)."""
     config = ReStoreConfig(**config_kwargs)
-    with ReStoreSession(datanodes=datanodes, config=config) as session:
+    with ReStoreSession(config=config) as session:
         counters, decisions, outputs = [], [], []
         for i, source in enumerate(prepare(session)):
             result = session.run(source, name=f"q{i}")
@@ -206,7 +206,7 @@ def assert_stream_matches_golden(name, monkeypatch):
     outputs = []
     for chunk_rows in CHUNK_LENGTHS:
         monkeypatch.setattr(JobInterpreter, "CHUNK_ROWS", chunk_rows)
-        record, out = run_stream(*STREAMS[name])
+        record, out = run_stream(STREAMS[name])
         assert record == golden, f"{name} diverged at chunk length {chunk_rows}"
         outputs.append(out)
     assert outputs[1:] == outputs[:-1]
@@ -291,7 +291,7 @@ def run_exec_stream(rows, queries):
     whole-job copy rewrites, stores that cloned their producer's
     serialized payload)."""
     counters, decisions, copy_rewrites = [], [], 0
-    with ReStoreSession(datanodes=4) as session:
+    with ReStoreSession() as session:
         # typed ingestion: the table enters through the same API an
         # upstream job's store would have used, so the dataset cache
         # starts warm
@@ -334,7 +334,7 @@ def repo_scale_record(n_entries, n_probes):
 def record_corpus():
     return {
         "seed": SEED,
-        "streams": {name: run_stream(*STREAMS[name])[0] for name in STREAMS},
+        "streams": {name: run_stream(STREAMS[name])[0] for name in STREAMS},
         "exec_sim": {str(n): exec_sim_record(n) for n in EXEC_SCALES},
         "repo_scale": {
             f"{n}x{probes}": repo_scale_record(n, probes)

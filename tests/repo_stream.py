@@ -230,7 +230,7 @@ def build_repository(
     once :func:`prepare_service_dfs` has filled it, with varied stats
     so the §3 ordering rules have real work to do."""
     if dfs is None:
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
     prepare_service_dfs(dfs, entry_specs, probe_specs)
     rng = random.Random(seed + 1)
     repository = Repository()
@@ -322,7 +322,7 @@ def run_match_stream(n_entries: int, n_probes: int, seed: int) -> MatchResult:
     *n_probes* stream against it."""
     entry_specs = generate_entry_specs(n_entries, seed)
     probe_specs = generate_probe_specs(entry_specs, n_probes, seed)
-    dfs = DistributedFileSystem(n_datanodes=2)
+    dfs = DistributedFileSystem()
     repository = build_repository(entry_specs, seed, dfs, probe_specs)
     return match_stream(repository, dfs, probe_specs)
 
@@ -345,7 +345,7 @@ def seed_state(workdir: str, entry_specs: List[EntrySpec], seed: int) -> str:
     entries from disk — stored-plan materialization, which the
     corruption rules target, only exists on the recovery path."""
     seed_dir = os.path.join(workdir, "seed")
-    dfs = DistributedFileSystem(n_datanodes=2)
+    dfs = DistributedFileSystem()
     repository = build_repository(entry_specs, seed, dfs)
     repository.ordered_entries()
     manager = ReStoreManager(dfs, repository=repository, config=probe_config())

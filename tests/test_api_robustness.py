@@ -91,7 +91,7 @@ class TestStatsApi:
 
 class TestEngineErrors:
     def test_missing_input_file(self):
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         server = PigServer(dfs)
         from repro.exceptions import DFSError
 
@@ -99,7 +99,7 @@ class TestEngineErrors:
             server.run("A = load 'nope' as (x); store A into 'o';")
 
     def test_load_without_schema_fails_cleanly(self):
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("d", "a\n")
         server = PigServer(dfs)
         result = server.run("A = load 'd' as (x); store A into 'o';")
@@ -141,7 +141,7 @@ class TestInterpreterGuards:
             POLoad("x", SCHEMA), POLoad("y", SCHEMA), POStore("o", SCHEMA)
         )
         # loads chained after loads are structurally invalid
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("x", "a\n")
         job = MapReduceJob(plan)
         from repro.exceptions import PlanError
@@ -150,7 +150,7 @@ class TestInterpreterGuards:
             JobInterpreter(job, dfs).run()
 
     def test_store_without_schema_still_writes(self):
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("x", "a\nb\n")
         plan = linear_plan(POLoad("x", SCHEMA), POStore("o"))
         job = MapReduceJob(plan)

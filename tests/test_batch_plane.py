@@ -157,10 +157,10 @@ class TestHypothesisDifferential:
         runs = []
         for chunk_rows in CHUNK_LENGTHS:
             monkeypatch.setattr(JobInterpreter, "CHUNK_ROWS", chunk_rows)
-            runs.append(run_stream(*stream))
+            runs.append(run_stream(stream))
         assert runs[1:] == runs[:-1]  # every observable, every chunk length
         outputs = runs[0][1]
-        no_reuse = run_stream(*stream, rewrite_enabled=False, inject_enabled=False)
+        no_reuse = run_stream(stream, rewrite_enabled=False, inject_enabled=False)
         assert outputs == no_reuse[1]
         want = _plain_python_aggregate(rows, threshold)
         got = {u: (n, total) for u, n, total in outputs[0]["out/agg"]}
@@ -243,7 +243,7 @@ class TestCompiledExpressions:
 
 class TestBatchSafety:
     def _chunk_rows_chosen(self, join):
-        with ReStoreSession(datanodes=2) as session:
+        with ReStoreSession() as session:
             session.write_file("d", EVENTS)
             session.write_file("n", NAMES)
             workflow = session.server.compile(

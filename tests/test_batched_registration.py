@@ -162,13 +162,3 @@ class TestBatchAmortization:
         assert restored.index_stats.batch_flushes == 0
         assert restored.index_stats.subsume_checks == 0
         assert_index_consistent(restored)
-
-    def test_ordering_disabled_batches_never_pay_matcher(self):
-        repo = Repository(ordering_enabled=False)
-        repo.add_batch(self._random_entries(8))
-        repo.flush()
-        assert [e.entry_id for e in repo.ordered_entries()] == [
-            f"entry_{i:06d}" for i in range(1, 9)
-        ]
-        assert repo.index_stats.subsume_checks == 0
-        assert repo.index_stats.batch_flushes == 0

@@ -54,7 +54,7 @@ def _config(tmp_path, **extra) -> PersistenceConfig:
 
 
 def _persister(tmp_path, **extra):
-    dfs = DistributedFileSystem(n_datanodes=2)
+    dfs = DistributedFileSystem()
     config = _config(tmp_path, **extra)
     manager = ReStoreManager(dfs)
     persister = RepositoryPersister(manager, config)
@@ -149,7 +149,7 @@ class TestEveryByteCrashRecovery:
             # rewind the lane: recovery repairs/journals in place
             (tmp_path / "repo.journal").write_bytes(journal_bytes)
             block_path.write_bytes(block_bytes[: last_offset + cut])
-            fresh = DistributedFileSystem(n_datanodes=2)
+            fresh = DistributedFileSystem()
             recovered = recover(config, fresh)
             survivors = {
                 e.output_path for e in recovered.repository.entries()
@@ -174,14 +174,14 @@ class TestEveryByteCrashRecovery:
         added = _add_entries(dfs, manager, n=3, seed=SEED)
         # the whole block file vanishes: every payload ref is orphaned
         (tmp_path / "repo.snap.blocks.g0").unlink()
-        first = recover(config, DistributedFileSystem(n_datanodes=2))
+        first = recover(config, DistributedFileSystem())
         assert len(first.repository) == 0
         assert {p for _, p, _ in first.payloads_condemned} == {
             e.output_path for e in added
         }
         # the scrub journaled entry_quarantined: a second recovery
         # replays the condemnations instead of re-deriving them
-        second = recover(config, DistributedFileSystem(n_datanodes=2))
+        second = recover(config, DistributedFileSystem())
         assert len(second.repository) == 0
         assert second.payloads_condemned == []
 
@@ -195,7 +195,7 @@ class TestEveryByteCrashRecovery:
         # flip a payload byte inside the middle segment
         data[victim_offset + 12] ^= 0xFF
         block_path.write_bytes(bytes(data))
-        fresh = DistributedFileSystem(n_datanodes=2)
+        fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         assert len(recovered.repository) == 2
         assert len(recovered.payloads_condemned) == 1
@@ -210,7 +210,7 @@ class TestEveryByteCrashRecovery:
         # on a fresh DFS there is nothing to serve: condemn
         entries = build_repository(generate_entry_specs(1, seed=SEED), SEED)
         manager.repository.add(entries.entries()[0])
-        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 0
         assert len(recovered.payloads_condemned) == 1
         _, _, reason = recovered.payloads_condemned[0]
@@ -220,7 +220,7 @@ class TestEveryByteCrashRecovery:
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=2, seed=SEED)
         (tmp_path / "repo.snap.blocks.g0").unlink()
-        fresh = DistributedFileSystem(n_datanodes=2)
+        fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         twin = ReStoreManager(fresh)
         events = []
@@ -255,7 +255,7 @@ class TestPartialAndSlowActions:
         # the rotation aborted: no snapshot, the journal was NOT reset
         assert not (tmp_path / "repo.snap").exists()
         assert len((tmp_path / "repo.journal").read_bytes()) >= journal_len
-        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == len(added)
         assert recovered.payloads_condemned == []
 
@@ -310,7 +310,7 @@ class TestTimerRotation:
         assert set(snapshot.payload_state["refs"]) == {
             e.output_path for e in added
         }
-        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 2
         assert recovered.payloads_condemned == []
 
@@ -329,7 +329,7 @@ class TestTimerRotation:
             persister.close()
             faults.uninstall()
         assert not (tmp_path / "repo.snap").exists()
-        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 2
         assert recovered.payloads_condemned == []
 
@@ -357,6 +357,6 @@ class TestTimerRotation:
         assert "not a storage failure" in degraded[0].error
         assert not persister.breaker_open  # not a storage failure
         assert not (tmp_path / "repo.snap").exists()
-        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 2
         assert recovered.payloads_condemned == []

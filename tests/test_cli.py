@@ -121,7 +121,7 @@ class TestExperiments:
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out
         assert "fig10" in out
-        assert "ablation-ordering" in out
+        assert "ablation-selector" in out
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "fig99"]) == 2

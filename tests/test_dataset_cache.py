@@ -3,8 +3,8 @@
 Covers: pinning on write, cache hits returning the pinned rows without
 parsing, counter parity with the text path, generation-based
 invalidation on append/delete/rename/overwrite, canonicality gating
-(non-round-trippable rows are never pinned), schema-keyed slots, lazy
-text materialization, and replica block sharing.
+(non-round-trippable rows are never pinned), schema-keyed slots and
+lazy text materialization.
 """
 
 import pytest
@@ -23,7 +23,7 @@ ROWS = (("alice", 1, 0.5), ("bob", 2, 4.5), (None, None, None))
 
 @pytest.fixture
 def dfs():
-    return DistributedFileSystem(n_datanodes=3, block_size=64)
+    return DistributedFileSystem()
 
 
 class TestWriteReadRows:
@@ -57,19 +57,12 @@ class TestWriteReadRows:
         assert dfs.read_file("f") == b""
         assert dfs.read_rows("f", SCHEMA) == ()
 
-    def test_multi_block_file(self, dfs):
-        rows = tuple((f"user{i:04d}", i, i / 2.0) for i in range(50))
-        dfs.write_rows("f", rows, SCHEMA)
-        assert dfs.n_blocks("f") > 1
-        assert dfs.read_rows("f", SCHEMA) == rows
-        assert dfs.read_file("f") == serialize_rows(rows).encode()
-
 
 class TestCounterParity:
     """Every counter must move exactly as the text path moves it."""
 
     def _text_twin(self):
-        twin = DistributedFileSystem(n_datanodes=3, block_size=64)
+        twin = DistributedFileSystem()
         twin.write_file("f", serialize_rows(ROWS))
         return twin
 
@@ -77,9 +70,7 @@ class TestCounterParity:
         dfs.write_rows("f", ROWS, SCHEMA)
         twin = self._text_twin()
         assert dfs.bytes_written == twin.bytes_written
-        assert dfs.replica_bytes_written == twin.replica_bytes_written
         assert dfs.file_size("f") == twin.file_size("f")
-        assert dfs.n_blocks("f") == twin.n_blocks("f")
 
     def test_cached_read_counters_identical(self, dfs):
         dfs.write_rows("f", ROWS, SCHEMA)
@@ -87,9 +78,6 @@ class TestCounterParity:
         dfs.read_rows("f", SCHEMA)  # cache hit: no bytes materialized
         twin.read_file("f")
         assert dfs.bytes_read == twin.bytes_read
-        per_node = [n.bytes_read for n in dfs.datanodes]
-        twin_per_node = [n.bytes_read for n in twin.datanodes]
-        assert per_node == twin_per_node
 
 
 class TestInvalidation:
@@ -217,47 +205,14 @@ class TestBagRows:
 
 
 class TestLazyMaterialization:
-    def test_blocks_stay_unmaterialized_until_byte_read(self, dfs):
+    def test_payload_stays_unmaterialized_until_byte_read(self, dfs):
         dfs.write_rows("f", ROWS, SCHEMA)
-        inode = dfs.namenode.lookup("f")
-        blocks = [
-            node.get_block(block_id)
-            for block_id in inode.block_ids
-            for node in dfs.datanodes
-            if node.has_block(block_id)
-        ]
-        assert blocks and not any(b.materialized for b in blocks)
+        (payload,) = dfs.namenode.lookup("f").segments
+        assert not payload.materialized
         dfs.read_rows("f", SCHEMA)  # cache hit: still no bytes
-        assert not any(b.materialized for b in blocks)
+        assert not payload.materialized
         dfs.read_file("f")  # a genuine byte read builds the text
-        assert all(b.materialized for b in blocks)
-
-    def test_replicas_share_one_block_object(self, dfs):
-        dfs.write_rows("f", ROWS, SCHEMA)
-        inode = dfs.namenode.lookup("f")
-        for block_id in inode.block_ids:
-            replicas = [
-                node.get_block(block_id)
-                for node in dfs.datanodes
-                if node.has_block(block_id)
-            ]
-            assert len(replicas) == dfs.replication
-            assert all(b is replicas[0] for b in replicas)
-
-    def test_rereplication_shares_blocks(self):
-        dfs = DistributedFileSystem(n_datanodes=4, replication=3, block_size=64)
-        dfs.write_rows("f", ROWS, SCHEMA)
-        dfs.kill_datanode(0)
-        dfs.rereplicate()
-        assert dfs.read_file("f") == serialize_rows(ROWS).encode()
-        inode = dfs.namenode.lookup("f")
-        for block_id in inode.block_ids:
-            replicas = [
-                node.get_block(block_id)
-                for node in dfs.datanodes
-                if node.has_block(block_id)
-            ]
-            assert all(b is replicas[0] for b in replicas)
+        assert payload.materialized
 
 
 class TestCanonicalHelpers:
@@ -325,7 +280,7 @@ class TestColumnarSizerParity:
             ("g", DataType.CHARARRAY), ("b", DataType.BAG, inner)
         )
         rows = [(f"u{i}", Bag([("a\x1c",)])) for i in range(70)]
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_rows("f", rows, schema)
         cached = dfs.read_rows("f", schema)
         reparsed = deserialize_rows(dfs.read_text("f"), schema)

@@ -2,80 +2,23 @@
 
 import pytest
 
-from repro.dfs.blocks import Block, BlockId, split_into_blocks
-from repro.dfs.datanode import DataNode
-from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import NameNode
-from repro.dfs.replication import RandomPlacement, RoundRobinPlacement
-from repro.exceptions import DFSError, FileAlreadyExists, FileNotFoundInDFS
-
-
-class TestBlocks:
-    def test_split_exact(self):
-        chunks = list(split_into_blocks(b"abcdef", 2))
-        assert chunks == [b"ab", b"cd", b"ef"]
-
-    def test_split_remainder(self):
-        chunks = list(split_into_blocks(b"abcde", 2))
-        assert chunks == [b"ab", b"cd", b"e"]
-
-    def test_split_empty(self):
-        assert list(split_into_blocks(b"", 4)) == []
-
-    def test_split_invalid_size(self):
-        with pytest.raises(ValueError):
-            list(split_into_blocks(b"ab", 0))
-
-    def test_block_id_str(self):
-        assert str(BlockId(7)) == "blk_000000000007"
-
-
-class TestDataNode:
-    def test_store_and_read(self):
-        node = DataNode(0)
-        block = Block(BlockId(1), b"hello")
-        node.store_block(block)
-        assert node.read_block(BlockId(1)) == b"hello"
-        assert node.used_bytes == 5
-
-    def test_read_missing_block(self):
-        node = DataNode(0)
-        with pytest.raises(DFSError):
-            node.read_block(BlockId(99))
-
-    def test_capacity_enforced(self):
-        node = DataNode(0, capacity_bytes=4)
-        node.store_block(Block(BlockId(1), b"abc"))
-        with pytest.raises(DFSError):
-            node.store_block(Block(BlockId(2), b"de"))
-
-    def test_delete_block(self):
-        node = DataNode(0)
-        node.store_block(Block(BlockId(1), b"x"))
-        node.delete_block(BlockId(1))
-        assert not node.has_block(BlockId(1))
-
-    def test_io_counters(self):
-        node = DataNode(0)
-        node.store_block(Block(BlockId(1), b"abcd"))
-        node.read_block(BlockId(1))
-        assert node.bytes_written == 4
-        assert node.bytes_read == 4
+from repro.exceptions import FileAlreadyExists, FileNotFoundInDFS
 
 
 class TestNameNode:
     def test_create_and_stat(self):
         nn = NameNode()
-        nn.create("/f", replication=3)
+        nn.create("/f")
         status = nn.stat("/f")
         assert status.path == "/f"
-        assert status.replication == 3
+        assert status.size == 0
 
     def test_create_duplicate(self):
         nn = NameNode()
-        nn.create("/f", 3)
+        nn.create("/f")
         with pytest.raises(FileAlreadyExists):
-            nn.create("/f", 3)
+            nn.create("/f")
 
     def test_lookup_missing(self):
         nn = NameNode()
@@ -84,56 +27,31 @@ class TestNameNode:
 
     def test_rename(self):
         nn = NameNode()
-        nn.create("/a", 3)
+        nn.create("/a")
         nn.rename("/a", "/b")
         assert nn.exists("/b")
         assert not nn.exists("/a")
 
     def test_rename_to_existing(self):
         nn = NameNode()
-        nn.create("/a", 3)
-        nn.create("/b", 3)
+        nn.create("/a")
+        nn.create("/b")
         with pytest.raises(FileAlreadyExists):
             nn.rename("/a", "/b")
 
     def test_mtime_monotonic(self):
         nn = NameNode()
-        nn.create("/a", 3)
+        nn.create("/a")
         t1 = nn.stat("/a").mtime
         nn.touch("/a")
         assert nn.stat("/a").mtime > t1
 
     def test_list_paths_prefix(self):
         nn = NameNode()
-        nn.create("/x/1", 3)
-        nn.create("/x/2", 3)
-        nn.create("/y/1", 3)
+        nn.create("/x/1")
+        nn.create("/x/2")
+        nn.create("/y/1")
         assert nn.list_paths("/x/") == ["/x/1", "/x/2"]
-
-
-class TestPlacement:
-    def test_round_robin_distinct(self):
-        nodes = [DataNode(i) for i in range(5)]
-        policy = RoundRobinPlacement()
-        chosen = policy.choose(nodes, 3)
-        assert len({n.node_id for n in chosen}) == 3
-
-    def test_round_robin_rotates(self):
-        nodes = [DataNode(i) for i in range(5)]
-        policy = RoundRobinPlacement()
-        first = policy.choose(nodes, 1)[0].node_id
-        second = policy.choose(nodes, 1)[0].node_id
-        assert first != second
-
-    def test_replication_capped_by_node_count(self):
-        nodes = [DataNode(i) for i in range(2)]
-        assert len(RoundRobinPlacement().choose(nodes, 3)) == 2
-
-    def test_random_placement_deterministic_with_seed(self):
-        nodes = [DataNode(i) for i in range(5)]
-        a = RandomPlacement(seed=1).choose(nodes, 3)
-        b = RandomPlacement(seed=1).choose(nodes, 3)
-        assert [n.node_id for n in a] == [n.node_id for n in b]
 
 
 class TestFileSystem:
@@ -144,17 +62,6 @@ class TestFileSystem:
     def test_write_bytes(self, dfs):
         dfs.write_file("/f", b"\x00\x01")
         assert dfs.read_file("/f") == b"\x00\x01"
-
-    def test_multi_block_file(self):
-        dfs = DistributedFileSystem(n_datanodes=3, block_size=4)
-        dfs.write_file("/f", "abcdefghij")
-        assert dfs.n_blocks("/f") == 3
-        assert dfs.read_text("/f") == "abcdefghij"
-
-    def test_replication_fan_out(self):
-        dfs = DistributedFileSystem(n_datanodes=4, replication=3, block_size=1024)
-        dfs.write_file("/f", "x" * 100)
-        assert dfs.replica_bytes_written == 300
 
     def test_overwrite(self, dfs):
         dfs.write_file("/f", "one")
@@ -175,17 +82,11 @@ class TestFileSystem:
         dfs.append("/new", "x")
         assert dfs.read_text("/new") == "x"
 
-    def test_delete_frees_blocks(self, dfs):
-        dfs.write_file("/f", "data")
-        used_before = dfs.total_used_bytes
-        dfs.delete("/f")
-        assert dfs.total_used_bytes < used_before
-        assert not dfs.exists("/f")
-
     def test_delete_if_exists(self, dfs):
         assert dfs.delete_if_exists("/nope") is False
         dfs.write_file("/f", "x")
         assert dfs.delete_if_exists("/f") is True
+        assert not dfs.exists("/f")
 
     def test_read_missing(self, dfs):
         with pytest.raises(FileNotFoundInDFS):
@@ -215,7 +116,3 @@ class TestFileSystem:
         t1 = dfs.mtime("/f")
         dfs.write_file("/f", "b", overwrite=True)
         assert dfs.mtime("/f") > t1
-
-    def test_needs_at_least_one_datanode(self):
-        with pytest.raises(ValueError):
-            DistributedFileSystem(n_datanodes=0)

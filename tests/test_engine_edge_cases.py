@@ -7,8 +7,8 @@ from repro.events import LOG_EVENTS, render_events
 from repro.pig.engine import PigServer
 
 
-def engine(rows, schema="u, n:int, v:double", path="d", block_size=64):
-    dfs = DistributedFileSystem(n_datanodes=3, block_size=block_size)
+def engine(rows, schema="u, n:int, v:double", path="d"):
+    dfs = DistributedFileSystem()
     dfs.write_file(path, "".join(r + "\n" for r in rows))
     return dfs, PigServer(dfs), schema
 
@@ -47,7 +47,7 @@ class TestEmptyAndNullData:
 
     def test_null_join_keys_do_not_match(self):
         """SQL semantics: null keys join with nothing."""
-        dfs = DistributedFileSystem(n_datanodes=3)
+        dfs = DistributedFileSystem()
         dfs.write_file("l", "\t1\nx\t2\n")   # first row has null key
         dfs.write_file("r", "\t10\nx\t20\n")
         server = PigServer(dfs)
@@ -65,7 +65,7 @@ class TestEmptyAndNullData:
     def test_null_key_preserved_side_of_outer_join(self):
         """A null-keyed row on the preserved side of an outer join
         survives, padded with nulls (it matches nothing)."""
-        dfs = DistributedFileSystem(n_datanodes=3)
+        dfs = DistributedFileSystem()
         dfs.write_file("l", "\t1\nx\t2\n")
         dfs.write_file("r", "x\t20\n")
         server = PigServer(dfs)
@@ -90,10 +90,11 @@ class TestEmptyAndNullData:
 
 
 class TestScaleAndBlocks:
-    def test_multi_block_input(self):
+    def test_multi_segment_input(self):
         rows = [f"user{i:03d}\t{i}\t{i * 0.5}" for i in range(200)]
-        dfs, server, schema = engine(rows, block_size=256)
-        assert dfs.n_blocks("d") > 1
+        dfs, server, schema = engine(rows[:120])
+        dfs.append("d", "".join(r + "\n" for r in rows[120:]))
+        assert len(dfs.namenode.lookup("d").segments) == 2
         result = server.run(f"""
             A = load 'd' as ({schema});
             D = group A by u;

@@ -30,7 +30,7 @@ class TestDifferentialPigMix:
     )
     def test_fast_tiers_match_the_legacy_plane(self, monkeypatch, chunk_rows):
         monkeypatch.setattr(JobInterpreter, "CHUNK_ROWS", chunk_rows)
-        record, _ = run_stream(*STREAMS["pigmix_l2_l3_l5_l3"])
+        record, _ = run_stream(STREAMS["pigmix_l2_l3_l5_l3"])
         assert record == load_golden()["streams"]["pigmix_l2_l3_l5_l3"]
 
 
@@ -58,7 +58,7 @@ class TestExecSimBench:
 
 class TestOutputsAreCallerOwned:
     def test_mutating_an_output_bag_does_not_corrupt_the_cache(self):
-        with ReStoreSession(datanodes=2) as session:
+        with ReStoreSession() as session:
             session.write_file("d", "a\t1\na\t2\nb\t3\n")
             source = (
                 "A = load 'd' as (k, v:int); B = group A by k; "

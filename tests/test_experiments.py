@@ -125,6 +125,7 @@ class TestFig13And14:
     def test_ha_close_to_nh(self, reuse):
         for row in reuse.rows:
             assert row["reuse_HA_min"] <= row["reuse_NH_min"] * 1.25, row
+            assert row["reuse_HA_min"] < row["no_reuse_min"], row
 
     def test_nh_store_time_worst(self, store):
         for row in store.rows:
@@ -134,6 +135,8 @@ class TestFig13And14:
     def test_hc_store_cheapest(self, store):
         for row in store.rows:
             assert row["store_HC_min"] <= row["store_HA_min"] + 1e-9, row
+        l6 = [r for r in store.rows if r["query"] == "L6"][0]
+        assert l6["store_HA_min"] > l6["store_HC_min"] * 1.1
 
 
 class TestTable1:

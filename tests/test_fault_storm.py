@@ -90,7 +90,7 @@ def _run_lane(
 ) -> Lane:
     """Drive the probe stream through one self-healing service."""
     lane = Lane()
-    dfs = DistributedFileSystem(n_datanodes=2)
+    dfs = DistributedFileSystem()
     prepare_service_dfs(dfs, ENTRY_SPECS, PROBE_SPECS)
     if plan is not None:
         faults.install(FaultInjector(plan))

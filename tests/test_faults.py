@@ -234,7 +234,7 @@ class TestChaosSweep:
         try:
             service = None
             try:
-                dfs = DistributedFileSystem(n_datanodes=2)
+                dfs = DistributedFileSystem()
                 prepare_service_dfs(dfs, entry_specs, probe_specs)
                 service = JobService(
                     dfs=dfs,
@@ -291,7 +291,7 @@ class TestCircuitBreaker:
             snapshot_path=str(tmp_path / "repository.snapshot"),
             journal_path=str(tmp_path / "repository.journal"),
         )
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         manager = ReStoreManager(dfs, config=probe_config())
         return manager, RepositoryPersister(manager, config), config
 
@@ -342,7 +342,7 @@ class TestQuarantine:
         """Recover the lane, run the probes through a manager, close;
         returns (ids left, quarantined events, quarantine_count)."""
         state = recover(config)
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         prepare_service_dfs(dfs, entry_specs, probe_specs)
         manager = ReStoreManager(
             dfs, repository=state.repository, config=probe_config()
@@ -411,7 +411,7 @@ class TestStandbyPromotion:
     def _run_stream(self, tmp_path, label: str, plan):
         entry_specs, config = _seeded_lane(tmp_path, label, FULL_GRID_ENTRIES)
         probe_specs = generate_probe_specs(entry_specs, 6, SEED)
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         prepare_service_dfs(dfs, entry_specs, probe_specs)
         if plan is not None:
             faults.install(FaultInjector(plan))
@@ -487,7 +487,7 @@ class TestShutdownKillsHungWorkers:
     ):
         entry_specs, config = _seeded_lane(tmp_path, "hang")
         probe_specs = generate_probe_specs(entry_specs, 2, SEED)
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         prepare_service_dfs(dfs, entry_specs, probe_specs)
         hang_plan = FaultPlan(
             seed=SEED,

@@ -259,18 +259,6 @@ class TestIncrementalOrdering:
             assert ordered == legacy_two_pass_order(repo)
             assert_index_consistent(repo)
 
-    def test_ordering_disabled_returns_insertion_order(self):
-        rng = random.Random(3)
-        repo = Repository(ordering_enabled=False)
-        entries = random_entries(rng, 8)
-        for entry in entries:
-            repo.add(entry)
-        assert [e.entry_id for e in repo.ordered_entries()] == [
-            e.entry_id for e in entries
-        ]
-        # the lazy order never paid a single matcher traversal
-        assert repo.index_stats.subsume_checks == 0
-
 
 class TestIndexAfterEviction:
     def test_eviction_updates_index_in_place(self, dfs):

@@ -133,11 +133,11 @@ class TestClassifyInputLegacy:
 
 class TestDfsExtentProbes:
     def test_input_extent_of_missing_path_is_none(self):
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         assert dfs.input_extent("nope") is None
 
     def test_input_extent_records_identity_and_crc(self):
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("pv", b"hello world\n")
         ext = dfs.input_extent("pv", with_crc=True)
         assert ext.size == 12
@@ -146,7 +146,7 @@ class TestDfsExtentProbes:
         assert dfs.input_extent("pv").crc is None
 
     def test_append_keeps_birth_and_grows_size(self):
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("pv", b"a\n")
         before = dfs.input_extent("pv")
         dfs.append("pv", b"b\n")
@@ -159,7 +159,7 @@ class TestDfsExtentProbes:
         """The satellite invariant: a recreated path can never alias
         its predecessor's identity, even with byte-identical content
         written in the same breath."""
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("pv", b"same bytes\n")
         before = dfs.input_extent("pv")
         dfs.delete("pv")
@@ -172,7 +172,7 @@ class TestDfsExtentProbes:
         """write_file(overwrite=True) is delete-then-create: the new
         inode draws a fresh tick, so it cannot alias the old mtime or
         generation either."""
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("pv", b"v1\n")
         before = dfs.input_extent("pv")
         dfs.write_file("pv", b"v1\n", overwrite=True)
@@ -180,18 +180,23 @@ class TestDfsExtentProbes:
         assert after.birth > before.birth
         assert after.mtime > before.mtime
 
+    @staticmethod
+    def _written_in_pieces(data: bytes, piece: int = 4) -> DistributedFileSystem:
+        dfs = DistributedFileSystem()
+        for offset in range(0, len(data), piece):
+            dfs.append("pv", data[offset : offset + piece])
+        return dfs
+
     def test_read_range_spans_blocks(self):
-        dfs = DistributedFileSystem(n_datanodes=2, block_size=4)
         data = b"0123456789abcdef"
-        dfs.write_file("pv", data)
+        dfs = self._written_in_pieces(data)
         assert dfs.read_range("pv", 2, 11) == data[2:11]
         assert dfs.read_range("pv", 0, len(data)) == data
         assert dfs.read_range("pv", 15, 16) == b"f"
 
     def test_prefix_crc32_matches_zlib_over_any_prefix(self):
-        dfs = DistributedFileSystem(n_datanodes=2, block_size=4)
         data = b"0123456789abcdef"
-        dfs.write_file("pv", data)
+        dfs = self._written_in_pieces(data)
         for size in (0, 3, 4, 9, len(data)):
             assert dfs.prefix_crc32("pv", size) == zlib.crc32(data[:size])
         assert dfs.prefix_crc32("pv") == zlib.crc32(data)
@@ -199,7 +204,7 @@ class TestDfsExtentProbes:
     def test_append_extends_crc_incrementally(self):
         # the identity the manager's delta refresh relies on: the
         # merged crc is the recorded crc rolled forward over the tail
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file("pv", b"head\n")
         base = dfs.input_extent("pv", with_crc=True).crc
         dfs.append("pv", b"tail\n")
@@ -208,7 +213,7 @@ class TestDfsExtentProbes:
 
 class TestClassifyEntry:
     def _dfs_with(self, path: str, data: bytes) -> DistributedFileSystem:
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file(path, data)
         return dfs
 

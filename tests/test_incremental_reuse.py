@@ -42,7 +42,7 @@ def make(dfs, **config_kwargs):
 def oracle_run(small_data, script, out):
     """The no-reuse answer over the *current* state of ``small_data``,
     computed on a fresh DFS so nothing leaks between engines."""
-    dfs = DistributedFileSystem(n_datanodes=4, block_size=4 * 1024)
+    dfs = DistributedFileSystem()
     for path in ("data/page_views", "data/users"):
         dfs.write_file(path, small_data.read_file(path))
     PigServer(dfs).run(script)

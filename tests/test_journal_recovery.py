@@ -114,7 +114,7 @@ class TestLivePersisterCrash:
     byte-level truncation of what it wrote; recovery converges."""
 
     def _manager(self, tmp_path):
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         config = PersistenceConfig(
             snapshot_path=str(tmp_path / "repo.snap"),
             journal_path=str(tmp_path / "repo.journal"),
@@ -149,7 +149,7 @@ class TestLivePersisterCrash:
         manager.repository.remove(added[1].entry_id)
         # crash now: no close(), no snapshot — the journal alone must
         # carry three adds and one remove
-        fresh = DistributedFileSystem(n_datanodes=2)
+        fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         assert len(recovered.repository) == 2
         assert not recovered.repository.has_entry(added[1].entry_id)
@@ -171,7 +171,7 @@ class TestLivePersisterCrash:
         after = journal_path.read_bytes()
         # tear the eviction record mid-frame, as a crash mid-flush would
         journal_path.write_bytes(after[: before + (len(after) - before) // 2])
-        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        recovered = recover(config, DistributedFileSystem())
         # the add was durable, the eviction wasn't: the entry is back,
         # which is safe (its stored file was never deleted first — the
         # manager removes the entry before the file)
@@ -187,7 +187,7 @@ class TestLivePersisterCrash:
         self._add(dfs, manager, entries[:2])
         persister.take_snapshot()
         self._add(dfs, manager, entries[2:])
-        recovered = recover(config, DistributedFileSystem(n_datanodes=2))
+        recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 4
         assert recovered.snapshot_entries == 2
         # post-rotation journal: per add, one payload_stored record
@@ -203,7 +203,7 @@ class TestLivePersisterCrash:
             dfs.next_subjob_id()
         manager.clock = 3
         persister.note_workflow_end()  # journals the moved counters
-        fresh = DistributedFileSystem(n_datanodes=2)
+        fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         assert fresh.id_state() == dfs.id_state()
         assert recovered.clock >= 3

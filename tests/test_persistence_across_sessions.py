@@ -163,7 +163,7 @@ class TestSessionWarmRestart:
         cold_session.close()
         assert cold.stats.n_jobs_executed >= 1
 
-        warm_dfs = DistributedFileSystem(n_datanodes=2)
+        warm_dfs = DistributedFileSystem()
         for path in ("data/page_views", "data/users"):
             warm_dfs.write_file(path, small_data.read_file(path))
         warm_session = ReStoreSession(dfs=warm_dfs, persistence=config)

@@ -1,11 +1,16 @@
 """Property-based tests (hypothesis) for core data structures and
 system invariants."""
 
-from hypothesis import HealthCheck, given, settings
+import zlib
+from functools import partial
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.matcher import PlanMatcher
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.exceptions import FileAlreadyExists, FileNotFoundInDFS
 from repro.mapreduce.shuffle import ShuffleBuffer, sort_key, stable_hash
 from repro.pig.physical.operators import (
     POFilter,
@@ -139,23 +144,211 @@ class TestShuffleProperties:
         assert sorted(ordered, key=sort_key) == ordered
 
 
-class TestDFSProperties:
-    @given(st.binary(max_size=2000), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=50, deadline=None)
-    def test_write_read_identity(self, payload, block_size):
-        dfs = DistributedFileSystem(n_datanodes=3, block_size=block_size)
-        dfs.write_file("f", payload)
-        assert dfs.read_file("f") == payload
-        assert dfs.file_size("f") == len(payload)
+# -- the DFS against a plain-Python model ---------------------------------------------------
 
-    @given(st.lists(st.binary(min_size=1, max_size=200), max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_append_equals_concat(self, chunks):
-        dfs = DistributedFileSystem(n_datanodes=3, block_size=32)
-        dfs.write_file("f", b"")
-        for chunk in chunks:
-            dfs.append("f", chunk)
-        assert dfs.read_file("f") == b"".join(chunks)
+MODEL_SCHEMA = Schema.of(("k", DataType.CHARARRAY), ("n", DataType.INT))
+
+model_path = st.sampled_from(["a", "b", "c"])
+#: typed rows; "é" is not ASCII, so its text is rendered at write time
+model_rows = st.lists(
+    st.tuples(st.sampled_from(["x", "yy", "é"]), st.integers(0, 99)), max_size=4
+)
+#: text lines; "07" parses to 7, which renders back as "7" — a dataset
+#: parsed from such text is not its file's serialization
+model_lines = st.lists(
+    st.tuples(st.sampled_from(["x", "yy"]), st.sampled_from(["7", "07", "42"])),
+    max_size=4,
+)
+model_offset = st.integers(0, 40)
+
+dfs_operation = st.one_of(
+    st.tuples(st.just("write_file"), model_path, model_lines, st.booleans()),
+    st.tuples(st.just("write_rows"), model_path, model_rows, st.booleans()),
+    st.tuples(st.just("append"), model_path, model_lines),
+    st.tuples(st.just("copy"), model_path, model_path),
+    st.tuples(st.just("delete"), model_path),
+    st.tuples(st.just("read_file"), model_path),
+    st.tuples(st.just("read_range"), model_path, model_offset, model_offset),
+    st.tuples(st.just("read_rows"), model_path, st.just(MODEL_SCHEMA)),
+    st.tuples(st.just("prefix_crc32"), model_path, st.none() | model_offset),
+)
+
+
+def _text(rows) -> bytes:
+    return "".join(f"{k}\t{n}\n" for k, n in rows).encode()
+
+
+class _ModelFile:
+    """Everything a caller can observe of one file.
+
+    ``pieces`` holds one ``(bytes, state)`` pair per write/append;
+    ``state["deferred"]`` is True while the piece is a typed write
+    whose text nobody has byte-read yet (copies share the state).
+    """
+
+    def __init__(self, data: bytes, rows, typed: bool, state=None):
+        if state is None:
+            state = {"deferred": typed and data.isascii()}
+        self.pieces = [(data, state)]
+        self.rows = list(rows)
+        #: the bytes are exactly the pinned rows' serialization
+        self.exact = typed
+        #: a read_rows would be served from the pinned dataset
+        self.pinned = typed
+
+    @property
+    def data(self) -> bytes:
+        return b"".join(data for data, _ in self.pieces)
+
+    def byte_read(self, start: int, end: int) -> bytes:
+        offset = 0
+        for data, state in self.pieces:
+            if max(offset, start) < min(offset + len(data), end):
+                state["deferred"] = False
+            offset += len(data)
+        return self.data[start:end]
+
+    def deferred_before(self, end: int) -> bool:
+        offset = 0
+        for data, state in self.pieces:
+            if data and offset < end and state["deferred"]:
+                return True
+            offset += len(data)
+        return False
+
+
+class _ModelDFS:
+    """dict[path, file] plus the two logical byte counters."""
+
+    def __init__(self):
+        self.files = {}
+        self.bytes_read = 0
+        self.bytes_written = 0
+        self.clones = 0
+
+    def read_rows(self, path):
+        file = self.files[path]
+        if not file.pinned:
+            file.byte_read(0, len(file.data))
+            file.pinned = True
+        self.bytes_read += len(file.data)
+        return tuple(file.rows)
+
+
+def _apply(dfs: DistributedFileSystem, model: _ModelDFS, op) -> None:
+    kind, path, *args = op
+    file = model.files.get(path)
+    if kind in ("write_file", "write_rows"):
+        rows, overwrite = args
+        typed = kind == "write_rows"
+        if typed:
+            write = partial(dfs.write_rows, path, rows, MODEL_SCHEMA, overwrite)
+        else:
+            write = partial(dfs.write_file, path, _text(rows), overwrite)
+        if file is not None and not overwrite:
+            with pytest.raises(FileAlreadyExists):
+                write()
+            return
+        data = _text(rows)
+        assert write().size == len(data)
+        parsed = [(k, int(n)) for k, n in rows]
+        model.files[path] = _ModelFile(data, parsed, typed)
+        model.bytes_written += len(data)
+    elif kind == "append":
+        data = _text(args[0])
+        dfs.append(path, data)
+        parsed = [(k, int(n)) for k, n in args[0]]
+        if file is None:
+            model.files[path] = _ModelFile(data, parsed, typed=False)
+        else:
+            file.pieces.append((data, {"deferred": False}))
+            file.rows += parsed
+            file.exact = file.pinned = False
+        model.bytes_written += len(data)
+    elif kind == "copy":
+        (dst,) = args
+        if file is None:
+            with pytest.raises(FileNotFoundInDFS):
+                dfs.read_rows(path, MODEL_SCHEMA)
+            return
+        rows = dfs.read_rows(path, MODEL_SCHEMA)
+        assert rows == model.read_rows(path)
+        dfs.write_rows(dst, rows, MODEL_SCHEMA, overwrite=True, source=path)
+        if file.exact:
+            # the copy shares the source's payload, still-deferred or not
+            data, state = file.pieces[0]
+            model.files[dst] = _ModelFile(data, rows, True, state)
+            model.clones += 1
+        else:
+            model.files[dst] = _ModelFile(_text(rows), rows, True)
+        model.bytes_written += len(model.files[dst].data)
+    elif kind == "prefix_crc32":
+        (size,) = args
+        if file is None:
+            assert dfs.prefix_crc32(path, size) is None
+            return
+        end = len(file.data) if size is None else min(size, len(file.data))
+        want = None if file.deferred_before(end) else zlib.crc32(file.data[:end])
+        assert dfs.prefix_crc32(path, size) == want
+    elif file is None:
+        with pytest.raises(FileNotFoundInDFS):
+            getattr(dfs, kind)(path, *args)
+    elif kind == "delete":
+        dfs.delete(path)
+        del model.files[path]
+    elif kind == "read_file":
+        want = file.byte_read(0, len(file.data))
+        assert dfs.read_file(path) == want
+        model.bytes_read += len(want)
+    elif kind == "read_range":
+        start, end = args
+        want = file.byte_read(start, min(end, len(file.data)))
+        assert dfs.read_range(path, start, end) == want
+        model.bytes_read += len(want)
+    else:
+        assert kind == "read_rows"
+        assert dfs.read_rows(path, *args) == model.read_rows(path)
+
+
+class TestDFSProperties:
+    @given(st.lists(dfs_operation, max_size=30))
+    # an empty typed write holds no byte a later prefix could defer on
+    @example(
+        [
+            ("write_rows", "a", [], False),
+            ("append", "a", [("x", "7")]),
+            ("prefix_crc32", "a", None),
+        ]
+    )
+    # an empty range reads nothing, so it renders nothing either
+    @example(
+        [
+            ("write_rows", "a", [("x", 1), ("yy", 2)], False),
+            ("read_range", "a", 3, 3),
+            ("prefix_crc32", "a", 2),
+        ]
+    )
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_operation_sequences_match_a_dict_model(self, operations):
+        """Results, namespace, sizes, the byte counters, payload
+        sharing and prefix_crc32's refusal to force a deferred write
+        all follow the model after every step — whatever the segment
+        layout the sequence produced."""
+        dfs, model = DistributedFileSystem(), _ModelDFS()
+        for op in operations:
+            _apply(dfs, model, op)
+            assert dfs.list_paths() == sorted(model.files)
+            for path, file in model.files.items():
+                assert dfs.file_size(path) == len(file.data)
+            assert dfs.bytes_read == model.bytes_read
+            assert dfs.bytes_written == model.bytes_written
+            assert dfs.payload_clones == model.clones
+        for path, file in model.files.items():
+            assert dfs.read_file(path) == file.data
 
 
 # -- matcher properties --------------------------------------------------------------------
@@ -259,7 +452,7 @@ class TestReuseCorrectnessProperty:
         from repro.pig.engine import PigServer
 
         def data():
-            dfs = DistributedFileSystem(n_datanodes=3)
+            dfs = DistributedFileSystem()
             rows = [
                 f"u{i % 4}\t{i}\t{float(i)}" for i in range(12)
             ]
@@ -384,7 +577,7 @@ class TestDataPlaneProperties:
         serialization."""
         schema, rows = schema_rows
         rows = tuple(tuple(row) for row in rows)
-        dfs = DistributedFileSystem(n_datanodes=2, block_size=256)
+        dfs = DistributedFileSystem()
         dfs.write_rows("f", rows, schema)
         assert dfs.read_rows("f", schema) == rows
         data = dfs.read_file("f")

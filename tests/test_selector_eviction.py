@@ -83,14 +83,14 @@ class TestTimeWindowEviction:
             entry_with(100, 10, output_path="stored/y", created=9, used=9)
         )
         policy = TimeWindowEviction(window=5)
-        victims = policy.select_victims(repo, DistributedFileSystem(2), now=10)
+        victims = policy.select_victims(repo, DistributedFileSystem(), now=10)
         assert victims == [stale]
 
     def test_recently_used_survives(self):
         repo = Repository()
         entry = repo.add(entry_with(100, 10, created=0, used=8))
         policy = TimeWindowEviction(window=5)
-        assert policy.select_victims(repo, DistributedFileSystem(2), 10) == []
+        assert policy.select_victims(repo, DistributedFileSystem(), 10) == []
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ class TestTimeWindowEviction:
 
 class TestInputModifiedEviction:
     def test_deleted_input_evicts(self):
-        dfs = DistributedFileSystem(2)
+        dfs = DistributedFileSystem()
         repo = Repository()
         entry = repo.add(entry_with(100, 10))
         # input path "pv" never written -> counts as deleted
@@ -107,7 +107,7 @@ class TestInputModifiedEviction:
         assert victims == [entry]
 
     def test_unmodified_input_survives(self):
-        dfs = DistributedFileSystem(2)
+        dfs = DistributedFileSystem()
         dfs.write_file("pv", "row\n")
         repo = Repository()
         entry = entry_with(100, 10)
@@ -116,7 +116,7 @@ class TestInputModifiedEviction:
         assert InputModifiedEviction().select_victims(repo, dfs, 1) == []
 
     def test_modified_input_evicts(self):
-        dfs = DistributedFileSystem(2)
+        dfs = DistributedFileSystem()
         dfs.write_file("pv", "row\n")
         repo = Repository()
         entry = entry_with(100, 10)
@@ -132,14 +132,14 @@ class TestCapacityEviction:
         repo = Repository()
         repo.add(entry_with(100, 10))
         policy = CapacityEviction(capacity_bytes=1000)
-        assert policy.select_victims(repo, DistributedFileSystem(2), 1) == []
+        assert policy.select_victims(repo, DistributedFileSystem(), 1) == []
 
     def test_lru_evicted_first(self):
         repo = Repository()
         old = repo.add(entry_with(100, 600, used=1))
         new = repo.add(entry_with(100, 600, output_path="stored/y", used=9))
         policy = CapacityEviction(capacity_bytes=1000)
-        victims = policy.select_victims(repo, DistributedFileSystem(2), 10)
+        victims = policy.select_victims(repo, DistributedFileSystem(), 10)
         assert victims == [old]
 
     def test_evicts_until_fits(self):
@@ -149,7 +149,7 @@ class TestCapacityEviction:
                 entry_with(100, 500, output_path=f"stored/{i}", used=i)
             )
         policy = CapacityEviction(capacity_bytes=1000)
-        victims = policy.select_victims(repo, DistributedFileSystem(2), 10)
+        victims = policy.select_victims(repo, DistributedFileSystem(), 10)
         assert len(victims) == 2
 
     def test_negative_capacity_rejected(self):

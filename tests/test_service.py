@@ -71,7 +71,6 @@ class TestServiceStress:
         n_tenants, jobs_per_tenant = 8, 50
         datasets = [f"stress/ds{d}" for d in range(4)]
         service = JobService(
-            datanodes=2,
             config=ReStoreConfig(inject_enabled=False),
             max_workers=n_tenants,
         )
@@ -120,7 +119,6 @@ class TestServiceStress:
         """One tenant's submissions never interleave: job N+1 observes
         the repository state N left behind (its duplicate probe hits)."""
         service = JobService(
-            datanodes=2,
             config=ReStoreConfig(inject_enabled=False),
             max_workers=4,
         )
@@ -164,7 +162,7 @@ def brickwork_sources():
 
 
 def prepared_dfs() -> DistributedFileSystem:
-    dfs = DistributedFileSystem(n_datanodes=2)
+    dfs = DistributedFileSystem()
     rows = [
         "alice\t1\t1.5",
         "bob\t1\t4.0",
@@ -389,7 +387,7 @@ class TestServiceLifecycle:
         service.shutdown()
 
     def test_duplicate_session_id_rejected(self):
-        service = JobService(datanodes=2)
+        service = JobService()
         service.open_session("dup")
         with pytest.raises(ValueError, match="already open"):
             service.open_session("dup")
@@ -398,7 +396,7 @@ class TestServiceLifecycle:
     def test_cancelled_future_does_not_wedge_ticket_chain(self):
         """A submission cancelled while still queued must release its
         FIFO turn, or every later job of that tenant blocks forever."""
-        service = JobService(datanodes=2, max_workers=1)
+        service = JobService(max_workers=1)
         service.dfs.write_file("d", "x\t1\n")
         tenant = service.open_session("t")
         blocker = threading.Event()
@@ -419,7 +417,7 @@ class TestServiceLifecycle:
         """A job that fails mid-execution never reaches after_job; the
         workflow-end hook must still drop its enumerated sub-job
         candidates or a long-lived shared manager leaks them."""
-        service = JobService(datanodes=2, max_workers=1)
+        service = JobService(max_workers=1)
         tenant = service.open_session("t")
         future = tenant.submit("A = load 'missing' as (x); store A into 'o';")
         with pytest.raises(Exception):
@@ -429,7 +427,7 @@ class TestServiceLifecycle:
         service.shutdown()
 
     def test_shutdown_without_wait_cancels_queued_jobs(self):
-        service = JobService(datanodes=2, max_workers=1)
+        service = JobService(max_workers=1)
         service.dfs.write_file("d", "x\t1\n")
         tenant = service.open_session("t")
         blocker = threading.Event()
@@ -443,7 +441,7 @@ class TestServiceLifecycle:
         service._executor.shutdown(wait=True)
 
     def test_shutdown_stops_submissions(self):
-        service = JobService(datanodes=2)
+        service = JobService()
         tenant = service.open_session()
         assert tenant.session_id == "tenant_001"
         service.shutdown()

@@ -57,9 +57,7 @@ def process_service(**kwargs) -> JobService:
         "service", ServiceConfig(executor="processes", max_workers=1)
     )
     config = kwargs.pop("config", ReStoreConfig(inject_enabled=False))
-    return JobService(
-        datanodes=2, config=config, service=service_config, **kwargs
-    )
+    return JobService(config=config, service=service_config, **kwargs)
 
 
 class TestWireContract:
@@ -303,7 +301,7 @@ class TestDurableProcessMode:
     CONFIG = PersistenceConfig()
 
     def _dfs(self) -> DistributedFileSystem:
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         dfs.write_file(
             "data/pv",
             "alice\t1\t1.5\nbob\t1\t4.0\ncarol\t2\t8.0\ndave\t2\t3.0\n",
@@ -347,19 +345,13 @@ class TestDurableProcessMode:
 class TestConfigConflicts:
     def test_service_shorthands_clash_with_explicit_config(self):
         with pytest.raises(ValueError, match="service= already fixes"):
-            JobService(datanodes=2, service=ServiceConfig(), max_workers=2)
+            JobService(service=ServiceConfig(), max_workers=2)
         with pytest.raises(ValueError, match="executor"):
-            JobService(
-                datanodes=2, service=ServiceConfig(), executor="processes"
-            )
+            JobService(service=ServiceConfig(), executor="processes")
 
     def test_service_persistence_clashes_with_repository(self):
         with pytest.raises(ValueError, match="recovers its own repository"):
-            JobService(
-                datanodes=2,
-                persistence=PersistenceConfig(),
-                repository=Repository(),
-            )
+            JobService(persistence=PersistenceConfig(), repository=Repository())
 
     def test_builder_rejects_persistence_conflicts(self):
         config = PersistenceConfig()
@@ -370,7 +362,7 @@ class TestConfigConflicts:
                 .repository(Repository())
                 .build()
             )
-        manager = ReStoreManager(DistributedFileSystem(n_datanodes=2))
+        manager = ReStoreManager(DistributedFileSystem())
         with pytest.raises(ValueError, match="RepositoryPersister"):
             (
                 ReStoreSession.builder()
@@ -387,7 +379,7 @@ class TestConfigConflicts:
             )
 
     def test_builder_rejects_manager_plus_repository(self):
-        manager = ReStoreManager(DistributedFileSystem(n_datanodes=2))
+        manager = ReStoreManager(DistributedFileSystem())
         with pytest.raises(ValueError, match="already carries its repository"):
             (
                 ReStoreSession.builder()

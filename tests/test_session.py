@@ -131,7 +131,6 @@ class TestBuilder:
 class TestFromDict:
     def test_full_config(self):
         session = ReStoreSession.from_dict({
-            "datanodes": 3,
             "restore": {
                 "heuristic": "never",
                 "selector": "rules",
@@ -149,7 +148,7 @@ class TestFromDict:
 
     def test_unknown_session_key_rejected(self):
         with pytest.raises(ValueError, match="unknown session keys"):
-            ReStoreSession.from_dict({"datanode": 3})
+            ReStoreSession.from_dict({"datanodes": 3})
 
     def test_unknown_restore_key_rejected(self):
         with pytest.raises(ValueError, match="unknown ReStoreConfig keys"):
@@ -220,7 +219,7 @@ class TestLifecycle:
 
         manager = ReStoreManager(small_data)
         with pytest.raises(ValueError, match="share one filesystem"):
-            ReStoreSession(dfs=DistributedFileSystem(2), manager=manager)
+            ReStoreSession(dfs=DistributedFileSystem(), manager=manager)
         with pytest.raises(ValueError, match="not both"):
             ReStoreSession(manager=manager, config=ReStoreConfig())
 
@@ -231,13 +230,13 @@ class TestScriptIdScoping:
 
     def test_fresh_dfs_restarts_numbering(self):
         src = "A = load 'x' as (a, b); store A into 'o';"
-        assert PigServer(DistributedFileSystem(2)).compile(src).name == "script_1"
+        assert PigServer(DistributedFileSystem()).compile(src).name == "script_1"
         # another process-lifetime server on a NEW dfs starts over
-        assert PigServer(DistributedFileSystem(2)).compile(src).name == "script_1"
+        assert PigServer(DistributedFileSystem()).compile(src).name == "script_1"
 
     def test_servers_sharing_a_dfs_never_collide(self):
         src = "A = load 'x' as (a, b); store A into 'o';"
-        dfs = DistributedFileSystem(2)
+        dfs = DistributedFileSystem()
         first = PigServer(dfs)
         assert first.compile(src).name == "script_1"
         assert first.compile(src).name == "script_2"

@@ -72,10 +72,12 @@ class TestRoundTrip:
         assert restored.index_stats.subsume_checks == 0
         assert restored.index_stats.order_integrations == 0
 
-    def test_recorded_shard_count_is_kept_on_disk_and_ignored(self, repository):
+    def test_retired_state_keys_are_not_written_and_still_load(self, repository):
         snapshot = roundtrip(repository)
-        assert snapshot.repository_state["n_shards"] == 8
+        assert not {"n_shards", "ordering_enabled"} & set(snapshot.repository_state)
+        # a snapshot written before the keys were retired carries both
         snapshot.repository_state["n_shards"] = 3
+        snapshot.repository_state["ordering_enabled"] = False
         restored = snapshot.restore_repository()
         assert_index_consistent(restored)
         assert [e.entry_id for e in restored.ordered_entries()] == [
@@ -87,7 +89,7 @@ class TestRoundTrip:
         fingerprints — on a stream that does rewrite."""
         entry_specs = generate_entry_specs(FULL_GRID_ENTRIES, seed=13)
         probe_specs = generate_probe_specs(entry_specs, 20, seed=13)
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         original = build_repository(entry_specs, 13, dfs, probe_specs)
         original.ordered_entries()
         restored = roundtrip(original).restore_repository()
@@ -209,7 +211,7 @@ class TestIdHygiene:
             backend="local",
         )
         config.snapshot_storage().write(snapshot.to_bytes())
-        dfs = DistributedFileSystem(n_datanodes=2)
+        dfs = DistributedFileSystem()
         # a legacy (pre-block-store) snapshot carries no payload refs:
         # the recovery scrub tolerates its entries only while their
         # output bytes are present, so stage them like a live DFS

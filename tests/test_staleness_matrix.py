@@ -45,7 +45,7 @@ SCENARIOS = ("fresh", "append", "overwrite", "delete_recreate", "delete")
 
 
 def fresh_dfs() -> DistributedFileSystem:
-    dfs = DistributedFileSystem(n_datanodes=4, block_size=4 * 1024)
+    dfs = DistributedFileSystem()
     dfs.write_file("data/page_views", BASE_ROWS)
     return dfs
 
@@ -105,7 +105,6 @@ def serial_outcome(scenario: str) -> tuple:
 
 def service_outcome(scenario: str) -> tuple:
     service = JobService(
-        datanodes=4,
         config=ReStoreConfig(inject_enabled=False),
         max_workers=1,
     )

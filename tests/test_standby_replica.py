@@ -21,7 +21,7 @@ from repro.persistence.standby import StandbyReplica
 
 @pytest.fixture
 def primary(tmp_path):
-    dfs = DistributedFileSystem(n_datanodes=2)
+    dfs = DistributedFileSystem()
     config = PersistenceConfig(
         snapshot_path=str(tmp_path / "repo.snap"),
         journal_path=str(tmp_path / "repo.journal"),
@@ -127,7 +127,7 @@ class TestPromotion:
         persister.flush()
         state = standby.promote()
         successor = ReStoreManager(
-            DistributedFileSystem(n_datanodes=2),
+            DistributedFileSystem(),
             repository=state.repository,
         )
         successor.kept_paths.update(state.kept_paths)

@@ -19,7 +19,7 @@ CONFIG = SyntheticConfig(n_rows=1500, seed=3)
 
 @pytest.fixture(scope="module")
 def synth():
-    dfs = DistributedFileSystem(n_datanodes=4)
+    dfs = DistributedFileSystem()
     dataset = SyntheticDataGenerator(CONFIG).generate(dfs)
     return dfs, dataset
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.ablations import (
     run_optimizer_ablation,
-    run_ordering_ablation,
+    run_selector_ablation,
     run_workload_stream,
 )
 from repro.pig.engine import PigServer
@@ -59,16 +59,20 @@ class TestWorkloadGenerator:
 
 
 class TestAblationHarnesses:
-    def test_ordering_ablation_shows_penalty(self):
-        result = run_ordering_ablation(pigmix_config=CFG, queries=("L6",))
+    def test_selector_ablation_rules_drop_the_wasteful_output(self):
+        result = run_selector_ablation(pigmix_config=CFG, queries=("wasteful",))
         row = result.rows[0]
-        assert row["reuse_unordered_min"] > row["reuse_ordered_min"]
+        assert row["stored_MB_rules"] < row["stored_MB_keep_all"] / 100
 
     def test_optimizer_ablation_shows_canonicalization(self):
         result = run_optimizer_ablation(pigmix_config=CFG)
         by_mode = {r["mode"]: r for r in result.rows}
         assert by_mode["optimized"]["rewrites_on_spelling_b"] > 0
         assert by_mode["unoptimized"]["rewrites_on_spelling_b"] == 0
+        assert (
+            by_mode["optimized"]["spelling_b_min"]
+            < by_mode["unoptimized"]["spelling_b_min"]
+        )
 
     def test_workload_stream_restore_wins_cumulatively(self):
         result = run_workload_stream(
