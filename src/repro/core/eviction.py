@@ -83,9 +83,7 @@ class InputModifiedEviction(EvictionPolicy):
     by an append keeps the entry alive when its sub-plan is
     delta-upgradeable — the stored output is still an exact prefix of
     the recomputation and the matcher refreshes it incrementally on
-    the next probe; evicting it would throw that prefix away.  Legacy
-    entries without recorded extents classify any mtime movement as
-    rewritten, preserving the old (conservative) behaviour.
+    the next probe; evicting it would throw that prefix away.
     """
 
     name = "input-modified"

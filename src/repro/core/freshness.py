@@ -2,9 +2,9 @@
 
 ReStore's original freshness story was lazy: eviction Rule 4 swept
 stale entries *between* workflows, while the matcher happily rewrote
-against entries whose recorded ``input_mtimes`` no longer matched the
-DFS.  This module is the eager half: every matched entry's inputs are
-classified against the live filesystem *before* the rewrite commits.
+against entries whose recorded inputs no longer matched the DFS.  This
+module is the eager half: every matched entry's inputs are classified
+against the live filesystem *before* the rewrite commits.
 
 Classification per input path (i2MapReduce-style, PAPERS.md):
 
@@ -20,10 +20,6 @@ Classification per input path (i2MapReduce-style, PAPERS.md):
                defensively)
 ``dead``       the path no longer exists
 =============  =======================================================
-
-Entries recorded before ``input_extents`` existed (legacy snapshots /
-journals) fall back to the mtime comparison: any movement classifies
-as ``rewritten`` — conservative, never stale-serving.
 
 ``delta_chain`` decides whether an entry's sub-plan may be recomputed
 incrementally: a single-Load linear chain of order-preserving,
@@ -87,26 +83,13 @@ def classify_extent(
 def classify_input(
     entry, path: str, live: Optional[InputExtent], dfs=None
 ) -> str:
-    """Classify one recorded input of *entry* against its live extent.
-
-    Prefers the entry's recorded :class:`InputExtent` (*dfs*, when
-    given, supplies the prefix-checksum probe for cross-restart inode
-    identity); legacy entries without one degrade to the mtime
-    comparison, where any movement is ``rewritten`` (no append
-    detection, but never stale reuse).
-    """
-    recorded = entry.input_extents.get(path)
-    if recorded is not None:
-        prefix_crc = None
-        if dfs is not None:
-            prefix_crc = lambda size: dfs.prefix_crc32(path, size)  # noqa: E731
-        return classify_extent(recorded, live, prefix_crc)
-    if live is None:
-        return DEAD
-    recorded_mtime = entry.input_mtimes.get(path)
-    if recorded_mtime is None or live.mtime > recorded_mtime:
-        return REWRITTEN
-    return FRESH
+    """Classify one recorded input of *entry* against its live extent
+    (*dfs*, when given, supplies the prefix-checksum probe for
+    cross-restart inode identity)."""
+    prefix_crc = None
+    if dfs is not None:
+        prefix_crc = lambda size: dfs.prefix_crc32(path, size)  # noqa: E731
+    return classify_extent(entry.input_extents[path], live, prefix_crc)
 
 
 @dataclass
@@ -146,17 +129,14 @@ def classify_entry(entry, dfs) -> EntryFreshness:
     replacing the extent is never clobbered with pre-refresh state.
     """
     freshness = EntryFreshness()
-    paths = set(entry.input_mtimes) | set(entry.input_extents)
-    for path in sorted(paths):
+    for path, recorded in sorted(entry.input_extents.items()):
         live = dfs.input_extent(path)
         kind = classify_input(entry, path, live, dfs)
         freshness.kinds[path] = kind
         if kind == APPENDED:
             freshness.appended[path] = live
-        recorded = entry.input_extents.get(path)
         if (
             kind in (FRESH, APPENDED)
-            and recorded is not None
             and recorded.birth != live.birth
             and entry.input_extents.get(path) is recorded
         ):

@@ -20,7 +20,8 @@ The manager is **multi-tenant and concurrency-safe**: many sessions
 (threads) may drive jobs through one manager against one shared
 repository.  A reentrant manager lock guards the mutable aggregates
 (counters, pending sub-jobs, kept paths, the logical clock, event
-buffers); the repository carries its own sharded locking; and the
+buffers); the repository carries its own lock, always taken after this
+one (the order is stated in :mod:`repro.core.repository`); and the
 expensive pairwise plan traversals run outside any manager-level lock
 against candidate snapshots.  Each worker thread activates a *session
 scope* (:meth:`ReStoreManager.session_scope`) so every emitted event
@@ -33,8 +34,8 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Mapping, Optional, Set, Union
 
 from repro.core.enumerator import CandidateSubJob, SubJobEnumerator
 from repro.core.eviction import EvictionPolicy, eviction_by_name
@@ -66,6 +67,8 @@ from repro.mapreduce.job import MapReduceJob, Workflow
 from repro.mapreduce.runner import JobListener
 from repro.mapreduce.stats import JobStats
 from repro.pig.physical.operators import POLoad
+from repro.pig.physical.plan import PhysicalPlan
+from repro.relational.schema import Schema
 
 #: scratch prefix for delta-refresh temporaries: the appended tail of
 #: a grown input (``tail-<n>``) and the side-stored delta rows
@@ -197,7 +200,6 @@ class _PendingDeltaRefresh:
     output_path: str
     delta_path: str
     tail_path: str
-    input_mtimes: Dict[str, int]
     input_extents: Dict[str, InputExtent]
     input_bytes_delta: int
 
@@ -237,8 +239,7 @@ class ReStoreManager(JobListener):
         #: logical clock: one tick per workflow (drives eviction Rule 3)
         self.clock = 0
         #: guards counters, pending sub-jobs, kept paths, the clock,
-        #: and the per-session event buffers.  Lock ordering is
-        #: manager -> repository -> shard; never the reverse.
+        #: and the per-session event buffers
         self._lock = threading.RLock()
         #: active session scope, tracked per worker thread
         self._session_local = threading.local()
@@ -285,7 +286,7 @@ class ReStoreManager(JobListener):
     def locked(self):
         """Hold the manager lock across a multi-step read (snapshot
         capture pairs kept paths + clock + repository state
-        atomically).  Lock order stays manager → repository → shard."""
+        atomically)."""
         with self._lock:
             yield self
 
@@ -420,8 +421,8 @@ class ReStoreManager(JobListener):
         for refresh in refreshes:
             self._apply_refresh(job, refresh, stats)
         for candidate in candidates:
-            self._register_sub_job(candidate, stats, workflow)
-        self._register_whole_job(job, stats, workflow)
+            self._offer_sub_job(candidate, stats, workflow)
+        self._offer_whole_job(job, stats, workflow)
 
     def protected_paths(self) -> Set[str]:
         with self._lock:
@@ -716,9 +717,7 @@ class ReStoreManager(JobListener):
         # a delta-eligible entry has exactly one load, hence exactly
         # one (appended) input path
         live = freshness.appended[path]
-        recorded = entry.input_extents.get(path)
-        if recorded is None:
-            return fallback(path, "no-recorded-extent")
+        recorded = entry.input_extents[path]
         if recorded.size > 0:
             boundary = self.dfs.read_range(path, recorded.size - 1, recorded.size)
             if boundary != b"\n":
@@ -764,16 +763,7 @@ class ReStoreManager(JobListener):
             output_path=entry.output_path,
             delta_path=delta_path,
             tail_path=tail_path,
-            input_mtimes={path: live.mtime},
-            input_extents={
-                path: InputExtent(
-                    mtime=live.mtime,
-                    generation=live.generation,
-                    birth=live.birth,
-                    size=live.size,
-                    crc=merged_crc,
-                )
-            },
+            input_extents={path: replace(live, crc=merged_crc)},
             input_bytes_delta=live.size - recorded.size,
         )
         with self._lock:
@@ -808,7 +798,6 @@ class ReStoreManager(JobListener):
             try:
                 self.repository.refresh_entry(
                     refresh.entry_id,
-                    input_mtimes=refresh.input_mtimes,
                     input_extents=refresh.input_extents,
                     input_bytes_delta=refresh.input_bytes_delta,
                     output_bytes_delta=len(delta_bytes),
@@ -840,97 +829,45 @@ class ReStoreManager(JobListener):
 
     # -- registration (components 2+3) ----------------------------------------------------
 
-    def _register_sub_job(
+    def _offer_sub_job(
         self, candidate: CandidateSubJob, stats: JobStats, workflow: Workflow
     ) -> None:
+        """Offer one injected side store.  The file is the repository's
+        own, so a refusal deletes it."""
         store_stat = stats.store_for_path(candidate.store_path)
         if store_stat is None:
             return
-        load_paths = [op.path for op in candidate.plan.loads()]
-        if any(p.startswith(DELTA_TMP_PREFIX) for p in load_paths):
-            # the plan reads delta scratch (an appended tail): that
-            # file dies when the refresh lands, so the entry could
-            # never be recomputed — don't register it
-            self._discard_file(candidate.store_path)
-            return
-        if len(candidate.plan) <= 2:
-            self._discard_file(candidate.store_path)
-            return
-        if self.repository.find_equivalent(candidate.plan) is not None:
-            # Duplicate computation already stored: drop the new copy.
-            self._discard_file(candidate.store_path)
-            return
-        input_bytes = sum(stats.load_bytes.get(p, 0) for p in load_paths)
-        input_mtimes, input_extents = self._input_snapshot(load_paths)
-        entry = RepositoryEntry(
-            plan=candidate.plan,
-            output_path=candidate.store_path,
-            output_schema=candidate.output_schema,
-            stats=EntryStats(
+        input_bytes = sum(
+            stats.load_bytes.get(op.path, 0) for op in candidate.plan.loads()
+        )
+        entry_stats = EntryStats(
+            input_bytes=input_bytes,
+            output_bytes=store_stat.bytes,
+            output_records=store_stat.records,
+            exec_time_s=estimate_standalone_time(
+                self.cost_model,
                 input_bytes=input_bytes,
                 output_bytes=store_stat.bytes,
-                output_records=store_stat.records,
-                exec_time_s=estimate_standalone_time(
-                    self.cost_model,
-                    input_bytes=input_bytes,
-                    output_bytes=store_stat.bytes,
-                    records=stats.input_records,
-                ),
+                records=stats.input_records,
             ),
-            anchor_kind=candidate.anchor_kind,
-            created_at=self.clock,
-            last_used_at=self.clock,
-            input_mtimes=input_mtimes,
-            input_extents=input_extents,
         )
-        decision = self.selector.decide(entry)
-        if not decision.keep:
+        if not self._register(
+            candidate.plan,
+            candidate.store_path,
+            candidate.output_schema,
+            entry_stats,
+            candidate.anchor_kind,
+            workflow,
+            owned=True,
+        ):
             self._discard_file(candidate.store_path)
-            self._emit(
-                SubJobDiscarded(
-                    output_path=candidate.store_path,
-                    reason=decision.reason,
-                    anchor_kind="sub-job",
-                )
-            )
-            return
-        # Atomic: a concurrent worker registering the same computation
-        # loses the race here instead of storing a duplicate entry.
-        # Entry insert and path ownership commit under one manager
-        # lock, so an eviction pass can never observe the entry
-        # without its kept path (which would orphan the stored file).
-        with self._lock:
-            entry, added = self.repository.add_if_absent(entry)
-            if added:
-                self.kept_paths.add(candidate.store_path)
-                # protect the fresh output from a concurrent tenant's
-                # eviction until this workflow (whose rescan passes may
-                # re-match it) is over
-                self._pin(workflow, candidate.store_path)
-                if self.persistence is not None:
-                    self.persistence.note_kept_path(candidate.store_path, True)
-        if not added:
-            self._discard_file(candidate.store_path)
-            self._emit(
-                SubJobDiscarded(
-                    output_path=candidate.store_path,
-                    reason=f"duplicate of {entry.entry_id} "
-                    "(lost concurrent registration)",
-                    anchor_kind="sub-job",
-                )
-            )
-            return
-        self._emit(
-            SubJobStored(
-                entry_id=entry.entry_id,
-                output_path=candidate.store_path,
-                anchor_kind=candidate.anchor_kind,
-            )
-        )
 
-    def _register_whole_job(
+    def _offer_whole_job(
         self, job: MapReduceJob, stats: JobStats, workflow: Workflow
     ) -> None:
+        """Offer the job's own output (§2.1 type 1).  A final output is
+        the user's file: refused or not, it stays where they stored it;
+        a temporary one becomes the repository's when it is kept."""
         policy = self.config.register_whole_jobs
         if policy == "none":
             return
@@ -939,81 +876,108 @@ class ReStoreManager(JobListener):
         primary = job.plan.primary_store()
         if primary is None:
             return
-        clean_plan = job.plan.subplan_upto(primary)
-        if len(clean_plan) <= 2:
-            return  # trivial copy job: nothing worth storing
-        if self.repository.find_equivalent(clean_plan) is not None:
-            return
-        load_paths = [op.path for op in clean_plan.loads()]
-        if any(p.startswith(DELTA_TMP_PREFIX) for p in load_paths):
-            # a delta-rewritten probe's own plan loads the appended
-            # tail from delta scratch; it is not a recomputable query
-            return
         sim_time = stats.sim.total_without_side_stores if stats.sim is not None else 0.0
-        input_mtimes, input_extents = self._input_snapshot(load_paths)
-        entry = RepositoryEntry(
-            plan=clean_plan,
-            output_path=primary.path,
-            output_schema=primary.schema or job.plan.loads()[0].schema,
-            stats=EntryStats(
+        self._register(
+            job.plan.subplan_upto(primary),
+            primary.path,
+            primary.schema or job.plan.loads()[0].schema,
+            EntryStats(
                 input_bytes=stats.input_bytes,
                 output_bytes=stats.output_bytes,
                 output_records=stats.output_records,
                 exec_time_s=sim_time,
             ),
-            anchor_kind="whole-job",
+            "whole-job",
+            workflow,
+            owned=job.temporary,
+        )
+
+    def _register(
+        self,
+        plan: PhysicalPlan,
+        output_path: str,
+        output_schema: Schema,
+        stats: EntryStats,
+        anchor_kind: str,
+        workflow: Workflow,
+        *,
+        owned: bool,
+    ) -> bool:
+        """The one way into the repository: probe, snapshot the inputs,
+        build the entry, ask the selector, add atomically, keep and pin
+        an *owned* file, emit.  Returns whether the output was stored.
+        """
+        if len(plan) <= 2:
+            return False  # trivial copy: nothing worth storing
+        load_paths = [op.path for op in plan.loads()]
+        if any(p.startswith(DELTA_TMP_PREFIX) for p in load_paths):
+            # the plan reads delta scratch (an appended tail): that
+            # file dies when the refresh lands, so the entry could
+            # never be recomputed
+            return False
+        if self.repository.find_equivalent(plan) is not None:
+            return False  # duplicate computation already stored
+        entry = RepositoryEntry(
+            plan=plan,
+            output_path=output_path,
+            output_schema=output_schema,
+            stats=stats,
+            anchor_kind=anchor_kind,
             created_at=self.clock,
             last_used_at=self.clock,
-            input_mtimes=input_mtimes,
-            input_extents=input_extents,
+            input_extents=self._input_snapshot(load_paths),
         )
-        decision = self.selector.decide(entry)
-        if not decision.keep:
+        refused_as = "whole-job" if anchor_kind == "whole-job" else "sub-job"
+
+        def refuse(reason: str) -> bool:
             self._emit(
                 SubJobDiscarded(
-                    output_path=primary.path,
-                    reason=decision.reason,
-                    anchor_kind="whole-job",
+                    output_path=output_path, reason=reason, anchor_kind=refused_as
                 )
             )
-            return
+            return False
+
+        decision = self.selector.decide(entry)
+        if not decision.keep:
+            return refuse(decision.reason)
+        # Atomic: a concurrent worker registering the same computation
+        # loses the race here instead of storing a duplicate entry.
+        # Entry insert and path ownership commit under one manager
+        # lock, so an eviction pass can never observe the entry
+        # without its kept path (which would orphan the stored file).
         with self._lock:
-            entry, added = self.repository.add_if_absent(entry)
-            if added and job.temporary:
-                self.kept_paths.add(primary.path)
-                # this workflow's later jobs load the temporary output;
-                # a concurrent tenant's eviction must not delete it
-                # out from under them mid-run
-                self._pin(workflow, primary.path)
+            stored, added = self.repository.add_if_absent(entry)
+            if added and owned:
+                self.kept_paths.add(output_path)
+                # protect the fresh output from a concurrent tenant's
+                # eviction until this workflow (whose rescan passes may
+                # re-match it, whose later jobs may load it) is over
+                self._pin(workflow, output_path)
                 if self.persistence is not None:
-                    self.persistence.note_kept_path(primary.path, True)
+                    self.persistence.note_kept_path(output_path, True)
         if not added:
-            # A concurrent worker stored the same computation first;
-            # like the sequential duplicate probe above, keep theirs.
-            return
+            return refuse(
+                f"duplicate of {stored.entry_id} (lost concurrent registration)"
+            )
         self._emit(
             SubJobStored(
                 entry_id=entry.entry_id,
-                output_path=primary.path,
-                anchor_kind="whole-job",
+                output_path=output_path,
+                anchor_kind=anchor_kind,
             )
         )
+        return True
 
-    def _input_snapshot(
-        self, paths
-    ) -> Tuple[Dict[str, int], Dict[str, InputExtent]]:
-        """Record each existing input's mtime *and* extent at
-        registration time — the freshness classifier compares both
-        (the mtimes alone cannot tell an append from a rewrite)."""
-        mtimes: Dict[str, int] = {}
+    def _input_snapshot(self, paths) -> Dict[str, InputExtent]:
+        """Each existing input's extent (identity, length, prefix
+        checksum) at registration time — what the freshness classifier
+        compares against the live file."""
         extents: Dict[str, InputExtent] = {}
         for path in paths:
             extent = self.dfs.input_extent(path, with_crc=True)
-            if extent is None:
-                continue
-            mtimes[path] = extent.mtime
-            extents[path] = extent
-        return mtimes, extents
+            if extent is not None:
+                extents[path] = extent
+        return extents
 
     # -- eviction (§5 rules 3-4) --------------------------------------------------------------
 

@@ -179,7 +179,7 @@ class DeltaFallback(ReStoreEvent):
     path: str = ""
     #: "ineligible-chain" (GROUP/JOIN/LIMIT/multi-input shapes),
     #: "multi-load-probe", "tail-boundary" (append split a record),
-    #: "refresh-in-flight", "no-recorded-extent", or "delta-disabled"
+    #: "refresh-in-flight", or "delta-disabled"
     reason: str = ""
 
     def render(self) -> str:

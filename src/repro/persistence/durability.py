@@ -179,15 +179,15 @@ class ReplayTarget:
         self.snapshot_entries = 0
 
     @classmethod
-    def from_snapshot(cls, snapshot, *, matcher=None) -> "ReplayTarget":
+    def from_snapshot(cls, snapshot) -> "ReplayTarget":
         """The replay's starting state: *snapshot* (a
         :class:`RepositorySnapshot`, its encoded bytes, or ``None`` /
         empty for "no snapshot yet") restored, or an empty repository."""
         if not isinstance(snapshot, RepositorySnapshot):
             if not snapshot:
-                return cls(Repository(matcher=matcher))
+                return cls(Repository())
             snapshot = RepositorySnapshot.from_bytes(bytes(snapshot))
-        target = cls(snapshot.restore_repository(matcher=matcher))
+        target = cls(snapshot.restore_repository())
         manager_state = snapshot.manager_state
         target.kept_paths.update(manager_state.get("kept_paths", ()))
         target.clock = int(manager_state.get("clock", 0))
@@ -415,9 +415,7 @@ class _PayloadScrub:
             pass
 
 
-def recover(
-    config: PersistenceConfig, dfs=None, *, matcher=None
-) -> RecoveredState:
+def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
     """Rebuild repository + manager state from snapshot and journal.
 
     Loads the snapshot (if any), replays every intact journal record
@@ -435,7 +433,7 @@ def recover(
         # injection site "snapshot.read": corruption here must surface
         # as a SnapshotError, never as silent partial state
         data = faults.fire("snapshot.read", data=data)
-    target = ReplayTarget.from_snapshot(data, matcher=matcher)
+    target = ReplayTarget.from_snapshot(data)
     scan = journal.scan()
     replayed = target.apply_all(scan.records)
     if scan.torn:

@@ -16,16 +16,19 @@ in O(entries read) — **without re-registering a single plan**:
 * optionally the owning manager's kept-path set and eviction clock,
   and the DFS script/sub-job id floors.
 
-Layout (version 3, the only version this reader accepts)::
+Layout (version 4, the only version this reader accepts)::
 
     magic "RSNP" | version u8 | crc32 u32 | index_len u32 | body_len u32
     index (JSON) | cold blob (concatenated per-entry plan JSON)
 
 Each entry row carries ``input_extents`` (the per-input
-identity/length fingerprints freshness classification compares), and
-the index has one *optional* top-level key, ``payloads`` — the
-block-store generation and the path → segment-ref table captured at
-rotation time (see :mod:`repro.persistence.blockstore`).
+identity/length fingerprints freshness classification compares) as its
+one record of the entry's inputs — format 4 is format 3 without the
+redundant per-input mtime column, and a version-3 file is refused, not
+converted.  The index has one *optional* top-level key,
+``payloads`` — the block-store generation and the path → segment-ref
+table captured at rotation time (see
+:mod:`repro.persistence.blockstore`).
 
 The CRC covers the whole body (index + cold blob): a half-written or
 bit-rotted snapshot is rejected as a unit, never partially applied.
@@ -55,31 +58,11 @@ from repro.pig.physical.plan import PhysicalPlan
 from repro.relational.schema import Schema
 
 SNAPSHOT_FORMAT = "restore-repo-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _MAGIC = b"RSNP"
 #: magic, version, crc32(body), index length, total body length
 _HEADER = struct.Struct(">4sBIII")
-
-# positional entry-row columns (order is part of the format)
-_COLUMNS = (
-    "entry_id",
-    "seq",
-    "output_path",
-    "anchor_kind",
-    "created_at",
-    "last_used_at",
-    "use_count",
-    "stats",  # [input_bytes, output_bytes, output_records, exec_time_s]
-    "input_mtimes",
-    "input_extents",  # {path: [mtime, generation, birth, size, crc]}
-    "output_schema",
-    "fingerprint",
-    "load_sigs",
-    "sig_counts",
-    "cold_offset",  # plan JSON position in the cold blob
-    "cold_length",
-)
 
 
 class SnapshotError(ReproError):
@@ -223,28 +206,39 @@ def plan_derived(plan) -> dict:
 def entry_record(entry: RepositoryEntry) -> dict:
     """A self-contained dict form of *entry* (used by journal records;
     the snapshot index uses the positional row form instead)."""
-    record = entry.to_dict()
-    record["derived"] = plan_derived(entry.plan)
-    return record
+    stats = entry.stats
+    return {
+        "entry_id": entry.entry_id,
+        "plan": entry.plan.to_dict(),
+        "output_path": entry.output_path,
+        "output_schema": entry.output_schema.to_dict(),
+        "stats": {
+            "input_bytes": stats.input_bytes,
+            "output_bytes": stats.output_bytes,
+            "output_records": stats.output_records,
+            "exec_time_s": stats.exec_time_s,
+        },
+        "anchor_kind": entry.anchor_kind,
+        "created_at": entry.created_at,
+        "last_used_at": entry.last_used_at,
+        "use_count": entry.use_count,
+        "input_extents": {
+            path: extent.to_list() for path, extent in entry.input_extents.items()
+        },
+        "derived": plan_derived(entry.plan),
+    }
 
 
 def entry_from_record(record: dict) -> RepositoryEntry:
-    """Rebuild an entry from :func:`entry_record` output.
-
-    With derived metadata present the plan comes back as a
-    :class:`LazyPlan`; legacy records without it pay the eager
-    :meth:`PhysicalPlan.from_dict` rebuild.
-    """
-    derived = record.get("derived")
-    if derived is None:
-        plan = PhysicalPlan.from_dict(record["plan"])
-    else:
-        plan = LazyPlan(
-            record["plan"],
-            derived["fingerprint"],
-            frozenset(derived["load_sigs"]),
-            {sig: int(n) for sig, n in derived["sig_counts"].items()},
-        )
+    """Rebuild an entry from :func:`entry_record` output; the plan
+    comes back as a :class:`LazyPlan` over the recorded metadata."""
+    derived = record["derived"]
+    plan = LazyPlan(
+        record["plan"],
+        derived["fingerprint"],
+        frozenset(derived["load_sigs"]),
+        {sig: int(n) for sig, n in derived["sig_counts"].items()},
+    )
     stats = record.get("stats", {})
     return RepositoryEntry(
         plan=plan,
@@ -260,7 +254,6 @@ def entry_from_record(record: dict) -> RepositoryEntry:
         created_at=record.get("created_at", 0),
         last_used_at=record.get("last_used_at", 0),
         use_count=record.get("use_count", 0),
-        input_mtimes=dict(record.get("input_mtimes", {})),
         input_extents={
             path: InputExtent.from_list(extent)
             for path, extent in record.get("input_extents", {}).items()
@@ -288,11 +281,7 @@ def _entry_row(
             stats.output_records,
             stats.exec_time_s,
         ],
-        entry.input_mtimes,
-        {
-            path: extent.to_list()
-            for path, extent in entry.input_extents.items()
-        },
+        {path: extent.to_list() for path, extent in entry.input_extents.items()},
         entry.output_schema.to_dict(),
         derived["fingerprint"],
         derived["load_sigs"],
@@ -303,6 +292,8 @@ def _entry_row(
 
 
 def _entry_from_row(row: list, blob: memoryview) -> Tuple[RepositoryEntry, int]:
+    # the positional columns of one entry row: their order is part of
+    # the format (_entry_row writes it)
     (
         entry_id,
         seq,
@@ -311,14 +302,13 @@ def _entry_from_row(row: list, blob: memoryview) -> Tuple[RepositoryEntry, int]:
         created_at,
         last_used_at,
         use_count,
-        stats,
-        input_mtimes,
-        input_extents,
+        stats,  # [input_bytes, output_bytes, output_records, exec_time_s]
+        input_extents,  # {path: [mtime, generation, birth, size, crc]}
         schema,
         fingerprint,
         load_sigs,
         sig_counts,
-        cold_offset,
+        cold_offset,  # plan JSON position in the cold blob
         cold_length,
     ) = row
     plan = LazyPlan(
@@ -336,7 +326,6 @@ def _entry_from_row(row: list, blob: memoryview) -> Tuple[RepositoryEntry, int]:
         created_at=created_at,
         last_used_at=last_used_at,
         use_count=use_count,
-        input_mtimes=input_mtimes,
         input_extents={
             path: InputExtent.from_list(extent)
             for path, extent in input_extents.items()
@@ -464,10 +453,12 @@ class RepositorySnapshot:
 
     # -- restore ------------------------------------------------------------------
 
-    def restore_repository(self, *, matcher=None) -> Repository:
+    def restore_repository(self) -> Repository:
         """Rebuild the repository: every inverted index and the full §3
         order, in one pass over the recorded rows."""
         state = dict(self.repository_state)
+        if not isinstance(state.get("order"), dict):
+            raise SnapshotError("malformed snapshot: no recorded §3 order state")
         rows = state.pop("entries", [])
         blob = memoryview(self.cold)
         entries: List[RepositoryEntry] = []
@@ -476,7 +467,7 @@ class RepositorySnapshot:
             entry, seq = _entry_from_row(row, blob)
             entries.append(entry)
             seqs[entry.entry_id] = seq
-        return Repository.from_persisted_state(entries, seqs, state, matcher=matcher)
+        return Repository.from_persisted_state(entries, seqs, state)
 
     def __repr__(self) -> str:
         return (

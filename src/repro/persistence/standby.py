@@ -34,11 +34,10 @@ from repro.persistence.journal import decode_journal
 class StandbyReplica:
     """Tails a primary :class:`RepositoryPersister` into a warm replica."""
 
-    def __init__(self, persister, *, matcher=None) -> None:
+    def __init__(self, persister) -> None:
         self.persister = persister
-        self._matcher = matcher
         self._lock = threading.RLock()
-        self._target = ReplayTarget.from_snapshot(None, matcher=matcher)
+        self._target = ReplayTarget.from_snapshot(None)
         #: journal bytes already applied (always a record boundary)
         self._offset = 0
         self.records_applied = 0
@@ -62,8 +61,7 @@ class StandbyReplica:
         with self._lock:
             storage = self.persister.snapshot_storage
             self._target = ReplayTarget.from_snapshot(
-                storage.read() if storage.exists() else b"",
-                matcher=self._matcher,
+                storage.read() if storage.exists() else b""
             )
             self._offset = 0
             self.catch_up()

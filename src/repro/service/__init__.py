@@ -1,6 +1,6 @@
 """The shared-service deployment of ReStore (§1, Figure 1).
 
-``JobService`` runs many tenants' jobs against one sharded repository
+``JobService`` runs many tenants' jobs against one shared repository
 on either a thread pool or a spawn-based worker-process pool; every
 submission travels as a typed, serializable ``JobRequest`` and comes
 back as a ``JobOutcome`` (see :mod:`repro.service.api`).

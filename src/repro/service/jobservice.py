@@ -5,7 +5,7 @@ clients and one MapReduce cluster (§1, Figure 1): every client's jobs
 flow through the same repository so that one tenant's stored results
 answer another tenant's queries.  This module is that deployment
 shape: a :class:`JobService` owns one DFS, one thread-safe
-:class:`~repro.core.manager.ReStoreManager`, and one sharded
+:class:`~repro.core.manager.ReStoreManager`, and one
 :class:`~repro.core.repository.Repository`, and executes job
 submissions from many :class:`~repro.session.ReStoreSession` tenants.
 
@@ -69,11 +69,14 @@ from repro.core.repository import Repository
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import (
+    DECISION_EVENTS,
     CoordinatorHeartbeat,
+    DeltaFallback,
     EntryQuarantined,
     PersistenceDegraded,
     ReStoreEvent,
     StandbyPromoted,
+    SubJobDiscarded,
     WorkerKilled,
 )
 from repro.faults import injector as faults
@@ -96,6 +99,11 @@ from repro.service.procpool import (
     WorkerTimeout,
 )
 from repro.session import ReStoreSession
+
+#: what one attempt at a submission decided for itself.  A replay after
+#: a worker crash decides again, so the crashed attempt's copies never
+#: reach the outcome (1-worker decision logs stay byte-identical)
+_ATTEMPT_DECISIONS = DECISION_EVENTS + (DeltaFallback, SubJobDiscarded)
 
 
 @dataclass
@@ -528,15 +536,19 @@ class JobService:
         the same DFS counter a serial run would consume, in the same
         order — and the whole conversation runs inside the tenant's
         session scope so decisions land in its event bucket.  A
-        crashed worker is discarded (its partial decision events with
-        it) and the request replays on a fresh worker within the
-        configured retry budget.
+        crashed worker is discarded and the request replays on a fresh
+        worker within the configured retry budget.  What the crashed
+        attempt decided for itself (:data:`_ATTEMPT_DECISIONS`) goes
+        with it; what it changed in the repository — an entry stored,
+        evicted, quarantined or refreshed — stays true, so those events
+        lead the replayed submission's outcome.
         """
         sid = handle.session_id
         script_id = (
             self.dfs.next_script_id() if request.source is not None else None
         )
         attempts = 0
+        carried: List[ReStoreEvent] = []
         with self.manager.session_scope(sid):
             while True:
                 attempts += 1
@@ -552,7 +564,11 @@ class JobService:
                     self._pool.discard(worker)
                     # the crashed attempt's partial decisions must not
                     # leak into the retry's (or a later drain's) log
-                    self.manager.drain_session(sid)
+                    carried.extend(
+                        event
+                        for event in self.manager.drain_session(sid)
+                        if not isinstance(event, _ATTEMPT_DECISIONS)
+                    )
                     with self._lock:
                         if isinstance(exc, WorkerTimeout):
                             self.stats.timeouts += 1
@@ -574,7 +590,7 @@ class JobService:
                     raise
                 self._pool.release(worker)
                 break
-            events = self.manager.drain()
+            events = carried + self.manager.drain()
         result = PigRunResult(
             workflow=workflow, stats=stats, outputs=outputs, events=events
         )

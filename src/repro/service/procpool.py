@@ -5,7 +5,7 @@ made undeniable: 8 workers delivered the same aggregate jobs/sec as 1,
 because every interpreter step serialized on the GIL.  This module
 splits the service the way the paper splits responsibilities between
 Pig clients and the ReStore server (§1): a **coordinator** process
-keeps the DFS, the sharded repository, and the manager — all matching,
+keeps the DFS, the repository, and the manager — all matching,
 rewriting, registration, eviction, and persistence — while **worker**
 processes compile and execute plans against private filesystems.
 

@@ -9,8 +9,8 @@ hits, prefix-sharing variants and misses on unseen datasets.  The
 and fault-storm tests seed their lanes from the same entries.
 
 Entries are registered the way ``ReStoreManager._input_snapshot``
-registers a real one — input mtimes and checksummed extents read off a
-DFS that already holds the datasets — so a probe against that DFS (or
+registers a real one — checksummed input extents read off a DFS that
+already holds the datasets — so a probe against that DFS (or
 against another one :func:`prepare_service_dfs` filled with the same
 bytes: the prefix-CRC rule of ``classify_extent``) finds them *fresh*
 and is rewritten, not condemned as stale.
@@ -250,7 +250,6 @@ def build_repository(
                     exec_time_s=rng.uniform(5.0, 500.0),
                 ),
                 anchor_kind=spec.shape,
-                input_mtimes={spec.dataset: extent.mtime},
                 input_extents={spec.dataset: extent},
             )
         )

@@ -1,15 +1,14 @@
-"""Batched registration: amortized order upkeep, identical results.
+"""Batched registration: one order flush, whatever the batching.
 
-The repository integrates pending entries into the §3 scan order
-either one at a time (``insort`` + repositioning per insert) or as a
-batch (one total-order sort per flush).  The batch path exists purely
-to amortize upkeep — it must be observationally equivalent:
+The repository integrates pending entries into the §3 scan order by
+one path — subsumption pairs per entry, then one total-order sort per
+flush.  How the entries were grouped into flushes must not show:
 
-* Hypothesis property: for any insert batch, ``ordered_entries()``
-  after a flush equals the order produced by one-at-a-time inserts,
-  and both equal the legacy two-pass O(n²) sort oracle;
-* the amortization is real: a batch flush performs one sort and no
-  single-entry integrations;
+* Hypothesis property: for any insert sequence, one batch flushed once
+  ≡ batches of one flushed after every insert ≡ the legacy two-pass
+  O(n²) sort oracle;
+* a flush is counted once however many entries it integrates, and is
+  idempotent;
 * removals and re-adds interleaved with batches stay consistent.
 """
 
@@ -43,6 +42,12 @@ entry_descriptor = st.tuples(
 )
 
 
+def add_all(repo, entries):
+    """One batch: every entry added before anything scans or flushes."""
+    for entry in entries:
+        repo.add(entry)
+
+
 def build_entries(descriptors):
     return [
         make_entry(
@@ -64,14 +69,14 @@ class TestBatchedRegistrationProperty:
     @settings(max_examples=60, deadline=None)
     def test_batch_flush_equals_one_at_a_time_inserts(self, descriptors):
         batch_repo = Repository()
-        batch_repo.add_batch(build_entries(descriptors))
+        add_all(batch_repo, build_entries(descriptors))
         batch_repo.flush()
         batch_order = [e.entry_id for e in batch_repo.ordered_entries()]
 
         serial_repo = Repository()
         for entry in build_entries(descriptors):
             serial_repo.add(entry)
-            # force single-entry integration after every insert
+            # a batch of one: integrate after every insert
             serial_repo.ordered_entries()
         serial_order = [e.entry_id for e in serial_repo.ordered_entries()]
 
@@ -90,12 +95,12 @@ class TestBatchedRegistrationProperty:
         repo = Repository()
         entries = build_entries(descriptors)
         split = len(entries) // 2
-        repo.add_batch(entries[:split])
+        add_all(repo, entries[:split])
         repo.ordered_entries()
         victim = entries[rng.randrange(split)] if split else None
         if victim is not None:
             repo.remove(victim.entry_id)
-        repo.add_batch(entries[split:])
+        add_all(repo, entries[split:])
         ordered_ids = [e.entry_id for e in repo.ordered_entries()]
         assert ordered_ids == legacy_two_pass_order(repo)
         assert_index_consistent(repo)
@@ -119,23 +124,14 @@ class TestBatchAmortization:
 
     def test_batch_flush_pays_one_sort_not_n_insorts(self):
         repo = Repository()
-        repo.add_batch(self._random_entries(12))
+        add_all(repo, self._random_entries(12))
         repo.flush()
         assert repo.index_stats.batch_flushes == 1
         assert repo.index_stats.batch_entries == 12
-        assert repo.index_stats.order_integrations == 0
-
-    def test_single_insert_keeps_incremental_path(self):
-        repo = Repository()
-        for entry in self._random_entries(3):
-            repo.add(entry)
-            repo.ordered_entries()
-        assert repo.index_stats.order_integrations == 3
-        assert repo.index_stats.batch_flushes == 0
 
     def test_flush_is_idempotent_and_lazy_free(self):
         repo = Repository()
-        repo.add_batch(self._random_entries(5))
+        add_all(repo, self._random_entries(5))
         before = repo.index_stats.subsume_checks
         repo.flush()
         checks = repo.index_stats.subsume_checks
@@ -150,7 +146,7 @@ class TestBatchAmortization:
         from repro.persistence.snapshot import RepositorySnapshot
 
         repo = Repository()
-        repo.add_batch(self._random_entries(6))
+        add_all(repo, self._random_entries(6))
         repo.flush()
         snapshot = RepositorySnapshot.capture(repo)
         restored = RepositorySnapshot.from_bytes(

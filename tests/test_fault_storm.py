@@ -111,22 +111,17 @@ def _run_lane(
             ),
         )
         recoveries = service.persister.events.collect(event_types=PersistenceRecovered)
-        # off the bus, not the outcomes: a replayed submission drops
-        # its crashed attempt's events, the quarantine among them (the
-        # bus is the first manager's; the one quarantine and every
-        # baseline eviction precede the late promotion that swaps it)
-        removals = service.events.collect(event_types=(EntryQuarantined, EntryEvicted))
         session = service.open_session("storm")
         for builder in service_workload(PROBE_SPECS, f"storm/{label}"):
             started = time.perf_counter()
             outcome = session.submit_workflow(builder()).result(timeout=120)
             lane.latencies_s.append(time.perf_counter() - started)
             lane.decisions.append(outcome.decisions)
-        for event in removals:
-            if isinstance(event, EntryQuarantined):
-                lane.quarantined[event.entry_id] = event.output_path
-            else:
-                lane.stale_evictions += event.policy == "stale-input"
+            for event in outcome.events:
+                if isinstance(event, EntryQuarantined):
+                    lane.quarantined[event.entry_id] = event.output_path
+                elif isinstance(event, EntryEvicted):
+                    lane.stale_evictions += event.policy == "stale-input"
         lane.final_ids = _entry_ids(service.repository)
         stats = service.stats
         lane.stats = {

@@ -33,6 +33,7 @@ from repo_stream import (
 from repro.core.manager import ReStoreManager
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
+from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import MatchScanned
 from repro.pig.physical.operators import (
     POFilter,
@@ -158,6 +159,16 @@ class TestFingerprintCacheInvalidation:
 
 # -- repository index consistency -------------------------------------
 
+#: where the generated plans' inputs live: written on first use, so
+#: every entry records the extent a real registration would
+_INPUTS = DistributedFileSystem()
+
+
+def recorded_extents(path):
+    if not _INPUTS.exists(path):
+        _INPUTS.write_file(path, "1\t2\n")
+    return {path: _INPUTS.input_extent(path, with_crc=True)}
+
 
 def make_entry(specs, path, out, input_bytes=1000, output_bytes=100,
                exec_time=10.0):
@@ -170,7 +181,7 @@ def make_entry(specs, path, out, input_bytes=1000, output_bytes=100,
             output_bytes=output_bytes,
             exec_time_s=exec_time,
         ),
-        input_mtimes={path: 1},
+        input_extents=recorded_extents(path),
     )
 
 

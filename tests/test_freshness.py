@@ -40,10 +40,9 @@ PROJ_SCHEMA = SCHEMA.project([0])
 
 @dataclass
 class FakeEntry:
-    """The three attributes the classifiers read from a repository
+    """The two attributes the classifiers read from a repository
     entry, without dragging in registration machinery."""
 
-    input_mtimes: Dict[str, int] = field(default_factory=dict)
     input_extents: Dict[str, InputExtent] = field(default_factory=dict)
     plan: Optional[PhysicalPlan] = None
 
@@ -109,25 +108,11 @@ class TestClassifyExtent:
         )
 
 
-class TestClassifyInputLegacy:
-    """Entries recorded before ``input_extents`` existed fall back to
-    the mtime comparison: any movement is rewritten."""
-
-    def test_same_mtime_is_fresh(self):
-        entry = FakeEntry(input_mtimes={"pv": 5})
-        assert classify_input(entry, "pv", extent(mtime=5)) == FRESH
-
-    def test_mtime_movement_is_rewritten_even_for_appends(self):
-        entry = FakeEntry(input_mtimes={"pv": 5})
-        live = extent(mtime=8, size=99)
-        assert classify_input(entry, "pv", live) == REWRITTEN
-
-    def test_unrecorded_path_is_rewritten(self):
-        entry = FakeEntry()
-        assert classify_input(entry, "pv", extent()) == REWRITTEN
-
-    def test_missing_live_is_dead(self):
-        entry = FakeEntry(input_mtimes={"pv": 5})
+class TestClassifyInput:
+    def test_recorded_extent_decides(self):
+        entry = FakeEntry(input_extents={"pv": extent(size=10)})
+        assert classify_input(entry, "pv", extent(size=10)) == FRESH
+        assert classify_input(entry, "pv", extent(size=25)) == APPENDED
         assert classify_input(entry, "pv", None) == DEAD
 
 

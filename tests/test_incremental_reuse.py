@@ -269,7 +269,6 @@ class TestEvictionRule4Appends:
             e
             for e in manager.repository
             if "data/page_views" in e.input_extents
-            or "data/page_views" in e.input_mtimes
         ]
 
 
@@ -288,6 +287,4 @@ class TestDeltaHygiene:
         server.run(FILTER_Q)
         for entry in manager.repository:
             for path in entry.input_extents:
-                assert not path.startswith("restore/delta/")
-            for path in entry.input_mtimes:
                 assert not path.startswith("restore/delta/")

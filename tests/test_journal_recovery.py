@@ -19,7 +19,7 @@ from repro.persistence.durability import (
     RepositoryPersister,
     recover,
 )
-from repro.persistence.journal import Journal, JournalRecord
+from repro.persistence.journal import Journal, JournalRecord, encode_record
 from repro.persistence.snapshot import RepositorySnapshot, entry_record
 from test_framedlog import JOURNAL, TornWriteSweep
 
@@ -77,6 +77,28 @@ class TestReplaySemantics:
         )
         restored = Repository.restore(snapshot, journal=[readd])
         assert [e.entry_id for e in restored.ordered_entries()] == order
+
+    def test_journal_from_before_snapshot_format_4_still_replays(self):
+        """Journal frames carry no version, so one written before the
+        entry's second input-identity column was retired (and never
+        folded into a snapshot) must replay: the extra key is ignored
+        and ids, scan order and extents come back the same."""
+        repo = build_repository(generate_entry_specs(8, seed=3), seed=3)
+        payloads = []
+        for entry in repo.entries():
+            record = entry_record(entry)
+            record["input_mtimes"] = {
+                path: extent.mtime for path, extent in entry.input_extents.items()
+            }
+            payloads.append({"type": "entry_added", "entry": record})
+        restored = Repository.restore(
+            None, journal=b"".join(map(encode_record, payloads))
+        )
+        assert [e.entry_id for e in restored.ordered_entries()] == [
+            e.entry_id for e in repo.ordered_entries()
+        ]
+        for entry in repo.entries():
+            assert restored.get(entry.entry_id).input_extents == entry.input_extents
 
     def test_unknown_record_types_are_skipped(self):
         target = ReplayTarget(Repository())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
+from repro.dfs.namenode import InputExtent
 from repro.exceptions import RepositoryError
 from repro.pig.physical.operators import POFilter, POForEach, POLoad, POStore
 from repro.pig.physical.plan import linear_plan
@@ -145,7 +146,8 @@ class TestPersistence:
         repo = Repository()
         entry = make_entry()
         entry.use_count = 3
-        entry.input_mtimes = {"pv": 17}
+        extent = InputExtent(mtime=17, generation=0, birth=9, size=40, crc=7)
+        entry.input_extents = {"pv": extent}
         repo.add(entry)
         restored = _snapshot_round_trip(repo)
         assert len(restored) == 1
@@ -153,7 +155,7 @@ class TestPersistence:
         assert restored_entry.entry_id == entry.entry_id
         assert restored_entry.output_path == entry.output_path
         assert restored_entry.use_count == 3
-        assert restored_entry.input_mtimes == {"pv": 17}
+        assert restored_entry.input_extents == {"pv": extent}
         assert restored_entry.plan.fingerprint() == entry.plan.fingerprint()
 
     def test_restored_plans_still_match(self):

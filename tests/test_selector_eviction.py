@@ -21,7 +21,12 @@ SCHEMA = Schema.of(("u", DataType.CHARARRAY), ("r", DataType.DOUBLE))
 
 
 def entry_with(input_bytes, output_bytes, exec_time=0.0, path="pv",
-               output_path="stored/x", created=0, used=0):
+               output_path="stored/x", created=0, used=0, dfs=None):
+    """An entry over *path*, registered against *dfs* (a throwaway one
+    holding just that input when the test never looks at it)."""
+    if dfs is None:
+        dfs = DistributedFileSystem()
+        dfs.write_file(path, "row\n")
     entry = RepositoryEntry(
         plan=linear_plan(
             POLoad(path, SCHEMA),
@@ -37,7 +42,7 @@ def entry_with(input_bytes, output_bytes, exec_time=0.0, path="pv",
         ),
         created_at=created,
         last_used_at=used,
-        input_mtimes={path: 1},
+        input_extents={path: dfs.input_extent(path, with_crc=True)},
     )
     return entry
 
@@ -100,9 +105,10 @@ class TestTimeWindowEviction:
 class TestInputModifiedEviction:
     def test_deleted_input_evicts(self):
         dfs = DistributedFileSystem()
+        dfs.write_file("pv", "row\n")
         repo = Repository()
-        entry = repo.add(entry_with(100, 10))
-        # input path "pv" never written -> counts as deleted
+        entry = repo.add(entry_with(100, 10, dfs=dfs))
+        dfs.delete("pv")
         victims = InputModifiedEviction().select_victims(repo, dfs, 1)
         assert victims == [entry]
 
@@ -110,18 +116,14 @@ class TestInputModifiedEviction:
         dfs = DistributedFileSystem()
         dfs.write_file("pv", "row\n")
         repo = Repository()
-        entry = entry_with(100, 10)
-        entry.input_mtimes = {"pv": dfs.mtime("pv")}
-        repo.add(entry)
+        repo.add(entry_with(100, 10, dfs=dfs))
         assert InputModifiedEviction().select_victims(repo, dfs, 1) == []
 
     def test_modified_input_evicts(self):
         dfs = DistributedFileSystem()
         dfs.write_file("pv", "row\n")
         repo = Repository()
-        entry = entry_with(100, 10)
-        entry.input_mtimes = {"pv": dfs.mtime("pv")}
-        repo.add(entry)
+        entry = repo.add(entry_with(100, 10, dfs=dfs))
         dfs.write_file("pv", "changed\n", overwrite=True)
         victims = InputModifiedEviction().select_victims(repo, dfs, 1)
         assert victims == [entry]

@@ -1,7 +1,7 @@
 """Process-mode JobService: wire contract, parity, crash recovery.
 
 The ``executor="processes"`` substrate splits the service into a
-coordinator (DFS + sharded repository + manager) and spawned worker
+coordinator (DFS + repository + manager) and spawned worker
 processes that execute plans over a pipe protocol.  These tests pin
 the layer's load-bearing guarantees:
 
@@ -38,7 +38,7 @@ from test_service import (
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.events import RewriteApplied
+from repro.events import EntryEvicted, RewriteApplied, SubJobStored
 from repro.persistence.durability import PersistenceConfig
 from repro.service import (
     JobRequest,
@@ -236,6 +236,36 @@ class TestWorkerCrashRecovery:
         service.shutdown()
         assert again.attempts == 1
         assert any("whole job matched" in line for line in again.decisions)
+
+    def test_replay_keeps_what_the_crashed_attempt_did_to_the_repository(self):
+        """The crashed attempt condemned a stale entry before its
+        worker died.  The eviction happened, so it leads the replayed
+        submission's events; the attempt's own decisions do not."""
+        service = process_service(
+            service=ServiceConfig(executor="processes", max_workers=1, retries=1)
+        )
+        write_datasets(service.dfs, ["crash/ds"])
+        tenant = service.open_session("t")
+        first = tenant.submit_workflow(
+            filter_workflow("crash/ds", 3, "crash/out", "c1")
+        ).result(timeout=STRESS_DEADLINE_S)
+        (stored,) = [e for e in first.events if isinstance(e, SubJobStored)]
+        service.dfs.write_file("crash/ds", "row0\t9\n", overwrite=True)
+        pids = []
+        self._sabotage_first_conversation(service, pids)
+
+        outcome = tenant.submit_workflow(
+            filter_workflow("crash/ds", 3, "crash/out2", "c2")
+        ).result(timeout=STRESS_DEADLINE_S)
+        service.shutdown()
+
+        assert outcome.attempts == 2
+        assert [type(e) for e in outcome.events] == [EntryEvicted, SubJobStored]
+        evicted, restored = outcome.events
+        assert (evicted.entry_id, evicted.policy) == (stored.entry_id, "stale-input")
+        assert restored.entry_id != stored.entry_id
+        assert outcome.decisions == ()
+        assert service.manager.drain_session("t") == []
 
     def test_exhausted_retry_budget_fails_fast_but_pool_recovers(self):
         service = process_service(

@@ -58,7 +58,7 @@ class TestRoundTrip:
             assert twin.plan.fingerprint() == entry.plan.fingerprint()
             assert twin.output_path == entry.output_path
             assert twin.stats.exec_time_s == entry.stats.exec_time_s
-            assert twin.input_mtimes == entry.input_mtimes
+            assert twin.input_extents == entry.input_extents
 
     def test_scan_order_is_identical(self, repository):
         restored = roundtrip(repository).restore_repository()
@@ -70,7 +70,7 @@ class TestRoundTrip:
         restored = roundtrip(repository).restore_repository()
         restored.ordered_entries()
         assert restored.index_stats.subsume_checks == 0
-        assert restored.index_stats.order_integrations == 0
+        assert restored.index_stats.batch_entries == 0
 
     def test_retired_state_keys_are_not_written_and_still_load(self, repository):
         snapshot = roundtrip(repository)
@@ -118,7 +118,7 @@ class TestRoundTrip:
         restored = roundtrip(repo).restore_repository()
         restored.ordered_entries()
         # the restored repository paid the ordering work the original
-        # still owed (batched, as add_batch would have)
+        # still owed (in one flush)
         assert restored.index_stats.batch_entries == 6
         assert [e.entry_id for e in restored.ordered_entries()] == [
             e.entry_id for e in repo.ordered_entries()
@@ -150,13 +150,19 @@ class TestValidation:
 
     def test_older_version_refused_naming_the_supported_one(self, repository):
         data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
-        data[4] = 2  # the header's version byte
-        with pytest.raises(SnapshotError, match="supports version 3 only"):
+        data[4] = 3  # the header's version byte
+        with pytest.raises(SnapshotError, match="supports version 4 only"):
             RepositorySnapshot.from_bytes(bytes(data))
         snapshot = RepositorySnapshot.capture(repository)
-        snapshot.payload["version"] = 2
-        with pytest.raises(SnapshotError, match="supports version 3 only"):
+        snapshot.payload["version"] = 3
+        with pytest.raises(SnapshotError, match="supports version 4 only"):
             RepositorySnapshot.from_bytes(snapshot.to_bytes())
+
+    def test_snapshot_without_order_state_is_malformed(self, repository):
+        snapshot = roundtrip(repository)
+        del snapshot.repository_state["order"]
+        with pytest.raises(SnapshotError, match="order"):
+            RepositorySnapshot.from_bytes(snapshot.to_bytes()).restore_repository()
 
 
 class TestLazyPlan:
