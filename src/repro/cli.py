@@ -140,9 +140,8 @@ def _run_via_service(args, source: str, name: str):
         _load_data(service, args.data or [])
         outcome = service.open_session("cli").run(source, name=name)
         if service.persister is not None:
-            # rotate a fresh snapshot — compaction folds every live
-            # payload into the block store, so the next invocation
-            # starts warm with natively restored bytes
+            # rotate a fresh snapshot, so the next invocation replays
+            # no journal and restores its payloads from the block store
             service.persister.take_snapshot()
         return outcome, len(service.repository)
     finally:
@@ -158,9 +157,8 @@ def cmd_run(args) -> int:
         session = _build_session(args)
         result = session.run(source, name=name)
         if session.persister is not None:
-            # rotate a fresh snapshot — compaction folds every live
-            # payload into the block store, so the next invocation
-            # starts warm with natively restored bytes
+            # rotate a fresh snapshot, so the next invocation replays
+            # no journal and restores its payloads from the block store
             session.persister.take_snapshot()
         repo_entries = (
             len(session.repository) if session.repository is not None else None

@@ -327,6 +327,9 @@ class ReStoreManager(JobListener):
     def on_workflow_start(self, workflow: Workflow) -> None:
         with self._lock:
             self.clock += 1
+        if self.persistence is not None:
+            # from here the persister stages; on_workflow_end commits
+            self.persistence.note_workflow_start()
         self.run_evictions()
 
     def on_workflow_end(self, workflow: Workflow) -> None:
@@ -364,8 +367,8 @@ class ReStoreManager(JobListener):
         for path in ready:
             self._discard_file(path)
         if self.persistence is not None:
-            # workflow boundary: drain the journal buffer, persist
-            # moved counters, rotate the snapshot if due
+            # workflow boundary, the submission's commit point: persist
+            # moved counters, commit the staged batch, rotate if due
             self.persistence.note_workflow_end()
 
     def _pin(self, workflow: Workflow, output_path: str) -> None:

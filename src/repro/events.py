@@ -260,11 +260,12 @@ class JournalAppended(ReStoreEvent):
 
 @dataclass
 class PersistenceDegraded(ReStoreEvent):
-    """A journal/snapshot write failed and the persister's circuit
-    breaker opened: mutation records buffer in memory (the reuse
+    """A block-store/journal/snapshot write failed and the persister's
+    circuit breaker opened: the batch stays staged in memory (the reuse
     pipeline keeps serving) until a probe write succeeds.
 
-    Emitted on the persister's bus, like the other durability events.
+    Emitted on the persister's bus, like the other durability events
+    (a recovery scrub's un-journaled verdicts: on the manager bus).
     """
 
     path: str = ""

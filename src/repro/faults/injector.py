@@ -116,8 +116,8 @@ SITE_SNAPSHOT_MATERIALIZE = register_site(
 )
 #: DFS block read (corrupted payload)
 SITE_DFS_READ = register_site("dfs.read", "DFS file read (file payload)")
-#: block-store segment append (partial write → torn segment, OSError →
-#: payload capture skipped, scrub condemns at recovery)
+#: block-store segment append (partial write → torn segment; any
+#: OSError → failed commit, the batch stays staged behind the breaker)
 SITE_BLOCKSTORE_APPEND = register_site(
     "blockstore.append", "block-store payload segment append"
 )

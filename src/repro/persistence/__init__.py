@@ -21,8 +21,8 @@ and fast to recover:
   mutation as a JSON record) and :mod:`repro.persistence.blockstore`
   (the stored outputs' payload bytes);
 * :mod:`repro.persistence.durability` — the live wiring: a
-  :class:`RepositoryPersister` journals mutations as they commit,
-  rotates snapshots, and exposes crash :func:`recover`;
+  :class:`RepositoryPersister` stages mutations, commits them per
+  submission, rotates snapshots, and exposes crash :func:`recover`;
 * :mod:`repro.persistence.standby` — an in-memory warm standby that
   tails the journal via the persister's :class:`~repro.events.EventBus`
   and can be promoted with zero lost reuse opportunities.

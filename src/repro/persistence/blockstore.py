@@ -24,10 +24,10 @@ and corruption injected between read and write.  Refs travel through
 ``payload_stored`` journal records and the snapshot's ``payloads``
 table; :func:`verify_ref` is the scrub's single integrity check.
 
-Snapshot rotation compacts live payloads into generation ``gen+1``
-and deletes the old file only after the snapshot + journal reset
-committed, so every crash window leaves all referenced generations on
-disk (see ``RepositoryPersister.take_snapshot``).
+Snapshot rotation carries live refs by reference; a compaction copies
+live payloads into generation ``gen+1`` and deletes old files only after
+snapshot + journal reset committed, so every crash window leaves all
+referenced generations on disk (``RepositoryPersister.take_snapshot``).
 """
 
 from __future__ import annotations
@@ -124,22 +124,25 @@ class BlockStore(FramedLog):
         super().__init__(storage, "blockstore", _decode_body)
         self.gen = gen
         #: serializes offset reservation + append so concurrent
-        #: captures (repository mutations vs kept-path commits) can
-        #: never interleave their frames
+        #: writers can never interleave their frames
         self._lock = threading.Lock()
 
-    def append(self, path: str, data: bytes) -> SegmentRef:
-        """Durably append one payload segment; returns its ref.
-
-        Under a ``suppress`` rule (a lying disk) the ref is handed out
-        although nothing was written, which is exactly what the
-        recovery scrub exists to catch.
-        """
-        frame = encode_segment(path, data)
+    def append_segments(
+        self, segments: Sequence[Tuple[str, bytes]]
+    ) -> List[SegmentRef]:
+        """Durably append ``(path, payload)`` *segments* in one storage
+        write (one fsync); returns their refs in order.  Under a
+        ``suppress`` rule (a lying disk) the refs are handed out although
+        nothing was written: what the recovery scrub exists to catch."""
+        frames = [encode_segment(path, data) for path, data in segments]
         with self._lock:
-            offset = self.storage.size()
-            self.append_frames(frame)
-        return SegmentRef(self.gen, offset, len(frame), zlib.crc32(data))
+            offset = self.tail()
+            self.append_frames(b"".join(frames))
+        refs = []
+        for (_, data), frame in zip(segments, frames):
+            refs.append(SegmentRef(self.gen, offset, len(frame), zlib.crc32(data)))
+            offset += len(frame)
+        return refs
 
     def __repr__(self) -> str:
         return f"BlockStore({self.location!r}, gen={self.gen}, bytes={self.size()})"

@@ -1,34 +1,47 @@
 """Live durability wiring: the persister, replay, and crash recovery.
 
 :class:`RepositoryPersister` attaches to a running
-:class:`~repro.core.manager.ReStoreManager` and journals every
-repository mutation as it commits (entry add/evict via the
-repository's mutation listeners, reuse statistics via the manager
-bus, kept-path commits via manager hooks), rotating snapshots at a
-configurable interval.  :func:`recover` is the other half: load the
-snapshot, replay the clean journal prefix, truncate any torn tail,
-and push the restored id floors back into the DFS so nothing ever
-collides with persisted state.
+:class:`~repro.core.manager.ReStoreManager`, stages every repository
+mutation as it happens, **commits** the staged batch at the submission
+boundary and rotates snapshots at a configurable interval.
+:func:`recover` is the other half: load the snapshot, replay the clean
+journal prefix, truncate any torn tail, scrub every payload, and push
+the restored id floors back into the DFS so nothing ever collides with
+persisted state.
 
-Crash-safety argument, in one place:
+The contract (``tests/test_group_commit.py`` asserts it): **a crash
+loses at most the submissions in flight; nothing acknowledged is lost,
+nothing unprovable is served.**  The argument, in one place:
 
-* the journal is written *before* the crash window matters — default
-  ``flush_every=1`` is write-through, so a mutation is durable the
-  moment the repository lock that committed it is released;
-* a snapshot commits (capture + write + journal reset) while holding
-  the manager and repository locks, so no mutation can fall between
-  "folded into the snapshot" and "journaled for replay";
-* a crash *between* snapshot write and journal reset merely leaves
-  already-folded records in the journal — replay is idempotent (a
-  same-id re-add replaces and re-integrates to the identical order,
-  a remove of a missing entry is a no-op, usage stats and counter
-  floors merge by max), so applying them twice equals applying them
-  once;
-* entry payloads are appended to the block store *before* the
-  ``entry_added`` record is journaled, and the post-recovery scrub
-  (:class:`_PayloadScrub`) refuses to serve any entry whose payload
-  segment is missing, corrupt, or length-drifted — the metadata may
-  over-promise after a torn write, but recovery can never over-serve.
+* *staged* — while a submission is open (``on_workflow_start`` to
+  ``on_workflow_end``, which the runner calls in a ``finally``) a
+  mutation only joins an in-memory batch: its journal record, behind
+  the output's bytes as read at that moment.  Outside any submission
+  it commits at once (``PersistenceConfig.flush_every``);
+* *the commit* — one block-store write of every staged payload, then
+  one journal write of every record with its segment ref filled in,
+  one fsync each, block store strictly first: a journaled ref always
+  names durable bytes.  Either write failing is a failed commit — the
+  batch stays staged, the breaker opens, a later probe lands it whole;
+* *commit points* — ``note_workflow_end`` (the acknowledgement: no
+  submission returns before it), the manager's ordering barriers
+  (eviction before file reclaim, stale-input eviction before
+  re-registration, quarantine, refreshed extents), ``close()`` and the
+  standby's promotion drain, all through ``RepositoryPersister.flush``;
+* *a half-landed batch is harmless* — a crash inside either write
+  tears only that file's tail, which recovery truncates; what survives
+  is a prefix of the mutation order, and replay is idempotent (a
+  same-id re-add replaces and re-integrates to the identical order, a
+  remove of a missing entry is a no-op, usage stats and counter floors
+  merge by max).  Segments whose records never landed are dead bytes,
+  and the post-recovery scrub (:class:`_PayloadScrub`) refuses to
+  serve an entry whose segment is missing, corrupt, or length-drifted:
+  metadata may over-promise after a torn write, recovery never serves;
+* *rotation* — a snapshot commits (staged batch, capture, write,
+  journal reset) under the manager and repository locks, so no
+  mutation falls between "folded into the snapshot" and "journaled for
+  replay"; a crash between snapshot write and journal reset merely
+  leaves folded records in the journal, replayed idempotently.
 """
 
 from __future__ import annotations
@@ -64,60 +77,7 @@ from repro.persistence.snapshot import (
     entry_from_record,
     entry_record,
 )
-from repro.persistence.storage import DFSStorage, LocalStorage
-
-
-@dataclass
-class PersistenceConfig:
-    """Where and how repository state is persisted.
-
-    The default backend is the simulated DFS (repository metadata is
-    just another replicated file on the cluster it indexes, as in the
-    paper's deployment); ``backend="local"`` writes real files so the
-    CLI can carry state across process invocations.
-    """
-
-    snapshot_path: str = "restore/repository.snapshot"
-    journal_path: str = "restore/repository.journal"
-    #: "dfs" or "local"
-    backend: str = "dfs"
-    #: journal records between automatic snapshot rotations
-    #: (0 = snapshot only when explicitly requested)
-    snapshot_interval: int = 0
-    #: seconds between timer-driven rotations under a live service
-    #: (0 = no timer; rotation still happens at workflow boundaries
-    #: via ``snapshot_interval``); a timer rotation that fails aborts
-    #: without touching the journal, like any other rotation
-    snapshot_interval_s: float = 0.0
-    #: buffered records per journal write; 1 (default) is write-through
-    flush_every: int = 1
-
-    @property
-    def blockstore_base(self) -> str:
-        """Base path of the payload block store (generation files
-        append ``.g<N>``)."""
-        return self.snapshot_path + ".blocks"
-
-    def blockstore_file(self, gen: int) -> str:
-        return f"{self.blockstore_base}.g{gen}"
-
-    def _storage(self, path: str, dfs):
-        if self.backend == "local":
-            return LocalStorage(path)
-        if self.backend != "dfs":
-            raise ValueError(f"unknown persistence backend: {self.backend!r}")
-        if dfs is None:
-            raise ValueError("the 'dfs' persistence backend needs a filesystem")
-        return DFSStorage(dfs, path)
-
-    def snapshot_storage(self, dfs=None):
-        return self._storage(self.snapshot_path, dfs)
-
-    def journal_storage(self, dfs=None):
-        return self._storage(self.journal_path, dfs)
-
-    def blockstore_storage(self, dfs=None, gen: int = 0):
-        return self._storage(self.blockstore_file(gen), dfs)
+from repro.persistence.storage import PersistenceConfig
 
 
 @dataclass
@@ -149,6 +109,9 @@ class RecoveredState:
     #: already removed from the repository and journaled as
     #: ``entry_quarantined``; the caller emits the events
     payloads_condemned: List[Tuple[str, str, str]] = field(default_factory=list)
+    #: set when those records could *not* be journaled: announced with
+    #: the quarantines, and the next recovery re-derives the verdicts
+    condemnations_unjournaled: Optional[PersistenceDegraded] = None
     #: kept paths the scrub dropped (bytes unrecoverable)
     kept_paths_condemned: List[str] = field(default_factory=list)
     #: entries tolerated without a payload ref (pre-block-store state
@@ -332,10 +295,8 @@ class _PayloadScrub:
             store = BlockStore(self.config.blockstore_storage(self.dfs, gen), gen)
             scan = store.scan()
             if scan.torn:
-                try:
-                    store.repair(scan)
-                except OSError:
-                    pass  # repair is advisory; the scan already excludes the tear
+                # not advisory: the successor must not append behind a tear
+                store.repair(scan)
             self._scans[gen] = scan
         return scan
 
@@ -382,7 +343,6 @@ class _PayloadScrub:
         for path in self.kept_condemned:
             target.kept_paths.discard(path)
             refs.pop(path, None)
-        self._journal_condemnations()
 
     def _restore(self, path: str, payload: Optional[bytes]) -> None:
         if payload is None or self.dfs is None or self.dfs.exists(path):
@@ -390,11 +350,11 @@ class _PayloadScrub:
         self.dfs.write_file(path, payload)
         self.restored += 1
 
-    def _journal_condemnations(self) -> None:
+    def journal_condemnations(self) -> None:
         """Make the scrub's verdicts durable: an ``entry_quarantined``
         replays as an idempotent remove, so the next recovery reaches
-        the same state without re-deriving it — and a degraded journal
-        merely defers that (the scrub re-derives identically)."""
+        the same state without re-deriving it.  An ``OSError`` from a
+        degraded journal merely defers that; the caller records it."""
         records = [
             {
                 "type": "entry_quarantined",
@@ -407,12 +367,8 @@ class _PayloadScrub:
             {"type": "kept_path_removed", "path": path}
             for path in self.kept_condemned
         )
-        if not records:
-            return
-        try:
+        if records:
             self.journal.append_payloads(records)
-        except OSError:
-            pass
 
 
 def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
@@ -440,7 +396,13 @@ def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
         journal.repair(scan)
     scrub = _PayloadScrub(config, dfs, journal)
     scrub.run(target)
+    unjournaled = None
+    try:
+        scrub.journal_condemnations()
+    except OSError as exc:
+        unjournaled = PersistenceDegraded(path=journal.location, error=str(exc))
     state = target.finish(
+        condemnations_unjournaled=unjournaled,
         journal_records=replayed,
         journal_torn_bytes=scan.torn_bytes,
         journal_skipped=scan.skipped,
@@ -449,6 +411,8 @@ def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
         kept_paths_condemned=scrub.kept_condemned,
         payloads_legacy=scrub.legacy,
     )
+    # the successor appends here: scan + repair it, referenced or not
+    scrub._scan_gen(state.blockstore_gen)
     if dfs is not None:
         dfs.ensure_id_floor(**state.id_floors)
     return state
@@ -462,8 +426,11 @@ def announce_scrub_condemnations(manager, recovered: RecoveredState) -> None:
     quarantine counter and emits one
     :class:`~repro.events.EntryQuarantined` per condemned entry so
     operators and the service stats see them like any match-time
-    quarantine.
+    quarantine, and a :class:`~repro.events.PersistenceDegraded` when
+    those records could not be written.
     """
+    if recovered.condemnations_unjournaled is not None:
+        manager.events.emit(recovered.condemnations_unjournaled)
     if not recovered.payloads_condemned:
         return
     with manager.locked():
@@ -498,74 +465,77 @@ def adopt_recovered(
 
 
 class RepositoryPersister:
-    """Journals live mutations and rotates snapshots for one manager.
+    """Stages live mutations, commits per submission, rotates snapshots.
 
     Wiring (all detachable via :meth:`close`):
 
     * repository mutation listeners — ``entry_added``/``entry_removed``
       records are built *under the repository lock* (correctness over
-      cost: the entry cannot change or vanish mid-serialization) and
-      buffered; with the default write-through config the buffer
-      drains to storage before the mutating call returns;
+      cost: the entry cannot change or vanish mid-serialization);
     * the manager bus — ``RewriteApplied``/``JobEliminated`` update an
-      entry's reuse statistics, journaled as ``entry_used`` records
-      (max-merged on replay);
-    * manager hooks — kept-path commits journal inline, and workflow
-      boundaries flush + write a ``counters`` record when the DFS id
-      state or clock moved + rotate the snapshot when the configured
-      interval has elapsed.
+      entry's reuse statistics, staged as ``entry_used`` records;
+    * manager hooks — kept-path commits stage inline; a workflow start
+      opens a submission, and its end stages a ``counters`` record when
+      the DFS id state or clock moved, commits (:meth:`flush`) and
+      rotates the snapshot when the configured interval has elapsed.
 
-    Lock order: manager → repository → buffer → io → dfs.  The
+    A commit lands everything staged, whichever tenant staged it (one
+    acknowledgement makes the others' records durable early).  Lock
+    order: manager → repository → io → buffer → dfs.  The
     persister's own :class:`EventBus` (``events``) carries
     :class:`JournalAppended`/:class:`SnapshotTaken` so standby
     replicas never touch the manager bus.
     """
 
-    #: circuit breaker: while storage writes are failing, only every
-    #: N-th flush attempt probes storage again (the rest buffer in
-    #: memory instantly instead of eating an I/O error each)
+    #: circuit breaker: while open, only every N-th flush attempt
+    #: probes storage (the rest stay staged instead of eating an error)
     PROBE_EVERY = 3
+    #: a rotation compacts once the generation's dead bytes exceed
+    #: this multiple of its live ones (space <= 2x live + one interval)
+    COMPACT_DEAD_PER_LIVE = 1.0
 
     def __init__(
         self,
         manager,
         config: PersistenceConfig,
         *,
-        dfs=None,
         recovered: Optional[RecoveredState] = None,
     ) -> None:
         self.manager = manager
         self.repository = manager.repository
         self.config = config
-        self.dfs = dfs if dfs is not None else manager.dfs
+        self.dfs = manager.dfs
         #: persister-scoped bus: JournalAppended / SnapshotTaken
         self.events = EventBus()
         self.snapshot_storage = config.snapshot_storage(self.dfs)
         self.journal = Journal(config.journal_storage(self.dfs))
-        #: payload block store; *recovered* (from :func:`recover` or a
-        #: standby promotion) resumes the generation and the ref table
-        #: so unchanged payloads are not re-appended
+        #: *recovered* resumes the block-store generation and ref table
         gen = recovered.blockstore_gen if recovered is not None else 0
-        self.blockstore = BlockStore(
-            config.blockstore_storage(self.dfs, gen), gen
-        )
+        self.blockstore = BlockStore(config.blockstore_storage(self.dfs, gen), gen)
+        #: path → durable segment ref, set by the commit that landed it
         self._payload_refs: Dict[str, SegmentRef] = {}
+        #: path → (payload crc32, inode extent) as last captured, staged
+        #: or durable: a matching extent skips the read (and lets rotation
+        #: carry the ref), a matching crc the write (``None``: resumed)
+        self._captured: Dict[str, tuple] = {}
         if recovered is not None:
             for path, raw in recovered.payload_refs.items():
                 try:
-                    self._payload_refs[path] = SegmentRef.from_list(raw)
+                    ref = SegmentRef.from_list(raw)
                 except (BlockStoreError, TypeError, ValueError):
                     continue
+                self._payload_refs[path] = ref
+                self._captured[path] = (ref.crc, None)
+        #: the staged batch, in mutation order
         self._buffer: List[dict] = []
         self._buffer_lock = threading.Lock()
-        #: serializes journal writes so flushed batches stay in order
+        #: while a submission is open, staging never commits by itself
+        self._open_submissions = 0
+        #: serializes commits so batches reach storage in order
         self._io_lock = threading.Lock()
-        #: records drained from the buffer but not yet durably written
-        #: (non-empty only while the circuit breaker is open)
+        #: the batch being committed: drained from the buffer, not yet
+        #: durable (outlives a flush only while the breaker is open)
         self._backlog: List[dict] = []
-        #: circuit breaker over journal/snapshot writes: open = storage
-        #: is failing, records accumulate in ``_backlog`` and only
-        #: every ``PROBE_EVERY``-th flush attempt touches storage
         self._breaker_open = False
         self._breaker_failures = 0
         self._probe_countdown = 0
@@ -618,50 +588,38 @@ class RepositoryPersister:
     # -- record sources -----------------------------------------------------------
 
     def _on_mutation(self, kind: str, entry) -> None:
-        if kind == "added":
-            self._capture_payload(entry.output_path)
-            payload = {"type": "entry_added", "entry": entry_record(entry)}
-        elif kind == "refreshed":
-            # the full post-refresh entry state (extents, stats):
-            # replay re-adds it over the original entry_added record;
-            # re-capture first — refreshed outputs may hold new bytes
-            self._capture_payload(entry.output_path)
-            payload = {"type": "entry_refreshed", "entry": entry_record(entry)}
-        elif kind == "removed":
+        if kind == "removed":
             payload = {"type": "entry_removed", "entry_id": entry.entry_id}
+        elif kind in ("added", "refreshed"):
+            # a refresh carries the full post-refresh entry state:
+            # replay re-adds it over the original entry_added record;
+            # capture first — added and refreshed outputs hold new bytes
+            self._stage_payload(entry.output_path)
+            payload = {"type": f"entry_{kind}", "entry": entry_record(entry)}
         else:
             return
         self._enqueue(payload)
 
-    def _capture_payload(self, path: str) -> None:
-        """Persist *path*'s DFS bytes into the block store and journal
-        the segment ref, best-effort.
-
-        A failure here (storage error, file not yet written) leaves
-        the entry's metadata journaled without a usable ref — the
-        recovery scrub then refuses to serve it instead of serving
-        stale or missing bytes, so skipping is always safe.  Unchanged
-        bytes (same crc32 as the recorded ref) are not re-appended.
+    def _stage_payload(self, path: str, *, commit: bool = True) -> None:
+        """Stage *path*'s DFS bytes, read now, as a ``payload_stored``
+        record; they ride in it as ``data`` until the commit that
+        writes them swaps in the segment ref.  A path with no file
+        stages nothing (its entry is journaled without a ref and the
+        recovery scrub refuses to serve it); a file whose inode extent,
+        or whose bytes' crc32, equals the last capture's — durable or
+        staged — is not staged again.
         """
-        if self._closed or self.dfs is None:
+        # extent first: a stale one only costs the next capture a re-read
+        extent = self.dfs.input_extent(path)
+        known_crc, known_extent = self._captured.get(path, (None, None))
+        if self._closed or extent is None or extent == known_extent:
             return
-        try:
-            if not self.dfs.exists(path):
-                return
-            data = self.dfs.read_file(path)
-        except OSError:
-            return
-        existing = self._payload_refs.get(path)
-        if existing is not None and existing.crc == zlib.crc32(data):
-            return
-        try:
-            ref = self.blockstore.append(path, data)
-        except OSError:
-            return
-        self._payload_refs[path] = ref
-        self._enqueue(
-            {"type": "payload_stored", "path": path, "ref": ref.to_list()}
-        )
+        data = self.dfs.read_file(path)
+        crc = zlib.crc32(data)
+        self._captured[path] = (crc, extent)
+        if crc != known_crc:
+            record = {"type": "payload_stored", "path": path, "ref": None, "data": data}
+            self._enqueue(record, commit=commit)
 
     def _on_usage(self, event) -> None:
         entry_id = event.entry_id
@@ -693,7 +651,7 @@ class RepositoryPersister:
         """Called by the manager (under its lock) when a stored output
         enters or leaves the kept-path set."""
         if added:
-            self._capture_payload(path)
+            self._stage_payload(path)
         self._enqueue(
             {
                 "type": "kept_path_added" if added else "kept_path_removed",
@@ -701,12 +659,22 @@ class RepositoryPersister:
             }
         )
 
+    def note_workflow_start(self) -> None:
+        """A submission opens: until its end, mutations only stage."""
+        with self._buffer_lock:
+            self._open_submissions += 1
+
     def note_workflow_end(self) -> None:
-        """Workflow boundary: persist moved counters, drain the buffer,
-        rotate the snapshot if the interval has elapsed."""
+        """Workflow boundary, the submission's commit point: persist moved
+        counters, commit everything staged, rotate the snapshot if due."""
         self._journal_counters_if_moved()
+        with self._buffer_lock:
+            # floored: probes and tests end workflows they never started
+            self._open_submissions = max(0, self._open_submissions - 1)
         self.flush()
-        self.maybe_snapshot()
+        interval = self.config.snapshot_interval
+        if interval > 0 and self._records_since_snapshot >= interval:
+            self.take_snapshot()
 
     def _journal_counters_if_moved(self) -> None:
         counters = dict(self.dfs.id_state())
@@ -717,64 +685,77 @@ class RepositoryPersister:
 
     # -- writing ------------------------------------------------------------------
 
-    def _enqueue(self, payload: dict) -> None:
+    def _enqueue(self, record: dict, *, commit: bool = True) -> None:
+        """Append *record* to the staged batch; outside any submission,
+        commit once ``flush_every`` records wait."""
         if self._closed:
             return
         with self._buffer_lock:
-            self._buffer.append(payload)
-            due = len(self._buffer) >= max(1, self.config.flush_every)
+            self._buffer.append(record)
+            limit = max(1, self.config.flush_every)
+            due = commit and not self._open_submissions and len(self._buffer) >= limit
         if due:
             self.flush()
 
     def flush(self, *, force: bool = False) -> int:
-        """Write pending records to the journal; returns the number of
+        """Commit the staged batch — payload segments to the block
+        store, then every record to the journal; returns the number of
         records durably written.
 
-        Storage failures open the circuit breaker instead of
-        propagating: the records stay staged in ``_backlog`` (nothing
-        is lost from the in-memory view), a
-        :class:`PersistenceDegraded` event announces the degraded mode,
-        and while open only every ``PROBE_EVERY``-th flush attempt
-        probes storage again (*force* bypasses the gating — used on
-        close).  The first successful probe drains the whole backlog in
-        order and emits :class:`PersistenceRecovered`.
+        A storage failure opens the circuit breaker instead of
+        propagating: the batch stays in ``_backlog``, a
+        :class:`PersistenceDegraded` says so, and only every
+        ``PROBE_EVERY``-th attempt probes storage (*force* skips the
+        gating: close, promotion) until one lands the backlog whole
+        and emits :class:`PersistenceRecovered`.
         """
         pending: List = []
         written = 0
         with self._io_lock:
-            with self._buffer_lock:
-                if self._buffer:
-                    self._backlog.extend(self._buffer)
-                    self._buffer = []
-            if not self._backlog:
+            if not (self._buffer or self._backlog):
                 return 0
             if self._breaker_open and not force:
                 self._probe_countdown -= 1
                 if self._probe_countdown > 0:
-                    return 0  # buffered in memory; not yet time to probe
+                    return 0  # staged in memory; not yet time to probe
                 self._probe_countdown = self.PROBE_EVERY
-            batch = list(self._backlog)
             try:
-                nbytes = self.journal.append_payloads(batch)
+                written = self._commit(pending)
             except OSError as exc:
-                self._breaker_trip(pending, self.journal.location, exc, len(batch))
-            else:
-                self._backlog.clear()
-                self._records_since_snapshot += len(batch)
-                written = len(batch)
-                self._breaker_heal(pending, self.journal.location, len(batch))
-                pending.append(
-                    JournalAppended(
-                        path=self.journal.location,
-                        records=len(batch),
-                        bytes=nbytes,
-                    )
-                )
+                self._breaker_trip(pending, self.journal.location, exc)
         for event in pending:  # emitted outside the io lock
             self.events.emit(event)
         return written
 
-    def _breaker_trip(self, pending, location, exc, buffered) -> None:
+    def _commit(self, pending: List) -> int:
+        """Land everything staged (io lock held): one block-store write
+        whose refs replace the staged bytes in their records, then one
+        journal write.  On ``OSError`` a retry writes no segment twice."""
+        with self._buffer_lock:
+            self._backlog.extend(self._buffer)
+            self._buffer = []
+        if not self._backlog:
+            return 0
+        segments = [record for record in self._backlog if "data" in record]
+        if segments:
+            refs = self.blockstore.append_segments(
+                [(record["path"], record["data"]) for record in segments]
+            )
+            for record, ref in zip(segments, refs):
+                del record["data"]
+                record["ref"] = ref.to_list()
+                self._payload_refs[record["path"]] = ref
+        records = len(self._backlog)
+        nbytes = self.journal.append_payloads(self._backlog)
+        self._backlog = []
+        self._records_since_snapshot += records
+        self._breaker_heal(pending, self.journal.location, records)
+        pending.append(
+            JournalAppended(path=self.journal.location, records=records, bytes=nbytes)
+        )
+        return records
+
+    def _breaker_trip(self, pending, location, exc) -> None:
         """A storage write failed (io lock held): count it and, on the
         closed → open edge, stage :class:`PersistenceDegraded`."""
         self._breaker_failures += 1
@@ -783,7 +764,9 @@ class RepositoryPersister:
             self.breaker_trips += 1
             self._probe_countdown = self.PROBE_EVERY
             pending.append(
-                PersistenceDegraded(path=location, error=str(exc), buffered=buffered)
+                PersistenceDegraded(
+                    path=location, error=str(exc), buffered=self.buffered_records
+                )
             )
 
     def _breaker_heal(self, pending, location, flushed) -> None:
@@ -809,119 +792,101 @@ class RepositoryPersister:
         with self._buffer_lock:
             return len(self._buffer) + len(self._backlog)
 
-    def maybe_snapshot(self) -> bool:
-        interval = self.config.snapshot_interval
-        if interval > 0 and self._records_since_snapshot >= interval:
-            self.take_snapshot()
-            return True
-        return False
-
     def take_snapshot(self) -> Optional[SnapshotTaken]:
-        """Capture + write a snapshot and reset the journal, atomically
-        with respect to mutations (manager and repository locks held
-        through the whole rotation).
+        """Commit what is staged, capture + write a snapshot and reset
+        the journal, atomically with respect to mutations (manager and
+        repository locks held through the whole rotation).
 
-        The rotation also *compacts the block store*: every live
-        payload (entry outputs + kept paths still holding DFS bytes)
-        is re-appended into generation ``gen+1``, the snapshot records
-        the fresh ref table, and superseded generation files are
-        deleted only after the journal reset committed — so at every
-        crash point all referenced segments are still on disk.
-
-        A crash after the snapshot write but before the reset leaves
-        already-folded records in the journal; replay is idempotent,
-        so the next recovery converges to the same state.
-
-        A storage failure (including a partial write torn into the
-        new generation) aborts the rotation *without* touching the
-        journal, the staged records, or the live ref table (nothing
-        folded, nothing lost), trips the circuit breaker, and returns
-        ``None``; the half-written generation file is debris the next
-        rotation truncates.
+        Payloads rotate *by reference*: the snapshot's ``payloads``
+        table carries the live subset of the ref table as it stands, so
+        a rotation costs in proportion to churn, not repository size.
+        A ref is carried only while its file's inode extent is the one
+        captured (O(live) metadata checks); a file that moved on, or a
+        ref resumed from recovery, is re-read — same crc, same ref; new
+        bytes, a new segment in the rotation's one batch.  Only past
+        ``COMPACT_DEAD_PER_LIVE`` does it *compact*: every live payload
+        goes into ``gen+1`` in one framed write, and superseded files
+        go only after snapshot + journal reset committed, so at every
+        crash point all referenced segments are on disk.  A storage
+        failure aborts the rotation *without* resetting the journal or
+        adopting a half-written generation (debris the next compaction
+        truncates), trips the breaker, and returns ``None``.
         """
         pending: List = []
         event: Optional[SnapshotTaken] = None
-        with self.manager.locked():
-            with self.repository.locked():
-                live = {
-                    entry.output_path for entry in self.repository.entries()
-                }
-                live.update(self.manager.kept_paths)
-                new_gen = self.blockstore.gen + 1
-                new_store = BlockStore(
-                    self.config.blockstore_storage(self.dfs, new_gen), new_gen
-                )
-                new_refs: Dict[str, SegmentRef] = {}
-                with self._io_lock:
-                    try:
-                        if new_store.storage.exists():
-                            # debris from an earlier aborted rotation
-                            new_store.reset()
-                        for path in sorted(live):
-                            if self.dfs is None or not self.dfs.exists(path):
-                                continue  # nothing durable to carry over
-                            new_refs[path] = new_store.append(
-                                path, self.dfs.read_file(path)
-                            )
-                        snapshot = RepositorySnapshot.capture(
-                            self.repository,
-                            kept_paths=self.manager.kept_paths,
-                            clock=self.manager.clock,
-                            dfs_ids=self.dfs.id_state(),
-                            payloads={
-                                "gen": new_gen,
-                                "refs": {
-                                    path: ref.to_list()
-                                    for path, ref in new_refs.items()
-                                },
-                            },
-                        )
-                        data = snapshot.to_bytes()
-                        # injection site "snapshot.write": rotation I/O
-                        faults.fire("snapshot.write")
-                        self.snapshot_storage.write(data)
-                        self.journal.reset()
-                    except OSError as exc:
-                        self._breaker_trip(
-                            pending,
-                            self.snapshot_storage.location,
-                            exc,
-                            self.buffered_records,
-                        )
-                    else:
-                        old_gen = self.blockstore.gen
-                        self.blockstore = new_store
-                        self._payload_refs = new_refs
-                        # superseded generations: safe to drop only now
-                        # (snapshot + journal reset are durable, so no
-                        # surviving ref can point into them); deletion
-                        # is best-effort and also sweeps stragglers
-                        # from older aborted rotations
-                        for gen in range(max(0, old_gen - 2), new_gen):
-                            try:
-                                self.config.blockstore_storage(
-                                    self.dfs, gen
-                                ).delete()
-                            except OSError:
-                                pass
-                        with self._buffer_lock:
-                            # staged records were captured in the snapshot
-                            self._buffer.clear()
-                        self._backlog.clear()
-                        self._records_since_snapshot = 0
-                        self._breaker_heal(pending, self.snapshot_storage.location, 0)
-                        event = SnapshotTaken(
-                            path=self.snapshot_storage.location,
-                            entries=len(snapshot),
-                            bytes=len(data),
-                        )
-                        pending.append(event)
+        with self.manager.locked(), self.repository.locked(), self._io_lock:
+            try:
+                event = self._rotate(pending)
+            except OSError as exc:
+                self._breaker_trip(pending, self.snapshot_storage.location, exc)
         for item in pending:  # emitted outside every lock
             self.events.emit(item)
         return event
 
+    def _rotate(self, pending: List) -> SnapshotTaken:
+        """The rotation proper (every lock held): an ``OSError`` before
+        the snapshot is durable leaves generation and refs as they were."""
+        live = {entry.output_path for entry in self.repository.entries()}
+        live = sorted(live | self.manager.kept_paths)
+        for path in live:  # reads only files that moved on since capture
+            self._stage_payload(path, commit=False)
+        self._commit(pending)
+        # a live path whose file is gone has nothing durable to carry
+        refs = {
+            path: self._payload_refs[path]
+            for path in live
+            if path in self._payload_refs and self.dfs.exists(path)
+        }
+        store = self.blockstore
+        live_bytes = sum(ref.length for ref in refs.values())
+        if (
+            store.size() - live_bytes > self.COMPACT_DEAD_PER_LIVE * live_bytes
+            or any(ref.gen != store.gen for ref in refs.values())
+        ):
+            store = BlockStore(
+                self.config.blockstore_storage(self.dfs, store.gen + 1),
+                store.gen + 1,
+            )
+            store.reset()  # debris from an earlier aborted compaction
+            copies = store.append_segments([(p, self.dfs.read_file(p)) for p in refs])
+            refs = dict(zip(refs, copies))
+        snapshot = RepositorySnapshot.capture(
+            self.repository,
+            kept_paths=self.manager.kept_paths,
+            clock=self.manager.clock,
+            dfs_ids=self.dfs.id_state(),
+            payloads={
+                "gen": store.gen,
+                "refs": {path: ref.to_list() for path, ref in refs.items()},
+            },
+        )
+        data = snapshot.to_bytes()
+        # injection site "snapshot.write": rotation I/O
+        faults.fire("snapshot.write")
+        self.snapshot_storage.write(data)
+        # the snapshot is durable: its generation and ref table are the
+        # live ones from here, even if the journal reset below fails
+        self.blockstore = store
+        self._payload_refs = refs
+        self._captured = {path: self._captured[path] for path in refs}
+        self.journal.reset()
+        # every surviving ref names ``store.gen``: older generations
+        # (compacted away, or stragglers of aborted rotations) can go
+        for gen in range(max(0, store.gen - 2), store.gen):
+            try:
+                self.config.blockstore_storage(self.dfs, gen).delete()
+            except OSError:
+                pass
+        self._records_since_snapshot = 0
+        self._breaker_heal(pending, self.snapshot_storage.location, 0)
+        event = SnapshotTaken(
+            path=self.snapshot_storage.location, entries=len(snapshot), bytes=len(data)
+        )
+        pending.append(event)
+        return event
+
     def close(self, *, snapshot: bool = False) -> None:
-        """Detach from the manager, flushing (and optionally
+        """Detach from the manager, committing (and optionally
         snapshotting) first; idempotent."""
         if self._closed:
             return
@@ -931,7 +896,7 @@ class RepositoryPersister:
         self._timer = None
         self._journal_counters_if_moved()
         # force past the breaker's probe gating: closing is the last
-        # chance to drain the backlog to storage
+        # chance to land the backlog on storage
         self.flush(force=True)
         if snapshot:
             self.take_snapshot()

@@ -129,10 +129,20 @@ class FramedLog:
         self.storage = storage
         self.site = site
         self._decode_body = decode_body
+        #: where a failed append began: its debris is cut before the
+        #: next one, so a retry never sits behind an unscannable tear
+        self._torn_at: Optional[int] = None
 
     @property
     def location(self) -> str:
         return self.storage.location
+
+    def tail(self) -> int:
+        """Offset of the next append (a failed append's debris is cut first)."""
+        if self._torn_at is not None:
+            self.storage.truncate(self._torn_at)
+            self._torn_at = None
+        return self.storage.size()
 
     def append_frames(self, data: bytes) -> int:
         """Append already-framed *data* in one storage write; returns
@@ -141,21 +151,26 @@ class FramedLog:
         Injection site ``<site>.append``: an ``OSError`` here is what
         trips the persister's circuit breaker; a ``partial`` rule lands
         its prefix first, leaving a genuinely torn tail for the next
-        scan to truncate; ``suppress`` models a lost write (the caller
-        is told nothing failed, nothing hit the medium).
+        append (or, after a crash, the next scan) to truncate;
+        ``suppress`` models a lost write (the caller is told nothing
+        failed, nothing hit the medium).
         """
         if not data:
             return 0
+        start = self.tail()
         try:
-            data = faults.fire(f"{self.site}.append", data=data)
-        except PartialWriteFault as fault:
-            if fault.prefix:
-                self.storage.append(fault.prefix)
+            try:
+                data = faults.fire(f"{self.site}.append", data=data)
+            except PartialWriteFault as fault:
+                if fault.prefix:
+                    self.storage.append(fault.prefix)
+                raise
+            if data:
+                self.storage.append(data)
+        except OSError:
+            self._torn_at = start
             raise
-        if not data:
-            return 0
-        self.storage.append(data)
-        return len(data)
+        return len(data) if data else 0
 
     def scan(self) -> FrameScan:
         data = self.storage.read() if self.storage.exists() else b""

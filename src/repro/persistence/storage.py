@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from dataclasses import dataclass
 
 from repro.faults import injector as faults
 
@@ -149,3 +150,57 @@ class DFSStorage:
 
     def __repr__(self) -> str:
         return f"DFSStorage({self.path!r})"
+
+
+@dataclass
+class PersistenceConfig:
+    """Where and how repository state is persisted.
+
+    The default backend is the simulated DFS (repository metadata is
+    just another replicated file on the cluster it indexes, as in the
+    paper's deployment); ``backend="local"`` writes real files so the
+    CLI can carry state across process invocations.
+    """
+
+    snapshot_path: str = "restore/repository.snapshot"
+    journal_path: str = "restore/repository.journal"
+    #: "dfs" or "local"
+    backend: str = "dfs"
+    #: journal records between automatic snapshot rotations
+    #: (0 = snapshot only when explicitly requested)
+    snapshot_interval: int = 0
+    #: seconds between timer-driven rotations under a live service
+    #: (0 = no timer; rotation still happens at workflow boundaries
+    #: via ``snapshot_interval``); a timer rotation that fails aborts
+    #: without touching the journal, like any other rotation
+    snapshot_interval_s: float = 0.0
+    #: records per commit *outside* a submission (``session.evict()``,
+    #: a direct ``Repository.add``); inside one, the workflow end commits
+    flush_every: int = 1
+
+    @property
+    def blockstore_base(self) -> str:
+        """Base path of the payload block store (generation files
+        append ``.g<N>``)."""
+        return self.snapshot_path + ".blocks"
+
+    def blockstore_file(self, gen: int) -> str:
+        return f"{self.blockstore_base}.g{gen}"
+
+    def _storage(self, path: str, dfs):
+        if self.backend == "local":
+            return LocalStorage(path)
+        if self.backend != "dfs":
+            raise ValueError(f"unknown persistence backend: {self.backend!r}")
+        if dfs is None:
+            raise ValueError("the 'dfs' persistence backend needs a filesystem")
+        return DFSStorage(dfs, path)
+
+    def snapshot_storage(self, dfs=None):
+        return self._storage(self.snapshot_path, dfs)
+
+    def journal_storage(self, dfs=None):
+        return self._storage(self.journal_path, dfs)
+
+    def blockstore_storage(self, dfs=None, gen: int = 0):
+        return self._storage(self.blockstore_file(gen), dfs)

@@ -68,7 +68,7 @@ BLOCKS = Codec(
     [encode_segment(path, data) for path, data in SEGMENTS],
     decode_blockstore,
     BlockStore,
-    lambda log: log.append("tmp/s9/sj9", b"fresh"),
+    lambda log: log.append_segments([("tmp/s9/sj9", b"fresh")]),
 )
 
 
@@ -144,6 +144,24 @@ class TornWriteSweep:
         log.repair(scan)
         self.codec.append_one(log)
         assert len(log.scan().frames) == 1
+
+    def test_retry_after_a_failed_append_cuts_the_torn_prefix(self, tmp_path):
+        """A live writer retries its batch with no scan in between: the
+        debris of the failed attempt must not end up *inside* the log,
+        where it would censor every later frame."""
+        log = self.codec.open(LocalStorage(str(tmp_path / "log")))
+        self.codec.append_one(log)
+        clean = log.size()
+        inject(f"{log.site}.append", "partial", arg=7)
+        with pytest.raises(PartialWriteFault):
+            self.codec.append_one(log)
+        faults.uninstall()
+        assert log.size() == clean + 7
+        self.codec.append_one(log)  # the retry
+        self.codec.append_one(log)
+        scan = log.scan()
+        assert len(scan.frames) == 3 and not scan.torn and scan.skipped == 0
+        assert log.size() == 3 * clean
 
 
 #: what ``encode_record`` / ``encode_segment`` wrote for RECORDS /

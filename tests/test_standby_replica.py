@@ -12,6 +12,7 @@ import pytest
 from repo_stream import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.persistence.blockstore import SegmentRef, verify_ref
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
@@ -116,6 +117,41 @@ class TestPromotion:
         state = standby.promote()  # promote must flush, then catch up
         assert len(state.repository) == 3
         assert _surface(state.repository) == _surface(manager.repository)
+        standby.close()
+
+    def test_rebase_and_mid_submission_promotion_across_rotation_by_reference(
+        self, primary
+    ):
+        """The rotation copies no payload, so the refs the replica
+        rebases onto are the primary's own; and promoting while a
+        submission is open must commit its staged payload *bytes*, not
+        only its records — the promoted refs have to verify."""
+        dfs, manager, persister = primary
+        standby = StandbyReplica(persister)
+        entries = _entries(4)
+        for entry in entries:
+            dfs.write_file(entry.output_path, f"bytes:{entry.output_path}".encode())
+        for entry in entries[:2]:
+            manager.repository.add(entry)
+        blocks = persister.blockstore.size()
+        persister.take_snapshot()  # by reference: the standby rebases
+        assert persister.blockstore.size() == blocks
+        assert len(standby) == 2
+        persister.note_workflow_start()  # a submission opens: stage only
+        for entry in entries[2:]:
+            manager.repository.add(entry)
+        assert persister.buffered_records == 4 and len(standby) == 2
+        assert persister.blockstore.size() == blocks, "payload bytes are staged"
+        state = standby.promote()  # mid-submission: the drain commits
+        assert _surface(state.repository) == _surface(manager.repository)
+        assert persister.buffered_records == 0
+        scan = persister.blockstore.scan()
+        assert set(state.payload_refs) == {e.output_path for e in entries}
+        for path, raw in state.payload_refs.items():
+            ref = SegmentRef.from_list(raw)
+            assert ref == persister._payload_refs[path]
+            assert verify_ref(scan, ref, path) == f"bytes:{path}".encode()
+        persister.note_workflow_end()
         standby.close()
 
     def test_promoted_state_drives_a_new_manager(self, primary):
