@@ -54,10 +54,10 @@ class TypedDataset:
     #: text (``"03"`` parses to ``3``, which renders as ``"3"``), so
     #: only exact datasets are eligible for serialized-payload reuse.
     exact: bool = False
-    #: lazily built ``id(row) -> serialized_row_size(row)``; rows flow
-    #: through many consumers by identity (filters, tees, shuffles),
-    #: so each row's serialized width is computed once per dataset
-    #: lifetime instead of once per chunk per job
+    #: ``id(row) -> serialized_row_size(row)``, built when first asked
+    #: for: the interpreter asks on behalf of a load whose row objects
+    #: can reach the shuffle unchanged (through filter / split / union
+    #: / limit), and then sizes each row once per dataset lifetime
     _size_memo: Optional[dict] = None
 
     def size_memo(self) -> dict:

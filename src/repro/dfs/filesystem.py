@@ -14,6 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.dfs.dataset import TypedDataset, canonical_ascii_size, rows_are_canonical
 from repro.dfs.namenode import FileStatus, InputExtent, LazyPayload, NameNode, Segment
+from repro.exceptions import SchemaError
 from repro.faults import injector as faults
 from repro.relational.schema import Schema
 from repro.relational.tuples import (
@@ -337,7 +338,10 @@ class DistributedFileSystem:
             generation = inode.generation
         # parse outside the lock: a cold read of a large file must not
         # stall every other worker sharing this filesystem
-        rows = tuple(deserialize_rows(data.decode(), schema))
+        try:
+            rows = tuple(deserialize_rows(data.decode(), schema))
+        except SchemaError as exc:  # names line and field; add the file
+            raise SchemaError(f"{path} {exc}") from None
         with self._lock:
             # a parse is canonical with respect to its own text, so the
             # fill needs no round-trip check — but pin only if the file

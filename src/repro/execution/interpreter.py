@@ -8,24 +8,28 @@ cost model and ReStore statistics need are collected on the way.
 
 Inputs are read through the DFS typed-dataset cache and stream as
 ``List[Row]`` chunks of :attr:`JobInterpreter.CHUNK_ROWS` rows through
-one *chunk handler* compiled per operator: filters run compiled
-predicates inside one list comprehension per chunk, foreach runs
-precompiled projection closures, split tees forward the same chunk
-object to every branch, and the shuffle decorates whole chunks in one
-pass (:meth:`~repro.mapreduce.shuffle.ShuffleBuffer.add_batch`) — one
-Python call per operator per *chunk*.  Stores hand
-:meth:`~repro.dfs.filesystem.DistributedFileSystem.write_rows` typed
-rows plus a *payload source* hint for pass-through stores (a store fed
-only by a load, possibly through split tees — the shape of whole-job
-copy rewrites and load-teeing side stores), letting the DFS clone the
-producer's serialized payload instead of rendering the same text twice.
+one *chunk handler* compiled per operator, and the per-row work of a
+handler runs inside C-level passes wherever the operator allows it:
+filters run compiled predicates inside one list comprehension per
+chunk, a foreach of bare columns is one ``itemgetter`` pass (other
+expression lists map a precompiled closure), split tees forward the
+same chunk object to every branch, rearranges compute a chunk's keys
+in one ``map`` and the shuffle groups them at add time
+(:meth:`~repro.mapreduce.shuffle.ShuffleBuffer.add_batch`) — Python
+frames are spent per operator per *chunk* and per distinct key.  Stores
+hand :meth:`~repro.dfs.filesystem.DistributedFileSystem.write_rows`
+typed rows plus a *payload source* hint for pass-through stores (a
+store fed only by a load, possibly through split tees — the shape of
+whole-job copy rewrites and load-teeing side stores), letting the DFS
+clone the producer's serialized payload instead of rendering the same
+text twice.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from itertools import product
+from itertools import chain, compress, product
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.dfs.filesystem import DistributedFileSystem
@@ -50,7 +54,7 @@ from repro.pig.physical.operators import (
 from repro.relational.compiled import (
     compile_filter_list,
     compile_key,
-    compile_projection,
+    compile_projection_list,
 )
 from repro.relational.tuples import Bag, Row
 
@@ -123,9 +127,9 @@ class JobInterpreter:
             # cached typed read: a matching pinned dataset skips text
             # parsing (and byte materialization) entirely
             rows = self.dfs.read_rows(load.path, load.schema)
-            if self._shuffle is not None:
-                # the memo only feeds shuffle wire accounting;
-                # map-only jobs must not pay for building it
+            if self._reaches_shuffle_by_identity(load):
+                # the memo only feeds shuffle wire accounting, and only
+                # a row object the shuffle receives can ever hit it
                 memo, keepalive = self.dfs.row_size_memo(load.path, load.schema)
                 if memo:
                     self._size_memo.update(memo)
@@ -236,13 +240,10 @@ class JobInterpreter:
         """One chunk handler per operator.
 
         Every operator visit moves ``op_records`` once per row, but
-        the per-row work runs inside one call per chunk: filters
-        evaluate a compiled predicate in a list comprehension, foreach
-        maps a precompiled projection, rearranges decorate the whole
-        chunk via :meth:`ShuffleBuffer.add_batch`, and tees forward
-        the same chunk object to every branch.  :meth:`run` validated
-        the plan, so only a split has more than one successor and
-        every non-store operator has at least one.
+        the per-row work runs inside one call per chunk (see the
+        module docstring).  :meth:`run` validated the plan, so only a
+        split has more than one successor and every non-store operator
+        has at least one.
         """
         handler = self._batch_handlers.get(op.op_id)
         if handler is not None:
@@ -260,12 +261,12 @@ class JobInterpreter:
 
         elif isinstance(op, POForEach):
             inner = self._compile_batch(successors[0])
-            project = compile_projection(op.exprs, op.flattens)
+            project = compile_projection_list(op.exprs, op.flattens)
             if project is not None:
 
                 def handler(rows, source, _op=op, _inner=inner, _project=project):
                     self._op_records += len(rows)
-                    _inner([_project(row) for row in rows], _op)
+                    _inner(_project(rows), _op)
 
             else:
                 # FLATTEN expands cross products: row-at-a-time
@@ -281,7 +282,30 @@ class JobInterpreter:
                         _inner(out, _op)
 
         elif isinstance(op, POLocalRearrange):
-            handler = self._compile_batch_rearrange(op)
+            # the null-key policy was fixed before any handler compiled;
+            # keys are computed a chunk at a time (C-level when the key
+            # compiles to an itemgetter) and a join side looks at them
+            # row by row only in a chunk that holds a null key
+            key_of = compile_key(op.key_exprs)
+            policy = self._null_key_policy.get(op.op_id, "keep")
+
+            def handler(rows, source, _branch=op.branch):
+                self._op_records += len(rows)
+                keys = list(map(key_of, rows))
+                if policy != "keep" and _may_hold_null_key(keys):
+                    if policy == "drop":
+                        # Pig: null keys never match in inner joins
+                        live = [not _is_null_key(key) for key in keys]
+                        keys = list(compress(keys, live))
+                        rows = list(compress(rows, live))
+                    else:  # isolate: outer-preserved rows survive, unmatched
+                        for index, key in enumerate(keys):
+                            if _is_null_key(key):
+                                self._null_counter += 1
+                                keys[index] = ("__null__", self._null_counter)
+                self._shuffle.add_batch(_branch, keys, rows, self._wire_total(rows))
+                self._map_output_records += len(rows)
+
         elif isinstance(op, POStore):
             extend_rows = self._store_rows[op.op_id].extend
 
@@ -327,60 +351,17 @@ class JobInterpreter:
         self._batch_handlers[op.op_id] = handler
         return handler
 
-    def _compile_batch_rearrange(self, op: POLocalRearrange) -> BatchHandler:
-        """A chunk handler decorating the shuffle in one pass.
-
-        The null-key policy is fixed before the map phase starts
-        (:meth:`_configure_null_key_policy` runs before any handler
-        compiles), so each policy gets its own specialized loop.
-        """
-        key_of = compile_key(op.key_exprs)
-        branch = op.branch
-        policy = self._null_key_policy.get(op.op_id, "keep")
-        if policy == "keep":
-
-            def handler(rows, source, _key_of=key_of, _branch=branch):
-                self._op_records += len(rows)
-                # C-level when the key compiles to an itemgetter
-                keys = list(map(_key_of, rows))
-                self._shuffle.add_batch(
-                    _branch, keys, rows, self._wire_total(rows)
-                )
-                self._map_output_records += len(rows)
-
-        elif policy == "drop":
-
-            def handler(rows, source, _key_of=key_of, _branch=branch):
-                self._op_records += len(rows)
-                keys, kept = [], []
-                for row in rows:
-                    key = _key_of(row)
-                    if _is_null_key(key):
-                        continue  # Pig: null keys never match in inner joins
-                    keys.append(key)
-                    kept.append(row)
-                self._shuffle.add_batch(
-                    _branch, keys, kept, self._wire_total(kept)
-                )
-                self._map_output_records += len(kept)
-
-        else:  # isolate: outer-preserved rows survive, unmatched
-
-            def handler(rows, source, _key_of=key_of, _branch=branch):
-                self._op_records += len(rows)
-                keys = []
-                for row in rows:
-                    key = _key_of(row)
-                    if _is_null_key(key):
-                        self._null_counter += 1
-                        key = ("__null__", self._null_counter)
-                    keys.append(key)
-                self._shuffle.add_batch(
-                    _branch, keys, rows, self._wire_total(rows)
-                )
-                self._map_output_records += len(rows)
-
-        return handler
+    def _reaches_shuffle_by_identity(self, op: PhysicalOperator) -> bool:
+        """Can *op*'s row objects arrive at a rearrange unchanged —
+        through filter / split / union / limit only?"""
+        return any(
+            isinstance(succ, POLocalRearrange)
+            or (
+                isinstance(succ, (POFilter, POLimit, POSplit, POUnion))
+                and self._reaches_shuffle_by_identity(succ)
+            )
+            for succ in self.plan.successors(op)
+        )
 
     def _wire_total(self, rows) -> Optional[int]:
         """Summed memoized widths for a chunk, or None on any miss
@@ -558,6 +539,18 @@ class JobInterpreter:
         raise ExecutionError(
             "outer join requires package schema with inner bag schemas"
         )
+
+
+def _may_hold_null_key(keys: List) -> bool:
+    """False only when no key of the chunk is null, read from type
+    sets in C-level passes; a chunk mixing tuple and scalar keys
+    answers True (the per-row test then decides)."""
+    kinds = set(map(type, keys))
+    if kinds == {tuple}:
+        kinds = set(map(type, chain.from_iterable(keys)))
+    elif any(issubclass(kind, tuple) for kind in kinds):
+        return True
+    return type(None) in kinds
 
 
 def _is_null_key(key) -> bool:

@@ -1,51 +1,41 @@
-"""Sort/shuffle between map and reduce: partition, sort, group.
+"""Sort/shuffle between map and reduce: partition, group, sort.
 
 Keys can be heterogeneous (ints, floats, strings, tuples, None), so
 ordering uses a type-ranked canonical form, and partitioning uses a
 content-stable hash (Python's ``hash`` of strings is process-seeded
 and would make runs non-deterministic).
 
-Records are **decorated at add time**: the canonical sort key and the
-partition hash are computed once per record when it enters the buffer,
-so sorting compares precomputed keys and the group scan never
-re-derives them (decorate-sort-undecorate).  Wire-byte accounting uses
-:func:`repro.relational.tuples.serialized_row_size` — the serialized
-length without building the line — and reuses the key's ``repr`` for
-both the partition hash and the key-length term.  Both changes are
-value-identical to the historical per-record recomputation;
-``tests/test_shuffle.py`` pins that down.
+Records are **grouped at add time**: each partition is a dict from
+the decorated sort key to *(first key seen, {branch: rows in arrival
+order})*.  A record's partition (``crc32(repr(key))``) and decorated
+key are both functions of ``(type(key), repr(key))``, so the row list
+a record lands in is memoised under that pair: the hash and
+:func:`sort_key` run once per *distinct* key, a repeated key costs a
+dict probe and an append, and :meth:`ShuffleBuffer.grouped` sorts
+distinct keys only.  Raw keys are never compared or hashed.  Groups,
+their order, representative keys, bag order and both counters are
+those of a stable sort by :func:`sort_key` scanned for equal
+neighbours — the sort-based reference buffer in
+``tests/test_shuffle.py`` pins that down (and states the one
+departure: NaN keys).
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import defaultdict
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.relational.tuples import Row, serialized_row_size, serialized_rows_size
+from repro.relational.tuples import Row, serialized_rows_size
 
-#: one decorated shuffle record: (sort key, key, branch tag, row)
-ShuffleRecord = Tuple[tuple, object, int, Row]
-
-_by_sort_key = itemgetter(0)
-
-#: exact scalar type -> sort rank, for whole-chunk decoration; types
-#: outside this map (None, tuples, unranked) decorate per record
-_SCALAR_RANKS = {bool: 1, int: 2, float: 2, str: 3}
+#: one reduce group: (first key seen, branch -> rows in arrival order)
+Group = Tuple[object, Dict[int, List[Row]]]
 
 
-def stable_hash(key, key_repr: Optional[str] = None) -> int:
-    """Deterministic non-negative hash of an arbitrary key value.
-
-    ``key_repr`` lets hot callers that already rendered ``repr(key)``
-    (the shuffle reuses it for wire-byte accounting) skip a second
-    rendering; it must equal ``repr(key)``.
-    """
-    if key_repr is None:
-        key_repr = repr(key)
-    return zlib.crc32(key_repr.encode())
+def stable_hash(key) -> int:
+    """Deterministic non-negative hash of an arbitrary key value."""
+    return zlib.crc32(repr(key).encode())
 
 
 _TYPE_RANK = {type(None): 0, bool: 1, int: 2, float: 2, str: 3, tuple: 4}
@@ -75,27 +65,15 @@ class ShuffleBuffer:
         if n_partitions < 1:
             raise ValueError("need at least one partition")
         self.n_partitions = n_partitions
-        self._partitions: Dict[int, List[ShuffleRecord]] = defaultdict(list)
-        self._branches_seen: set = set()
+        #: partition -> decorated sort key -> group
+        self._groups: Dict[int, Dict[tuple, Group]] = defaultdict(dict)
+        #: branch -> (type(key), repr(key)) -> that group's row list
+        self._slots: Dict[int, Dict[tuple, List[Row]]] = defaultdict(dict)
         self.records = 0
         self.bytes = 0
 
-    @property
-    def _single_branch(self) -> Optional[int]:
-        """The one branch every record carries, or None if mixed."""
-        if len(self._branches_seen) == 1:
-            return next(iter(self._branches_seen))
-        return None
-
     def add(self, key, branch: int, row: Row) -> None:
-        key_repr = repr(key)
-        partition = stable_hash(key, key_repr) % self.n_partitions
-        self._partitions[partition].append((sort_key(key), key, branch, row))
-        self._branches_seen.add(branch)
-        self.records += 1
-        # Approximate the wire size the way Hadoop accounts map output
-        # bytes: serialized key + value.
-        self.bytes += serialized_row_size(row) + len(key_repr) + 2
+        self.add_batch(branch, [key], [row])
 
     def add_batch(
         self,
@@ -104,92 +82,40 @@ class ShuffleBuffer:
         rows: List[Row],
         row_bytes: Optional[int] = None,
     ) -> None:
-        """Add a chunk's records of one branch in columnar passes.
+        """Add a chunk's records of one branch.
 
-        The batched data plane's POLocalRearrange handler decorates a
-        whole chunk here: key reprs render through one C-level ``map``,
-        wire bytes sum column-wise (:func:`serialized_rows_size`) —
-        or arrive precomputed as ``row_bytes`` when the caller already
-        knows every row's memoized width — and the remaining
-        per-record loop (partition hash, sort-key decoration, append)
-        runs with every hot name pre-bound and the scalar
-        :func:`sort_key` cases inlined (reusing the already-rendered
-        repr for unranked types).  The resulting buffer state
-        (records, bytes, per-partition contents and order) is
-        value-identical to repeated :meth:`add` calls —
-        ``tests/test_shuffle.py`` pins the equivalence down.
+        Key reprs render through one C-level ``map``; wire bytes —
+        Hadoop's map-output accounting, serialized key + value — sum
+        column-wise or arrive precomputed as ``row_bytes`` when the
+        caller already knows every row's memoized width.  The loop
+        that remains per record is a dict probe and an append; a key
+        not seen before on this branch finds (or opens) its group.
         """
         if not rows:
             return
-        self._branches_seen.add(branch)
-        partitions = self._partitions
-        n_partitions = self.n_partitions
         reprs = list(map(repr, keys))
-        ranks = {_SCALAR_RANKS.get(kind) for kind in set(map(type, keys))}
-        if len(ranks) == 1 and None not in ranks:
-            # uniform scalar keys (the common chunk): decorate by one
-            # shared rank and assemble the records through C-level zip
-            rank = ranks.pop()
-            records = list(
-                zip(zip(repeat(rank), keys), keys, repeat(branch), rows)
-            )
-        else:
-            type_rank = _TYPE_RANK
-            make_sort_key = sort_key
-            records = []
-            append = records.append
-            for key, key_repr in zip(keys, reprs):
-                kind = type(key)
-                if kind is tuple:
-                    decorated = make_sort_key(key)
-                elif key is None:
-                    decorated = (0, 0)
-                else:
-                    unranked = type_rank.get(kind, 5)
-                    # rank 5 uses repr(key) — the rendered key_repr
-                    decorated = (
-                        (unranked, key) if unranked != 5 else (5, key_repr)
-                    )
-                append(decorated)
-            records = list(zip(records, keys, repeat(branch), rows))
-        crcs = map(zlib.crc32, map(str.encode, reprs))
-        if n_partitions == 1:
-            partitions[0].extend(records)
-        else:
-            for crc, record in zip(crcs, records):
-                partitions[crc % n_partitions].append(record)
+        slots = self._slots[branch]
+        partitions, n_partitions = self._groups, self.n_partitions
+        for slot, key, row in zip(zip(map(type, keys), reprs), keys, rows):
+            bag = slots.get(slot)
+            if bag is None:
+                groups = partitions[zlib.crc32(slot[1].encode()) % n_partitions]
+                group = groups.setdefault(sort_key(key), (key, {}))
+                bag = slots[slot] = group[1].setdefault(branch, [])
+            bag.append(row)
         if row_bytes is None:
             row_bytes = serialized_rows_size(rows)
         self.records += len(rows)
         self.bytes += row_bytes + sum(map(len, reprs)) + 2 * len(reprs)
 
     def used_partitions(self) -> List[int]:
-        return sorted(p for p, records in self._partitions.items() if records)
+        return sorted(self._groups)
 
-    def grouped(self, partition: int) -> Iterator[Tuple[object, Dict[int, List[Row]]]]:
-        """Yield (key, branch -> rows) groups in key-sorted order.
+    def grouped(self, partition: int) -> Iterator[Group]:
+        """Yield (key, branch -> rows) groups in key-sorted order."""
+        groups = self._groups.get(partition, {})
+        return map(groups.__getitem__, sorted(groups))
 
-        Group boundaries come from :func:`itertools.groupby` over the
-        precomputed sort keys (C-level comparisons); the single-branch
-        case — GROUP, DISTINCT, ORDER — extracts each group's rows in
-        one comprehension instead of a per-record branch dispatch.
-        """
-        records = self._partitions.get(partition, [])
-        records.sort(key=_by_sort_key)
-        if self._single_branch is not None:
-            branch = self._single_branch
-            for _, group in groupby(records, key=_by_sort_key):
-                group = list(group)
-                yield group[0][1], {branch: [record[3] for record in group]}
-            return
-        for _, group in groupby(records, key=_by_sort_key):
-            group = list(group)
-            bags: Dict[int, List[Row]] = defaultdict(list)
-            for _, _, branch, row in group:
-                bags[branch].append(row)
-            yield group[0][1], bags
-
-    def all_groups(self) -> Iterator[Tuple[object, Dict[int, List[Row]]]]:
+    def all_groups(self) -> Iterator[Group]:
         """All groups across partitions, partition-major order."""
-        for partition in range(self.n_partitions):
-            yield from self.grouped(partition)
+        return chain.from_iterable(map(self.grouped, range(self.n_partitions)))

@@ -20,6 +20,7 @@ subclass simply falls back to its bound ``eval``.
 from __future__ import annotations
 
 import zlib
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -202,15 +203,8 @@ def _compile_bagfield(expr: BagField) -> CompiledExpr:
 
 
 #: comparison operators whose results are plain bools, eligible for
-#: inline filter code generation
-_CMP_SOURCE = {
-    "==": "==",
-    "!=": "!=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-}
+#: inline filter code generation (each is its own Python source)
+_CMP_SOURCE = ("==", "!=", "<", "<=", ">", ">=")
 
 
 def compile_filter_list(predicate: Expression):
@@ -235,7 +229,7 @@ def compile_filter_list(predicate: Expression):
         source = (
             "lambda _c: lambda rows: [row for row in rows "
             f"if row[{index}] is not None and row[{index}] "
-            f"{_CMP_SOURCE[predicate.op]} _c]"
+            f"{predicate.op} _c]"
         )
         return eval(source)(predicate.right.value)  # noqa: S307 - static source
     compiled = compile_expression(predicate)
@@ -271,10 +265,41 @@ def compile_projection(exprs, flattens) -> CompiledExpr | None:
     return project
 
 
+def compile_projection_list(exprs, flattens):
+    """A chunk projector ``rows -> [output row per row]``, or None
+    where :func:`compile_projection` does not compile (FLATTEN).
+
+    A projection of bare columns — the map-side shape — is one
+    ``itemgetter`` pass over the chunk; whether any picked value is a
+    ``list`` to wrap is read once per chunk from the values' type set,
+    and only such a chunk pays the per-row closure that every other
+    expression list maps over its rows.
+    """
+    project = compile_projection(exprs, flattens)
+    if project is None:
+        return None
+    if not exprs or any(type(e) is not Column for e in exprs):
+        return lambda rows: list(map(project, rows))
+    single = len(exprs) == 1
+    pick = itemgetter(*(e.index for e in exprs))
+
+    def pick_columns(rows):
+        out = list(map(pick, rows))
+        kinds = set(map(type, out if single else chain.from_iterable(out)))
+        if any(issubclass(kind, list) for kind in kinds):
+            return list(map(project, rows))
+        return list(zip(out)) if single else out
+
+    return pick_columns
+
+
 def compile_key(key_exprs) -> CompiledExpr:
-    """A closure computing ``POLocalRearrange.make_key`` exactly."""
+    """A closure computing ``POLocalRearrange.make_key`` exactly; over
+    bare columns it is a single ``itemgetter``."""
     if len(key_exprs) == 1:
         return compile_expression(key_exprs[0])
+    if key_exprs and all(type(e) is Column for e in key_exprs):
+        return itemgetter(*(e.index for e in key_exprs))
     compiled = tuple(compile_expression(e) for e in key_exprs)
 
     def make_key(row, _exprs=compiled):

@@ -8,10 +8,13 @@ caring about the underlying container.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.relational.schema import Schema
+from repro.exceptions import SchemaError
+from repro.relational.schema import FieldSchema, Schema
 from repro.relational.types import DataType, format_tuple, format_value, parse_text
 
 Row = Tuple
@@ -56,8 +59,7 @@ class Bag:
 
     def project(self, index: int) -> List:
         """Extract one field from every row (used by aggregates)."""
-        getter = _ITEMGETTERS[index] if 0 <= index < 16 else itemgetter(index)
-        return list(map(getter, self._rows))
+        return list(map(itemgetter(index), self._rows))
 
 
 def serialize_row(row: Row) -> str:
@@ -68,15 +70,14 @@ def serialize_row(row: Row) -> str:
 def serialized_row_size(row: Row) -> int:
     """``len(serialize_row(row))`` without building the joined line.
 
-    The shuffle accounts map-output wire bytes per record and the
-    zero-copy write path accounts store bytes per file; both need the
-    serialized length, neither needs the text.  Strings and nulls (the
-    bulk of PigMix traffic) contribute their length without any
-    allocation; numbers render just the one field; bags and tuples
-    recurse structurally instead of building the nested text.  Must
-    stay value-identical to the serialized length —
-    ``tests/test_shuffle.py`` and the Hypothesis properties assert the
-    equality.
+    What a dataset's row-width memo holds (the shuffle's wire
+    accounting reads it for rows that arrive untouched from a load)
+    and what :func:`serialized_rows_size` sums over a ragged chunk.
+    Strings and nulls contribute their length without any allocation;
+    numbers render just the one field; bags and tuples recurse
+    structurally instead of building the nested text.  Must stay
+    value-identical to the serialized length — ``tests/test_shuffle.py``
+    and the Hypothesis properties assert the equality.
     """
     if not row:
         return 0
@@ -85,9 +86,8 @@ def serialized_row_size(row: Row) -> int:
         if value is None:
             continue
         kind = type(value)
-        # the scalar cases are inlined: this runs once per shuffle
-        # record and once per stored row, and the dispatch hop through
-        # _field_size/format_value_size was measurable in exec_sim
+        # the scalar cases are inlined: this runs once per memoised
+        # row, and the dispatch hop through _field_size was measurable
         if kind is str:
             total += len(value)
         elif kind is int:
@@ -121,8 +121,7 @@ def serialized_rows_size(rows) -> int:
         return sum(map(serialized_row_size, rows))
     total = n_rows * max(0, width - 1)  # tab separators
     for index in range(width):
-        getter = _ITEMGETTERS[index] if index < 16 else itemgetter(index)
-        column = list(map(getter, rows))
+        column = list(map(itemgetter(index), rows))
         types = set(map(type, column))
         if _NoneType in types:
             types.discard(_NoneType)
@@ -139,24 +138,11 @@ def serialized_rows_size(rows) -> int:
             total += 5 * len(column) - sum(column)
         else:
             # mixed or nested column: per-value dispatch, same math
-            for value in column:
-                kind = type(value)
-                if kind is str:
-                    total += len(value)
-                elif kind is int:
-                    total += len(str(value))
-                elif kind is float:
-                    total += len(repr(value))
-                elif kind is bool:
-                    total += 4 if value else 5
-                else:
-                    total += _field_size(value)
+            total += sum(map(_field_size, column))
     return total
 
 
 _NoneType = type(None)
-#: pre-built getters for the first 16 columns (plenty for real plans)
-_ITEMGETTERS = tuple(itemgetter(i) for i in range(16))
 
 
 def _field_size(value) -> int:
@@ -240,15 +226,13 @@ def _retype_rows(raw_rows, inner: Schema) -> List[Row]:
     through ``str`` would corrupt distinctions the text form cannot
     carry, e.g. an int in a double-typed field.
     """
-    typed = []
-    for raw in raw_rows:
-        typed.append(
-            tuple(
-                parse_text(v, fs.dtype) if isinstance(v, str) else v
-                for v, fs in zip(raw, inner)
-            )
+    return [
+        tuple(
+            parse_text(v, fs.dtype) if isinstance(v, str) else v
+            for v, fs in zip(raw, inner)
         )
-    return typed
+        for raw in raw_rows
+    ]
 
 
 def snapshot_rows(rows: Iterable[Row]) -> Tuple[Row, ...]:
@@ -292,13 +276,81 @@ def iter_data_lines(text: str) -> List[str]:
     An empty line is a legitimate all-null row; only the final empty
     element produced by the trailing newline is dropped.
     """
-    if not text:
-        return []
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     return lines
 
 
 def deserialize_rows(text: str, schema: Schema) -> List[Row]:
-    return [deserialize_row(line, schema) for line in iter_data_lines(text)]
+    """:func:`deserialize_row` of every line, computed column-major.
+
+    Split every line, square the field lists to the schema's width
+    (short rows pad with ``""``), transpose once, cast each column in
+    one pass and zip back into row tuples — Python frames are spent
+    per column, not per value.
+    """
+    lines = iter_data_lines(text)
+    casts = _column_casts(schema)
+    if not lines or not casts:
+        return [()] * len(lines)
+    fields = list(map(str.split, lines, repeat("\t")))
+    if min(map(len, fields)) < len(casts):
+        pad = [""] * len(casts)
+        fields = [(parts + pad)[: len(casts)] for parts in fields]
+    # zip stops at the schema's width: extra fields drop here
+    return list(zip(*[cast(col) for cast, col in zip(casts, zip(*fields))]))
+
+
+@lru_cache(maxsize=512)
+def _column_casts(schema: Schema) -> tuple:
+    return tuple(_column_cast(fs) for fs in schema.fields)
+
+
+def _column_cast(fs: FieldSchema) -> Callable[[tuple], Sequence]:
+    """One column of field texts -> its typed values.
+
+    An empty field is null in every type.  Strings are otherwise
+    themselves; a numeric column runs the builtin ``int`` / ``float``
+    over itself, then once more stepping over empty fields, and what
+    still makes that raise (``"3.0"`` in an int column, a malformed
+    number) re-runs the one column through :func:`parse_text` per
+    value — the path boolean and nested columns always take — so values
+    are :func:`deserialize_row`'s and the error names line and field.
+    """
+    dtype = fs.dtype
+    retype = dtype is DataType.BAG and fs.inner is not None
+
+    def per_value(column):
+        values = []
+        try:
+            for text in column:
+                value = parse_text(text, dtype)
+                if retype and value is not None:
+                    value = Bag(_retype_rows(value, fs.inner))
+                values.append(value)
+        except SchemaError:
+            raise SchemaError(
+                f"line {len(values) + 1} field {fs.name} ({dtype.value}): "
+                f"cannot cast {text!r}"
+            ) from None
+        return values
+
+    if dtype is DataType.CHARARRAY or dtype is DataType.BYTEARRAY:
+        return lambda column: (
+            [text or None for text in column] if "" in column else column
+        )
+    if not dtype.is_numeric:
+        return per_value
+    builtin = int if dtype in (DataType.INT, DataType.LONG) else float
+
+    def cast(column):
+        try:
+            try:
+                return list(map(builtin, column))
+            except ValueError:  # an empty field is the common reason
+                return [builtin(text) if text else None for text in column]
+        except ValueError:  # what only parse_text takes, or refuses
+            return per_value(column)
+
+    return cast

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.matcher import PlanMatcher
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.exceptions import FileAlreadyExists, FileNotFoundInDFS
+from repro.exceptions import FileAlreadyExists, FileNotFoundInDFS, SchemaError
 from repro.mapreduce.shuffle import ShuffleBuffer, sort_key, stable_hash
 from repro.pig.physical.operators import (
     POFilter,
@@ -21,7 +21,13 @@ from repro.pig.physical.operators import (
 from repro.pig.physical.plan import PhysicalPlan, linear_plan
 from repro.relational.expressions import BinaryOp, Column, Const
 from repro.relational.schema import FieldSchema, Schema
-from repro.relational.tuples import deserialize_rows, serialize_rows
+from repro.relational.tuples import (
+    Bag,
+    deserialize_row,
+    deserialize_rows,
+    iter_data_lines,
+    serialize_rows,
+)
 from repro.relational.types import DataType
 
 # -- strategies ----------------------------------------------------------------------
@@ -94,6 +100,81 @@ def typed_rows_strategy():
 # -- serialization round trips ------------------------------------------------------------
 
 
+# -- the cold parser against its per-line reference -------------------------------
+
+#: field texts that probe each type's parsing edges: empty fields,
+#: float-looking ints, signs, underscores, padding, exponents,
+#: non-finite doubles, every boolean spelling, malformed numerics and
+#: malformed nested text
+_FIELD_TEXTS = {
+    DataType.INT: ["3", "-0", "+5", "1_0", " 7", "7 ", "3.0", "-2.5", "1e3", "",
+                   "x", "0x10", ".", "007", "12345678901234567890", "nan"],
+    DataType.DOUBLE: ["1.5", "nan", "inf", "-inf", "1e-3", "", "x", "3", " 2.5",
+                      "1_0.5", "1e999", "--1", "-0.0"],
+    DataType.CHARARRAY: ["", "a", " ", "x y", "3", "3.0", "true"],
+    DataType.BOOLEAN: ["TRUE", "true", "1", "no", "", " true ", "0", "yes", "False"],
+    DataType.TUPLE: ["(a,1)", "()", "", "(a,(b,c))", "bad", "(open", "({(x)},y)"],
+    DataType.BAG: ["{(a,1),(b,2)}", "{}", "", "{(a,x)}", "bad", "{(a)}",
+                   "{(1,2,3)}", "{(a,1),bad}", "{(,)}", "{(true,3.0)}"],
+}
+_FIELD_TEXTS[DataType.LONG] = _FIELD_TEXTS[DataType.INT]
+_FIELD_TEXTS[DataType.FLOAT] = _FIELD_TEXTS[DataType.DOUBLE]
+_FIELD_TEXTS[DataType.BYTEARRAY] = _FIELD_TEXTS[DataType.CHARARRAY]
+
+#: no "e": an exponent could overflow ``int(float(...))`` into an
+#: OverflowError, which is not this property's subject
+_stray_text = st.text(alphabet="abnz ._-+01(){},", max_size=6)
+
+_SCALAR_TYPES = [t for t in DataType if not t.is_nested]
+
+
+@st.composite
+def schema_and_text(draw):
+    """(schema over every DataType, PigStorage text that fits it badly)."""
+    dtypes = draw(st.lists(st.sampled_from(list(DataType)), max_size=5))
+    fields = []
+    for index, dtype in enumerate(dtypes):
+        inner = None
+        if dtype is DataType.BAG and draw(st.booleans()):
+            inner_types = draw(
+                st.lists(st.sampled_from(_SCALAR_TYPES + [DataType.TUPLE]), max_size=3)
+            )
+            inner = Schema(
+                tuple(FieldSchema(f"i{n}", t) for n, t in enumerate(inner_types))
+            )
+        fields.append(FieldSchema(f"f{index}", dtype, inner))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        # short rows, exact rows, rows with extra fields, all-empty lines
+        width = max(0, len(dtypes) + draw(st.integers(-2, 2)))
+        parts = []
+        for index in range(width):
+            pool = _FIELD_TEXTS[dtypes[index]] if index < len(dtypes) else ["", "z"]
+            parts.append(draw(st.one_of(st.sampled_from(pool), _stray_text)))
+        lines.append("\t".join(parts))
+    text = "\n".join(lines)
+    if lines and draw(st.booleans()):
+        text += "\n"
+    return Schema(tuple(fields)), text
+
+
+def _typed(value):
+    """A value with its type made part of equality: ``3`` / ``3.0`` /
+    ``True`` differ, and NaN (compared by repr) equals NaN."""
+    if isinstance(value, Bag):
+        return ("Bag", [_typed(row) for row in value.rows])
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, [_typed(v) for v in value])
+    return (type(value).__name__, repr(value))
+
+
+def _parse_or_error(parse):
+    try:
+        return [_typed(row) for row in parse()]
+    except SchemaError:
+        return SchemaError
+
+
 class TestSerializationProperties:
     @given(typed_rows_strategy())
     @settings(max_examples=60, deadline=None)
@@ -104,6 +185,27 @@ class TestSerializationProperties:
         text = serialize_rows(rows)
         restored = deserialize_rows(text, schema)
         assert restored == rows
+
+    @given(schema_and_text())
+    @settings(max_examples=400, deadline=None)
+    @example((Schema(()), "\n\n"))
+    @example((Schema.of(("n", "int")), ""))
+    @example((Schema.of(("n", "int"), ("d", "double")), "3.0\tnan\n\n1_0\n"))
+    @example((Schema.of(("n", "int"), ("b", "boolean")), "1\t1\n+5\tTRUE\tx\n"))
+    def test_column_parser_equals_per_line_reference(self, schema_text):
+        """``deserialize_rows`` is ``deserialize_row`` per line, value
+        for value and type for type, and raises ``SchemaError``
+        exactly when the reference does."""
+        schema, text = schema_text
+        want = _parse_or_error(
+            lambda: [deserialize_row(line, schema) for line in iter_data_lines(text)]
+        )
+        assert _parse_or_error(lambda: deserialize_rows(text, schema)) == want
+
+    def test_zero_field_schema_and_empty_file(self):
+        assert deserialize_rows("", Schema.of("a", ("n", "int"))) == []
+        assert deserialize_rows("", Schema(())) == []
+        assert deserialize_rows("a\tb\n\nc\n", Schema(())) == [(), (), ()]
 
 
 class TestShuffleProperties:

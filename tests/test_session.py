@@ -50,6 +50,23 @@ class TestQuickstart:
         assert len(session.results) == 2
 
 
+class TestMalformedInput:
+    def test_schema_error_names_file_line_and_field(self):
+        """A malformed input fails the submission with a typed error
+        an operator can act on: which file, which (1-based) line,
+        which schema field and type, which text."""
+        from repro.exceptions import SchemaError
+
+        with ReStoreSession() as session:
+            session.write_file("in/t", "a\t1\nb\tx\nc\t3\n")
+            with pytest.raises(SchemaError) as raised:
+                session.run("A = load 'in/t' as (u, n:int); store A into 'o';")
+            assert str(raised.value) == "in/t line 2 field n (int): cannot cast 'x'"
+            # the file is not poisoned: a schema it does fit still loads
+            result = session.run("A = load 'in/t' as (u, n); store A into 'o';")
+            assert result.outputs["o"] == [("a", "1"), ("b", "x"), ("c", "3")]
+
+
 class TestSharedCostModel:
     def test_manager_and_simulator_share_one_instance(self):
         session = ReStoreSession()

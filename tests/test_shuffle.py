@@ -1,6 +1,12 @@
 """Unit tests for the sort/shuffle machinery."""
 
+import zlib
+from collections import defaultdict
+from itertools import groupby
+from operator import itemgetter
+
 from repro.mapreduce.shuffle import ShuffleBuffer, sort_key, stable_hash
+from repro.relational.tuples import serialized_row_size, serialized_rows_size
 
 
 class TestStableHash:
@@ -93,8 +99,8 @@ class TestShuffleBuffer:
 
 
 class TestDecoratedRecordsRegression:
-    """The decorate-sort-undecorate refactor must preserve the exact
-    grouping the per-record recomputation produced."""
+    """Grouping, ordering and byte accounting as the sort-based
+    reference (``SortBasedBuffer`` below) produces them."""
 
     HETEROGENEOUS_KEYS = [
         None,
@@ -113,46 +119,14 @@ class TestDecoratedRecordsRegression:
         (1, "a"),
     ]
 
-    def _oracle_groups(self, records, n_partitions):
-        """The historical algorithm: bucket by stable_hash, sort by
-        sort_key computed per record, scan comparing sort_key."""
-        from collections import defaultdict
-
-        partitions = defaultdict(list)
-        for key, branch, row in records:
-            partitions[stable_hash(key) % n_partitions].append((key, branch, row))
-        groups = []
-        for partition in range(n_partitions):
-            bucket = sorted(
-                partitions.get(partition, []), key=lambda rec: sort_key(rec[0])
-            )
-            index = 0
-            while index < len(bucket):
-                key = bucket[index][0]
-                bags = defaultdict(list)
-                while index < len(bucket) and sort_key(bucket[index][0]) == sort_key(
-                    key
-                ):
-                    _, branch, row = bucket[index]
-                    bags[branch].append(row)
-                    index += 1
-                groups.append((key, {b: rows for b, rows in bags.items()}))
-        return groups
-
     def test_group_boundaries_unchanged_for_heterogeneous_keys(self):
+        chunks = [
+            (i % 2, [key], [(i, repr(key))])
+            for i, key in enumerate(self.HETEROGENEOUS_KEYS)
+        ]
         for n_partitions in (1, 2, 8):
-            records = [
-                (key, i % 2, (i, repr(key)))
-                for i, key in enumerate(self.HETEROGENEOUS_KEYS)
-            ]
-            buf = ShuffleBuffer(n_partitions=n_partitions)
-            for key, branch, row in records:
-                buf.add(key, branch, row)
-            got = [
-                (key, {b: rows for b, rows in bags.items()})
-                for key, bags in buf.all_groups()
-            ]
-            assert got == self._oracle_groups(records, n_partitions)
+            records, _, _, groups = differential(chunks, n_partitions)
+            assert records == len(chunks) and len(groups) >= 8
 
     def test_int_and_float_of_equal_value_share_a_group(self):
         buf = ShuffleBuffer(n_partitions=1)
@@ -192,80 +166,216 @@ class TestDecoratedRecordsRegression:
         assert sum(len(bags[0]) for _, bags in groups) == 6
 
 
+class SortBasedBuffer:
+    """The reference: the buffer this module shipped before it grouped
+    at add time.  Every record is decorated with its sort key when it
+    enters, each partition is stable-sorted by that key, and a group
+    is a run of equal neighbours (decorate-sort-undecorate)."""
+
+    def __init__(self, n_partitions):
+        self.n_partitions = n_partitions
+        self._partitions = defaultdict(list)
+        self.records = 0
+        self.bytes = 0
+
+    def add(self, key, branch, row, row_bytes=None):
+        key_repr = repr(key)
+        partition = zlib.crc32(key_repr.encode()) % self.n_partitions
+        self._partitions[partition].append((sort_key(key), key, branch, row))
+        self.records += 1
+        if row_bytes is None:
+            row_bytes = serialized_row_size(row)
+        self.bytes += row_bytes + len(key_repr) + 2
+
+    def used_partitions(self):
+        return sorted(p for p, records in self._partitions.items() if records)
+
+    def all_groups(self):
+        for partition in range(self.n_partitions):
+            records = sorted(self._partitions.get(partition, []), key=itemgetter(0))
+            for _, group in groupby(records, key=itemgetter(0)):
+                group = list(group)
+                bags = defaultdict(list)
+                for _, _, branch, row in group:
+                    bags[branch].append(row)
+                yield group[0][1], dict(bags)
+
+
+def observe(buf):
+    """Everything a reducer or a counter can see.  Representative keys
+    are compared by type and repr: ``1 == 1.0 == True`` would let the
+    wrong one through."""
+    return (
+        buf.records,
+        buf.bytes,
+        buf.used_partitions(),
+        [
+            (type(key).__name__, repr(key), {b: list(rows) for b, rows in bags.items()})
+            for key, bags in buf.all_groups()
+        ],
+    )
+
+
+class Unorderable:
+    """Neither orderable nor hashable; distinct objects share a repr."""
+
+    __hash__ = None
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __eq__(self, other):
+        raise AssertionError("a raw key was compared")
+
+    def __lt__(self, other):
+        raise AssertionError("a raw key was compared")
+
+    def __repr__(self):
+        return f"Unorderable({self.tag % 3})"
+
+
+ROWS = [
+    ("alice", 1, 0.5),
+    (None, None, None),
+    ("bob", -7, 2.25),
+    ("carol", 44, None),
+    ("dave", 0, 1.0),
+    ("erin", 12, -0.0),
+    ("frank", 3, 1e20),
+]
+
+KEY_SETS = {
+    "uniform-str": ["b", "a", "b", "c", "a"],
+    "uniform-int": [3, 1, 2, 1, 3],
+    "uniform-float": [1.5, 0.25, 1.5, 2.0, -3.5],
+    "uniform-bool": [True, False, True, True, False],
+    "mixed-scalars": ["x", 2, 2.5, True, "y"],
+    "with-nones": [None, "a", None, "b", "a"],
+    "tuples": [("a", 1), ("a", 2), ("b", 1), ("a", 1), ("b", 2)],
+    "unranked": [complex(1, 2), complex(0, 1), complex(1, 2), 1j, 2j],
+    "one-one-true": [1, 1.0, True, 1.0, 1, True, "1"],
+    "signed-zeros": [0, 0.0, -0.0, False, 0],
+    "all-none": [None, None, None],
+    "null-component": [("a", None), (None, "a"), ("a", None), (None, None), ("a", 1)],
+    "nested-tuples": [(1, ("a", 2)), (1, ("a", 2.0)), ((1,), "a"), (1, ("a", None))],
+    "unorderable": [Unorderable(i) for i in range(6)],
+    "isolated-nulls": [("__null__", 1), "u1", ("__null__", 2), "u1", ("__null__", 10)],
+    "str-vs-its-repr": ["a", "'a'", "1", 1, "(1,)", (1,)],
+}
+
+
+def differential(chunks, n_partitions):
+    """Feed one stream — ``[(branch, keys, rows), ...]`` — three ways:
+    chunk by chunk, record by record, and to the reference."""
+    batched = ShuffleBuffer(n_partitions)
+    serial = ShuffleBuffer(n_partitions)
+    oracle = SortBasedBuffer(n_partitions)
+    for branch, keys, rows in chunks:
+        batched.add_batch(branch, list(keys), list(rows))
+        for key, row in zip(keys, rows):
+            serial.add(key, branch, row)
+            oracle.add(key, branch, row)
+    want = observe(oracle)
+    assert observe(batched) == want
+    assert observe(serial) == want
+    return want
+
+
 class TestAddBatchEquivalence:
-    """add_batch must leave the buffer byte-identical to repeated add."""
-
-    KEY_SETS = {
-        "uniform-str": ["b", "a", "b", "c", "a"],
-        "uniform-int": [3, 1, 2, 1, 3],
-        "uniform-float": [1.5, 0.25, 1.5, 2.0, -3.5],
-        "uniform-bool": [True, False, True, True, False],
-        "mixed-scalars": ["x", 2, 2.5, True, "y"],
-        "with-nones": [None, "a", None, "b", "a"],
-        "tuples": [("a", 1), ("a", 2), ("b", 1), ("a", 1), ("b", 2)],
-        "unranked": [complex(1, 2), complex(0, 1), complex(1, 2), 1j, 2j],
-    }
-    ROWS = [
-        ("alice", 1, 0.5),
-        (None, None, None),
-        ("bob", -7, 2.25),
-        ("carol", 44, None),
-        ("dave", 0, 1.0),
-    ]
-
-    def _snapshot(self, buf):
-        return (
-            buf.records,
-            buf.bytes,
-            {p: list(records) for p, records in buf._partitions.items()},
-            list(buf.all_groups()),
-        )
+    """Chunking never shows, and neither does grouping at add time:
+    ``add_batch``, one-record ``add`` calls and the sort-based
+    reference agree on the counters, the partitions in use and every
+    group — its representative key, its branches, its rows in arrival
+    order."""
 
     def test_add_batch_matches_add_for_every_key_shape(self):
-        for label, keys in self.KEY_SETS.items():
-            serial = ShuffleBuffer(n_partitions=4)
-            for key, row in zip(keys, self.ROWS):
-                serial.add(key, 0, row)
-            batched = ShuffleBuffer(n_partitions=4)
-            batched.add_batch(0, list(keys), list(self.ROWS))
-            assert self._snapshot(batched) == self._snapshot(serial), label
+        for label, keys in KEY_SETS.items():
+            for n_partitions in (1, 4, 8):
+                rows = ROWS[: len(keys)]
+                records, _, _, groups = differential(
+                    [(0, keys, rows)], n_partitions
+                )
+                assert records == len(keys), label
+                assert sum(len(bags[0]) for _, _, bags in groups) == len(keys), label
 
     def test_add_batch_matches_add_across_chunks_and_branches(self):
-        serial = ShuffleBuffer(n_partitions=3)
-        batched = ShuffleBuffer(n_partitions=3)
-        for branch, keys in enumerate((["a", "b", "a"], ["b", "c", "a"])):
-            rows = self.ROWS[: len(keys)]
-            for key, row in zip(keys, rows):
-                serial.add(key, branch, row)
-            batched.add_batch(branch, keys[:2], rows[:2])
-            batched.add_batch(branch, keys[2:], rows[2:])
-        assert self._snapshot(batched) == self._snapshot(serial)
+        # two branches interleaved across chunks: a join's map side
+        left, right = ["a", "b", "a", None, "c"], ["b", "c", "a", "d", None]
+        chunks = [
+            (0, left[:2], ROWS[:2]),
+            (1, right[:3], ROWS[:3]),
+            (0, left[2:], ROWS[2:5]),
+            (1, right[3:], ROWS[3:5]),
+        ]
+        for n_partitions in (1, 3, 8):
+            _, _, _, groups = differential(chunks, n_partitions)
+            by_key = {key: bags for _, key, bags in groups}
+            # arrival order inside each bag, first-seen branch first
+            assert by_key["'a'"] == {0: [ROWS[0], ROWS[2]], 1: [ROWS[2]]}
+            assert list(by_key["'b'"]) == [0, 1]
+            assert list(by_key["'d'"]) == [1]
 
     def test_single_partition_matches(self):
-        serial = ShuffleBuffer(n_partitions=1)
-        batched = ShuffleBuffer(n_partitions=1)
-        for key, row in zip(["b", "a", "c"], self.ROWS):
-            serial.add(key, 0, row)
-        batched.add_batch(0, ["b", "a", "c"], self.ROWS[:3])
-        assert self._snapshot(batched) == self._snapshot(serial)
+        _, _, used, groups = differential([(0, ["b", "a", "c", "a"], ROWS[:4])], 1)
+        assert used == [0]
+        assert [key for _, key, _ in groups] == ["'a'", "'b'", "'c'"]
+
+    def test_one_one_true(self):
+        """``1`` and ``1.0`` share a group wherever they share a
+        partition — always with one partition — under the key seen
+        first; ``True`` ranks apart and never joins them."""
+        keys = [1.0, True, 1, 1.0]
+        _, _, _, groups = differential([(0, keys, ROWS[:4])], 1)
+        assert [(kind, key) for kind, key, _ in groups] == [
+            ("bool", "True"),
+            ("float", "1.0"),
+        ]
+        assert groups[1][2] == {0: [ROWS[0], ROWS[2], ROWS[3]]}
+        for n_partitions in (2, 3, 5, 8):
+            _, _, _, groups = differential([(0, keys, ROWS[:4])], n_partitions)
+            apart = (zlib.crc32(b"1") - zlib.crc32(b"1.0")) % n_partitions != 0
+            assert len(groups) == 2 + apart
+
+    def test_two_distinct_nan_keys_share_a_group(self):
+        """The one departure from the reference.  NaN compares unequal
+        to itself, so the sort-and-scan reference makes a group of
+        every *run of one NaN object* (tuple equality short-cuts on
+        identity) wherever timsort leaves it under an inconsistent
+        ``<`` — here three groups for two objects.  Grouping by
+        ``(type, repr)`` puts every NaN key into one group under the
+        first NaN seen, which is also what Pig's comparator does."""
+        nan_a, nan_b = float("nan"), float("nan")
+        keys, rows = [nan_a, nan_b, nan_a], ROWS[:3]
+        buf = ShuffleBuffer(1)
+        buf.add_batch(0, keys, rows)
+        ((key, bags),) = list(buf.all_groups())
+        assert key is nan_a and bags == {0: rows}
+        oracle = SortBasedBuffer(1)
+        for key, row in zip(keys, rows):
+            oracle.add(key, 0, row)
+        assert len(list(oracle.all_groups())) == 3
+        assert (buf.records, buf.bytes) == (oracle.records, oracle.bytes)
 
     def test_precomputed_row_bytes_trusted_verbatim(self):
-        from repro.relational.tuples import serialized_rows_size
-
-        rows = self.ROWS[:3]
-        want = serialized_rows_size(rows)
+        rows = ROWS[:3]
         batched = ShuffleBuffer(n_partitions=2)
-        batched.add_batch(0, ["a", "b", "c"], rows, row_bytes=want)
-        serial = ShuffleBuffer(n_partitions=2)
-        for key, row in zip(["a", "b", "c"], rows):
-            serial.add(key, 0, row)
-        assert batched.bytes == serial.bytes
+        batched.add_batch(0, ["a", "b", "c"], rows, row_bytes=1000)
+        oracle = SortBasedBuffer(2)
+        oracle.add("a", 0, rows[0], row_bytes=1000)
+        oracle.add("b", 0, rows[1], row_bytes=0)
+        oracle.add("c", 0, rows[2], row_bytes=0)
+        assert observe(batched) == observe(oracle)
+        # and the computed width is the serialized width
+        computed = ShuffleBuffer(n_partitions=2)
+        computed.add_batch(0, ["a", "b", "c"], rows)
+        assert batched.bytes - computed.bytes == 1000 - serialized_rows_size(rows)
 
     def test_empty_batch_registers_nothing(self):
         buf = ShuffleBuffer(n_partitions=2)
         buf.add_batch(0, [], [])
-        assert buf.records == 0 and buf.bytes == 0
-        assert buf._branches_seen == set()
+        assert observe(buf) == (0, 0, [], [])
+        buf.add_batch(1, ["k"], [("row",)])
+        assert [list(bags) for _, bags in buf.all_groups()] == [[1]]
 
 
 class TestSerializedRowsSize:

@@ -194,3 +194,52 @@ class TestSerializedRowSize:
 
         schema = Schema.of(("u", DataType.CHARARRAY), ("n", DataType.INT))
         assert canonical_ascii_size((("héllo", 1),), schema) is None
+
+
+class TestColumnParser:
+    """``deserialize_rows`` parses a column at a time; the semantics a
+    shortcut would be tempted to drop are pinned here by hand, and
+    against ``deserialize_row`` by Hypothesis (test_properties.py)."""
+
+    SCHEMA = Schema.of(
+        ("u", DataType.CHARARRAY), ("n", DataType.INT), ("d", DataType.DOUBLE)
+    )
+
+    def test_float_text_in_an_int_column_narrows(self):
+        rows = deserialize_rows("a\t3.0\t1\nb\t4\t2.5\n", self.SCHEMA)
+        assert rows == [("a", 3, 1.0), ("b", 4, 2.5)]
+        assert [type(v) for v in rows[0]] == [str, int, float]
+
+    def test_empty_field_is_null_in_every_column_type(self):
+        schema = Schema.of(
+            ("s", "chararray"), ("n", "int"), ("l", "long"), ("d", "double"),
+            ("f", "float"), ("b", "boolean"), ("y", "bytearray"),
+            ("t", "tuple"), ("g", "bag"),
+        )
+        text = "\t" * 8 + "\n" + "s\t1\t2\t0.5\t1.5\ttrue\ty\t(a)\t{(a)}\n"
+        first, second = deserialize_rows(text, schema)
+        assert first == (None,) * 9
+        assert second == ("s", 1, 2, 0.5, 1.5, True, "y", ("a",), [("a",)])
+
+    def test_short_rows_pad_and_long_rows_drop_extras(self):
+        text = "a\nb\t2\t2.5\textra\tmore\n\nc\t3\n"
+        assert deserialize_rows(text, self.SCHEMA) == [
+            ("a", None, None),
+            ("b", 2, 2.5),
+            (None, None, None),
+            ("c", 3, None),
+        ]
+
+    def test_malformed_number_names_line_and_field(self):
+        import pytest
+
+        from repro.exceptions import SchemaError
+
+        with pytest.raises(SchemaError) as raised:
+            deserialize_rows("a\t1\nb\tx\nc\t3\n", Schema.of("u", ("n", "int")))
+        # no path at this level: line (1-based) and schema field only
+        assert str(raised.value) == "line 2 field n (int): cannot cast 'x'"
+        with pytest.raises(SchemaError, match=r"line 1 field d \(double\)"):
+            deserialize_rows("a\t1\t1,5\n", self.SCHEMA)
+        with pytest.raises(SchemaError, match=r"line 3 field g \(bag\)"):
+            deserialize_rows("{}\n\n{(a\n", Schema.of(("g", "bag")))
