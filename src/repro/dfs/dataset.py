@@ -18,6 +18,15 @@ simply not pinned at write time, and readers fall back to parsing
 (whose result is then itself pinned, because a parse is always
 canonical with respect to its own text).
 
+Which shapes pin: scalar columns, and bag or tuple columns whose inner
+schema holds scalars only (a GROUP's bag, a multi-key GROUP's key) —
+nested values under the stricter *nested* scalar rules, because their
+text is split on ``, ( ) { }`` and whitespace-stripped.  Which never
+do: a nested column without inner schema (its text re-parses as raw
+strings) or with a nested inner field (doubly nested text does not
+round-trip); such a column is canonical only while every value in it
+is null.
+
 The check runs once per stored row on the write hot path, so it is
 *compiled*: each schema gets a tuple of per-field closures (cached by
 schema identity) doing bare ``type(...) is`` tests — no enum
@@ -27,7 +36,7 @@ dispatch, no attribute chasing, roughly the cost of a tuple scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import isnan
 from operator import itemgetter
@@ -40,7 +49,12 @@ from repro.relational.types import DataType
 
 @dataclass(eq=False)
 class TypedDataset:
-    """Parsed rows pinned to one inode, valid for one schema + generation."""
+    """Parsed rows pinned to one inode, valid for one schema + generation.
+
+    An append retires a dataset to its inode's ``prefixes``: it is
+    still the parse of the file's first ``covers`` bytes, so the next
+    reader parses only what follows them.
+    """
 
     rows: Tuple[Row, ...]
     schema_fp: tuple
@@ -54,6 +68,10 @@ class TypedDataset:
     #: text (``"03"`` parses to ``3``, which renders as ``"3"``), so
     #: only exact datasets are eligible for serialized-payload reuse.
     exact: bool = False
+    #: byte length of the text these rows are the parse of, or None
+    #: when that text does not end on a newline (an append would then
+    #: grow its last row instead of adding rows after it)
+    covers: Optional[int] = None
     #: ``id(row) -> serialized_row_size(row)``, built when first asked
     #: for: the interpreter asks on behalf of a load whose row objects
     #: can reach the shuffle unchanged (through filter / split / union
@@ -82,7 +100,7 @@ def rows_are_canonical(rows, schema: Schema) -> bool:
     Hypothesis property in ``tests/test_properties.py`` holds this
     function to that contract.
     """
-    return _row_checker(schema)(rows)
+    return _row_sizer(schema, False)(rows) is not None
 
 
 #: row count from which the columnar sizer amortizes its C-pass setup
@@ -105,8 +123,9 @@ def canonical_ascii_size(rows, schema: Schema) -> Optional[int]:
     across all rows so even short bags amortize — the remaining
     per-value Python work is ``str``/``repr`` on numeric columns,
     which serialization would pay anyway.  Small writes and shapes the
-    columnar pass cannot prove (exotic types, Bag subclasses) use the
-    compiled per-row closures; the two paths are value-identical.
+    columnar pass cannot prove (untyped nested columns, Bag
+    subclasses) use the compiled per-row closures; the two paths are
+    value-identical.
     """
     if isinstance(rows, (list, tuple)) and len(rows) >= _COLUMNAR_MIN_ROWS:
         sizer = _columnar_sizer(schema)
@@ -117,18 +136,29 @@ def canonical_ascii_size(rows, schema: Schema) -> Optional[int]:
     return _row_sizer(schema)(rows)
 
 
-@lru_cache(maxsize=512)
-def _row_sizer(schema: Schema) -> Callable[[object], Optional[int]]:
-    sizers = tuple(_field_sizer(fs) for fs in schema.fields)
-    n_fields = len(sizers)
-    base = max(0, n_fields - 1) + 1  # tab separators + the newline
+_FieldSizer = Callable[[object], Optional[int]]
 
-    def size_rows(rows) -> Optional[int]:
+
+@lru_cache(maxsize=512)
+def _row_sizer(schema: Schema, ascii_only: bool = True) -> _FieldSizer:
+    """The compiled per-row sizer of a whole write (None = not
+    canonical).  Without ``ascii_only`` strings of any charset size —
+    in characters — so ``is not None`` is the round-trip check alone."""
+    sizers = tuple(_field_sizer(fs, ascii_only) for fs in schema.fields)
+    return _tuples_sizer(sizers, max(0, len(sizers) - 1) + 1)  # tabs + newline
+
+
+def _tuples_sizer(sizers: Tuple[_FieldSizer, ...], per_row: int) -> _FieldSizer:
+    """Sum of ``per_row`` + the non-null fields over plain n-field
+    tuples: the loop a file's rows, a bag's rows and a tuple share."""
+    n_fields = len(sizers)
+
+    def size_tuples(rows) -> Optional[int]:
         total = 0
         for row in rows:
             if type(row) is not tuple or len(row) != n_fields:
                 return None
-            total += base
+            total += per_row
             for value, sizer in zip(row, sizers):
                 if value is None:
                     continue
@@ -138,29 +168,56 @@ def _row_sizer(schema: Schema) -> Callable[[object], Optional[int]]:
                 total += field_size
         return total
 
-    return size_rows
+    return size_tuples
 
 
-_FieldSizer = Callable[[object], Optional[int]]
+def _field_sizer(fs: FieldSchema, ascii_only: bool) -> _FieldSizer:
+    if not fs.dtype.is_nested:
+        return _scalar_rules(fs.dtype, False, ascii_only)[0]
+    rules = _nested_rules(fs, ascii_only)
+    if rules is None:
+        return _no_size
+    sizers = tuple(rule[0] for rule in rules)
+    size_tuples = _tuples_sizer(sizers, 2 + max(0, len(sizers) - 1))  # ( , )
+    if fs.dtype is DataType.TUPLE:
+        # a tuple is a bag holding one row, minus the braces
+        return lambda value: size_tuples((value,))
+
+    def size_bag(value) -> Optional[int]:
+        if not isinstance(value, Bag):
+            return None
+        part = size_tuples(value.rows)
+        if part is None:
+            return None
+        return part + 2 + max(0, len(value.rows) - 1)  # braces + commas
+
+    return size_bag
 
 
-def _field_sizer(fs: FieldSchema) -> _FieldSizer:
-    if fs.dtype is DataType.BAG:
-        return _bag_sizer(fs.inner)
-    return _scalar_sizer(fs.dtype, nested=False) or _no_size
+def _nested_rules(fs: FieldSchema, ascii_only: bool = True) -> Optional[list]:
+    """:func:`_scalar_rules` per inner field of a bag / tuple column,
+    or None for a column that never round-trips: without inner schema
+    its text re-parses as raw strings, and doubly nested text does not
+    re-parse to what was written."""
+    if fs.inner is None or any(f.dtype.is_nested for f in fs.inner.fields):
+        return None
+    return [_scalar_rules(f.dtype, True, ascii_only) for f in fs.inner.fields]
 
 
-def _scalar_sizer(dtype: DataType, nested: bool) -> Optional[_FieldSizer]:
-    """A closure sizing one non-null scalar (None = not canonical)."""
+def _scalar_rules(dtype: DataType, nested: bool, ascii_only: bool = True) -> tuple:
+    """(per-value sizer, whole-column sizer) of one scalar type: the
+    one per-type table of the round-trip rules.  ``nested`` selects
+    the stricter string rules of bag / tuple text."""
     if dtype is DataType.INT or dtype is DataType.LONG:
-        return _size_int
+        return _size_int, _col_int
     if dtype is DataType.FLOAT or dtype is DataType.DOUBLE:
-        return _size_float
-    if dtype is DataType.CHARARRAY or dtype is DataType.BYTEARRAY:
-        return _size_nested_str if nested else _size_str
+        return _size_float, _col_float
     if dtype is DataType.BOOLEAN:
-        return _size_bool
-    return None
+        return _size_bool, _col_bool
+    size = _size_nested_str if nested else _size_str
+    if not ascii_only:
+        size = partial(size, any_charset=True)
+    return size, _col_nested_str if nested else _col_str
 
 
 # the scalar size math is inlined (len(str(v)) / len(repr(v)) / 4|5)
@@ -178,27 +235,31 @@ def _size_int(value) -> Optional[int]:
 
 
 def _size_float(value) -> Optional[int]:
+    # NaN re-parses to a value that is not == to itself
     if type(value) is float and value == value:
         return len(repr(value))
     return None
 
 
-def _size_str(value) -> Optional[int]:
-    if type(value) is str and value != "" and value.isascii():
+def _size_str(value, any_charset: bool = False) -> Optional[int]:
+    # "" re-parses as null; tab/newline change field splitting
+    if type(value) is str and value != "" and (any_charset or value.isascii()):
         if "\t" not in value and "\n" not in value:
             return len(value)
     return None
 
 
-def _size_nested_str(value) -> Optional[int]:
+def _size_nested_str(value, any_charset: bool = False) -> Optional[int]:
+    # nested text is split on commas/parens/braces and
+    # whitespace-stripped by the nested parser
     if (
         type(value) is str
         and value != ""
-        and value.isascii()
+        and (any_charset or value.isascii())
         and not _has_nested_unsafe(value)
         # strip-stability without allocating the stripped copy: the
-        # value is non-empty ASCII, so whitespace at either end is
-        # exactly what .strip() would remove
+        # value is non-empty, so whitespace at either end is exactly
+        # what .strip() would remove
         and not value[0].isspace()
         and not value[-1].isspace()
     ):
@@ -216,38 +277,14 @@ def _no_size(value) -> Optional[int]:
     return None
 
 
-def _bag_sizer(inner: Optional[Schema]) -> _FieldSizer:
-    if inner is None:
-        return _no_size
-    inner_sizers = []
-    for fs in inner.fields:
-        sizer = None if fs.dtype.is_nested else _scalar_sizer(fs.dtype, nested=True)
-        if sizer is None:
-            return _no_size
-        inner_sizers.append(sizer)
-    inner_sizers = tuple(inner_sizers)
-    n_fields = len(inner_sizers)
-    tuple_base = 2 + max(0, n_fields - 1)  # parens + commas
+_NESTED_UNSAFE = ("\t", "\n", ",", "(", ")", "{", "}")
 
-    def size_bag(value) -> Optional[int]:
-        if not isinstance(value, Bag):
-            return None
-        rows = value.rows
-        total = 2 + max(0, len(rows) - 1)  # braces + commas
-        for row in rows:
-            if type(row) is not tuple or len(row) != n_fields:
-                return None
-            total += tuple_base
-            for v, sizer in zip(row, inner_sizers):
-                if v is None:
-                    continue
-                field_size = sizer(v)
-                if field_size is None:
-                    return None
-                total += field_size
-        return total
 
-    return size_bag
+def _has_nested_unsafe(value: str) -> bool:
+    for ch in _NESTED_UNSAFE:
+        if ch in value:
+            return True
+    return False
 
 
 # -- columnar sizing ------------------------------------------------------------
@@ -274,26 +311,24 @@ _ASCII_WS = " \r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 @lru_cache(maxsize=512)
 def _columnar_sizer(schema: Schema) -> Optional[Callable]:
-    """A whole-write columnar sizer, or None if *schema* has a shape
-    (nested-in-nested, untyped bags, exotic scalar types) that only
-    the closure path handles."""
-    handlers = []
-    for fs in schema.fields:
-        if fs.dtype is DataType.BAG:
-            handler = _columnar_bag_handler(fs.inner)
-        else:
-            handler = _columnar_scalar_handler(fs.dtype, nested=False)
-        if handler is None:
-            return None
-        handlers.append(handler)
-    handlers = tuple(handlers)
+    """A whole-write columnar sizer, or None if *schema* has a column
+    (untyped or doubly nested) that only the closure path handles."""
+    handlers = tuple(_column_handler(fs) for fs in schema.fields)
+    if None in handlers:
+        return None
+    return _columns_sizer(handlers, max(0, len(handlers) - 1) + 1)  # tabs + newline
+
+
+def _columns_sizer(handlers: tuple, per_row: int) -> Callable:
+    """:func:`_tuples_sizer`, a column at a time."""
     n_fields = len(handlers)
-    base = max(0, n_fields - 1) + 1  # tab separators + the newline
 
     def size_columns(rows):
+        if not rows:
+            return 0
         if set(map(type, rows)) != {tuple} or set(map(len, rows)) != {n_fields}:
             return None  # exact: the closures demand n-field tuples
-        total = len(rows) * base
+        total = len(rows) * per_row
         for index, handler in enumerate(handlers):
             part = handler(list(map(itemgetter(index), rows)))
             if part is None or part is _FALLBACK:
@@ -302,6 +337,35 @@ def _columnar_sizer(schema: Schema) -> Optional[Callable]:
         return total
 
     return size_columns
+
+
+def _column_handler(fs: FieldSchema) -> Optional[Callable]:
+    if not fs.dtype.is_nested:
+        return _scalar_rules(fs.dtype, False)[1]
+    rules = _nested_rules(fs)
+    if rules is None:
+        return None
+    handlers = tuple(rule[1] for rule in rules)
+    size_tuples = _columns_sizer(handlers, 2 + max(0, len(handlers) - 1))  # ( , )
+    if fs.dtype is DataType.TUPLE:
+        return lambda col: size_tuples([v for v in col if v is not None])
+
+    def size_bag_column(col):
+        col, types = _split_nulls(col)
+        if types - {Bag}:
+            if all(issubclass(t, Bag) for t in types):
+                return _FALLBACK  # the closures accept Bag subclasses
+            return None
+        row_lists = [bag.rows for bag in col]
+        # every inner tuple of the write, flattened
+        part = size_tuples(list(chain.from_iterable(row_lists)))
+        if part is None:
+            return None
+        lens = list(map(len, row_lists))
+        # per bag: braces + (len - 1) commas when non-empty
+        return part + 2 * len(lens) + sum(lens) - sum(map(bool, lens))
+
+    return size_bag_column
 
 
 def _split_nulls(col):
@@ -383,173 +447,3 @@ def _col_nested_str(col):
         if ch + "," in bounded or "," + ch in bounded:
             return None
     return len(joined)
-
-
-def _columnar_scalar_handler(dtype: DataType, nested: bool) -> Optional[Callable]:
-    if dtype is DataType.INT or dtype is DataType.LONG:
-        return _col_int
-    if dtype is DataType.FLOAT or dtype is DataType.DOUBLE:
-        return _col_float
-    if dtype is DataType.CHARARRAY or dtype is DataType.BYTEARRAY:
-        return _col_nested_str if nested else _col_str
-    if dtype is DataType.BOOLEAN:
-        return _col_bool
-    return None
-
-
-def _columnar_bag_handler(inner: Optional[Schema]) -> Optional[Callable]:
-    if inner is None:
-        return None  # untyped bags never round-trip: closure path
-    field_handlers = []
-    for fs in inner.fields:
-        if fs.dtype.is_nested:
-            return None  # doubly nested text does not round-trip
-        handler = _columnar_scalar_handler(fs.dtype, nested=True)
-        if handler is None:
-            return None
-        field_handlers.append(handler)
-    field_handlers = tuple(field_handlers)
-    n_fields = len(field_handlers)
-    tuple_base = 2 + max(0, n_fields - 1)  # parens + commas
-
-    def size_bag_column(col):
-        col, types = _split_nulls(col)
-        if not types:
-            return 0
-        if types != {Bag}:
-            if all(issubclass(t, Bag) for t in types):
-                return _FALLBACK  # the closures accept Bag subclasses
-            return None
-        row_lists = [bag.rows for bag in col]
-        lens = list(map(len, row_lists))
-        n_tuples = sum(lens)
-        # per bag: braces + (len - 1) commas when non-empty
-        total = 2 * len(lens) + n_tuples - sum(map(bool, lens))
-        all_rows = list(chain.from_iterable(row_lists))
-        if not all_rows:
-            return total
-        if (
-            set(map(type, all_rows)) != {tuple}
-            or set(map(len, all_rows)) != {n_fields}
-        ):
-            return None
-        total += n_tuples * tuple_base
-        for index, handler in enumerate(field_handlers):
-            part = handler(list(map(itemgetter(index), all_rows)))
-            if part is None:
-                return None
-            total += part
-        return total
-
-    return size_bag_column
-
-
-_FieldCheck = Callable[[object], bool]
-
-
-@lru_cache(maxsize=512)
-def _row_checker(schema: Schema) -> Callable[[object], bool]:
-    checks = tuple(_field_checker(fs) for fs in schema.fields)
-    n_fields = len(checks)
-
-    def check_rows(rows) -> bool:
-        for row in rows:
-            if type(row) is not tuple or len(row) != n_fields:
-                return False
-            for value, check in zip(row, checks):
-                if value is not None and not check(value):
-                    return False
-        return True
-
-    return check_rows
-
-
-def _field_checker(fs: FieldSchema) -> _FieldCheck:
-    if fs.dtype is DataType.BAG:
-        return _bag_checker(fs.inner)
-    return _scalar_checker(fs.dtype, nested=False) or _never
-
-
-def _scalar_checker(dtype: DataType, nested: bool) -> Optional[_FieldCheck]:
-    """A closure validating one non-null scalar, or None if *dtype*
-    can never round-trip (nested types inside nested text)."""
-    if dtype is DataType.INT or dtype is DataType.LONG:
-        return _check_int
-    if dtype is DataType.FLOAT or dtype is DataType.DOUBLE:
-        return _check_float
-    if dtype is DataType.CHARARRAY or dtype is DataType.BYTEARRAY:
-        return _check_nested_str if nested else _check_str
-    if dtype is DataType.BOOLEAN:
-        return _check_bool
-    return None
-
-
-def _check_int(value) -> bool:
-    return type(value) is int
-
-
-def _check_float(value) -> bool:
-    # NaN re-parses to a value that is not == to itself
-    return type(value) is float and value == value
-
-
-def _check_str(value) -> bool:
-    # "" re-parses as null; tab/newline change field splitting
-    if type(value) is not str or value == "":
-        return False
-    return "\t" not in value and "\n" not in value
-
-
-def _check_nested_str(value) -> bool:
-    # bag text is split on commas/parens/braces and
-    # whitespace-stripped by the nested parser
-    return (
-        type(value) is str
-        and value != ""
-        and not _has_nested_unsafe(value)
-        and value == value.strip()
-    )
-
-
-def _check_bool(value) -> bool:
-    return type(value) is bool
-
-
-_NESTED_UNSAFE = ("\t", "\n", ",", "(", ")", "{", "}")
-
-
-def _has_nested_unsafe(value: str) -> bool:
-    for ch in _NESTED_UNSAFE:
-        if ch in value:
-            return True
-    return False
-
-
-def _never(value) -> bool:
-    return False
-
-
-def _bag_checker(inner: Optional[Schema]) -> _FieldCheck:
-    if inner is None:
-        return _never  # untyped bags re-parse as raw string tuples
-    inner_checks = []
-    for fs in inner.fields:
-        check = None if fs.dtype.is_nested else _scalar_checker(fs.dtype, nested=True)
-        if check is None:
-            return _never  # doubly nested text does not round-trip
-        inner_checks.append(check)
-    inner_checks = tuple(inner_checks)
-    n_fields = len(inner_checks)
-
-    def check_bag(value) -> bool:
-        if not isinstance(value, Bag):
-            return False
-        for row in value.rows:
-            if type(row) is not tuple or len(row) != n_fields:
-                return False
-            for v, check in zip(row, inner_checks):
-                if v is not None and not check(v):
-                    return False
-        return True
-
-    return check_bag

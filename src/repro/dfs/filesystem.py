@@ -148,7 +148,7 @@ class DistributedFileSystem:
                 return self.write_file(path, payload)
             inode = self.namenode.lookup(path)
             self._append_segment(inode, payload)
-            inode.invalidate_datasets()
+            inode.invalidate_datasets(appended=True)
             self.namenode.touch(path)
             return self.namenode.stat(path)
 
@@ -229,7 +229,7 @@ class DistributedFileSystem:
                 # dataset qualifies as a payload-reuse source itself
                 fingerprint = schema.fingerprint()
                 inode.datasets[fingerprint] = TypedDataset(
-                    rows, fingerprint, inode.generation, exact=True
+                    rows, fingerprint, inode.generation, exact=True, covers=inode.size
                 )
             return self.namenode.stat(path)
 
@@ -277,7 +277,7 @@ class DistributedFileSystem:
             inode = self.namenode.create(path)
             self._append_segment(inode, payload)
             inode.datasets[fingerprint] = TypedDataset(
-                src_rows, fingerprint, inode.generation, exact=True
+                src_rows, fingerprint, inode.generation, exact=True, covers=inode.size
             )
             self.payload_clones += 1
             return self.namenode.stat(path)
@@ -323,25 +323,35 @@ class DistributedFileSystem:
         materialized, no text is parsed, yet the read counter moves
         exactly as a text read would move it.  On a miss the text is
         parsed once and the result is pinned, so the next matching
-        reader hits.  The returned tuple is shared: treat it as
-        immutable.
+        reader hits; after an append only the bytes past what was
+        pinned are parsed (``INode.prefixes``).  The returned tuple is
+        shared: treat it as immutable.
         """
         fingerprint = schema.fingerprint()
         with self._lock:
             inode = self.namenode.lookup(path)
             dataset = inode.datasets.get(fingerprint)
+            self.bytes_read += inode.size
             if dataset is not None and dataset.generation == inode.generation:
-                self.bytes_read += inode.size
                 return dataset.rows
-            data = inode.read()
-            self.bytes_read += len(data)
-            generation = inode.generation
+            generation, size = inode.generation, inode.size
+            prefix = inode.prefixes.get(fingerprint)
+            start = prefix.covers if prefix is not None else 0
+            data = inode.read(start)
         # parse outside the lock: a cold read of a large file must not
         # stall every other worker sharing this filesystem
-        try:
-            rows = tuple(deserialize_rows(data.decode(), schema))
-        except SchemaError as exc:  # names line and field; add the file
-            raise SchemaError(f"{path} {exc}") from None
+        rows = None
+        if start:
+            try:
+                rows = prefix.rows + tuple(deserialize_rows(data.decode(), schema))
+            except SchemaError:  # the full parse names the file's line
+                with self._lock:
+                    data = inode.read()
+        if rows is None:
+            try:
+                rows = tuple(deserialize_rows(data.decode(), schema))
+            except SchemaError as exc:  # names line and field; add the file
+                raise SchemaError(f"{path} {exc}") from None
         with self._lock:
             # a parse is canonical with respect to its own text, so the
             # fill needs no round-trip check — but pin only if the file
@@ -349,9 +359,11 @@ class DistributedFileSystem:
             if self.namenode.exists(path):
                 current = self.namenode.lookup(path)
                 if current is inode and current.generation == generation:
+                    covers = size if data[-1:] in (b"", b"\n") else None
                     inode.datasets[fingerprint] = TypedDataset(
-                        rows, fingerprint, generation
+                        rows, fingerprint, generation, covers=covers
                     )
+                    inode.prefixes.pop(fingerprint, None)
         return rows
 
     def row_size_memo(self, path: str, schema: Schema) -> Tuple[dict, tuple]:

@@ -74,9 +74,22 @@ class INode:
     #: schema fingerprint -> typed rows parsed from / written as this
     #: file's bytes (the zero-copy data plane's cache)
     datasets: Dict[tuple, TypedDataset] = field(default_factory=dict)
+    #: what appends have left of ``datasets``: each the parse of the
+    #: file's first ``covers`` bytes, which a reader extends by parsing
+    #: only the bytes after them (any other mutation drops these too)
+    prefixes: Dict[tuple, TypedDataset] = field(default_factory=dict)
+    #: crc32 of the file up to the end of each leading segment
+    #: :meth:`prefix_crc32` has walked in full
+    _crcs: List[int] = field(default_factory=list, repr=False)
 
-    def invalidate_datasets(self) -> None:
+    def invalidate_datasets(self, appended: bool = False) -> None:
         self.generation += 1
+        if appended:
+            self.prefixes.update(
+                (fp, ds) for fp, ds in self.datasets.items() if ds.covers is not None
+            )
+        else:
+            self.prefixes.clear()
         self.datasets.clear()
 
     def read(self, start: int = 0, end: Optional[int] = None) -> bytes:
@@ -101,20 +114,26 @@ class INode:
     def prefix_crc32(self, size: Optional[int] = None) -> Optional[int]:
         """crc32 of the first *size* bytes (all of them by default),
         or None when that would force a still-deferred lazy segment
-        into serializing."""
+        into serializing.  Segments are append-only, so the running
+        crc at each segment end is kept and a byte is fed in once."""
         end = self.size if size is None else min(size, self.size)
         crc = 0
         offset = 0
-        for segment in self.segments:
+        for index, segment in enumerate(self.segments):
             if offset >= end:
                 break
-            if not segment:
-                continue  # an empty write holds no byte to defer
-            if isinstance(segment, LazyPayload):
-                if not segment.materialized:
-                    return None
-                segment = segment.get()
-            crc = zlib.crc32(segment[: end - offset], crc)
+            whole = offset + len(segment) <= end
+            if whole and index < len(self._crcs):
+                crc = self._crcs[index]
+            else:
+                if isinstance(segment, LazyPayload):
+                    # an empty write holds no byte to defer
+                    if segment and not segment.materialized:
+                        return None
+                    segment = segment.get() if segment else b""
+                crc = zlib.crc32(segment[: end - offset], crc)
+                if whole and index == len(self._crcs):
+                    self._crcs.append(crc)
             offset += len(segment)
         return crc
 

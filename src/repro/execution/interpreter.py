@@ -176,6 +176,11 @@ class JobInterpreter:
 
         stats.map_output_records = self._map_output_records
         stats.op_records = self._op_records
+        # the handlers close over this interpreter: without them the
+        # job's shuffle groups and store rows die with its last
+        # reference instead of waiting for a full cyclic collection
+        self._batch_handlers.clear()
+        self._succ_batch_handlers.clear()
         stats.wall_seconds = time.perf_counter() - started
         return stats
 

@@ -9,9 +9,9 @@ caring about the underlying container.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
 from repro.relational.schema import FieldSchema, Schema
@@ -206,30 +206,49 @@ def _serialize_field(value) -> str:
 
 
 def deserialize_row(line: str, schema: Schema) -> Row:
-    """Parse one PigStorage line using *schema* for field typing."""
+    """Parse one PigStorage line using *schema* for field typing.
+
+    The reference :func:`deserialize_rows` is held to.  A line is
+    squared to the schema's width (short pads with nulls, extra fields
+    drop) and so is every tuple of a nested field to its inner schema.
+    """
     parts = line.split("\t")
-    values = []
-    for i, fs in enumerate(schema):
-        text = parts[i] if i < len(parts) else ""
-        value = parse_text(text, fs.dtype)
-        if fs.dtype is DataType.BAG and fs.inner is not None and value is not None:
-            value = Bag(_retype_rows(value, fs.inner))
-        values.append(value)
-    return tuple(values)
+    return tuple(
+        _parse_field(parts[i] if i < len(parts) else "", fs)
+        for i, fs in enumerate(schema)
+    )
+
+
+def _parse_field(text: str, fs: FieldSchema):
+    """One field text -> its value; what :func:`parse_text` leaves as
+    strings inside a bag or tuple is typed by the field's inner
+    schema, so a stored result reads back as the rows that were
+    written.  A tuple column without inner schema, or with a nested
+    inner field, keeps its raw strings (it is never pinned either)."""
+    value = parse_text(text, fs.dtype)
+    if value is None or fs.inner is None:
+        return value
+    if fs.dtype is DataType.BAG:
+        return Bag(_retype_rows(value, fs.inner))
+    if fs.dtype is DataType.TUPLE and not any(f.dtype.is_nested for f in fs.inner):
+        return _retype_rows((value,), fs.inner)[0]
+    return value
 
 
 def _retype_rows(raw_rows, inner: Schema) -> List[Row]:
-    """Type the string fields a freshly parsed bag carries.
+    """Type the string fields freshly parsed nested tuples carry,
+    squaring each to the inner width: a short tuple pads with nulls
+    (``()`` is how a one-field ``(None,)`` renders), a long one drops
+    the extras.
 
-    Values that are already typed (a bag built in memory rather than
-    parsed from text) pass through unchanged — round-tripping them
-    through ``str`` would corrupt distinctions the text form cannot
-    carry, e.g. an int in a double-typed field.
+    Values that are already typed (a nested tuple parsed recursively
+    rather than left as text) pass through unchanged.
     """
+    pad = ("",) * len(inner.fields)
     return [
         tuple(
             parse_text(v, fs.dtype) if isinstance(v, str) else v
-            for v, fs in zip(raw, inner)
+            for v, fs in zip(raw + pad, inner)
         )
         for raw in raw_rows
     ]
@@ -263,11 +282,65 @@ def snapshot_rows(rows: Iterable[Row]) -> Tuple[Row, ...]:
 
 
 def serialize_rows(rows: Iterable[Row]) -> str:
-    """Serialize many rows into one newline-terminated text blob."""
-    lines = [serialize_row(r) for r in rows]
-    if not lines:
+    """Serialize many rows into one newline-terminated text blob.
+
+    :func:`serialize_row` of every row (the tests' reference), built a
+    column at a time when the rows are plain tuples of one width: a
+    column of one exact scalar type runs ``str`` / ``repr`` over
+    itself; a Bag column flattens every inner tuple of the write,
+    renders those columns the same way and re-cuts by bag length, a
+    tuple column likewise; a mixed column, or one holding a null, goes
+    through ``format_value`` per value.  Ragged rows and anything else
+    take the per-row path.
+    """
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    if not rows:
         return ""
-    return "\n".join(lines) + "\n"
+    columns = _text_columns(rows, top=True)
+    if columns is None:
+        return "\n".join(map(serialize_row, rows)) + "\n"
+    return "\n".join(map("\t".join, zip(*columns))) + "\n"
+
+
+def _text_columns(rows: Sequence[Row], top: bool) -> Optional[list]:
+    """The fields of *rows* as text, one iterable per column; None
+    unless the rows are plain tuples of one non-zero width."""
+    if set(map(type, rows)) != {tuple}:
+        return None
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    return [_text_column(list(map(itemgetter(i), rows)), top) for i in range(width)]
+
+
+def _text_column(column: list, top: bool) -> Iterable[str]:
+    """One column as text: ``_serialize_field`` (a file's own fields,
+    *top*) or ``format_value`` (below) of every value."""
+    types = set(map(type, column))
+    if types == {str}:
+        return column
+    if types == {int}:
+        return map(str, column)
+    if types == {float}:
+        return map(repr, column)
+    if types == {tuple}:
+        texts = _tuple_texts(column)
+        if texts is not None:
+            return texts
+    elif types == {Bag} and top:
+        texts = _tuple_texts(list(chain.from_iterable(bag.rows for bag in column)))
+        if texts is not None:
+            return ["{" + ",".join(islice(texts, len(bag))) + "}" for bag in column]
+    return map(_serialize_field if top else format_value, column)
+
+
+def _tuple_texts(rows: Sequence[Row]) -> Optional[Iterator[str]]:
+    """``format_tuple`` of every row, a column at a time."""
+    columns = _text_columns(rows, top=False)
+    if columns is None:
+        return None
+    return map("(%s)".__mod__, map(",".join, zip(*columns)))
 
 
 def iter_data_lines(text: str) -> List[str]:
@@ -319,16 +392,12 @@ def _column_cast(fs: FieldSchema) -> Callable[[tuple], Sequence]:
     are :func:`deserialize_row`'s and the error names line and field.
     """
     dtype = fs.dtype
-    retype = dtype is DataType.BAG and fs.inner is not None
 
     def per_value(column):
         values = []
         try:
             for text in column:
-                value = parse_text(text, dtype)
-                if retype and value is not None:
-                    value = Bag(_retype_rows(value, fs.inner))
-                values.append(value)
+                values.append(_parse_field(text, fs))
         except SchemaError:
             raise SchemaError(
                 f"line {len(values) + 1} field {fs.name} ({dtype.value}): "

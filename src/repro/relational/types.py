@@ -136,8 +136,9 @@ def format_bag(bag: list) -> str:
 def parse_tuple(text: str) -> tuple:
     """Parse ``(a,b,c)`` into a tuple of strings (untyped fields).
 
-    Nested bag/tuple values are parsed recursively.  Field typing for
-    nested data is applied by callers that know the inner schema.
+    Nested bag/tuple values are parsed recursively.  The strings are
+    typed, and the tuple squared to its declared width, by the caller
+    that knows the column's inner schema (``tuples.deserialize_row``).
     """
     if not (text.startswith("(") and text.endswith(")")):
         raise SchemaError(f"malformed tuple text: {text!r}")

@@ -1,9 +1,15 @@
 """Unit tests for the distributed file system simulator."""
 
+import zlib
+from types import SimpleNamespace
+
 import pytest
 
+from repro.dfs import namenode
 from repro.dfs.namenode import NameNode
 from repro.exceptions import FileAlreadyExists, FileNotFoundInDFS
+from repro.relational.schema import Schema
+from repro.session import ReStoreSession
 
 
 class TestNameNode:
@@ -116,3 +122,58 @@ class TestFileSystem:
         t1 = dfs.mtime("/f")
         dfs.write_file("/f", "b", overwrite=True)
         assert dfs.mtime("/f") > t1
+
+
+class TestRunningCrc:
+    """``prefix_crc32`` keeps the running crc at each segment end: an
+    unchanged file is checksummed once, whatever is asked how often."""
+
+    def _grown(self, dfs):
+        dfs.write_file("f", b"abcdef\n")
+        for tail in (b"ghi\n", b"", b"jklmnop\n"):
+            dfs.append("f", tail)
+        return dfs.read_file("f"), [7, 11, 11, 19]
+
+    def test_values_at_before_and_past_each_segment_end(self, dfs):
+        data, ends = self._grown(dfs)
+        sizes = [None, 0] + [end + step for end in ends for step in (-1, 0, 1)]
+        for _ in range(2):  # computed, then answered from the recorded ends
+            for size in sizes + sizes[::-1]:
+                want = zlib.crc32(data if size is None else data[:size])
+                assert dfs.prefix_crc32("f", size) == want
+        dfs.append("f", b"q\n")
+        assert dfs.prefix_crc32("f") == zlib.crc32(data + b"q\n")
+        assert dfs.prefix_crc32("f", len(data)) == zlib.crc32(data)
+        assert dfs.prefix_crc32("f", len(data) + 1) == zlib.crc32(data + b"q")
+
+    def test_deferred_typed_write_still_answers_none(self, dfs):
+        dfs.write_rows("t", (("a", 1),), Schema.of("k", ("n", "int")))
+        dfs.append("t", b"b\t2\n")
+        assert dfs.prefix_crc32("t") is None  # would force the render
+        data = dfs.read_file("t")
+        assert dfs.prefix_crc32("t") == zlib.crc32(data)
+
+    def test_registrations_checksum_an_unchanged_input_once(self, monkeypatch):
+        fed = []
+
+        def crc32(data, value=0):
+            fed.append(len(data))
+            return zlib.crc32(data, value)
+
+        monkeypatch.setattr(namenode, "zlib", SimpleNamespace(crc32=crc32))
+        text = "".join(f"u{n % 9}\t{n}\t{n * 0.5}\n" for n in range(400))
+        with ReStoreSession() as session:
+            session.write_file("in", text)
+            for n in range(10):
+                session.run(
+                    "A = load 'in' as (u, n:int, v:double);"
+                    f" B = filter A by n > {n}; store B into 'o{n}';"
+                )
+            recorded = [
+                entry.input_extents["in"].crc
+                for entry in session.repository.entries()
+                if "in" in entry.input_extents
+            ]
+        # every registration got the checksum, one walk computed it
+        assert len(recorded) >= 10 and set(recorded) == {zlib.crc32(text.encode())}
+        assert len(text) <= sum(fed) <= 1.05 * len(text)  # the parent: 10 x

@@ -109,7 +109,7 @@ class TestGroupAndAggregate:
             store E into 'out';
         """)
         rows = dict(result.outputs["out"])
-        assert rows[("alice", "1")] == 2
+        assert rows[("alice", 1)] == 2
 
     def test_distinct(self, server):
         result = run(server, f"""

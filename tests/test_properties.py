@@ -5,7 +5,7 @@ import zlib
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.matcher import PlanMatcher
@@ -26,6 +26,7 @@ from repro.relational.tuples import (
     deserialize_row,
     deserialize_rows,
     iter_data_lines,
+    serialize_row,
     serialize_rows,
 )
 from repro.relational.types import DataType
@@ -113,7 +114,8 @@ _FIELD_TEXTS = {
                       "1_0.5", "1e999", "--1", "-0.0"],
     DataType.CHARARRAY: ["", "a", " ", "x y", "3", "3.0", "true"],
     DataType.BOOLEAN: ["TRUE", "true", "1", "no", "", " true ", "0", "yes", "False"],
-    DataType.TUPLE: ["(a,1)", "()", "", "(a,(b,c))", "bad", "(open", "({(x)},y)"],
+    DataType.TUPLE: ["(a,1)", "()", "", "(a,(b,c))", "bad", "(open", "({(x)},y)",
+                     "(a,)", "(a,b,c)", "(x,notanint)", "(,)", "(3.0,true)"],
     DataType.BAG: ["{(a,1),(b,2)}", "{}", "", "{(a,x)}", "bad", "{(a)}",
                    "{(1,2,3)}", "{(a,1),bad}", "{(,)}", "{(true,3.0)}"],
 }
@@ -135,7 +137,7 @@ def schema_and_text(draw):
     fields = []
     for index, dtype in enumerate(dtypes):
         inner = None
-        if dtype is DataType.BAG and draw(st.booleans()):
+        if dtype.is_nested and draw(st.booleans()):
             inner_types = draw(
                 st.lists(st.sampled_from(_SCALAR_TYPES + [DataType.TUPLE]), max_size=3)
             )
@@ -156,6 +158,12 @@ def schema_and_text(draw):
     if lines and draw(st.booleans()):
         text += "\n"
     return Schema(tuple(fields)), text
+
+
+#: a multi-key GROUP's key column: tuple(k: chararray, n: int)
+_KEYED = Schema(
+    (FieldSchema("g", DataType.TUPLE, Schema.of(("k", "chararray"), ("n", "int"))),)
+)
 
 
 def _typed(value):
@@ -192,6 +200,8 @@ class TestSerializationProperties:
     @example((Schema.of(("n", "int")), ""))
     @example((Schema.of(("n", "int"), ("d", "double")), "3.0\tnan\n\n1_0\n"))
     @example((Schema.of(("n", "int"), ("b", "boolean")), "1\t1\n+5\tTRUE\tx\n"))
+    @example((_KEYED, "(a,)\n()\n(a,b,c)\n"))
+    @example((_KEYED, "(a,1)\n(x,notanint)\n"))
     def test_column_parser_equals_per_line_reference(self, schema_text):
         """``deserialize_rows`` is ``deserialize_row`` per line, value
         for value and type for type, and raises ``SchemaError``
@@ -201,6 +211,13 @@ class TestSerializationProperties:
             lambda: [deserialize_row(line, schema) for line in iter_data_lines(text)]
         )
         assert _parse_or_error(lambda: deserialize_rows(text, schema)) == want
+
+    def test_tuple_elements_are_typed_squared_and_named_in_errors(self):
+        assert deserialize_rows("(a,)\n()\n(a,1,c)\n(b,3.0)\n", _KEYED) == [
+            (("a", None),), ((None, None),), (("a", 1),), (("b", 3),)
+        ]
+        with pytest.raises(SchemaError, match=r"line 2 field g \(tuple\).*notanint"):
+            deserialize_rows("(a,1)\n(x,notanint)\n", _KEYED)
 
     def test_zero_field_schema_and_empty_file(self):
         assert deserialize_rows("", Schema.of("a", ("n", "int"))) == []
@@ -297,6 +314,9 @@ class _ModelFile:
         self.exact = typed
         #: a read_rows would be served from the pinned dataset
         self.pinned = typed
+        #: leading bytes whose parse is held (pinned, or left behind by
+        #: an append): a read_rows byte-reads only what follows them
+        self.covered = len(data) if typed else 0
 
     @property
     def data(self) -> bytes:
@@ -331,8 +351,9 @@ class _ModelDFS:
     def read_rows(self, path):
         file = self.files[path]
         if not file.pinned:
-            file.byte_read(0, len(file.data))
+            file.byte_read(file.covered, len(file.data))
             file.pinned = True
+            file.covered = len(file.data)
         self.bytes_read += len(file.data)
         return tuple(file.rows)
 
@@ -586,42 +607,48 @@ nested_safe_text = field_text.filter(lambda s: s != "")
 canonical_float = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
+_PLANE_SCALARS = [DataType.INT, DataType.DOUBLE, DataType.CHARARRAY, DataType.BOOLEAN]
+
+
+def _canonical_value(dtype):
+    if dtype is DataType.INT:
+        return st.one_of(st.none(), st.integers(-(10**6), 10**6))
+    if dtype is DataType.DOUBLE:
+        return st.one_of(st.none(), canonical_float)
+    if dtype is DataType.BOOLEAN:
+        return st.one_of(st.none(), st.booleans())
+    return st.one_of(st.none(), nested_safe_text)
+
+
 def canonical_rows_strategy():
-    """(schema, rows) pairs with nested bag fields where rows are
-    *canonical*: they survive a PigStorage round trip unchanged (the
-    contract the typed-dataset cache pins rows under)."""
-    from repro.relational.tuples import Bag
-
-    scalar_types = [
-        DataType.INT,
-        DataType.DOUBLE,
-        DataType.CHARARRAY,
-        DataType.BOOLEAN,
-    ]
-
-    def value_for(dtype):
-        if dtype is DataType.INT:
-            return st.one_of(st.none(), st.integers(-(10**6), 10**6))
-        if dtype is DataType.DOUBLE:
-            return st.one_of(st.none(), canonical_float)
-        if dtype is DataType.BOOLEAN:
-            return st.one_of(st.none(), st.booleans())
-        return st.one_of(st.none(), nested_safe_text)
+    """(schema, rows) pairs with nested bag and tuple fields where rows
+    are *canonical*: they survive a PigStorage round trip unchanged
+    (the contract the typed-dataset cache pins rows under)."""
 
     def build(spec):
         fields = []
         generators = []
         for i, dtype in enumerate(spec):
-            if dtype == "bag":
-                inner_types = [DataType.CHARARRAY, DataType.INT, DataType.DOUBLE]
+            if dtype in ("bag", "bag1", "tuple"):
+                # a bag of (chararray, int, double) rows, a bag of
+                # one-field rows, a tuple of 1-4 scalar fields
+                inner_types = {
+                    "bag": _PLANE_SCALARS[2::-1],
+                    "bag1": [DataType.CHARARRAY],
+                    "tuple": _PLANE_SCALARS[: i + 1],
+                }[dtype]
                 inner = Schema(
                     tuple(
                         FieldSchema(f"b{i}_{j}", t)
                         for j, t in enumerate(inner_types)
                     )
                 )
+                inner_row = st.tuples(*[_canonical_value(t) for t in inner_types])
+                if dtype == "tuple":
+                    fields.append(FieldSchema(f"f{i}", DataType.TUPLE, inner))
+                    generators.append(st.one_of(st.none(), inner_row))
+                    continue
                 fields.append(FieldSchema(f"f{i}", DataType.BAG, inner))
-                inner_row = st.tuples(*[value_for(t) for t in inner_types])
                 generators.append(
                     st.one_of(
                         st.none(),
@@ -630,7 +657,7 @@ def canonical_rows_strategy():
                 )
             else:
                 fields.append(FieldSchema(f"f{i}", dtype))
-                generators.append(value_for(dtype))
+                generators.append(_canonical_value(dtype))
         schema = Schema(tuple(fields))
         return st.tuples(
             st.just(schema),
@@ -638,11 +665,148 @@ def canonical_rows_strategy():
         )
 
     spec = st.lists(
-        st.one_of(st.sampled_from(scalar_types), st.just("bag")),
+        st.one_of(
+            st.sampled_from(_PLANE_SCALARS), st.sampled_from(["bag", "bag1", "tuple"])
+        ),
         min_size=1,
         max_size=4,
     )
     return spec.flatmap(build)
+
+
+# -- the pinned plane against hostile values ---------------------------------------
+#
+# Rows the checker must *refuse* as often as accept: whatever it
+# accepts has to read back as the rows that were written, value for
+# value and type for type.
+
+
+class _SubBag(Bag):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+#: strings that are fine at top level but not inside nested text, that
+#: are never fine, and that are not ASCII
+_HOSTILE_TEXT = st.sampled_from(
+    ["a", "x y", "", " a", "a ", "a,b", "(a", "a)", "{a}", "a\tb", "a\nb", "é", "\xa0a",
+     "a\x1c", "3", "true"]
+)
+_HOSTILE = {
+    DataType.INT: st.one_of(st.integers(-99, 10**12), st.booleans(), st.just("3")),
+    DataType.DOUBLE: st.one_of(
+        canonical_float,
+        st.sampled_from([float("nan"), float("inf"), -0.0, 1e22, 3]),
+    ),
+    DataType.CHARARRAY: st.one_of(_HOSTILE_TEXT, nested_safe_text, st.just(7)),
+    DataType.BOOLEAN: st.one_of(st.booleans(), st.sampled_from([0, 1, "true"])),
+}
+
+
+def _rarely(rate: int, odd, usual):
+    """*odd* once in *rate* draws, else *usual*."""
+    return st.integers(0, rate - 1).flatmap(lambda k: usual if k else odd)
+
+
+@st.composite
+def hostile_schema_and_rows(draw):
+    """(schema, rows): scalar, bag and tuple columns — typed by 1-4
+    scalar inner fields, untyped, or with a nested inner field — and
+    rows that are canonical except where, at a per-example rate, a
+    value is ill-typed or unsafe, a width is wrong or a container is a
+    subclass."""
+    rate = draw(st.sampled_from([3, 30, 300]))
+
+    def value(dtype):
+        return _rarely(rate, _HOSTILE[dtype], _canonical_value(dtype))
+
+    fields, columns = [], []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(_PLANE_SCALARS + ["bag", "tuple"]))
+        if kind not in ("bag", "tuple"):
+            fields.append(FieldSchema(f"f{i}", kind))
+            columns.append(value(kind))
+            continue
+        inner_types = draw(
+            st.lists(st.sampled_from(_PLANE_SCALARS), min_size=1, max_size=4)
+        )
+        elements = [value(t) for t in inner_types]
+        shape = draw(st.sampled_from(["typed", "typed", "typed", "untyped", "doubly"]))
+        if shape == "doubly":
+            inner_types = inner_types + [DataType.TUPLE]
+            elements.append(st.none() | st.just(("a", "b")))
+        inner = None
+        if shape != "untyped":
+            inner = Schema(
+                tuple(FieldSchema(f"i{n}", t) for n, t in enumerate(inner_types))
+            )
+        inner_row = _rarely(
+            rate,
+            st.one_of(
+                st.tuples(*elements).map(_Pair),
+                st.tuples(*elements).map(lambda row: row + (None,)),  # too wide
+                st.tuples(*elements[1:]),  # too narrow
+            ),
+            st.tuples(*elements),
+        )
+        if kind == "tuple":
+            fields.append(FieldSchema(f"f{i}", DataType.TUPLE, inner))
+            odd = st.just("(a,1)")
+            usual = st.none() | inner_row
+        else:
+            fields.append(FieldSchema(f"f{i}", DataType.BAG, inner))
+            bags = st.lists(inner_row, max_size=3)
+            odd = bags
+            usual = st.one_of(st.none(), bags.map(Bag), bags.map(Bag), bags.map(_SubBag))
+        columns.append(_rarely(rate, odd, usual))
+    row = _rarely(
+        rate,
+        st.one_of(
+            st.tuples(*columns).map(list),
+            st.tuples(*columns).map(lambda r: r + (None,)),
+            st.tuples(*columns[1:]),
+        ),
+        st.tuples(*columns),
+    )
+    return Schema(tuple(fields)), draw(st.lists(row, max_size=6))
+
+
+def _same(a, b) -> bool:
+    """Equal value for value and type for type (any Bag is a Bag;
+    NaN equals nothing, itself included)."""
+    if isinstance(a, Bag) or isinstance(b, Bag):
+        return isinstance(a, Bag) and isinstance(b, Bag) and _same(a.rows, b.rows)
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _refused_by_design(schema, rows) -> bool:
+    """What the checker refuses although the text happens to read
+    back: a column it never pins (untyped or doubly nested, unless all
+    null) and brackets inside nested strings (conservative: the
+    nested splitter only trips on some of them)."""
+    for index, fs in enumerate(schema.fields):
+        if not fs.dtype.is_nested:
+            continue
+        values = [row[index] for row in rows if row[index] is not None]
+        if values and (
+            fs.inner is None or any(f.dtype.is_nested for f in fs.inner.fields)
+        ):
+            return True
+        for value in values:
+            for inner_row in value.rows if isinstance(value, Bag) else [value]:
+                if any(isinstance(v, str) and set(v) & set("(){}") for v in inner_row):
+                    return True
+    return False
+
+
+plane_rows = st.one_of(canonical_rows_strategy(), hostile_schema_and_rows())
 
 
 class TestDataPlaneProperties:
@@ -685,3 +849,141 @@ class TestDataPlaneProperties:
         data = dfs.read_file("f")
         assert data == serialize_rows(rows).encode()
         assert dfs.file_size("f") == len(data)
+
+    @given(hostile_schema_and_rows())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    # a one-field bag row holding a null renders "()" and squares back
+    @example(
+        (
+            Schema((FieldSchema("b", DataType.BAG, Schema.of(("s", "chararray"))),)),
+            [(Bag([(None,), ("x",)]),)],
+        )
+    )
+    @example(
+        (
+            Schema((FieldSchema("b", DataType.BAG, Schema.of("s", ("n", "int"))),)),
+            [(Bag([(None, None)]),)],
+        )
+    )
+    @example((_KEYED, [(("a", 1),), (("a", True),), (("a", 1.0),)]))
+    def test_canonical_iff_rows_read_back_as_written(self, schema_rows):
+        """``rows_are_canonical`` holds exactly when the text reads
+        back as the rows that were written — value for value, type for
+        type — and the fused sizer is the text's byte length exactly
+        when the rows are canonical and ASCII."""
+        from repro.dfs.dataset import canonical_ascii_size, rows_are_canonical
+
+        schema, rows = schema_rows
+        canonical = rows_are_canonical(rows, schema)
+        text = serialize_rows(rows)
+        try:
+            same = _same(tuple(deserialize_rows(text, schema)), tuple(rows))
+        except SchemaError:
+            same = False
+        if canonical:
+            assert same
+        elif same:
+            assert _refused_by_design(schema, rows)
+        size = canonical_ascii_size(rows, schema)
+        if size is None:
+            assert not (canonical and text.isascii())
+        else:
+            assert canonical and size == len(text.encode())
+
+    @given(plane_rows, st.sampled_from([63, 64, 65]))
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_columnar_sizer_equals_row_closures_at_the_threshold(self, schema_rows, n):
+        from repro.dfs.dataset import _row_sizer, canonical_ascii_size
+
+        schema, rows = schema_rows
+        assume(rows)
+        rows = (list(rows) * n)[:n]
+        assert canonical_ascii_size(rows, schema) == _row_sizer(schema)(rows)
+
+    @given(plane_rows)
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @example((Schema(()), []))
+    @example((Schema(()), [(), ()]))
+    @example((Schema.of("a"), [("x",), ("y", "z"), ()]))
+    @example((Schema.of("a"), [(_SubBag([("x",)]),), (Bag([("y",)]),), (Bag(),)]))
+    def test_serialize_rows_equals_per_row_reference(self, schema_rows):
+        """The column-at-a-time renderer is ``serialize_row`` per row,
+        byte for byte, over every shape: ragged rows, an empty write,
+        zero-width rows, Bag and tuple subclasses, ill-typed values."""
+        _, rows = schema_rows
+        want = "".join(serialize_row(row) + "\n" for row in rows)
+        assert serialize_rows(rows) == want
+        assert serialize_rows(iter(rows)) == want
+
+
+# -- an append extends the pinned rows ------------------------------------------------
+
+_APPEND_SCHEMAS = [
+    Schema.of(("k", DataType.CHARARRAY), ("n", DataType.INT)),
+    Schema.of(("k", DataType.CHARARRAY), ("n", DataType.CHARARRAY)),
+    Schema.of(("k", DataType.CHARARRAY)),
+]
+#: whole rows, a row without its newline (the next append grows it),
+#: empty and all-null lines, a malformed row (under the int schema),
+#: non-ASCII
+_append_chunk = st.sampled_from(
+    ["x\t1\n", "y\t2\nz\t3\n", "w\t4", "tail", "\t\n", "\n", "", "bad\tnotint\n", "é\t5\n"]
+)
+_append_op = st.one_of(
+    st.tuples(st.just("append"), _append_chunk),
+    st.tuples(st.just("read"), st.integers(0, len(_APPEND_SCHEMAS) - 1)),
+)
+
+
+def _rows_or_error(dfs, schema):
+    try:
+        return [_typed(row) for row in dfs.read_rows("f", schema)]
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestAppendedReadProperties:
+    @given(
+        st.sampled_from([None, "a\t1\nb\t2\n", "a\t1\nb\t2", ""]),
+        st.lists(_append_op, max_size=14),
+    )
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_reads_between_appends_equal_one_cold_parse(self, initial, operations):
+        """However a file grew and whatever schemas read it on the way,
+        ``read_rows`` returns — or raises — exactly what one cold parse
+        of the file's current bytes does, and counts the same bytes."""
+        dfs = DistributedFileSystem()
+        if initial is None:  # writer-pinned rows
+            dfs.write_rows("f", (("a", 1), ("b", 2)), _APPEND_SCHEMAS[0])
+            data = b"a\t1\nb\t2\n"
+        else:
+            dfs.write_file("f", initial)
+            data = initial.encode()
+        for kind, arg in operations:
+            if kind == "append":
+                dfs.append("f", arg)
+                data += arg.encode()
+                continue
+            cold = DistributedFileSystem()
+            cold.write_file("f", data)
+            before = dfs.bytes_read
+            schema = _APPEND_SCHEMAS[arg]
+            assert _rows_or_error(dfs, schema) == _rows_or_error(cold, schema)
+            assert dfs.bytes_read - before == cold.bytes_read == len(data)
+        assert dfs.read_file("f") == data
