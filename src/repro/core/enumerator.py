@@ -11,7 +11,6 @@ job executes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -24,8 +23,6 @@ from repro.pig.physical.operators import (
 )
 from repro.pig.physical.plan import PhysicalPlan
 from repro.relational.schema import Schema
-
-_CANDIDATE_COUNTER = itertools.count(1)
 
 
 @dataclass
@@ -48,8 +45,8 @@ class SubJobEnumerator:
     def __init__(
         self,
         heuristic: Heuristic,
+        id_allocator: Callable[[], int],
         path_prefix: str = "restore/subjob",
-        id_allocator: Optional[Callable[[], int]] = None,
     ):
         self.heuristic = heuristic
         self.path_prefix = path_prefix.rstrip("/")
@@ -57,9 +54,8 @@ class SubJobEnumerator:
         #: allocator so paths are scoped to the shared filesystem —
         #: deterministic per fresh DFS (serial and service runs of the
         #: same stream produce identical store paths) yet collision-
-        #: free between managers sharing one DFS.  The default keeps
-        #: the legacy process-global numbering for standalone use.
-        self._next_id = id_allocator or (lambda: next(_CANDIDATE_COUNTER))
+        #: free between managers sharing one DFS.
+        self._next_id = id_allocator
 
     def _new_path(self) -> str:
         return f"{self.path_prefix}/sj{self._next_id():06d}"

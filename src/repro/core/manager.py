@@ -176,6 +176,9 @@ class MatchPipelineTotals:
     candidates_pruned: int = 0
     #: pairwise Algorithm-1 traversals actually run while matching
     traversals: int = 0
+    #: passes the exact-fingerprint index answered (whole-job hits on a
+    #: plan equal to a stored one: no candidate list, no traversal)
+    exact_hits: int = 0
 
     @property
     def prune_ratio(self) -> float:
@@ -352,15 +355,12 @@ class ReStoreManager(JobListener):
             # the path is not claimed again — either re-kept, or
             # re-registered as a live entry's output (a condemned
             # whole-job entry's rerun recreates the very same path)
-            still_pinned = self._pinned_paths()
-            ready = {
-                path
-                for path in self._deferred_deletes
-                if path not in still_pinned
-                and path not in self.kept_paths
-                and self.repository.find_by_output_path(path) is None
-            }
-            self._deferred_deletes -= ready
+            ready: Set[str] = set()
+            if self._deferred_deletes:
+                live = {e.output_path for e in self.repository.entries()}
+                live |= self._pinned_paths() | self.kept_paths
+                ready = self._deferred_deletes - live
+                self._deferred_deletes -= ready
         for refresh in orphaned:
             self._discard_file(refresh.delta_path)
             self._discard_file(refresh.tail_path)
@@ -446,16 +446,27 @@ class ReStoreManager(JobListener):
         """Scan the repository; rewrite on the first match; rescan
         until no plan matches (paper §3).
 
-        Each pass asks the repository for fingerprint-pruned
-        candidates; the expensive pairwise traversal only runs against
-        those, outside any manager-level lock — the candidate list is a
-        snapshot, and the job plan being rewritten is submission-local.
-        A :class:`~repro.events.MatchScanned` telemetry event goes out
-        on the bus when the scan completes.
+        Each pass asks the exact-fingerprint index first
+        (:meth:`_exact_hit`) and otherwise the repository for
+        fingerprint-pruned candidates; the expensive pairwise traversal
+        only runs against those, outside any manager-level lock — the
+        candidate list is a snapshot, and the job plan being rewritten
+        is submission-local.  A :class:`~repro.events.MatchScanned`
+        telemetry event goes out on the bus when the scan completes.
         """
         scan = MatchScanned(job_id=job.job_id)
         try:
             for _ in range(self.config.max_rewrite_passes):
+                entry = self._exact_hit(job, workflow)
+                if entry is not None:  # booked as a one-candidate pass
+                    scan.passes += 1
+                    scan.entries_total = len(self.repository)
+                    scan.candidates += 1
+                    scan.pruned += scan.entries_total - 1
+                    scan.matches += 1
+                    scan.exact_hits += 1
+                    self._apply_whole_job(job, entry, workflow)
+                    return
                 matched = False
                 candidates, pass_stats = self.repository.match_candidates(job.plan)
                 scan.passes += 1
@@ -475,7 +486,7 @@ class ReStoreManager(JobListener):
                         continue
                     if result is None:
                         continue
-                    if self._is_noop_match(result, entry):
+                    if self._is_noop_match(result.frontier, entry):
                         continue
                     freshness = self._pin_live_entry(workflow, entry)
                     if freshness is None:
@@ -546,6 +557,7 @@ class ReStoreManager(JobListener):
             totals.candidates_examined += scan.candidates
             totals.candidates_pruned += scan.pruned
             totals.traversals += scan.traversals
+            totals.exact_hits += scan.exact_hits
         if scan.entries_total:
             # Bus-only telemetry: the drain channel stays a pure
             # decision log, so legacy consumers see no new lines.
@@ -553,13 +565,43 @@ class ReStoreManager(JobListener):
             self.events.emit(scan)
 
     @staticmethod
-    def _is_noop_match(result, entry: RepositoryEntry) -> bool:
+    def _is_noop_match(frontier, entry: RepositoryEntry) -> bool:
         """Reject rewrites that would only swap a Load for an identical
         Load (possible with trivial entries; avoids rewrite cycles)."""
-        return (
-            isinstance(result.frontier, POLoad)
-            and result.frontier.path == entry.output_path
-        )
+        return isinstance(frontier, POLoad) and frontier.path == entry.output_path
+
+    def _exact_hit(
+        self, job: MapReduceJob, workflow: Workflow
+    ) -> Optional[RepositoryEntry]:
+        """The entry whose plan *is* the job's, when it can be served as
+        it stands: one dict probe, no candidate list, no Algorithm 1.
+
+        This cannot change which entry wins.  An entry whose plan equals
+        the job's contains every other entry that matches the job, so
+        its §3 subsumption score exceeds theirs and the scan reaches it
+        first; ``add_if_absent`` keeps its fingerprint bucket at one.
+        Only the verdict the scan would reach on it is taken here —
+        live, pinned, fresh, a real rewrite; anything else (no such
+        entry, evicted since, stale, appended) returns None and the
+        scan deals with it as before.  Never skipped is the corruption
+        check: asking a restored entry's lazy plan for its frontier
+        rebuilds it and verifies its fingerprint, and a failure
+        quarantines the entry.
+        """
+        entry = self.repository.find_equivalent(job.plan)
+        if entry is None:
+            return None
+        try:
+            frontier = self.matcher.repo_frontier(entry.plan)
+        except SnapshotError as exc:
+            self._quarantine(entry, str(exc))
+            return None
+        if frontier is None or self._is_noop_match(frontier, entry):
+            return None
+        freshness = self._pin_live_entry(workflow, entry)
+        if freshness is None or freshness.stale or freshness.is_appended:
+            return None
+        return entry
 
     def _apply_whole_job(
         self, job: MapReduceJob, entry: RepositoryEntry, workflow: Workflow
@@ -877,7 +919,9 @@ class ReStoreManager(JobListener):
         if policy == "temporary-only" and not job.temporary:
             return
         primary = job.plan.primary_store()
-        if primary is None:
+        if primary is None or len(job.plan) <= 2:
+            # nothing to offer, or the copy job a whole-job hit leaves
+            # behind: _register refuses it, so do not clone it to hear so
             return
         sim_time = stats.sim.total_without_side_stores if stats.sim is not None else 0.0
         self._register(

@@ -89,7 +89,7 @@ class PlanMatcher:
         greedy choice wrong even though a consistent mapping exists.
         """
         self.traversal_count += 1
-        frontier_repo = self._repo_frontier(repo_plan)
+        frontier_repo = self.repo_frontier(repo_plan)
         if frontier_repo is None:
             return None
 
@@ -124,9 +124,7 @@ class PlanMatcher:
         in *outer* (used to order the repository, §3 rule 1)."""
         return self.match(outer, inner) is not None
 
-    # -- internals ---------------------------------------------------------------------
-
-    def _repo_frontier(self, repo_plan: PhysicalPlan) -> Optional[PhysicalOperator]:
+    def repo_frontier(self, repo_plan: PhysicalPlan) -> Optional[PhysicalOperator]:
         """The repo operator feeding its primary Store."""
         store = repo_plan.primary_store()
         if store is None:
@@ -138,6 +136,8 @@ class PlanMatcher:
         if len(preds) != 1:
             return None
         return preds[0]
+
+    # -- internals ---------------------------------------------------------------------
 
     def _candidates_for(
         self,

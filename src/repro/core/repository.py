@@ -418,12 +418,6 @@ class Repository:
             # equivalent wins
             return self._entries[bucket[0]]
 
-    def find_by_output_path(self, path: str) -> Optional[RepositoryEntry]:
-        for entry in self.entries():
-            if entry.output_path == path:
-                return entry
-        return None
-
     def input_paths(self) -> List[str]:
         """Distinct source-dataset paths recorded by live entries."""
         with self._lock:
@@ -465,17 +459,18 @@ class Repository:
         load_sigs = plan.load_signature_set()
         counts = dict(plan.signature_counts())
         with self._lock:
-            ordered = self.ordered_entries()
-            total = len(ordered)
-            stats = MatchScanStats(entries_total=total)
-            keep = {
+            self.flush()  # every live entry now has its §3 position
+            total = len(self._entries)
+            keep = [
                 eid
                 for eid in self._load_sig_pool(load_sigs)
                 if self._counts_contained(self._sig_counts[eid], counts)
-            }
-            candidates = [e for e in ordered if e.entry_id in keep]
-            stats.candidates = len(candidates)
-            stats.pruned = total - len(candidates)
+            ]
+            # the scan key is a strict total order: sorting the kept ids
+            # by it is filtering the whole ordered list, in O(kept)
+            keep.sort(key=self._order_key)
+            candidates = [self._entries[eid] for eid in keep]
+            stats = MatchScanStats(total, len(keep), total - len(keep))
             return candidates, stats
 
     # -- ordering (§3, incrementally maintained) ----------------------------------

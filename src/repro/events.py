@@ -153,13 +153,16 @@ class MatchScanned(ReStoreEvent):
     passes: int = 0
     #: rewrites + eliminations this scan produced
     matches: int = 0
+    #: passes answered by the exact-fingerprint index (each also booked
+    #: as one pass with one candidate and no traversal)
+    exact_hits: int = 0
 
     def render(self) -> str:
         return (
             f"{self.job_id}: scanned {self.entries_total} entries in "
             f"{self.passes} pass(es): {self.candidates} candidate(s), "
             f"{self.pruned} pruned, {self.traversals} traversal(s), "
-            f"{self.matches} match(es)"
+            f"{self.matches} match(es), {self.exact_hits} by the exact index"
         )
 
 

@@ -1,19 +1,19 @@
-"""Tokenizer for the Pig Latin subset.
+"""Tokenizer for the Pig Latin subset: one compiled master pattern.
 
-Keywords are *not* reserved at the lexer level: Pig famously allows
-``group`` as both a statement keyword and the implicit field name of a
-grouped relation, so the parser matches keywords contextually and the
-lexer only distinguishes token shapes.
+One ``finditer`` match per token (the blanks and comments before it
+included), no Python frame per character; line and column are counted
+from a token's offset when an error message asks.  Keywords are *not*
+reserved: ``group`` is a statement keyword and a field name, so the parser
+matches them contextually, and it cuts statements with the same sub-patterns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from repro.exceptions import PigParseError
 
-# token kinds
 IDENT = "IDENT"
 NUMBER = "NUMBER"
 STRING = "STRING"
@@ -21,16 +21,43 @@ DOLLAR = "DOLLAR"
 SYMBOL = "SYMBOL"
 EOF = "EOF"
 
-_TWO_CHAR_SYMBOLS = ("==", "!=", "<=", ">=", "::")
-_ONE_CHAR_SYMBOLS = "=;,().*+-/%<>{}#:"
+_STRING_BODY = r"(?:\\.|[^'\\])*"  # ``\x`` stands for ``x``, whatever ``x`` is
+STRING_PATTERN = f"'{_STRING_BODY}'"
+COMMENT_PATTERN = r"--[^\n]*|/\*.*?\*/"
+
+#: group 1 precedes the token; shapes start on disjoint characters, common
+#: ones first; BAD is the rest: an unclosed literal or comment, a bare ``$``
+_MASTER = re.compile(
+    rf"""((?:\s+|{COMMENT_PATTERN})*)
+    (?:(?P<IDENT>[^\W\d]\w*)
+    |(?P<SYMBOL>==|!=|<=|>=|::|/(?!\*)|\.(?!\d)|[=;,()*+\-%<>{{}}\#:])
+    |'(?P<STRING>{_STRING_BODY})'
+    |(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    |(?P<DOLLAR>\$\d+)
+    |(?P<EOF>\Z)
+    |(?P<BAD>.))""",
+    re.DOTALL | re.VERBOSE,
+)
+_BAD_MESSAGES = {
+    "'": "unterminated string literal",
+    "/": "unterminated block comment",
+    "$": "expected digits after $",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int  # of the token's first character in ``source``
+    source: str
+
+    @property
+    def line(self) -> int:
+        return self.source.count("\n", 0, self.offset) + 1
+
+    @property
+    def column(self) -> int:
+        return self.offset - self.source.rfind("\n", 0, self.offset)
 
     def matches_keyword(self, word: str) -> bool:
         return self.kind == IDENT and self.text.lower() == word.lower()
@@ -41,117 +68,23 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize *source* into a list ending with an EOF token."""
-    return list(_token_stream(source))
-
-
-def _token_stream(source: str) -> Iterator[Token]:
-    index = 0
-    line = 1
-    column = 1
-    length = len(source)
-
-    def advance(n: int = 1):
-        nonlocal index, line, column
-        for _ in range(n):
-            if index < length and source[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        ch = source[index]
-        # whitespace
-        if ch.isspace():
-            advance()
-            continue
-        # comments: -- to end of line, /* ... */
-        if source.startswith("--", index):
-            while index < length and source[index] != "\n":
-                advance()
-            continue
-        if source.startswith("/*", index):
-            end = source.find("*/", index + 2)
-            if end == -1:
-                raise PigParseError("unterminated block comment", line, column)
-            advance(end + 2 - index)
-            continue
-        start_line, start_col = line, column
-        # strings
-        if ch == "'":
-            end = index + 1
-            chunks = []
-            while end < length and source[end] != "'":
-                if source[end] == "\\" and end + 1 < length:
-                    chunks.append(source[end + 1])
-                    end += 2
-                else:
-                    chunks.append(source[end])
-                    end += 1
-            if end >= length:
-                raise PigParseError(
-                    "unterminated string literal", start_line, start_col
-                )
-            text = "".join(chunks)
-            advance(end + 1 - index)
-            yield Token(STRING, text, start_line, start_col)
-            continue
-        # dollar positional refs
-        if ch == "$":
-            end = index + 1
-            while end < length and source[end].isdigit():
-                end += 1
-            if end == index + 1:
-                raise PigParseError("expected digits after $", start_line, start_col)
-            text = source[index:end]
-            advance(end - index)
-            yield Token(DOLLAR, text, start_line, start_col)
-            continue
-        # numbers (int or float, optional exponent)
-        if ch.isdigit() or (
-            ch == "." and index + 1 < length and source[index + 1].isdigit()
-        ):
-            end = index
-            seen_dot = False
-            while end < length and (
-                source[end].isdigit() or (source[end] == "." and not seen_dot)
+    bad: list = []  # BAD matches: they stay in the list, and are noted here
+    tokens = [  # tuple.__new__: a third off Token(...)'s generated __new__
+        tuple.__new__(Token, (kind, match[kind], match.end(1), source))
+        for match in _MASTER.finditer(source)
+        if (kind := match.lastgroup) != "BAD" or not bad.append(match)
+    ]
+    if len(tokens) > 1 and tokens[-2].kind == EOF:
+        del tokens[-1]  # trailing blanks end in \Z, and \Z matches once more
+    if bad or "\\" in source or not source.isascii():
+        # rare shapes, in source order: escapes, BAD, a \w like "½" (no letter)
+        for index, token in enumerate(tokens):
+            kind, text = token[:2]
+            if kind == STRING:
+                tokens[index] = token._replace(text=re.sub(r"(?s)\\(.)", r"\1", text))
+            elif kind == "BAD" or (
+                kind == IDENT and text[0] != "_" and not text[0].isalpha()
             ):
-                if source[end] == ".":
-                    seen_dot = True
-                end += 1
-            if end < length and source[end] in "eE":
-                exp = end + 1
-                if exp < length and source[exp] in "+-":
-                    exp += 1
-                if exp < length and source[exp].isdigit():
-                    end = exp
-                    while end < length and source[end].isdigit():
-                        end += 1
-                    seen_dot = True
-            text = source[index:end]
-            advance(end - index)
-            yield Token(NUMBER, text, start_line, start_col)
-            continue
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            end = index
-            while end < length and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            text = source[index:end]
-            advance(end - index)
-            yield Token(IDENT, text, start_line, start_col)
-            continue
-        # symbols
-        two = source[index : index + 2]
-        if two in _TWO_CHAR_SYMBOLS:
-            advance(2)
-            yield Token(SYMBOL, two, start_line, start_col)
-            continue
-        if ch in _ONE_CHAR_SYMBOLS:
-            advance()
-            yield Token(SYMBOL, ch, start_line, start_col)
-            continue
-        raise PigParseError(f"unexpected character {ch!r}", start_line, start_col)
-
-    yield Token(EOF, "", line, column)
+                message = _BAD_MESSAGES.get(text, f"unexpected character {text[0]!r}")
+                raise PigParseError(message, token.line, token.column)
+    return tokens

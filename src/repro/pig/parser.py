@@ -16,15 +16,37 @@ Grammar (statements end with ``;``):
     STORE rel INTO 'path' [USING Storer]
 
 Keywords are contextual (``group`` is also a valid field name).
+:func:`parse` goes through a bounded memo of statement text -> frozen
+node, so a script costs the parser only the statements it has not seen.
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.exceptions import PigParseError
 from repro.pig import ast
-from repro.pig.lexer import DOLLAR, EOF, IDENT, NUMBER, STRING, SYMBOL, Token, tokenize
+from repro.pig.lexer import (
+    COMMENT_PATTERN,
+    DOLLAR,
+    EOF,
+    IDENT,
+    NUMBER,
+    STRING,
+    STRING_PATTERN,
+    SYMBOL,
+    Token,
+    tokenize,
+)
+
+#: what :func:`parse` cuts a script at: a ``;`` at top level.  Literals
+#: and comments are matched, by the lexer's own patterns, to be stepped
+#: over; a lone ``'`` or ``/*`` is one that never closes
+_CUT = re.compile(rf"{STRING_PATTERN}|{COMMENT_PATTERN}|;|'|/\*", re.DOTALL)
+#: statement texts the parse memo holds (a few KB of frozen nodes each)
+_MEMO_STATEMENTS = 1024
 
 
 class Parser:
@@ -37,6 +59,8 @@ class Parser:
     # -- token helpers ---------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self.tokens[self.pos]  # advance() never passes EOF
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
@@ -46,7 +70,9 @@ class Parser:
         return token
 
     def at_keyword(self, *words: str) -> bool:
-        return any(self.peek().matches_keyword(w) for w in words)
+        """Whether the next token is one of *words* (given in lower case)."""
+        token = self.tokens[self.pos]
+        return token.kind == IDENT and token.text.lower() in words
 
     def expect_keyword(self, word: str) -> Token:
         token = self.peek()
@@ -511,6 +537,43 @@ class Parser:
         )
 
 
+@lru_cache(maxsize=_MEMO_STATEMENTS)
+def _parse_statement(text: str) -> ast.AstStatement:
+    """One statement from its own text (no ``;``), memoised: the nodes
+    are frozen, so every script containing *text* shares them; a text
+    that fails to parse raises and is not kept."""
+    parser = Parser(text)
+    statement = parser.parse_statement()
+    token = parser.peek()
+    if token.kind != EOF:
+        raise PigParseError("expected ';'", token.line, token.column)
+    return statement
+
+
 def parse(source: str) -> ast.Script:
-    """Parse Pig Latin *source* into a :class:`Script`."""
+    """Parse Pig Latin *source* into a :class:`Script`.
+
+    The script is cut at its top-level ``;`` and each statement looked
+    up by its text, so a script that repeats earlier statements costs
+    what is new in it.  Whatever does not cut cleanly or does not
+    parse — text after the last ``;``, an unterminated literal, any
+    error — goes through the one whole-script parse, which reports it
+    with the script's own line and column.
+    """
+    script = ast.Script()
+    start = 0
+    try:
+        for match in _CUT.finditer(source):
+            found = match[0]
+            if found == ";":
+                text = source[start : match.start()].strip()
+                script.statements.append(_parse_statement(text))
+                start = match.end()
+            elif found in ("'", "/*"):
+                break
+        else:
+            if not source[start:].strip():
+                return script
+    except PigParseError:
+        pass
     return Parser(source).parse_script()

@@ -267,7 +267,10 @@ class PhysicalPlan:
         A contracted pass-through split maps to the operator that
         absorbed its edge.
         """
-        keep = self.upstream_closure(op)
+        closure = self.upstream_closure(op)
+        # in this plan's operator order, not the id set's: edges connect
+        # in it, and the order of an operator's inputs is fingerprinted
+        keep = [op_id for op_id in self._ops if op_id in closure]
         out = PhysicalPlan()
         mapping: Dict[int, PhysicalOperator] = {}
         for op_id in keep:
@@ -276,12 +279,12 @@ class PhysicalPlan:
             out.add(twin)
         for src_id in keep:
             for dst_id in self._succs[src_id]:
-                if dst_id in keep:
+                if dst_id in closure:
                     out.connect(mapping[src_id], mapping[dst_id])
         # Drop dangling POSplit tees copied along the way: a split whose
         # only purpose was branching to ops outside the kept set becomes
         # a pass-through; contract splits with a single successor.
-        for op_id in list(keep):
+        for op_id in keep:
             twin = mapping[op_id]
             if isinstance(twin, POSplit):
                 succs = out.successors(twin)

@@ -149,7 +149,10 @@ def match_pipeline_report(manager: ReStoreManager) -> str:
         f"{totals.candidates_pruned} pruned "
         f"({100.0 * totals.prune_ratio:.1f}% of {totals.entries_seen} "
         f"entries seen)",
-        f"  exact-fingerprint lookups: {index.exact_hits}/"
+        f"  exact index: {totals.exact_hits} whole-job hit(s) served at "
+        f"match time without a traversal",
+        f"  exact-fingerprint lookups (match-time probes and registration "
+        f"duplicate checks): {index.exact_hits}/"
         f"{index.exact_lookups} hit(s); ordering upkeep: "
         f"{index.subsume_checks} traversal(s), "
         f"{index.subsume_pruned} pair(s) pruned",

@@ -209,9 +209,9 @@ class ReStoreSession:
     @property
     def match_stats(self) -> Optional["MatchPipelineTotals"]:
         """Cumulative match-pipeline telemetry (candidates pruned,
-        traversals run); None when ReStore is disabled.  Per-job
-        figures stream live as :class:`repro.events.MatchScanned`
-        events on :attr:`events`."""
+        traversals run, whole-job hits the exact index served); None
+        when ReStore is disabled.  Per-job figures stream live as
+        :class:`repro.events.MatchScanned` events on :attr:`events`."""
         return self.manager.match_totals if self.manager else None
 
     @property

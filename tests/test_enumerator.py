@@ -1,5 +1,7 @@
 """Unit tests for sub-job enumeration and Store injection (paper §4)."""
 
+import itertools
+
 from repro.core.enumerator import SubJobEnumerator
 from repro.core.heuristics import (
     AggressiveHeuristic,
@@ -25,6 +27,12 @@ store C into 'out';
 """
 
 
+def make_enumerator(heuristic):
+    """An enumerator with a numbering of its own (the manager passes
+    the DFS's)."""
+    return SubJobEnumerator(heuristic, itertools.count(1).__next__)
+
+
 def compile_job(server, source=L2ISH):
     return server.compile(source).jobs[0]
 
@@ -32,7 +40,7 @@ def compile_job(server, source=L2ISH):
 class TestInjection:
     def test_conservative_injects_two_project_stores(self, server):
         job = compile_job(server)
-        candidates = SubJobEnumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
         assert len(candidates) == 2
         assert all(c.anchor_kind == "project" for c in candidates)
         assert len(job.plan.side_stores()) == 2
@@ -41,7 +49,7 @@ class TestInjection:
         """The join flatten feeds the primary Store directly: its output
         is already stored, so HA must not double-store it."""
         job = compile_job(server)
-        candidates = SubJobEnumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
         assert all(c.anchor_kind != "join" for c in candidates)
         assert len(candidates) == 2  # just the projections
 
@@ -52,13 +60,13 @@ class TestInjection:
             E = foreach D generate group, COUNT(A);
             store E into 'out';
         """)
-        candidates = SubJobEnumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
         kinds = sorted(c.anchor_kind for c in candidates)
         assert "group" in kinds
 
     def test_tee_structure(self, server):
         job = compile_job(server)
-        SubJobEnumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
         job.validate()
         splits = [op for op in job.plan if isinstance(op, POSplit)]
         assert len(splits) == 2
@@ -70,14 +78,14 @@ class TestInjection:
     def test_no_heuristic_reuses_tee(self, server):
         """Multiple stores at the same operator share one Split."""
         job = compile_job(server)
-        SubJobEnumerator(NoHeuristic()).enumerate_and_inject(job)
+        make_enumerator(NoHeuristic()).enumerate_and_inject(job)
         job.validate()
 
     def test_generated_pipeline_injects_three_of_its_four_anchors(self):
         """load → filter → project → group → aggregate → store: HA
         anchors four operators; the aggregate feeds the store, so
         three candidates are injected — for every job of a stream."""
-        enumerator = SubJobEnumerator(AggressiveHeuristic())
+        enumerator = make_enumerator(AggressiveHeuristic())
         for index in range(10):
             spec = EntrySpec(index, f"enum/ds{index}", 1 + index % 37, "aggregate")
             ops = pipeline_ops(spec, spec.shape)
@@ -87,7 +95,7 @@ class TestInjection:
 
     def test_unique_store_paths(self, server):
         job = compile_job(server)
-        candidates = SubJobEnumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
         paths = [c.store_path for c in candidates]
         assert len(paths) == len(set(paths))
 
@@ -95,7 +103,7 @@ class TestInjection:
 class TestCandidatePlans:
     def test_candidate_plan_is_standalone(self, server):
         job = compile_job(server)
-        candidates = SubJobEnumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
         for candidate in candidates:
             candidate.plan.validate()
             # a clean load -> project -> store job, no instrumentation
@@ -104,13 +112,13 @@ class TestCandidatePlans:
 
     def test_candidate_plan_free_of_splits(self, server):
         job = compile_job(server)
-        candidates = SubJobEnumerator(NoHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(NoHeuristic()).enumerate_and_inject(job)
         for candidate in candidates:
             assert not any(isinstance(op, POSplit) for op in candidate.plan)
 
     def test_candidate_schema_matches_anchor(self, server):
         job = compile_job(server)
-        candidates = SubJobEnumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
         for candidate in candidates:
             assert len(candidate.output_schema) >= 1
 
@@ -121,7 +129,7 @@ class TestCandidatePlans:
         from repro.core.matcher import PlanMatcher
 
         job = compile_job(server)
-        candidates = SubJobEnumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
         fresh = compile_job(server)  # identical query, fresh plan
         matcher = PlanMatcher()
         for candidate in candidates:
@@ -133,7 +141,7 @@ class TestCandidatePlans:
         job_server = PigServer(small_data)
         workflow = job_server.compile(L2ISH.replace("'out'", "'out_inj'"))
         for job in workflow.jobs:
-            SubJobEnumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+            make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
         injected = job_server.run_workflow(workflow)
         assert sorted(plain.outputs["out_plain"]) == sorted(
             injected.outputs["out_inj"]
@@ -142,7 +150,7 @@ class TestCandidatePlans:
     def test_side_store_written(self, server, small_data):
         workflow = server.compile(L2ISH.replace("'out'", "'out2'"))
         job = workflow.jobs[0]
-        candidates = SubJobEnumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
         server.run_workflow(workflow)
         for candidate in candidates:
             assert small_data.exists(candidate.store_path)
@@ -198,7 +206,7 @@ class TestAnchorTwinMapping:
             op for op in plan.topo_order() if isinstance(op, POFilter)
         ]
         assert first.signature() == second.signature()  # the ambiguous case
-        enumerator = SubJobEnumerator(ConservativeHeuristic())
+        enumerator = make_enumerator(ConservativeHeuristic())
         candidates = enumerator.enumerate_and_inject(job)
         by_len = sorted(len(c.plan) for c in candidates)
         # the shallow filter's candidate stops at depth 3 (load ->
@@ -221,7 +229,7 @@ class TestAnchorTwinMapping:
 
     def test_contracted_split_maps_to_its_predecessor(self, server):
         job = compile_job(server)
-        enumerator = SubJobEnumerator(AggressiveHeuristic())
+        enumerator = make_enumerator(AggressiveHeuristic())
         enumerator.enumerate_and_inject(job)  # splices tees into the plan
         plan = job.plan
         tees = [op for op in plan.operators if isinstance(op, POSplit)]

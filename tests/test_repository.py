@@ -65,12 +65,6 @@ class TestBasics:
         repo.add(make_entry(output_path="stored/y", output_bytes=50))
         assert repo.total_stored_bytes == 150
 
-    def test_find_by_output_path(self):
-        repo = Repository()
-        entry = repo.add(make_entry(output_path="stored/z"))
-        assert repo.find_by_output_path("stored/z") is entry
-        assert repo.find_by_output_path("nope") is None
-
     def test_find_equivalent(self):
         repo = Repository()
         repo.add(make_entry())
