@@ -197,8 +197,6 @@ def _experiment_registry() -> dict:
         name: module.run for name, module in ALL_EXPERIMENTS.items()
     }
     registry["ablation-selector"] = ablations.run_selector_ablation
-    registry["ablation-optimizer"] = ablations.run_optimizer_ablation
-    registry["workload-stream"] = ablations.run_workload_stream
     return registry
 
 

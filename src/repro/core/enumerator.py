@@ -120,8 +120,7 @@ class SubJobEnumerator:
         for succ in successors:
             if isinstance(succ, POSplit):
                 return succ
-        tee = POSplit()
-        tee.schema = anchor.schema
+        tee = POSplit(anchor.schema)
         plan.add(tee)
         for succ in list(plan.successors(anchor)):
             plan.disconnect(anchor, succ)

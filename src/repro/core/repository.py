@@ -34,14 +34,16 @@ single dict probes).  Callers that also hold manager state take the
 manager lock first: the lock order is *manager → repository*, never the
 reverse, and this is the one place it is stated.
 
-The §3 scan order has **one integration path**: entries added while no
-scan is running accumulate in a pending batch, and the next
-``ordered_entries()`` call (or ``flush()``) records the subsumption
-pairs of each pending entry (fingerprint-pruned), extends the list and
-sorts it once.  The sort key is a strict total order (the insertion
-sequence breaks every tie), so the result is independent of how the
-pending entries were grouped into flushes.  ``remove`` and
-``refresh_entry`` re-place the few integrated entries whose key moved.
+The §3 scan order is **a key, not a list**: entries added while no
+scan is running accumulate in a pending batch, and the next scan
+(``match_candidates()``, ``ordered_entries()``, or an explicit
+``flush()``) records the subsumption pairs of each pending entry
+(fingerprint-pruned) — what the key's first component counts.  A scan
+then sorts the ids it kept by that key.  The key is a strict total
+order (the insertion sequence breaks every tie), so the result is
+independent of how the pending entries were grouped into flushes, and
+``remove`` / ``refresh_entry`` have no position to repair: they move
+scores and statistics, which the next sort reads.
 """
 
 from __future__ import annotations
@@ -160,13 +162,12 @@ class Repository:
         self._by_input_path: Dict[str, Set[str]] = {}
         self._sig_counts: Dict[str, Dict[str, int]] = {}
         # -- incremental §3 ordering ---------------------------------
-        #: entry id -> how many other entries its plan subsumes
+        #: entry id -> how many other entries its plan subsumes; holds
+        #: exactly the *integrated* entries (zero scores included)
         self._scores: Dict[str, int] = {}
         #: a -> {b: a's plan contains b's plan} and the inverse
         self._subsumes: Dict[str, Set[str]] = {}
         self._subsumed_by: Dict[str, Set[str]] = {}
-        #: integrated entry ids, sorted by the §3 scan key
-        self._sorted: List[str] = []
         #: added but not yet integrated into the order (lazy, so
         #: ordering-free workloads never pay for matcher calls; flushed
         #: together by the next ordered scan)
@@ -336,10 +337,6 @@ class Repository:
             entry.stats.input_bytes += input_bytes_delta
             entry.stats.output_bytes += output_bytes_delta
             entry.stats.output_records += output_records_delta
-            if entry_id in self._sorted:
-                # io_ratio / exec_time feed the §3 scan key: re-place
-                # the entry so _sorted stays sorted under current keys
-                self._reposition(entry_id)
             self._notify_mutation("refreshed", entry)
             return entry
 
@@ -496,15 +493,11 @@ class Repository:
             self._subsumed_by.setdefault(b_id, set()).add(a_id)
             self._scores[a_id] = self._scores.get(a_id, 0) + 1
 
-    def _reposition(self, entry_id: str) -> None:
-        self._sorted.remove(entry_id)
-        insort(self._sorted, entry_id, key=self._order_key)
-
     def _compute_subsumptions(self, entry_id: str) -> None:
         """Record the subsumption pairs of one pending entry: compare
         it (fingerprint-pruned) against every integrated or
         earlier-flushed entry sharing a Load, updating scores on both
-        sides.  Placement is the caller's one final sort."""
+        sides."""
         plan = self._entries[entry_id].plan
         pool = self._load_sig_pool(plan.load_signature_set())
         pool.discard(entry_id)
@@ -518,11 +511,11 @@ class Repository:
     def flush(self) -> None:
         """Fold every pending entry into the §3 order now: subsumption
         pairs per entry (earlier pending entries are visible to later
-        ones), then one total-order sort of the extended list.
+        ones).
 
-        What every :meth:`ordered_entries` call starts with; exposed so
-        batch writers can pay the upkeep at a chosen point (e.g.
-        between workloads) instead of inside a match scan.
+        What every scan starts with; exposed so batch writers can pay
+        the upkeep at a chosen point (e.g. between workloads) instead
+        of inside a match scan.
         """
         with self._lock:
             if not self._pending:
@@ -532,23 +525,16 @@ class Repository:
             self.index_stats.batch_entries += len(batch)
             for entry_id in batch:
                 self._compute_subsumptions(entry_id)
-            self._sorted.extend(batch)
-            self._sorted.sort(key=self._order_key)
 
     def _retire_from_order(self, entry_id: str) -> None:
         """Remove an integrated entry: retire its cached subsumption
         pairs (no matcher calls) and fix the scores they carried."""
-        # drop the victim first — repositioning probes _sorted keys
-        if entry_id in self._sorted:
-            self._sorted.remove(entry_id)
         for a_id in self._subsumed_by.pop(entry_id, set()):
             subsumed = self._subsumes.get(a_id)
             if subsumed is not None:
                 subsumed.discard(entry_id)
             if a_id in self._scores:
                 self._scores[a_id] -= 1
-                if a_id in self._sorted:
-                    self._reposition(a_id)
         for b_id in self._subsumes.pop(entry_id, set()):
             holders = self._subsumed_by.get(b_id)
             if holders is not None:
@@ -558,11 +544,11 @@ class Repository:
     def ordered_entries(self) -> List[RepositoryEntry]:
         """Entries in match-scan order (best candidates first).
 
-        Single stable sort by (subsumption score desc, io ratio desc,
-        exec time desc, insertion order) — provably the same order as
-        the historical two-pass stable sort, but maintained flush by
-        flush instead of recomputed O(n²) per mutation.  Returns a
-        snapshot safe to iterate without locks.
+        One sort by (subsumption score desc, io ratio desc, exec time
+        desc, insertion order) — the order a match scan filters, with
+        the scores maintained flush by flush instead of recomputed
+        O(n²) per mutation.  Returns a snapshot safe to iterate without
+        locks.
 
         Integration of pending entries (including its matcher
         traversals) runs under the repository lock — the §3 order is
@@ -570,7 +556,8 @@ class Repository:
         """
         with self._lock:
             self.flush()
-            return [self._entries[eid] for eid in self._sorted]
+            ordered = sorted(self._scores, key=self._order_key)
+            return [self._entries[eid] for eid in ordered]
 
     # -- persistence --------------------------------------------------------------
 
@@ -591,7 +578,6 @@ class Repository:
                     "subsumes": {
                         a: sorted(bs) for a, bs in self._subsumes.items() if bs
                     },
-                    "sorted": list(self._sorted),
                     "pending": list(self._pending),
                 },
             }
@@ -636,7 +622,6 @@ class Repository:
             for a_id, subsumed in repo._subsumes.items():
                 for b_id in subsumed:
                     repo._subsumed_by.setdefault(b_id, set()).add(a_id)
-            repo._sorted = list(order.get("sorted", []))
             repo._pending = list(order.get("pending", []))
         return repo
 

@@ -155,10 +155,7 @@ class PlanRewriter:
         for job in jobs:
             for load in job.plan.loads():
                 if load.path == old_path:
-                    load.path = new_path
-                    # in-place mutation: cached signature digests and
-                    # any plan fingerprint built on them are now stale
-                    load.invalidate_fingerprint()
+                    job.plan.replace(load, POLoad(new_path, load.schema, load.loader))
                     redirected += 1
         return redirected
 

@@ -366,31 +366,6 @@ class DistributedFileSystem:
                     inode.prefixes.pop(fingerprint, None)
         return rows
 
-    def row_size_memo(self, path: str, schema: Schema) -> Tuple[dict, tuple]:
-        """(id -> serialized width, keepalive rows) for *path*'s pinned
-        dataset, or ``({}, ())`` when nothing is pinned.
-
-        The batched plane's shuffle accounting looks rows up here
-        instead of re-sizing them chunk by chunk.  The caller must
-        hold the returned rows tuple for as long as it uses the memo:
-        the ids stay unambiguous exactly because every member object
-        is kept alive.
-        """
-        fingerprint = schema.fingerprint()
-        with self._lock:
-            if not self.namenode.exists(path):
-                return {}, ()
-            inode = self.namenode.lookup(path)
-            dataset = inode.datasets.get(fingerprint)
-            if dataset is None or dataset.generation != inode.generation:
-                return {}, ()
-        # build outside the DFS-wide lock: sizing a large dataset must
-        # not stall concurrent service workers (same discipline as the
-        # read_rows cold-parse).  A concurrent duplicate build is
-        # benign — the memo is pure per-row data and the dataset
-        # object itself keeps the rows (and so the ids) stable.
-        return dataset.size_memo(), dataset.rows
-
     def read_lines(self, path: str) -> List[str]:
         text = self.read_text(path)
         return [line for line in text.splitlines() if line != ""]

@@ -52,6 +52,7 @@ from repro.pig.physical.operators import (
     POUnion,
 )
 from repro.relational.compiled import (
+    compile_expression,
     compile_filter_list,
     compile_key,
     compile_projection_list,
@@ -95,12 +96,6 @@ class JobInterpreter:
         #: op_id -> compiled chunk handler / successor handler list
         self._batch_handlers: Dict[int, BatchHandler] = {}
         self._succ_batch_handlers: Dict[int, List[BatchHandler]] = {}
-        #: id(row) -> serialized width, merged from every load's pinned
-        #: dataset; rows reaching the shuffle untouched skip re-sizing.
-        #: ``_memo_keepalive`` pins the source row tuples so the ids
-        #: stay unambiguous for this job's lifetime.
-        self._size_memo: Dict[int, int] = {}
-        self._memo_keepalive: List[tuple] = []
 
     # -- public ------------------------------------------------------------------
 
@@ -127,13 +122,6 @@ class JobInterpreter:
             # cached typed read: a matching pinned dataset skips text
             # parsing (and byte materialization) entirely
             rows = self.dfs.read_rows(load.path, load.schema)
-            if self._reaches_shuffle_by_identity(load):
-                # the memo only feeds shuffle wire accounting, and only
-                # a row object the shuffle receives can ever hit it
-                memo, keepalive = self.dfs.row_size_memo(load.path, load.schema)
-                if memo:
-                    self._size_memo.update(memo)
-                    self._memo_keepalive.append(keepalive)
             handlers = self._batch_handlers_after(load)
             for chunk in self._chunks(rows):
                 for handler in handlers:
@@ -276,13 +264,14 @@ class JobInterpreter:
             else:
                 # FLATTEN expands cross products: row-at-a-time
                 # expansion, chunk-at-a-time forwarding
+                exprs = tuple(map(compile_expression, op.exprs))
 
-                def handler(rows, source, _op=op, _inner=inner):
+                def handler(rows, source, _op=op, _inner=inner, _exprs=exprs):
                     self._op_records += len(rows)
                     out: List[Row] = []
                     extend = out.extend
                     for row in rows:
-                        extend(self._foreach_rows(_op, row))
+                        extend(self._foreach_rows(_exprs, _op.flattens, row))
                     if out:
                         _inner(out, _op)
 
@@ -308,7 +297,7 @@ class JobInterpreter:
                             if _is_null_key(key):
                                 self._null_counter += 1
                                 keys[index] = ("__null__", self._null_counter)
-                self._shuffle.add_batch(_branch, keys, rows, self._wire_total(rows))
+                self._shuffle.add_batch(_branch, keys, rows)
                 self._map_output_records += len(rows)
 
         elif isinstance(op, POStore):
@@ -355,29 +344,6 @@ class JobInterpreter:
 
         self._batch_handlers[op.op_id] = handler
         return handler
-
-    def _reaches_shuffle_by_identity(self, op: PhysicalOperator) -> bool:
-        """Can *op*'s row objects arrive at a rearrange unchanged —
-        through filter / split / union / limit only?"""
-        return any(
-            isinstance(succ, POLocalRearrange)
-            or (
-                isinstance(succ, (POFilter, POLimit, POSplit, POUnion))
-                and self._reaches_shuffle_by_identity(succ)
-            )
-            for succ in self.plan.successors(op)
-        )
-
-    def _wire_total(self, rows) -> Optional[int]:
-        """Summed memoized widths for a chunk, or None on any miss
-        (rows built by foreach/package are not in any load's memo)."""
-        memo = self._size_memo
-        if not memo:
-            return None
-        sizes = list(map(memo.get, map(id, rows)))
-        if None in sizes:
-            return None
-        return sum(sizes)
 
     # -- payload reuse ----------------------------------------------------------------
 
@@ -448,14 +414,13 @@ class JobInterpreter:
             if not isinstance(op, POFRJoin):
                 continue
             probe_rows, build_rows = self._frjoin_buffers[op.op_id]
+            probe_key, build_key = map(compile_key, op.key_exprs_per_input)
             table: Dict[object, List[Row]] = defaultdict(list)
-            for row in build_rows:
-                key = op.make_key(1, row)
+            for row, key in zip(build_rows, map(build_key, build_rows)):
                 if not _is_null_key(key):
                     table[key].append(row)
             out: List[Row] = []
-            for row in probe_rows:
-                key = op.make_key(0, row)
+            for row, key in zip(probe_rows, map(probe_key, probe_rows)):
                 if _is_null_key(key):
                     continue
                 for match in table.get(key, ()):
@@ -468,11 +433,13 @@ class JobInterpreter:
 
     # -- foreach ----------------------------------------------------------------------------
 
-    def _foreach_rows(self, op: POForEach, row: Row):
-        """Evaluate a FOREACH, expanding FLATTEN cross products."""
+    @staticmethod
+    def _foreach_rows(exprs, flattens, row: Row):
+        """Evaluate a FOREACH's compiled expressions over one row,
+        expanding FLATTEN cross products."""
         scalar_or_items = []
-        for expr, flatten in zip(op.exprs, op.flattens):
-            value = expr.eval(row)
+        for expr, flatten in zip(exprs, flattens):
+            value = expr(row)
             if flatten:
                 items = _as_flatten_items(value)
                 if not items:

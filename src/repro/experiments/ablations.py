@@ -1,12 +1,6 @@
-"""Ablation studies for ReStore's design choices (beyond the paper's
-figures; DESIGN.md commits to benching these).
-
-* **Selector rules** (§5 rules 1-2) vs the paper's keep-all policy:
-  how many bytes the rules save and what reuse benefit costs.
-* **Logical optimizer** as match canonicalizer: two spellings of the
-  same computation only share repository entries when plans normalize.
-* **Workload stream**: cumulative benefit over an analyst query stream
-  with overlapping prefixes (the §1 motivation).
+"""Ablation study of a ReStore design choice (beyond the paper's
+figures): the **selector rules** (§5 rules 1-2) vs the paper's keep-all
+policy — how many bytes the rules save and what reuse benefit costs.
 """
 
 from __future__ import annotations
@@ -20,16 +14,14 @@ from repro.experiments.common import (
     PigMixSandbox,
     run_script,
 )
-from repro.pig.engine import PigServer
 from repro.pigmix.datagen import PigMixConfig
-from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
 
 
-def _manager(sandbox, selector=None):
+def _manager(sandbox, selector):
     config = ReStoreConfig(
         heuristic="aggressive",
         register_whole_jobs="temporary-only",
-        selector=selector or KeepAllSelector(),
+        selector=selector,
     )
     return ReStoreManager(sandbox.dfs, sandbox.cost_model, config=config)
 
@@ -72,7 +64,7 @@ def run_selector_ablation(
         ):
             sandbox = PigMixSandbox(scale, pigmix_config)
             chosen = selector or RuleBasedSelector(sandbox.cost_model)
-            manager = _manager(sandbox, selector=chosen)
+            manager = _manager(sandbox, chosen)
             if name == "wasteful":
                 prime = _wasteful_query(sandbox, f"o/{name}_p")
                 rerun = _wasteful_query(sandbox, f"o/{name}_r")
@@ -105,131 +97,5 @@ def run_selector_ablation(
             "because ReStore keeps no memory of rejected candidates the "
             "injection overhead recurs on every resubmission — a real "
             "design gap the paper's keep-all evaluation sidesteps"
-        ),
-    )
-
-
-# -- optimizer ablation ------------------------------------------------------------------
-
-
-SPELLING_A = """
-A = load 'PV' as (user, action:int, timestamp:int, est_revenue:double,
-    page_info, page_links);
-B = filter A by action == 1;
-C = filter B by est_revenue > 2.0;
-D = foreach C generate user, est_revenue;
-E = group D by user;
-F = foreach E generate group, SUM(D.est_revenue);
-store F into 'OUT';
-"""
-
-SPELLING_B = """
-A = load 'PV' as (user, action:int, timestamp:int, est_revenue:double,
-    page_info, page_links);
-B = filter A by action == 1 and est_revenue > 2.0;
-D = foreach B generate user, est_revenue;
-E = group D by user;
-F = foreach E generate group, SUM(D.est_revenue);
-store F into 'OUT';
-"""
-
-
-def run_optimizer_ablation(
-    scale: str = "150GB",
-    pigmix_config: Optional[PigMixConfig] = None,
-) -> ExperimentResult:
-    """Does the optimizer let differently-spelled queries share work?"""
-    rows = []
-    for label, optimize in (("optimized", True), ("unoptimized", False)):
-        sandbox = PigMixSandbox(scale, pigmix_config)
-        manager = _manager(sandbox)
-        server = PigServer(
-            sandbox.dfs,
-            cluster=sandbox.cluster,
-            cost_model=sandbox.cost_model,
-            restore=manager,
-            optimize=optimize,
-        )
-        pv = sandbox.dataset.paths["page_views"]
-        server.run(SPELLING_A.replace("PV", pv).replace("OUT", "o/a"))
-        result = server.run(SPELLING_B.replace("PV", pv).replace("OUT", "o/b"))
-        rows.append(
-            {
-                "mode": label,
-                "rewrites_on_spelling_b": manager.rewrite_count
-                + manager.elimination_count,
-                "spelling_b_min": result.sim_seconds / 60.0,
-            }
-        )
-    return ExperimentResult(
-        title=f"Ablation: optimizer as plan canonicalizer, {scale}",
-        columns=["mode", "rewrites_on_spelling_b", "spelling_b_min"],
-        rows=rows,
-        paper_claim=(
-            "matching happens on physical plans, so canonicalization "
-            "(filter merging) is what lets different spellings match"
-        ),
-    )
-
-
-# -- workload stream ---------------------------------------------------------------------
-
-
-def run_workload_stream(
-    scale: str = "150GB",
-    pigmix_config: Optional[PigMixConfig] = None,
-    workload_config: Optional[WorkloadConfig] = None,
-) -> ExperimentResult:
-    """Cumulative time over an analyst stream, with vs without ReStore."""
-    workload_config = workload_config or WorkloadConfig(n_queries=10)
-
-    plain_sandbox = PigMixSandbox(scale, pigmix_config)
-    plain_queries = WorkloadGenerator(
-        plain_sandbox.dataset, workload_config
-    ).generate()
-
-    restore_sandbox = PigMixSandbox(scale, pigmix_config)
-    manager = _manager(restore_sandbox)
-    restore_queries = WorkloadGenerator(
-        restore_sandbox.dataset, workload_config
-    ).generate()
-
-    rows = []
-    cumulative_plain = 0.0
-    cumulative_restore = 0.0
-    for plain_q, restore_q in zip(plain_queries, restore_queries):
-        plain_run = run_script(plain_sandbox, plain_q.source)
-        restore_run = run_script(restore_sandbox, restore_q.source, manager)
-        cumulative_plain += plain_run.sim_seconds
-        cumulative_restore += restore_run.sim_seconds
-        rows.append(
-            {
-                "query": plain_q.name,
-                "plain_min": plain_run.sim_seconds / 60.0,
-                "restore_min": restore_run.sim_seconds / 60.0,
-                "cum_plain_min": cumulative_plain / 60.0,
-                "cum_restore_min": cumulative_restore / 60.0,
-            }
-        )
-    rows.append(
-        {
-            "query": "TOTAL",
-            "cum_plain_min": cumulative_plain / 60.0,
-            "cum_restore_min": cumulative_restore / 60.0,
-        }
-    )
-    return ExperimentResult(
-        title=f"Workload stream: cumulative benefit over {len(plain_queries)} queries ({scale})",
-        columns=[
-            "query",
-            "plain_min",
-            "restore_min",
-            "cum_plain_min",
-            "cum_restore_min",
-        ],
-        rows=rows,
-        paper_claim=(
-            "§1 motivation: shared load/filter/project prefixes across an "
-            "analyst workload amortize quickly once stored"
         ),
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import zlib
 from collections import defaultdict
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.relational.tuples import Row, serialized_rows_size
 
@@ -75,21 +75,14 @@ class ShuffleBuffer:
     def add(self, key, branch: int, row: Row) -> None:
         self.add_batch(branch, [key], [row])
 
-    def add_batch(
-        self,
-        branch: int,
-        keys: List,
-        rows: List[Row],
-        row_bytes: Optional[int] = None,
-    ) -> None:
+    def add_batch(self, branch: int, keys: List, rows: List[Row]) -> None:
         """Add a chunk's records of one branch.
 
         Key reprs render through one C-level ``map``; wire bytes —
         Hadoop's map-output accounting, serialized key + value — sum
-        column-wise or arrive precomputed as ``row_bytes`` when the
-        caller already knows every row's memoized width.  The loop
-        that remains per record is a dict probe and an append; a key
-        not seen before on this branch finds (or opens) its group.
+        column-wise.  The loop that remains per record is a dict probe
+        and an append; a key not seen before on this branch finds (or
+        opens) its group.
         """
         if not rows:
             return
@@ -103,10 +96,8 @@ class ShuffleBuffer:
                 group = groups.setdefault(sort_key(key), (key, {}))
                 bag = slots[slot] = group[1].setdefault(branch, [])
             bag.append(row)
-        if row_bytes is None:
-            row_bytes = serialized_rows_size(rows)
         self.records += len(rows)
-        self.bytes += row_bytes + sum(map(len, reprs)) + 2 * len(reprs)
+        self.bytes += serialized_rows_size(rows) + sum(map(len, reprs)) + 2 * len(reprs)
 
     def used_partitions(self) -> List[int]:
         return sorted(self._groups)

@@ -9,8 +9,9 @@ in O(entries read) — **without re-registering a single plan**:
   all three inverted indexes rebuild from recorded values instead of
   recomputing them from the plan graph;
 * the incremental §3 subsumption order (scores, subsumption pairs,
-  the sorted scan list, the pending set), so the first ordered scan
-  after recovery pays zero matcher traversals;
+  the pending set), so the first ordered scan after recovery pays zero
+  matcher traversals (an older file's ``sorted`` list is ignored: the
+  scan order is a sort by key, not a stored list);
 * the entry-id and sequence counters, so post-recovery registrations
   can never collide with persisted ids;
 * optionally the owning manager's kept-path set and eviction clock,

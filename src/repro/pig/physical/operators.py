@@ -14,15 +14,18 @@ is: same signature and pairwise-equivalent inputs.
 
 :meth:`signature_hash` digests the signature into a short hex string;
 plans combine these Merkle-style (operator hash + ordered input
-hashes) into structural fingerprints that the repository indexes.  The
-digest is cached per operator and invalidated when the operator
-mutates (``schema`` assignment, or an explicit
-:meth:`invalidate_fingerprint` after in-place parameter edits such as
-:meth:`~repro.core.rewriter.PlanRewriter.redirect_loads`).
+hashes) into structural fingerprints that the repository indexes.
+
+Operators are values: parameters and ``schema`` are fixed by the
+constructor, so the digest is computed once and a :meth:`copy` carries
+it along.  What reads like an edit — pointing a Load at another path —
+is a structural one: a new operator swapped into the plan
+(:meth:`~repro.pig.physical.plan.PhysicalPlan.replace`).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 from typing import Optional, Sequence, Tuple
@@ -47,42 +50,23 @@ class PhysicalOperator:
 
     def __init__(self, schema: Optional[Schema] = None):
         self.op_id: int = next(_OP_COUNTER)
-        #: bumped on every mutation; plans use it to validate cached
-        #: fingerprints that were derived from this operator
-        self.version: int = 0
+        self.schema: Optional[Schema] = schema
         self._sig_hash: Optional[str] = None
-        self._schema: Optional[Schema] = schema
 
     # -- equivalence ------------------------------------------------------------
-
-    @property
-    def schema(self) -> Optional[Schema]:
-        return self._schema
-
-    @schema.setter
-    def schema(self, value: Optional[Schema]) -> None:
-        self._schema = value
-        self.invalidate_fingerprint()
 
     def signature(self) -> tuple:
         """Hashable description of the computation (no identity)."""
         raise NotImplementedError
 
     def signature_hash(self) -> str:
-        """Short stable digest of :meth:`signature`, cached until the
-        operator mutates."""
+        """Short stable digest of :meth:`signature`, computed once."""
         if self._sig_hash is None:
             payload = repr(self.signature()).encode("utf-8")
             self._sig_hash = hashlib.blake2b(
                 payload, digest_size=12
             ).hexdigest()
         return self._sig_hash
-
-    def invalidate_fingerprint(self) -> None:
-        """Drop the cached signature digest after an in-place mutation
-        (callers that edit parameters directly must invoke this)."""
-        self.version += 1
-        self._sig_hash = None
 
     # -- serialization -----------------------------------------------------------
 
@@ -102,21 +86,24 @@ class PhysicalOperator:
         cls = _OPERATOR_KINDS.get(kind)
         if cls is None:
             raise PlanError(f"unknown physical operator kind {kind!r}")
-        op = cls._from_params(data.get("params", {}))
-        if "schema" in data:
-            op.schema = Schema.from_dict(data["schema"])
-        return op
+        schema = Schema.from_dict(data["schema"]) if "schema" in data else None
+        return cls._from_params(data.get("params", {}), schema)
 
     @classmethod
-    def _from_params(cls, params: dict) -> "PhysicalOperator":
-        return cls(**params)
+    def _from_params(
+        cls, params: dict, schema: Optional[Schema]
+    ) -> "PhysicalOperator":
+        return cls(**params, schema=schema)
 
     # -- misc ----------------------------------------------------------------------
 
     def copy(self) -> "PhysicalOperator":
-        """A fresh operator (new op_id) computing the same thing."""
-        clone = PhysicalOperator.from_dict(self.to_dict())
-        return clone
+        """A fresh operator (new op_id) computing the same thing: a
+        shallow copy sharing the parameter values and the signature
+        digest."""
+        twin = copy.copy(self)
+        twin.op_id = next(_OP_COUNTER)
+        return twin
 
     def describe(self) -> str:
         return f"{self.kind}"
@@ -150,8 +137,9 @@ class POLoad(PhysicalOperator):
         return {"path": self.path, "loader": self.loader}
 
     @classmethod
-    def _from_params(cls, params: dict) -> "POLoad":
-        return cls(params["path"], Schema(), params.get("loader", "PigStorage"))
+    def _from_params(cls, params: dict, schema: Optional[Schema]) -> "POLoad":
+        loader = params.get("loader", "PigStorage")
+        return cls(params["path"], schema or Schema(), loader)
 
     def describe(self) -> str:
         return f"load {self.path!r}"
@@ -180,8 +168,8 @@ class POStore(PhysicalOperator):
         return {"path": self.path, "side": self.side}
 
     @classmethod
-    def _from_params(cls, params: dict) -> "POStore":
-        return cls(params["path"], side=params.get("side", False))
+    def _from_params(cls, params: dict, schema: Optional[Schema]) -> "POStore":
+        return cls(params["path"], schema, side=params.get("side", False))
 
     def describe(self) -> str:
         tag = " (side)" if self.side else ""
@@ -241,11 +229,12 @@ class POForEach(PhysicalOperator):
         }
 
     @classmethod
-    def _from_params(cls, params: dict) -> "POForEach":
+    def _from_params(cls, params: dict, schema: Optional[Schema]) -> "POForEach":
         return cls(
             [expression_from_dict(e) for e in params["exprs"]],
             params.get("flattens"),
             params.get("names"),
+            schema,
         )
 
     def describe(self) -> str:
@@ -268,8 +257,8 @@ class POFilter(PhysicalOperator):
         return {"predicate": self.predicate.to_dict()}
 
     @classmethod
-    def _from_params(cls, params: dict) -> "POFilter":
-        return cls(expression_from_dict(params["predicate"]))
+    def _from_params(cls, params: dict, schema: Optional[Schema]) -> "POFilter":
+        return cls(expression_from_dict(params["predicate"]), schema)
 
     def describe(self) -> str:
         return "filter"
@@ -294,11 +283,6 @@ class POLocalRearrange(PhysicalOperator):
         self.key_exprs: Tuple[Expression, ...] = tuple(key_exprs)
         self.branch = branch
 
-    def make_key(self, row):
-        if len(self.key_exprs) == 1:
-            return self.key_exprs[0].eval(row)
-        return tuple(e.eval(row) for e in self.key_exprs)
-
     def signature(self) -> tuple:
         return (
             "lrearrange",
@@ -313,10 +297,13 @@ class POLocalRearrange(PhysicalOperator):
         }
 
     @classmethod
-    def _from_params(cls, params: dict) -> "POLocalRearrange":
+    def _from_params(
+        cls, params: dict, schema: Optional[Schema]
+    ) -> "POLocalRearrange":
         return cls(
             [expression_from_dict(e) for e in params["key_exprs"]],
             params.get("branch", 0),
+            schema,
         )
 
     def describe(self) -> str:
@@ -417,12 +404,6 @@ class POFRJoin(PhysicalOperator):
         if len(self.key_exprs_per_input) != 2:
             raise PlanError("frjoin takes exactly two inputs")
 
-    def make_key(self, branch: int, row):
-        exprs = self.key_exprs_per_input[branch]
-        if len(exprs) == 1:
-            return exprs[0].eval(row)
-        return tuple(e.eval(row) for e in exprs)
-
     def signature(self) -> tuple:
         return (
             "frjoin",
@@ -441,12 +422,13 @@ class POFRJoin(PhysicalOperator):
         }
 
     @classmethod
-    def _from_params(cls, params: dict) -> "POFRJoin":
+    def _from_params(cls, params: dict, schema: Optional[Schema]) -> "POFRJoin":
         return cls(
             [
                 [expression_from_dict(e) for e in exprs]
                 for exprs in params["key_exprs_per_input"]
-            ]
+            ],
+            schema,
         )
 
     def describe(self) -> str:

@@ -8,9 +8,10 @@ for join/cogroup branch numbering).
 Plans carry Merkle-style structural fingerprints: each operator's
 fingerprint is a digest of its own :meth:`signature` hash plus the
 ordered fingerprints of its inputs, and the plan fingerprint combines
-the sink fingerprints.  All of it is cached and invalidated whenever
-the DAG mutates (or an operator's version changes), so repeated
-repository lookups cost a dict probe instead of a recursive hash.
+the sink fingerprints.  All of it is cached until the DAG mutates —
+operators are values, so every change is a structural one — and
+repeated repository lookups cost a dict probe instead of a recursive
+hash.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ class PhysicalPlan:
         self._ops: Dict[int, PhysicalOperator] = {}
         self._succs: Dict[int, List[int]] = {}
         self._preds: Dict[int, List[int]] = {}
-        # fingerprint caches, dropped on any structural mutation and
-        # revalidated against per-operator versions (see _fp_token)
-        self._fp_token: Optional[tuple] = None
+        # fingerprint caches, dropped on any structural mutation
         self._fp_by_op: Dict[int, str] = {}
         self._fp_plan: Optional[str] = None
         self._fp_load_sigs: Optional[frozenset] = None
@@ -48,7 +47,6 @@ class PhysicalPlan:
 
     def _mutated(self) -> None:
         """Invalidate every cached fingerprint (structure changed)."""
-        self._fp_token = None
         self._fp_by_op = {}
         self._fp_plan = None
         self._fp_load_sigs = None
@@ -109,6 +107,26 @@ class PhysicalPlan:
         self._succs[op.op_id].append(dst.op_id)
         self._mutated()
         return op
+
+    def replace(self, old: PhysicalOperator, new: PhysicalOperator) -> None:
+        """Swap *new* in for *old*: same place in the operator order,
+        same position on every edge."""
+
+        def renamed(op_id: int) -> int:
+            return new.op_id if op_id == old.op_id else op_id
+
+        def renamed_edges(edges: Dict[int, List[int]]) -> Dict[int, List[int]]:
+            return {
+                renamed(op_id): list(map(renamed, ends))
+                for op_id, ends in edges.items()
+            }
+
+        self._ops = {
+            renamed(op_id): new if op is old else op for op_id, op in self._ops.items()
+        }
+        self._succs = renamed_edges(self._succs)
+        self._preds = renamed_edges(self._preds)
+        self._mutated()
 
     # -- inspection --------------------------------------------------------------------
 
@@ -299,17 +317,8 @@ class PhysicalPlan:
 
     # -- fingerprints / serialization ----------------------------------------------------------
 
-    def _current_token(self) -> tuple:
-        """Cheap validity token: (op_id, version) for every operator.
-        Catches in-place operator mutations (schema assignment,
-        redirected load paths) that the structural mutators can't see."""
-        return tuple(
-            (op_id, op.version) for op_id, op in self._ops.items()
-        )
-
     def _ensure_fingerprints(self) -> None:
-        token = self._current_token()
-        if self._fp_token == token:
+        if self._fp_plan is not None:
             return
         by_op: Dict[int, str] = {}
         for op in self.topo_order():
@@ -332,7 +341,6 @@ class PhysicalPlan:
             if not isinstance(op, (POStore, POSplit))
         )
         self._fp_sig_counts = dict(counts)
-        self._fp_token = token
 
     def op_fingerprint(self, op: PhysicalOperator) -> str:
         """Merkle fingerprint of *op*: digest of its signature hash

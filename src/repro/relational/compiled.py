@@ -12,9 +12,12 @@ The contract is strict value-identity: for every expression *e* and
 row *r*, ``compile_expression(e)(r) == e.eval(r)`` (including ``None``
 propagation, short-circuit semantics, and live ``SCALAR_FUNCTIONS``
 lookup so UDF re-registration behaves exactly as interpreted
-evaluation does).  The batch-vs-row differential tests hold the two
-paths to byte-identical outputs; an unknown :class:`Expression`
-subclass simply falls back to its bound ``eval``.
+evaluation does).  These closures are the one evaluator at run time —
+filters, projections, FLATTEN expansion, shuffle and join keys all
+compile here once per handler — and ``Expression.eval`` is the
+reference the parity tests hold them to: nothing under ``src/`` calls
+it, except that an unknown :class:`Expression` subclass simply falls
+back to its bound ``eval``.
 """
 
 from __future__ import annotations
@@ -244,10 +247,10 @@ def compile_projection(exprs, flattens) -> CompiledExpr | None:
     """A closure mapping one row to one FOREACH output row.
 
     Only the non-FLATTEN case compiles (one input row, exactly one
-    output row); FLATTEN expands cross products and stays on the
-    interpreted per-row path.  Mirrors the scalar branch of
-    ``JobInterpreter._foreach_rows``: a bare ``list`` result (a
-    projected bag field) is wrapped into a :class:`Bag` of tuples.
+    output row); FLATTEN expands cross products, row by row, in the
+    interpreter's ``_foreach_rows``, whose scalar branch this mirrors:
+    a bare ``list`` result (a projected bag field) is wrapped into a
+    :class:`Bag` of tuples.
     """
     if any(flattens):
         return None
@@ -294,8 +297,8 @@ def compile_projection_list(exprs, flattens):
 
 
 def compile_key(key_exprs) -> CompiledExpr:
-    """A closure computing ``POLocalRearrange.make_key`` exactly; over
-    bare columns it is a single ``itemgetter``."""
+    """A shuffle or join key of a row: the one expression's value, or
+    the tuple of several; over bare columns a single ``itemgetter``."""
     if len(key_exprs) == 1:
         return compile_expression(key_exprs[0])
     if key_exprs and all(type(e) is Column for e in key_exprs):

@@ -68,49 +68,22 @@ def serialize_row(row: Row) -> str:
 
 
 def serialized_row_size(row: Row) -> int:
-    """``len(serialize_row(row))`` without building the joined line.
-
-    What a dataset's row-width memo holds (the shuffle's wire
-    accounting reads it for rows that arrive untouched from a load)
-    and what :func:`serialized_rows_size` sums over a ragged chunk.
-    Strings and nulls contribute their length without any allocation;
-    numbers render just the one field; bags and tuples recurse
-    structurally instead of building the nested text.  Must stay
-    value-identical to the serialized length — ``tests/test_shuffle.py``
-    and the Hypothesis properties assert the equality.
-    """
-    if not row:
-        return 0
-    total = len(row) - 1  # the tab separators
-    for value in row:
-        if value is None:
-            continue
-        kind = type(value)
-        # the scalar cases are inlined: this runs once per memoised
-        # row, and the dispatch hop through _field_size was measurable
-        if kind is str:
-            total += len(value)
-        elif kind is int:
-            total += len(str(value))
-        elif kind is float:
-            total += len(repr(value))
-        elif kind is bool:
-            total += 4 if value else 5
-        else:
-            total += _field_size(value)
-    return total
+    """``len(serialize_row(row))`` without building the joined line:
+    the per-row reference :func:`serialized_rows_size` is held to
+    (``tests/test_shuffle.py``), and what it sums over a ragged chunk."""
+    fields = sum(_field_size(value) for value in row if value is not None)
+    return max(0, len(row) - 1) + fields  # the tab separators
 
 
 def serialized_rows_size(rows) -> int:
     """``sum(serialized_row_size(r) for r in rows)`` — columnar.
 
-    The batched shuffle accounts a whole chunk's wire bytes at once:
-    when every row is a same-length tuple, each field is summed as a
-    column through C-level ``map``/``sum`` passes keyed by the exact
-    type set (the dispatch :func:`serialized_row_size` does per value,
-    hoisted to once per column); any mixed or nested column falls back
-    to the per-value dispatch just for that column.  Value-identical
-    to the per-row sum — ``tests/test_shuffle.py`` pins it down.
+    The shuffle accounts a whole chunk's wire bytes at once: when
+    every row is a same-length tuple, each field is summed as a column
+    through :data:`COLUMN_SIZE`, keyed by the column's exact type; a
+    mixed or nested column goes through the per-value dispatch just
+    for that column.  Value-identical to the per-row sum —
+    ``tests/test_shuffle.py`` pins it down.
     """
     n_rows = len(rows)
     if n_rows == 0:
@@ -121,28 +94,38 @@ def serialized_rows_size(rows) -> int:
         return sum(map(serialized_row_size, rows))
     total = n_rows * max(0, width - 1)  # tab separators
     for index in range(width):
-        column = list(map(itemgetter(index), rows))
-        types = set(map(type, column))
-        if _NoneType in types:
-            types.discard(_NoneType)
-            column = [value for value in column if value is not None]
-        if not types:
-            continue
-        if types == {str}:
-            total += sum(map(len, column))
-        elif types == {int}:
-            total += sum(map(len, map(str, column)))
-        elif types == {float}:
-            total += sum(map(len, map(repr, column)))
-        elif types == {bool}:
-            total += 5 * len(column) - sum(column)
-        else:
+        column, types = split_nulls(list(map(itemgetter(index), rows)))
+        size_column = COLUMN_SIZE.get(types.pop()) if len(types) == 1 else None
+        if size_column is None:
             # mixed or nested column: per-value dispatch, same math
             total += sum(map(_field_size, column))
+        else:
+            total += size_column(column)
     return total
 
 
 _NoneType = type(None)
+
+
+def split_nulls(column: list) -> Tuple[list, set]:
+    """(non-null values, their exact-type set); nulls size to 0."""
+    types = set(map(type, column))
+    if _NoneType in types:
+        types.discard(_NoneType)
+        column = [value for value in column if value is not None]
+    return column, types
+
+
+#: exact scalar type -> the characters ``format_value`` renders for a
+#: null-free column of only that type, in C-level passes: the column
+#: form of :func:`format_value_size`, shared by the wire accounting
+#: above and the DFS's round-trip sizer (``dfs/dataset.py``)
+COLUMN_SIZE = {
+    str: lambda column: sum(map(len, column)),
+    int: lambda column: sum(map(len, map(str, column))),
+    float: lambda column: sum(map(len, map(repr, column))),
+    bool: lambda column: 5 * len(column) - sum(column),  # true 4, false 5
+}
 
 
 def _field_size(value) -> int:
@@ -159,13 +142,10 @@ def _field_size(value) -> int:
 
 
 def format_value_size(value) -> int:
-    """Character length of ``format_value(value)`` without building it.
-
-    The single home of the per-type size math (bool -> 4/5, int ->
-    len(str), float -> len(repr), str -> len, nested -> structural
-    recursion); the typed-dataset cache's fused sizers delegate here
-    so serialization and sizing can never drift apart.
-    """
+    """Character length of ``format_value(value)`` without building it:
+    the per-value form of the size math (bool -> 4/5, int -> len(str),
+    float -> len(repr), str -> len, nested -> structural recursion);
+    :data:`COLUMN_SIZE` is its per-column form."""
     kind = type(value)
     if kind is str:
         return len(value)

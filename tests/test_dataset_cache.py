@@ -240,34 +240,9 @@ class TestCanonicalHelpers:
 
 
 class TestColumnarSizerParity:
-    """The columnar write sizer must agree with the per-row closures
-    on every input — including the ASCII separator characters
-    \\x1c-\\x1f, which str.strip() treats as whitespace."""
-
-    def test_separator_whitespace_is_strip_unstable_in_bags(self):
-        from repro.dfs.dataset import _columnar_sizer, _row_sizer, _FALLBACK
-        from repro.relational.schema import Schema
-        from repro.relational.types import DataType
-        from repro.relational.tuples import Bag
-
-        inner = Schema.of(("s", DataType.CHARARRAY))
-        schema = Schema.of(
-            ("g", DataType.CHARARRAY), ("b", DataType.BAG, inner)
-        )
-        closure = _row_sizer(schema)
-        columnar = _columnar_sizer(schema)
-        for ch in "\x1c\x1d\x1e\x1f \r\x0b\x0c":
-            for value in (f"a{ch}", f"{ch}a"):
-                rows = [(f"u{i}", Bag([(value,)])) for i in range(70)]
-                want = closure(rows)
-                got = columnar(rows)
-                assert want is None, (ch, value)  # strip-unstable
-                assert got is None, (ch, value)
-        # interior separators are strip-stable and must still size
-        rows = [(f"u{i}", Bag([("a\x1cb",)])) for i in range(70)]
-        want, got = closure(rows), columnar(rows)
-        assert got is not _FALLBACK
-        assert want == got is not None
+    """A value ``str.strip()`` would change never pins inside a bag —
+    the ASCII separator characters \\x1c-\\x1f included, which are
+    whitespace to it."""
 
     def test_write_rows_never_pins_divergent_strip_unstable_bags(self):
         from repro.dfs.filesystem import DistributedFileSystem

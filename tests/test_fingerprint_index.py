@@ -33,8 +33,10 @@ from repo_stream import (
 from repro.core.manager import ReStoreManager
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
+from repro.core.rewriter import PlanRewriter
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import MatchScanned
+from repro.mapreduce.job import MapReduceJob
 from repro.pig.physical.operators import (
     POFilter,
     POForEach,
@@ -130,23 +132,29 @@ class TestFingerprintCacheInvalidation:
         plan.connect(load, filt)
         assert plan.fingerprint() == before
 
-    def test_schema_assignment_invalidates_load_signature(self):
-        plan = build_plan([])
-        load = plan.loads()[0]
-        before = plan.fingerprint()
-        load.schema = Schema.of(("z", DataType.INT))
-        assert plan.fingerprint() != before
-
-    def test_inplace_path_edit_with_invalidate(self):
+    def test_redirect_swaps_in_a_new_load(self):
+        """An operator is a value: pointing a Load elsewhere swaps a
+        new Load in, which the plan sees as a structural edit."""
         plan = build_plan([("filter", 2)])
-        load = plan.loads()[0]
+        old = plan.loads()[0]
         before = plan.fingerprint()
-        load.path = "elsewhere"
-        load.invalidate_fingerprint()
+        job = MapReduceJob(plan=plan)
+        assert PlanRewriter().redirect_loads([job], old.path, "elsewhere") == 1
+        (load,) = plan.loads()
+        assert load is not old and old.path != "elsewhere"
+        assert (load.path, load.schema, load.loader) == (
+            "elsewhere",
+            old.schema,
+            old.loader,
+        )
         assert plan.fingerprint() != before
         assert plan.load_signature_set() != build_plan(
             [("filter", 2)]
         ).load_signature_set()
+        # same place in the plan, same edges
+        assert plan.operators[0] is load
+        assert [type(op) for op in plan.successors(load)] == [POFilter]
+        assert plan.predecessors(plan.successors(load)[0]) == [load]
 
     def test_signature_counts_follow_mutation(self):
         plan = build_plan([("filter", 1)])
@@ -203,8 +211,8 @@ def assert_index_consistent(repo: Repository) -> None:
     assert indexed_by_load == live
     assert indexed_by_input <= live
     assert set(repo._sig_counts) == live
-    assert set(repo._sorted) | set(repo._pending) == live
-    assert not set(repo._sorted) & set(repo._pending)
+    assert set(repo._scores) | set(repo._pending) == live
+    assert not set(repo._scores) & set(repo._pending)
     for subsumed in repo._subsumes.values():
         assert subsumed <= live
     for holders in repo._subsumed_by.values():

@@ -2,10 +2,12 @@
 system invariants."""
 
 import zlib
+from collections import Counter
 from functools import partial
+from itertools import cycle, islice
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.matcher import PlanMatcher
@@ -689,21 +691,45 @@ class _Pair(tuple):
     pass
 
 
-#: strings that are fine at top level but not inside nested text, that
-#: are never fine, and that are not ASCII
-_HOSTILE_TEXT = st.sampled_from(
-    ["a", "x y", "", " a", "a ", "a,b", "(a", "a)", "{a}", "a\tb", "a\nb", "é", "\xa0a",
-     "a\x1c", "3", "true"]
-)
-_HOSTILE = {
-    DataType.INT: st.one_of(st.integers(-99, 10**12), st.booleans(), st.just("3")),
-    DataType.DOUBLE: st.one_of(
-        canonical_float,
-        st.sampled_from([float("nan"), float("inf"), -0.0, 1e22, 3]),
-    ),
-    DataType.CHARARRAY: st.one_of(_HOSTILE_TEXT, nested_safe_text, st.just(7)),
-    DataType.BOOLEAN: st.one_of(st.booleans(), st.sampled_from([0, 1, "true"])),
+#: per scalar type, values that somewhere do not read back as written:
+#: ill-typed, unsafe only inside nested text, never safe, not ASCII
+_ODD = {
+    DataType.INT: [True, False, "3"],
+    DataType.DOUBLE: [float("nan"), float("inf"), -0.0, 1e22, 3],
+    DataType.CHARARRAY: [
+        "a", "x y", "", " a", "a ", "a,b", "(a", "a)", "{a}", "a\tb", "a\nb", "é",
+        "\xa0a", "a\x1c", "\x1fa", "a\x1cb", "a\r", "3", "true", 7,
+    ],
+    DataType.BOOLEAN: [0, 1, "true"],
 }
+_HOSTILE = {
+    DataType.INT: st.integers(-99, 10**12) | st.sampled_from(_ODD[DataType.INT]),
+    DataType.DOUBLE: canonical_float | st.sampled_from(_ODD[DataType.DOUBLE]),
+    DataType.CHARARRAY: (
+        st.sampled_from(_ODD[DataType.CHARARRAY]) | nested_safe_text
+    ),
+    DataType.BOOLEAN: st.booleans() | st.sampled_from(_ODD[DataType.BOOLEAN]),
+}
+
+
+def _planted_rows():
+    """(schema, rows) with each odd value alone in otherwise canonical
+    rows: as a file's own field, inside a bag and inside a tuple; and
+    a Bag subclass among plain Bags."""
+    for dtype, values in _ODD.items():
+        inner = Schema.of(("k", DataType.CHARARRAY), ("v", dtype))
+        fill = ("x", None)
+        for value in values:
+            yield inner, [fill, ("y", value)]
+            for nested in (DataType.BAG, DataType.TUPLE):
+                key = FieldSchema("k", DataType.CHARARRAY)
+                schema = Schema((key, FieldSchema("n", nested, inner)))
+                column = [fill, ("y", value)]
+                if nested is DataType.BAG:
+                    column = [Bag([fill]), Bag([fill, ("y", value)])]
+                yield schema, [("r", v) for v in column]
+    bag = FieldSchema("n", DataType.BAG, Schema.of(("k", DataType.CHARARRAY)))
+    yield Schema((bag,)), [(_SubBag([("x",)]),), (Bag([("y",)]),)]
 
 
 def _rarely(rate: int, odd, usual):
@@ -718,14 +744,17 @@ def hostile_schema_and_rows(draw):
     rows that are canonical except where, at a per-example rate, a
     value is ill-typed or unsafe, a width is wrong or a container is a
     subclass."""
-    rate = draw(st.sampled_from([3, 30, 300]))
+    rate = draw(st.sampled_from([3, 30, 300, 300]))
 
     def value(dtype):
-        return _rarely(rate, _HOSTILE[dtype], _canonical_value(dtype))
+        usual = _canonical_value(dtype)
+        if dtype is DataType.CHARARRAY:  # canonical, but not sized: not ASCII
+            usual = _rarely(8, st.sampled_from(["é", "na\xefve"]), usual)
+        return _rarely(rate, _HOSTILE[dtype], usual)
 
     fields, columns = [], []
     for i in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(_PLANE_SCALARS + ["bag", "tuple"]))
+        kind = draw(st.sampled_from(_PLANE_SCALARS + ["bag", "bag", "tuple", "tuple"]))
         if kind not in ("bag", "tuple"):
             fields.append(FieldSchema(f"f{i}", kind))
             columns.append(value(kind))
@@ -734,7 +763,7 @@ def hostile_schema_and_rows(draw):
             st.lists(st.sampled_from(_PLANE_SCALARS), min_size=1, max_size=4)
         )
         elements = [value(t) for t in inner_types]
-        shape = draw(st.sampled_from(["typed", "typed", "typed", "untyped", "doubly"]))
+        shape = draw(st.sampled_from(["typed", "typed", "untyped", "doubly"]))
         if shape == "doubly":
             inner_types = inner_types + [DataType.TUPLE]
             elements.append(st.none() | st.just(("a", "b")))
@@ -759,8 +788,10 @@ def hostile_schema_and_rows(draw):
         else:
             fields.append(FieldSchema(f"f{i}", DataType.BAG, inner))
             bags = st.lists(inner_row, max_size=3)
-            odd = bags
-            usual = st.one_of(st.none(), bags.map(Bag), bags.map(Bag), bags.map(_SubBag))
+            odd = bags | bags.map(_SubBag)
+            usual = st.none() | bags.map(Bag)
+        if shape == "untyped":  # canonical only while all-null: mostly null
+            usual = _rarely(4, usual, st.none())
         columns.append(_rarely(rate, odd, usual))
     row = _rarely(
         rate,
@@ -775,12 +806,12 @@ def hostile_schema_and_rows(draw):
 
 
 def _same(a, b) -> bool:
-    """Equal value for value and type for type (any Bag is a Bag;
-    NaN equals nothing, itself included)."""
-    if isinstance(a, Bag) or isinstance(b, Bag):
-        return isinstance(a, Bag) and isinstance(b, Bag) and _same(a.rows, b.rows)
+    """Equal value for value and type for type (a Bag subclass is not
+    a Bag; NaN equals nothing, itself included)."""
     if type(a) is not type(b):
         return False
+    if isinstance(a, Bag):
+        return _same(a.rows, b.rows)
     if isinstance(a, (tuple, list)):
         return len(a) == len(b) and all(map(_same, a, b))
     return a == b
@@ -850,63 +881,91 @@ class TestDataPlaneProperties:
         assert data == serialize_rows(rows).encode()
         assert dfs.file_size("f") == len(data)
 
-    @given(hostile_schema_and_rows())
-    @settings(
-        max_examples=300,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    # a one-field bag row holding a null renders "()" and squares back
-    @example(
-        (
-            Schema((FieldSchema("b", DataType.BAG, Schema.of(("s", "chararray"))),)),
-            [(Bag([(None,), ("x",)]),)],
-        )
-    )
-    @example(
-        (
-            Schema((FieldSchema("b", DataType.BAG, Schema.of("s", ("n", "int"))),)),
-            [(Bag([(None, None)]),)],
-        )
-    )
-    @example((_KEYED, [(("a", 1),), (("a", True),), (("a", 1.0),)]))
-    def test_canonical_iff_rows_read_back_as_written(self, schema_rows):
+    def test_canonical_iff_rows_read_back_as_written(self):
         """``rows_are_canonical`` holds exactly when the text reads
         back as the rows that were written — value for value, type for
-        type — and the fused sizer is the text's byte length exactly
-        when the rows are canonical and ASCII."""
+        type — and ``canonical_ascii_size`` is the text's byte length
+        exactly when it does and the text is ASCII, else None: the one
+        sizer held to the rendered text itself, over the hostile
+        values, from an empty write to a few chunks' worth of rows."""
         from repro.dfs.dataset import canonical_ascii_size, rows_are_canonical
 
-        schema, rows = schema_rows
-        canonical = rows_are_canonical(rows, schema)
-        text = serialize_rows(rows)
-        try:
-            same = _same(tuple(deserialize_rows(text, schema)), tuple(rows))
-        except SchemaError:
-            same = False
-        if canonical:
-            assert same
-        elif same:
-            assert _refused_by_design(schema, rows)
-        size = canonical_ascii_size(rows, schema)
-        if size is None:
-            assert not (canonical and text.isascii())
-        else:
-            assert canonical and size == len(text.encode())
+        drawn = Counter()
 
-    @given(plane_rows, st.sampled_from([63, 64, 65]))
-    @settings(
-        max_examples=120,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_columnar_sizer_equals_row_closures_at_the_threshold(self, schema_rows, n):
-        from repro.dfs.dataset import _row_sizer, canonical_ascii_size
+        @given(hostile_schema_and_rows(), st.sampled_from([None, 0, 1, 63, 64, 200]))
+        @settings(
+            max_examples=300,
+            deadline=None,
+            derandomize=True,  # so that what the ledger below counts is fixed
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        # a one-field bag row holding a null renders "()" and squares back
+        @example(
+            (
+                Schema((FieldSchema("b", DataType.BAG, Schema.of(("s", "chararray"))),)),
+                [(Bag([(None,), ("x",)]),)],
+            ),
+            None,
+        )
+        @example(
+            (
+                Schema((FieldSchema("b", DataType.BAG, Schema.of("s", ("n", "int"))),)),
+                [(Bag([(None, None)]),)],
+            ),
+            None,
+        )
+        @example((_KEYED, [(("a", 1),), (("a", True),), (("a", 1.0),)]), None)
+        def check(schema_rows, n_rows):
+            schema, rows = schema_rows
+            if n_rows is not None:  # the drawn rows, cycled to that many
+                rows = list(islice(cycle(rows), n_rows if rows else 0))
+            holds(schema, rows)
 
-        schema, rows = schema_rows
-        assume(rows)
-        rows = (list(rows) * n)[:n]
-        assert canonical_ascii_size(rows, schema) == _row_sizer(schema)(rows)
+        def holds(schema, rows):
+            canonical = rows_are_canonical(rows, schema)
+            text = serialize_rows(rows)
+            try:
+                same = _same(tuple(deserialize_rows(text, schema)), tuple(rows))
+            except SchemaError:
+                same = False
+            if canonical:
+                assert same
+            elif same:
+                assert _refused_by_design(schema, rows)
+            size = canonical_ascii_size(rows, schema)
+            if canonical and text.isascii():
+                assert size == len(text.encode())
+            else:
+                assert size is None
+            drawn["canonical" if canonical else "non-canonical"] += 1
+            drawn["non-ASCII"] += canonical and not text.isascii()
+            for index, fs in enumerate(schema.fields):
+                if not (canonical and fs.dtype.is_nested and rows):
+                    continue
+                values = [row[index] for row in rows if row[index] is not None]
+                if values:
+                    drawn[f"{fs.dtype.value} column"] += 1
+                elif fs.inner is None:
+                    drawn["all-null untyped nested column"] += 1
+            for row in rows:
+                if any(isinstance(v, Bag) and type(v) is not Bag for v in row):
+                    assert not canonical  # read back, it is a plain Bag
+                    drawn["Bag subclass"] += 1
+                    break
+
+        check()
+        for case in (  # what the draws must have reached, before the sweep adds to it
+            "canonical",
+            "non-canonical",
+            "non-ASCII",
+            "bag column",
+            "tuple column",
+            "all-null untyped nested column",
+            "Bag subclass",
+        ):
+            assert drawn[case] >= 1, (case, drawn)
+        for schema, rows in _planted_rows():
+            holds(schema, rows)
 
     @given(plane_rows)
     @settings(

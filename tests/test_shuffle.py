@@ -6,7 +6,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from repro.mapreduce.shuffle import ShuffleBuffer, sort_key, stable_hash
-from repro.relational.tuples import serialized_row_size, serialized_rows_size
+from repro.relational.tuples import serialized_row_size
 
 
 class TestStableHash:
@@ -178,14 +178,12 @@ class SortBasedBuffer:
         self.records = 0
         self.bytes = 0
 
-    def add(self, key, branch, row, row_bytes=None):
+    def add(self, key, branch, row):
         key_repr = repr(key)
         partition = zlib.crc32(key_repr.encode()) % self.n_partitions
         self._partitions[partition].append((sort_key(key), key, branch, row))
         self.records += 1
-        if row_bytes is None:
-            row_bytes = serialized_row_size(row)
-        self.bytes += row_bytes + len(key_repr) + 2
+        self.bytes += serialized_row_size(row) + len(key_repr) + 2
 
     def used_partitions(self):
         return sorted(p for p, records in self._partitions.items() if records)
@@ -355,20 +353,6 @@ class TestAddBatchEquivalence:
             oracle.add(key, 0, row)
         assert len(list(oracle.all_groups())) == 3
         assert (buf.records, buf.bytes) == (oracle.records, oracle.bytes)
-
-    def test_precomputed_row_bytes_trusted_verbatim(self):
-        rows = ROWS[:3]
-        batched = ShuffleBuffer(n_partitions=2)
-        batched.add_batch(0, ["a", "b", "c"], rows, row_bytes=1000)
-        oracle = SortBasedBuffer(2)
-        oracle.add("a", 0, rows[0], row_bytes=1000)
-        oracle.add("b", 0, rows[1], row_bytes=0)
-        oracle.add("c", 0, rows[2], row_bytes=0)
-        assert observe(batched) == observe(oracle)
-        # and the computed width is the serialized width
-        computed = ShuffleBuffer(n_partitions=2)
-        computed.add_batch(0, ["a", "b", "c"], rows)
-        assert batched.bytes - computed.bytes == 1000 - serialized_rows_size(rows)
 
     def test_empty_batch_registers_nothing(self):
         buf = ShuffleBuffer(n_partitions=2)
