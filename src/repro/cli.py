@@ -9,8 +9,9 @@ Usage::
 
 ``run``/``explain`` build a fresh session (simulated cluster + ReStore;
 disable with ``--no-restore``), copy the given local files into the
-DFS, and execute the script.  ReStore policies are pluggable by name:
-``--heuristic conservative --selector rules --evict time-window:4``.
+DFS, and execute the script.  ReStore's policies are chosen by name —
+``--heuristic conservative --selector rules --evict time-window:4`` —
+and an unknown name exits 2 with the valid ones listed.
 
 ``run --workers N`` (or ``--executor threads|processes``) routes the
 script through the shared :class:`~repro.service.JobService` instead
@@ -37,10 +38,36 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
+from repro.core.eviction import EVICTION_POLICIES
+from repro.core.heuristics import HEURISTICS
+from repro.core.manager import ReStoreConfig
+from repro.core.selector import SELECTORS
 from repro.events import LOG_EVENTS, render_events
 from repro.session import ReStoreSession
+
+
+def _exit_on_bad_config(exc: ValueError) -> NoReturn:
+    """Print a configuration error the way every CLI misuse is
+    reported, and exit 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
+def _restore_config(args) -> Optional[ReStoreConfig]:
+    """The ``--heuristic``/``--selector``/``--evict`` flags as one
+    config (None under ``--no-restore``)."""
+    if args.no_restore:
+        return None
+    try:
+        return ReStoreConfig(
+            heuristic=args.heuristic,
+            selector=args.selector,
+            eviction_policies=list(args.evict or []),
+        )
+    except ValueError as exc:
+        _exit_on_bad_config(exc)
 
 
 def _persistence_config(args):
@@ -80,33 +107,23 @@ def _load_data(target, mappings: List[str]) -> None:
         target.dfs.write_file(dfs_path, payload, overwrite=True)
 
 
-def _build_session(args) -> ReStoreSession:
-    builder = ReStoreSession.builder()
-    persistence = _persistence_config(args)
-    if args.no_restore:
-        builder.without_restore()
-    else:
-        builder.heuristic(args.heuristic).selector(args.selector)
-        if args.evict:
-            builder.evict(*args.evict)
-        if persistence is not None:
-            builder.persistence(persistence)
+def _build_session(args, config: Optional[ReStoreConfig]) -> ReStoreSession:
     try:
-        session = builder.build()
+        session = ReStoreSession(
+            config=config,
+            persistence=_persistence_config(args),
+            restore_enabled=config is not None,
+        )
     except ValueError as exc:
-        # unknown plugin names / bad specs: the message lists the
-        # valid registry entries
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _exit_on_bad_config(exc)
     _load_data(session, args.data or [])
     return session
 
 
-def _run_via_service(args, source: str, name: str):
+def _run_via_service(args, config: ReStoreConfig, source: str, name: str):
     """Route the script through a :class:`~repro.service.JobService`
     worker pool — the shared multi-tenant deployment — instead of a
     private session.  Returns ``(outcome, repository_size)``."""
-    from repro.core.manager import ReStoreConfig
     from repro.service import JobService, ServiceConfig
 
     if args.no_restore:
@@ -122,11 +139,6 @@ def _run_via_service(args, source: str, name: str):
         exchange_timeout=timeout if timeout and timeout > 0 else None,
         retries=getattr(args, "retries", 1),
     )
-    config = ReStoreConfig(
-        heuristic=args.heuristic,
-        selector=args.selector,
-        eviction_policies=list(args.evict or []),
-    )
     try:
         service = JobService(
             config=config,
@@ -134,8 +146,7 @@ def _run_via_service(args, source: str, name: str):
             service=service_config,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _exit_on_bad_config(exc)
     try:
         _load_data(service, args.data or [])
         outcome = service.open_session("cli").run(source, name=name)
@@ -149,12 +160,13 @@ def _run_via_service(args, source: str, name: str):
 
 
 def cmd_run(args) -> int:
+    config = _restore_config(args)
     source = pathlib.Path(args.script).read_text()
     name = pathlib.Path(args.script).stem
     if args.executor is not None or args.workers > 1:
-        result, repo_entries = _run_via_service(args, source, name)
+        result, repo_entries = _run_via_service(args, config, source, name)
     else:
-        session = _build_session(args)
+        session = _build_session(args, config)
         result = session.run(source, name=name)
         if session.persister is not None:
             # rotate a fresh snapshot, so the next invocation replays
@@ -183,8 +195,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    session = _build_session(args, _restore_config(args))
     source = pathlib.Path(args.script).read_text()
-    session = _build_session(args)
     print(session.explain(source))
     return 0
 
@@ -255,23 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--heuristic",
-            default="aggressive",
+            default=ReStoreConfig.heuristic,
             metavar="NAME",
-            help="sub-job heuristic plugin (e.g. conservative, "
-                 "aggressive, no-heuristic, never)",
+            help=f"sub-job heuristic (§4): {', '.join(HEURISTICS)}",
         )
         p.add_argument(
             "--selector",
-            default="keep-all",
+            default=ReStoreConfig.selector,
             metavar="NAME",
-            help="keep selector plugin (e.g. keep-all, rules)",
+            help=f"keep selector (§5 rules 1-2): {', '.join(SELECTORS)}",
         )
         p.add_argument(
             "--evict",
             action="append",
             metavar="NAME[:ARG]",
-            help="eviction policy plugin, repeatable (e.g. "
-                 "time-window:4, input-modified, capacity:1048576)",
+            help="eviction policy (§5 rules 3-4), repeatable: "
+                 f"{', '.join(EVICTION_POLICIES)} (e.g. time-window:4, "
+                 "capacity:1048576)",
         )
         p.add_argument(
             "--snapshot",

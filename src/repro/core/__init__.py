@@ -8,21 +8,11 @@ from repro.core.eviction import (
     EvictionPolicy,
     InputModifiedEviction,
     TimeWindowEviction,
-    eviction_by_name,
+    build_eviction_policy,
 )
-from repro.core.heuristics import (
-    HEURISTICS,
-    AggressiveHeuristic,
-    ConservativeHeuristic,
-    Heuristic,
-    NeverMaterialize,
-    NoHeuristic,
-    classify_operator,
-    heuristic_by_name,
-)
+from repro.core.heuristics import HEURISTICS, classify_operator
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.matcher import MatchResult, PlanMatcher, operators_equivalent
-from repro.core.registry import PluginRegistry
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.core.rewriter import PlanRewriter
 from repro.core.selector import (
@@ -31,31 +21,23 @@ from repro.core.selector import (
     KeepDecision,
     RuleBasedSelector,
     Selector,
-    selector_by_name,
 )
 
 __all__ = [
-    "AggressiveHeuristic",
     "EVICTION_POLICIES",
     "HEURISTICS",
-    "PluginRegistry",
     "SELECTORS",
-    "eviction_by_name",
-    "selector_by_name",
+    "build_eviction_policy",
     "PairwisePlanTraversal",
     "algorithm1_contains",
     "CandidateSubJob",
     "CapacityEviction",
-    "ConservativeHeuristic",
     "EntryStats",
     "EvictionPolicy",
-    "Heuristic",
     "InputModifiedEviction",
     "KeepAllSelector",
     "KeepDecision",
     "MatchResult",
-    "NeverMaterialize",
-    "NoHeuristic",
     "PlanMatcher",
     "PlanRewriter",
     "Repository",
@@ -67,6 +49,5 @@ __all__ = [
     "SubJobEnumerator",
     "TimeWindowEviction",
     "classify_operator",
-    "heuristic_by_name",
     "operators_equivalent",
 ]

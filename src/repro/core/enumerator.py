@@ -1,20 +1,20 @@
 """Sub-job enumeration and Store injection (paper §4, Figure 8).
 
-For every physical operator the heuristic selects, the enumerator
-splices a ``POSplit`` tee after it and hangs a side ``POStore`` off the
-tee, so the operator's output is materialized while the original
-pipeline continues unchanged.  Each injected store corresponds to a
-*candidate sub-job*: a standalone plan from the job's Loads up to the
-anchored operator plus a Store, registered in the repository after the
-job executes.
+For every physical operator whose :func:`classify_operator` category
+the active heuristic names, the enumerator splices a ``POSplit`` tee
+after it and hangs a side ``POStore`` off the tee, so the operator's
+output is materialized while the original pipeline continues
+unchanged.  Each injected store corresponds to a *candidate sub-job*:
+a standalone plan from the job's Loads up to the anchored operator
+plus a Store, registered in the repository after the job executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, FrozenSet, List, Optional
 
-from repro.core.heuristics import Heuristic, classify_operator
+from repro.core.heuristics import classify_operator
 from repro.mapreduce.job import MapReduceJob
 from repro.pig.physical.operators import (
     PhysicalOperator,
@@ -44,11 +44,12 @@ class SubJobEnumerator:
 
     def __init__(
         self,
-        heuristic: Heuristic,
+        categories: FrozenSet[str],
         id_allocator: Callable[[], int],
         path_prefix: str = "restore/subjob",
     ):
-        self.heuristic = heuristic
+        #: operator categories to materialize (a ``HEURISTICS`` value)
+        self.categories = categories
         self.path_prefix = path_prefix.rstrip("/")
         #: hands out sub-job numbers.  The manager passes the DFS's
         #: allocator so paths are scoped to the shared filesystem —
@@ -62,13 +63,15 @@ class SubJobEnumerator:
 
     def enumerate_and_inject(self, job: MapReduceJob) -> List[CandidateSubJob]:
         """Instrument *job* in place; returns the injected candidates."""
+        if not self.categories:
+            return []  # the "never" heuristic
         plan = job.plan
         candidates: List[CandidateSubJob] = []
         # Topological snapshot first: injection mutates the DAG.
         anchors = [
             op
             for op in plan.topo_order()
-            if self.heuristic.should_materialize(op, plan)
+            if classify_operator(op, plan) in self.categories
         ]
         for anchor in anchors:
             candidate = self._inject_for(plan, anchor)

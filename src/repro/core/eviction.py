@@ -12,13 +12,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.freshness import APPENDED, FRESH, classify_input, delta_upgradeable
-from repro.core.registry import PluginRegistry
 from repro.core.repository import Repository, RepositoryEntry
 from repro.dfs.filesystem import DistributedFileSystem
-
-#: name -> policy class; extend with ``EVICTION_POLICIES.register``
-EVICTION_POLICIES = PluginRegistry("eviction policy")
-
 
 class EvictionPolicy:
     """Returns the entries that should leave the repository now."""
@@ -32,13 +27,23 @@ class EvictionPolicy:
 
     @classmethod
     def from_spec(cls, arg: Optional[str]) -> "EvictionPolicy":
-        """Build from the argument part of a ``name[:arg]`` CLI spec."""
+        """Build from the argument part of a ``name[:arg]`` spec."""
         if arg is not None:
             raise ValueError(f"{cls.name} takes no argument, got {arg!r}")
         return cls()
 
 
-@EVICTION_POLICIES.register("time-window", aliases=("window",))
+def _int_arg(name: str, arg: str) -> int:
+    """The integer argument of spec ``name:arg``, or a ValueError
+    naming the spec and the expected form."""
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(
+            f"eviction spec '{name}:{arg}': argument must be an integer"
+        ) from None
+
+
 class TimeWindowEviction(EvictionPolicy):
     """Rule 3: not reused within ``window`` logical ticks.
 
@@ -59,7 +64,9 @@ class TimeWindowEviction(EvictionPolicy):
 
     @classmethod
     def from_spec(cls, arg: Optional[str]) -> "TimeWindowEviction":
-        return cls(window=int(arg) if arg is not None else cls.DEFAULT_WINDOW)
+        if arg is None:
+            return cls(window=cls.DEFAULT_WINDOW)
+        return cls(window=_int_arg(cls.name, arg))
 
     def select_victims(
         self, repository: Repository, dfs: DistributedFileSystem, now: int
@@ -72,7 +79,6 @@ class TimeWindowEviction(EvictionPolicy):
         return victims
 
 
-@EVICTION_POLICIES.register("input-modified", aliases=("stale",))
 class InputModifiedEviction(EvictionPolicy):
     """Rule 4: a source dataset was deleted or rewritten in place.
 
@@ -107,7 +113,6 @@ class InputModifiedEviction(EvictionPolicy):
         return [e for e in repository if e.entry_id in victim_ids]
 
 
-@EVICTION_POLICIES.register("capacity", aliases=("lru",))
 class CapacityEviction(EvictionPolicy):
     """Extension: keep total stored bytes under a budget (LRU order)."""
 
@@ -124,7 +129,7 @@ class CapacityEviction(EvictionPolicy):
             raise ValueError(
                 "capacity eviction needs a byte budget, e.g. capacity:1048576"
             )
-        return cls(capacity_bytes=int(arg))
+        return cls(capacity_bytes=_int_arg(cls.name, arg))
 
     def select_victims(
         self, repository: Repository, dfs: DistributedFileSystem, now: int
@@ -146,11 +151,17 @@ class CapacityEviction(EvictionPolicy):
         return victims
 
 
-def eviction_by_name(spec: str) -> EvictionPolicy:
-    """Build a policy from a ``name`` or ``name:arg`` spec string.
+#: eviction policy name -> class, built by ``from_spec`` from the
+#: argument of a ``name[:arg]`` spec (``time-window:4``,
+#: ``input-modified``, ``capacity:1048576``)
+EVICTION_POLICIES = {
+    "time-window": TimeWindowEviction,
+    "input-modified": InputModifiedEviction,
+    "capacity": CapacityEviction,
+}
 
-    Examples: ``time-window:4``, ``input-modified``, ``capacity:1048576``.
-    """
+
+def build_eviction_policy(spec: str) -> EvictionPolicy:
+    """The policy a ``name[:arg]`` spec names."""
     name, sep, arg = spec.partition(":")
-    policy_cls = EVICTION_POLICIES.get(name)
-    return policy_cls.from_spec(arg if sep else None)
+    return EVICTION_POLICIES[name].from_spec(arg if sep else None)

@@ -6,6 +6,9 @@
   operators: Join, Group, and CoGroup.
 * **No heuristic (NH)** — materialize after *every* physical operator.
 
+:data:`HEURISTICS` names each as the set of :func:`classify_operator`
+categories it materializes (plus ``never``: whole jobs only).
+
 The physical vocabulary maps onto the paper's operator names as:
 Project = a POForEach with no bag/aggregate expressions (a map-side
 projection); Filter = POFilter; Join = the flattening POForEach right
@@ -16,7 +19,6 @@ after an expensive Group operator").
 
 from __future__ import annotations
 
-from repro.core.registry import PluginRegistry
 from repro.pig.physical.operators import (
     PhysicalOperator,
     POFilter,
@@ -92,67 +94,24 @@ def classify_operator(op: PhysicalOperator, plan: PhysicalPlan) -> str:
 
 #: categories that can never anchor a sub-job (no materializable rows,
 #: or materializing is meaningless)
-_NEVER = {"structural", "join-package"}
+_NEVER = frozenset({"structural", "join-package"})
 
+#: every category :func:`classify_operator` returns (NH materializes
+#: all but ``_NEVER``, so a new category belongs here too)
+_CATEGORIES = frozenset(
+    "join filter group-all group cogroup join-package distinct sort "
+    "aggregate project union limit structural other".split()
+)
 
-#: name -> heuristic class; extend with ``HEURISTICS.register``
-HEURISTICS = PluginRegistry("heuristic")
-
-
-class Heuristic:
-    """Decides which operators' outputs to materialize as sub-jobs."""
-
-    name = "abstract"
-
-    def should_materialize(self, op: PhysicalOperator, plan: PhysicalPlan) -> bool:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<Heuristic {self.name}>"
-
-
-@HEURISTICS.register("conservative", aliases=("hc",))
-class ConservativeHeuristic(Heuristic):
-    """HC: operators that reduce their input size (Project, Filter)."""
-
-    name = "conservative"
-    _CATEGORIES = {"project", "filter"}
-
-    def should_materialize(self, op: PhysicalOperator, plan: PhysicalPlan) -> bool:
-        return classify_operator(op, plan) in self._CATEGORIES
-
-
-@HEURISTICS.register("aggressive", aliases=("ha",))
-class AggressiveHeuristic(Heuristic):
-    """HA: size-reducing plus expensive operators (the paper default)."""
-
-    name = "aggressive"
-    _CATEGORIES = {"project", "filter", "join", "group", "cogroup"}
-
-    def should_materialize(self, op: PhysicalOperator, plan: PhysicalPlan) -> bool:
-        return classify_operator(op, plan) in self._CATEGORIES
-
-
-@HEURISTICS.register("no-heuristic", aliases=("nh",))
-class NoHeuristic(Heuristic):
-    """NH: a Store after every (materializable) physical operator."""
-
-    name = "no-heuristic"
-
-    def should_materialize(self, op: PhysicalOperator, plan: PhysicalPlan) -> bool:
-        return classify_operator(op, plan) not in _NEVER
-
-
-@HEURISTICS.register("never")
-class NeverMaterialize(Heuristic):
-    """Disables sub-job generation entirely (whole jobs only)."""
-
-    name = "never"
-
-    def should_materialize(self, op: PhysicalOperator, plan: PhysicalPlan) -> bool:
-        return False
-
-
-def heuristic_by_name(name: str) -> Heuristic:
-    """Look up a heuristic by its paper name (HC / HA / NH / never)."""
-    return HEURISTICS.create(name)
+#: heuristic name -> the operator categories whose outputs it
+#: materializes as sub-jobs
+HEURISTICS = {
+    # HC: operators that reduce their input size (Project, Filter)
+    "conservative": frozenset({"project", "filter"}),
+    # HA: size-reducing plus expensive operators (the paper default)
+    "aggressive": frozenset({"project", "filter", "join", "group", "cogroup"}),
+    # NH: a Store after every materializable physical operator
+    "no-heuristic": _CATEGORIES - _NEVER,
+    # no sub-jobs at all (whole jobs only)
+    "never": frozenset(),
+}

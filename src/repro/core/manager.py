@@ -34,17 +34,17 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Set, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Set
 
 from repro.core.enumerator import CandidateSubJob, SubJobEnumerator
-from repro.core.eviction import EvictionPolicy, eviction_by_name
+from repro.core.eviction import EVICTION_POLICIES, build_eviction_policy
 from repro.core.freshness import EntryFreshness, classify_entry, delta_chain
-from repro.core.heuristics import Heuristic, heuristic_by_name
+from repro.core.heuristics import HEURISTICS
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.core.rewriter import PlanRewriter
-from repro.core.selector import Selector, selector_by_name
+from repro.core.selector import SELECTORS
 from repro.costmodel.model import CostModel, estimate_standalone_time
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
@@ -77,89 +77,61 @@ from repro.relational.schema import Schema
 DELTA_TMP_PREFIX = "restore/delta/"
 
 
+#: whole-job registration policies (``ReStoreConfig.register_whole_jobs``)
+WHOLE_JOB_POLICIES = ("all", "none", "temporary-only")
+
+#: upper bound on rewrite rescans per job (paper: loop until no match)
+MAX_REWRITE_PASSES = 20
+
+
+def _check_name(field_name: str, value, valid) -> None:
+    if value not in valid:
+        raise ValueError(
+            f"unknown {field_name} {value!r}; expected one of {sorted(valid)}"
+        )
+
+
 @dataclass
 class ReStoreConfig:
-    """Behavioural switches for the manager.
+    """Which §4–§5 policies the manager runs, each given by name.
 
-    ``heuristic``, ``selector``, and ``eviction_policies`` accept
-    either plugin instances or registry names (``"aggressive"``,
-    ``"rules"``, ``"time-window:4"``, ...) — names are resolved when a
-    manager is built, so string-only configuration (CLI flags, JSON
-    files via :meth:`from_dict`) reaches every policy knob.
+    * ``heuristic`` — a :data:`~repro.core.heuristics.HEURISTICS` key
+      (§4: ``conservative``, ``aggressive``, ``no-heuristic``, or
+      ``never`` for whole jobs only).
+    * ``selector`` — a :data:`~repro.core.selector.SELECTORS` key (§5
+      Rules 1–2: ``keep-all`` or ``rules``).
+    * ``register_whole_jobs`` — whole-job registration (§2.1 type 1):
+      ``all``, ``none``, or ``temporary-only``.  The last registers
+      only intermediate (workflow-internal) job outputs — it isolates
+      sub-job reuse for a query's final result while still letting
+      multi-job workflows chain through the repository: §3's "even
+      jobs whose input is the output of other jobs that are also
+      stored in the repository" requires consumers to be redirected to
+      the stored (canonical) copy of their producer's output.
+    * ``eviction_policies`` — ``name[:arg]`` specs over
+      :data:`~repro.core.eviction.EVICTION_POLICIES` (§5 Rules 3–4 plus
+      capacity: ``time-window:4``, ``input-modified``,
+      ``capacity:1048576``).
+
+    An unknown value raises ``ValueError`` naming the field, the value
+    and the valid names when the config is constructed.
     """
 
-    heuristic: Union[str, Heuristic] = "aggressive"
-    rewrite_enabled: bool = True
-    #: when True (default) a matched entry whose inputs only grew by
-    #: appends is refreshed in place: identity-preserving sub-plans
-    #: (single Load -> FILTER/FOREACH/SPLIT chain) rerun over just the
-    #: appended tail, UNION-merged with the stored output, and the
-    #: entry's recorded extents advance.  False condemns append-grown
-    #: entries like rewritten ones (full rerun + re-registration) —
-    #: correct either way, only the recomputation volume differs
-    delta_enabled: bool = True
-    inject_enabled: bool = True
-    #: whole-job registration policy (§2.1 type 1): "all", "none", or
-    #: "temporary-only".  The last registers only intermediate
-    #: (workflow-internal) job outputs — it isolates sub-job reuse for
-    #: a query's final result while still letting multi-job workflows
-    #: chain through the repository: §3's "even jobs whose input is the
-    #: output of other jobs that are also stored in the repository"
-    #: requires consumers to be redirected to the stored (canonical)
-    #: copy of their producer's output.
+    heuristic: str = "aggressive"
+    selector: str = "keep-all"
     register_whole_jobs: str = "all"
-    selector: Union[str, Selector] = "keep-all"
-    eviction_policies: List[Union[str, EvictionPolicy]] = field(default_factory=list)
-    #: upper bound on rewrite rescans per job (paper: loop until no match)
-    max_rewrite_passes: int = 20
+    eviction_policies: List[str] = field(default_factory=list)
 
-    def resolve_heuristic(self) -> Heuristic:
-        if isinstance(self.heuristic, Heuristic):
-            return self.heuristic
-        return heuristic_by_name(self.heuristic)
-
-    def resolve_selector(self, cost_model: Optional[CostModel] = None) -> Selector:
-        if isinstance(self.selector, Selector):
-            return self.selector
-        return selector_by_name(self.selector, cost_model=cost_model)
-
-    def resolve_eviction_policies(self) -> List[EvictionPolicy]:
-        return [
-            policy if isinstance(policy, EvictionPolicy) else eviction_by_name(policy)
-            for policy in self.eviction_policies
-        ]
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ReStoreConfig":
-        """Build a config from plain JSON-shaped data.
-
-        Plugin fields stay as names and resolve lazily against the
-        registries; unknown keys raise immediately so typos in config
-        files surface at load time::
-
-            ReStoreConfig.from_dict({
-                "heuristic": "conservative",
-                "selector": "rules",
-                "eviction_policies": ["time-window:4", "input-modified"],
-                "register_whole_jobs": "temporary-only",
-            })
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ReStoreConfig keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        kwargs = dict(data)
-        if "eviction_policies" in kwargs:
-            kwargs["eviction_policies"] = list(kwargs["eviction_policies"])
-        config = cls(**kwargs)
-        # fail fast on unknown plugin names (the point of from_dict)
-        config.resolve_heuristic()
-        config.resolve_selector()
-        config.resolve_eviction_policies()
-        return config
+    def __post_init__(self) -> None:
+        _check_name("heuristic", self.heuristic, HEURISTICS)
+        _check_name("selector", self.selector, SELECTORS)
+        _check_name(
+            "register_whole_jobs", self.register_whole_jobs, WHOLE_JOB_POLICIES
+        )
+        for spec in self.eviction_policies:
+            name = spec.partition(":")[0]
+            _check_name("eviction_policies", name, EVICTION_POLICIES)
+            build_eviction_policy(spec)  # a bad argument fails here too
 
 
 @dataclass
@@ -228,10 +200,12 @@ class ReStoreManager(JobListener):
             repository if repository is not None else Repository(self.matcher)
         )
         self.enumerator = SubJobEnumerator(
-            self.config.resolve_heuristic(), id_allocator=dfs.next_subjob_id
+            HEURISTICS[self.config.heuristic], id_allocator=dfs.next_subjob_id
         )
-        self.selector = self.config.resolve_selector(self.cost_model)
-        self.eviction_policies = self.config.resolve_eviction_policies()
+        self.selector = SELECTORS[self.config.selector](self.cost_model)
+        self.eviction_policies = [
+            build_eviction_policy(spec) for spec in self.config.eviction_policies
+        ]
         #: typed event fan-out; subscribe for live reuse telemetry
         self.events = event_bus or EventBus()
         #: attached :class:`repro.persistence.RepositoryPersister`
@@ -405,14 +379,12 @@ class ReStoreManager(JobListener):
             return set().union(*self._pinned.values()) if self._pinned else set()
 
     def before_job(self, job: MapReduceJob, workflow: Workflow) -> bool:
-        if self.config.rewrite_enabled:
-            self._match_and_rewrite(job, workflow)
+        self._match_and_rewrite(job, workflow)
         if job.eliminated_by is not None:
             return False
-        if self.config.inject_enabled:
-            candidates = self.enumerator.enumerate_and_inject(job)
-            with self._lock:
-                self._pending[id(job)] = candidates
+        candidates = self.enumerator.enumerate_and_inject(job)
+        with self._lock:
+            self._pending[id(job)] = candidates
         return True
 
     def after_job(self, job: MapReduceJob, stats: JobStats, workflow: Workflow) -> None:
@@ -456,7 +428,7 @@ class ReStoreManager(JobListener):
         """
         scan = MatchScanned(job_id=job.job_id)
         try:
-            for _ in range(self.config.max_rewrite_passes):
+            for _ in range(MAX_REWRITE_PASSES):
                 entry = self._exact_hit(job, workflow)
                 if entry is not None:  # booked as a one-candidate pass
                     scan.passes += 1
@@ -746,8 +718,6 @@ class ReStoreManager(JobListener):
             return False
 
         path = min(freshness.appended)
-        if not self.config.delta_enabled:
-            return fallback(path, "delta-disabled")
         if len(job.plan.loads()) != 1:
             # splicing two loads into a multi-load probe would reorder
             # the interpreter's load streaming relative to the full

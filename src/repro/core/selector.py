@@ -16,15 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.registry import PluginRegistry
 from repro.core.repository import RepositoryEntry
 from repro.costmodel.model import CostModel, estimate_standalone_time
-
-#: name -> selector class; extend with ``SELECTORS.register``.  Every
-#: registered factory must accept ``cost_model=`` (may ignore it) so
-#: selectors resolved by name share the session's cost model.
-SELECTORS = PluginRegistry("selector")
-
 
 @dataclass
 class KeepDecision:
@@ -41,20 +34,18 @@ class Selector:
         raise NotImplementedError
 
 
-@SELECTORS.register("keep-all", aliases=("all",))
 class KeepAllSelector(Selector):
     """The paper's experimental configuration: store everything."""
 
     name = "keep-all"
 
     def __init__(self, cost_model: Optional[CostModel] = None):
-        self.cost_model = cost_model  # unused; accepted for registry symmetry
+        self.cost_model = cost_model  # unused; every selector takes one
 
     def decide(self, entry: RepositoryEntry) -> KeepDecision:
         return KeepDecision(True, "keep-all policy")
 
 
-@SELECTORS.register("rules", aliases=("rule-based",))
 class RuleBasedSelector(Selector):
     """Rules 1 and 2 of §5."""
 
@@ -100,7 +91,6 @@ class RuleBasedSelector(Selector):
         )
 
 
-def selector_by_name(name: str, cost_model: Optional[CostModel] = None) -> Selector:
-    """Resolve a selector by registry name, injecting ``cost_model``
-    so Rule-2 estimates agree with the rest of the session."""
-    return SELECTORS.create(name, cost_model=cost_model)
+#: selector name -> class, built with the session's cost model so
+#: Rule-2 estimates agree with the rest of the session
+SELECTORS = {"keep-all": KeepAllSelector, "rules": RuleBasedSelector}

@@ -182,7 +182,7 @@ class DeltaFallback(ReStoreEvent):
     path: str = ""
     #: "ineligible-chain" (GROUP/JOIN/LIMIT/multi-input shapes),
     #: "multi-load-probe", "tail-boundary" (append split a record),
-    #: "refresh-in-flight", or "delta-disabled"
+    #: or "refresh-in-flight"
     reason: str = ""
 
     def render(self) -> str:

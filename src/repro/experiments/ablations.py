@@ -8,7 +8,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.manager import ReStoreConfig, ReStoreManager
-from repro.core.selector import KeepAllSelector, RuleBasedSelector
 from repro.experiments.common import (
     ExperimentResult,
     PigMixSandbox,
@@ -58,13 +57,10 @@ def run_selector_ablation(
     rows = []
     for name in queries:
         row = {"query": name}
-        for label, selector in (
-            ("keep_all", KeepAllSelector()),
-            ("rules", None),  # built per sandbox (needs its cost model)
-        ):
+        # the manager builds "rules" with the sandbox's cost model
+        for label, selector in (("keep_all", "keep-all"), ("rules", "rules")):
             sandbox = PigMixSandbox(scale, pigmix_config)
-            chosen = selector or RuleBasedSelector(sandbox.cost_model)
-            manager = _manager(sandbox, chosen)
+            manager = _manager(sandbox, selector)
             if name == "wasteful":
                 prime = _wasteful_query(sandbox, f"o/{name}_p")
                 rerun = _wasteful_query(sandbox, f"o/{name}_r")

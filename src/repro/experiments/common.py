@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.heuristics import heuristic_by_name
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.costmodel.calibration import GB
 from repro.costmodel.model import CostModel
@@ -122,14 +121,9 @@ class PigMixSandbox:
         self,
         heuristic: str = "aggressive",
         register_whole_jobs: str = "all",
-        rewrite_enabled: bool = True,
-        inject_enabled: bool = True,
     ) -> ReStoreManager:
         config = ReStoreConfig(
-            heuristic=heuristic_by_name(heuristic),
-            register_whole_jobs=register_whole_jobs,
-            rewrite_enabled=rewrite_enabled,
-            inject_enabled=inject_enabled,
+            heuristic=heuristic, register_whole_jobs=register_whole_jobs
         )
         return ReStoreManager(self.dfs, self.cost_model, config=config)
 
@@ -172,8 +166,7 @@ class SyntheticSandbox:
 
     def manager(self, heuristic: str = "conservative") -> ReStoreManager:
         config = ReStoreConfig(
-            heuristic=heuristic_by_name(heuristic),
-            register_whole_jobs="temporary-only",
+            heuristic=heuristic, register_whole_jobs="temporary-only"
         )
         return ReStoreManager(self.dfs, self.cost_model, config=config)
 

@@ -19,25 +19,23 @@ Quick start::
         )
         print(result.outputs["out"])
 
-Construction alternatives: the fluent :meth:`ReStoreSession.builder`,
-or JSON-shaped config via :meth:`ReStoreSession.from_dict` (plugin
-names resolve through the heuristic/selector/eviction registries).
+ReStore's policies are a :class:`~repro.core.manager.ReStoreConfig` of
+names (``ReStoreSession(config=ReStoreConfig(heuristic="conservative"))``),
+or the same settings through the fluent :meth:`ReStoreSession.builder`.
+The constructor validates every combination of arguments.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Mapping, Optional, Union
+from typing import List, Optional
 
-from repro.core.eviction import EvictionPolicy
-from repro.core.heuristics import Heuristic
 from repro.core.manager import (
     MatchPipelineTotals,
     ReStoreConfig,
     ReStoreManager,
 )
 from repro.core.repository import Repository
-from repro.core.selector import Selector
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import EventBus
@@ -97,6 +95,11 @@ class ReStoreSession:
                 raise ValueError(
                     "dfs= differs from manager.dfs; the session and its "
                     "manager must share one filesystem"
+                )
+            if not restore_enabled:
+                raise ValueError(
+                    "manager= turns ReStore on; don't also pass "
+                    "restore_enabled=False"
                 )
             dfs = manager.dfs
         if dfs is None:
@@ -160,39 +163,6 @@ class ReStoreSession:
     @classmethod
     def builder(cls) -> "SessionBuilder":
         return SessionBuilder()
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ReStoreSession":
-        """Build a session from JSON-shaped configuration::
-
-            ReStoreSession.from_dict({
-                "default_parallel": 14,
-                "restore": {"heuristic": "conservative",
-                            "eviction_policies": ["time-window:4"]},
-            })
-
-        Top-level keys: ``restore`` (a
-        :meth:`ReStoreConfig.from_dict` mapping, or ``False`` to
-        disable ReStore), ``optimize``, ``default_parallel``.
-        """
-        known = {"restore", "optimize", "default_parallel"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown session keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        restore = data.get("restore", {})
-        if restore is False:
-            config, enabled = None, False
-        else:
-            config, enabled = ReStoreConfig.from_dict(restore or {}), True
-        return cls(
-            config=config,
-            restore_enabled=enabled,
-            optimize=data.get("optimize", True),
-            default_parallel=data.get("default_parallel", 28),
-        )
 
     # -- component access --------------------------------------------------------
 
@@ -324,186 +294,78 @@ class SessionBuilder:
                    .evict("time-window:4", "input-modified")
                    .build())
 
-    Plugin setters accept registry names (resolved at ``build()``, so
-    unknown names fail with the full list of valid entries) or
-    instances.
+    Each setter records one constructor argument (the four policy
+    setters one :class:`ReStoreConfig` field); ``build()`` hands them
+    to :class:`ReStoreSession`, which validates them.
     """
 
     def __init__(self):
-        self._dfs: Optional[DistributedFileSystem] = None
-        self._cluster: Optional[ClusterConfig] = None
-        self._cost_model: Optional[CostModel] = None
-        self._repository: Optional[Repository] = None
-        self._manager: Optional[ReStoreManager] = None
-        self._persistence: Optional[PersistenceConfig] = None
-        self._config: Optional[ReStoreConfig] = None
-        self._config_kwargs: dict = {}
-        self._eviction: List[Union[str, EvictionPolicy]] = []
-        self._restore_enabled = True
-        self._optimize = True
-        self._default_parallel = 28
-        self._session_id = ""
+        self._kwargs: dict = {}
+        self._config: dict = {}
+
+    def _set(self, **kwargs) -> "SessionBuilder":
+        self._kwargs.update(kwargs)
+        return self
 
     # -- infrastructure ---------------------------------------------------------
 
     def dfs(self, dfs: DistributedFileSystem) -> "SessionBuilder":
-        self._dfs = dfs
-        return self
+        return self._set(dfs=dfs)
 
     def cluster(self, cluster: ClusterConfig) -> "SessionBuilder":
-        self._cluster = cluster
-        return self
+        return self._set(cluster=cluster)
 
     def cost_model(self, cost_model: CostModel) -> "SessionBuilder":
-        self._cost_model = cost_model
-        return self
+        return self._set(cost_model=cost_model)
 
     def repository(self, repository: Repository) -> "SessionBuilder":
-        self._repository = repository
-        return self
+        return self._set(repository=repository)
 
     def manager(self, manager: ReStoreManager) -> "SessionBuilder":
         """Adopt a pre-built manager (e.g. a JobService's): the session
         inherits its DFS, cost model, repository, and config."""
-        self._manager = manager
-        return self
+        return self._set(manager=manager)
 
     def persistence(self, config: PersistenceConfig) -> "SessionBuilder":
         """Make the repository durable: recover from the configured
         snapshot/journal at build time and journal every mutation."""
-        self._persistence = config
-        return self
+        return self._set(persistence=config)
 
     def optimizer(self, enabled: bool) -> "SessionBuilder":
-        self._optimize = enabled
-        return self
+        return self._set(optimize=enabled)
 
     def default_parallel(self, n: int) -> "SessionBuilder":
-        self._default_parallel = n
-        return self
+        return self._set(default_parallel=n)
 
     def session_id(self, session_id: str) -> "SessionBuilder":
         """Name this session for multi-tenant event isolation."""
-        self._session_id = session_id
+        return self._set(session_id=session_id)
+
+    def without_restore(self) -> "SessionBuilder":
+        return self._set(restore_enabled=False)
+
+    # -- ReStore policies (ReStoreConfig fields) ----------------------------------
+
+    def heuristic(self, name: str) -> "SessionBuilder":
+        self._config["heuristic"] = name
         return self
 
-    # -- ReStore behaviour -------------------------------------------------------
-
-    def config(self, config: ReStoreConfig) -> "SessionBuilder":
-        """Use a complete config (mutually exclusive with the
-        per-field setters below)."""
-        self._config = config
-        return self
-
-    def heuristic(self, heuristic: Union[str, Heuristic]) -> "SessionBuilder":
-        self._config_kwargs["heuristic"] = heuristic
-        return self
-
-    def selector(self, selector: Union[str, Selector]) -> "SessionBuilder":
-        self._config_kwargs["selector"] = selector
-        return self
-
-    def evict(
-        self, *policies: Union[str, EvictionPolicy]
-    ) -> "SessionBuilder":
-        self._eviction.extend(policies)
+    def selector(self, name: str) -> "SessionBuilder":
+        self._config["selector"] = name
         return self
 
     def register_whole_jobs(self, policy: str) -> "SessionBuilder":
-        self._config_kwargs["register_whole_jobs"] = policy
+        self._config["register_whole_jobs"] = policy
         return self
 
-    def rewrite(self, enabled: bool) -> "SessionBuilder":
-        self._config_kwargs["rewrite_enabled"] = enabled
-        return self
-
-    def inject(self, enabled: bool) -> "SessionBuilder":
-        self._config_kwargs["inject_enabled"] = enabled
-        return self
-
-    def without_restore(self) -> "SessionBuilder":
-        self._restore_enabled = False
+    def evict(self, *specs: str) -> "SessionBuilder":
+        self._config.setdefault("eviction_policies", []).extend(specs)
         return self
 
     # -- terminal ----------------------------------------------------------------
 
     def build(self) -> ReStoreSession:
-        self._validate()
-        config = self._config
-        if config is None and (self._config_kwargs or self._eviction):
-            kwargs = dict(self._config_kwargs)
-            if self._eviction:
-                kwargs["eviction_policies"] = list(self._eviction)
-            config = ReStoreConfig(**kwargs)
-        session = ReStoreSession(
-            dfs=self._dfs,
-            cluster=self._cluster,
-            cost_model=self._cost_model,
-            repository=self._repository,
-            manager=self._manager,
-            config=config,
-            persistence=self._persistence,
-            restore_enabled=self._restore_enabled,
-            optimize=self._optimize,
-            default_parallel=self._default_parallel,
-            session_id=self._session_id,
-        )
-        return session
-
-    def _validate(self) -> None:
-        """Reject conflicting setter combinations here, at build time,
-        with messages naming both offending builder calls."""
-        if self._config is not None and (self._config_kwargs or self._eviction):
-            raise ValueError(
-                "pass either a complete config() or individual "
-                "heuristic()/selector()/evict()/... setters, not both"
-            )
-        if self._persistence is not None:
-            if self._repository is not None:
-                raise ValueError(
-                    "persistence() and repository() conflict: "
-                    "persistence() recovers its own repository from the "
-                    "snapshot/journal, so a repository() it would "
-                    "silently discard is a configuration error — drop "
-                    "one of the two calls"
-                )
-            if self._manager is not None:
-                raise ValueError(
-                    "persistence() and manager() conflict: the adopted "
-                    "manager already owns live repository state; attach "
-                    "a RepositoryPersister to that manager directly "
-                    "instead of calling persistence()"
-                )
-            if not self._restore_enabled:
-                raise ValueError(
-                    "persistence() and without_restore() conflict: a "
-                    "durable repository needs the ReStore manager that "
-                    "owns it — drop one of the two calls"
-                )
-        if self._manager is not None:
-            if self._repository is not None:
-                raise ValueError(
-                    "manager() and repository() conflict: the adopted "
-                    "manager already carries its repository — drop one "
-                    "of the two calls"
-                )
-            if self._config is not None or self._config_kwargs or self._eviction:
-                raise ValueError(
-                    "manager() and config()/heuristic()/selector()/"
-                    "evict()/... conflict: the adopted manager already "
-                    "carries its ReStoreConfig — configure that manager "
-                    "instead"
-                )
-            if self._dfs is not None and self._dfs is not self._manager.dfs:
-                raise ValueError(
-                    "dfs() and manager() conflict: the dfs() instance "
-                    "differs from manager().dfs, and a session must "
-                    "share its manager's filesystem — drop the dfs() "
-                    "call or pass the manager's own filesystem"
-                )
-            if not self._restore_enabled:
-                raise ValueError(
-                    "manager() and without_restore() conflict: adopting "
-                    "a manager turns ReStore on — drop one of the two "
-                    "calls"
-                )
+        kwargs = dict(self._kwargs)
+        if self._config:
+            kwargs["config"] = ReStoreConfig(**self._config)
+        return ReStoreSession(**kwargs)

@@ -19,7 +19,6 @@ import random
 
 from repo_stream import GOLDEN_SCALES, run_match_stream
 
-from repro.core.manager import ReStoreConfig
 from repro.events import RewriteApplied
 from repro.execution.interpreter import JobInterpreter
 from repro.pigmix.datagen import PigMixConfig, PigMixDataGenerator
@@ -186,10 +185,9 @@ STREAMS = {
 }
 
 
-def run_stream(prepare, **config_kwargs):
+def run_stream(prepare, restore_enabled=True):
     """Run one stream in a fresh session: (golden record, outputs)."""
-    config = ReStoreConfig(**config_kwargs)
-    with ReStoreSession(config=config) as session:
+    with ReStoreSession(restore_enabled=restore_enabled) as session:
         counters, decisions, outputs = [], [], []
         for i, source in enumerate(prepare(session)):
             result = session.run(source, name=f"q{i}")

@@ -71,7 +71,7 @@ GOLDEN_SCALES = ((10, 8), (100, 8), (10, 20), (100, 20), (1000, 20))
 def probe_config() -> ReStoreConfig:
     """Match and rewrite only: the probe stream never grows the
     repository, so every lane over one seed sees the same entry set."""
-    return ReStoreConfig(inject_enabled=False, register_whole_jobs="none")
+    return ReStoreConfig(heuristic="never", register_whole_jobs="none")
 
 
 @dataclass(frozen=True)

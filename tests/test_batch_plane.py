@@ -160,7 +160,7 @@ class TestHypothesisDifferential:
             runs.append(run_stream(stream))
         assert runs[1:] == runs[:-1]  # every observable, every chunk length
         outputs = runs[0][1]
-        no_reuse = run_stream(stream, rewrite_enabled=False, inject_enabled=False)
+        no_reuse = run_stream(stream, restore_enabled=False)
         assert outputs == no_reuse[1]
         want = _plain_python_aggregate(rows, threshold)
         got = {u: (n, total) for u, n, total in outputs[0]["out/agg"]}

@@ -112,7 +112,7 @@ class TestPluginFlags:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert "unknown eviction policy 'bogus'" in err
+        assert "unknown eviction_policies 'bogus'" in err
         assert "time-window" in err and "capacity" in err
 
 

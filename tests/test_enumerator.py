@@ -3,11 +3,7 @@
 import itertools
 
 from repro.core.enumerator import SubJobEnumerator
-from repro.core.heuristics import (
-    AggressiveHeuristic,
-    ConservativeHeuristic,
-    NoHeuristic,
-)
+from repro.core.heuristics import HEURISTICS
 from repro.mapreduce.job import MapReduceJob
 from repro.pig.engine import PigServer
 from repro.pig.physical.operators import POSplit, POStore
@@ -28,9 +24,9 @@ store C into 'out';
 
 
 def make_enumerator(heuristic):
-    """An enumerator with a numbering of its own (the manager passes
-    the DFS's)."""
-    return SubJobEnumerator(heuristic, itertools.count(1).__next__)
+    """An enumerator for the named heuristic with a numbering of its
+    own (the manager passes the DFS's)."""
+    return SubJobEnumerator(HEURISTICS[heuristic], itertools.count(1).__next__)
 
 
 def compile_job(server, source=L2ISH):
@@ -40,7 +36,7 @@ def compile_job(server, source=L2ISH):
 class TestInjection:
     def test_conservative_injects_two_project_stores(self, server):
         job = compile_job(server)
-        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("conservative").enumerate_and_inject(job)
         assert len(candidates) == 2
         assert all(c.anchor_kind == "project" for c in candidates)
         assert len(job.plan.side_stores()) == 2
@@ -49,7 +45,7 @@ class TestInjection:
         """The join flatten feeds the primary Store directly: its output
         is already stored, so HA must not double-store it."""
         job = compile_job(server)
-        candidates = make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("aggressive").enumerate_and_inject(job)
         assert all(c.anchor_kind != "join" for c in candidates)
         assert len(candidates) == 2  # just the projections
 
@@ -60,13 +56,13 @@ class TestInjection:
             E = foreach D generate group, COUNT(A);
             store E into 'out';
         """)
-        candidates = make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("aggressive").enumerate_and_inject(job)
         kinds = sorted(c.anchor_kind for c in candidates)
         assert "group" in kinds
 
     def test_tee_structure(self, server):
         job = compile_job(server)
-        make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        make_enumerator("conservative").enumerate_and_inject(job)
         job.validate()
         splits = [op for op in job.plan if isinstance(op, POSplit)]
         assert len(splits) == 2
@@ -78,14 +74,14 @@ class TestInjection:
     def test_no_heuristic_reuses_tee(self, server):
         """Multiple stores at the same operator share one Split."""
         job = compile_job(server)
-        make_enumerator(NoHeuristic()).enumerate_and_inject(job)
+        make_enumerator("no-heuristic").enumerate_and_inject(job)
         job.validate()
 
     def test_generated_pipeline_injects_three_of_its_four_anchors(self):
         """load → filter → project → group → aggregate → store: HA
         anchors four operators; the aggregate feeds the store, so
         three candidates are injected — for every job of a stream."""
-        enumerator = make_enumerator(AggressiveHeuristic())
+        enumerator = make_enumerator("aggressive")
         for index in range(10):
             spec = EntrySpec(index, f"enum/ds{index}", 1 + index % 37, "aggregate")
             ops = pipeline_ops(spec, spec.shape)
@@ -95,7 +91,7 @@ class TestInjection:
 
     def test_unique_store_paths(self, server):
         job = compile_job(server)
-        candidates = make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("aggressive").enumerate_and_inject(job)
         paths = [c.store_path for c in candidates]
         assert len(paths) == len(set(paths))
 
@@ -103,7 +99,7 @@ class TestInjection:
 class TestCandidatePlans:
     def test_candidate_plan_is_standalone(self, server):
         job = compile_job(server)
-        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("conservative").enumerate_and_inject(job)
         for candidate in candidates:
             candidate.plan.validate()
             # a clean load -> project -> store job, no instrumentation
@@ -112,13 +108,13 @@ class TestCandidatePlans:
 
     def test_candidate_plan_free_of_splits(self, server):
         job = compile_job(server)
-        candidates = make_enumerator(NoHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("no-heuristic").enumerate_and_inject(job)
         for candidate in candidates:
             assert not any(isinstance(op, POSplit) for op in candidate.plan)
 
     def test_candidate_schema_matches_anchor(self, server):
         job = compile_job(server)
-        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("conservative").enumerate_and_inject(job)
         for candidate in candidates:
             assert len(candidate.output_schema) >= 1
 
@@ -129,7 +125,7 @@ class TestCandidatePlans:
         from repro.core.matcher import PlanMatcher
 
         job = compile_job(server)
-        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("conservative").enumerate_and_inject(job)
         fresh = compile_job(server)  # identical query, fresh plan
         matcher = PlanMatcher()
         for candidate in candidates:
@@ -141,7 +137,7 @@ class TestCandidatePlans:
         job_server = PigServer(small_data)
         workflow = job_server.compile(L2ISH.replace("'out'", "'out_inj'"))
         for job in workflow.jobs:
-            make_enumerator(AggressiveHeuristic()).enumerate_and_inject(job)
+            make_enumerator("aggressive").enumerate_and_inject(job)
         injected = job_server.run_workflow(workflow)
         assert sorted(plain.outputs["out_plain"]) == sorted(
             injected.outputs["out_inj"]
@@ -150,7 +146,7 @@ class TestCandidatePlans:
     def test_side_store_written(self, server, small_data):
         workflow = server.compile(L2ISH.replace("'out'", "'out2'"))
         job = workflow.jobs[0]
-        candidates = make_enumerator(ConservativeHeuristic()).enumerate_and_inject(job)
+        candidates = make_enumerator("conservative").enumerate_and_inject(job)
         server.run_workflow(workflow)
         for candidate in candidates:
             assert small_data.exists(candidate.store_path)
@@ -206,7 +202,7 @@ class TestAnchorTwinMapping:
             op for op in plan.topo_order() if isinstance(op, POFilter)
         ]
         assert first.signature() == second.signature()  # the ambiguous case
-        enumerator = make_enumerator(ConservativeHeuristic())
+        enumerator = make_enumerator("conservative")
         candidates = enumerator.enumerate_and_inject(job)
         by_len = sorted(len(c.plan) for c in candidates)
         # the shallow filter's candidate stops at depth 3 (load ->
@@ -229,7 +225,7 @@ class TestAnchorTwinMapping:
 
     def test_contracted_split_maps_to_its_predecessor(self, server):
         job = compile_job(server)
-        enumerator = make_enumerator(AggressiveHeuristic())
+        enumerator = make_enumerator("aggressive")
         enumerator.enumerate_and_inject(job)  # splices tees into the plan
         plan = job.plan
         tees = [op for op in plan.operators if isinstance(op, POSplit)]

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.core.heuristics import (
-    AggressiveHeuristic,
-    ConservativeHeuristic,
-    NeverMaterialize,
-    NoHeuristic,
-    classify_operator,
-    heuristic_by_name,
-)
+from repro.core.heuristics import HEURISTICS, classify_operator
+from repro.core.manager import ReStoreConfig
 
 PV = "user, action:int, timestamp:int, est_revenue:double, page_info, page_links"
 USERS = "name, phone, address, city"
@@ -99,16 +93,16 @@ class TestHeuristicSelection:
         return {
             classify_operator(op, plan)
             for op in plan
-            if heuristic.should_materialize(op, plan)
+            if classify_operator(op, plan) in HEURISTICS[heuristic]
         }
 
     def test_conservative_project_filter_only(self, l3ish_plan):
-        selected = self._kinds_selected(ConservativeHeuristic(), l3ish_plan)
+        selected = self._kinds_selected("conservative", l3ish_plan)
         assert selected <= {"project", "filter"}
         assert "project" in selected
 
     def test_aggressive_adds_join(self, l3ish_plan):
-        selected = self._kinds_selected(AggressiveHeuristic(), l3ish_plan)
+        selected = self._kinds_selected("aggressive", l3ish_plan)
         assert "join" in selected
         assert "project" in selected
 
@@ -119,15 +113,14 @@ class TestHeuristicSelection:
             D = foreach C generate COUNT(A);
             store D into 'out';
         """)
-        selected = self._kinds_selected(AggressiveHeuristic(), plan)
+        selected = self._kinds_selected("aggressive", plan)
         assert "group-all" not in selected
 
     def test_no_heuristic_includes_everything_materializable(self, l3ish_plan):
-        selected = self._kinds_selected(NoHeuristic(), l3ish_plan)
+        selected = self._kinds_selected("no-heuristic", l3ish_plan)
         assert "project" in selected and "join" in selected
 
     def test_no_heuristic_skips_structural(self, l3ish_plan):
-        heuristic = NoHeuristic()
         from repro.pig.physical.operators import (
             POGlobalRearrange,
             POLoad,
@@ -139,31 +132,14 @@ class TestHeuristicSelection:
             if isinstance(
                 op, (POLoad, POStore, POLocalRearrange, POGlobalRearrange)
             ):
-                assert not heuristic.should_materialize(op, l3ish_plan)
+                kind = classify_operator(op, l3ish_plan)
+                assert kind not in HEURISTICS["no-heuristic"]
 
     def test_never(self, l3ish_plan):
-        heuristic = NeverMaterialize()
-        assert not any(
-            heuristic.should_materialize(op, l3ish_plan) for op in l3ish_plan
-        )
+        assert self._kinds_selected("never", l3ish_plan) == set()
 
 
 class TestLookup:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [
-            ("conservative", ConservativeHeuristic),
-            ("HC", ConservativeHeuristic),
-            ("aggressive", AggressiveHeuristic),
-            ("ha", AggressiveHeuristic),
-            ("no-heuristic", NoHeuristic),
-            ("NH", NoHeuristic),
-            ("never", NeverMaterialize),
-        ],
-    )
-    def test_by_name(self, name, cls):
-        assert isinstance(heuristic_by_name(name), cls)
-
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            heuristic_by_name("bogus")
+        with pytest.raises(ValueError, match="unknown heuristic 'bogus'"):
+            ReStoreConfig(heuristic="bogus")

@@ -36,7 +36,7 @@ from repo_stream import (
 
 from repro import ReStoreSession
 from repro.core.enumerator import SubJobEnumerator
-from repro.core.heuristics import AggressiveHeuristic
+from repro.core.heuristics import HEURISTICS
 from repro.core.manager import ReStoreManager
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import Repository
@@ -615,9 +615,9 @@ class TestRidingDeletions:
 
     def test_the_enumerator_has_no_numbering_of_its_own(self):
         with pytest.raises(TypeError):
-            SubJobEnumerator(AggressiveHeuristic())
+            SubJobEnumerator(HEURISTICS["aggressive"])
         numbering = itertools.count(7).__next__
-        enumerator = SubJobEnumerator(AggressiveHeuristic(), numbering)
+        enumerator = SubJobEnumerator(HEURISTICS["aggressive"], numbering)
         assert enumerator._new_path() == "restore/subjob/sj000007"
 
     def test_the_report_says_which_exact_lookups_are_which(self):

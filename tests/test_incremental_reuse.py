@@ -5,7 +5,6 @@ eviction Rule 4 interaction."""
 
 import pytest
 
-from repro.core.eviction import InputModifiedEviction
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import (
@@ -161,20 +160,6 @@ class TestDeltaFallback:
             small_data, GROUP_Q, "g_out"
         )
 
-    def test_disabled_delta_recomputes_fully_and_correctly(self, small_data):
-        server, manager = make(small_data, delta_enabled=False)
-        server.run(FILTER_Q)
-        small_data.append("data/page_views", TAIL)
-
-        result = server.run(FILTER_Q)
-
-        fallbacks = events_of(result, DeltaFallback)
-        assert fallbacks and fallbacks[0].reason == "delta-disabled"
-        assert manager.delta_refresh_count == 0
-        assert small_data.read_file("f_out") == oracle_run(
-            small_data, FILTER_Q, "f_out"
-        )
-
     def test_fallback_rerun_reregisters_fresh_state(self, small_data):
         server, manager = make(small_data)
         server.run(GROUP_Q)
@@ -238,7 +223,7 @@ class TestStalenessGuard:
 class TestEvictionRule4Appends:
     def test_append_keeps_delta_upgradeable_entries(self, small_data):
         server, manager = make(
-            small_data, eviction_policies=[InputModifiedEviction()]
+            small_data, eviction_policies=["input-modified"]
         )
         server.run(FILTER_Q)
         filter_entries = [
@@ -256,7 +241,7 @@ class TestEvictionRule4Appends:
 
     def test_overwrite_still_evicts(self, small_data):
         server, manager = make(
-            small_data, eviction_policies=[InputModifiedEviction()]
+            small_data, eviction_policies=["input-modified"]
         )
         server.run(FILTER_Q)
         assert len(manager.repository) > 0

@@ -7,7 +7,6 @@ workflows, resubmission, and eviction effects.
 
 import pytest
 
-from repro.core.eviction import InputModifiedEviction, TimeWindowEviction
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.events import LOG_EVENTS, render_events
 from repro.pig.engine import PigServer
@@ -151,16 +150,14 @@ class TestRepositoryContents:
         server.run(Q1)
         assert all(e.anchor_kind != "whole-job" for e in manager.repository)
 
-    def test_rewrite_disabled(self, small_data):
-        server, manager = make(small_data, rewrite_enabled=False)
-        server.run(Q1)
-        result = server.run(Q2)
-        assert manager.rewrite_count == 0
-        assert manager.elimination_count == 0
-        assert sorted(result.outputs["q2_out"]) == Q2_EXPECTED
+    def test_misspelled_register_whole_jobs_is_rejected(self):
+        """Regression: an unknown policy used to mean "all", storing a
+        whole-job entry for the user's final output."""
+        with pytest.raises(ValueError, match="'temporary_only'.*temporary-only"):
+            ReStoreConfig(register_whole_jobs="temporary_only")
 
     def test_inject_disabled(self, small_data):
-        server, manager = make(small_data, inject_enabled=False)
+        server, manager = make(small_data, heuristic="never")
         server.run(Q1)
         assert all(
             e.anchor_kind == "whole-job" for e in manager.repository
@@ -171,7 +168,7 @@ class TestEviction:
     def test_time_window_eviction_runs_between_workflows(self, small_data):
         server, manager = make(
             small_data,
-            eviction_policies=[TimeWindowEviction(window=1)],
+            eviction_policies=["time-window:1"],
         )
         server.run(Q1)
         n_entries = len(manager.repository)
@@ -188,7 +185,7 @@ class TestEviction:
     def test_input_modified_eviction(self, small_data):
         server, manager = make(
             small_data,
-            eviction_policies=[InputModifiedEviction()],
+            eviction_policies=["input-modified"],
         )
         server.run(Q1)
         assert len(manager.repository) > 0
@@ -207,7 +204,7 @@ class TestEviction:
         with no ``EntryEvicted`` and leak its kept file.  Only "already
         gone" (``RepositoryError``) reads as nothing to evict."""
         server, manager = make(
-            small_data, eviction_policies=[InputModifiedEviction()]
+            small_data, eviction_policies=["input-modified"]
         )
         server.run(Q1)
         gone = manager.repository.entries()[0]
@@ -226,7 +223,7 @@ class TestEviction:
     def test_stale_entries_not_reused_after_eviction(self, small_data):
         server, manager = make(
             small_data,
-            eviction_policies=[InputModifiedEviction()],
+            eviction_policies=["input-modified"],
         )
         server.run(Q1)
         small_data.write_file(

@@ -102,14 +102,13 @@ class TestCrossSessionReuse:
         assert order_before == order_after
 
     def test_eviction_applies_to_restored_entries(self, small_data):
-        from repro.core.eviction import InputModifiedEviction
 
         first_session(small_data)
         repository = recover(CONFIG, small_data).repository
         manager = ReStoreManager(
             small_data,
             repository=repository,
-            config=ReStoreConfig(eviction_policies=[InputModifiedEviction()]),
+            config=ReStoreConfig(eviction_policies=["input-modified"]),
         )
         # restored entries own their stored files, as in a live session
         manager.kept_paths.update(e.output_path for e in repository)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.core.eviction import (
     CapacityEviction,
     InputModifiedEviction,
@@ -157,3 +158,13 @@ class TestCapacityEviction:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             CapacityEviction(-1)
+
+
+class TestEvictionSpecs:
+    @pytest.mark.parametrize("spec", ["time-window:", "time-window:x", "capacity:abc"])
+    def test_non_integer_argument_names_the_spec(self, spec, tmp_path, capsys):
+        script = tmp_path / "q.pig"
+        script.write_text("A = load 'x' as (a); store A into 'o';")
+        assert main(["run", str(script), "--evict", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"eviction spec '{spec}': argument must be an integer" in err

@@ -71,7 +71,7 @@ class TestServiceStress:
         n_tenants, jobs_per_tenant = 8, 50
         datasets = [f"stress/ds{d}" for d in range(4)]
         service = JobService(
-            config=ReStoreConfig(inject_enabled=False),
+            config=ReStoreConfig(heuristic="never"),
             max_workers=n_tenants,
         )
         write_datasets(service.dfs, datasets)
@@ -119,7 +119,7 @@ class TestServiceStress:
         """One tenant's submissions never interleave: job N+1 observes
         the repository state N left behind (its duplicate probe hits)."""
         service = JobService(
-            config=ReStoreConfig(inject_enabled=False),
+            config=ReStoreConfig(heuristic="never"),
             max_workers=4,
         )
         write_datasets(service.dfs, ["fifo/ds"])

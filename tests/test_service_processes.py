@@ -17,7 +17,8 @@ the layer's load-bearing guarantees:
 * durable (``persistence=``) process services recover before any
   worker spawns and reserve the snapshot/journal paths;
 * conflicting configuration is rejected at build time, for the
-  service shorthands and the :class:`SessionBuilder` alike.
+  service shorthands and the :class:`SessionBuilder` (whose ``build``
+  is the session constructor) alike.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def process_service(**kwargs) -> JobService:
     service_config = kwargs.pop(
         "service", ServiceConfig(executor="processes", max_workers=1)
     )
-    config = kwargs.pop("config", ReStoreConfig(inject_enabled=False))
+    config = kwargs.pop("config", ReStoreConfig(heuristic="never"))
     return JobService(config=config, service=service_config, **kwargs)
 
 
@@ -400,7 +401,7 @@ class TestConfigConflicts:
                 .manager(manager)
                 .build()
             )
-        with pytest.raises(ValueError, match="durable repository"):
+        with pytest.raises(ValueError, match="requires restore_enabled=True"):
             (
                 ReStoreSession.builder()
                 .persistence(config)
@@ -410,7 +411,7 @@ class TestConfigConflicts:
 
     def test_builder_rejects_manager_plus_repository(self):
         manager = ReStoreManager(DistributedFileSystem())
-        with pytest.raises(ValueError, match="already carries its repository"):
+        with pytest.raises(ValueError, match="already carries a repository"):
             (
                 ReStoreSession.builder()
                 .manager(manager)

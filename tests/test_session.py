@@ -1,11 +1,14 @@
 """ReStoreSession facade: wiring invariants, builder, config paths."""
 
 import pytest
+from golden_corpus import load_golden, repo_scale_record
+from repo_stream import probe_config
 
 from repro import ReStoreSession
-from repro.core.eviction import TimeWindowEviction
-from repro.core.manager import ReStoreConfig
-from repro.core.selector import KeepAllSelector, RuleBasedSelector
+from repro.core.eviction import EVICTION_POLICIES
+from repro.core.heuristics import HEURISTICS
+from repro.core.manager import WHOLE_JOB_POLICIES, ReStoreConfig
+from repro.core.selector import SELECTORS, KeepAllSelector, RuleBasedSelector
 from repro.costmodel.model import CostModel, estimate_standalone_time
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.pig.engine import PigServer
@@ -112,7 +115,7 @@ class TestBuilder:
             .evict("time-window:3", "input-modified")
             .build()
         )
-        assert session.manager.enumerator.heuristic.name == "conservative"
+        assert session.manager.enumerator.categories == HEURISTICS["conservative"]
         assert isinstance(session.manager.selector, KeepAllSelector)
         policies = session.manager.eviction_policies
         assert [p.name for p in policies] == ["time-window", "input-modified"]
@@ -126,11 +129,6 @@ class TestBuilder:
         with pytest.raises(ValueError, match="time-window"):
             ReStoreSession.builder().evict("bogus:9").build()
 
-    def test_eviction_instances_accepted(self):
-        policy = TimeWindowEviction(window=2)
-        session = ReStoreSession.builder().evict(policy).build()
-        assert session.manager.eviction_policies == [policy]
-
     def test_without_restore(self):
         session = ReStoreSession.builder().without_restore().build()
         assert session.manager is None
@@ -139,57 +137,51 @@ class TestBuilder:
         # the inert bus still accepts subscriptions
         assert session.events.collect() == []
 
-    def test_config_and_setters_are_exclusive(self):
-        builder = ReStoreSession.builder().config(ReStoreConfig())
-        with pytest.raises(ValueError):
-            builder.heuristic("never").build()
+
+#: (ReStoreConfig field, builder setter, every valid name of the field)
+POLICY_FIELDS = [
+    ("heuristic", "heuristic", list(HEURISTICS)),
+    ("selector", "selector", list(SELECTORS)),
+    ("register_whole_jobs", "register_whole_jobs", list(WHOLE_JOB_POLICIES)),
+    ("eviction_policies", "evict", list(EVICTION_POLICIES)),
+]
 
 
-class TestFromDict:
-    def test_full_config(self):
-        session = ReStoreSession.from_dict({
-            "restore": {
-                "heuristic": "never",
-                "selector": "rules",
-                "eviction_policies": ["time-window:5"],
-                "register_whole_jobs": "temporary-only",
-            },
-        })
-        assert session.manager.enumerator.heuristic.name == "never"
-        assert session.config.register_whole_jobs == "temporary-only"
-        assert session.manager.eviction_policies[0].window == 5
+class TestPolicyTables:
+    """Every name of every policy table, set through the builder."""
 
-    def test_restore_false_disables(self):
-        session = ReStoreSession.from_dict({"restore": False})
-        assert session.manager is None
-
-    def test_unknown_session_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown session keys"):
-            ReStoreSession.from_dict({"datanodes": 3})
-
-    def test_unknown_restore_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown ReStoreConfig keys"):
-            ReStoreSession.from_dict({"restore": {"heuristics": "ha"}})
-
-    # spelled in halves so that a grep for the retired knobs' names
-    # over the tree stays empty
     @pytest.mark.parametrize(
-        "key",
-        [
-            "fast_data" "_plane",
-            "batch" "_size",
-            "payload" "_reuse",
-            "indexed" "_matching",
-        ],
+        "field,setter,name",
+        [(f, setter, n) for f, setter, names in POLICY_FIELDS for n in names],
     )
-    def test_retired_data_plane_keys_fail_loudly(self, key):
-        with pytest.raises(ValueError, match=f"unknown ReStoreConfig keys.*{key}"):
-            ReStoreConfig.from_dict({key: True})
-        assert not hasattr(ReStoreSession.builder(), key)
+    def test_each_name_builds_a_manager_running_it(self, field, setter, name):
+        value = "capacity:1024" if name == "capacity" else name
+        session = getattr(ReStoreSession.builder(), setter)(value).build()
+        manager = session.manager
+        if field == "heuristic":
+            assert manager.enumerator.categories == HEURISTICS[name]
+        elif field == "selector":
+            assert manager.selector.name == name
+            assert isinstance(manager.selector, SELECTORS[name])
+        elif field == "eviction_policies":
+            assert [p.name for p in manager.eviction_policies] == [name]
+        else:
+            assert manager.config.register_whole_jobs == name
 
-    def test_unknown_plugin_name_fails_at_load(self):
-        with pytest.raises(ValueError, match="unknown selector"):
-            ReStoreConfig.from_dict({"selector": "bogus"})
+    @pytest.mark.parametrize("field,setter,names", POLICY_FIELDS)
+    def test_each_field_rejects_an_unknown_value(self, field, setter, names):
+        value = ["bogus:3"] if field == "eviction_policies" else "bogus"
+        with pytest.raises(ValueError) as raised:
+            ReStoreConfig(**{field: value})
+        message = str(raised.value)
+        assert f"unknown {field} 'bogus'" in message
+        assert all(repr(name) in message for name in names)
+
+    def test_never_keeps_the_golden_match_decisions(self):
+        """The probe stream runs under heuristic="never"; its decision
+        log is still the recorded one."""
+        assert probe_config().heuristic == "never"
+        assert repo_scale_record(10, 8) == load_golden()["repo_scale"]["10x8"]
 
 
 class TestLifecycle:
@@ -239,6 +231,8 @@ class TestLifecycle:
             ReStoreSession(dfs=DistributedFileSystem(), manager=manager)
         with pytest.raises(ValueError, match="not both"):
             ReStoreSession(manager=manager, config=ReStoreConfig())
+        with pytest.raises(ValueError, match="turns ReStore on"):
+            ReStoreSession(manager=manager, restore_enabled=False)
 
 
 class TestScriptIdScoping:

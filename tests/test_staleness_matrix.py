@@ -105,7 +105,7 @@ def serial_outcome(scenario: str) -> tuple:
 
 def service_outcome(scenario: str) -> tuple:
     service = JobService(
-        config=ReStoreConfig(inject_enabled=False),
+        config=ReStoreConfig(heuristic="never"),
         max_workers=1,
     )
     try:
