@@ -95,29 +95,42 @@ class PlanMatcher:
 
         order = [op for op in repo_plan.topo_order() if not isinstance(op, POStore)]
         mapping: Dict[int, PhysicalOperator] = {}
-        used_input_ids: Set[int] = set()
-
-        def assign(position: int) -> bool:
-            if position == len(order):
-                return True
-            repo_op = order[position]
-            for candidate in self._candidates_for(
-                input_plan, repo_plan, repo_op, mapping, used_input_ids
-            ):
-                mapping[repo_op.op_id] = candidate
-                used_input_ids.add(candidate.op_id)
-                if assign(position + 1):
-                    return True
-                del mapping[repo_op.op_id]
-                used_input_ids.discard(candidate.op_id)
-            return False
-
-        if not assign(0):
+        if not self._assign(input_plan, repo_plan, order, 0, mapping, set()):
             return None
 
         frontier_input = mapping[frontier_repo.op_id]
         whole = self._is_whole_job(input_plan, mapping, frontier_input)
         return MatchResult(mapping=mapping, frontier=frontier_input, whole_job=whole)
+
+    def _assign(
+        self,
+        input_plan: PhysicalPlan,
+        repo_plan: PhysicalPlan,
+        order: List[PhysicalOperator],
+        position: int,
+        mapping: Dict[int, PhysicalOperator],
+        used_input_ids: Set[int],
+    ) -> bool:
+        """Extend *mapping* with ``order[position:]``, backtracking.
+
+        A method, not a closure over ``match``'s locals: a recursive
+        closure references itself, and every call would leave a
+        reference cycle for the cyclic collector to find."""
+        if position == len(order):
+            return True
+        repo_op = order[position]
+        for candidate in self._candidates_for(
+            input_plan, repo_plan, repo_op, mapping, used_input_ids
+        ):
+            mapping[repo_op.op_id] = candidate
+            used_input_ids.add(candidate.op_id)
+            if self._assign(
+                input_plan, repo_plan, order, position + 1, mapping, used_input_ids
+            ):
+                return True
+            del mapping[repo_op.op_id]
+            used_input_ids.discard(candidate.op_id)
+        return False
 
     def contains(self, outer: PhysicalPlan, inner: PhysicalPlan) -> bool:
         """Paper's subsumption: every op of *inner* has an equivalent

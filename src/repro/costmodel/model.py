@@ -111,22 +111,32 @@ class CostModel:
         ids of jobs it depends on.  Jobs absent from ``job_times``
         (e.g. eliminated by ReStore) contribute zero.
         """
-        memo: Dict[str, float] = {}
-
-        def total(job_id: str) -> float:
-            if job_id in memo:
-                return memo[job_id]
-            et = job_times.get(job_id, 0.0)
-            upstream = [
-                total(d) for d in deps.get(job_id, ()) if d in job_times or d in deps
-            ]
-            value = et + (max(upstream) if upstream else 0.0)
-            memo[job_id] = value
-            return value
-
         if not job_times:
             return 0.0
-        return max(total(job_id) for job_id in job_times)
+        memo: Dict[str, float] = {}
+        return max(_total_time(job_id, job_times, deps, memo) for job_id in job_times)
+
+
+def _total_time(
+    job_id: str,
+    job_times: Mapping[str, float],
+    deps: Mapping[str, Iterable[str]],
+    memo: Dict[str, float],
+) -> float:
+    """``T_total(job_id)``, memoised in *memo*.  A module function, not
+    a recursive closure: the closure would reference itself, a cycle
+    per call left for the cyclic collector."""
+    if job_id in memo:
+        return memo[job_id]
+    et = job_times.get(job_id, 0.0)
+    upstream = [
+        _total_time(d, job_times, deps, memo)
+        for d in deps.get(job_id, ())
+        if d in job_times or d in deps
+    ]
+    value = et + (max(upstream) if upstream else 0.0)
+    memo[job_id] = value
+    return value
 
 
 def estimate_standalone_time(

@@ -10,6 +10,7 @@ consumed by the cost model.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Iterable, List, Optional, Tuple
 
 from repro.dfs.dataset import TypedDataset, canonical_ascii_size, rows_are_canonical
@@ -43,9 +44,8 @@ class DistributedFileSystem:
         #: stores that cloned an existing file's serialized payload
         #: instead of re-serializing (see :meth:`write_rows` ``source``)
         self.payload_clones = 0
-        #: PigStorage renders actually performed for row writes (eager
-        #: builds plus lazy payloads something genuinely byte-read)
-        self.serializations = 0
+        #: the count behind :attr:`serializations`
+        self._renders = [0]
         self._script_id_next = 1
         self._subjob_id_next = 1
         self._delta_id_next = 1
@@ -53,6 +53,12 @@ class DistributedFileSystem:
         #: this lock makes namespace mutations (the id counters, the
         #: mtime clock, delete-if-exists) atomic
         self._lock = threading.RLock()
+
+    @property
+    def serializations(self) -> int:
+        """PigStorage renders actually performed for row writes (eager
+        builds plus lazy payloads something genuinely byte-read)."""
+        return self._renders[0]
 
     def next_subjob_id(self) -> int:
         """Allocate a ReStore sub-job output number.
@@ -213,12 +219,16 @@ class DistributedFileSystem:
             # parse the text, so build it up front (rare path: the
             # canonical check runs again, off the hot path)
             canonical = schema is not None and rows_are_canonical(rows, schema)
-            payload = self._render_rows(rows)
+            payload = _render_rows(rows, self._renders)
         else:
             # byte-size accounting is exact without serializing; the
             # text is built only if something reads actual bytes
             canonical = True
-            payload = LazyPayload(lambda: self._render_rows(rows), total_bytes)
+            # the builder holds the count, not the filesystem: a payload
+            # referring back to its own filesystem would make every
+            # file a reference cycle
+            build = partial(_render_rows, rows, self._renders)
+            payload = LazyPayload(build, total_bytes)
         with self._lock:
             if overwrite and self.namenode.exists(path):
                 self.delete(path)
@@ -232,10 +242,6 @@ class DistributedFileSystem:
                     rows, fingerprint, inode.generation, exact=True, covers=inode.size
                 )
             return self.namenode.stat(path)
-
-    def _render_rows(self, rows) -> bytes:
-        self.serializations += 1
-        return serialize_rows(rows).encode()
 
     def _clone_payload(
         self,
@@ -440,3 +446,8 @@ class DistributedFileSystem:
 
     def __repr__(self) -> str:
         return f"DistributedFileSystem(files={self.namenode.file_count})"
+
+
+def _render_rows(rows, renders: List[int]) -> bytes:
+    renders[0] += 1
+    return serialize_rows(rows).encode()

@@ -5,11 +5,14 @@ plan -> logical optimizer -> MapReduce compiler -> (ReStore hooks) ->
 Hadoop execution, then cleans up intermediate outputs *except* the
 ones ReStore decided to keep.  The stages between the parse and the
 hooks run once per script shape: each submission gets a re-stamped copy
-of a memoised workflow template.
+of a memoised workflow template.  A submission runs with CPython's
+cyclic collector paused (:func:`_pause_collector`).
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -33,6 +36,13 @@ from repro.relational.tuples import Row, snapshot_rows
 #: workflow templates the compile memo holds: one per script shape
 #: (statements without their store paths, optimize, parallelism)
 _MEMO_TEMPLATES = 256
+
+#: the collector pause every submission in the process shares: how many
+#: submissions are inside it, and whether the collector was enabled when
+#: the first of them entered
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_found_enabled = False
 
 
 @dataclass
@@ -140,36 +150,83 @@ class PigServer:
         return self.run_workflow(workflow)
 
     def run_workflow(self, workflow: Workflow) -> PigRunResult:
-        stats = self.runner.run_workflow(workflow, listener=self.restore)
-        result = PigRunResult(workflow=workflow, stats=stats)
+        """Execute *workflow* with the cyclic collector paused: what it
+        allocates (the shuffle's rows above all) is live until the run
+        ends and nothing on this path forms a reference cycle, so the
+        collector would re-scan it for nothing.  The collection that fell
+        due meanwhile runs before this returns."""
+        found_enabled = _pause_collector()
+        try:
+            stats = self.runner.run_workflow(workflow, listener=self.restore)
+            result = PigRunResult(workflow=workflow, stats=stats)
 
-        # Collect final outputs (skip temps and ReStore side stores).
-        for job in workflow.jobs:
-            if job.temporary:
-                continue
-            store = job.plan.primary_store()
-            if store is None:
-                continue
-            path = store.path
-            if self.dfs.exists(path):
-                schema = store.schema or Schema()
-                # served straight from the typed-dataset cache the
-                # store just pinned — no re-parse of final outputs.
-                # Bags are defensively copied: outputs are caller-
-                # owned, and a caller mutating a cache-pinned Bag
-                # would corrupt every later read of this path
-                result.outputs[path] = list(
-                    snapshot_rows(self.dfs.read_rows(path, schema))
-                )
+            # Collect final outputs (skip temps and ReStore side stores).
+            for job in workflow.jobs:
+                if job.temporary:
+                    continue
+                store = job.plan.primary_store()
+                if store is None:
+                    continue
+                path = store.path
+                if self.dfs.exists(path):
+                    schema = store.schema or Schema()
+                    # served straight from the typed-dataset cache the
+                    # store just pinned — no re-parse of final outputs.
+                    # Bags are defensively copied: outputs are caller-
+                    # owned, and a caller mutating a cache-pinned Bag
+                    # would corrupt every later read of this path
+                    result.outputs[path] = list(
+                        snapshot_rows(self.dfs.read_rows(path, schema))
+                    )
 
-        # Stock Pig deletes intermediate outputs when the workflow ends;
-        # ReStore keeps the ones registered in its repository (§1).
-        kept = self.restore.protected_paths() if self.restore else set()
-        self.runner.cleanup_temporaries(workflow, keep=kept)
+            # Stock Pig deletes intermediate outputs when the workflow
+            # ends; ReStore keeps the ones registered in its repository (§1).
+            kept = self.restore.protected_paths() if self.restore else set()
+            self.runner.cleanup_temporaries(workflow, keep=kept)
 
-        if self.restore is not None:
-            result.events = list(self.restore.drain())
-        return result
+            if self.restore is not None:
+                result.events = list(self.restore.drain())
+            return result
+        finally:
+            _resume_collector(found_enabled)
+
+
+def _pause_collector() -> bool:
+    """Enter the process-wide collector pause; returns whether the
+    collector was enabled outside it.
+
+    The first submission in disables the collector if it was enabled;
+    later ones, overlapping on other threads, find it as the first one
+    did.  A caller's own ``gc.disable()`` is left alone."""
+    global _pause_depth, _pause_found_enabled
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_found_enabled = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+        return _pause_found_enabled
+
+
+def _resume_collector(found_enabled: bool) -> None:
+    """Leave the pause: the last submission out restores the state the
+    first one found, and every one that found the collector enabled runs
+    the collection the collector itself would run now.
+
+    CPython collects generation *g* once ``count[0]`` passes its
+    threshold, *g* being the oldest generation whose count passed its
+    own.  Generation 2 also waits for long-lived objects to grow by a
+    quarter, which :mod:`gc` does not expose; so this collects at most
+    generation 1 and leaves generation 2 to the collector's own
+    trigger."""
+    global _pause_depth
+    with _pause_lock:
+        _pause_depth -= 1
+        if _pause_depth == 0 and _pause_found_enabled:
+            gc.enable()
+    if found_enabled:
+        counts, thresholds = gc.get_count(), gc.get_threshold()
+        if thresholds[0] and counts[0] > thresholds[0]:
+            gc.collect(1 if counts[1] > thresholds[1] else 0)
 
 
 @dataclass(frozen=True)

@@ -181,19 +181,10 @@ class LogicalPlan:
 
     def nodes(self) -> List[LogicalOperator]:
         """All reachable nodes, deduplicated, in reverse-DFS order."""
-        seen: dict = {}
+        seen: set = set()
         order: List[LogicalOperator] = []
-
-        def visit(node: LogicalOperator):
-            if node.op_id in seen:
-                return
-            seen[node.op_id] = node
-            for upstream in node.inputs:
-                visit(upstream)
-            order.append(node)
-
         for store in self.stores:
-            visit(store)
+            _visit_upstream(store, seen, order)
         return order
 
     def parents(self) -> dict:
@@ -216,3 +207,17 @@ class LogicalPlan:
 
     def __len__(self) -> int:
         return len(self.nodes())
+
+
+def _visit_upstream(
+    node: LogicalOperator, seen: set, order: List[LogicalOperator]
+) -> None:
+    """Append *node*'s unseen upstream, then *node*, to *order*.  A
+    module function, not a recursive closure: a closure that calls
+    itself is a reference cycle left for the cyclic collector."""
+    if node.op_id in seen:
+        return
+    seen.add(node.op_id)
+    for upstream in node.inputs:
+        _visit_upstream(upstream, seen, order)
+    order.append(node)

@@ -248,27 +248,37 @@ class FuncCall(Expression):
 
 # -- aggregates over bags -------------------------------------------------------
 
+def _non_null(values):
+    """*values* without its nulls, in order: the sequence itself when it
+    holds none (a C-level scan), a filtered copy only when it does."""
+    if isinstance(values, (list, tuple)) and None not in values:
+        return values
+    return [v for v in values if v is not None]
+
+
 def _agg_sum(values):
-    values = [v for v in values if v is not None]
+    values = _non_null(values)
     return sum(values) if values else None
 
 
 def _agg_avg(values):
-    values = [v for v in values if v is not None]
+    values = _non_null(values)
     return sum(values) / len(values) if values else None
 
 
 def _agg_min(values):
-    values = [v for v in values if v is not None]
+    values = _non_null(values)
     return min(values) if values else None
 
 
 def _agg_max(values):
-    values = [v for v in values if v is not None]
+    values = _non_null(values)
     return max(values) if values else None
 
 
 def _agg_count(values):
+    if isinstance(values, (list, tuple)):
+        return len(values) - values.count(None)
     return sum(1 for v in values if v is not None)
 
 
