@@ -111,10 +111,12 @@ def canonical_ascii_size(rows: Sequence[Row], schema: Schema) -> Optional[int]:
 # Every field is checked and sized as a *column*: C-level
 # map/set/sum passes plus substring scans over one joined text per
 # string column, with bag fields flattened across every row of the
-# write so even short bags amortize the setup — the remaining per-value
-# Python work is ``str``/``repr`` on numeric columns, which
-# serialization would pay anyway.  A handler returns the column's
-# size, or None when some value in it does not round-trip.
+# write so even short bags amortize the setup.  A numeric column is
+# sized through ``COLUMN_SIZE``'s process-wide memo of text lengths:
+# each distinct number is rendered once, and the sum is exact because
+# equal numbers of one exact type render alike (the float zeros, which
+# do not, are never memoised).  A handler returns the column's size,
+# or None when some value in it does not round-trip.
 
 #: what nested text is split on, beyond a file's own tab and newline
 _NESTED_UNSAFE = ("\t", "\n", ",", "(", ")", "{", "}")

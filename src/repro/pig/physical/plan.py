@@ -252,19 +252,6 @@ class PhysicalPlan:
 
     # -- cloning / extraction ---------------------------------------------------------------
 
-    def clone(self) -> Tuple["PhysicalPlan", Dict[int, PhysicalOperator]]:
-        """Deep-copy the DAG; returns (plan, old_id -> new_op mapping)."""
-        out = PhysicalPlan()
-        mapping: Dict[int, PhysicalOperator] = {}
-        for op in self._ops.values():
-            twin = op.copy()
-            mapping[op.op_id] = twin
-            out.add(twin)
-        for src_id, succ_ids in self._succs.items():
-            for dst_id in succ_ids:
-                out.connect(mapping[src_id], mapping[dst_id])
-        return out, mapping
-
     def restamped(self, paths: Mapping[int, str]) -> "PhysicalPlan":
         """A copy of this plan whose loads and stores named in *paths*
         (op id -> path) read and write there instead.

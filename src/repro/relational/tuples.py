@@ -9,8 +9,8 @@ caring about the underlying container.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
@@ -116,14 +116,51 @@ def split_nulls(column: list) -> Tuple[list, set]:
     return column, types
 
 
+#: entries a text-length memo may hold before it is cleared
+_TEXT_LENS_CAP = 1 << 16
+#: process-wide value -> ``len(str(value))`` / ``len(repr(value))``
+_INT_TEXT_LENS: dict = {}
+_FLOAT_TEXT_LENS: dict = {}
+
+
+def _memo_sizer(memo: dict, render: Callable, keep_zeros: bool) -> Callable:
+    """``sum(map(len, map(render, column)))`` through *memo*: one C-level
+    lookup pass when every value is known, else a columnar pass that
+    renders only the misses.  Exact because equal values of one exact
+    type render alike — except ``0.0 == -0.0`` (3 and 4 characters),
+    so a float memo never stores a zero.  Threads may share it without
+    a lock: only true (value, length) pairs are ever stored, and a
+    clear racing a lookup costs a re-render, never a wrong sum."""
+
+    def size_column(column):
+        try:
+            return sum(map(memo.__getitem__, column))
+        except KeyError:
+            pass
+        lens = list(map(memo.get, column))
+        missing = list(compress(column, map(is_, lens, repeat(None))))
+        fresh = list(map(len, map(render, missing)))
+        if len(memo) > _TEXT_LENS_CAP:
+            memo.clear()
+        pairs = zip(missing, fresh)
+        # compress by the values themselves drops the (falsy) zeros
+        memo.update(pairs if keep_zeros else compress(pairs, missing))
+        return sum(filter(None, lens)) + sum(fresh)
+
+    return size_column
+
+
 #: exact scalar type -> the characters ``format_value`` renders for a
 #: null-free column of only that type, in C-level passes: the column
 #: form of :func:`format_value_size`, shared by the wire accounting
-#: above and the DFS's round-trip sizer (``dfs/dataset.py``)
+#: above and the DFS's round-trip sizer (``dfs/dataset.py``).  Numbers
+#: size through a process-wide memo of their text lengths (cleared past
+#: ``_TEXT_LENS_CAP`` entries), so a number met before is not rendered
+#: again; the sums stay exact.
 COLUMN_SIZE = {
     str: lambda column: sum(map(len, column)),
-    int: lambda column: sum(map(len, map(str, column))),
-    float: lambda column: sum(map(len, map(repr, column))),
+    int: _memo_sizer(_INT_TEXT_LENS, str, keep_zeros=True),
+    float: _memo_sizer(_FLOAT_TEXT_LENS, repr, keep_zeros=False),
     bool: lambda column: 5 * len(column) - sum(column),  # true 4, false 5
 }
 

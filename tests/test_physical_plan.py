@@ -190,16 +190,24 @@ class TestValidation:
 class TestCloneAndSubplan:
     def test_clone_is_deep(self):
         plan, (load, filt, store) = simple_plan()
-        clone, mapping = plan.clone()
+        fingerprint = plan.fingerprint()
+        clone = plan.restamped({})
         assert len(clone) == 3
-        assert mapping[load.op_id].op_id != load.op_id
-        clone.remove(mapping[filt.op_id])
+        twins = clone.topo_order()
+        assert [op.kind for op in twins] == ["load", "filter", "store"]
+        assert not {op.op_id for op in twins} & {load.op_id, filt.op_id, store.op_id}
+        clone.remove(twins[1])
+        assert len(clone) == 2
         assert len(plan) == 3  # original untouched
+        assert plan.successors(load) == [filt]
+        assert plan.fingerprint() == fingerprint
 
     def test_clone_preserves_fingerprint(self):
         plan, _ = simple_plan()
-        clone, _ = plan.clone()
-        assert clone.fingerprint() == plan.fingerprint()
+        want = plan.fingerprint()
+        clone = plan.restamped({})
+        assert clone.fingerprint() == want
+        assert clone.restamped({}).fingerprint() == want
 
     def test_subplan_upto(self):
         plan, (load, filt, store) = simple_plan()
