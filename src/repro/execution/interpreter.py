@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from itertools import chain, compress, product
+from functools import partial
+from itertools import chain, compress, product, starmap
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.dfs.filesystem import DistributedFileSystem
@@ -200,27 +202,24 @@ class JobInterpreter:
     def _run_reduce_batched(self, package: POPackage, stats: JobStats) -> None:
         """Stream package output through batch handlers, chunk-wise.
 
-        Group outputs are tiny (one row per group for GROUP/DISTINCT),
-        so rows accumulate across groups until a chunk fills — the
-        reduce tail (foreach → store) then runs batch-at-a-time just
-        like the map side.  ``op_records`` moves once per package
-        output row.
+        Package rows are built for every group at once — GROUP and
+        DISTINCT in C-level passes (:func:`_group_rows`) — and cut into
+        chunks, so the reduce tail (foreach → store) runs
+        batch-at-a-time just like the map side.  ``op_records`` moves
+        once per package output row.
         """
+        groups = list(self._shuffle.all_groups())
+        stats.reduce_groups += len(groups)
+        if package.mode in ("group", "distinct"):
+            rows = _group_rows(package.mode, groups)
+        else:
+            package_rows = partial(self._package_rows, package)
+            rows = list(chain.from_iterable(starmap(package_rows, groups)))
         handlers = self._batch_handlers_after(package)
-        batch = self.chunk_rows
-        buffer: List[Row] = []
-        for key, branch_rows in self._shuffle.all_groups():
-            stats.reduce_groups += 1
-            buffer.extend(self._package_rows(package, key, branch_rows))
-            if len(buffer) >= batch:
-                self._op_records += len(buffer)
-                for handler in handlers:
-                    handler(buffer, package)
-                buffer = []
-        if buffer:
-            self._op_records += len(buffer)
+        for chunk in self._chunks(rows):
+            self._op_records += len(chunk)
             for handler in handlers:
-                handler(buffer, package)
+                handler(chunk, package)
 
     def _batch_handlers_after(self, op: PhysicalOperator) -> List[BatchHandler]:
         handlers = self._succ_batch_handlers.get(op.op_id)
@@ -435,35 +434,24 @@ class JobInterpreter:
 
     @staticmethod
     def _foreach_rows(exprs, flattens, row: Row):
-        """Evaluate a FOREACH's compiled expressions over one row,
-        expanding FLATTEN cross products."""
-        scalar_or_items = []
+        """A FOREACH's output rows for one input row: every field is a
+        list of tuples (a scalar one is ``((value,),)``) and an output
+        row concatenates one pick per field, in C, over the fields'
+        cross product.  A FLATTEN of an empty bag or a null drops the
+        row."""
+        fields = []
         for expr, flatten in zip(exprs, flattens):
             value = expr(row)
             if flatten:
-                items = _as_flatten_items(value)
-                if not items:
-                    return  # flatten of an empty bag drops the row
-                scalar_or_items.append(("flat", items))
+                value = _as_flatten_items(value)
+                if not value:
+                    return ()
+                fields.append(value)
             else:
                 if isinstance(value, list):
                     value = Bag(v if isinstance(v, tuple) else (v,) for v in value)
-                scalar_or_items.append(("scalar", value))
-
-        flat_groups = [items for tag, items in scalar_or_items if tag == "flat"]
-        if not flat_groups:
-            yield tuple(value for _, value in scalar_or_items)
-            return
-        for combo in product(*flat_groups):
-            out: List = []
-            flat_index = 0
-            for tag, value in scalar_or_items:
-                if tag == "flat":
-                    out.extend(combo[flat_index])
-                    flat_index += 1
-                else:
-                    out.append(value)
-            yield tuple(out)
+                fields.append(((value,),))
+        return map(tuple, map(chain.from_iterable, product(*fields)))
 
     # -- package -----------------------------------------------------------------------------
 
@@ -474,14 +462,8 @@ class JobInterpreter:
         return succs[0]
 
     def _package_rows(self, package: POPackage, key, branch_rows: Dict[int, List[Row]]):
+        """The rows of one SORT, COGROUP or JOIN group."""
         mode = package.mode
-        if mode == "group":
-            yield (key, Bag(branch_rows.get(0, [])))
-            return
-        if mode == "distinct":
-            first_branch = min(branch_rows)
-            yield branch_rows[first_branch][0]
-            return
         if mode == "sort":
             for row in branch_rows.get(0, []):
                 yield row
@@ -534,13 +516,30 @@ def _is_null_key(key) -> bool:
     return False
 
 
+def _group_rows(mode: str, groups: List) -> List[Row]:
+    """GROUP or DISTINCT package rows, one per group, in C-level passes
+    over the groups: no generator and no copy per group.  Both have one
+    input, branch 0.  A group's bag wraps the shuffle's own row list:
+    the buffer dies with the job, and nothing appends to it after the
+    map phase."""
+    row_lists = list(map(itemgetter(0), map(itemgetter(1), groups)))
+    if mode == "distinct":
+        return list(map(itemgetter(0), row_lists))
+    return list(zip(map(itemgetter(0), groups), Bag._sharing(row_lists)))
+
+
 def _as_flatten_items(value) -> List[tuple]:
-    """Normalize a flattened value into a list of field tuples."""
+    """Normalize a flattened value into a list of field tuples: a
+    bag's or list's own row list when a C-level type scan finds only
+    tuples in it."""
     if value is None:
         return []
     if isinstance(value, Bag):
-        return [tuple(r) for r in value]
+        rows = value.rows
+        return rows if set(map(type, rows)) <= {tuple} else [tuple(r) for r in rows]
     if isinstance(value, list):
+        if set(map(type, value)) <= {tuple}:
+            return value
         return [v if isinstance(v, tuple) else (v,) for v in value]
     if isinstance(value, tuple):
         return [value]

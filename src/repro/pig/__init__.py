@@ -1,13 +1,12 @@
 """Pig-like dataflow system: parser, plans, MR compiler, engine."""
 
 from repro.pig.engine import PigRunResult, PigServer
-from repro.pig.mrcompiler import MRCompiler, compile_to_workflow
+from repro.pig.mrcompiler import MRCompiler
 from repro.pig.parser import parse
 
 __all__ = [
     "MRCompiler",
     "PigRunResult",
     "PigServer",
-    "compile_to_workflow",
     "parse",
 ]

@@ -69,15 +69,14 @@ class MRCompiler:
         self,
         temp_prefix: str = "tmp/run",
         default_parallel: int = 28,
-        job_prefix: Optional[str] = None,
+        *,
+        job_prefix: str,
     ):
         self.temp_prefix = temp_prefix.rstrip("/")
         self.default_parallel = default_parallel
-        #: when set, jobs get deterministic ids ``job_<prefix>_<n>``
-        #: instead of drawing from the process-global counter; the
-        #: engine passes the DFS-scoped script id, so a rerun of the
-        #: same stream on a fresh DFS reproduces identical job ids
-        #: (the 1-worker service determinism guarantee relies on it)
+        #: jobs get deterministic ids ``job_<prefix>_<n>``, never one
+        #: from the process-global counter (a re-stamped copy of a
+        #: template keeps its job's number)
         self.job_prefix = job_prefix
         #: op id -> ("temp", i) for the store and loads of temp path
         #: ``t<i>``, ("store", k) for the store of the plan's k-th STORE:
@@ -109,14 +108,11 @@ class MRCompiler:
         return f"{self.temp_prefix}/t{self._tmp_counter}"
 
     def _new_job(self, name: str) -> MapReduceJob:
-        job_id = None
-        if self.job_prefix is not None:
-            self._job_counter += 1
-            job_id = f"job_{self.job_prefix}_{self._job_counter}"
+        self._job_counter += 1
         job = MapReduceJob(
             PhysicalPlan(),
             JobConf(name=name, n_reducers=self.default_parallel),
-            job_id=job_id,
+            job_id=f"job_{self.job_prefix}_{self._job_counter}",
         )
         self._jobs.append(job)
         return job
@@ -328,12 +324,3 @@ class MRCompiler:
             job.plan.connect(branch_op, union)
         return Cursor(job, union, "map")
 
-
-def compile_to_workflow(
-    plan: LogicalPlan,
-    temp_prefix: str = "tmp/run",
-    default_parallel: int = 28,
-    name: str = "workflow",
-) -> Workflow:
-    """Convenience wrapper around :class:`MRCompiler`."""
-    return MRCompiler(temp_prefix, default_parallel).compile(plan, name)

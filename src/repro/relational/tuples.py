@@ -32,6 +32,15 @@ class Bag:
     def __init__(self, rows: Iterable[Row] = ()):
         self._rows: List[Row] = list(rows)
 
+    @classmethod
+    def _sharing(cls, row_lists: List[List[Row]]) -> List["Bag"]:
+        """Bags over *row_lists* themselves, not copies, made in two
+        C-level passes: only for lists nothing appends to afterwards
+        (a finished shuffle's groups)."""
+        bags = list(map(object.__new__, repeat(cls, len(row_lists))))
+        any(map(cls._rows.__set__, bags, row_lists))  # __set__ returns None
+        return bags
+
     def append(self, row: Row) -> None:
         self._rows.append(row)
 
@@ -279,14 +288,19 @@ def snapshot_rows(rows: Iterable[Row]) -> Tuple[Row, ...]:
     of the zero-copy plane need this: ``write_rows`` snapshots at call
     time (so later caller mutation cannot corrupt the deferred
     serialization or the pinned dataset), and result outputs hand the
-    caller bags it may freely mutate.
+    caller bags it may freely mutate.  When C-level type scans find
+    only tuple rows and no Bag value — the common case — a tuple of
+    rows is returned as it is (a list as a tuple of its rows).
     """
+    rows = tuple(rows)  # a tuple is returned as itself
+    values = chain.from_iterable(rows)  # read only when every row is a tuple
+    if set(map(type, rows)) <= {tuple} and Bag not in set(map(type, values)):
+        return rows
     out = []
     append = out.append
     for row in rows:
         # plain inner scan: a generator per row is measurable on the
-        # write hot path, and bag-free rows (the common case) only pay
-        # the type checks
+        # write hot path, and bag-free rows only pay the type checks
         if type(row) is tuple:
             for value in row:
                 if type(value) is Bag:

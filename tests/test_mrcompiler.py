@@ -14,7 +14,7 @@ from repro.pig.physical.operators import (
 
 def compile_workflow(source, temp_prefix="tmp/test"):
     plan = build_logical_plan(parse(source))
-    return MRCompiler(temp_prefix).compile(plan)
+    return MRCompiler(temp_prefix, job_prefix="test").compile(plan)
 
 
 class TestSingleJob:

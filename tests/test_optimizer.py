@@ -152,8 +152,8 @@ class TestOptimizerMechanics:
             "B = filter A by x > 1 and y > 2;"
             "D = foreach B generate y; store D into 'o';"
         )
-        wf_a = MRCompiler("tmp/a").compile(build(source_a))
-        wf_b = MRCompiler("tmp/b").compile(build(source_b))
+        wf_a = MRCompiler("tmp/a", job_prefix="a").compile(build(source_a))
+        wf_b = MRCompiler("tmp/b", job_prefix="b").compile(build(source_b))
         fp_a = wf_a.jobs[0].plan.fingerprint()
         fp_b = wf_b.jobs[0].plan.fingerprint()
         assert fp_a == fp_b

@@ -13,10 +13,15 @@ did nothing cannot pass.
 import gc
 import sys
 from collections import Counter, namedtuple
+from itertools import product
+from operator import itemgetter
+
+import pytest
 
 from repro import ReStoreSession
 from repro.execution.interpreter import (
     JobInterpreter,
+    _as_flatten_items,
     _is_null_key,
     _may_hold_null_key,
 )
@@ -26,6 +31,7 @@ from repro.relational.compiled import (
     compile_projection_list,
 )
 from repro.relational.expressions import BinaryOp, Column, Const
+from repro.mapreduce.shuffle import ShuffleBuffer
 from repro.relational import tuples
 from repro.relational.schema import Schema
 from repro.relational.tuples import Bag, serialize_row, serialized_rows_size
@@ -163,6 +169,98 @@ def test_load_filter_group_enters_no_frame_per_row():
     )
 
 
+def test_add_batch_over_warm_keys_enters_no_frame_per_record():
+    """A chunk of 1 000 and one of 8 000 records over keys the buffer
+    already holds enter the same frames, on both key tables: raw
+    ``str`` keys, raw ``(str, int)`` keys, and keys mixed with nulls
+    (the (type, repr) table)."""
+    shapes = {
+        "raw-str": lambda i: f"u{i % 50}",
+        "raw-pairs": lambda i: (f"u{i % 50}", i % 3),
+        "typed": lambda i: f"u{i % 50}" if i % 7 else None,
+    }
+    for label, key_of in shapes.items():
+        frames = {}
+        for n_records in (1000, 8000):
+            keys = list(map(key_of, range(n_records)))
+            rows = [(f"r{i}", i) for i in range(n_records)]
+            buf = ShuffleBuffer(4)
+            buf.add_batch(0, keys, rows)  # every key warm
+            _, calls = python_calls(lambda: buf.add_batch(0, keys, rows))
+            groups = list(buf.all_groups())
+            assert buf.records == 2 * n_records, label
+            assert len(groups) == len(set(keys)), label
+            assert sum(len(bags[0]) for _, bags in groups) == 2 * n_records
+            frames[n_records] = sum(calls.values())
+        assert frames[1000] == frames[8000], (label, frames)
+        assert (len(buf._raw[0]) > 0) is label.startswith("raw"), label
+
+
+def test_join_enters_frames_per_package_row_not_per_output_row():
+    """An inner JOIN of 20 keys with 10 and with 50 rows per key on
+    each side: 2 000 against 50 000 output rows from the same 20
+    package rows, through the same frames."""
+
+    def join(session, m):
+        return session.run(
+            f"A = load 'in/a{m}' as (k, v:int);"
+            f"B = load 'in/b{m}' as (k, w:int);"
+            "C = join A by k, B by k;"
+            f"store C into 'out/{m}';"
+        )
+
+    frames = {}
+    with ReStoreSession(restore_enabled=False) as session:
+        for m in (1, 10, 50):  # the first run warms caches and imports
+            for side in "ab":
+                text = "".join(f"k{i % 20}\t{i}\n" for i in range(20 * m))
+                session.write_file(f"in/{side}{m}", text)
+            result, calls = python_calls(lambda: join(session, m))
+            rows = result.outputs[f"out/{m}"]
+            assert len(rows) == 20 * m * m
+            assert len({row[0] for row in rows}) == 20
+            (stats,) = result.stats.job_stats.values()
+            assert stats.reduce_groups == 20
+            frames[m] = sum(calls.values())
+    assert frames[10] == frames[50], frames
+
+
+def test_group_count_frames_per_group_are_a_constant():
+    """GROUP -> COUNT over 200 and over 800 keys, 4 rows per key: the
+    larger run adds at most 5 frames per extra group (measured: the
+    foreach's projection closure, its aggregate closure, the bag-star
+    closure and the bag's ``__len__`` / ``__iter__``), plus a few per
+    extra map chunk.  Package rows themselves cost none: no generator
+    resumes and no ``Bag.__init__`` per group."""
+
+    def views(n_users):
+        return "".join(
+            f"user{i % n_users}\t{i}\t{i % 7}\t{i * 0.5}\tq{i % 13}\tpage{i}\n"
+            for i in range(4 * n_users)
+        )
+
+    runs = {}
+    with ReStoreSession(restore_enabled=False) as session:
+        session.write_file("in/warm", page_views(50))
+        count_by_user(session, "in/warm", "out/warm")  # caches, imports
+        for n_users in (200, 800):
+            session.write_file(f"in/g{n_users}", views(n_users))
+            result, calls = python_calls(
+                lambda: count_by_user(session, f"in/g{n_users}", f"out/{n_users}")
+            )
+            counts = dict(result.outputs[f"out/{n_users}"])
+            assert len(counts) == n_users and set(counts.values()) == {4}
+            (stats,) = result.stats.job_stats.values()
+            assert stats.reduce_groups == n_users
+            runs[n_users] = calls
+    assert "_package_rows" not in runs[800]
+    assert runs[800]["__init__"] == runs[200]["__init__"]
+    extra_groups = 600
+    extra_chunks = -(-3200 // JobInterpreter.CHUNK_ROWS) - 1
+    grown = sum(runs[800].values()) - sum(runs[200].values())
+    assert grown <= 5 * extra_groups + 20 * extra_chunks, grown
+
+
 class TestChunkHandlersMatchTheirPerRowForms:
     """The C-level map-side passes against the per-row code they stand
     in for."""
@@ -230,3 +328,97 @@ class TestChunkHandlersMatchTheirPerRowForms:
             assert _may_hold_null_key(keys) is may, label
             if not may:
                 assert not any(map(_is_null_key, keys)), label
+
+
+def tagged_foreach_rows(exprs, flattens, row):
+    """The FLATTEN evaluator :meth:`JobInterpreter._foreach_rows`
+    replaced: each field tagged flat or scalar, output rows built per
+    combination in Python."""
+
+    def flatten_items(value):
+        if value is None:
+            return []
+        if isinstance(value, Bag):
+            return [tuple(r) for r in value]
+        if isinstance(value, list):
+            return [v if isinstance(v, tuple) else (v,) for v in value]
+        if isinstance(value, tuple):
+            return [value]
+        return [(value,)]
+
+    scalar_or_items = []
+    for expr, flatten in zip(exprs, flattens):
+        value = expr(row)
+        if flatten:
+            items = flatten_items(value)
+            if not items:
+                return
+            scalar_or_items.append(("flat", items))
+        else:
+            if isinstance(value, list):
+                value = Bag(v if isinstance(v, tuple) else (v,) for v in value)
+            scalar_or_items.append(("scalar", value))
+    flat_groups = [items for tag, items in scalar_or_items if tag == "flat"]
+    if not flat_groups:
+        yield tuple(value for _, value in scalar_or_items)
+        return
+    for combo in product(*flat_groups):
+        out = []
+        flat_index = 0
+        for tag, value in scalar_or_items:
+            if tag == "flat":
+                out.extend(combo[flat_index])
+                flat_index += 1
+            else:
+                out.append(value)
+        yield tuple(out)
+
+
+class TestFlattenMatchesTheTaggedGenerator:
+    """One FLATTEN evaluator: every output row, and its order, as the
+    tagged generator produced them."""
+
+    pair = namedtuple("pair", "a b")
+    VALUES = [
+        7,
+        "s",
+        None,
+        (1, "t"),
+        (),
+        [1, (2, 3), "x"],
+        [],
+        Bag([]),
+        Bag([("a", 1), ("b", 2)]),
+        Bag([("a",), ("b", 2, 3.5), ()]),  # ragged
+        Bag([["l", 1], ("t", 2)]),  # a list row
+        Bag(["xy", ("t",)]),  # a str row
+        Bag([pair("n", 1), ("t", 2)]),  # a tuple subclass row
+        Bag([(None, None)]),
+    ]
+
+    def test_every_shape_and_mix_of_fields(self):
+        checked = 0
+        for width in (1, 2, 3):
+            exprs = [itemgetter(i) for i in range(width)]
+            for flattens in product((True, False), repeat=width):
+                for row in product(self.VALUES, repeat=width):
+                    got = list(JobInterpreter._foreach_rows(exprs, flattens, row))
+                    want = list(tagged_foreach_rows(exprs, flattens, row))
+                    assert got == want, (flattens, row)
+                    assert all(type(out) is tuple for out in got)
+                    checked += len(got)
+        assert checked > 30_000
+
+    def test_non_iterable_bag_rows_fail_alike(self):
+        row = (Bag([1, 2]), "k")
+        for evaluate in (JobInterpreter._foreach_rows, tagged_foreach_rows):
+            with pytest.raises(TypeError):
+                list(evaluate([itemgetter(0), itemgetter(1)], (True, False), row))
+
+    def test_tuple_rows_are_flattened_without_a_copy(self):
+        bag = Bag([("a", 1), ("b", 2)])
+        assert _as_flatten_items(bag) is bag.rows
+        rows = [("a", 1), ("b",)]
+        assert _as_flatten_items(rows) is rows
+        ragged = Bag([("a", 1), ["b"]])
+        assert _as_flatten_items(ragged) == [("a", 1), ("b",)]

@@ -2,10 +2,20 @@
 
 import zlib
 from collections import defaultdict
+from enum import IntEnum
 from itertools import groupby
 from operator import itemgetter
 
-from repro.mapreduce.shuffle import ShuffleBuffer, sort_key, stable_hash
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mapreduce.shuffle import (
+    ShuffleBuffer,
+    _raw_keyable,
+    _raw_sort_keys,
+    sort_key,
+    stable_hash,
+)
 from repro.relational.tuples import serialized_row_size
 
 
@@ -383,3 +393,165 @@ class TestSerializedRowsSize:
         for rows in cases:
             want = sum(serialized_row_size(r) for r in rows)
             assert serialized_rows_size(rows) == want, rows
+
+
+class Rank(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    """A ``str`` subclass whose repr is not its text's."""
+
+    def __repr__(self):
+        return f"Tag({str.__repr__(self)})"
+
+
+def rows_for(keys, tag):
+    return [(tag, i) for i in range(len(keys))]
+
+
+class TestRawKeyTable:
+    """Chunks of exact ``str`` / ``int`` keys, or flat tuples of them,
+    take the raw table; every other chunk the (type, repr) table.  A
+    stream crossing between the two paths still groups as the
+    sort-based reference does: a group keeps one row list, under the
+    key seen first."""
+
+    CROSS_PATH_STREAMS = {
+        "int-then-equal-float": [[1, 2, 3, 1], [1.0, 2.0, 3.5, 1.0]],
+        "float-then-equal-int": [[1.0, 2.0, 3.5, 1.0], [1, 2, 3, 1]],
+        "str-then-str-with-none": [["a", "b", "a"], ["b", None, "a", None, "c"]],
+        "str-with-none-then-str": [["b", None, "a"], ["a", "b", "d"]],
+        "pairs-then-bool-and-float": [
+            [("a", 1), ("b", 2), ("a", 1)],
+            [("a", True), ("a", 1.0), ("b", 2), ("b", 2.5)],
+        ],
+        "bool-and-float-then-pairs": [
+            [("a", True), ("a", 1.0), ("b", 2.5)],
+            [("a", 1), ("b", 2), ("a", 1)],
+        ],
+        "isolated-nulls": [[("__null__", 1), ("__null__", 2), ("__null__", 3)]],
+        "isolated-nulls-then-scalars": [
+            [("__null__", 1), ("__null__", 2)],
+            ["u1", ("__null__", 3), "u1"],
+        ],
+        "int-then-intenum": [[1, 2, 1], [Rank.LOW, Rank.HIGH, 2]],
+        "intenum-then-int": [[Rank.LOW, Rank.HIGH], [1, 2, 2]],
+        "str-then-str-subclass": [["a", "b"], [Tag("a"), "a", Tag("b")]],
+        "mixed-str-and-int": [["1", 1, "a", 1], [1, "1"]],
+    }
+
+    def test_cross_path_streams_match_the_reference(self):
+        for label, key_chunks in self.CROSS_PATH_STREAMS.items():
+            for branches in ((0, 0), (0, 1)):
+                chunks = [
+                    (branches[i % 2], keys, rows_for(keys, i))
+                    for i, keys in enumerate(key_chunks)
+                ]
+                for n_partitions in (1, 3, 8):
+                    records, _, _, groups = differential(chunks, n_partitions)
+                    assert records == sum(map(len, key_chunks)), label
+                    assert groups, label
+
+    def test_equal_int_and_float_share_one_row_list(self):
+        """``1`` through the raw table, then ``1.0`` through the (type,
+        repr) table, then ``1`` again: one group, one list, under ``1``."""
+        buf = ShuffleBuffer(1)
+        buf.add_batch(0, [1, 1], [("r0",), ("r1",)])
+        buf.add_batch(0, [1.0, None], [("f0",), ("n0",)])
+        buf.add_batch(0, [1], [("r2",)])
+        buf.add_batch(0, [1.0, None], [("f1",), ("n1",)])
+        groups = list(buf.all_groups())
+        assert [(type(k), k) for k, _ in groups] == [(type(None), None), (int, 1)]
+        rows = groups[1][1][0]
+        assert rows == [("r0",), ("r1",), ("f0",), ("r2",), ("f1",)]
+        assert buf._raw[0][1] is rows
+        assert buf._slots[0][(float, "1.0")] is rows
+
+    def test_a_key_met_first_in_a_mixed_chunk_keeps_its_row_list(self):
+        buf = ShuffleBuffer(2)
+        buf.add_batch(0, ["a", None], [("x",), ("y",)])
+        assert not buf._raw[0]
+        buf.add_batch(0, ["a", "a"], [("z",), ("w",)])
+        (rows,) = [bags[0] for key, bags in buf.all_groups() if key == "a"]
+        assert rows == [("x",), ("z",), ("w",)]
+        assert buf._raw[0]["a"] is rows is buf._slots[0][(str, "'a'")]
+
+    def test_only_exact_str_int_and_flat_tuples_of_them_qualify(self):
+        raw = [
+            ["a", "b"],
+            [1, -2, 10**30],
+            ["a", 1],
+            [("a", 1), ("b", 2, "c")],
+            [("__null__", 1)],
+            [()],
+        ]
+        for keys in raw:
+            assert _raw_keyable(keys), keys
+        typed = [
+            [1.0],
+            [True],
+            [None],
+            ["a", None],
+            [("a", None)],
+            [("a", 1.5)],
+            [("a", True)],
+            [("a", ("b",))],
+            [Rank.LOW],
+            [Tag("a")],
+            [("a", Rank.LOW)],
+            ["a", ("a", 1)],
+            [complex(1, 2)],
+        ]
+        for keys in typed:
+            assert not _raw_keyable(keys), keys
+
+    def test_uniform_streams_fill_the_raw_table(self):
+        """Non-vacuity: the uniform chunks above really take the raw
+        table, and the typed ones really do not."""
+        for keys in (["b", "a", "b"], [3, 1, 3], [("a", 1), ("b", 2), ("a", 1)]):
+            buf = ShuffleBuffer(4)
+            buf.add_batch(0, keys, rows_for(keys, 0))
+            assert len(buf._raw[0]) == len(set(keys)) == 2
+            assert not buf._slots[0]
+        for keys in ([1.5, 0.25], [Rank.LOW, Rank.HIGH], [Tag("a"), Tag("b")]):
+            buf = ShuffleBuffer(4)
+            buf.add_batch(0, keys, rows_for(keys, 0))
+            assert not buf._raw[0]
+            assert len(buf._slots[0]) == 2
+
+
+raw_scalar = st.one_of(st.text(max_size=6), st.integers(-(2**70), 2**70))
+raw_chunk = st.one_of(
+    st.lists(raw_scalar, min_size=1, max_size=30),
+    st.integers(0, 3).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[raw_scalar] * width), min_size=1, max_size=30
+        )
+    ),
+    st.lists(
+        st.lists(raw_scalar, max_size=3).map(tuple), min_size=1, max_size=30
+    ),
+)
+
+
+class TestRawKeyProperties:
+    @given(raw_chunk, st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_raw_sort_key_and_partition_are_the_documented_ones(
+        self, keys, n_partitions
+    ):
+        """For every raw-keyable key the rank-table sort key is
+        :func:`sort_key`, and the partition the group lands in is
+        ``stable_hash(key) % n`` — the one partition function."""
+        assert _raw_keyable(keys)
+        assert _raw_sort_keys(keys) == list(map(sort_key, keys))
+        buf = ShuffleBuffer(n_partitions)
+        buf.add_batch(0, keys, rows_for(keys, 0))
+        assert len(buf._raw[0]) == len(set(keys))
+        for partition, groups in buf._groups.items():
+            for decorated, (key, _) in groups.items():
+                assert partition == stable_hash(key) % n_partitions
+                assert decorated == sort_key(key)
+        differential([(0, keys, rows_for(keys, 0))], n_partitions)

@@ -7,6 +7,7 @@ from repro.relational.tuples import (
     deserialize_rows,
     serialize_row,
     serialize_rows,
+    snapshot_rows,
 )
 from repro.relational.types import DataType
 
@@ -35,6 +36,60 @@ class TestBag:
     def test_repr_truncates(self):
         bag = Bag([(i,) for i in range(10)])
         assert "n=10" in repr(bag)
+
+
+class TestSharedBags:
+    def test_sharing_wraps_the_lists_themselves(self):
+        lists = [[("a", 1)], [], [("b", 2), ("c", 3)]]
+        bags = Bag._sharing(lists)
+        assert [type(bag) for bag in bags] == [Bag] * 3
+        assert all(bag.rows is rows for bag, rows in zip(bags, lists))
+        assert bags == [Bag(rows) for rows in lists]
+        assert Bag._sharing([]) == []
+
+
+class TestSnapshotRows:
+    """Rows without a Bag come back as they are; a Bag value is copied,
+    so a caller mutating it cannot reach the source."""
+
+    def per_row(self, rows):
+        return tuple(
+            tuple(Bag(v.rows) if type(v) is Bag else v for v in row)
+            if type(row) is tuple
+            else row
+            for row in rows
+        )
+
+    def test_bag_free_tuple_rows_are_returned_as_they_are(self):
+        rows = (("a", 1, None), ("b", 2.5, (1, "x")), ())
+        assert snapshot_rows(rows) is rows
+        listed = list(rows)
+        copied = snapshot_rows(listed)
+        assert type(copied) is tuple and copied == rows
+        listed.append(("late",))
+        assert len(copied) == 3
+        assert snapshot_rows([]) == ()
+
+    def test_bags_are_copied_and_everything_else_kept(self):
+        inner = Bag([("i", 1)])
+        cases = [
+            [("k", inner), ("j", 2)],
+            [("k", 1), "not-a-tuple", ("j", inner)],
+            [["a", "list", "row"], ("k", 1)],
+            [("k", (inner,))],  # a Bag nested below a field stays shared
+        ]
+        for rows in cases:
+            got = snapshot_rows(rows)
+            assert got == self.per_row(rows), rows
+            for old, new in zip(rows, got):
+                if type(old) is tuple:
+                    for a, b in zip(old, new):
+                        assert (a is b) is (type(a) is not Bag), rows
+                else:
+                    assert new is old
+        copied = snapshot_rows([("k", inner)])
+        copied[0][1].append(("j", 2))
+        assert list(inner) == [("i", 1)]
 
 
 class TestSerializeRow:
