@@ -1,10 +1,14 @@
-"""Repository eviction policies (§5, Rules 3 and 4, plus a capacity
-extension).
+"""Repository eviction (§5, Rules 3 and 4, plus a capacity extension):
+the policies that choose victims, and the stage that removes them.
 
 * Rule 3 — evict outputs not reused within a window of (logical) time.
 * Rule 4 — evict outputs whose inputs were deleted or modified.
 * Capacity (extension) — when a byte budget is configured, evict
   least-recently-used entries until the repository fits.
+
+Every way out of a live repository runs through :func:`evict`: the
+sweep between workflows (:func:`run_evictions`) and the match stage's
+:func:`condemn`.  Both take the manager as their first argument.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ from typing import List, Optional
 from repro.core.freshness import APPENDED, FRESH, classify_input, delta_upgradeable
 from repro.core.repository import Repository, RepositoryEntry
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.events import EntryEvicted, EntryQuarantined
+from repro.exceptions import RepositoryError
+
 
 class EvictionPolicy:
     """Returns the entries that should leave the repository now."""
@@ -165,3 +172,119 @@ def build_eviction_policy(spec: str) -> EvictionPolicy:
     """The policy a ``name[:arg]`` spec names."""
     name, sep, arg = spec.partition(":")
     return EVICTION_POLICIES[name].from_spec(arg if sep else None)
+
+
+# -- the eviction stage -------------------------------------------------------
+
+
+def run_evictions(manager) -> List[str]:
+    """Apply all of *manager*'s policies until fixpoint; returns the
+    evicted entry ids.
+
+    Iterating matters for cascades: evicting an entry deletes its
+    owned output file, which is another entry's *input* — Rule 4
+    must then claim that dependent entry on the next pass (stale
+    results never survive transitively).  The whole fixpoint runs
+    under the manager lock: eviction is rare (once per workflow)
+    and policies must see a stable repository while choosing
+    victims.
+    """
+    evicted: List[str] = []
+    events: List[EntryEvicted] = []
+    with manager._lock:
+        changed = True
+        while changed:
+            changed = False
+            for policy in manager.eviction_policies:
+                victims = policy.select_victims(
+                    manager.repository, manager.dfs, manager.clock
+                )
+                for victim in victims:
+                    if victim.entry_id in evicted:
+                        continue
+                    event = evict(manager, victim, policy.name)
+                    if event is not None:
+                        events.append(event)
+                    evicted.append(victim.entry_id)
+                    changed = True
+    # emit after releasing the manager lock: bus subscribers run
+    # callback code and may call back into the manager (events.py
+    # promises they can do so without lock-order deadlocks)
+    for event in events:
+        manager._emit(event)
+    if evicted and manager.persistence is not None:
+        # evictions must hit the journal before their files are
+        # reclaimed: a crash after the deletes but before a flush
+        # would otherwise resurrect entries for vanished files
+        manager.persistence.flush()
+    return evicted
+
+
+def evict(manager, entry: RepositoryEntry, policy: str) -> Optional[EntryEvicted]:
+    """Remove one entry and reclaim its owned file; returns the
+    :class:`EntryEvicted` event for the caller to emit outside the
+    eviction critical section, or None if the entry was gone.
+
+    The entry leaves the repository unconditionally, so no later job
+    can match possibly-stale data.  Its owned file is deleted at once
+    unless an in-flight workflow was rewritten to read it (the pin
+    table, checked under the manager lock that pinning takes): then
+    the delete waits in ``_deferred_deletes`` until no reader is left.
+    """
+    try:
+        manager.repository.remove(entry.entry_id)
+    except RepositoryError:
+        return None
+    path = entry.output_path
+    with manager._lock:
+        owned = path in manager.kept_paths
+        deferred = owned and any(path in pins for pins in manager._pinned.values())
+        if owned:
+            manager.kept_paths.discard(path)
+            if manager.persistence is not None:
+                manager.persistence.note_kept_path(path, False)
+            if deferred:
+                manager._deferred_deletes.add(path)
+    if owned and not deferred:
+        manager.dfs.delete_if_exists(path)
+    return EntryEvicted(entry_id=entry.entry_id, policy=policy, output_path=path)
+
+
+def condemn(
+    manager, entry: RepositoryEntry, policy: str, reason: Optional[str] = None
+) -> None:
+    """Evict a matched entry the match stage cannot use, and make the
+    removal durable before the scan goes on.
+
+    Rejecting the match alone is not enough.  A stale entry
+    (``"stale-input"``: an input was rewritten, deleted, or grew past
+    what a delta refresh can take) would still answer
+    ``find_equivalent`` after this job's full rerun, so the selector
+    would discard the *fresh* output and leave the stale one
+    registered forever.  A corrupt one (``"quarantined"``, with the
+    materialization error as *reason*) would keep answering index
+    probes and fail every future scan the same way; its removal is
+    journaled as ``entry_quarantined`` so recovery and the standby
+    converge on the same repository.
+    """
+    event = evict(manager, entry, policy)
+    if event is None:
+        return  # already evicted by a concurrent scan
+    manager._emit(event)
+    persistence = manager.persistence
+    if reason is not None:
+        with manager._lock:
+            manager.quarantine_count += 1
+        manager._emit(
+            EntryQuarantined(
+                entry_id=entry.entry_id,
+                output_path=entry.output_path,
+                reason=reason,
+            )
+        )
+        if persistence is not None:
+            persistence.note_quarantine(entry.entry_id, reason)
+    if persistence is not None:
+        # the removal must hit the journal before the rerun
+        # re-registers over the same path
+        persistence.flush()

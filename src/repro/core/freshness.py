@@ -29,14 +29,22 @@ output with the chain run over the appended tail is byte-identical to
 a full rerun.  GROUP/JOIN (shuffles), LIMIT (not decomposable over
 concatenation), multi-input UNIONs, and multi-Load shapes are *not*
 delta-safe and fall back to a full rerun (``DeltaFallback``).
+
+The delta refresh stage sits next to that eligibility:
+:func:`try_delta_rewrite` queues a :class:`PendingDeltaRefresh` that
+:func:`apply_refresh` merges once the job has run.  Both take the
+manager as their first argument.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.dfs.namenode import InputExtent
+from repro.events import DeltaFallback, EntryRefreshed
+from repro.exceptions import RepositoryError
 from repro.pig.physical.operators import (
     PhysicalOperator,
     POFilter,
@@ -49,6 +57,12 @@ FRESH = "fresh"
 APPENDED = "appended"
 REWRITTEN = "rewritten"
 DEAD = "dead"
+
+#: scratch prefix for delta-refresh temporaries: the appended tail of
+#: a grown input (``tail-<n>``) and the side-stored delta rows
+#: (``out-<n>``).  Both files die when the refresh is applied, so no
+#: plan loading from under this prefix is ever registered.
+DELTA_TMP_PREFIX = "restore/delta/"
 
 
 def classify_extent(
@@ -191,3 +205,176 @@ def delta_upgradeable(entry) -> bool:
     """Whether an append-grown *entry* can be refreshed incrementally
     (eviction Rule 4 keeps such entries instead of killing them)."""
     return delta_chain(entry.plan) is not None
+
+
+# -- the delta refresh stage --------------------------------------------------
+
+
+@dataclass
+class PendingDeltaRefresh:
+    """A delta rewrite whose merge is deferred until after the job.
+
+    The rewrite side-stores the tail branch's rows at ``delta_path``;
+    once the job succeeds, ``after_job`` appends them onto the entry's
+    stored output and advances its recorded input extents (the values
+    captured here, at classification time — a racing further append
+    simply classifies as appended again on the next probe).
+    """
+
+    entry_id: str
+    output_path: str
+    delta_path: str
+    tail_path: str
+    input_extents: Dict[str, InputExtent]
+    input_bytes_delta: int
+
+
+def try_delta_rewrite(manager, job, entry, result, freshness: EntryFreshness) -> bool:
+    """Rewrite *job* to recompute only the appended tail of the
+    matched entry's input (i2MapReduce-style, PAPERS.md).
+
+    The entry's sub-plan must be an identity-preserving chain
+    (:func:`delta_chain`); the probe plan is then spliced to read
+    ``UNION(stored output, chain(tail))`` and a refresh is queued for
+    ``after_job`` to merge the side-stored delta rows into the entry.
+    Returns True on success; False tells the caller to condemn the
+    entry and fall back to a full rerun — a typed
+    :class:`DeltaFallback` records why.
+    """
+
+    def fallback(path: str, reason: str) -> bool:
+        with manager._lock:
+            manager.delta_fallback_count += 1
+        manager._emit(
+            DeltaFallback(
+                job_id=job.job_id,
+                entry_id=entry.entry_id,
+                path=path,
+                reason=reason,
+            )
+        )
+        return False
+
+    dfs = manager.dfs
+    path = min(freshness.appended)
+    if len(job.plan.loads()) != 1:
+        # splicing two loads into a multi-load probe would reorder
+        # the interpreter's load streaming relative to the full
+        # rerun — not provably byte-stable, so rerun instead
+        return fallback(path, "multi-load-probe")
+    chain = delta_chain(entry.plan)
+    if chain is None:
+        # GROUP/JOIN/LIMIT/multi-input shapes: f(old ++ tail) is
+        # not f(old) ++ f(tail); this counter is the headroom a
+        # keyed re-grouping delta model would unlock
+        return fallback(path, "ineligible-chain")
+    # a delta-eligible entry has exactly one load, hence exactly
+    # one (appended) input path
+    live = freshness.appended[path]
+    recorded = entry.input_extents[path]
+    if recorded.size > 0:
+        boundary = dfs.read_range(path, recorded.size - 1, recorded.size)
+        if boundary != b"\n":
+            # the append glued bytes onto the recorded prefix's
+            # unterminated last line: the tail is not a clean
+            # record suffix of the grown file
+            return fallback(path, "tail-boundary")
+    with manager._lock:
+        claimed = entry.entry_id not in manager._refreshing
+        if claimed:
+            manager._refreshing.add(entry.entry_id)
+    if not claimed:
+        return fallback(path, "refresh-in-flight")
+    delta_id = dfs.next_delta_id()
+    tail_path = f"{DELTA_TMP_PREFIX}tail-{delta_id}"
+    delta_path = f"{DELTA_TMP_PREFIX}out-{delta_id}"
+    try:
+        tail = dfs.read_range(path, recorded.size, live.size)
+        dfs.write_file(tail_path, tail, overwrite=True)
+        manager.rewriter.rewrite_delta(
+            job.plan,
+            result,
+            chain,
+            stored_path=entry.output_path,
+            stored_schema=entry.output_schema,
+            tail_path=tail_path,
+            tail_schema=entry.plan.loads()[0].schema,
+            delta_path=delta_path,
+        )
+    except Exception:
+        with manager._lock:
+            manager._refreshing.discard(entry.entry_id)
+        dfs.delete_if_exists(tail_path)
+        raise
+    # the refreshed extent extends the recorded prefix checksum
+    # over the tail incrementally — no O(file) re-hash needed —
+    # so the grown input stays verifiable across a restart too
+    merged_crc = zlib.crc32(tail, recorded.crc) if recorded.crc is not None else None
+    refresh = PendingDeltaRefresh(
+        entry_id=entry.entry_id,
+        output_path=entry.output_path,
+        delta_path=delta_path,
+        tail_path=tail_path,
+        input_extents={path: replace(live, crc=merged_crc)},
+        input_bytes_delta=live.size - recorded.size,
+    )
+    with manager._lock:
+        manager._pending_refresh.setdefault(id(job), []).append(refresh)
+    return True
+
+
+def apply_refresh(manager, job, refresh: PendingDeltaRefresh, stats) -> None:
+    """Merge one delta run into its entry's stored output.
+
+    The job side-stored the tail branch's rows at ``delta_path``;
+    append them onto the stored output — unless the job's own
+    primary store already wrote the merged file there (the
+    resubmission shape, where the probe's output path *is* the
+    entry's output path) — then advance the entry's recorded
+    input extents so the grown input now classifies fresh.
+    """
+    dfs = manager.dfs
+    try:
+        if not manager.repository.has_entry(refresh.entry_id):
+            return  # condemned while the job ran; a rerun re-registers
+        delta_bytes = b""
+        delta_records = 0
+        if dfs.exists(refresh.delta_path):
+            delta_bytes = dfs.read_file(refresh.delta_path)
+            stat = stats.store_for_path(refresh.delta_path)
+            if stat is not None:
+                delta_records = stat.records
+        own_stores = {s.path for s in stats.stores if not s.side}
+        if delta_bytes and refresh.output_path not in own_stores:
+            dfs.append(refresh.output_path, delta_bytes)
+        try:
+            manager.repository.refresh_entry(
+                refresh.entry_id,
+                input_extents=refresh.input_extents,
+                input_bytes_delta=refresh.input_bytes_delta,
+                output_bytes_delta=len(delta_bytes),
+                output_records_delta=delta_records,
+            )
+        except RepositoryError:
+            return  # condemned mid-merge; the rerun re-registers
+        with manager._lock:
+            manager.delta_refresh_count += 1
+        manager._emit(
+            EntryRefreshed(
+                job_id=job.job_id,
+                entry_id=refresh.entry_id,
+                output_path=refresh.output_path,
+                delta_bytes=len(delta_bytes),
+                delta_records=delta_records,
+            )
+        )
+        if manager.persistence is not None:
+            # the refreshed extents must reach the journal before
+            # a crash, or recovery would replay the pre-append
+            # extents and re-run the delta against a merged output
+            manager.persistence.flush()
+    finally:
+        with manager._lock:
+            manager._refreshing.discard(refresh.entry_id)
+        dfs.delete_if_exists(refresh.delta_path)
+        dfs.delete_if_exists(refresh.tail_path)

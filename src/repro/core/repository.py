@@ -625,28 +625,6 @@ class Repository:
             repo._pending = list(order.get("pending", []))
         return repo
 
-    @classmethod
-    def restore(cls, snapshot, journal=None) -> "Repository":
-        """Rebuild a repository from a persisted snapshot plus the
-        post-snapshot journal — the crash-recovery entry point.
-
-        *snapshot* is a :class:`~repro.persistence.snapshot.RepositorySnapshot`
-        or its encoded bytes; *journal* is raw journal bytes or an
-        iterable of decoded records.  All inverted indexes and the
-        incremental §3 order come back in O(entries read) without
-        re-registering any plan, and the entry-id counter resumes past
-        every persisted id.  (For full-system recovery — kept paths,
-        clock, DFS id floors — use :func:`repro.persistence.recover`.)
-        """
-        from repro.persistence.durability import ReplayTarget
-        from repro.persistence.journal import decode_journal
-
-        target = ReplayTarget.from_snapshot(snapshot)
-        if isinstance(journal, (bytes, bytearray, memoryview)):
-            journal = decode_journal(bytes(journal)).records
-        target.apply_all(journal or ())
-        return target.repository
-
     def __repr__(self) -> str:
         return (
             f"Repository(entries={len(self._entries)}, "

@@ -1,4 +1,6 @@
-"""Enumerated sub-job selection: which candidate outputs to *keep* (§5).
+"""Enumerated sub-job selection (§6.2 component 3): which candidate
+outputs to *keep* (§5), and the registration stage that puts them in
+the repository.
 
 The paper stores everything in its experiments ("we store the outputs
 of all candidate jobs and sub-jobs") but proposes Rules 1–2 as keep
@@ -9,15 +11,23 @@ criteria; both policies ship here.
 * Rule 2 — keep only if the cost model predicts workflows reusing the
   output run faster than recomputing it (Equation 1/2 check: loading
   the stored result must beat executing the producing job).
+
+After a job runs, :func:`offer_sub_job` and :func:`offer_whole_job`
+offer its outputs through :func:`register`, the one way into the
+repository; each takes the manager as its first argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.core.repository import RepositoryEntry
+from repro.core.freshness import DELTA_TMP_PREFIX
+from repro.core.repository import EntryStats, RepositoryEntry
 from repro.costmodel.model import CostModel, estimate_standalone_time
+from repro.dfs.namenode import InputExtent
+from repro.events import SubJobDiscarded, SubJobStored
+
 
 @dataclass
 class KeepDecision:
@@ -94,3 +104,157 @@ class RuleBasedSelector(Selector):
 #: selector name -> class, built with the session's cost model so
 #: Rule-2 estimates agree with the rest of the session
 SELECTORS = {"keep-all": KeepAllSelector, "rules": RuleBasedSelector}
+
+
+# -- the registration stage ---------------------------------------------------
+
+
+def offer_sub_job(manager, candidate, stats, workflow) -> None:
+    """Offer one injected side store.  The file is the repository's
+    own, so a refusal deletes it."""
+    store_stat = stats.store_for_path(candidate.store_path)
+    if store_stat is None:
+        return
+    input_bytes = sum(stats.load_bytes.get(op.path, 0) for op in candidate.plan.loads())
+    entry_stats = EntryStats(
+        input_bytes=input_bytes,
+        output_bytes=store_stat.bytes,
+        output_records=store_stat.records,
+        exec_time_s=estimate_standalone_time(
+            manager.cost_model,
+            input_bytes=input_bytes,
+            output_bytes=store_stat.bytes,
+            records=stats.input_records,
+        ),
+    )
+    if not register(
+        manager,
+        candidate.plan,
+        candidate.store_path,
+        candidate.output_schema,
+        entry_stats,
+        candidate.anchor_kind,
+        workflow,
+        owned=True,
+    ):
+        manager.dfs.delete_if_exists(candidate.store_path)
+
+
+def offer_whole_job(manager, job, stats, workflow) -> None:
+    """Offer the job's own output (§2.1 type 1).  A final output is
+    the user's file: refused or not, it stays where they stored it;
+    a temporary one becomes the repository's when it is kept."""
+    policy = manager.config.register_whole_jobs
+    if policy == "none":
+        return
+    if policy == "temporary-only" and not job.temporary:
+        return
+    primary = job.plan.primary_store()
+    if primary is None or len(job.plan) <= 2:
+        # nothing to offer, or the copy job a whole-job hit leaves
+        # behind: register refuses it, so do not clone it to hear so
+        return
+    sim_time = stats.sim.total_without_side_stores if stats.sim is not None else 0.0
+    register(
+        manager,
+        job.plan.subplan_upto(primary),
+        primary.path,
+        primary.schema or job.plan.loads()[0].schema,
+        EntryStats(
+            input_bytes=stats.input_bytes,
+            output_bytes=stats.output_bytes,
+            output_records=stats.output_records,
+            exec_time_s=sim_time,
+        ),
+        "whole-job",
+        workflow,
+        owned=job.temporary,
+    )
+
+
+def register(
+    manager,
+    plan,
+    output_path: str,
+    output_schema,
+    stats: EntryStats,
+    anchor_kind: str,
+    workflow,
+    *,
+    owned: bool,
+) -> bool:
+    """The one way into the repository: probe, snapshot the inputs,
+    build the entry, ask the selector, add atomically, keep and pin
+    an *owned* file, emit.  Returns whether the output was stored.
+    """
+    if len(plan) <= 2:
+        return False  # trivial copy: nothing worth storing
+    load_paths = [op.path for op in plan.loads()]
+    if any(p.startswith(DELTA_TMP_PREFIX) for p in load_paths):
+        # the plan reads delta scratch (an appended tail): that
+        # file dies when the refresh lands, so the entry could
+        # never be recomputed
+        return False
+    repository = manager.repository
+    if repository.find_equivalent(plan) is not None:
+        return False  # duplicate computation already stored
+    entry = RepositoryEntry(
+        plan=plan,
+        output_path=output_path,
+        output_schema=output_schema,
+        stats=stats,
+        anchor_kind=anchor_kind,
+        created_at=manager.clock,
+        last_used_at=manager.clock,
+        input_extents=input_snapshot(manager.dfs, load_paths),
+    )
+    refused_as = "whole-job" if anchor_kind == "whole-job" else "sub-job"
+
+    def refuse(reason: str) -> bool:
+        manager._emit(
+            SubJobDiscarded(
+                output_path=output_path, reason=reason, anchor_kind=refused_as
+            )
+        )
+        return False
+
+    decision = manager.selector.decide(entry)
+    if not decision.keep:
+        return refuse(decision.reason)
+    # Atomic: a concurrent worker registering the same computation
+    # loses the race here instead of storing a duplicate entry.
+    # Entry insert and path ownership commit under one manager
+    # lock, so an eviction pass can never observe the entry
+    # without its kept path (which would orphan the stored file).
+    with manager._lock:
+        stored, added = repository.add_if_absent(entry)
+        if added and owned:
+            manager.kept_paths.add(output_path)
+            # protect the fresh output from a concurrent tenant's
+            # eviction until this workflow (whose rescan passes may
+            # re-match it, whose later jobs may load it) is over
+            manager._pin(workflow, output_path)
+            if manager.persistence is not None:
+                manager.persistence.note_kept_path(output_path, True)
+    if not added:
+        return refuse(f"duplicate of {stored.entry_id} (lost concurrent registration)")
+    manager._emit(
+        SubJobStored(
+            entry_id=entry.entry_id,
+            output_path=output_path,
+            anchor_kind=anchor_kind,
+        )
+    )
+    return True
+
+
+def input_snapshot(dfs, paths) -> Dict[str, InputExtent]:
+    """Each existing input's extent (identity, length, prefix
+    checksum) at registration time — what the freshness classifier
+    compares against the live file."""
+    extents: Dict[str, InputExtent] = {}
+    for path in paths:
+        extent = dfs.input_extent(path, with_crc=True)
+        if extent is not None:
+            extents[path] = extent
+    return extents

@@ -20,9 +20,13 @@ and fast to recover:
   over it: :mod:`repro.persistence.journal` (every post-snapshot
   mutation as a JSON record) and :mod:`repro.persistence.blockstore`
   (the stored outputs' payload bytes);
-* :mod:`repro.persistence.durability` — the live wiring: a
+* :mod:`repro.persistence.persister` — the live wiring: a
   :class:`RepositoryPersister` stages mutations, commits them per
-  submission, rotates snapshots, and exposes crash :func:`recover`;
+  submission and rotates snapshots, under the durability contract its
+  module docstring states;
+* :mod:`repro.persistence.durability` — crash :func:`recover`: replay
+  the snapshot and journal, scrub every payload, and adopt the result
+  into a live manager;
 * :mod:`repro.persistence.standby` — an in-memory warm standby that
   tails the journal via the persister's :class:`~repro.events.EventBus`
   and can be promoted with zero lost reuse opportunities.
@@ -43,13 +47,9 @@ Quick start::
         ...  # repository, kept paths, and id counters all restored
 """
 
-from repro.persistence.durability import (
-    PersistenceConfig,
-    RecoveredState,
-    RepositoryPersister,
-    recover,
-)
+from repro.persistence.durability import PersistenceConfig, RecoveredState, recover
 from repro.persistence.journal import JournalRecord
+from repro.persistence.persister import RepositoryPersister
 from repro.persistence.snapshot import (
     RepositorySnapshot,
     SnapshotError,

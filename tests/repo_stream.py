@@ -8,7 +8,7 @@ hits, prefix-sharing variants and misses on unseen datasets.  The
 :func:`run_match_stream` decides at five sizes; the durability, chaos
 and fault-storm tests seed their lanes from the same entries.
 
-Entries are registered the way ``ReStoreManager._input_snapshot``
+Entries are registered the way ``repro.core.selector.input_snapshot``
 registers a real one — checksummed input extents read off a DFS that
 already holds the datasets — so a probe against that DFS (or
 against another one :func:`prepare_service_dfs` filled with the same

@@ -30,6 +30,7 @@ from repo_stream import (
     run_match_stream,
 )
 
+from repro.core.eviction import evict
 from repro.core.manager import ReStoreManager
 from repro.core.matcher import PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
@@ -289,7 +290,7 @@ class TestIndexAfterEviction:
         repo.ordered_entries()
         manager = ReStoreManager(dfs, repository=repo)
         victim = entries[3]
-        manager._evict(victim, "test")
+        evict(manager, victim, "test")
         assert_index_consistent(repo)
         found = repo.find_equivalent(victim.plan)
         assert found is None or found.entry_id != victim.entry_id

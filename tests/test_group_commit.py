@@ -3,7 +3,7 @@
 The persister stages a submission's journal records and payload bytes
 and lands them at the workflow boundary as one block-store write, then
 one journal write.  The contract these tests hold it to is the one
-``repro.persistence.durability`` states: *a crash loses at most the
+``repro.persistence.persister`` states: *a crash loses at most the
 submissions in flight; nothing acknowledged is lost, nothing
 unprovable is served.*
 

@@ -42,6 +42,7 @@ from repo_stream import (
 
 from repro import ReStoreSession
 from repro.core.enumerator import SubJobEnumerator
+from repro.core.eviction import build_eviction_policy, condemn, evict, run_evictions
 from repro.core.heuristics import HEURISTICS
 from repro.core.manager import ReStoreManager
 from repro.core.matcher import PlanMatcher
@@ -717,7 +718,7 @@ class TestExactProbeDecidesWhatTheScanDecides:
                 if entry is None:
                     return
                 if not exact:  # gone before the scan takes its snapshot
-                    manager._evict(entry, "test")
+                    evict(manager, entry, "test")
                     return
                 evicted.append(entry.entry_id)
                 find = manager.repository.find_equivalent
@@ -725,7 +726,7 @@ class TestExactProbeDecidesWhatTheScanDecides:
                 def find_then_lose(plan):  # gone once the probe has it
                     found = find(plan)
                     del manager.repository.find_equivalent
-                    manager._evict(found, "test")
+                    evict(manager, found, "test")
                     return found
 
                 manager.repository.find_equivalent = find_then_lose
@@ -855,10 +856,28 @@ def test_a_registered_plan_has_its_job_s_fingerprint_whatever_the_op_ids():
 # -- what rides along ---------------------------------------------------------
 
 
+#: every way an entry can leave the repository; each must leave a file
+#: an in-flight workflow reads on disk until that reader ends
+WAYS_OUT = ("stale-input", "quarantined", "evict", "policy-victim")
+
+
+def leave_repository(manager, entry, way_out):
+    """Take *entry* out of *manager*'s repository by *way_out*."""
+    if way_out == "stale-input":
+        condemn(manager, entry, "stale-input")
+    elif way_out == "quarantined":
+        condemn(manager, entry, "quarantined", "plan fingerprint mismatch")
+    elif way_out == "evict":
+        evict(manager, entry, "test")
+    else:  # the victim a configured policy chooses
+        manager.eviction_policies = [build_eviction_policy("capacity:0")]
+        assert run_evictions(manager) == [entry.entry_id]
+
+
 class TestRidingDeletions:
-    def _condemned_while_read(self):
-        """A manager whose one owned entry was condemned while
-        *workflow* still reads its file."""
+    def _condemned_while_read(self, way_out="stale-input"):
+        """A manager whose one owned entry left the repository by
+        *way_out* while *workflow* still reads its file."""
         entry_specs = generate_entry_specs(10, SEED)
         dfs = DistributedFileSystem()
         repository = build_repository(entry_specs[:1], SEED, dfs)
@@ -867,10 +886,17 @@ class TestRidingDeletions:
         workflow = Workflow(jobs=[], name="reader")
         manager.kept_paths.add(entry.output_path)
         manager._pin(workflow, entry.output_path)
-        manager._condemn_stale(entry)
+        leave_repository(manager, entry, way_out)
         assert len(repository) == 0
         assert dfs.exists(entry.output_path)  # deferred: still read
         return manager, entry, workflow
+
+    @pytest.mark.parametrize("way_out", WAYS_OUT)
+    def test_every_way_out_defers_the_delete_to_the_reader(self, way_out):
+        manager, entry, workflow = self._condemned_while_read(way_out)
+        assert manager.kept_paths == set()
+        manager.on_workflow_end(workflow)
+        assert not manager.dfs.exists(entry.output_path)
 
     def test_a_deferred_delete_lands_when_the_reader_ends(self):
         manager, entry, workflow = self._condemned_while_read()

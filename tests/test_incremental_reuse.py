@@ -226,18 +226,18 @@ class TestEvictionRule4Appends:
             small_data, eviction_policies=["input-modified"]
         )
         server.run(FILTER_Q)
-        filter_entries = [
-            e
-            for e in manager.repository
-            if "data/page_views" in e.input_extents
-        ]
+        filter_entries = {e.entry_id for e in manager.repository}
         assert filter_entries
+        server.run(GROUP_Q)
+        group_entries = {e.entry_id for e in manager.repository} - filter_entries
+        assert group_entries
         small_data.append("data/page_views", TAIL)
         manager.clock += 1
-        evicted = {e.entry_id for e in manager.run_evictions()}
-        kept = {e.entry_id for e in filter_entries} - evicted
-        # at least the delta-upgradeable filter chain survives the sweep
-        assert kept
+        evicted = set(manager.run_evictions())
+        # the GROUP cannot refresh through its shuffle: Rule 4 evicts
+        # it; the delta-upgradeable FILTER chain survives the sweep
+        assert evicted == group_entries
+        assert filter_entries <= {e.entry_id for e in manager.repository}
 
     def test_overwrite_still_evicts(self, small_data):
         server, manager = make(

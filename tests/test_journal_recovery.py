@@ -19,9 +19,22 @@ from repro.persistence.durability import (
     RepositoryPersister,
     recover,
 )
-from repro.persistence.journal import Journal, JournalRecord, encode_record
+from repro.persistence.journal import (
+    Journal,
+    JournalRecord,
+    decode_journal,
+    encode_record,
+)
 from repro.persistence.snapshot import RepositorySnapshot, entry_record
 from test_framedlog import JOURNAL, TornWriteSweep
+
+
+def replay(snapshot, records) -> Repository:
+    """The repository a journal replay of *records* over *snapshot*
+    reaches (the pipeline recovery and the standby run)."""
+    target = ReplayTarget.from_snapshot(snapshot)
+    target.apply_all(records)
+    return target.repository
 
 
 class TestTornTail(TornWriteSweep):
@@ -56,8 +69,8 @@ class TestReplaySemantics:
                 }
             ),
         ]
-        once = Repository.restore(snapshot, journal=records)
-        twice = Repository.restore(snapshot, journal=records + records)
+        once = replay(snapshot, records)
+        twice = replay(snapshot, records + records)
         assert [e.entry_id for e in once.ordered_entries()] == [
             e.entry_id for e in twice.ordered_entries()
         ]
@@ -75,7 +88,7 @@ class TestReplaySemantics:
         readd = JournalRecord.from_payload(
             {"type": "entry_added", "entry": entry_record(repo.entries()[4])}
         )
-        restored = Repository.restore(snapshot, journal=[readd])
+        restored = replay(snapshot, [readd])
         assert [e.entry_id for e in restored.ordered_entries()] == order
 
     def test_journal_from_before_snapshot_format_4_still_replays(self):
@@ -91,9 +104,8 @@ class TestReplaySemantics:
                 path: extent.mtime for path, extent in entry.input_extents.items()
             }
             payloads.append({"type": "entry_added", "entry": record})
-        restored = Repository.restore(
-            None, journal=b"".join(map(encode_record, payloads))
-        )
+        journal = decode_journal(b"".join(map(encode_record, payloads)))
+        restored = replay(None, journal.records)
         assert [e.entry_id for e in restored.ordered_entries()] == [
             e.entry_id for e in repo.ordered_entries()
         ]
@@ -118,9 +130,7 @@ class TestReplaySemantics:
         refreshed = JournalRecord.from_payload(
             {"type": "entry_refreshed", "entry": record}
         )
-        restored = Repository.restore(
-            snapshot, journal=[refreshed, refreshed]
-        )
+        restored = replay(snapshot, [refreshed, refreshed])
         assert len(restored) == len(repo)
         assert [e.entry_id for e in restored.ordered_entries()] == order
         twin = restored.get(entry.entry_id)

@@ -7,6 +7,7 @@ workflows, resubmission, and eviction effects.
 
 import pytest
 
+from repro.core.eviction import evict
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.events import LOG_EVENTS, render_events
 from repro.pig.engine import PigServer
@@ -209,7 +210,7 @@ class TestEviction:
         server.run(Q1)
         gone = manager.repository.entries()[0]
         manager.repository.remove(gone.entry_id)
-        assert manager._evict(gone, "test") is None
+        assert evict(manager, gone, "test") is None
 
         def journal_down(kind, entry):
             raise OSError("journal down")
