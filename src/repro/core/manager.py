@@ -167,7 +167,6 @@ class ReStoreManager(JobListener):
         cost_model: Optional[CostModel] = None,
         repository: Optional[Repository] = None,
         config: Optional[ReStoreConfig] = None,
-        event_bus: Optional[EventBus] = None,
     ):
         self.dfs = dfs
         self.cost_model = cost_model or CostModel()
@@ -186,7 +185,7 @@ class ReStoreManager(JobListener):
             build_eviction_policy(spec) for spec in self.config.eviction_policies
         ]
         #: typed event fan-out; subscribe for live reuse telemetry
-        self.events = event_bus or EventBus()
+        self.events = EventBus()
         #: attached :class:`repro.persistence.RepositoryPersister`
         #: (None = nothing durable; the persister sets and clears this)
         self.persistence = None

@@ -151,39 +151,6 @@ class RepositoryPersister:
             ),
         ]
         manager.persistence = self
-        #: timer-driven rotation (satellite of the payload-durability
-        #: work): a daemon thread rotates the snapshot every
-        #: ``snapshot_interval_s`` seconds of wall clock while records
-        #: have accumulated, so a service that never reaches a workflow
-        #: boundary still bounds its replay window
-        self._timer_stop = threading.Event()
-        self._timer: Optional[threading.Thread] = None
-        if config.snapshot_interval_s > 0:
-            self._timer = threading.Thread(
-                target=self._timer_loop,
-                name="persister-snapshot-timer",
-                daemon=True,
-            )
-            self._timer.start()
-
-    def _timer_loop(self) -> None:
-        while not self._timer_stop.wait(self.config.snapshot_interval_s):
-            if self._closed:
-                break
-            try:
-                if self._records_since_snapshot > 0:
-                    self.take_snapshot()
-            except Exception as exc:
-                # storage failures never get here (take_snapshot turns
-                # them into a breaker trip), so this is unexpected: say
-                # so, but the timer itself must never die of it
-                self.events.emit(
-                    PersistenceDegraded(
-                        path=self.snapshot_storage.location,
-                        error=repr(exc),
-                        buffered=self.buffered_records,
-                    )
-                )
 
     # -- record sources -----------------------------------------------------------
 
@@ -491,10 +458,6 @@ class RepositoryPersister:
         snapshotting) first; idempotent."""
         if self._closed:
             return
-        self._timer_stop.set()
-        if self._timer is not None and self._timer.is_alive():
-            self._timer.join(timeout=5.0)
-        self._timer = None
         self._journal_counters_if_moved()
         # force past the breaker's probe gating: closing is the last
         # chance to land the backlog on storage

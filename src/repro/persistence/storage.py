@@ -169,11 +169,6 @@ class PersistenceConfig:
     #: journal records between automatic snapshot rotations
     #: (0 = snapshot only when explicitly requested)
     snapshot_interval: int = 0
-    #: seconds between timer-driven rotations under a live service
-    #: (0 = no timer; rotation still happens at workflow boundaries
-    #: via ``snapshot_interval``); a timer rotation that fails aborts
-    #: without touching the journal, like any other rotation
-    snapshot_interval_s: float = 0.0
     #: records per commit *outside* a submission (``session.evict()``,
     #: a direct ``Repository.add``); inside one, the workflow end commits
     flush_every: int = 1

@@ -34,7 +34,7 @@ from repro.relational.schema import Schema
 from repro.relational.tuples import Row, snapshot_rows
 
 #: workflow templates the compile memo holds: one per script shape
-#: (statements without their store paths, optimize, parallelism)
+#: (statements without their store paths)
 _MEMO_TEMPLATES = 256
 
 #: the collector pause every submission in the process shares: how many
@@ -81,16 +81,12 @@ class PigServer:
         cluster: Optional[ClusterConfig] = None,
         cost_model: Optional[CostModel] = None,
         restore: Optional[JobListener] = None,
-        optimize: bool = True,
-        default_parallel: int = 28,
     ):
         self.dfs = dfs
         self.cluster = cluster or ClusterConfig()
         self.cost_model = cost_model or CostModel(cluster=self.cluster)
         self.runner = HadoopSimulator(dfs, self.cluster, self.cost_model)
         self.restore = restore
-        self.optimize = optimize
-        self.default_parallel = default_parallel
 
     # -- compilation ------------------------------------------------------------
 
@@ -120,7 +116,7 @@ class PigServer:
             StoreStmt(s.input_alias, "", s.storer) if isinstance(s, StoreStmt) else s
             for s in statements
         )
-        template = _template(shape, self.optimize, self.default_parallel)
+        template = _template(shape)
         return _restamp(template, script_id, store_paths, name)
 
     def explain(self, source: str) -> str:
@@ -240,22 +236,14 @@ class _Template:
 
 
 @lru_cache(maxsize=_MEMO_TEMPLATES)
-def _template(
-    statements: Tuple[AstStatement, ...], optimize: bool, default_parallel: int
-) -> _Template:
+def _template(statements: Tuple[AstStatement, ...]) -> _Template:
     """Logical plan, optimizer and MR compiler for *statements*, whose
     store paths are blank, memoised process-wide: a script repeated with
     other outputs costs a lookup.  The template's fingerprints are
     computed here, once, so nothing writes to it after it is cached; a
     script that fails to build raises and is not kept."""
-    plan = build_logical_plan(Script(list(statements)))
-    if optimize:
-        plan = LogicalOptimizer().optimize(plan)
-    compiler = MRCompiler(
-        temp_prefix="tmp/template",
-        default_parallel=default_parallel,
-        job_prefix="template",
-    )
+    plan = LogicalOptimizer().optimize(build_logical_plan(Script(list(statements))))
+    compiler = MRCompiler(temp_prefix="tmp/template", job_prefix="template")
     workflow = compiler.compile(plan)
     for job in workflow.jobs:
         job.plan.fingerprint()

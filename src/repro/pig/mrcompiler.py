@@ -65,15 +65,8 @@ class Cursor:
 class MRCompiler:
     """Compiles one logical plan into a :class:`Workflow`."""
 
-    def __init__(
-        self,
-        temp_prefix: str = "tmp/run",
-        default_parallel: int = 28,
-        *,
-        job_prefix: str,
-    ):
+    def __init__(self, temp_prefix: str = "tmp/run", *, job_prefix: str):
         self.temp_prefix = temp_prefix.rstrip("/")
-        self.default_parallel = default_parallel
         #: jobs get deterministic ids ``job_<prefix>_<n>``, never one
         #: from the process-global counter (a re-stamped copy of a
         #: template keeps its job's number)
@@ -111,7 +104,7 @@ class MRCompiler:
         self._job_counter += 1
         job = MapReduceJob(
             PhysicalPlan(),
-            JobConf(name=name, n_reducers=self.default_parallel),
+            JobConf(name=name),
             job_id=f"job_{self.job_prefix}_{self._job_counter}",
         )
         self._jobs.append(job)

@@ -4,7 +4,7 @@
 on either a thread pool or a spawn-based worker-process pool; every
 submission travels as a typed, serializable ``JobRequest`` and comes
 back as a ``JobOutcome`` (see :mod:`repro.service.api`).
-``WorkloadDriver`` is the load/differential harness that drives job
+``WorkloadDriver`` is the differential harness that drives job
 streams through it.
 """
 

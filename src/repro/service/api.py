@@ -6,9 +6,9 @@ or a pre-compiled workflow, for which tenant, under what name) and a
 :class:`JobOutcome` (what happened — the executed workflow, statistics,
 parsed outputs, and the typed ReStore events whose rendered
 rewrite/elimination lines form the byte-comparable decision log).
-``JobService.submit`` / ``submit_workflow`` / ``run`` and
-``ReStoreSession.run`` / ``run_workflow`` are all thin wrappers that
-build a request and execute it through this surface.
+``JobService.submit``, ``ServiceSession.submit`` / ``submit_workflow``
+/ ``run`` and ``ReStoreSession.run`` / ``run_workflow`` are all thin
+wrappers that build a request and execute it through this surface.
 
 The pair is *serializable*: ``JobRequest.to_wire()`` /
 ``JobRequest.from_wire()`` round-trip through plain dicts (plans via
@@ -57,21 +57,10 @@ class ServiceConfig:
     #: process mode: how many times a submission is retried on a fresh
     #: worker after its worker process dies mid-job (0 = fail fast)
     retries: int = 1
-    optimize: bool = True
-    default_parallel: int = 28
     #: process mode: seconds the coordinator waits for any single
     #: worker reply before declaring the worker hung, killing it, and
     #: re-dispatching within the retry budget (None = block forever)
     exchange_timeout: Optional[float] = 30.0
-    #: crash/timeout retry backoff: attempt k sleeps
-    #: ``min(backoff_base_s * 2**(k-1), backoff_cap_s)`` plus a
-    #: deterministic jitter seeded from (session, attempt) — retries
-    #: de-synchronize across tenants yet replay identically
-    backoff_base_s: float = 0.02
-    backoff_cap_s: float = 1.0
-    #: standby watchdog: consecutive missed coordinator heartbeats
-    #: before the warm replica is promoted into a fresh manager
-    heartbeat_misses: int = 3
     #: keep a journal-tailing StandbyReplica warm and promote it
     #: automatically when the heartbeat channel goes silent
     #: (requires persistence=)
@@ -92,10 +81,6 @@ class ServiceConfig:
                 "exchange_timeout must be positive seconds (or None to "
                 "block forever)"
             )
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff seconds must be >= 0")
-        if self.heartbeat_misses < 1:
-            raise ValueError("heartbeat_misses must be >= 1")
         return self
 
 

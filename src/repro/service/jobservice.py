@@ -9,8 +9,9 @@ shape: a :class:`JobService` owns one DFS, one thread-safe
 :class:`~repro.core.repository.Repository`, and executes job
 submissions from many :class:`~repro.session.ReStoreSession` tenants.
 
-Every submission path — ``submit``/``submit_workflow``/``run`` here,
-``run``/``run_workflow`` on a session — converges on the typed
+Every submission path — ``JobService.submit``,
+``submit``/``submit_workflow``/``run`` on a :class:`ServiceSession`, and
+``run``/``run_workflow`` on a ``ReStoreSession`` — converges on the typed
 :class:`~repro.service.api.JobRequest` /
 :class:`~repro.service.api.JobOutcome` pair, and
 :class:`~repro.service.api.ServiceConfig` selects the execution
@@ -31,8 +32,8 @@ Guarantees (both executors):
   execute in global FIFO order, producing byte-identical rewrite
   decisions and an identical final repository to a serial run of the
   same stream, for one worker *thread* and one worker *process* alike
-  (the differential tests and the ``service_throughput`` benchmark
-  gates assert exactly this).
+  (the 1-worker differentials in ``tests/test_service.py`` and
+  ``tests/test_service_processes.py`` assert exactly this).
 
 Quick start::
 
@@ -104,6 +105,16 @@ from repro.session import ReStoreSession
 #: a worker crash decides again, so the crashed attempt's copies never
 #: reach the outcome (1-worker decision logs stay byte-identical)
 _ATTEMPT_DECISIONS = DECISION_EVENTS + (DeltaFallback, SubJobDiscarded)
+
+#: crash/timeout retry backoff: attempt k sleeps
+#: ``min(BACKOFF_BASE_S * 2**(k-1), BACKOFF_CAP_S)`` plus a deterministic
+#: jitter seeded from (session, attempt) — retries de-synchronize across
+#: tenants yet replay identically
+BACKOFF_BASE_S = 0.02
+BACKOFF_CAP_S = 1.0
+#: standby watchdog: consecutive missed coordinator heartbeats before
+#: the warm replica is promoted into a fresh manager
+HEARTBEAT_MISSES = 2
 
 
 @dataclass
@@ -234,10 +245,9 @@ class JobService:
     service builds the shared state once and every
     :meth:`open_session` tenant is wired onto it.  Execution knobs
     live in a :class:`~repro.service.api.ServiceConfig` passed as
-    ``service=`` — or via the ``max_workers``/``executor``/
-    ``optimize``/``default_parallel`` shorthands, which are mutually
-    exclusive with it.  With 1 worker (thread or process) the service
-    degenerates to a deterministic serial executor.
+    ``service=`` — or via the ``max_workers``/``executor`` shorthands,
+    which are mutually exclusive with it.  With 1 worker (thread or
+    process) the service degenerates to a deterministic serial executor.
     """
 
     def __init__(
@@ -252,16 +262,9 @@ class JobService:
         service: Optional[ServiceConfig] = None,
         max_workers: Optional[int] = None,
         executor: Optional[str] = None,
-        optimize: Optional[bool] = None,
-        default_parallel: Optional[int] = None,
     ):
         if service is not None:
-            shorthands = {
-                "max_workers": max_workers,
-                "executor": executor,
-                "optimize": optimize,
-                "default_parallel": default_parallel,
-            }
+            shorthands = {"max_workers": max_workers, "executor": executor}
             clashing = sorted(k for k, v in shorthands.items() if v is not None)
             if clashing:
                 raise ValueError(
@@ -273,10 +276,6 @@ class JobService:
             service = ServiceConfig(
                 executor=executor if executor is not None else "threads",
                 max_workers=max_workers if max_workers is not None else 4,
-                optimize=optimize if optimize is not None else True,
-                default_parallel=(
-                    default_parallel if default_parallel is not None else 28
-                ),
             )
         service.validate()
         if service.standby and persistence is None:
@@ -311,8 +310,6 @@ class JobService:
         )
         if recovered is not None:
             self.persister = adopt_recovered(self.manager, recovered, persistence)
-        self._optimize = service.optimize
-        self._default_parallel = service.default_parallel
         self._pool: Optional[ProcessWorkerPool] = None
         reserved_paths: tuple = ()
         if service.executor == "processes":
@@ -338,8 +335,6 @@ class JobService:
                 {
                     "cluster": self.cluster,
                     "cost_model": self.cost_model,
-                    "optimize": service.optimize,
-                    "default_parallel": service.default_parallel,
                     "faults": (
                         active_injector.plan
                         if active_injector is not None
@@ -433,8 +428,6 @@ class JobService:
             session = ReStoreSession(
                 manager=self.manager,
                 cluster=self.cluster,
-                optimize=self._optimize,
-                default_parallel=self._default_parallel,
                 session_id=session_id,
             )
             handle = ServiceSession(self, session)
@@ -464,15 +457,6 @@ class JobService:
             if handle is None:
                 handle = self.open_session(session_id)
         return handle.submit(source, name=name)
-
-    def execute(self, request: JobRequest) -> "Future[JobOutcome]":
-        """The single submission surface: queue a typed request for its
-        ``session_id`` tenant (opened on demand)."""
-        with self._lock:
-            handle = self._sessions.get(request.session_id)
-            if handle is None:
-                handle = self.open_session(request.session_id or None)
-        return self._submit(handle, request)
 
     def _submit(
         self, handle: ServiceSession, request: JobRequest
@@ -603,24 +587,19 @@ class JobService:
 
     def _backoff(self, session_id: str, attempt: int) -> None:
         """Sleep before replaying a crashed/hung attempt: exponential
-        backoff capped at ``backoff_cap_s``, plus a jitter drawn from a
-        generator seeded by (session, attempt) — retries de-synchronize
+        backoff capped at :data:`BACKOFF_CAP_S`, plus a jitter drawn from
+        a generator seeded by (session, attempt) — retries de-synchronize
         across tenants yet replay to identical delays run over run."""
-        cfg = self.service_config
-        if cfg.backoff_base_s <= 0:
-            return
-        delay = min(cfg.backoff_base_s * 2 ** (attempt - 1), cfg.backoff_cap_s)
-        jitter = random.Random(f"{session_id}:{attempt}").uniform(
-            0.0, cfg.backoff_base_s
-        )
-        time.sleep(min(delay + jitter, cfg.backoff_cap_s))
+        delay = min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S)
+        jitter = random.Random(f"{session_id}:{attempt}").uniform(0.0, BACKOFF_BASE_S)
+        time.sleep(min(delay + jitter, BACKOFF_CAP_S))
 
     def _heartbeat(self) -> None:
         """One coordinator liveness tick, taken after every completed
         job.  The tick routes through the "coordinator.heartbeat"
         injection site; a suppressed beat (the harness's stand-in for a
         dead coordinator) advances the missed-beat counter, and
-        ``heartbeat_misses`` consecutive misses trigger the standby
+        :data:`HEARTBEAT_MISSES` consecutive misses trigger the standby
         promotion.  A no-op unless standby mode is on.
         """
         if self.standby is None:
@@ -633,7 +612,7 @@ class JobService:
             with self._lock:
                 self._missed_beats += 1
                 missed = self._missed_beats
-            if missed >= self.service_config.heartbeat_misses:
+            if missed >= HEARTBEAT_MISSES:
                 self.promote_standby(missed_beats=missed)
             return
         with self._lock:

@@ -1,8 +1,8 @@
 """Spawn-based worker-process pool: the GIL-free execution substrate.
 
-The thread-pool service hit a wall the ``service_throughput`` bench
-made undeniable: 8 workers delivered the same aggregate jobs/sec as 1,
-because every interpreter step serialized on the GIL.  This module
+Worker threads share one interpreter, so every interpreter step of an
+execution-heavy stream serializes on the GIL and extra threads add no
+aggregate throughput.  This module
 splits the service the way the paper splits responsibilities between
 Pig clients and the ReStore server (§1): a **coordinator** process
 keeps the DFS, the repository, and the manager — all matching,
@@ -190,8 +190,6 @@ def worker_main(conn, context: dict, ordinal: int = 0) -> None:
         cluster=context["cluster"],
         cost_model=context["cost_model"],
         restore=proxy,
-        optimize=context["optimize"],
-        default_parallel=context["default_parallel"],
     )
     while True:
         try:

@@ -71,8 +71,6 @@ class ReStoreSession:
         manager: Optional[ReStoreManager] = None,
         persistence: Optional[PersistenceConfig] = None,
         restore_enabled: bool = True,
-        optimize: bool = True,
-        default_parallel: int = 28,
         session_id: str = "",
     ):
         #: tenant identity for multi-session deployments.  When several
@@ -151,8 +149,6 @@ class ReStoreSession:
             cluster=self.cluster,
             cost_model=self.cost_model,
             restore=self.manager,
-            optimize=optimize,
-            default_parallel=default_parallel,
         )
         self._events = self.manager.events if self.manager else EventBus()
         self._closed = False
@@ -330,12 +326,6 @@ class SessionBuilder:
         """Make the repository durable: recover from the configured
         snapshot/journal at build time and journal every mutation."""
         return self._set(persistence=config)
-
-    def optimizer(self, enabled: bool) -> "SessionBuilder":
-        return self._set(optimize=enabled)
-
-    def default_parallel(self, n: int) -> "SessionBuilder":
-        return self._set(default_parallel=n)
 
     def session_id(self, session_id: str) -> "SessionBuilder":
         """Name this session for multi-tenant event isolation."""

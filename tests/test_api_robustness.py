@@ -1,19 +1,26 @@
 """API-robustness tests: error paths and small behaviours not covered
 by the feature suites."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.exceptions import PlanError
 from repro.experiments.common import ExperimentResult
 from repro.mapreduce.job import JobConf, MapReduceJob, Workflow
 from repro.mapreduce.stats import JobStats, StoreStat, TimeBreakdown
+from repro.persistence.durability import PersistenceConfig
 from repro.pig.engine import PigServer
 from repro.pig.physical.operators import POLoad, POStore
 from repro.pig.physical.plan import linear_plan
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
+from repro.service import JobService, ServiceConfig
+from repro.session import ReStoreSession, SessionBuilder
 
 SCHEMA = Schema.of(("a", DataType.CHARARRAY))
 
@@ -159,3 +166,116 @@ class TestInterpreterGuards:
 
         stats = JobInterpreter(job, dfs).run()
         assert stats.output_records == 2
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _parameters(cls):
+    return set(inspect.signature(cls).parameters)
+
+
+def _setters(cls):
+    return {
+        name
+        for name, value in vars(cls).items()
+        if callable(value) and not name.startswith("_") and name != "build"
+    }
+
+
+#: every value a caller can set on each public surface.  A change that
+#: adds or removes a knob edits this ledger in the same diff.
+KNOB_LEDGER = {
+    "ServiceConfig": (
+        _fields,
+        ServiceConfig,
+        {"executor", "max_workers", "retries", "exchange_timeout", "standby"},
+    ),
+    "PersistenceConfig": (
+        _fields,
+        PersistenceConfig,
+        {
+            "snapshot_path",
+            "journal_path",
+            "backend",
+            "snapshot_interval",
+            "flush_every",
+        },
+    ),
+    "ReStoreConfig": (
+        _fields,
+        ReStoreConfig,
+        {"heuristic", "selector", "register_whole_jobs", "eviction_policies"},
+    ),
+    "PigServer": (
+        _parameters,
+        PigServer,
+        {"dfs", "cluster", "cost_model", "restore"},
+    ),
+    "ReStoreSession": (
+        _parameters,
+        ReStoreSession,
+        {
+            "dfs",
+            "cluster",
+            "cost_model",
+            "repository",
+            "config",
+            "manager",
+            "persistence",
+            "restore_enabled",
+            "session_id",
+        },
+    ),
+    "JobService": (
+        _parameters,
+        JobService,
+        {
+            "dfs",
+            "cluster",
+            "cost_model",
+            "repository",
+            "config",
+            "persistence",
+            "service",
+            "max_workers",
+            "executor",
+        },
+    ),
+    "ReStoreManager": (
+        _parameters,
+        ReStoreManager,
+        {"dfs", "cost_model", "repository", "config"},
+    ),
+    "SessionBuilder": (
+        _setters,
+        SessionBuilder,
+        {
+            "dfs",
+            "cluster",
+            "cost_model",
+            "repository",
+            "manager",
+            "persistence",
+            "session_id",
+            "without_restore",
+            "heuristic",
+            "selector",
+            "register_whole_jobs",
+            "evict",
+        },
+    ),
+}
+
+
+class TestKnobLedger:
+    @pytest.mark.parametrize("surface", sorted(KNOB_LEDGER))
+    def test_surface_takes_exactly_its_ledgered_knobs(self, surface):
+        read, target, ledgered = KNOB_LEDGER[surface]
+        assert read(target) == ledgered
+
+    def test_ledger_covers_every_public_surface(self):
+        assert len(KNOB_LEDGER) >= 8
+        for read, target, ledgered in KNOB_LEDGER.values():
+            assert ledgered and read(target)

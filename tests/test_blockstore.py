@@ -506,85 +506,3 @@ class TestInjectorHygiene:
         # the same one-shot rule fires again from a clean clock
         with pytest.raises(InjectedFault):
             injector.fire("blockstore.read")
-
-
-class TestTimerRotation:
-    def _wait_for(self, predicate, timeout_s=5.0):
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.01)
-        return predicate()
-
-    def test_interval_rotates_snapshot_without_workflow_boundary(
-        self, tmp_path
-    ):
-        dfs, config, manager, persister = _persister(
-            tmp_path, snapshot_interval_s=0.05
-        )
-        try:
-            added = _add_entries(dfs, manager, n=2, seed=SEED)
-            assert self._wait_for(
-                lambda: (tmp_path / "repo.snap").exists()
-            ), "the timer never rotated a snapshot"
-        finally:
-            persister.close()
-        snapshot = RepositorySnapshot.from_bytes(
-            config.snapshot_storage().read()
-        )
-        assert len(snapshot.payload["repository"]["entries"]) == 2
-        # rotation compacted the payloads into the snapshot's table
-        assert set(snapshot.payload_state["refs"]) == {
-            e.output_path for e in added
-        }
-        recovered = recover(config, DistributedFileSystem())
-        assert len(recovered.repository) == 2
-        assert recovered.payloads_condemned == []
-
-    def test_rotation_failure_keeps_journal_intact(self, tmp_path):
-        inject("snapshot.write", "raise", sticky=True)
-        dfs, config, manager, persister = _persister(
-            tmp_path, snapshot_interval_s=0.03
-        )
-        try:
-            _add_entries(dfs, manager, n=2, seed=SEED)
-            # let the timer attempt (and fail) at least one rotation
-            assert self._wait_for(
-                lambda: faults.active().clock.hits("snapshot.write") >= 1
-            )
-        finally:
-            persister.close()
-            faults.uninstall()
-        assert not (tmp_path / "repo.snap").exists()
-        recovered = recover(config, DistributedFileSystem())
-        assert len(recovered.repository) == 2
-        assert recovered.payloads_condemned == []
-
-    def test_unexpected_rotation_error_is_announced_timer_survives(
-        self, tmp_path, monkeypatch
-    ):
-        def boom(*args, **kwargs):
-            raise RuntimeError("not a storage failure")
-
-        monkeypatch.setattr(RepositorySnapshot, "capture", boom)
-        dfs, config, manager, persister = _persister(
-            tmp_path, snapshot_interval_s=0.03
-        )
-        degraded = []
-        persister.events.subscribe(
-            degraded.append, event_types=(PersistenceDegraded,)
-        )
-        try:
-            _add_entries(dfs, manager, n=2, seed=SEED)
-            # two announcements = the timer outlived the first failure
-            assert self._wait_for(lambda: len(degraded) >= 2)
-        finally:
-            persister.close()
-        assert degraded[0].path == config.snapshot_path
-        assert "not a storage failure" in degraded[0].error
-        assert not persister.breaker_open  # not a storage failure
-        assert not (tmp_path / "repo.snap").exists()
-        recovered = recover(config, DistributedFileSystem())
-        assert len(recovered.repository) == 2
-        assert recovered.payloads_condemned == []

@@ -45,6 +45,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule, StormSpec, storm_plan
 from repro.persistence.durability import PersistenceConfig, recover
 from repro.service import JobService, ServiceConfig
+from repro.service.jobservice import BACKOFF_BASE_S, BACKOFF_CAP_S
 
 N_JOBS = 18
 ENTRY_SPECS = generate_entry_specs(FULL_GRID_ENTRIES, SEED)
@@ -53,7 +54,10 @@ PROBE_SPECS = generate_probe_specs(ENTRY_SPECS, N_JOBS, SEED)
 #: (worker sleeps the full hang) cannot slip under it
 STORM_HANG_SECONDS = 12.0
 EXCHANGE_TIMEOUT_S = 0.75
-BACKOFF_CAP_S = 0.2
+RETRIES = 3
+#: the liveness bound's per-attempt allowance for the service's retry
+#: backoff sleep
+RETRY_SLEEP_S = 0.2
 
 
 @dataclass
@@ -102,12 +106,9 @@ def _run_lane(
             service=ServiceConfig(
                 executor="processes",
                 max_workers=1,
-                retries=3,
+                retries=RETRIES,
                 exchange_timeout=EXCHANGE_TIMEOUT_S,
-                backoff_base_s=0.01,
-                backoff_cap_s=BACKOFF_CAP_S,
                 standby=True,
-                heartbeat_misses=2,
             ),
         )
         recoveries = service.persister.events.collect(event_types=PersistenceRecovered)
@@ -223,5 +224,11 @@ class TestStormLane:
         """A broken exchange timeout (the hung worker sleeping its
         full ``STORM_HANG_SECONDS``) blows this by construction."""
         baseline, storm = lanes
-        bound = baseline.p99_s * 5.0 + 3.0 * (EXCHANGE_TIMEOUT_S + BACKOFF_CAP_S) + 3.0
+        # the allowance covers the longest sleep the backoff schedule
+        # takes within the retry budget (delay plus its full jitter)
+        longest_sleep = min(
+            BACKOFF_BASE_S * 2 ** (RETRIES - 1) + BACKOFF_BASE_S, BACKOFF_CAP_S
+        )
+        assert longest_sleep <= RETRY_SLEEP_S
+        bound = baseline.p99_s * 5.0 + 3.0 * (EXCHANGE_TIMEOUT_S + RETRY_SLEEP_S) + 3.0
         assert storm.p99_s <= bound

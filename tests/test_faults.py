@@ -245,7 +245,6 @@ class TestChaosSweep:
                         max_workers=1,
                         retries=2,
                         exchange_timeout=10.0,
-                        backoff_base_s=0.0,
                     ),
                 )
             except Exception:
@@ -425,9 +424,7 @@ class TestStandbyPromotion:
                     max_workers=1,
                     retries=2,
                     exchange_timeout=10.0,
-                    backoff_base_s=0.0,
                     standby=True,
-                    heartbeat_misses=2,
                 ),
             )
             session = service.open_session("tenant")

@@ -359,11 +359,7 @@ FILTER_X = "A = load 'x' as (a:int);\nB = filter A by a > 1;\nstore B into 'z';\
 def direct_compile(source, script_id):
     """What ``PigServer.compile`` did before it had a memo."""
     plan = LogicalOptimizer().optimize(build_logical_plan(cold_parse(source)))
-    compiler = MRCompiler(
-        temp_prefix=f"tmp/s{script_id}",
-        default_parallel=28,
-        job_prefix=f"s{script_id}",
-    )
+    compiler = MRCompiler(temp_prefix=f"tmp/s{script_id}", job_prefix=f"s{script_id}")
     return compiler.compile(plan, name=f"script_{script_id}")
 
 
