@@ -51,12 +51,14 @@ def main() -> None:
     print(biggest.plan.to_dot("stored_plan"))
 
     print("\n=== subsumption (§3 ordering rule 1) ===")
-    entries = session.repository.ordered_entries()
-    matcher = session.manager.matcher
-    for a in entries[:4]:
-        for b in entries[:4]:
-            if a is not b and matcher.contains(a.plan, b.plan):
-                print(f"{a.entry_id} subsumes {b.entry_id}")
+    # the pairs the repository recorded at registration, among the
+    # first four entries of the scan
+    first = [entry.entry_id for entry in session.repository.ordered_entries()[:4]]
+    pairs = set(session.repository.subsumption_pairs())
+    for a in first:
+        for b in first:
+            if (a, b) in pairs:
+                print(f"{a} subsumes {b}")
 
     print("\n=== persistence round trip ===")
     payload = RepositorySnapshot.capture(session.repository).to_bytes()

@@ -1,6 +1,5 @@
 """ReStore core: repository, matcher/rewriter, enumerator, policies."""
 
-from repro.core.algorithm1 import PairwisePlanTraversal, algorithm1_contains
 from repro.core.enumerator import CandidateSubJob, SubJobEnumerator
 from repro.core.eviction import (
     EVICTION_POLICIES,
@@ -12,7 +11,7 @@ from repro.core.eviction import (
 )
 from repro.core.heuristics import HEURISTICS, classify_operator
 from repro.core.manager import ReStoreConfig, ReStoreManager
-from repro.core.matcher import MatchResult, PlanMatcher, operators_equivalent
+from repro.core.matcher import MatchResult, PlanMatcher
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.core.rewriter import PlanRewriter
 from repro.core.selector import (
@@ -28,8 +27,6 @@ __all__ = [
     "HEURISTICS",
     "SELECTORS",
     "build_eviction_policy",
-    "PairwisePlanTraversal",
-    "algorithm1_contains",
     "CandidateSubJob",
     "CapacityEviction",
     "EntryStats",
@@ -49,5 +46,4 @@ __all__ = [
     "SubJobEnumerator",
     "TimeWindowEviction",
     "classify_operator",
-    "operators_equivalent",
 ]

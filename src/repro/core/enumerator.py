@@ -124,9 +124,10 @@ class SubJobEnumerator:
             if isinstance(succ, POSplit):
                 return succ
         tee = POSplit(anchor.schema)
+        if successors:
+            # in place on the edge: the consumer's input order (a
+            # UNION's, fingerprinted) must not move
+            return plan.insert_between(anchor, successors[0], tee)
         plan.add(tee)
-        for succ in list(plan.successors(anchor)):
-            plan.disconnect(anchor, succ)
-            plan.connect(tee, succ)
         plan.connect(anchor, tee)
         return tee

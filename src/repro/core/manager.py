@@ -27,8 +27,8 @@ repository.  A reentrant manager lock guards the mutable aggregates
 (counters, pending sub-jobs, kept paths, the logical clock, event
 buffers); the repository carries its own lock, always taken after this
 one (the order is stated in :mod:`repro.core.repository`); and the
-expensive pairwise plan traversals run outside any manager-level lock
-against candidate snapshots.  Each worker thread activates a *session
+match scan runs outside any manager-level lock against candidate
+snapshots.  Each worker thread activates a *session
 scope* (:meth:`ReStoreManager.session_scope`) so every emitted event
 is stamped with its session id and lands in a per-session drain buffer
 — sessions sharing the manager never see each other's events.
@@ -140,14 +140,14 @@ class MatchPipelineTotals:
     passes: int = 0
     #: entries visible at scan time, summed over passes
     entries_seen: int = 0
-    #: entries that survived fingerprint pruning (traversals attempted)
+    #: entries the frontier index returned (each contained in the job)
     candidates_examined: int = 0
-    #: entries dismissed by the index without a pairwise traversal
+    #: entries the frontier index left out (not contained in the job)
     candidates_pruned: int = 0
-    #: pairwise Algorithm-1 traversals actually run while matching
+    #: candidates the scan asked the matcher about before a verdict
     traversals: int = 0
     #: passes the exact-fingerprint index answered (whole-job hits on a
-    #: plan equal to a stored one: no candidate list, no traversal)
+    #: plan equal to a stored one: no candidate list, no matcher call)
     exact_hits: int = 0
 
     @property
@@ -174,9 +174,7 @@ class ReStoreManager(JobListener):
         self.matcher = PlanMatcher()
         self.rewriter = PlanRewriter()
         # explicit None check: an empty Repository is falsy (len == 0)
-        self.repository = (
-            repository if repository is not None else Repository(self.matcher)
-        )
+        self.repository = repository if repository is not None else Repository()
         self.enumerator = SubJobEnumerator(
             HEURISTICS[self.config.heuristic], id_allocator=dfs.next_subjob_id
         )
@@ -390,12 +388,12 @@ class ReStoreManager(JobListener):
         until no plan matches (paper §3).
 
         Each pass asks the exact-fingerprint index first
-        (:meth:`_exact_hit`) and otherwise the repository for
-        fingerprint-pruned candidates; the expensive pairwise traversal
-        only runs against those, outside any manager-level lock — the
-        candidate list is a snapshot, and the job plan being rewritten
-        is submission-local.  A :class:`~repro.events.MatchScanned`
-        telemetry event goes out on the bus when the scan completes.
+        (:meth:`_exact_hit`) and otherwise the repository for the
+        entries contained in the job, in §3 order; the scan runs
+        outside any manager-level lock — the candidate list is a
+        snapshot, and the job plan being rewritten is submission-local.
+        A :class:`~repro.events.MatchScanned` telemetry event goes out
+        on the bus when the scan completes.
         """
         scan = MatchScanned(job_id=job.job_id)
         try:
@@ -489,7 +487,7 @@ class ReStoreManager(JobListener):
         self, job: MapReduceJob, workflow: Workflow
     ) -> Optional[RepositoryEntry]:
         """The entry whose plan *is* the job's, when it can be served as
-        it stands: one dict probe, no candidate list, no Algorithm 1.
+        it stands: one dict probe, no candidate list, no matcher call.
 
         This cannot change which entry wins.  An entry whose plan equals
         the job's contains every other entry that matches the job, so
@@ -507,7 +505,7 @@ class ReStoreManager(JobListener):
         if entry is None:
             return None
         try:
-            frontier = self.matcher.repo_frontier(entry.plan)
+            frontier = entry.plan.frontier()
         except SnapshotError as exc:
             condemn(self, entry, "quarantined", str(exc))
             return None

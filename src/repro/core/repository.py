@@ -15,15 +15,20 @@ match found during the sequential scan is the best one:
 
 The repository is fingerprint-indexed and **concurrency-safe under one
 lock**.  A single reentrant repository lock guards everything: the
-entry table, the insertion sequence, the §3 ordering structures and
-three plain inverted indexes kept in step with the entries:
+entry table, the insertion sequence, the §3 subsumption pairs and four
+plain inverted indexes kept in step with the entries:
 
 * whole-plan fingerprint → entry ids: O(1) exact-equivalence lookup
   (``find_equivalent``);
-* load-signature → entry ids: a submitted job's Load set prunes the
-  repository to the entries that can possibly be contained in it, so
-  Algorithm 1's pairwise traversal only runs against real candidates
+* frontier fingerprint → entry ids: an entry is contained in a job
+  exactly when its frontier's fingerprint is one of the job's operator
+  fingerprints (:mod:`repro.core.matcher`), so a job's match
+  candidates are the union of its operators' buckets
   (``match_candidates``);
+* operator fingerprint → entry ids: at registration, entry *a*
+  subsumes entry *b* exactly when *b*'s frontier fingerprint is one of
+  *a*'s operator fingerprints, so ``add`` records a new entry's
+  subsumption pairs with two lookups per operator;
 * input path → entry ids, keyed by each entry's recorded
   ``input_extents``: eviction Rule 4 checks each source dataset once
   instead of walking every entry.
@@ -34,16 +39,13 @@ single dict probes).  Callers that also hold manager state take the
 manager lock first: the lock order is *manager → repository*, never the
 reverse, and this is the one place it is stated.
 
-The §3 scan order is **a key, not a list**: entries added while no
-scan is running accumulate in a pending batch, and the next scan
-(``match_candidates()``, ``ordered_entries()``, or an explicit
-``flush()``) records the subsumption pairs of each pending entry
-(fingerprint-pruned) — what the key's first component counts.  A scan
-then sorts the ids it kept by that key.  The key is a strict total
-order (the insertion sequence breaks every tie), so the result is
-independent of how the pending entries were grouped into flushes, and
-``remove`` / ``refresh_entry`` have no position to repair: they move
-scores and statistics, which the next sort reads.
+The §3 scan order is **a key, not a list**: (entries subsumed desc, io
+ratio desc, exec time desc, insertion sequence).  The key is a strict
+total order, so a scan sorts the ids it kept by it, and ``remove`` /
+``refresh_entry`` have no position to repair: they move subsumption
+pairs and statistics, which the next sort reads.  The pairs are a pure
+function of the live entries' fingerprints, so a restore recomputes
+them instead of reading them back.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.matcher import PlanMatcher
 from repro.dfs.namenode import InputExtent
 from repro.exceptions import RepositoryError
 from repro.pig.physical.plan import PhysicalPlan
@@ -126,13 +127,6 @@ class RepositoryIndexStats:
 
     exact_lookups: int = 0
     exact_hits: int = 0
-    #: matcher traversals spent maintaining the §3 subsumption order
-    subsume_checks: int = 0
-    #: ordering pairs dismissed by fingerprint pruning (no traversal)
-    subsume_pruned: int = 0
-    #: order flushes, and entries integrated across them
-    batch_flushes: int = 0
-    batch_entries: int = 0
 
 
 class Repository:
@@ -142,11 +136,10 @@ class Repository:
     snapshots.
     """
 
-    def __init__(self, matcher: Optional[PlanMatcher] = None):
-        self.matcher = matcher or PlanMatcher()
+    def __init__(self):
         self.index_stats = RepositoryIndexStats()
         #: guards the entry table, sequence numbers, the inverted
-        #: indexes, the ordering structures, and index_stats
+        #: indexes, the subsumption pairs, and index_stats
         self._lock = threading.RLock()
         self._entries: Dict[str, RepositoryEntry] = {}
         self._id_counter = 1
@@ -156,22 +149,16 @@ class Repository:
         # -- inverted indexes (kept in step with _entries) ------------
         #: whole-plan fingerprint -> entry ids (insertion order)
         self._by_fingerprint: Dict[str, List[str]] = {}
-        #: load signature -> entry ids
-        self._by_load_sig: Dict[str, Set[str]] = {}
+        #: frontier fingerprint -> entry ids
+        self._by_frontier: Dict[str, Set[str]] = {}
+        #: operator fingerprint -> entry ids whose plans compute it
+        self._by_operator: Dict[str, Set[str]] = {}
         #: input path -> entry ids
         self._by_input_path: Dict[str, Set[str]] = {}
-        self._sig_counts: Dict[str, Dict[str, int]] = {}
-        # -- incremental §3 ordering ---------------------------------
-        #: entry id -> how many other entries its plan subsumes; holds
-        #: exactly the *integrated* entries (zero scores included)
-        self._scores: Dict[str, int] = {}
+        # -- §3 subsumption pairs ------------------------------------
         #: a -> {b: a's plan contains b's plan} and the inverse
         self._subsumes: Dict[str, Set[str]] = {}
         self._subsumed_by: Dict[str, Set[str]] = {}
-        #: added but not yet integrated into the order (lazy, so
-        #: ordering-free workloads never pay for matcher calls; flushed
-        #: together by the next ordered scan)
-        self._pending: List[str] = []
         #: durability hooks: called as ``listener(kind, entry)`` with
         #: kind "added"/"removed"/"refreshed", *under the repository
         #: lock*, right after the mutation commits (see
@@ -265,16 +252,11 @@ class Repository:
                 # but keep the entry's insertion position (dict slot
                 # and seq tie-break).
                 self._deindex_entry(self._entries[eid])
-                if eid in self._pending:
-                    self._pending.remove(eid)
-                else:
-                    self._retire_from_order(eid)
             else:
                 self._seq[eid] = self._seq_counter
                 self._seq_counter += 1
             self._entries[eid] = entry
             self._index_entry(entry)
-            self._pending.append(eid)
             self._notify_mutation("added", entry)
             return entry
 
@@ -300,10 +282,6 @@ class Repository:
             del self._entries[entry_id]
             del self._seq[entry_id]
             self._deindex_entry(entry)
-            if entry_id in self._pending:
-                self._pending.remove(entry_id)
-            else:
-                self._retire_from_order(entry_id)
             self._notify_mutation("removed", entry)
             return entry
 
@@ -322,9 +300,9 @@ class Repository:
         output onto the entry's stored file; the entry now describes
         the *grown* computation: input extents move to the captured
         live values and the size statistics grow by the delta.  The
-        plan (and therefore the fingerprint and the signature indexes)
-        is unchanged; only the §3 order position may move with the
-        statistics, and the input-path index follows the extents' keys
+        plan (and therefore every fingerprint index) is unchanged; only
+        the §3 order position may move with the statistics, and the
+        input-path index follows the extents' keys
         (a delta refresh never adds a path today).  Listeners observe
         the mutation as kind ``"refreshed"``.
         """
@@ -343,16 +321,33 @@ class Repository:
     # -- inverted indexes (all under the repository lock) -------------------------
 
     def _index_entry(self, entry: RepositoryEntry) -> None:
+        """Index *entry* and record its subsumption pairs with every
+        live entry: *a* subsumes *b* when *b*'s frontier fingerprint is
+        one of *a*'s operator fingerprints."""
         eid = entry.entry_id
-        bucket = self._by_fingerprint.setdefault(entry.plan.fingerprint(), [])
+        plan = entry.plan
+        bucket = self._by_fingerprint.setdefault(plan.fingerprint(), [])
         # keep buckets in insertion-sequence order even through
         # same-id re-adds, so find_equivalent can take bucket[0]
         insort(bucket, eid, key=lambda e: self._seq[e])
-        for sig in entry.plan.load_signature_set():
-            self._by_load_sig.setdefault(sig, set()).add(eid)
         for path in entry.input_extents:
             self._by_input_path.setdefault(path, set()).add(eid)
-        self._sig_counts[eid] = dict(entry.plan.signature_counts())
+        subsumed: Set[str] = set()
+        for fingerprint in plan.operator_fingerprints():
+            self._by_operator.setdefault(fingerprint, set()).add(eid)
+            subsumed |= self._by_frontier.get(fingerprint, set())
+        frontier = plan.frontier_fingerprint()
+        if frontier is not None:
+            self._by_frontier.setdefault(frontier, set()).add(eid)
+            subsumers = self._by_operator.get(frontier, set()) - {eid}
+        else:
+            subsumers = set()
+        self._subsumes[eid] = subsumed
+        self._subsumed_by[eid] = subsumers
+        for other in subsumed:
+            self._subsumed_by[other].add(eid)
+        for other in subsumers:
+            self._subsumes[other].add(eid)
 
     def _deindex_entry(self, entry: RepositoryEntry) -> None:
         eid = entry.entry_id
@@ -363,7 +358,8 @@ class Repository:
             if not bucket:
                 del self._by_fingerprint[fingerprint]
         for index, keys in (
-            (self._by_load_sig, entry.plan.load_signature_set()),
+            (self._by_frontier, (entry.plan.frontier_fingerprint(),)),
+            (self._by_operator, entry.plan.operator_fingerprints()),
             (self._by_input_path, entry.input_extents),
         ):
             for key in keys:
@@ -372,30 +368,28 @@ class Repository:
                     holders.discard(eid)
                     if not holders:
                         del index[key]
-        self._sig_counts.pop(eid, None)
-
-    def _load_sig_pool(self, sigs: Iterable[str]) -> Set[str]:
-        """Union of the load-signature buckets for *sigs*."""
-        pool: Set[str] = set()
-        for sig in sigs:
-            pool |= self._by_load_sig.get(sig, set())
-        return pool
+        for other in self._subsumes.pop(eid, ()):
+            self._subsumed_by[other].discard(eid)
+        for other in self._subsumed_by.pop(eid, ()):
+            self._subsumes[other].discard(eid)
 
     def merged_index_views(self) -> Dict[str, Dict]:
-        """Deep-copied snapshots of the three inverted indexes, keyed
-        ``by_fingerprint`` / ``by_load_sig`` / ``by_input_path`` (tests,
-        debugging).  The containers are copies, so mutating them cannot
-        desync the real buckets."""
+        """Deep-copied snapshots of the four inverted indexes, keyed
+        ``by_fingerprint`` / ``by_frontier`` / ``by_operator`` /
+        ``by_input_path`` (tests, debugging).  The containers are
+        copies, so mutating them cannot desync the real buckets."""
         with self._lock:
             return {
                 "by_fingerprint": {
                     key: list(bucket) for key, bucket in self._by_fingerprint.items()
                 },
-                "by_load_sig": {
-                    key: set(holders) for key, holders in self._by_load_sig.items()
-                },
-                "by_input_path": {
-                    key: set(holders) for key, holders in self._by_input_path.items()
+                **{
+                    name: {key: set(holders) for key, holders in index.items()}
+                    for name, index in (
+                        ("by_frontier", self._by_frontier),
+                        ("by_operator", self._by_operator),
+                        ("by_input_path", self._by_input_path),
+                    )
                 },
             }
 
@@ -432,154 +426,66 @@ class Repository:
     def total_stored_bytes(self) -> int:
         return sum(e.stats.output_bytes for e in self.entries())
 
-    # -- candidate pruning (the indexed fast path) --------------------------------
-
-    @staticmethod
-    def _counts_contained(inner: Dict[str, int], outer: Dict[str, int]) -> bool:
-        """True when *inner* is a sub-multiset of *outer* — necessary
-        for inner's plan to be contained in outer's (every repo
-        operator needs a distinct, signature-equal image)."""
-        return all(outer.get(sig, 0) >= n for sig, n in inner.items())
+    # -- matching (§3) ------------------------------------------------------------
 
     def match_candidates(
         self, plan: PhysicalPlan
     ) -> Tuple[List[RepositoryEntry], MatchScanStats]:
-        """Scan-ordered entries that can possibly be contained in
-        *plan*, plus what the pruning saw.
+        """The entries contained in *plan*, in §3 scan order, plus what
+        the index saw.
 
-        Pruning is sound: it only removes entries whose Load set or
-        operator-signature multiset proves Algorithm 1 would reject
-        them, so the surviving first match is the one a scan of every
+        An entry is a candidate exactly when its frontier fingerprint
+        is one of *plan*'s operator fingerprints, so the first
+        candidate the scan can serve is the first match a scan of every
         ordered entry finds.  The returned list is a snapshot: entries
         removed concurrently stay visible to a scan already in flight.
         """
-        load_sigs = plan.load_signature_set()
-        counts = dict(plan.signature_counts())
+        fingerprints = plan.operator_fingerprints()
         with self._lock:
-            self.flush()  # every live entry now has its §3 position
             total = len(self._entries)
-            keep = [
-                eid
-                for eid in self._load_sig_pool(load_sigs)
-                if self._counts_contained(self._sig_counts[eid], counts)
-            ]
-            # the scan key is a strict total order: sorting the kept ids
-            # by it is filtering the whole ordered list, in O(kept)
-            keep.sort(key=self._order_key)
-            candidates = [self._entries[eid] for eid in keep]
-            stats = MatchScanStats(total, len(keep), total - len(keep))
+            keep: Set[str] = set()
+            for fingerprint in fingerprints:
+                keep |= self._by_frontier.get(fingerprint, set())
+            ordered = sorted(keep, key=self._order_key)
+            candidates = [self._entries[eid] for eid in ordered]
+            stats = MatchScanStats(total, len(ordered), total - len(ordered))
             return candidates, stats
-
-    # -- ordering (§3, incrementally maintained) ----------------------------------
 
     def _order_key(self, entry_id: str) -> tuple:
         entry = self._entries[entry_id]
         return (
-            -self._scores.get(entry_id, 0),
+            -len(self._subsumes[entry_id]),
             -entry.stats.io_ratio,
             -entry.stats.exec_time_s,
             self._seq[entry_id],
         )
 
-    def _check_subsumption(self, a_id: str, b_id: str) -> None:
-        """Record that *a*'s plan contains *b*'s, when the signature
-        multisets allow it and Algorithm 1 confirms it."""
-        if not self._counts_contained(self._sig_counts[b_id], self._sig_counts[a_id]):
-            self.index_stats.subsume_pruned += 1
-            return
-        self.index_stats.subsume_checks += 1
-        if self.matcher.contains(self._entries[a_id].plan, self._entries[b_id].plan):
-            self._subsumes.setdefault(a_id, set()).add(b_id)
-            self._subsumed_by.setdefault(b_id, set()).add(a_id)
-            self._scores[a_id] = self._scores.get(a_id, 0) + 1
-
-    def _compute_subsumptions(self, entry_id: str) -> None:
-        """Record the subsumption pairs of one pending entry: compare
-        it (fingerprint-pruned) against every integrated or
-        earlier-flushed entry sharing a Load, updating scores on both
-        sides."""
-        plan = self._entries[entry_id].plan
-        pool = self._load_sig_pool(plan.load_signature_set())
-        pool.discard(entry_id)
-        self._scores.setdefault(entry_id, 0)
-        for other_id in sorted(pool, key=lambda e: self._seq[e]):
-            if other_id not in self._scores:
-                continue  # still pending; handled when it integrates
-            self._check_subsumption(entry_id, other_id)
-            self._check_subsumption(other_id, entry_id)
-
-    def flush(self) -> None:
-        """Fold every pending entry into the §3 order now: subsumption
-        pairs per entry (earlier pending entries are visible to later
-        ones).
-
-        What every scan starts with; exposed so batch writers can pay
-        the upkeep at a chosen point (e.g. between workloads) instead
-        of inside a match scan.
-        """
+    def subsumption_pairs(self) -> List[Tuple[str, str]]:
+        """Every recorded (a, b) with a's plan containing b's, sorted."""
         with self._lock:
-            if not self._pending:
-                return
-            batch, self._pending = self._pending, []
-            self.index_stats.batch_flushes += 1
-            self.index_stats.batch_entries += len(batch)
-            for entry_id in batch:
-                self._compute_subsumptions(entry_id)
-
-    def _retire_from_order(self, entry_id: str) -> None:
-        """Remove an integrated entry: retire its cached subsumption
-        pairs (no matcher calls) and fix the scores they carried."""
-        for a_id in self._subsumed_by.pop(entry_id, set()):
-            subsumed = self._subsumes.get(a_id)
-            if subsumed is not None:
-                subsumed.discard(entry_id)
-            if a_id in self._scores:
-                self._scores[a_id] -= 1
-        for b_id in self._subsumes.pop(entry_id, set()):
-            holders = self._subsumed_by.get(b_id)
-            if holders is not None:
-                holders.discard(entry_id)
-        self._scores.pop(entry_id, None)
+            return sorted(
+                (a, b) for a, subsumed in self._subsumes.items() for b in subsumed
+            )
 
     def ordered_entries(self) -> List[RepositoryEntry]:
-        """Entries in match-scan order (best candidates first).
-
-        One sort by (subsumption score desc, io ratio desc, exec time
-        desc, insertion order) — the order a match scan filters, with
-        the scores maintained flush by flush instead of recomputed
-        O(n²) per mutation.  Returns a snapshot safe to iterate without
-        locks.
-
-        Integration of pending entries (including its matcher
-        traversals) runs under the repository lock — the §3 order is
-        global state, so upkeep is deliberately exclusive.
-        """
+        """Entries in match-scan order (best candidates first): one sort
+        by the §3 key.  Returns a snapshot safe to iterate without
+        locks."""
         with self._lock:
-            self.flush()
-            ordered = sorted(self._scores, key=self._order_key)
+            ordered = sorted(self._entries, key=self._order_key)
             return [self._entries[eid] for eid in ordered]
 
     # -- persistence --------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
         """Everything beyond the entries themselves that a faithful
-        restore needs: the id/sequence counters, the
-        per-entry insertion sequence, and the full incremental §3
-        ordering state (scores keep zero-valued members — membership
-        in ``scores`` is what marks an entry as *integrated*, which
-        pending-batch subsumption computation relies on)."""
+        restore needs: the id/sequence counters and the per-entry
+        insertion sequence."""
         with self._lock:
             return {
                 "id_counter": self._id_counter,
                 "seq_counter": self._seq_counter,
                 "seq": dict(self._seq),
-                "order": {
-                    "scores": dict(self._scores),
-                    "subsumes": {
-                        a: sorted(bs) for a, bs in self._subsumes.items() if bs
-                    },
-                    "pending": list(self._pending),
-                },
             }
 
     @classmethod
@@ -589,9 +495,8 @@ class Repository:
         seqs: Mapping[str, int],
         state: Mapping,
     ) -> "Repository":
-        """Install persisted entries and ordering state directly —
-        O(entries) index rebuild, zero matcher traversals, zero
-        re-registration.
+        """Install persisted entries directly — O(entries) index
+        rebuild from their recorded fingerprints, zero re-registration.
 
         Mutation listeners deliberately never fire here: restored
         entries are already persisted, and the persister attaches only
@@ -614,15 +519,6 @@ class Repository:
             # registrations can never collide with restored ids
             repo._id_counter = max(int(state.get("id_counter", 1)), repo._id_counter)
             repo._seq_counter = max(int(state.get("seq_counter", 0)), max_seq + 1)
-            order = state["order"]
-            repo._scores = {
-                eid: int(score) for eid, score in order.get("scores", {}).items()
-            }
-            repo._subsumes = {a: set(bs) for a, bs in order.get("subsumes", {}).items()}
-            for a_id, subsumed in repo._subsumes.items():
-                for b_id in subsumed:
-                    repo._subsumed_by.setdefault(b_id, set()).add(a_id)
-            repo._pending = list(order.get("pending", []))
         return repo
 
     def __repr__(self) -> str:

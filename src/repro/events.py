@@ -135,33 +135,34 @@ class MatchScanned(ReStoreEvent):
     """The matcher finished scanning the repository for one job.
 
     Emitted on the bus only (not the legacy drain channel): it is
-    telemetry about *how* the match pipeline ran — how far the
-    fingerprint index pruned the candidate list and how many pairwise
-    Algorithm-1 traversals were actually spent — not a reuse decision.
+    telemetry about *how* the match pipeline ran — how many entries the
+    frontier index returned as contained in the job and how many of
+    them the scan asked the matcher about before its verdict — not a
+    reuse decision.
     """
 
     job_id: str = ""
     #: repository size when the job was matched
     entries_total: int = 0
-    #: entries that survived fingerprint pruning (summed over passes)
+    #: entries the frontier index returned (summed over passes)
     candidates: int = 0
-    #: entries dismissed without a pairwise traversal
+    #: entries the frontier index left out
     pruned: int = 0
-    #: pairwise plan traversals actually run
+    #: candidates the matcher was asked about
     traversals: int = 0
     #: rewrite passes (rescans) the job needed
     passes: int = 0
     #: rewrites + eliminations this scan produced
     matches: int = 0
     #: passes answered by the exact-fingerprint index (each also booked
-    #: as one pass with one candidate and no traversal)
+    #: as one pass with one candidate and no membership check)
     exact_hits: int = 0
 
     def render(self) -> str:
         return (
             f"{self.job_id}: scanned {self.entries_total} entries in "
             f"{self.passes} pass(es): {self.candidates} candidate(s), "
-            f"{self.pruned} pruned, {self.traversals} traversal(s), "
+            f"{self.pruned} pruned, {self.traversals} membership check(s), "
             f"{self.matches} match(es), {self.exact_hits} by the exact index"
         )
 

@@ -24,8 +24,8 @@ class JobConf:
 
     name: str = ""
     #: reducers requested: the paper cluster's 14 nodes x 2 reduce
-    #: slots.  The parser accepts a statement's ``PARALLEL n``, but the
-    #: compiler never applies it, so every compiled job asks for this.
+    #: slots.  The parser drops a statement's ``PARALLEL n``, so every
+    #: compiled job asks for this.
     n_reducers: int = 28
 
 

@@ -9,10 +9,10 @@ and fast to recover:
 
 * :mod:`repro.persistence.snapshot` — a versioned codec that
   serializes every repository entry *with* its derived match metadata
-  (plan fingerprint, load signatures, signature multiset), the
-  incremental §3 subsumption order, and the entry-id counter, so a
-  cold start rebuilds all inverted indexes in O(entries read) without
-  re-registering a single plan;
+  (plan, frontier and operator fingerprints) and the entry-id counter,
+  so a cold start rebuilds every fingerprint index and the §3
+  subsumption pairs in O(entries read) without re-registering a single
+  plan;
 * :mod:`repro.persistence.framedlog` — the one append-only log
   primitive (``u32 len | crc32 | body`` frames; a torn tail from a
   mid-append crash is detected and truncated, never replayed; bit rot

@@ -5,27 +5,25 @@ cold start needs to rebuild a :class:`~repro.core.repository.Repository`
 in O(entries read) — **without re-registering a single plan**:
 
 * every entry with its *derived* match metadata (whole-plan Merkle
-  fingerprint, load-signature set, operator-signature multiset), so
-  all three inverted indexes rebuild from recorded values instead of
-  recomputing them from the plan graph;
-* the incremental §3 subsumption order (scores, subsumption pairs,
-  the pending set), so the first ordered scan after recovery pays zero
-  matcher traversals (an older file's ``sorted`` list is ignored: the
-  scan order is a sort by key, not a stored list);
+  fingerprint, frontier fingerprint, operator fingerprints), so every
+  fingerprint index — and from them the §3 subsumption pairs — rebuild
+  from recorded values instead of from the plan graph;
 * the entry-id and sequence counters, so post-recovery registrations
   can never collide with persisted ids;
 * optionally the owning manager's kept-path set and eviction clock,
   and the DFS script/sub-job id floors.
 
-Layout (version 4, the only version this reader accepts)::
+Layout (version 5, the only version this reader accepts)::
 
     magic "RSNP" | version u8 | crc32 u32 | index_len u32 | body_len u32
     index (JSON) | cold blob (concatenated per-entry plan JSON)
 
 Each entry row carries ``input_extents`` (the per-input
 identity/length fingerprints freshness classification compares) as its
-one record of the entry's inputs — format 4 is format 3 without the
-redundant per-input mtime column, and a version-3 file is refused, not
+one record of the entry's inputs.  Format 5 is format 4 with the
+derived metadata matching by fingerprint membership needs in place of
+the load signatures and signature multisets candidate pruning needed,
+and without the persisted §3 order; an older file is refused, not
 converted.  The index has one *optional* top-level key,
 ``payloads`` — the block-store generation and the path → segment-ref
 table captured at rotation time (see
@@ -37,9 +35,9 @@ The *index* keeps each entry as a positional row of small scalars —
 cheap to parse at 10k+ entries — while the serialized plan graph (the
 bulk of the bytes) lives in the *cold blob*, referenced by offset.
 Restored entries carry a :class:`LazyPlan` that serves fingerprints
-and signatures from the recorded metadata and only parses + rebuilds
-the real :class:`~repro.pig.physical.plan.PhysicalPlan` if a match
-actually needs to traverse it.  That laziness is why cold start beats
+from the recorded metadata and only parses + rebuilds the real
+:class:`~repro.pig.physical.plan.PhysicalPlan` when a match is about to
+be served from it.  That laziness is why cold start beats
 rebuild-by-re-registration by an order of magnitude: most stored
 plans are never looked at until they are genuine rewrite candidates.
 """
@@ -49,7 +47,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.dfs.namenode import InputExtent
@@ -59,7 +57,7 @@ from repro.pig.physical.plan import PhysicalPlan
 from repro.relational.schema import Schema
 
 SNAPSHOT_FORMAT = "restore-repo-snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 _MAGIC = b"RSNP"
 #: magic, version, crc32(body), index length, total body length
@@ -85,33 +83,32 @@ def _check_version(version) -> None:
 
 class LazyPlan:
     """A stand-in for a stored :class:`PhysicalPlan` that defers the
-    graph rebuild until a match actually traverses it.
+    graph rebuild until a match is served from it.
 
-    Recovery needs every entry's fingerprint, load signatures, and
-    signature multiset (they feed the inverted indexes and candidate
-    pruning) but not the operator graph itself — Algorithm 1 only
-    walks the plans of entries that survive pruning.  The proxy serves
-    the recorded metadata instantly and materializes the real plan on
-    first structural access, verifying that the rebuilt plan's
+    Recovery needs every entry's fingerprint, frontier fingerprint and
+    operator fingerprints (they feed the inverted indexes and the §3
+    subsumption pairs) but not the operator graph itself.  The proxy
+    serves the recorded metadata instantly and materializes the real
+    plan on first structural access, verifying that the rebuilt plan's
     fingerprint matches the recorded one (a mismatch means the
     snapshot and the plan codec disagree — corruption, not a cache
     miss).
     """
 
-    __slots__ = ("_source", "_fingerprint", "_load_sigs", "_sig_counts", "_plan")
+    __slots__ = ("_source", "_fingerprint", "_frontier", "_operators", "_plan")
 
     def __init__(
         self,
         source,
         fingerprint: str,
-        load_sigs: FrozenSet[str],
-        sig_counts: Dict[str, int],
+        frontier: Optional[str],
+        operators: Iterable[str],
     ) -> None:
         #: plan dict, or a bytes-like JSON slice parsed on demand
         self._source = source
         self._fingerprint = fingerprint
-        self._load_sigs = frozenset(load_sigs)
-        self._sig_counts = dict(sig_counts)
+        self._frontier = frontier
+        self._operators = frozenset(operators)
         self._plan: Optional[PhysicalPlan] = None
 
     # -- the recorded metadata (no materialization) -------------------------------
@@ -119,11 +116,12 @@ class LazyPlan:
     def fingerprint(self) -> str:
         return self._fingerprint
 
-    def load_signature_set(self) -> FrozenSet[str]:
-        return self._load_sigs
+    def frontier_fingerprint(self) -> Optional[str]:
+        return self._frontier
 
-    def signature_counts(self) -> Dict[str, int]:
-        return self._sig_counts
+    def operator_fingerprints(self) -> FrozenSet[str]:
+        """The recorded keys of the plan's ``operator_fingerprints()``."""
+        return self._operators
 
     def _plan_data(self) -> dict:
         if not isinstance(self._source, dict):
@@ -199,8 +197,8 @@ def plan_derived(plan) -> dict:
     """The derived match metadata persisted alongside a plan."""
     return {
         "fingerprint": plan.fingerprint(),
-        "load_sigs": sorted(plan.load_signature_set()),
-        "sig_counts": dict(plan.signature_counts()),
+        "frontier": plan.frontier_fingerprint(),
+        "operators": sorted(plan.operator_fingerprints()),
     }
 
 
@@ -234,12 +232,18 @@ def entry_from_record(record: dict) -> RepositoryEntry:
     """Rebuild an entry from :func:`entry_record` output; the plan
     comes back as a :class:`LazyPlan` over the recorded metadata."""
     derived = record["derived"]
-    plan = LazyPlan(
-        record["plan"],
-        derived["fingerprint"],
-        frozenset(derived["load_sigs"]),
-        {sig: int(n) for sig, n in derived["sig_counts"].items()},
-    )
+    try:
+        plan = LazyPlan(
+            record["plan"],
+            derived["fingerprint"],
+            derived["frontier"],
+            derived["operators"],
+        )
+    except KeyError as exc:
+        raise SnapshotError(
+            f"entry record without derived {exc}: written by an older "
+            "format, which this reader does not convert"
+        ) from None
     stats = record.get("stats", {})
     return RepositoryEntry(
         plan=plan,
@@ -285,8 +289,8 @@ def _entry_row(
         {path: extent.to_list() for path, extent in entry.input_extents.items()},
         entry.output_schema.to_dict(),
         derived["fingerprint"],
-        derived["load_sigs"],
-        derived["sig_counts"],
+        derived["frontier"],
+        derived["operators"],
         cold_offset,
         cold_length,
     ]
@@ -307,16 +311,13 @@ def _entry_from_row(row: list, blob: memoryview) -> Tuple[RepositoryEntry, int]:
         input_extents,  # {path: [mtime, generation, birth, size, crc]}
         schema,
         fingerprint,
-        load_sigs,
-        sig_counts,
+        frontier,  # fingerprint of the operator feeding the primary Store
+        operators,  # every operator fingerprint but Splits' and Stores'
         cold_offset,  # plan JSON position in the cold blob
         cold_length,
     ) = row
     plan = LazyPlan(
-        blob[cold_offset : cold_offset + cold_length],
-        fingerprint,
-        frozenset(load_sigs),
-        sig_counts,
+        blob[cold_offset : cold_offset + cold_length], fingerprint, frontier, operators
     )
     entry = RepositoryEntry(
         plan=plan,
@@ -455,11 +456,9 @@ class RepositorySnapshot:
     # -- restore ------------------------------------------------------------------
 
     def restore_repository(self) -> Repository:
-        """Rebuild the repository: every inverted index and the full §3
-        order, in one pass over the recorded rows."""
+        """Rebuild the repository: every inverted index and the §3
+        subsumption pairs, in one pass over the recorded rows."""
         state = dict(self.repository_state)
-        if not isinstance(state.get("order"), dict):
-            raise SnapshotError("malformed snapshot: no recorded §3 order state")
         rows = state.pop("entries", [])
         blob = memoryview(self.cold)
         entries: List[RepositoryEntry] = []

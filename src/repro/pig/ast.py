@@ -139,7 +139,6 @@ class JoinInput:
 class JoinStmt(AstStatement):
     alias: str
     inputs: Tuple[JoinInput, ...]
-    parallel: Optional[int] = None
     strategy: str = "shuffle"  # "shuffle" | "replicated"
 
 
@@ -151,14 +150,12 @@ class GroupStmt(AstStatement):
     inputs: Tuple[str, ...]
     keys_per_input: Tuple[Tuple[AstExpr, ...], ...]
     group_all: bool = False
-    parallel: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class DistinctStmt(AstStatement):
     alias: str
     input_alias: str
-    parallel: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,6 @@ class OrderStmt(AstStatement):
     alias: str
     input_alias: str
     items: Tuple[OrderItem, ...]
-    parallel: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ Grammar (statements end with ``;``):
     STORE rel INTO 'path' [USING Storer]
 
 Keywords are contextual (``group`` is also a valid field name).
+``PARALLEL n`` is accepted and dropped: every compiled job asks for
+``JobConf``'s 28 reducers.
 :func:`parse` goes through a bounded memo of statement text -> frozen
 node, so a script costs the parser only the statements it has not seen.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import PigParseError
 from repro.pig import ast
@@ -277,7 +279,7 @@ class Parser:
                 raise PigParseError(
                     f"unknown join strategy {strategy!r}", token.line, token.column
                 )
-        parallel = self._parse_parallel()
+        self._skip_parallel()
         # LEFT preserves the first input, RIGHT the second, FULL both.
         resolved: List[ast.JoinInput] = []
         any_side = next((s for s in outer_sides if s), "")
@@ -290,7 +292,7 @@ class Parser:
             resolved.append(
                 ast.JoinInput(join_input.alias, join_input.keys, outer)
             )
-        return ast.JoinStmt(alias, tuple(resolved), parallel, strategy)
+        return ast.JoinStmt(alias, tuple(resolved), strategy)
 
     def _parse_key_list(self) -> Tuple[ast.AstExpr, ...]:
         if self.accept_symbol("("):
@@ -317,16 +319,14 @@ class Parser:
                 keys_per_input.append(self._parse_key_list())
             if not self.accept_symbol(","):
                 break
-        parallel = self._parse_parallel()
-        return ast.GroupStmt(
-            alias, tuple(inputs), tuple(keys_per_input), group_all, parallel
-        )
+        self._skip_parallel()
+        return ast.GroupStmt(alias, tuple(inputs), tuple(keys_per_input), group_all)
 
     def _parse_distinct(self, alias: str) -> ast.DistinctStmt:
         self.expect_keyword("distinct")
         input_alias = self.expect_ident().text
-        parallel = self._parse_parallel()
-        return ast.DistinctStmt(alias, input_alias, parallel)
+        self._skip_parallel()
+        return ast.DistinctStmt(alias, input_alias)
 
     def _parse_union(self, alias: str) -> ast.UnionStmt:
         self.expect_keyword("union")
@@ -356,8 +356,8 @@ class Parser:
             items.append(ast.OrderItem(expr, ascending))
             if not self.accept_symbol(","):
                 break
-        parallel = self._parse_parallel()
-        return ast.OrderStmt(alias, input_alias, tuple(items), parallel)
+        self._skip_parallel()
+        return ast.OrderStmt(alias, input_alias, tuple(items))
 
     def _parse_limit(self, alias: str) -> ast.LimitStmt:
         self.expect_keyword("limit")
@@ -406,10 +406,10 @@ class Parser:
                 self.expect_symbol(")")
         return ast.StoreStmt(input_alias, path, storer)
 
-    def _parse_parallel(self) -> Optional[int]:
+    def _skip_parallel(self) -> None:
+        """``PARALLEL n`` parses and is dropped (module docstring)."""
         if self.accept_keyword("parallel"):
-            return int(self.expect_number().text)
-        return None
+            self.expect_number()
 
     # -- expressions -----------------------------------------------------------------------
 

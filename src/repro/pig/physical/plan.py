@@ -8,17 +8,19 @@ for join/cogroup branch numbering).
 Plans carry Merkle-style structural fingerprints: each operator's
 fingerprint is a digest of its own :meth:`signature` hash plus the
 ordered fingerprints of its inputs, and the plan fingerprint combines
-the sink fingerprints.  All of it is cached until the DAG mutates —
-operators are values, so every change is a structural one — and
-repeated repository lookups cost a dict probe instead of a recursive
-hash.
+the sink fingerprints.  A ``POSplit`` tee computes nothing, so it takes
+its one input's fingerprint.  Two operators with one fingerprint are
+the paper's §3 equivalent operators: the same function over equivalent
+inputs, in the same input order.  All of it is cached until the DAG
+mutates — operators are values, so every change is a structural one —
+and repeated repository lookups cost a dict probe instead of a
+recursive hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-from collections import Counter
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import PlanError
@@ -41,8 +43,7 @@ class PhysicalPlan:
         # fingerprint caches, dropped on any structural mutation
         self._fp_by_op: Dict[int, str] = {}
         self._fp_plan: Optional[str] = None
-        self._fp_load_sigs: Optional[frozenset] = None
-        self._fp_sig_counts: Optional[Dict[str, int]] = None
+        self._fp_ops: Optional[Dict[str, PhysicalOperator]] = None
 
     # -- construction ---------------------------------------------------------------
 
@@ -50,8 +51,7 @@ class PhysicalPlan:
         """Invalidate every cached fingerprint (structure changed)."""
         self._fp_by_op = {}
         self._fp_plan = None
-        self._fp_load_sigs = None
-        self._fp_sig_counts = None
+        self._fp_ops = None
 
     def add(self, op: PhysicalOperator) -> PhysicalOperator:
         if op.op_id in self._ops:
@@ -284,8 +284,6 @@ class PhysicalPlan:
         if not moved_load and self._fp_plan is not None:
             out._fp_by_op = {ids[i]: fp for i, fp in self._fp_by_op.items()}
             out._fp_plan = self._fp_plan
-            out._fp_load_sigs = self._fp_load_sigs
-            out._fp_sig_counts = self._fp_sig_counts
         return out
 
     def subplan_upto(self, op: PhysicalOperator) -> "PhysicalPlan":
@@ -310,34 +308,43 @@ class PhysicalPlan:
         absorbed its edge.
         """
         closure = self.upstream_closure(op)
-        # in this plan's operator order, not the id set's: edges connect
-        # in it, and the order of an operator's inputs is fingerprinted
+        # in this plan's operator order, not the id set's
         keep = [op_id for op_id in self._ops if op_id in closure]
         out = PhysicalPlan()
         mapping: Dict[int, PhysicalOperator] = {}
         for op_id in keep:
+            if self._passes_through(op_id, closure):
+                continue
             twin = self._ops[op_id].copy()
             mapping[op_id] = twin
             out.add(twin)
-        for src_id in keep:
-            for dst_id in self._succs[src_id]:
-                if dst_id in closure:
-                    out.connect(mapping[src_id], mapping[dst_id])
-        # Drop dangling POSplit tees copied along the way: a split whose
-        # only purpose was branching to ops outside the kept set becomes
-        # a pass-through; contract splits with a single successor.
+        # each operator's inputs connect in its own input order, which is
+        # fingerprinted (a UNION's rows follow it): a Split tee injected
+        # on one input edge sits late in the operator order
         for op_id in keep:
-            twin = mapping[op_id]
-            if isinstance(twin, POSplit):
-                succs = out.successors(twin)
-                preds = out.predecessors(twin)
-                if len(succs) <= 1 and len(preds) == 1:
-                    pred = preds[0]
-                    out.remove(twin)
-                    if succs:
-                        out.connect(pred, succs[0])
-                    mapping[op_id] = pred
+            if op_id in mapping:
+                for pred_id in self._preds[op_id]:
+                    pred = self._image(pred_id, mapping, closure)
+                    out.connect(pred, mapping[op_id])
+        for op_id in keep:
+            if op_id not in mapping:
+                mapping[op_id] = self._image(op_id, mapping, closure)
         return out, mapping
+
+    def _passes_through(self, op_id: int, closure: Set[int]) -> bool:
+        """A Split tee that branches to at most one kept operator: the
+        extraction contracts it away."""
+        return (
+            isinstance(self._ops[op_id], POSplit)
+            and len(self._preds[op_id]) == 1
+            and sum(succ in closure for succ in self._succs[op_id]) <= 1
+        )
+
+    def _image(self, op_id: int, mapping, closure: Set[int]) -> PhysicalOperator:
+        """The clone standing for *op_id*: a contracted Split's input's."""
+        while self._passes_through(op_id, closure):
+            op_id = self._preds[op_id][0]
+        return mapping[op_id]
 
     # -- fingerprints / serialization ----------------------------------------------------------
 
@@ -346,29 +353,21 @@ class PhysicalPlan:
             return
         by_op: Dict[int, str] = {}
         for op in self.topo_order():
-            payload = op.signature_hash() + "".join(
-                by_op[p.op_id] for p in self.predecessors(op)
-            )
+            preds = self._preds[op.op_id]
+            if isinstance(op, POSplit) and len(preds) == 1:
+                by_op[op.op_id] = by_op[preds[0]]
+                continue
+            payload = op.signature_hash() + "".join(by_op[p] for p in preds)
             by_op[op.op_id] = hashlib.blake2b(
                 payload.encode("ascii"), digest_size=12
             ).hexdigest()
         self._fp_by_op = by_op
-        self._fp_plan = "|".join(
-            sorted(by_op[s.op_id] for s in self.sinks())
-        )
-        self._fp_load_sigs = frozenset(
-            op.signature_hash() for op in self.loads()
-        )
-        counts: Counter = Counter(
-            op.signature_hash()
-            for op in self._ops.values()
-            if not isinstance(op, (POStore, POSplit))
-        )
-        self._fp_sig_counts = dict(counts)
+        self._fp_plan = "|".join(sorted(by_op[s.op_id] for s in self.sinks()))
 
     def op_fingerprint(self, op: PhysicalOperator) -> str:
         """Merkle fingerprint of *op*: digest of its signature hash
-        plus the ordered fingerprints of its inputs."""
+        plus the ordered fingerprints of its inputs (a Split's is its
+        input's)."""
         self._ensure_fingerprints()
         return self._fp_by_op[op.op_id]
 
@@ -376,26 +375,43 @@ class PhysicalPlan:
         """Canonical fingerprint of the whole DAG (sink-anchored).
 
         Equal fingerprints ⇔ structurally equivalent computations:
-        the same operator signatures wired the same way (store paths
-        and operator ids excluded).  Cached; invalidated on mutation.
+        the same operator signatures wired the same way (store paths,
+        operator ids and Split tees excluded).  Cached; invalidated on
+        mutation.
         """
         self._ensure_fingerprints()
         return self._fp_plan  # type: ignore[return-value]
 
-    def load_signature_set(self) -> frozenset:
-        """Signature hashes of this plan's Load operators — the keys
-        the repository's inverted index prunes candidates with."""
-        self._ensure_fingerprints()
-        return self._fp_load_sigs  # type: ignore[return-value]
+    def operator_fingerprints(self) -> Mapping[str, PhysicalOperator]:
+        """Fingerprint -> the lowest-id operator computing it, over
+        every operator but Splits and Stores: what a stored plan's
+        frontier can be equivalent to (``repro.core.matcher``)."""
+        if self._fp_ops is None:
+            self._ensure_fingerprints()
+            ops: Dict[str, PhysicalOperator] = {}
+            for op_id in sorted(self._ops):
+                op = self._ops[op_id]
+                if not isinstance(op, (POSplit, POStore)):
+                    ops.setdefault(self._fp_by_op[op_id], op)
+            self._fp_ops = ops
+        return self._fp_ops
 
-    def signature_counts(self) -> Mapping[str, int]:
-        """Multiset of operator signature hashes (Stores and Splits
-        excluded — the matcher looks through the former's paths and
-        the latter's tees).  A repository plan can only be contained
-        in an input plan when its multiset is a sub-multiset of the
-        input's, which makes this the index's pruning predicate."""
-        self._ensure_fingerprints()
-        return self._fp_sig_counts  # type: ignore[return-value]
+    def frontier(self) -> Optional[PhysicalOperator]:
+        """The operator feeding the primary Store (the first Store when
+        every Store is a side store): what a stored plan computes."""
+        store = self.primary_store()
+        if store is None:
+            stores = self.stores()
+            if not stores:
+                raise PlanError("plan has no store")
+            store = stores[0]
+        preds = self.predecessors(store)
+        return preds[0] if len(preds) == 1 else None
+
+    def frontier_fingerprint(self) -> Optional[str]:
+        """:meth:`op_fingerprint` of :meth:`frontier` (None without one)."""
+        frontier = self.frontier()
+        return None if frontier is None else self.op_fingerprint(frontier)
 
     def to_dict(self) -> dict:
         ids = {op.op_id: idx for idx, op in enumerate(self._ops.values())}

@@ -138,24 +138,24 @@ def repository_report(repository: Repository) -> str:
 
 def match_pipeline_report(manager: ReStoreManager) -> str:
     """The fingerprint-index telemetry: how much of each repository
-    scan the index pruned before the pairwise traversal ran."""
+    scan the frontier index left out before the matcher ran."""
     totals = manager.match_totals
-    index = manager.repository.index_stats
+    repository = manager.repository
+    index = repository.index_stats
     lines = [
         f"match pipeline: {totals.jobs_scanned} job(s) scanned in "
-        f"{totals.passes} pass(es), {totals.traversals} pairwise "
-        f"traversal(s)",
+        f"{totals.passes} pass(es), {totals.traversals} membership "
+        f"check(s)",
         f"  index: {totals.candidates_examined} candidate(s) examined, "
         f"{totals.candidates_pruned} pruned "
         f"({100.0 * totals.prune_ratio:.1f}% of {totals.entries_seen} "
         f"entries seen)",
         f"  exact index: {totals.exact_hits} whole-job hit(s) served at "
-        f"match time without a traversal",
+        f"match time without a candidate list",
         f"  exact-fingerprint lookups (match-time probes and registration "
         f"duplicate checks): {index.exact_hits}/"
-        f"{index.exact_lookups} hit(s); ordering upkeep: "
-        f"{index.subsume_checks} traversal(s), "
-        f"{index.subsume_pruned} pair(s) pruned",
+        f"{index.exact_lookups} hit(s); subsumption pairs: "
+        f"{len(repository.subsumption_pairs())}",
     ]
     return "\n".join(lines)
 

@@ -175,7 +175,7 @@ class ReStoreSession:
     @property
     def match_stats(self) -> Optional["MatchPipelineTotals"]:
         """Cumulative match-pipeline telemetry (candidates pruned,
-        traversals run, whole-job hits the exact index served); None
+        membership checks run, whole-job hits the exact index served); None
         when ReStore is disabled.  Per-job figures stream live as
         :class:`repro.events.MatchScanned` events on :attr:`events`."""
         return self.manager.match_totals if self.manager else None

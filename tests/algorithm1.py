@@ -1,9 +1,9 @@
 """A faithful port of the paper's Algorithm 1 (PairwisePlanTraversal).
 
-The production matcher (``repro.core.matcher``) implements the same
-containment semantics with an explicit mapping and backtracking; this
-module transcribes the paper's pseudocode nearly line-by-line so the
-two can be cross-checked (see ``tests/test_algorithm1.py``).
+The production matcher (``repro.core.matcher``) decides containment by
+fingerprint membership; this module transcribes the paper's pseudocode
+nearly line-by-line and serves as the oracle membership is
+property-tested against (``tests/test_algorithm1.py``).
 
 Pseudocode (paper §3):
 
@@ -30,15 +30,26 @@ repository plan is contained when all of its operators find equivalent
 operators in the input plan.  As in the production matcher, the
 repository plan's final Store is terminal (a store writes anywhere),
 and Split tees on the input side are looked through.
+
+The traversal grows an *injective* operator mapping over *every*
+repository operator, so it refuses two shapes membership accepts (a
+stored self-join over two Loads of one path against a job with one
+shared Load, and a multi-store stored plan whose non-primary branch
+the job lacks), and its equivalence is signature equality, blind to
+the order of a UNION's inputs.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.core.matcher import operators_equivalent
 from repro.pig.physical.operators import PhysicalOperator, POSplit, POStore
 from repro.pig.physical.plan import PhysicalPlan
+
+
+def operators_equivalent(a: PhysicalOperator, b: PhysicalOperator) -> bool:
+    """Local (signature) equivalence; input equivalence is the walk."""
+    return a.signature() == b.signature()
 
 
 class PairwisePlanTraversal:

@@ -1,22 +1,20 @@
-"""Batched registration: one order flush, whatever the batching.
+"""Batched registration: the §3 order, whatever the batching.
 
-The repository integrates pending entries into the §3 scan order by
-one path — subsumption pairs per entry, then one total-order sort per
-flush.  How the entries were grouped into flushes must not show:
+``add`` records a new entry's subsumption pairs on the spot, from the
+fingerprint indexes, and every scan sorts by the §3 key.  How adds,
+removals and scans interleave must not show:
 
-* Hypothesis property: for any insert sequence, one batch flushed once
-  ≡ batches of one flushed after every insert ≡ the legacy two-pass
-  O(n²) sort oracle;
-* a flush is counted once however many entries it integrates, and is
-  idempotent;
-* removals and re-adds interleaved with batches stay consistent.
+* Hypothesis property: for any insert sequence, one batch of adds ≡ a
+  scan after every insert ≡ the legacy two-pass O(n²) sort oracle over
+  Algorithm 1's subsumption verdicts;
+* removals interleaved with batches stay consistent;
+* a snapshot restores the same order without rebuilding a plan.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +41,7 @@ entry_descriptor = st.tuples(
 
 
 def add_all(repo, entries):
-    """One batch: every entry added before anything scans or flushes."""
+    """One batch: every entry added before anything scans."""
     for entry in entries:
         repo.add(entry)
 
@@ -70,14 +68,12 @@ class TestBatchedRegistrationProperty:
     def test_batch_flush_equals_one_at_a_time_inserts(self, descriptors):
         batch_repo = Repository()
         add_all(batch_repo, build_entries(descriptors))
-        batch_repo.flush()
         batch_order = [e.entry_id for e in batch_repo.ordered_entries()]
 
         serial_repo = Repository()
         for entry in build_entries(descriptors):
             serial_repo.add(entry)
-            # a batch of one: integrate after every insert
-            serial_repo.ordered_entries()
+            serial_repo.ordered_entries()  # a scan after every insert
         serial_order = [e.entry_id for e in serial_repo.ordered_entries()]
 
         assert batch_order == serial_order
@@ -122,32 +118,13 @@ class TestBatchAmortization:
             ]
         )
 
-    def test_batch_flush_pays_one_sort_not_n_insorts(self):
-        repo = Repository()
-        add_all(repo, self._random_entries(12))
-        repo.flush()
-        assert repo.index_stats.batch_flushes == 1
-        assert repo.index_stats.batch_entries == 12
-
-    def test_flush_is_idempotent_and_lazy_free(self):
-        repo = Repository()
-        add_all(repo, self._random_entries(5))
-        before = repo.index_stats.subsume_checks
-        repo.flush()
-        checks = repo.index_stats.subsume_checks
-        assert checks >= before
-        repo.flush()
-        repo.ordered_entries()
-        assert repo.index_stats.subsume_checks == checks
-
     def test_snapshot_restores_without_matcher_work(self):
-        # the snapshot codec fast-restores the recorded order
-        # directly: no flush, no traversals
+        # the order comes back from the recorded fingerprints: no
+        # stored plan is rebuilt
         from repro.persistence.snapshot import RepositorySnapshot
 
         repo = Repository()
         add_all(repo, self._random_entries(6))
-        repo.flush()
         snapshot = RepositorySnapshot.capture(repo)
         restored = RepositorySnapshot.from_bytes(
             snapshot.to_bytes()
@@ -155,6 +132,5 @@ class TestBatchAmortization:
         assert [e.entry_id for e in restored.ordered_entries()] == [
             e.entry_id for e in repo.ordered_entries()
         ]
-        assert restored.index_stats.batch_flushes == 0
-        assert restored.index_stats.subsume_checks == 0
+        assert not any(entry.plan.materialized for entry in restored.entries())
         assert_index_consistent(restored)

@@ -6,12 +6,12 @@ Covers the tentpole guarantees:
   fingerprints ⇔ matcher equivalence (property-tested);
 * fingerprint caches invalidate on every mutation path (structural
   edits, schema assignment, in-place load redirects);
-* the index and the incrementally maintained §3 order stay consistent
-  through adds, removals, and evictions (checked against from-scratch
-  oracles, including the historical two-pass sort);
-* candidate pruning is sound — it drops only entries Algorithm 1
-  rejects, in scan order — and at N=1000 it runs ≥10x fewer pairwise
-  traversals than there are entries to scan;
+* the indexes and the §3 order stay consistent through adds, removals,
+  and evictions (checked against from-scratch oracles, including the
+  historical two-pass sort over Algorithm 1's subsumption verdicts);
+* the frontier index is exact — it keeps precisely the entries the
+  matcher accepts, in scan order — and at N=1000 the scan asks the
+  matcher about ≥10x fewer entries than there are to scan;
 * entry ids are scoped per repository (deterministic across sessions
   in one process).
 """
@@ -21,6 +21,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algorithm1 import algorithm1_contains
 from golden_corpus import load_golden, match_record
 from repo_stream import (
     build_repository,
@@ -42,6 +43,7 @@ from repro.pig.physical.operators import (
     POFilter,
     POForEach,
     POLoad,
+    POSplit,
     POStore,
 )
 from repro.pig.physical.plan import linear_plan
@@ -52,8 +54,7 @@ from repro.session import ReStoreSession
 
 SCHEMA = Schema.of(("u", DataType.CHARARRAY), ("r", DataType.DOUBLE))
 
-# -- generated linear plans (split-free: the matcher looks through
-# POSplit tees, which fingerprints deliberately keep visible) ----------
+# -- generated linear plans -------------------------------------------
 
 op_spec = st.tuples(
     st.sampled_from(["filter", "project"]), st.integers(0, 3)
@@ -116,8 +117,8 @@ class TestFingerprintEquivalenceProperty:
     def test_fingerprint_stable_across_repeated_reads(self, specs):
         plan = build_plan(specs)
         assert plan.fingerprint() == plan.fingerprint()
-        assert plan.load_signature_set() == plan.load_signature_set()
-        assert dict(plan.signature_counts()) == dict(plan.signature_counts())
+        assert plan.frontier_fingerprint() == plan.frontier_fingerprint()
+        assert plan.operator_fingerprints() == plan.operator_fingerprints()
 
 
 class TestFingerprintCacheInvalidation:
@@ -149,21 +150,28 @@ class TestFingerprintCacheInvalidation:
             old.loader,
         )
         assert plan.fingerprint() != before
-        assert plan.load_signature_set() != build_plan(
+        assert plan.frontier_fingerprint() != build_plan(
             [("filter", 2)]
-        ).load_signature_set()
+        ).frontier_fingerprint()
         # same place in the plan, same edges
         assert plan.operators[0] is load
         assert [type(op) for op in plan.successors(load)] == [POFilter]
         assert plan.predecessors(plan.successors(load)[0]) == [load]
 
-    def test_signature_counts_follow_mutation(self):
+    def test_operator_fingerprints_follow_mutation(self):
         plan = build_plan([("filter", 1)])
+        load = plan.loads()[0]
         filt = [op for op in plan if isinstance(op, POFilter)][0]
-        counts_before = dict(plan.signature_counts())
-        plan.disconnect(plan.loads()[0], filt)
-        plan.connect(plan.loads()[0], filt)  # structure same, cache redone
-        assert dict(plan.signature_counts()) == counts_before
+        before = dict(plan.operator_fingerprints())
+        plan.disconnect(load, filt)
+        plan.connect(load, filt)  # structure same, cache redone
+        assert dict(plan.operator_fingerprints()) == before
+        extra = plan.insert_between(load, filt, POSplit())
+        # a Split tee computes nothing: it is in no operator's input
+        assert dict(plan.operator_fingerprints()) == before
+        branch = POForEach([Column(0)], [False], ["a"], schema=SCHEMA)
+        plan.connect(extra, plan.add(branch))
+        assert set(plan.operator_fingerprints()) > set(before)
 
 
 # -- repository index consistency -------------------------------------
@@ -199,31 +207,24 @@ def assert_index_consistent(repo: Repository) -> None:
     and every live entry is fully indexed."""
     live = set(repo._entries)
     views = repo.merged_index_views()
-    indexed_by_fp = {
-        eid for bucket in views["by_fingerprint"].values() for eid in bucket
+    indexed = {
+        name: {eid for holders in index.values() for eid in holders}
+        for name, index in views.items()
     }
-    indexed_by_load = {
-        eid for holders in views["by_load_sig"].values() for eid in holders
-    }
-    indexed_by_input = {
-        eid for holders in views["by_input_path"].values() for eid in holders
-    }
-    assert indexed_by_fp == live
-    assert indexed_by_load == live
-    assert indexed_by_input <= live
-    assert set(repo._sig_counts) == live
-    assert set(repo._scores) | set(repo._pending) == live
-    assert not set(repo._scores) & set(repo._pending)
-    for subsumed in repo._subsumes.values():
+    assert indexed["by_fingerprint"] == live
+    assert indexed["by_frontier"] == live
+    assert indexed["by_operator"] == live
+    assert indexed["by_input_path"] <= live
+    assert set(repo._subsumes) == set(repo._subsumed_by) == live
+    for a, subsumed in repo._subsumes.items():
         assert subsumed <= live
-    for holders in repo._subsumed_by.values():
-        assert holders <= live
+        for b in subsumed:
+            assert a in repo._subsumed_by[b]
 
 
 def legacy_two_pass_order(repo: Repository):
-    """The historical O(n²) ordering — the oracle the incremental
-    order must reproduce exactly."""
-    matcher = PlanMatcher()
+    """The historical O(n²) ordering over Algorithm 1's subsumption
+    verdicts — the oracle the indexed order must reproduce exactly."""
     entries = sorted(
         repo._entries.values(), key=lambda e: repo._seq[e.entry_id]
     )
@@ -235,7 +236,7 @@ def legacy_two_pass_order(repo: Repository):
         e.entry_id: sum(
             1
             for other in entries
-            if other is not e and matcher.contains(e.plan, other.plan)
+            if other is not e and algorithm1_contains(e.plan, other.plan)
         )
         for e in entries
     }
@@ -353,16 +354,14 @@ class TestEntryIdScoping:
 
 
 def assert_pruning_sound(repository, plan):
-    """Every ordered entry ``match_candidates`` leaves out is one
-    Algorithm 1 rejects, and the candidates keep the scan order."""
+    """``match_candidates`` keeps exactly the ordered entries the matcher
+    accepts, in scan order."""
     ordered = repository.ordered_entries()
     candidates, _ = repository.match_candidates(plan)
-    kept = {entry.entry_id for entry in candidates}
-    assert candidates == [entry for entry in ordered if entry.entry_id in kept]
     matcher = PlanMatcher()
-    for entry in ordered:
-        if entry.entry_id not in kept:
-            assert matcher.match(plan, entry.plan) is None, entry.entry_id
+    assert candidates == [
+        entry for entry in ordered if matcher.match(plan, entry.plan) is not None
+    ]
 
 
 class TestCandidatePruningDecisions:
@@ -428,6 +427,6 @@ class TestScaleGate:
         assert match_record(scale) == load_golden()["repo_scale"]["1000x20"]
         assert scale.rewrites > 0
         # the index is never worse than no index, and at this size it
-        # prunes at least nine candidates in ten before Algorithm 1
+        # leaves out at least nine entries in ten before the matcher
         assert scale.candidates_examined <= scale.entries_seen
         assert scale.traversals * 10 <= scale.entries_seen

@@ -13,10 +13,10 @@ vacuously:
   fingerprint digest, and the template is never written to;
 * the hit path as a call budget (the method of ``test_row_frames.py``):
   over a miniature first run and two reuse passes, a job whose plan
-  equals a stored entry's costs no candidate list and no Algorithm 1;
+  equals a stored entry's costs no candidate list and no matcher call;
 * the exact probe decides what a full scan decides: the same stream
   through a manager with the probe and one without it, on fresh, stale,
-  appended, evicted, unflushed and corrupt entries.
+  appended, evicted, re-added and corrupt entries.
 """
 
 import itertools
@@ -53,7 +53,7 @@ from repro.exceptions import CompilationError, PigParseError, SchemaError
 from repro.faults import injector as faults
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.mapreduce.job import Workflow
+from repro.mapreduce.job import JobConf, Workflow
 from repro.persistence.durability import recover
 from repro.pig import engine
 from repro.pig import parser as pig_parser
@@ -317,18 +317,19 @@ class TestHitPathBudget:
         # one registered in rewritten form: one scan pass, one partial
         # rewrite, then the probe at the top of the rescan
         after_one_rewrite = [job for job in jobs if job == (1, 1, True, 1)]
-        # L11d is L11 with its union's inputs swapped: Algorithm 1 looks
-        # through the order, the fingerprint does not — the scan's hit
+        # L11d is L11 with its union's inputs swapped, and writes its rows
+        # in another order: the fingerprint keeps a UNION's input order,
+        # so L11's entry does not contain it and no scan finds it.  Its
+        # own entry, stored when it first ran, answers it by the probe
         found_by_scan = [job for job in jobs if job == (1, 1, True, 0)]
         assert len(as_submitted) >= 10
         assert len(after_one_rewrite) >= 5
-        assert len(found_by_scan) == 1
-        assert len(as_submitted) + len(after_one_rewrite) + 1 == len(jobs)
-        # the ledger, over both passes: every whole-job hit but L11d's
-        # was an exact one, booked as a pass with one candidate and no
-        # traversal
+        assert len(found_by_scan) == 0
+        assert len(as_submitted) + len(after_one_rewrite) == len(jobs)
+        # the ledger, over both passes: every whole-job hit was an exact
+        # one, booked as a pass with one candidate and no membership check
         exact_hits = totals.exact_hits - first_run_exact
-        assert exact_hits == whole_job_hits - 2 > 0
+        assert exact_hits == whole_job_hits > 0
         assert sum(scan.exact_hits for scan in scans) == exact_hits
         probe_alone = [s for s in scans if s.exact_hits and not s.traversals]
         assert len(probe_alone) >= len(as_submitted)  # pass 2's, and most of pass 1's
@@ -371,8 +372,8 @@ def compiled_form(workflow):
             job.to_dict(),
             [op.to_dict() for op in job.plan.topo_order()],
             job.plan.fingerprint(),
-            job.plan.load_signature_set(),
-            job.plan.signature_counts(),
+            job.plan.frontier_fingerprint(),
+            sorted(job.plan.operator_fingerprints()),
             [job.plan.op_fingerprint(op) for op in job.plan.operators],
         )
         for job in workflow.jobs
@@ -532,6 +533,20 @@ class TestCompileMemo:
             assert plan.to_dict() == expected.to_dict()
             assert plan.fingerprint() == expected.fingerprint()
         assert engine._template.cache_info()[:2] == (1, 2)  # hits, misses
+
+    def test_parallel_does_not_split_the_template(self, fresh_memo):
+        server = PigServer(DistributedFileSystem())
+        source = (
+            "A = load 'x' as (a:int, b:int);\nB = group A by a{};\n"
+            "C = distinct A{};\nD = order A by b{};\nstore B into 'o';\n"
+            "store C into 'p';\nstore D into 'q';\n"
+        )
+        reducers = set()
+        for parallel in ("", " parallel 10"):
+            workflow = server.compile(source.format(*[parallel] * 3))
+            reducers |= {job.conf.n_reducers for job in workflow.jobs}
+        assert engine._template.cache_info()[:2] == (1, 1)  # hits, misses
+        assert reducers == {JobConf().n_reducers} == {28}
 
     def test_a_script_that_fails_to_build_fails_every_time(self, fresh_memo):
         server = PigServer(DistributedFileSystem())
@@ -738,8 +753,8 @@ class TestExactProbeDecidesWhatTheScanDecides:
         assert len(rewrites) >= len(evicted)
         assert not lost & {event[1] for event in rewrites}
 
-    def test_an_equal_entry_pending_in_an_unflushed_batch_is_served(self):
-        pending_at_probe = []
+    def test_an_equal_entry_removed_and_re_added_is_served(self):
+        re_added = []
 
         def before_probe(exact):
             def hook(manager, spec, job):
@@ -747,17 +762,17 @@ class TestExactProbeDecidesWhatTheScanDecides:
                 entry = repository.find_equivalent(job.plan)
                 if entry is None:
                     return
-                # take it out and put it back: it is now in the pending
-                # batch, indexed but without a §3 position
+                # take it out and put it back: its subsumption pairs are
+                # retired and recorded again, its sequence is new
                 repository.remove(entry.entry_id)
                 repository.add(entry)
-                pending_at_probe.append(entry.entry_id in repository._pending)
+                re_added.append(entry.entry_id)
 
             return hook
 
         records, totals = both_ways(FULL_GRID_ENTRIES, 20, before_probe=before_probe)
-        assert pending_at_probe and all(pending_at_probe)
-        assert totals.exact_hits == len(pending_at_probe) // 2
+        assert re_added
+        assert totals.exact_hits == len(re_added) // 2
 
     def test_a_corrupt_restored_plan_is_quarantined_not_served(self, tmp_path):
         entry_specs = generate_entry_specs(FULL_GRID_ENTRIES, SEED)
@@ -794,12 +809,14 @@ class TestExactProbeDecidesWhatTheScanDecides:
         assert totals.exact_hits == 2  # the other two probes
 
     def test_candidates_come_in_the_order_the_full_filter_gave(self):
-        """``match_candidates`` sorts the kept ids; its parent filtered
-        a copy of every ordered entry.  Same list, same order — also
-        after removals and refreshes have moved scan keys around."""
+        """``match_candidates`` sorts the ids its frontier index kept;
+        the oracle filters every ordered entry through the matcher.
+        Same list, same order — also after removals and refreshes have
+        moved scan keys around."""
         entry_specs = generate_entry_specs(100, SEED)
         repository = build_repository(entry_specs, SEED)
         probes = generate_probe_specs(entry_specs, 200, SEED)
+        matcher = PlanMatcher()
         compared = 0
         for spec in probes:
             if spec.index % 40 == 20:
@@ -808,15 +825,10 @@ class TestExactProbeDecidesWhatTheScanDecides:
                 mover = repository.ordered_entries()[-1]
                 repository.refresh_entry(mover.entry_id, input_bytes_delta=10**9)
             plan = probe_job(spec)[0].plan
-            loads, counts = plan.load_signature_set(), plan.signature_counts()
             expected = [
                 entry
                 for entry in repository.ordered_entries()
-                if entry.plan.load_signature_set() & loads
-                and all(
-                    counts.get(signature, 0) >= n
-                    for signature, n in entry.plan.signature_counts().items()
-                )
+                if matcher.match(plan, entry.plan) is not None
             ]
             candidates, stats = repository.match_candidates(plan)
             assert candidates == expected

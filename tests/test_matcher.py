@@ -1,6 +1,12 @@
-"""Unit tests for plan matching (paper §3, Algorithm 1 semantics)."""
+"""Unit tests for plan matching (paper §3: containment as fingerprint
+membership)."""
 
-from repro.core.matcher import MatchResult, PlanMatcher, operators_equivalent
+import pytest
+from algorithm1 import operators_equivalent
+
+from repro import ReStoreSession
+from repro.core.matcher import PlanMatcher
+from repro.events import RewriteApplied
 from repro.pig.physical.operators import (
     POFilter,
     POForEach,
@@ -79,16 +85,15 @@ class TestOperatorEquivalence:
 class TestContainment:
     def test_plan_contains_itself(self):
         matcher = PlanMatcher()
-        assert matcher.contains(project_plan(), project_plan())
+        assert matcher.match(project_plan(), project_plan()) is not None
 
     def test_sub_plan_contained_in_larger(self):
-        matcher = PlanMatcher()
-        assert matcher.contains(filter_project_plan(),
-                                linear_plan(
-                                    POLoad("pv", SCHEMA),
-                                    POFilter(BinaryOp(">", Column(1), Const(1.0)), schema=SCHEMA),
-                                    POStore("s", SCHEMA),
-                                ))
+        contained = linear_plan(
+            POLoad("pv", SCHEMA),
+            POFilter(BinaryOp(">", Column(1), Const(1.0)), schema=SCHEMA),
+            POStore("s", SCHEMA),
+        )
+        assert PlanMatcher().match(filter_project_plan(), contained) is not None
 
     def test_larger_not_contained_in_smaller(self):
         matcher = PlanMatcher()
@@ -97,7 +102,7 @@ class TestContainment:
             POFilter(BinaryOp(">", Column(1), Const(1.0)), schema=SCHEMA),
             POStore("s", SCHEMA),
         )
-        assert not matcher.contains(small, filter_project_plan())
+        assert matcher.match(small, filter_project_plan()) is None
 
     def test_different_load_path_no_match(self):
         matcher = PlanMatcher()
@@ -156,8 +161,10 @@ class TestSplitTransparency:
 
 class TestBacktracking:
     def test_symmetric_branches(self):
-        """Self-join-like plans need backtracking: two loads of the
-        same path with different downstream projections."""
+        """Self-join-like plans: two loads of the same path with
+        different downstream projections.  A greedy walk would pair the
+        first load with the first branch; the fingerprint of the stored
+        frontier names the right one."""
         plan = PhysicalPlan()
         load_1 = plan.add(POLoad("pv", SCHEMA))
         proj_u = plan.add(
@@ -193,14 +200,45 @@ class TestBacktracking:
         assert result.frontier is proj_r
 
 
-class TestMatchResult:
-    def test_mapping_is_injective(self):
-        matcher = PlanMatcher()
-        result = matcher.match(join_plan(), join_plan())
-        image_ids = [op.op_id for op in result.mapping.values()]
-        assert len(image_ids) == len(set(image_ids))
 
-    def test_matched_input_ids(self):
-        matcher = PlanMatcher()
-        result = matcher.match(project_plan(), project_plan())
-        assert len(result.matched_input_ids) == 2  # load + foreach
+#: one UNION, then the same UNION over swapped inputs: of two loads, and
+#: of a filter (a sub-job the second run reuses) and a load
+UNIONS = {
+    "loads": (
+        "F = load 'in/a' as (k, v:int);\n"
+        "B = load 'in/b' as (k, v:int);\nU = union F, B;\nstore U into 'out/ab';\n"
+    ),
+    "filter": (
+        "A = load 'in/a' as (k, v:int);\nF = filter A by v > 0;\n"
+        "B = load 'in/b' as (k, v:int);\nU = union F, B;\nstore U into 'out/ab';\n"
+    ),
+}
+
+
+def union_outputs(union_ab, restore_enabled):
+    """The bytes ``union F, B`` and then ``union B, F`` write in one
+    session, and each run's events."""
+    union_ba = union_ab.replace("union F, B", "union B, F").replace("out/ab", "out/ba")
+    with ReStoreSession(restore_enabled=restore_enabled) as session:
+        session.write_file("in/a", "a\t1\nb\t2\nc\t3\n")
+        session.write_file("in/b", "x\t4\ny\t5\n")
+        events = [session.run(union_ab).events, session.run(union_ba).events]
+        return [session.dfs.read_file(p) for p in ("out/ab", "out/ba")], events
+
+
+class TestSwappedUnion:
+    @pytest.mark.parametrize("inputs", sorted(UNIONS))
+    def test_a_swapped_union_writes_what_a_restore_off_run_writes(self, inputs):
+        """A UNION emits its inputs in order, so ``union B, A`` is not
+        ``union A, B``: serving the first query's stored output for the
+        second would write ``a,b,c,x,y`` where a run without reuse
+        writes ``x,y,a,b,c``."""
+        (ab, ba), events = union_outputs(UNIONS[inputs], restore_enabled=True)
+        (plain_ab, plain_ba), _ = union_outputs(UNIONS[inputs], restore_enabled=False)
+        assert plain_ab != plain_ba  # the order is the answer
+        assert (ab, ba) == (plain_ab, plain_ba)
+        # the first run stored its whole job, the one a swapped match
+        # would serve; the filter's sub-job is reused by the second run
+        assert any(e.anchor_kind == "whole-job" for e in events[0])
+        if inputs == "filter":
+            assert any(isinstance(e, RewriteApplied) for e in events[1])

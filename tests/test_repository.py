@@ -88,7 +88,7 @@ class TestOrdering:
     def test_subsuming_plan_first(self):
         """§3 rule 1: plan A before plan B when A subsumes B — the
         filter+project plan must be scanned before the bare filter."""
-        repo = Repository(PlanMatcher())
+        repo = Repository()
         small = repo.add(make_entry(n_ops=1, output_path="s/f"))
         big = repo.add(make_entry(n_ops=2, output_path="s/fp"))
         ordered = repo.ordered_entries()

@@ -38,13 +38,15 @@ DATASETS = ("ds0", "ds1", "ds2")
 
 
 def check_index_views(repo: Repository) -> None:
-    """One snapshot, so the three indexes describe the same instant:
-    every entry under a fingerprint is under a load signature too."""
+    """One snapshot, so the four indexes describe the same instant:
+    every entry under a fingerprint is under its frontier and its
+    operators too."""
     views = repo.merged_index_views()
     by_fingerprint = {eid for ids in views["by_fingerprint"].values() for eid in ids}
-    by_load_sig = {eid for ids in views["by_load_sig"].values() for eid in ids}
+    by_frontier = {eid for ids in views["by_frontier"].values() for eid in ids}
+    by_operator = {eid for ids in views["by_operator"].values() for eid in ids}
     by_input_path = {eid for ids in views["by_input_path"].values() for eid in ids}
-    assert by_fingerprint == by_load_sig
+    assert by_fingerprint == by_frontier == by_operator
     assert by_input_path == by_fingerprint
     assert all(views["by_input_path"].values()), "an emptied bucket was left behind"
 

@@ -8,6 +8,9 @@ must never collide with persisted state.
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
 
 import pytest
 
@@ -25,9 +28,11 @@ from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
 from repro.persistence.durability import (
     PersistenceConfig,
+    ReplayTarget,
     derive_id_floors,
     recover,
 )
+from repro.persistence.journal import JournalRecord
 from repro.persistence.snapshot import (
     LazyPlan,
     RepositorySnapshot,
@@ -39,9 +44,7 @@ from repro.persistence.snapshot import (
 
 @pytest.fixture
 def repository() -> Repository:
-    repo = build_repository(generate_entry_specs(24, seed=7), seed=7)
-    repo.ordered_entries()  # integrate the pending order, like a session
-    return repo
+    return build_repository(generate_entry_specs(24, seed=7), seed=7)
 
 
 def roundtrip(repository: Repository, **capture_kwargs) -> RepositorySnapshot:
@@ -68,13 +71,16 @@ class TestRoundTrip:
 
     def test_restore_spends_zero_matcher_traversals(self, repository):
         restored = roundtrip(repository).restore_repository()
+        assert restored.subsumption_pairs() == repository.subsumption_pairs()
+        assert repository.subsumption_pairs()
         restored.ordered_entries()
-        assert restored.index_stats.subsume_checks == 0
-        assert restored.index_stats.batch_entries == 0
+        # the pairs came from the recorded fingerprints: no plan rebuilt
+        assert not any(entry.plan.materialized for entry in restored.entries())
 
     def test_retired_state_keys_are_not_written_and_still_load(self, repository):
         snapshot = roundtrip(repository)
-        assert not {"n_shards", "ordering_enabled"} & set(snapshot.repository_state)
+        retired = {"n_shards", "ordering_enabled", "order"}
+        assert not retired & set(snapshot.repository_state)
         # a snapshot written before the keys were retired carries both
         snapshot.repository_state["n_shards"] = 3
         snapshot.repository_state["ordering_enabled"] = False
@@ -111,19 +117,6 @@ class TestRoundTrip:
         }
         assert snapshot.dfs_state == {"next_script_id": 4, "next_subjob_id": 10}
 
-    def test_pending_order_state_is_faithful(self):
-        # capture *without* flushing: the pending set must survive so
-        # the restored repository owes exactly what the original owed
-        repo = build_repository(generate_entry_specs(6, seed=3), seed=3)
-        restored = roundtrip(repo).restore_repository()
-        restored.ordered_entries()
-        # the restored repository paid the ordering work the original
-        # still owed (in one flush)
-        assert restored.index_stats.batch_entries == 6
-        assert [e.entry_id for e in restored.ordered_entries()] == [
-            e.entry_id for e in repo.ordered_entries()
-        ]
-
 
 class TestValidation:
     def test_bad_magic_rejected(self, repository):
@@ -149,20 +142,44 @@ class TestValidation:
             RepositorySnapshot.from_bytes(snapshot.to_bytes())
 
     def test_older_version_refused_naming_the_supported_one(self, repository):
-        data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
-        data[4] = 3  # the header's version byte
-        with pytest.raises(SnapshotError, match="supports version 4 only"):
-            RepositorySnapshot.from_bytes(bytes(data))
-        snapshot = RepositorySnapshot.capture(repository)
-        snapshot.payload["version"] = 3
-        with pytest.raises(SnapshotError, match="supports version 4 only"):
-            RepositorySnapshot.from_bytes(snapshot.to_bytes())
+        for version in (3, 4):
+            data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
+            data[4] = version  # the header's version byte
+            with pytest.raises(SnapshotError, match="supports version 5 only"):
+                RepositorySnapshot.from_bytes(bytes(data))
+            snapshot = RepositorySnapshot.capture(repository)
+            snapshot.payload["version"] = version
+            with pytest.raises(SnapshotError, match="supports version 5 only"):
+                RepositorySnapshot.from_bytes(snapshot.to_bytes())
 
-    def test_snapshot_without_order_state_is_malformed(self, repository):
-        snapshot = roundtrip(repository)
-        del snapshot.repository_state["order"]
-        with pytest.raises(SnapshotError, match="order"):
-            RepositorySnapshot.from_bytes(snapshot.to_bytes()).restore_repository()
+    def test_format_4_state_is_refused_not_converted(self, repository):
+        """Format 4 recorded load signatures and signature multisets
+        (what candidate pruning needed) and the §3 order.  Its snapshot
+        and its journal records are refused with a typed error."""
+        snapshot = RepositorySnapshot.capture(repository)
+        payload = snapshot.payload
+        payload["version"] = 4
+        payload["repository"]["order"] = {"scores": {}, "subsumes": {}, "pending": []}
+        for row in payload["repository"]["entries"]:
+            row[11:13] = [["load-sig"], {"sig": 1}]
+        index = json.dumps(payload, separators=(",", ":")).encode()
+        body = index + snapshot.cold
+        crc = zlib.crc32(body)
+        header = struct.pack(">4sBIII", b"RSNP", 4, crc, len(index), len(body))
+        with pytest.raises(SnapshotError, match="supports version 5 only"):
+            ReplayTarget.from_snapshot(header + body)
+
+        record = entry_record(repository.entries()[0])
+        record["derived"] = {
+            "fingerprint": record["derived"]["fingerprint"],
+            "load_sigs": ["load-sig"],
+            "sig_counts": {"sig": 1},
+        }
+        added = JournalRecord.from_payload({"type": "entry_added", "entry": record})
+        target = ReplayTarget(Repository())
+        with pytest.raises(SnapshotError, match="older format"):
+            target.apply(added)
+        assert len(target.repository) == 0
 
 
 class TestLazyPlan:
@@ -173,11 +190,10 @@ class TestLazyPlan:
         assert isinstance(entry.plan, LazyPlan)
         assert entry.plan.fingerprint() == original.plan.fingerprint()
         assert (
-            entry.plan.load_signature_set()
-            == original.plan.load_signature_set()
+            entry.plan.frontier_fingerprint() == original.plan.frontier_fingerprint()
         )
-        assert (
-            entry.plan.signature_counts() == original.plan.signature_counts()
+        assert entry.plan.operator_fingerprints() == set(
+            original.plan.operator_fingerprints()
         )
         assert not entry.plan.materialized
 
