@@ -16,7 +16,7 @@ and an unknown name exits 2 with the valid ones listed.
 ``run --workers N`` (or ``--executor threads|processes``) routes the
 script through the shared :class:`~repro.service.JobService` instead
 of a private session — the deployment shape the paper's §1 shared
-service describes.  ``--executor processes`` executes on the
+service describes.  ``--executor processes`` executes each job on the
 spawn-based worker-process pool.
 
 ``--snapshot``/``--journal`` make the repository durable across
@@ -321,15 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--exchange-timeout",
         type=float,
         default=30.0,
-        help="process mode: seconds to wait for any single worker "
-             "reply before killing the hung worker and retrying "
-             "(0 = block forever; default 30)",
+        help="process mode: seconds to wait for a worker's reply to "
+             "a job before killing the hung worker and re-running the "
+             "job (0 = block forever; default 30)",
     )
     run_p.add_argument(
         "--retries",
         type=int,
         default=1,
-        help="process mode: replays of a submission after its worker "
+        help="process mode: re-runs of a job after its worker "
              "crashed or hung (default 1)",
     )
     run_p.set_defaults(func=cmd_run)

@@ -69,6 +69,7 @@ from repro.events import (
     ReStoreEvent,
     RewriteApplied,
 )
+from repro.exceptions import RepositoryError
 from repro.persistence.snapshot import SnapshotError
 from repro.mapreduce.job import MapReduceJob, Workflow
 from repro.mapreduce.runner import JobListener
@@ -348,6 +349,14 @@ class ReStoreManager(JobListener):
         return classify_entry(entry, self.dfs)
 
     def before_job(self, job: MapReduceJob, workflow: Workflow) -> bool:
+        persister = self.persistence
+        if persister is not None:
+            for path in job.store_paths:
+                if persister.owns(path):
+                    raise RepositoryError(
+                        f"{job.job_id} stores into {path!r}, a file of the "
+                        "repository's own persistence"
+                    )
         self._match_and_rewrite(job, workflow)
         if job.eliminated_by is not None:
             return False

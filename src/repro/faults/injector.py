@@ -81,14 +81,14 @@ def registered_sites() -> Dict[str, str]:
 
 # -- the registry (all sites declared here, next to their semantics) ----------
 
-#: worker-side hook exchange with the coordinator (crash-before-reply,
-#: crash-after-reply, hang, garbled frame)
-SITE_WORKER_HOOK = register_site(
-    "worker.hook", "worker→coordinator listener-hook pipe exchange"
+#: one job on a worker: "before" at its arrival, "after" once it ran
+#: and before the reply (crash, hang, raise)
+SITE_WORKER_JOB = register_site(
+    "worker.job", "a worker's run of one job, from its arrival to its reply"
 )
-#: worker's final result send (crash/hang after the job ran)
+#: the worker's reply (crash/hang after the job ran, garbled frame)
 SITE_WORKER_RESULT = register_site(
-    "worker.result", "worker's terminal result/error send"
+    "worker.result", "worker's reply send (stats and stores, or error)"
 )
 #: persister journal append (OSError → circuit breaker)
 SITE_JOURNAL_APPEND = register_site(
@@ -305,7 +305,7 @@ __all__ = [
     "SITE_SNAPSHOT_READ",
     "SITE_SNAPSHOT_WRITE",
     "SITE_STORAGE_FSYNC",
-    "SITE_WORKER_HOOK",
+    "SITE_WORKER_JOB",
     "SITE_WORKER_RESULT",
     "active",
     "fire",

@@ -131,7 +131,7 @@ def storm_plan(spec: Optional[StormSpec] = None) -> FaultPlan:
     rng = random.Random(spec.seed)
     span = max(4, spec.n_jobs)
     # distinct early hit numbers for the worker faults
-    crash_hit = spec.pinned.get("worker.hook", rng.randint(2, max(2, span // 3)))
+    crash_hit = spec.pinned.get("worker.job", rng.randint(2, max(2, span // 3)))
     hang_hit = spec.pinned.get(
         "worker.result", crash_hit + 1 + rng.randint(1, 2)
     )
@@ -143,7 +143,7 @@ def storm_plan(spec: Optional[StormSpec] = None) -> FaultPlan:
     ordinal = spec.worker_ordinals[0]
     rules = (
         FaultRule(
-            site="worker.hook",
+            site="worker.job",
             action="crash",
             hits=(crash_hit,),
             when="before",

@@ -85,10 +85,9 @@ class MapReduceJob:
 
     def to_dict(self) -> dict:
         """Wire form of this job: the snapshot codec's plan JSON plus
-        execution configuration.  ``from_dict`` rebuilds a job whose
-        plan fingerprint is identical to the original's — the property
-        the multi-process service relies on for coordinator-side
-        matching against worker-side execution."""
+        execution configuration — what a process-mode worker receives
+        (:mod:`repro.service.procpool`).  ``from_dict`` rebuilds a job
+        whose plan fingerprint is identical to the original's."""
         data = {
             "job_id": self.job_id,
             "plan": self.plan.to_dict(),
@@ -209,20 +208,6 @@ class Workflow:
             for job in self.jobs
             if not any(p in consumed for p in job.store_paths)
         ]
-
-    def to_dict(self) -> dict:
-        """Wire form: job list (each via :meth:`MapReduceJob.to_dict`)
-        plus the workflow name.  Dependencies are not serialized —
-        they are derived from load/store paths, so the rebuilt
-        workflow's DAG is identical by construction."""
-        return {"name": self.name, "jobs": [job.to_dict() for job in self.jobs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Workflow":
-        return cls(
-            jobs=[MapReduceJob.from_dict(j) for j in data.get("jobs", [])],
-            name=data.get("name", "workflow"),
-        )
 
     def job_by_id(self, job_id: str) -> MapReduceJob:
         for job in self.jobs:

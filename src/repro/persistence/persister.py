@@ -152,6 +152,19 @@ class RepositoryPersister:
         ]
         manager.persistence = self
 
+    def owns(self, path: str) -> bool:
+        """Whether *path* is one of this persister's DFS files: the
+        snapshot, the journal, or the block store's base and its
+        ``.g<N>`` generations.  A local backend owns no DFS path."""
+        config = self.config
+        if config.backend != "dfs":
+            return False
+        base = config.blockstore_base
+        return (
+            path in (config.snapshot_path, config.journal_path, base)
+            or path.startswith(base + ".")
+        )
+
     # -- record sources -----------------------------------------------------------
 
     def _on_mutation(self, kind: str, entry) -> None:

@@ -100,9 +100,7 @@ class PigServer:
         with every fresh filesystem (deterministic tests/sessions) but
         can never collide between servers sharing one DFS, which would
         overwrite temp outputs the ReStore repository kept alive.
-        ``script_id=`` overrides the allocation — the multi-process
-        service passes the coordinator-allocated id so worker-side
-        compilation names temps exactly as a serial run would.
+        ``script_id=`` overrides the allocation; only tests pass it.
 
         Everything below the parse is memoised on the statements with
         their store paths left out (:func:`_template`); the workflow

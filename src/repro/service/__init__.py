@@ -1,9 +1,9 @@
 """The shared-service deployment of ReStore (§1, Figure 1).
 
-``JobService`` runs many tenants' jobs against one shared repository
-on either a thread pool or a spawn-based worker-process pool; every
-submission travels as a typed, serializable ``JobRequest`` and comes
-back as a ``JobOutcome`` (see :mod:`repro.service.api`).
+``JobService`` runs many tenants' jobs against one shared repository;
+every submission runs on the coordinator as a typed ``JobRequest`` and
+comes back as a ``JobOutcome`` (see :mod:`repro.service.api`), and its
+jobs execute on a thread pool or a spawn-based worker-process pool.
 ``WorkloadDriver`` is the differential harness that drives job
 streams through it.
 """

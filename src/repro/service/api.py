@@ -1,4 +1,4 @@
-"""The typed, serializable job-submission API.
+"""The typed job-submission API.
 
 Every way of running work through the service layer converges on one
 pair of types: a :class:`JobRequest` (what to run — a Pig Latin source
@@ -10,20 +10,12 @@ rewrite/elimination lines form the byte-comparable decision log).
 / ``run`` and ``ReStoreSession.run`` / ``run_workflow`` are all thin
 wrappers that build a request and execute it through this surface.
 
-The pair is *serializable*: ``JobRequest.to_wire()`` /
-``JobRequest.from_wire()`` round-trip through plain dicts (plans via
-the snapshot codec's plan-JSON encoding, which preserves fingerprints),
-which is what lets the ``executor="processes"`` worker pool ship a
-submission across a ``multiprocessing`` pipe and execute it in another
-process while matching, registration, and eviction stay with the
-coordinator.
-
-:class:`ServiceConfig` selects the execution substrate: ``"threads"``
-(the default — one shared address space, best for matching-heavy
-streams where the repository scan dominates) or ``"processes"``
-(spawned worker processes that bypass the GIL, best for
-execution-heavy streams; see the README architecture section for the
-wire contract).
+:class:`ServiceConfig` selects where a job executes: ``"threads"`` (the
+default — on the pool thread that runs the submission) or
+``"processes"`` (on a spawned worker process, which bypasses the GIL;
+see the README architecture section for the wire contract).  Either
+way a request never leaves the coordinator: only single jobs cross to
+a worker.
 """
 
 from __future__ import annotations
@@ -45,21 +37,22 @@ EXECUTORS = ("threads", "processes")
 class ServiceConfig:
     """Execution knobs of a :class:`~repro.service.JobService` pool.
 
-    ``executor`` picks the substrate: ``"threads"`` shares one address
-    space (no serialization, but the GIL caps aggregate throughput);
-    ``"processes"`` spawns worker processes that compile and execute
-    plans while the coordinator keeps the DFS, repository, and manager
-    — near-linear jobs/sec scaling for execution-heavy streams.
+    ``executor`` picks where jobs execute: ``"threads"`` in the
+    coordinator's address space (no serialization, but the GIL caps
+    aggregate throughput); ``"processes"`` on spawned worker processes,
+    one exchange per job, while every submission still compiles,
+    matches and registers on the coordinator.
     """
 
     executor: str = "threads"
     max_workers: int = 4
-    #: process mode: how many times a submission is retried on a fresh
+    #: process mode: how many times a job is run again on a fresh
     #: worker after its worker process dies mid-job (0 = fail fast)
     retries: int = 1
-    #: process mode: seconds the coordinator waits for any single
-    #: worker reply before declaring the worker hung, killing it, and
-    #: re-dispatching within the retry budget (None = block forever)
+    #: process mode: seconds the coordinator waits for a worker's reply
+    #: to a job before declaring the worker hung, killing it, and
+    #: running the job again within the retry budget (None = block
+    #: forever)
     exchange_timeout: Optional[float] = 30.0
     #: keep a journal-tailing StandbyReplica warm and promote it
     #: automatically when the heartbeat channel goes silent
@@ -87,11 +80,10 @@ class ServiceConfig:
 @dataclass(frozen=True)
 class JobRequest:
     """One unit of submittable work, carrying exactly one of
-    ``source`` (a Pig Latin script, compiled where it executes) or
+    ``source`` (a Pig Latin script, compiled on the coordinator) or
     ``workflow`` (a pre-compiled job DAG, the benchmark/driver path).
 
-    Requests are immutable and wire-serializable; the same request
-    object is safe to retry on a fresh worker after a crash.
+    Requests are immutable.
     """
 
     session_id: str = ""
@@ -121,26 +113,6 @@ class JobRequest:
             workflow=workflow,
         )
 
-    def to_wire(self) -> dict:
-        """Plain-dict form for the coordinator→worker pipe (plans via
-        the snapshot codec's plan-JSON encoding)."""
-        data: dict = {"session_id": self.session_id, "name": self.name}
-        if self.source is not None:
-            data["source"] = self.source
-        else:
-            data["workflow"] = self.workflow.to_dict()
-        return data
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "JobRequest":
-        workflow = data.get("workflow")
-        return cls(
-            session_id=data.get("session_id", ""),
-            name=data.get("name", ""),
-            source=data.get("source"),
-            workflow=Workflow.from_dict(workflow) if workflow is not None else None,
-        )
-
 
 @dataclass
 class JobOutcome:
@@ -149,8 +121,8 @@ class JobOutcome:
     The result surface mirrors :class:`~repro.pig.engine.PigRunResult`
     (``workflow`` / ``stats`` / ``outputs`` / ``events``) plus
     service-level provenance: which executor ran it, how many attempts
-    it took (worker-crash retries), and the rendered decision log the
-    differential gates compare byte for byte.
+    it took (job re-runs after worker crashes), and the rendered
+    decision log the differential gates compare byte for byte.
     """
 
     workflow: Workflow
@@ -161,7 +133,8 @@ class JobOutcome:
     events: List[ReStoreEvent] = field(default_factory=list)
     session_id: str = ""
     executor: str = "threads"
-    #: 1 + worker-crash retries this submission needed (process mode)
+    #: 1 + the job re-runs this submission needed after a worker
+    #: crashed or hung (process mode)
     attempts: int = 1
     #: the engine-level result this outcome wraps, when it was produced
     #: in-process (``to_result`` then returns the original object)
@@ -202,22 +175,13 @@ class JobOutcome:
         )
 
     @classmethod
-    def from_result(
-        cls,
-        result: PigRunResult,
-        *,
-        session_id: str = "",
-        executor: str = "threads",
-        attempts: int = 1,
-    ) -> "JobOutcome":
+    def from_result(cls, result: PigRunResult, *, session_id: str = "") -> "JobOutcome":
         return cls(
             workflow=result.workflow,
             stats=result.stats,
             outputs=result.outputs,
             events=result.events,
             session_id=session_id,
-            executor=executor,
-            attempts=attempts,
             _result=result,
         )
 

@@ -13,12 +13,13 @@ Every submission path — ``JobService.submit``,
 ``submit``/``submit_workflow``/``run`` on a :class:`ServiceSession`, and
 ``run``/``run_workflow`` on a ``ReStoreSession`` — converges on the typed
 :class:`~repro.service.api.JobRequest` /
-:class:`~repro.service.api.JobOutcome` pair, and
-:class:`~repro.service.api.ServiceConfig` selects the execution
-substrate: ``executor="threads"`` (shared address space) or
-``executor="processes"`` (a spawn-based worker-process pool —
-coordinator keeps the repository/manager/DFS, workers execute plans;
-see :mod:`repro.service.procpool` for the wire protocol).
+:class:`~repro.service.api.JobOutcome` pair and on one path:
+:meth:`ReStoreSession.execute <repro.session.ReStoreSession.execute>`
+on the coordinator.  :class:`~repro.service.api.ServiceConfig` decides
+only where a job executes: ``executor="threads"`` runs it on the
+submitting pool thread, ``executor="processes"`` hands it to a
+spawn-based worker process (:class:`ProcessJobRunner`; see
+:mod:`repro.service.procpool` for the one-exchange wire protocol).
 
 Guarantees (both executors):
 
@@ -70,19 +71,18 @@ from repro.core.repository import Repository
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import (
-    DECISION_EVENTS,
     CoordinatorHeartbeat,
-    DeltaFallback,
     EntryQuarantined,
     PersistenceDegraded,
     ReStoreEvent,
     StandbyPromoted,
-    SubJobDiscarded,
     WorkerKilled,
 )
 from repro.faults import injector as faults
 from repro.mapreduce.cluster import ClusterConfig
-from repro.mapreduce.job import Workflow
+from repro.mapreduce.job import MapReduceJob, Workflow
+from repro.mapreduce.runner import HadoopSimulator
+from repro.mapreduce.stats import JobStats
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
@@ -90,21 +90,14 @@ from repro.persistence.durability import (
     recover,
 )
 from repro.persistence.standby import StandbyReplica
-from repro.pig.engine import PigRunResult
 from repro.service.api import JobOutcome, JobRequest, ServiceConfig
 from repro.service.procpool import (
-    ProcessJobRunner,
     ProcessWorkerPool,
     WorkerCrashed,
     WorkerJobError,
     WorkerTimeout,
 )
 from repro.session import ReStoreSession
-
-#: what one attempt at a submission decided for itself.  A replay after
-#: a worker crash decides again, so the crashed attempt's copies never
-#: reach the outcome (1-worker decision logs stay byte-identical)
-_ATTEMPT_DECISIONS = DECISION_EVENTS + (DeltaFallback, SubJobDiscarded)
 
 #: crash/timeout retry backoff: attempt k sleeps
 #: ``min(BACKOFF_BASE_S * 2**(k-1), BACKOFF_CAP_S)`` plus a deterministic
@@ -125,11 +118,11 @@ class ServiceStats:
     completed: int = 0
     failed: int = 0
     cancelled: int = 0
-    #: process mode: extra attempts spent replaying crashed workers
+    #: process mode: jobs run again after their worker crashed or hung
     retried: int = 0
     #: process mode: worker exchanges that exceeded exchange_timeout
     #: (the hung worker was killed; counted within ``retried`` too
-    #: when the re-dispatch stayed inside the retry budget)
+    #: when the re-run stayed inside the retry budget)
     timeouts: int = 0
     #: repository entries evicted for failing to materialize
     quarantined_entries: int = 0
@@ -170,6 +163,11 @@ class ServiceSession:
     def __init__(self, service: "JobService", session: ReStoreSession):
         self._service = service
         self.session = session
+        #: stamped on every outcome: where this tenant's jobs execute
+        self.executor = service.service_config.executor
+        #: job re-executions of the submission now running (process
+        #: mode: a worker crashed or hung under one of its jobs)
+        self.reruns = 0
         #: per-session FIFO: tickets are taken in submission order and
         #: served strictly in sequence
         self._order = threading.Condition()
@@ -236,6 +234,73 @@ class ServiceSession:
 
     def __repr__(self) -> str:
         return f"ServiceSession({self.session_id!r})"
+
+
+class ProcessJobRunner(HadoopSimulator):
+    """A process-mode tenant's runner: :meth:`run_job` executes each
+    job on a pool worker, in one exchange
+    (:meth:`~repro.service.procpool.ProcessWorkerPool.run`); the rest
+    of the submission runs on the coordinator, as in thread mode.
+
+    A worker that crashes, hangs or garbles its reply is discarded and
+    the job runs again on a fresh one, after a backoff, up to
+    ``ServiceConfig.retries`` times.  Nothing the submission decided is
+    replayed: the job's reply is the first thing it changes here.
+    """
+
+    def __init__(self, service: "JobService", tenant: ServiceSession):
+        server = tenant.session.server
+        super().__init__(server.dfs, server.cluster, server.cost_model)
+        self._service = service
+        self._tenant = tenant
+
+    def run_job(self, job: MapReduceJob) -> JobStats:
+        service = self._service
+        config = service.service_config
+        pool = service._pool
+        attempt = 0
+        while True:
+            attempt += 1
+            worker = pool.acquire()
+            try:
+                stats = pool.run(worker, job, self.dfs, config.exchange_timeout)
+            except WorkerCrashed as exc:
+                # WorkerTimeout subclasses WorkerCrashed: a hung worker
+                # is killed and the job re-run exactly like a crashed
+                # one, it just moves the timeout counter too
+                pool.discard(worker)
+                if isinstance(exc, WorkerTimeout):
+                    with service._lock:
+                        service.stats.timeouts += 1
+                if attempt > config.retries:
+                    raise
+                with service._lock:
+                    service.stats.retried += 1
+                self._tenant.reruns += 1
+                service._backoff(self._tenant.session_id, attempt)
+                continue
+            except WorkerJobError:
+                # the job failed but the worker replied cleanly — it is
+                # healthy and stays pooled
+                pool.release(worker)
+                raise
+            except BaseException:
+                # a coordinator-side failure mid-exchange: the pipe may
+                # be desynced and must never re-enter the pool
+                pool.discard(worker)
+                raise
+            pool.release(worker)
+            return stats
+
+    def cleanup_temporaries(self, workflow: Workflow, keep=None) -> int:
+        deleted = super().cleanup_temporaries(workflow, keep)
+        keep = keep or set()
+        self._service._pool.forget(
+            job.output_path
+            for job in workflow.jobs
+            if job.temporary and job.output_path not in keep
+        )
+        return deleted
 
 
 class JobService:
@@ -311,21 +376,7 @@ class JobService:
         if recovered is not None:
             self.persister = adopt_recovered(self.manager, recovered, persistence)
         self._pool: Optional[ProcessWorkerPool] = None
-        reserved_paths: tuple = ()
         if service.executor == "processes":
-            # persistence= + processes: the persister and any standby
-            # stay coordinator-side by construction (recovery happened
-            # above, before a single worker spawned) — and when the
-            # journal lives on the shared DFS, its paths are reserved
-            # so no worker store can ever clobber them
-            if persistence is not None and persistence.backend == "dfs":
-                reserved_paths = (
-                    persistence.snapshot_path,
-                    persistence.journal_path,
-                    # covers every generation file (prefix-matched:
-                    # "<base>.g0", "<base>.g1", ...)
-                    persistence.blockstore_base,
-                )
             # ship the active fault plan (if a harness installed one)
             # to every worker: workers re-install it keyed by their
             # own ordinal, so worker-targeted rules replay exactly
@@ -342,12 +393,6 @@ class JobService:
                     ),
                 },
             )
-        self._runner = ProcessJobRunner(
-            self.manager,
-            self.dfs,
-            reserved_paths=reserved_paths,
-            exchange_timeout=service.exchange_timeout,
-        )
         self._executor = ThreadPoolExecutor(
             max_workers=service.max_workers,
             thread_name_prefix="restore-worker",
@@ -431,6 +476,8 @@ class JobService:
                 session_id=session_id,
             )
             handle = ServiceSession(self, session)
+            if handle.executor == "processes":
+                session.server.runner = ProcessJobRunner(self, handle)
             self._sessions[session_id] = handle
             return handle
 
@@ -493,95 +540,23 @@ class JobService:
         # tenant's own submissions never interleave or reorder (and
         # the event drain attributes decisions unambiguously).
         handle._await_turn(ticket)
+        handle.reruns = 0
         try:
-            if self.service_config.executor == "threads":
-                outcome = handle.session.execute(request)
-            else:
-                outcome = self._run_on_workers(handle, request)
+            outcome = handle.session.execute(request)
         except BaseException:
             with self._lock:
                 self.stats.failed += 1
             raise
         finally:
             handle._finish_turn(ticket)
+        outcome.executor = handle.executor
+        outcome.attempts += handle.reruns
         with self._lock:
             self.stats.completed += 1
             sid = handle.session_id
             self.stats.per_session[sid] = self.stats.per_session.get(sid, 0) + 1
         self._heartbeat()
         return outcome
-
-    def _run_on_workers(
-        self, handle: ServiceSession, request: JobRequest
-    ) -> JobOutcome:
-        """Process mode: drive *request* through the worker pool.
-
-        Script ids are allocated coordinator-side at execution turn —
-        the same DFS counter a serial run would consume, in the same
-        order — and the whole conversation runs inside the tenant's
-        session scope so decisions land in its event bucket.  A
-        crashed worker is discarded and the request replays on a fresh
-        worker within the configured retry budget.  What the crashed
-        attempt decided for itself (:data:`_ATTEMPT_DECISIONS`) goes
-        with it; what it changed in the repository — an entry stored,
-        evicted, quarantined or refreshed — stays true, so those events
-        lead the replayed submission's outcome.
-        """
-        sid = handle.session_id
-        script_id = (
-            self.dfs.next_script_id() if request.source is not None else None
-        )
-        attempts = 0
-        carried: List[ReStoreEvent] = []
-        with self.manager.session_scope(sid):
-            while True:
-                attempts += 1
-                worker = self._pool.acquire()
-                try:
-                    workflow, stats, outputs = self._runner.run_conversation(
-                        worker, request, script_id
-                    )
-                except WorkerCrashed as exc:
-                    # WorkerTimeout subclasses WorkerCrashed: a hung
-                    # worker is killed and replayed exactly like a
-                    # crashed one, it just moves the timeout counter too
-                    self._pool.discard(worker)
-                    # the crashed attempt's partial decisions must not
-                    # leak into the retry's (or a later drain's) log
-                    carried.extend(
-                        event
-                        for event in self.manager.drain_session(sid)
-                        if not isinstance(event, _ATTEMPT_DECISIONS)
-                    )
-                    with self._lock:
-                        if isinstance(exc, WorkerTimeout):
-                            self.stats.timeouts += 1
-                    if attempts > self.service_config.retries:
-                        raise
-                    with self._lock:
-                        self.stats.retried += 1
-                    self._backoff(sid, attempts)
-                    continue
-                except WorkerJobError:
-                    # the job failed but the worker completed the error
-                    # protocol cleanly — it is healthy and stays pooled
-                    self._pool.release(worker)
-                    raise
-                except BaseException:
-                    # coordinator-side failure mid-conversation: the
-                    # pipe is desynced and must never re-enter the pool
-                    self._pool.discard(worker)
-                    raise
-                self._pool.release(worker)
-                break
-            events = carried + self.manager.drain()
-        result = PigRunResult(
-            workflow=workflow, stats=stats, outputs=outputs, events=events
-        )
-        handle.session.results.append(result)
-        return JobOutcome.from_result(
-            result, session_id=sid, executor="processes", attempts=attempts
-        )
 
     # -- self-healing ------------------------------------------------------------
 
@@ -654,7 +629,6 @@ class JobService:
         with self._lock:
             self.manager = manager
             self.persister = persister
-            self._runner.manager = manager
             for handle in self._sessions.values():
                 session = handle.session
                 session.manager = manager

@@ -1,81 +1,64 @@
-"""Spawn-based worker-process pool: the GIL-free execution substrate.
+"""Spawn-based worker-process pool: where process mode runs its jobs.
 
 Worker threads share one interpreter, so every interpreter step of an
-execution-heavy stream serializes on the GIL and extra threads add no
-aggregate throughput.  This module
-splits the service the way the paper splits responsibilities between
-Pig clients and the ReStore server (§1): a **coordinator** process
-keeps the DFS, the repository, and the manager — all matching,
-rewriting, registration, eviction, and persistence — while **worker**
-processes compile and execute plans against private filesystems.
+execution-heavy stream serializes on the GIL.  In process mode the
+service still runs every submission on the coordinator, exactly as
+thread mode does — compile, the ReStore hooks (matching, rewriting,
+registration, eviction, pinning, persistence), output collection and
+temp cleanup — and only :meth:`HadoopSimulator.run_job
+<repro.mapreduce.runner.HadoopSimulator.run_job>` moves: a session's
+runner hands each job to a pool worker, which runs that one job
+against a private filesystem and nothing else (the paper's split:
+ReStore extends Pig's job submission, Hadoop runs the job, §6.2).
 
-The two halves speak a compact message protocol over a
-``multiprocessing`` pipe, one synchronous exchange per
-:class:`~repro.mapreduce.runner.JobListener` hook, with plans encoded
-as the snapshot codec's plan JSON (fingerprint-preserving, so the
-coordinator's matching decisions are exactly the ones a serial run
-would make):
+One job is one exchange over a ``multiprocessing`` pipe:
 
-======================  =====================================================
-worker → coordinator    coordinator reply
-======================  =====================================================
-``wf_start``            ``proceed`` — mirror workflow built, pins opened
-``before_job``          ``directives`` — run flag, every job's current plan
-                        + elimination state, input payloads the worker lacks
-``after_job``           ``proceed`` — store payloads written to the
-                        coordinator DFS, sub-jobs registered
-``wf_end``              ``kept`` — pins released, protected paths for the
-                        worker's temp cleanup
-``result`` / ``error``  *(ends the conversation)*
-======================  =====================================================
+=========================================  ================================
+coordinator → worker                       worker → coordinator
+=========================================  ================================
+``{job, files, drop}`` — the job's dict     ``{stats, stores}`` — its
+form, the inputs this worker lacks, paths  statistics and every stored
+it should forget                           file's bytes; or ``{error}``
+=========================================  ================================
 
 File shipping is versioned by the coordinator DFS's logical mtime: a
 per-worker ``synced`` map records which version of each path a worker
 already holds, so repeated probes against the same datasets ship bytes
-once, not per job.
-
-Determinism: every decision-producing step runs coordinator-side in
-submission order (per-session FIFO tickets, script ids allocated from
-the coordinator DFS at execution turn), so a 1-worker-process service
-produces a decision log byte-identical to a serial run — the same gate
-the thread pool has always been held to.
+once, not per job.  A path the coordinator deletes leaves every
+worker's map and is dropped on that worker's next request.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.faults import injector as faults
-from repro.mapreduce.job import MapReduceJob, Workflow
-from repro.mapreduce.runner import JobListener
-from repro.pig.physical.plan import PhysicalPlan
-from repro.relational.schema import Schema
-from repro.relational.tuples import deserialize_rows
+from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.runner import HadoopSimulator
+from repro.mapreduce.stats import JobStats
 
 
 class WorkerCrashed(RuntimeError):
-    """The worker process died (or desynced) mid-conversation.
+    """The worker process died, hung or garbled its reply mid-job.
 
     The coordinator discards the worker and — within the configured
-    retry budget — replays the whole request on a fresh one; repository
-    registration is idempotent (``add_if_absent``), so a crash after a
-    partial run cannot duplicate entries.
+    retry budget — runs the job again on a fresh one.  The job changed
+    nothing coordinator-side before its reply, so nothing is undone.
     """
 
 
 class WorkerTimeout(WorkerCrashed):
-    """The worker exceeded the per-exchange timeout: it is hung (or
-    dead without closing the pipe).  Handled exactly like a crash —
-    the worker is killed and the request re-dispatched — but kept as
-    its own type so the service can count timeouts separately."""
+    """The worker exceeded the exchange timeout: it is hung (or dead
+    without closing the pipe).  Handled exactly like a crash, but kept
+    as its own type so the service can count timeouts separately."""
 
 
 class WorkerJobError(RuntimeError):
     """The job raised inside the worker; the worker itself is healthy
-    (it completed the error protocol) and stays in the pool."""
+    (it replied with the error) and stays in the pool."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
@@ -86,90 +69,14 @@ class WorkerJobError(RuntimeError):
 # -- worker side --------------------------------------------------------------------
 
 
-class _CoordinatorProxy(JobListener):
-    """Worker-side listener forwarding every hook to the coordinator.
-
-    The worker never matches, registers, or evicts: each hook is one
-    synchronous request/reply exchange on the pipe, and the reply
-    carries the coordinator's decisions — rewritten plans, elimination
-    flags, input payloads, kept paths — for the worker to apply to its
-    local workflow and filesystem.
-    """
-
-    def __init__(self, conn, dfs: DistributedFileSystem):
-        self._conn = conn
-        self._dfs = dfs
-        self._kept: Set[str] = set()
-
-    def _exchange(self, message: dict) -> dict:
-        # injection site "worker.hook": crash/hang before the request
-        # reaches the coordinator, garble the frame, or (when="after")
-        # crash once the reply arrived but before it was applied
-        out = faults.fire("worker.hook", data=message)
-        if out is faults.GARBLED:
-            # a corrupted frame: raw junk the coordinator cannot
-            # unpickle — it must treat this worker as crashed
-            self._conn.send_bytes(b"\xde\xad\xbe\xef not a pickle")
-        else:
-            self._conn.send(message)
-        reply = self._conn.recv()
-        faults.fire("worker.hook", when="after", data=reply)
-        return reply
-
-    def on_workflow_start(self, workflow: Workflow) -> None:
-        self._kept = set()
-        self._exchange({"op": "wf_start", "workflow": workflow.to_dict()})
-
-    def before_job(self, job: MapReduceJob, workflow: Workflow) -> bool:
-        reply = self._exchange({"op": "before_job", "job_id": job.job_id})
-        # The coordinator's matcher may have rewritten ANY job of the
-        # workflow (a whole-job elimination redirects every consumer's
-        # loads), so the directives carry each job's current plan.
-        for job_id, plan_data, eliminated_by in reply["jobs"]:
-            target = workflow.job_by_id(job_id)
-            target.plan = PhysicalPlan.from_dict(plan_data)
-            target.eliminated_by = eliminated_by
-        for path, payload in reply["files"]:
-            self._dfs.write_file(path, payload, overwrite=True)
-        return reply["run"]
-
-    def after_job(self, job, stats, workflow) -> None:
-        stores = [
-            (path, self._dfs.read_file(path))
-            for path in job.store_paths
-            if self._dfs.exists(path)
-        ]
-        self._exchange(
-            {
-                "op": "after_job",
-                "job_id": job.job_id,
-                "stats": stats,
-                "stores": stores,
-            }
-        )
-
-    def on_workflow_end(self, workflow) -> None:
-        reply = self._exchange({"op": "wf_end"})
-        self._kept = set(reply["kept"])
-
-    def protected_paths(self) -> Set[str]:
-        return set(self._kept)
-
-    def drain(self) -> list:
-        # Events are coordinator-side state: the manager emitted them
-        # while this conversation drove its hooks, and the coordinator
-        # drains them into the result envelope.
-        return []
-
-
 def worker_main(conn, context: dict, ordinal: int = 0) -> None:
     """Entry point of one worker process (the spawn target).
 
-    Builds a private DFS + ``PigServer`` once, then serves run
-    requests until a ``stop`` message or pipe loss.  Input files
-    arrive through ``before_job`` directives; store payloads flow back
-    through ``after_job`` — the worker's filesystem is a cache of the
-    coordinator's, never the source of truth.
+    Keeps a private DFS and a plain :class:`HadoopSimulator`, then
+    serves job requests until ``None`` or pipe loss: forget the dropped
+    paths, write the shipped files, run the job, reply.  The worker's
+    filesystem is a cache of the coordinator's, never the source of
+    truth.
 
     ``ordinal`` is this worker's pool spawn-sequence number; a fault
     plan shipped in the context is installed keyed by it, so chaos
@@ -177,60 +84,47 @@ def worker_main(conn, context: dict, ordinal: int = 0) -> None:
     (a crashed worker's replacement has a fresh ordinal and can never
     re-trip a one-shot rule).
     """
-    from repro.pig.engine import PigServer
-    from repro.service.api import JobRequest
-
     plan = context.get("faults")
     if plan is not None:
         faults.install(faults.FaultInjector(plan, worker_ordinal=ordinal))
     dfs = DistributedFileSystem()
-    proxy = _CoordinatorProxy(conn, dfs)
-    server = PigServer(
-        dfs,
-        cluster=context["cluster"],
-        cost_model=context["cost_model"],
-        restore=proxy,
-    )
+    runner = HadoopSimulator(dfs, context["cluster"], context["cost_model"])
     while True:
         try:
-            message = conn.recv()
+            request = conn.recv()
         except (EOFError, OSError):
             break
-        if message.get("op") == "stop":
+        if request is None:
             break
-        request = JobRequest.from_wire(message["request"])
+        for path in request["drop"]:
+            dfs.delete_if_exists(path)
+        for path, payload in request["files"]:
+            dfs.write_file(path, payload, overwrite=True)
         try:
-            if request.source is not None:
-                workflow = server.compile(
-                    request.source,
-                    name=request.name,
-                    script_id=message["script_id"],
-                )
+            # injection site "worker.job": "before" is the job's
+            # arrival, "after" is once it ran, before the reply
+            faults.fire("worker.job")
+            job = MapReduceJob.from_dict(request["job"])
+            stats = runner.run_job(job)
+            stores = [
+                (path, dfs.read_file(path))
+                for path in job.store_paths
+                if dfs.exists(path)
+            ]
+            faults.fire("worker.job", when="after")
+            reply = {"stats": stats, "stores": stores}
+        except Exception as exc:
+            reply = {"error": (type(exc).__name__, str(exc))}
+        try:
+            # injection site "worker.result": around the reply; a
+            # corrupt rule garbles the frame, which the coordinator
+            # cannot unpickle and must treat as a crash
+            if faults.fire("worker.result", data=reply) is faults.GARBLED:
+                conn.send_bytes(b"\xde\xad\xbe\xef not a pickle")
             else:
-                workflow = request.workflow
-            result = server.run_workflow(workflow)
-        except BaseException as exc:
-            try:
-                conn.send(
-                    {
-                        "op": "error",
-                        "kind": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                )
-            except (BrokenPipeError, OSError):
-                break
-            continue
-        try:
-            # injection site "worker.result": crash/hang after the job
-            # ran but before its result reached the coordinator — the
-            # retry must stay idempotent despite completed side effects
-            faults.fire("worker.result")
-            conn.send(
-                {"op": "result", "stats": result.stats, "outputs": result.outputs}
-            )
+                conn.send(reply)
             faults.fire("worker.result", when="after")
-        except (BrokenPipeError, OSError):
+        except OSError:
             break
     conn.close()
 
@@ -251,6 +145,9 @@ class WorkerHandle:
         #: already holds (shipped to it, or received back from it) —
         #: the file-sync version map
         self.synced: Dict[str, int] = {}
+        #: paths the coordinator deleted that this worker still holds;
+        #: its next request tells it to drop them
+        self.drop: Set[str] = set()
 
     @property
     def pid(self) -> Optional[int]:
@@ -276,8 +173,8 @@ class ProcessWorkerPool:
         self._n = n_workers
         self._lock = threading.Condition()
         self._idle: List[WorkerHandle] = []
-        #: handles currently out on a conversation (kill_all must be
-        #: able to reach hung workers, not just idle ones)
+        #: handles currently out on a job (kill_all must be able to
+        #: reach hung workers, not just idle ones)
         self._busy: List[WorkerHandle] = []
         self._live = 0
         self._seq = 0
@@ -352,9 +249,75 @@ class ProcessWorkerPool:
             self._live = max(0, self._live - 1)
             self._lock.notify()
 
+    def forget(self, paths: Iterable[str]) -> None:
+        """The coordinator deleted *paths*: they leave every worker's
+        ``synced`` map, and a worker that held one drops its copy with
+        its next job."""
+        paths = list(paths)
+        with self._lock:
+            for handle in self._idle + self._busy:
+                for path in paths:
+                    if handle.synced.pop(path, None) is not None:
+                        handle.drop.add(path)
+
+    def run(
+        self,
+        handle: WorkerHandle,
+        job: MapReduceJob,
+        dfs: DistributedFileSystem,
+        timeout: Optional[float],
+    ) -> JobStats:
+        """Run *job* on *handle*'s worker in one exchange; its stores
+        land in *dfs* before this returns.
+
+        Raises :class:`WorkerJobError` when the job failed worker-side
+        (worker healthy) and :class:`WorkerCrashed` when the worker
+        died, hung past *timeout* seconds (``None`` = wait forever) or
+        garbled its reply.
+        """
+        synced = handle.synced
+        with self._lock:
+            drop, handle.drop = sorted(handle.drop), set()
+        files: List[Tuple[str, bytes]] = []
+        for path in job.load_paths:
+            if not dfs.exists(path):
+                # missing here, so missing there: the job fails on the
+                # worker exactly as it would in a serial run
+                synced.pop(path, None)
+                drop.append(path)
+                continue
+            version = dfs.mtime(path)
+            if synced.get(path) != version:
+                files.append((path, dfs.read_file(path)))
+                synced[path] = version
+        try:
+            handle.conn.send({"job": job.to_dict(), "files": files, "drop": drop})
+            answered = not timeout or handle.conn.poll(timeout)
+            reply = handle.conn.recv() if answered else None
+        except Exception as exc:
+            # EOF, pipe loss, or an undecodable (garbled) frame: the
+            # sender is the only plausible culprit once bytes went bad
+            raise WorkerCrashed(
+                f"worker {handle.name} (pid {handle.pid}) lost mid-job: {exc!r}"
+            ) from exc
+        if not answered:
+            raise WorkerTimeout(
+                f"worker {handle.name} (pid {handle.pid}) sent nothing "
+                f"for {timeout:g}s: hung mid-job"
+            )
+        if "error" in reply:
+            # a failed job may have half-written its stores worker-side
+            for path in job.store_paths:
+                synced.pop(path, None)
+            raise WorkerJobError(*reply["error"])
+        for path, payload in reply["stores"]:
+            dfs.write_file(path, payload, overwrite=True)
+            synced[path] = dfs.mtime(path)
+        return reply["stats"]
+
     def stop(self) -> None:
         """Stop every idle worker and refuse further acquires; busy
-        workers are stopped as their conversations release them."""
+        workers are stopped as their jobs release them."""
         with self._lock:
             if self._closed:
                 return
@@ -403,7 +366,7 @@ class ProcessWorkerPool:
     def _stop_handle(self, handle: WorkerHandle, graceful: bool) -> None:
         if graceful and handle.process.is_alive():
             try:
-                handle.conn.send({"op": "stop"})
+                handle.conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
         try:
@@ -413,8 +376,8 @@ class ProcessWorkerPool:
         if graceful:
             handle.process.join(timeout=5.0)
         # non-graceful: terminate immediately — the worker may be hung
-        # mid-exchange, and a courtesy join would stall every retry by
-        # its full timeout
+        # mid-job, and a courtesy join would stall every retry by its
+        # full timeout
         if handle.process.is_alive():
             handle.process.terminate()
             handle.process.join(timeout=5.0)
@@ -427,206 +390,7 @@ class ProcessWorkerPool:
             )
 
 
-class _Conversation:
-    """Per-conversation coordinator state."""
-
-    __slots__ = ("mirror", "started")
-
-    def __init__(self):
-        self.mirror: Optional[Workflow] = None
-        self.started = False
-
-
-class ProcessJobRunner:
-    """Coordinator-side half of the wire protocol.
-
-    One instance per service; each :meth:`run_conversation` drives one
-    submission on one worker, applying every manager hook to a
-    coordinator-side *mirror* workflow so matching, registration,
-    pinning, and eviction see exactly the state a serial run would.
-    """
-
-    def __init__(self, manager, dfs, reserved_paths=(), exchange_timeout=None):
-        self.manager = manager
-        self.dfs = dfs
-        #: coordinator-owned DFS paths a worker must never store to
-        #: (the persistence snapshot/journal, and the block-store base
-        #: whose generation files hang off it as "<base>.g<N>")
-        self.reserved_paths: Set[str] = set(reserved_paths)
-        #: seconds to wait for any single worker reply (None/0 = block
-        #: forever, the historical behaviour)
-        self.exchange_timeout: Optional[float] = exchange_timeout
-
-    def _recv(self, handle: WorkerHandle):
-        """One reply off the worker pipe, bounded by the exchange
-        timeout.
-
-        Any receive failure — EOF, pipe loss, or an undecodable
-        (garbled) frame — maps to :class:`WorkerCrashed`: the sender
-        is the only plausible culprit once bytes went bad, and the
-        worker must leave the pool either way.
-        """
-        timeout = self.exchange_timeout
-        if timeout:
-            if not handle.conn.poll(timeout):
-                raise WorkerTimeout(
-                    f"worker {handle.name} (pid {handle.pid}) sent nothing "
-                    f"for {timeout:g}s: hung mid-exchange"
-                )
-        try:
-            return handle.conn.recv()
-        except Exception as exc:
-            raise WorkerCrashed(
-                f"worker {handle.name} (pid {handle.pid}) pipe "
-                f"unreadable: {exc!r}"
-            ) from exc
-
-    def run_conversation(
-        self, handle: WorkerHandle, request, script_id: Optional[int]
-    ) -> Tuple[Workflow, object, Dict[str, list]]:
-        """Run *request* on *handle*; returns (workflow, stats, outputs).
-
-        Raises :class:`WorkerJobError` when the job failed worker-side
-        (worker healthy) and :class:`WorkerCrashed` when the pipe died.
-        """
-        conn = handle.conn
-        state = _Conversation()
-        try:
-            try:
-                conn.send(
-                    {
-                        "op": "run",
-                        "request": request.to_wire(),
-                        "script_id": script_id,
-                    }
-                )
-                while True:
-                    message = self._recv(handle)
-                    op = message.get("op")
-                    if op == "wf_start":
-                        self._on_wf_start(state, message)
-                        conn.send({"op": "proceed"})
-                    elif op == "before_job":
-                        conn.send(self._on_before_job(state, handle, message))
-                    elif op == "after_job":
-                        self._on_after_job(state, handle, message)
-                        conn.send({"op": "proceed"})
-                    elif op == "wf_end":
-                        conn.send(self._on_wf_end(state))
-                    elif op == "result":
-                        outputs = message["outputs"]
-                        self._fill_missing_outputs(state.mirror, outputs)
-                        return state.mirror, message["stats"], outputs
-                    elif op == "error":
-                        raise WorkerJobError(message["kind"], message["message"])
-                    else:
-                        raise WorkerCrashed(
-                            f"worker {handle.name} sent unexpected {op!r}"
-                        )
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                raise WorkerCrashed(
-                    f"worker {handle.name} (pid {handle.pid}) died "
-                    f"mid-conversation: {exc!r}"
-                ) from exc
-        finally:
-            if state.started and state.mirror is not None:
-                # the worker-side runner's finally never reached us:
-                # release pins/pending exactly as on_workflow_end would
-                self.manager.on_workflow_end(state.mirror)
-
-    # -- hook handlers (monkeypatch points for fault-injection tests) ------------
-
-    def _on_wf_start(self, state: _Conversation, message: dict) -> None:
-        state.mirror = Workflow.from_dict(message["workflow"])
-        self.manager.on_workflow_start(state.mirror)
-        state.started = True
-
-    def _on_before_job(
-        self, state: _Conversation, handle: WorkerHandle, message: dict
-    ) -> dict:
-        job = state.mirror.job_by_id(message["job_id"])
-        run_it = self.manager.before_job(job, state.mirror)
-        files: List[Tuple[str, bytes]] = []
-        if run_it:
-            # ship the (post-rewrite) inputs this worker lacks; a path
-            # missing coordinator-side fails worker-side exactly as it
-            # would in a serial run
-            for path in job.load_paths:
-                if not self.dfs.exists(path):
-                    continue
-                version = self.dfs.mtime(path)
-                if handle.synced.get(path) != version:
-                    files.append((path, self.dfs.read_file(path)))
-                    handle.synced[path] = version
-        return {
-            "op": "directives",
-            "run": run_it,
-            "jobs": [
-                (j.job_id, j.plan.to_dict(), j.eliminated_by)
-                for j in state.mirror.jobs
-            ],
-            "files": files,
-        }
-
-    def _on_after_job(
-        self, state: _Conversation, handle: WorkerHandle, message: dict
-    ) -> None:
-        job = state.mirror.job_by_id(message["job_id"])
-        for path, payload in message["stores"]:
-            if self._reserved(path):
-                raise RuntimeError(
-                    f"worker stored to reserved persistence path {path!r}; "
-                    "the snapshot/journal/block store are "
-                    "coordinator-owned files"
-                )
-            self.dfs.write_file(path, payload, overwrite=True)
-            handle.synced[path] = self.dfs.mtime(path)
-        self.manager.after_job(job, message["stats"], state.mirror)
-
-    def _reserved(self, path: str) -> bool:
-        """Exact reserved paths, plus their dot-suffixed derivatives
-        (block-store generations "<base>.gN", temp files)."""
-        if path in self.reserved_paths:
-            return True
-        return any(
-            path.startswith(base + ".") for base in self.reserved_paths
-        )
-
-    def _on_wf_end(self, state: _Conversation) -> dict:
-        self.manager.on_workflow_end(state.mirror)
-        state.started = False
-        kept = self.manager.protected_paths()
-        # replicate the engine's temp cleanup on the coordinator's
-        # authoritative filesystem (the worker cleans its own copy)
-        for job in state.mirror.jobs:
-            if job.temporary and job.output_path not in kept:
-                self.dfs.delete_if_exists(job.output_path)
-        return {"op": "kept", "kept": sorted(kept)}
-
-    def _fill_missing_outputs(
-        self, mirror: Optional[Workflow], outputs: Dict[str, list]
-    ) -> None:
-        """Outputs an eliminated job never produced worker-side (e.g.
-        an ``already-stored`` resubmission) exist only on the
-        coordinator's filesystem — parse them here so the result
-        envelope matches a serial run's."""
-        if mirror is None:
-            return
-        for job in mirror.jobs:
-            if job.temporary:
-                continue
-            store = job.plan.primary_store()
-            if store is None or store.path in outputs:
-                continue
-            if self.dfs.exists(store.path):
-                schema = store.schema or Schema()
-                outputs[store.path] = deserialize_rows(
-                    self.dfs.read_text(store.path), schema
-                )
-
-
 __all__ = [
-    "ProcessJobRunner",
     "ProcessWorkerPool",
     "WorkerCrashed",
     "WorkerHandle",

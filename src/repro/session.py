@@ -224,8 +224,8 @@ class ReStoreSession:
     def execute(self, request) -> "JobOutcome":
         """Run one typed :class:`~repro.service.api.JobRequest`
         in-process — the single submission surface every ``run`` /
-        ``run_workflow`` call (and the thread-mode service) converges
-        on.  Returns a :class:`~repro.service.api.JobOutcome`."""
+        ``run_workflow`` call and the service, on either executor,
+        converges on.  Returns a :class:`~repro.service.api.JobOutcome`."""
         from repro.service.api import JobOutcome
 
         self._check_open()

@@ -116,7 +116,7 @@ class TestPlansAndRules:
         assert storm_plan(spec) != storm_plan(StormSpec(seed=SEED + 1))
         sites = storm_plan(spec).sites()
         for site in (
-            "worker.hook",
+            "worker.job",
             "worker.result",
             "journal.append",
             "coordinator.heartbeat",
