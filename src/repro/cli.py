@@ -123,8 +123,8 @@ def _build_session(args, config: Optional[ReStoreConfig]) -> ReStoreSession:
 def _run_via_service(args, config: ReStoreConfig, source: str, name: str):
     """Route the script through a :class:`~repro.service.JobService`
     worker pool — the shared multi-tenant deployment — instead of a
-    private session.  Returns ``(outcome, repository_size)``."""
-    from repro.service import JobService, ServiceConfig
+    private session.  Returns ``(result, repository_size)``."""
+    from repro.service import JobService
 
     if args.no_restore:
         raise SystemExit(
@@ -132,29 +132,26 @@ def _run_via_service(args, config: ReStoreConfig, source: str, name: str):
             "(drop --no-restore, or drop the service flags)"
         )
     persistence = _persistence_config(args)
-    timeout = getattr(args, "exchange_timeout", 30.0)
-    service_config = ServiceConfig(
-        executor=args.executor or "threads",
-        max_workers=args.workers,
-        exchange_timeout=timeout if timeout and timeout > 0 else None,
-        retries=getattr(args, "retries", 1),
-    )
     try:
         service = JobService(
             config=config,
             persistence=persistence,
-            service=service_config,
+            executor=args.executor or "threads",
+            max_workers=args.workers,
+            retries=args.retries,
+            # 0 blocks forever; a negative value is the service's to refuse
+            exchange_timeout=args.exchange_timeout or None,
         )
     except ValueError as exc:
         _exit_on_bad_config(exc)
     try:
         _load_data(service, args.data or [])
-        outcome = service.open_session("cli").run(source, name=name)
+        result = service.open_session("cli").run(source, name=name)
         if service.persister is not None:
             # rotate a fresh snapshot, so the next invocation replays
             # no journal and restores its payloads from the block store
             service.persister.take_snapshot()
-        return outcome, len(service.repository)
+        return result, len(service.repository)
     finally:
         service.shutdown(wait=True)
 
@@ -163,7 +160,7 @@ def cmd_run(args) -> int:
     config = _restore_config(args)
     source = pathlib.Path(args.script).read_text()
     name = pathlib.Path(args.script).stem
-    if args.executor is not None or args.workers > 1:
+    if args.executor is not None or args.workers != 1:
         result, repo_entries = _run_via_service(args, config, source, name)
     else:
         session = _build_session(args, config)
@@ -308,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="run through the shared JobService with this many pool "
-             "workers (default 1 = private session)",
+             "workers (default 1 = private session; must be >= 1)",
     )
     run_p.add_argument(
         "--executor",

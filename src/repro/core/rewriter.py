@@ -36,14 +36,18 @@ class PlanRewriter:
 
         The frontier's consumers are re-pointed at the new Load; matched
         operators that no longer reach any store are garbage-collected.
-        Returns the inserted Load.
+        The new Load streams where the first Load it replaces did (the
+        interpreter streams loads in plan order, and a map-side UNION
+        emits rows in arrival order).  Returns the inserted Load.
         """
         frontier = match.frontier
         if frontier is None or frontier not in plan:
             raise PlanError("match frontier is not part of the plan")
 
+        upstream = plan.upstream_closure(frontier)
+        first = next((op for op in plan.loads() if op.op_id in upstream), None)
         load = POLoad(output_path, output_schema)
-        plan.add(load)
+        plan.add(load, before=first)
         for succ in list(plan.successors(frontier)):
             plan.disconnect(frontier, succ)
             plan.connect(load, succ)

@@ -280,16 +280,6 @@ def measure_whole_job_reuse(
     return measurement
 
 
-def geometric_mean(values: List[float]) -> float:
-    product = 1.0
-    count = 0
-    for v in values:
-        if v and v > 0:
-            product *= v
-            count += 1
-    return product ** (1.0 / count) if count else 0.0
-
-
 def arithmetic_mean(values: List[float]) -> float:
     values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else 0.0

@@ -1,7 +1,6 @@
 """Simulated MapReduce engine (Hadoop-like) and job/workflow model."""
 
 from repro.mapreduce.cluster import ClusterConfig
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf, MapReduceJob, Workflow
 from repro.mapreduce.runner import HadoopSimulator, JobListener
 from repro.mapreduce.shuffle import ShuffleBuffer, sort_key, stable_hash
@@ -14,7 +13,6 @@ from repro.mapreduce.stats import (
 
 __all__ = [
     "ClusterConfig",
-    "Counters",
     "HadoopSimulator",
     "JobConf",
     "JobListener",

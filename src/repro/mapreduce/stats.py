@@ -113,10 +113,6 @@ class WorkflowStats:
     wall_seconds: float = 0.0
 
     @property
-    def total_input_bytes(self) -> int:
-        return sum(s.input_bytes for s in self.job_stats.values())
-
-    @property
     def total_side_store_bytes(self) -> int:
         return sum(s.side_store_bytes for s in self.job_stats.values())
 

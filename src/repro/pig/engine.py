@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.events import ReStoreEvent
+from repro.events import DECISION_EVENTS, ReStoreEvent, render_events
 from repro.exceptions import CompilationError, PlanError
 from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.job import MapReduceJob, Workflow
@@ -47,7 +47,8 @@ _pause_found_enabled = False
 
 @dataclass
 class PigRunResult:
-    """Everything produced by one script execution."""
+    """Everything produced by one script execution, run directly or
+    submitted through a :class:`~repro.service.JobService`."""
 
     workflow: Workflow
     stats: WorkflowStats
@@ -55,6 +56,14 @@ class PigRunResult:
     outputs: Dict[str, List[Row]] = field(default_factory=dict)
     #: typed ReStore events drained from the manager for this run
     events: List[ReStoreEvent] = field(default_factory=list)
+    #: 1 + the job re-runs this submission needed after a worker
+    #: crashed or hung (process-mode service)
+    attempts: int = 1
+
+    @property
+    def decisions(self) -> Tuple[str, ...]:
+        """The byte-comparable reuse decisions of this run."""
+        return tuple(render_events(self.events, DECISION_EVENTS))
 
     @property
     def sim_seconds(self) -> float:

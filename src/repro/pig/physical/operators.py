@@ -212,15 +212,6 @@ class POForEach(PhysicalOperator):
             self.flattens,
         )
 
-    @property
-    def is_pure_projection(self) -> bool:
-        """True when every generated field is a bare column reference."""
-        from repro.relational.expressions import Column
-
-        return all(isinstance(e, Column) for e in self.exprs) and not any(
-            self.flattens
-        )
-
     def params_dict(self) -> dict:
         return {
             "exprs": [e.to_dict() for e in self.exprs],

@@ -53,10 +53,19 @@ class PhysicalPlan:
         self._fp_plan = None
         self._fp_ops = None
 
-    def add(self, op: PhysicalOperator) -> PhysicalOperator:
+    def add(
+        self, op: PhysicalOperator, before: Optional[PhysicalOperator] = None
+    ) -> PhysicalOperator:
+        """Add *op* last in the operator order, or just ahead of
+        *before*: the interpreter streams loads in this order."""
         if op.op_id in self._ops:
             return op
-        self._ops[op.op_id] = op
+        if before is None:
+            self._ops[op.op_id] = op
+        else:
+            ops = list(self._ops.items())
+            ops.insert(list(self._ops).index(before.op_id), (op.op_id, op))
+            self._ops = dict(ops)
         self._succs[op.op_id] = []
         self._preds[op.op_id] = []
         self._mutated()
@@ -143,9 +152,6 @@ class PhysicalPlan:
     @property
     def operators(self) -> List[PhysicalOperator]:
         return list(self._ops.values())
-
-    def op_by_id(self, op_id: int) -> PhysicalOperator:
-        return self._ops[op_id]
 
     def successors(self, op: PhysicalOperator) -> List[PhysicalOperator]:
         return [self._ops[i] for i in self._succs[op.op_id]]

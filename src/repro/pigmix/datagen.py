@@ -56,10 +56,6 @@ class PigMixDataset:
     paths: Dict[str, str] = field(default_factory=dict)
     actual_bytes: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_actual_bytes(self) -> int:
-        return sum(self.actual_bytes.values())
-
     def data_scale(self, scale_label: str) -> float:
         """Factor mapping generated bytes to the declared instance.
 

@@ -58,13 +58,6 @@ _PYTHON_TYPES = {
 }
 
 
-def python_type(dtype: DataType) -> type:
-    """Return the Python type used to represent *dtype* values."""
-    if dtype.is_nested:
-        return tuple if dtype is DataType.TUPLE else list
-    return _PYTHON_TYPES[dtype]
-
-
 def cast_value(value: Any, dtype: DataType) -> Any:
     """Cast *value* to *dtype*, returning ``None`` unchanged.
 

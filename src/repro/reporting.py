@@ -176,13 +176,10 @@ def manager_report(manager: ReStoreManager) -> str:
 
 def session_report(session: "ReStoreSession") -> str:
     """Session summary: run totals, repository inventory, counters."""
-    executed = sum(r.stats.n_jobs_executed for r in session.results)
-    eliminated = sum(len(r.stats.eliminated_jobs) for r in session.results)
-    sim_total = sum(r.sim_seconds for r in session.results)
     lines = [
-        f"session: {len(session.results)} run(s), {executed} job(s) "
-        f"executed, {eliminated} answered from the repository, "
-        f"{format_duration(sim_total)} simulated",
+        f"session: {session.runs} run(s), {session.jobs_executed} job(s) "
+        f"executed, {session.jobs_eliminated} answered from the "
+        f"repository, {format_duration(session.sim_seconds)} simulated",
     ]
     if session.manager is not None:
         lines.append(manager_report(session.manager))
@@ -197,18 +194,6 @@ def session_report(session: "ReStoreSession") -> str:
             f"{persister.buffered_records} buffered record(s)"
         )
     return "\n".join(lines)
-
-
-def resilience_report(stats) -> str:
-    """One line of self-healing counters from a
-    :class:`~repro.service.jobservice.ServiceStats` (the bench summary
-    and the chaos tests read this surface)."""
-    return (
-        f"resilience: {stats.retried} retried, {stats.timeouts} "
-        f"timeout(s), {stats.quarantined_entries} quarantined, "
-        f"{stats.promotions} promotion(s), {stats.breaker_trips} "
-        f"breaker trip(s)"
-    )
 
 
 def comparison_table(

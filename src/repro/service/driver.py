@@ -4,8 +4,9 @@ The driver is the differential harness for the shared-service
 deployment: it opens ``n_sessions`` tenant sessions, deals a workload
 across them round-robin (tenant i gets jobs i, i+n, i+2n, ...), submits
 everything up front, and waits for the futures in submission order.  It
-records a **decision log** — the legacy-rendered ``RewriteApplied`` /
-``JobEliminated`` lines of every job, in submission order — which is
+records a **decision log** — every job's ``PigRunResult.decisions``
+(the rendered ``RewriteApplied`` / ``JobEliminated`` lines), in
+submission order — which is
 the byte-comparable artifact of the 1-worker differentials in
 ``tests/test_service.py`` and ``tests/test_service_processes.py``: a
 1-worker service run must produce exactly the serial log.
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from repro.events import DECISION_EVENTS, render_events
 from repro.mapreduce.job import Workflow
 from repro.pig.engine import PigRunResult
 from repro.service.jobservice import JobService
@@ -40,14 +40,8 @@ class DriverResult:
     per_session: Dict[str, int] = field(default_factory=dict)
     #: per job (submission order): rendered rewrite/elimination lines
     decisions: List[Tuple[str, ...]] = field(default_factory=list)
-    #: JobOutcome per driven job (PigRunResult from ``run_serial``)
-    results: List = field(default_factory=list)
-
-
-def decision_log(result) -> Tuple[str, ...]:
-    """The byte-comparable reuse decisions of one job's run (accepts
-    anything with typed ``events`` — JobOutcome or PigRunResult)."""
-    return tuple(render_events(result.events, DECISION_EVENTS))
+    #: per driven job (submission order)
+    results: List[PigRunResult] = field(default_factory=list)
 
 
 class WorkloadDriver:
@@ -80,7 +74,7 @@ class WorkloadDriver:
         return DriverResult(
             jobs=len(results),
             per_session=dict(self.service.stats.per_session),
-            decisions=[decision_log(result) for result in results],
+            decisions=[result.decisions for result in results],
             results=results,
         )
 
@@ -98,7 +92,7 @@ class WorkloadDriver:
         return DriverResult(
             jobs=len(results),
             per_session={session.session_id: len(results)},
-            decisions=[decision_log(result) for result in results],
+            decisions=[result.decisions for result in results],
             results=results,
         )
 
@@ -111,5 +105,4 @@ __all__ = [
     "DriverResult",
     "WorkloadDriver",
     "WorkloadItem",
-    "decision_log",
 ]

@@ -9,16 +9,15 @@ shape: a :class:`JobService` owns one DFS, one thread-safe
 :class:`~repro.core.repository.Repository`, and executes job
 submissions from many :class:`~repro.session.ReStoreSession` tenants.
 
-Every submission path — ``JobService.submit``,
-``submit``/``submit_workflow``/``run`` on a :class:`ServiceSession`, and
-``run``/``run_workflow`` on a ``ReStoreSession`` — converges on the typed
-:class:`~repro.service.api.JobRequest` /
-:class:`~repro.service.api.JobOutcome` pair and on one path:
-:meth:`ReStoreSession.execute <repro.session.ReStoreSession.execute>`
-on the coordinator.  :class:`~repro.service.api.ServiceConfig` decides
-only where a job executes: ``executor="threads"`` runs it on the
-submitting pool thread, ``executor="processes"`` hands it to a
-spawn-based worker process (:class:`ProcessJobRunner`; see
+A submission is a call: ``JobService.submit`` and
+``submit``/``submit_workflow``/``run`` on a :class:`ServiceSession`
+queue the tenant's own :meth:`ReStoreSession.run
+<repro.session.ReStoreSession.run>` (or ``run_workflow``), which runs
+on the coordinator and returns the engine's
+:class:`~repro.pig.engine.PigRunResult`.  The ``executor`` argument
+decides only where a job executes: ``"threads"`` runs it on the
+submitting pool thread, ``"processes"`` hands it to a spawn-based
+worker process (:class:`ProcessJobRunner`; see
 :mod:`repro.service.procpool` for the one-exchange wire protocol).
 
 Guarantees (both executors):
@@ -64,7 +63,8 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.repository import Repository
@@ -83,6 +83,7 @@ from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.job import MapReduceJob, Workflow
 from repro.mapreduce.runner import HadoopSimulator
 from repro.mapreduce.stats import JobStats
+from repro.pig.engine import PigRunResult
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
@@ -90,7 +91,6 @@ from repro.persistence.durability import (
     recover,
 )
 from repro.persistence.standby import StandbyReplica
-from repro.service.api import JobOutcome, JobRequest, ServiceConfig
 from repro.service.procpool import (
     ProcessWorkerPool,
     WorkerCrashed,
@@ -99,6 +99,8 @@ from repro.service.procpool import (
 )
 from repro.session import ReStoreSession
 
+#: valid ``JobService(executor=...)`` values
+EXECUTORS = ("threads", "processes")
 #: crash/timeout retry backoff: attempt k sleeps
 #: ``min(BACKOFF_BASE_S * 2**(k-1), BACKOFF_CAP_S)`` plus a deterministic
 #: jitter seeded from (session, attempt) — retries de-synchronize across
@@ -163,8 +165,6 @@ class ServiceSession:
     def __init__(self, service: "JobService", session: ReStoreSession):
         self._service = service
         self.session = session
-        #: stamped on every outcome: where this tenant's jobs execute
-        self.executor = service.service_config.executor
         #: job re-executions of the submission now running (process
         #: mode: a worker crashed or hung under one of its jobs)
         self.reruns = 0
@@ -204,23 +204,15 @@ class ServiceSession:
     def session_id(self) -> str:
         return self.session.session_id
 
-    def submit(self, source: str, name: str = "") -> "Future[JobOutcome]":
-        """Queue a Pig Latin script; returns a future of its outcome."""
-        return self._service._submit(
-            self,
-            JobRequest.from_source(
-                source, session_id=self.session_id, name=name
-            ),
-        )
+    def submit(self, source: str, name: str = "") -> "Future[PigRunResult]":
+        """Queue a Pig Latin script; returns a future of its result."""
+        return self._service._submit(self, partial(self.session.run, source, name))
 
-    def submit_workflow(self, workflow: Workflow) -> "Future[JobOutcome]":
+    def submit_workflow(self, workflow: Workflow) -> "Future[PigRunResult]":
         """Queue a pre-compiled workflow (benchmark/driver path)."""
-        return self._service._submit(
-            self,
-            JobRequest.from_workflow(workflow, session_id=self.session_id),
-        )
+        return self._service._submit(self, partial(self.session.run_workflow, workflow))
 
-    def run(self, source: str, name: str = "") -> JobOutcome:
+    def run(self, source: str, name: str = "") -> PigRunResult:
         """Submit and wait (convenience for interactive tenants)."""
         return self.submit(source, name=name).result()
 
@@ -244,7 +236,7 @@ class ProcessJobRunner(HadoopSimulator):
 
     A worker that crashes, hangs or garbles its reply is discarded and
     the job runs again on a fresh one, after a backoff, up to
-    ``ServiceConfig.retries`` times.  Nothing the submission decided is
+    ``JobService(retries=...)`` times.  Nothing the submission decided is
     replayed: the job's reply is the first thing it changes here.
     """
 
@@ -256,14 +248,13 @@ class ProcessJobRunner(HadoopSimulator):
 
     def run_job(self, job: MapReduceJob) -> JobStats:
         service = self._service
-        config = service.service_config
         pool = service._pool
         attempt = 0
         while True:
             attempt += 1
             worker = pool.acquire()
             try:
-                stats = pool.run(worker, job, self.dfs, config.exchange_timeout)
+                stats = pool.run(worker, job, self.dfs, service.exchange_timeout)
             except WorkerCrashed as exc:
                 # WorkerTimeout subclasses WorkerCrashed: a hung worker
                 # is killed and the job re-run exactly like a crashed
@@ -272,7 +263,7 @@ class ProcessJobRunner(HadoopSimulator):
                 if isinstance(exc, WorkerTimeout):
                     with service._lock:
                         service.stats.timeouts += 1
-                if attempt > config.retries:
+                if attempt > service.retries:
                     raise
                 with service._lock:
                     service.stats.retried += 1
@@ -308,11 +299,26 @@ class JobService:
 
     Infrastructure parameters mirror :class:`ReStoreSession`; the
     service builds the shared state once and every
-    :meth:`open_session` tenant is wired onto it.  Execution knobs
-    live in a :class:`~repro.service.api.ServiceConfig` passed as
-    ``service=`` — or via the ``max_workers``/``executor`` shorthands,
-    which are mutually exclusive with it.  With 1 worker (thread or
-    process) the service degenerates to a deterministic serial executor.
+    :meth:`open_session` tenant is wired onto it.  The execution
+    arguments:
+
+    * ``executor`` — ``"threads"`` executes jobs in the coordinator's
+      address space, ``"processes"`` on spawned worker processes, one
+      exchange per job (see :data:`EXECUTORS`);
+    * ``max_workers`` — pool threads, and worker processes in process
+      mode;
+    * ``retries`` — process mode: how many times a job runs again on a
+      fresh worker after its worker crashed, hung or garbled its reply
+      (0 = fail fast);
+    * ``exchange_timeout`` — process mode: seconds to wait for a
+      worker's reply before declaring it hung (None = block forever);
+    * ``standby`` — keep a journal-tailing :class:`StandbyReplica` warm
+      and promote it when the heartbeat goes silent (needs
+      ``persistence=``).
+
+    All of them are checked before any thread or process starts.  With
+    1 worker (thread or process) the service degenerates to a
+    deterministic serial executor.
     """
 
     def __init__(
@@ -324,31 +330,34 @@ class JobService:
         repository: Optional[Repository] = None,
         config: Optional[ReStoreConfig] = None,
         persistence: Optional[PersistenceConfig] = None,
-        service: Optional[ServiceConfig] = None,
-        max_workers: Optional[int] = None,
-        executor: Optional[str] = None,
+        executor: str = "threads",
+        max_workers: int = 4,
+        retries: int = 1,
+        exchange_timeout: Optional[float] = 30.0,
+        standby: bool = False,
     ):
-        if service is not None:
-            shorthands = {"max_workers": max_workers, "executor": executor}
-            clashing = sorted(k for k, v in shorthands.items() if v is not None)
-            if clashing:
-                raise ValueError(
-                    "service= already fixes the execution knobs; don't "
-                    f"also pass {', '.join(clashing)} (set them on the "
-                    "ServiceConfig instead)"
-                )
-        else:
-            service = ServiceConfig(
-                executor=executor if executor is not None else "threads",
-                max_workers=max_workers if max_workers is not None else 4,
+        if executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {executor!r}; pick one of {', '.join(EXECUTORS)}"
             )
-        service.validate()
-        if service.standby and persistence is None:
+        if max_workers < 1:
+            raise ValueError("need at least one worker")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
+        if exchange_timeout is not None and exchange_timeout <= 0:
+            raise ValueError(
+                "exchange_timeout must be positive seconds (or None to "
+                "block forever)"
+            )
+        if standby and persistence is None:
             raise ValueError(
                 "standby=True needs persistence= (the warm replica "
                 "tails the persister's journal)"
             )
-        self.service_config = service
+        self.executor = executor
+        self.max_workers = max_workers
+        self.retries = retries
+        self.exchange_timeout = exchange_timeout
         self.cluster = cluster or ClusterConfig()
         self.dfs = dfs or DistributedFileSystem()
         self.cost_model = cost_model or CostModel(cluster=self.cluster)
@@ -376,13 +385,13 @@ class JobService:
         if recovered is not None:
             self.persister = adopt_recovered(self.manager, recovered, persistence)
         self._pool: Optional[ProcessWorkerPool] = None
-        if service.executor == "processes":
+        if executor == "processes":
             # ship the active fault plan (if a harness installed one)
             # to every worker: workers re-install it keyed by their
             # own ordinal, so worker-targeted rules replay exactly
             active_injector = faults.active()
             self._pool = ProcessWorkerPool(
-                service.max_workers,
+                max_workers,
                 {
                     "cluster": self.cluster,
                     "cost_model": self.cost_model,
@@ -394,7 +403,7 @@ class JobService:
                 },
             )
         self._executor = ThreadPoolExecutor(
-            max_workers=service.max_workers,
+            max_workers=max_workers,
             thread_name_prefix="restore-worker",
         )
         self._lock = threading.RLock()
@@ -408,7 +417,7 @@ class JobService:
         self._heartbeat_tick = 0
         self._missed_beats = 0
         self._wire_resilience()
-        if service.standby:
+        if standby:
             self.standby = StandbyReplica(self.persister)
 
     def _wire_resilience(self) -> None:
@@ -434,14 +443,6 @@ class JobService:
             )
 
     # -- tenants -----------------------------------------------------------------
-
-    @property
-    def max_workers(self) -> int:
-        return self.service_config.max_workers
-
-    @property
-    def executor(self) -> str:
-        return self.service_config.executor
 
     @property
     def repository(self) -> Repository:
@@ -476,7 +477,7 @@ class JobService:
                 session_id=session_id,
             )
             handle = ServiceSession(self, session)
-            if handle.executor == "processes":
+            if self.executor == "processes":
                 session.server.runner = ProcessJobRunner(self, handle)
             self._sessions[session_id] = handle
             return handle
@@ -493,7 +494,7 @@ class JobService:
 
     def submit(
         self, session_id: str, source: str, name: str = ""
-    ) -> "Future[JobOutcome]":
+    ) -> "Future[PigRunResult]":
         """Queue a script for the named tenant (opened on demand).
 
         The get-or-open is atomic (the service lock is reentrant), so
@@ -506,8 +507,8 @@ class JobService:
         return handle.submit(source, name=name)
 
     def _submit(
-        self, handle: ServiceSession, request: JobRequest
-    ) -> "Future[JobOutcome]":
+        self, handle: ServiceSession, call: Callable[[], PigRunResult]
+    ) -> "Future[PigRunResult]":
         # Ticket-take and enqueue happen under one lock, so the pool's
         # FIFO queue order always agrees with ticket order — the
         # worker holding a session's lowest outstanding ticket was
@@ -516,9 +517,7 @@ class JobService:
             self._check_open()
             self.stats.submitted += 1
             ticket = handle._take_ticket()
-            future = self._executor.submit(
-                self._execute, handle, request, ticket
-            )
+            future = self._executor.submit(self._execute, handle, call, ticket)
 
         # A cancelled future never reaches _execute, so its turn must
         # still be released (or the tenant's ticket chain wedges and
@@ -534,29 +533,28 @@ class JobService:
         return future
 
     def _execute(
-        self, handle: ServiceSession, request: JobRequest, ticket: int
-    ) -> JobOutcome:
+        self, handle: ServiceSession, call: Callable[[], PigRunResult], ticket: int
+    ) -> PigRunResult:
         # Per-session FIFO: wait for this submission's turn, so a
         # tenant's own submissions never interleave or reorder (and
         # the event drain attributes decisions unambiguously).
         handle._await_turn(ticket)
         handle.reruns = 0
         try:
-            outcome = handle.session.execute(request)
+            result = call()
         except BaseException:
             with self._lock:
                 self.stats.failed += 1
             raise
         finally:
             handle._finish_turn(ticket)
-        outcome.executor = handle.executor
-        outcome.attempts += handle.reruns
+        result.attempts += handle.reruns
         with self._lock:
             self.stats.completed += 1
             sid = handle.session_id
             self.stats.per_session[sid] = self.stats.per_session.get(sid, 0) + 1
         self._heartbeat()
-        return outcome
+        return result
 
     # -- self-healing ------------------------------------------------------------
 

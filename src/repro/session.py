@@ -19,6 +19,12 @@ Quick start::
         )
         print(result.outputs["out"])
 
+Every run returns the engine's :class:`~repro.pig.engine.PigRunResult`,
+and the caller owns it: the session keeps only run totals for
+:meth:`~ReStoreSession.report`.  A :class:`~repro.service.JobService`
+tenant is such a session, and its submissions are calls to
+:meth:`~ReStoreSession.run` / :meth:`~ReStoreSession.run_workflow`.
+
 ReStore's policies are a :class:`~repro.core.manager.ReStoreConfig` of
 names (``ReStoreSession(config=ReStoreConfig(heuristic="conservative"))``),
 or the same settings through the fluent :meth:`ReStoreSession.builder`.
@@ -27,8 +33,9 @@ The constructor validates every combination of arguments.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.manager import (
     MatchPipelineTotals,
@@ -152,7 +159,13 @@ class ReStoreSession:
         )
         self._events = self.manager.events if self.manager else EventBus()
         self._closed = False
-        self.results: List[PigRunResult] = []
+        #: run totals for :meth:`report`; the results themselves belong
+        #: to the caller, so the session keeps none of them alive
+        self._totals_lock = threading.Lock()
+        self.runs = 0
+        self.jobs_executed = 0
+        self.jobs_eliminated = 0
+        self.sim_seconds = 0.0
 
     # -- construction helpers ---------------------------------------------------
 
@@ -221,44 +234,29 @@ class ReStoreSession:
         else:
             yield
 
-    def execute(self, request) -> "JobOutcome":
-        """Run one typed :class:`~repro.service.api.JobRequest`
-        in-process — the single submission surface every ``run`` /
-        ``run_workflow`` call and the service, on either executor,
-        converges on.  Returns a :class:`~repro.service.api.JobOutcome`."""
-        from repro.service.api import JobOutcome
-
-        self._check_open()
-        if request.session_id and request.session_id != self.session_id:
-            raise ValueError(
-                f"request is addressed to session {request.session_id!r} "
-                f"but this session is {self.session_id!r}"
-            )
-        with self._scope():
-            if request.source is not None:
-                result = self.server.run(request.source, name=request.name)
-            else:
-                result = self.server.run_workflow(request.workflow)
-        self.results.append(result)
-        return JobOutcome.from_result(result, session_id=self.session_id)
-
     def run(self, source: str, name: str = "") -> PigRunResult:
-        """Compile and execute a Pig Latin script."""
-        from repro.service.api import JobRequest
-
-        return self.execute(
-            JobRequest.from_source(
-                source, session_id=self.session_id, name=name
-            )
-        ).to_result()
+        """Compile and execute a Pig Latin script.  A
+        :class:`~repro.service.JobService` tenant's submissions run
+        here too, on either executor."""
+        self._check_open()
+        with self._scope():
+            result = self.server.run(source, name=name)
+        return self._count(result)
 
     def run_workflow(self, workflow) -> PigRunResult:
         """Execute a pre-compiled workflow (service/benchmark path)."""
-        from repro.service.api import JobRequest
+        self._check_open()
+        with self._scope():
+            result = self.server.run_workflow(workflow)
+        return self._count(result)
 
-        return self.execute(
-            JobRequest.from_workflow(workflow, session_id=self.session_id)
-        ).to_result()
+    def _count(self, result: PigRunResult) -> PigRunResult:
+        with self._totals_lock:  # runs may overlap on several threads
+            self.runs += 1
+            self.jobs_executed += result.stats.n_jobs_executed
+            self.jobs_eliminated += len(result.stats.eliminated_jobs)
+            self.sim_seconds += result.sim_seconds
+        return result
 
     def explain(self, source: str) -> str:
         """Render the compiled workflow like Pig's EXPLAIN."""
@@ -276,7 +274,7 @@ class ReStoreSession:
         state = "closed" if self._closed else "open"
         entries = len(self.repository) if self.repository is not None else 0
         return (
-            f"ReStoreSession({state}, runs={len(self.results)}, "
+            f"ReStoreSession({state}, runs={self.runs}, "
             f"restore={'on' if self.manager else 'off'}, entries={entries})"
         )
 

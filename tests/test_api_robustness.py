@@ -19,7 +19,7 @@ from repro.pig.physical.operators import POLoad, POStore
 from repro.pig.physical.plan import linear_plan
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from repro.service import JobService, ServiceConfig
+from repro.service import JobService
 from repro.session import ReStoreSession, SessionBuilder
 
 SCHEMA = Schema.of(("a", DataType.CHARARRAY))
@@ -187,11 +187,6 @@ def _setters(cls):
 #: every value a caller can set on each public surface.  A change that
 #: adds or removes a knob edits this ledger in the same diff.
 KNOB_LEDGER = {
-    "ServiceConfig": (
-        _fields,
-        ServiceConfig,
-        {"executor", "max_workers", "retries", "exchange_timeout", "standby"},
-    ),
     "PersistenceConfig": (
         _fields,
         PersistenceConfig,
@@ -238,9 +233,11 @@ KNOB_LEDGER = {
             "repository",
             "config",
             "persistence",
-            "service",
-            "max_workers",
             "executor",
+            "max_workers",
+            "retries",
+            "exchange_timeout",
+            "standby",
         },
     ),
     "ReStoreManager": (
@@ -276,6 +273,14 @@ class TestKnobLedger:
         assert read(target) == ledgered
 
     def test_ledger_covers_every_public_surface(self):
-        assert len(KNOB_LEDGER) >= 8
+        assert set(KNOB_LEDGER) == {
+            "PersistenceConfig",
+            "ReStoreConfig",
+            "PigServer",
+            "ReStoreSession",
+            "JobService",
+            "ReStoreManager",
+            "SessionBuilder",
+        }
         for read, target, ledgered in KNOB_LEDGER.values():
             assert ledgered and read(target)

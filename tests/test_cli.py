@@ -116,6 +116,39 @@ class TestPluginFlags:
         assert "time-window" in err and "capacity" in err
 
 
+class TestServiceFlags:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "need at least one worker"),
+            (["--workers", "-3"], "need at least one worker"),
+            (
+                ["--executor", "threads", "--exchange-timeout", "-5"],
+                "exchange_timeout must be positive",
+            ),
+            (["--executor", "processes", "--retries", "-1"], "retries must be >= 0"),
+        ],
+    )
+    def test_a_bad_service_flag_exits_2(self, script_and_data, capsys, flags, message):
+        script, data = script_and_data
+        code = main(["run", str(script), "--data", f"{data}=pv", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "rows) ==" not in captured.out  # nothing ran
+
+    def test_a_zero_exchange_timeout_blocks_forever(self, script_and_data, capsys):
+        """0 means no timeout, not a bad one: the service run prints
+        what a private session prints."""
+        script, data = script_and_data
+        args = ["run", str(script), "--data", f"{data}=pv"]
+        assert main(args) == 0
+        private = capsys.readouterr().out
+        assert "== out (2 rows) ==" in private
+        assert main([*args, "--executor", "threads", "--exchange-timeout", "0"]) == 0
+        assert capsys.readouterr().out == private
+
+
 class TestExperiments:
     def test_list(self, capsys):
         assert main(["list-experiments"]) == 0

@@ -44,7 +44,7 @@ from repro.faults import injector as faults
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule, StormSpec, storm_plan
 from repro.persistence.durability import PersistenceConfig, recover
-from repro.service import JobService, ServiceConfig
+from repro.service import JobService
 from repro.service.jobservice import BACKOFF_BASE_S, BACKOFF_CAP_S
 
 N_JOBS = 18
@@ -103,13 +103,11 @@ def _run_lane(
             dfs=dfs,
             persistence=persistence,
             config=probe_config(),
-            service=ServiceConfig(
-                executor="processes",
-                max_workers=1,
-                retries=RETRIES,
-                exchange_timeout=EXCHANGE_TIMEOUT_S,
-                standby=True,
-            ),
+            executor="processes",
+            max_workers=1,
+            retries=RETRIES,
+            exchange_timeout=EXCHANGE_TIMEOUT_S,
+            standby=True,
         )
         recoveries = service.persister.events.collect(event_types=PersistenceRecovered)
         session = service.open_session("storm")

@@ -65,7 +65,7 @@ from repro.persistence.durability import (
 )
 from repro.persistence.journal import Journal, encode_record
 from repro.persistence.storage import LocalStorage
-from repro.service import JobService, ServiceConfig
+from repro.service import JobService
 from test_framedlog import SEED, inject
 
 
@@ -240,12 +240,10 @@ class TestChaosSweep:
                     dfs=dfs,
                     persistence=config,
                     config=probe_config(),
-                    service=ServiceConfig(
-                        executor="processes",
-                        max_workers=1,
-                        retries=2,
-                        exchange_timeout=10.0,
-                    ),
+                    executor="processes",
+                    max_workers=1,
+                    retries=2,
+                    exchange_timeout=10.0,
                 )
             except Exception:
                 service = None  # recovery-path faults fail construction
@@ -419,13 +417,11 @@ class TestStandbyPromotion:
                 dfs=dfs,
                 persistence=config,
                 config=probe_config(),
-                service=ServiceConfig(
-                    executor="processes",
-                    max_workers=1,
-                    retries=2,
-                    exchange_timeout=10.0,
-                    standby=True,
-                ),
+                executor="processes",
+                max_workers=1,
+                retries=2,
+                exchange_timeout=10.0,
+                standby=True,
             )
             session = service.open_session("tenant")
             decisions = []
@@ -504,13 +500,11 @@ class TestShutdownKillsHungWorkers:
                 dfs=dfs,
                 persistence=config,
                 config=probe_config(),
-                service=ServiceConfig(
-                    executor="processes",
-                    max_workers=1,
-                    retries=0,
-                    exchange_timeout=None,  # block forever: only the
-                    # non-waiting shutdown can free this submission
-                ),
+                executor="processes",
+                max_workers=1,
+                retries=0,
+                exchange_timeout=None,  # block forever: only the
+                # non-waiting shutdown can free this submission
             )
             kills = []
             service.events.subscribe(kills.append, event_types=(WorkerKilled,))

@@ -32,7 +32,7 @@ from repro.faults import injector as faults
 from repro.persistence.blockstore import decode_blockstore
 from repro.persistence.durability import PersistenceConfig, recover
 from repro.persistence.journal import decode_journal
-from repro.service import JobService, ServiceConfig
+from repro.service import JobService
 from repro.session import ReStoreSession
 from test_framedlog import SEED, inject
 
@@ -269,7 +269,8 @@ class TestTwoTenantsOnePersister:
         config = _config(root)
         service = JobService(
             persistence=config,
-            service=ServiceConfig(executor="threads", max_workers=2),
+            executor="threads",
+            max_workers=2,
         )
         _load(service.dfs)
         slow_inside, release = threading.Event(), threading.Event()
@@ -317,7 +318,8 @@ class TestTwoTenantsOnePersister:
         config = _config(tmp_path, snapshot_interval=30)
         service = JobService(
             persistence=config,
-            service=ServiceConfig(executor="threads", max_workers=4),
+            executor="threads",
+            max_workers=4,
         )
         _load(service.dfs)
         interval = sys.getswitchinterval()

@@ -1,15 +1,20 @@
 """Unit tests for plan rewriting (paper §3, Figures 4 and 6)."""
 
+import pytest
+
+from repro import ReStoreSession
 from repro.core.matcher import PlanMatcher
 from repro.core.rewriter import PlanRewriter
 from repro.mapreduce.job import MapReduceJob
+from repro.events import RewriteApplied
 from repro.pig.physical.operators import (
     POFilter,
     POForEach,
     POLoad,
     POStore,
+    POUnion,
 )
-from repro.pig.physical.plan import linear_plan
+from repro.pig.physical.plan import PhysicalPlan, linear_plan
 from repro.relational.expressions import BinaryOp, Column, Const
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
@@ -78,6 +83,62 @@ class TestPartialRewrite:
         rewriter.rewrite_partial(plan, match_2, "stored/fp", PROJ_SCHEMA)
         kinds = sorted(op.kind for op in plan)
         assert kinds == ["load", "store"]
+
+
+def union_plan():
+    """Load pv -> filter --+
+                           +--> UNION -> Store
+       Load other ---------+"""
+    plan = PhysicalPlan()
+    pv, other = POLoad("pv", SCHEMA), POLoad("other", SCHEMA)
+    filt = POFilter(BinaryOp(">", Column(1), Const(1.0)), schema=SCHEMA)
+    union, store = POUnion(2, schema=SCHEMA), POStore("out", SCHEMA)
+    for op in (pv, filt, other, union, store):
+        plan.add(op)
+    plan.connect(pv, filt)
+    plan.connect(filt, union)
+    plan.connect(other, union)
+    plan.connect(union, store)
+    return plan
+
+
+class TestLoadOrder:
+    """The interpreter streams a job's loads in plan order and a UNION
+    emits rows as they arrive, so a rewrite's Load must stream where
+    the Load it replaces did."""
+
+    def test_partial_rewrite_takes_the_replaced_loads_place(self):
+        plan = union_plan()
+        match = PlanMatcher().match(plan, repo_filter_plan())
+        PlanRewriter().rewrite_partial(plan, match, "stored/f", SCHEMA)
+        plan.validate()
+        assert [load.path for load in plan.loads()] == ["stored/f", "other"]
+
+    @pytest.mark.parametrize(
+        "inputs, order", [("F, B", "abcxy"), ("B, F", "xyabc")]
+    )
+    def test_reusing_a_union_branch_keeps_the_row_order(self, inputs, order):
+        first = (
+            "A = load 'a' as (k, v:int); F = filter A by v > 0;"
+            "store F into 'f';"
+        )
+        second = (
+            "A = load 'a' as (k, v:int); F = filter A by v > 0;"
+            f"B = load 'b' as (k, v:int); U = union {inputs};"
+            "store U into 'u';"
+        )
+
+        def run(restore_enabled):
+            session = ReStoreSession(restore_enabled=restore_enabled)
+            session.write_file("a", "a\t1\nb\t2\nc\t3\n")
+            session.write_file("b", "x\t5\ny\t6\n")
+            session.run(first)
+            return session.run(second)
+
+        reused, plain = run(True), run(False)
+        assert any(isinstance(e, RewriteApplied) for e in reused.events)
+        assert [row[0] for row in plain.outputs["u"]] == list(order)
+        assert reused.outputs == plain.outputs
 
 
 class TestCopyJob:

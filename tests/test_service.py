@@ -20,6 +20,8 @@ Covers the tentpole guarantees:
 from __future__ import annotations
 
 import threading
+import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -36,7 +38,7 @@ from repro.pig.physical.plan import linear_plan
 from repro.relational.expressions import BinaryOp, Column, Const
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from repro.service import JobService, WorkloadDriver, decision_log
+from repro.service import JobService, WorkloadDriver
 from repro.session import ReStoreSession
 
 SCHEMA = Schema.of(("name", DataType.CHARARRAY), ("b", DataType.INT))
@@ -115,7 +117,7 @@ class TestServiceStress:
             assert len(hits) == 1
             assert repo.find_equivalent(hits[0].plan) is hits[0]
 
-    def test_per_session_fifo_under_concurrency(self):
+    def test_per_session_fifo_under_concurrency(self, monkeypatch):
         """One tenant's submissions never interleave: job N+1 observes
         the repository state N left behind (its duplicate probe hits)."""
         service = JobService(
@@ -124,6 +126,19 @@ class TestServiceStress:
         )
         write_datasets(service.dfs, ["fifo/ds"])
         tenant = service.open_session("fifo")
+        runner = tenant.session.server.runner
+        run_workflow = runner.run_workflow
+        started = []
+
+        def first_one_dawdles(workflow, listener=None):
+            # while the first run sleeps, idle pool workers hold the
+            # tenant's later submissions: only the ticket gate stops them
+            started.append(workflow.name)
+            if len(started) == 1:
+                time.sleep(0.2)
+            return run_workflow(workflow, listener=listener)
+
+        monkeypatch.setattr(runner, "run_workflow", first_one_dawdles)
         futures = [
             tenant.submit_workflow(
                 filter_workflow("fifo/ds", 3, f"fifo/out/{j}", f"fifo_{j}")
@@ -133,16 +148,22 @@ class TestServiceStress:
         results = [f.result(timeout=STRESS_DEADLINE_S) for f in futures]
         service.shutdown()
         # exact submission order: tickets gate execution even when
-        # several pool workers dequeue one tenant's jobs back to back
-        assert [r.workflow.name for r in tenant.session.results] == [
-            f"wf-fifo_{j}" for j in range(6)
+        # several pool workers dequeue one tenant's jobs back to back.
+        # The bus stamps a global seq on every event, so run j+1's
+        # events all come after run j's, none in between
+        assert all(result.events for result in results)
+        spans = [
+            (min(e.seq for e in r.events), max(e.seq for e in r.events))
+            for r in results
         ]
+        assert all(done[1] < later[0] for done, later in zip(spans, spans[1:]))
+        assert started == [f"wf-fifo_{j}" for j in range(6)]
         # the first job registers; every later identical job is
         # whole-job rewritten to a copy of the stored output
         assert len(service.repository) == 1
-        assert decision_log(results[0]) == ()
+        assert results[0].decisions == ()
         for result in results[1:]:
-            assert any("whole job matched" in line for line in decision_log(result))
+            assert any("whole job matched" in line for line in result.decisions)
 
 
 def brickwork_sources():
@@ -385,6 +406,22 @@ class TestServiceLifecycle:
         assert service.stats.completed == 1
         assert service.stats.per_session == {"walk-in": 1}
         service.shutdown()
+
+    def test_a_tenant_keeps_no_result_alive(self):
+        """A long-lived tenant's session holds run totals only: once the
+        caller drops a result, nothing in the service keeps it."""
+        service = JobService(dfs=prepared_dfs(), max_workers=1)
+        tenant = service.open_session("t")
+        result = tenant.submit(
+            "A = load 'data/pv' as (user, action:int, revenue:double);"
+            "store A into 'out/kept';"
+        ).result(timeout=STRESS_DEADLINE_S)
+        service.shutdown()  # the pool thread has let go of its work item
+        assert result.outputs["out/kept"]
+        dropped = [weakref.ref(result), weakref.ref(result.stats)]
+        del result
+        assert [ref() for ref in dropped] == [None, None]
+        assert tenant.session.runs == 1
 
     def test_duplicate_session_id_rejected(self):
         service = JobService()

@@ -19,14 +19,17 @@ load-bearing guarantees:
   worker-side job *error* keeps its healthy worker pooled;
 * durable (``persistence=``) services recover before any worker spawns,
   and no executor lets a script store into the repository's own files;
-* conflicting configuration is rejected at build time, for the
-  service shorthands and the :class:`SessionBuilder` (whose ``build``
-  is the session constructor) alike.
+* a bad execution argument is refused before any worker spawns, and
+  conflicting configuration at build time, for the service and the
+  :class:`SessionBuilder` (whose ``build`` is the session constructor)
+  alike.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import multiprocessing
 from collections import Counter
 
 import pytest
@@ -39,6 +42,7 @@ from test_service import (
     write_datasets,
 )
 
+import repro.service
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
@@ -50,10 +54,9 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.mapreduce.job import MapReduceJob
 from repro.persistence.durability import PersistenceConfig, recover
 from repro.persistence.journal import decode_journal
+from repro.pig.engine import PigRunResult
 from repro.service import (
-    JobRequest,
     JobService,
-    ServiceConfig,
     WorkerCrashed,
     WorkerJobError,
     WorkloadDriver,
@@ -89,11 +92,10 @@ def _no_leaked_injector():
 
 def process_service(**kwargs) -> JobService:
     """A 1-process-worker service over tiny datasets (overridable)."""
-    service_config = kwargs.pop(
-        "service", ServiceConfig(executor="processes", max_workers=1)
-    )
-    config = kwargs.pop("config", ReStoreConfig(heuristic="never"))
-    return JobService(config=config, service=service_config, **kwargs)
+    kwargs.setdefault("executor", "processes")
+    kwargs.setdefault("max_workers", 1)
+    kwargs.setdefault("config", ReStoreConfig(heuristic="never"))
+    return JobService(**kwargs)
 
 
 def faulted_service(*rules: FaultRule, **kwargs) -> JobService:
@@ -146,23 +148,24 @@ class TestWireContract:
         assert clone.store_paths == job.store_paths
         assert clone.plan.fingerprint() == job.plan.fingerprint()
 
-    def test_request_carries_exactly_one_payload(self):
-        workflow = filter_workflow("wire/ds", 3, "wire/out", "w2")
-        with pytest.raises(ValueError, match="exactly one"):
-            JobRequest(source="A = load 'x';", workflow=workflow)
-        with pytest.raises(ValueError, match="exactly one"):
-            JobRequest(session_id="t")
 
-    def test_service_config_validation(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ServiceConfig(executor="gpu").validate()
-        with pytest.raises(ValueError, match="at least one worker"):
-            ServiceConfig(max_workers=0).validate()
-        with pytest.raises(ValueError, match="retries"):
-            ServiceConfig(retries=-1).validate()
-        assert ServiceConfig(executor="processes").validate().executor == (
-            "processes"
+class TestOneResultType:
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_a_submission_returns_the_engine_result(self, executor):
+        service = JobService(dfs=prepared_dfs(), executor=executor, max_workers=1)
+        tenant = service.open_session("t")
+        result = tenant.submit(GROUP_QUERY.format(out="out/r")).result(
+            timeout=STRESS_DEADLINE_S
         )
+        service.shutdown()
+        assert type(result) is PigRunResult
+        assert result.attempts == 1 and result.outputs["out/r"]
+
+    def test_the_submission_envelope_is_gone(self):
+        for name in ("JobRequest", "JobOutcome", "ServiceConfig", "decision_log"):
+            assert not hasattr(repro.service, name), name
+        assert importlib.util.find_spec("repro.service.api") is None
+        assert not hasattr(ReStoreSession, "execute")
 
 
 class TestProcessParity:
@@ -176,7 +179,8 @@ class TestProcessParity:
 
         service = JobService(
             dfs=prepared_dfs(),
-            service=ServiceConfig(executor="processes", max_workers=1),
+            executor="processes",
+            max_workers=1,
         )
         driver = WorkloadDriver(service, n_sessions=3)
         driven = driver.run(sources)
@@ -198,9 +202,7 @@ class TestProcessParity:
         """One tenant's identical submissions execute in order; the
         first registers coordinator-side, every later one is whole-job
         rewritten — proof the registration crossed the process hop."""
-        service = process_service(
-            service=ServiceConfig(executor="processes", max_workers=2)
-        )
+        service = process_service(max_workers=2)
         write_datasets(service.dfs, ["proc/ds"])
         tenant = service.open_session("fifo")
         futures = [
@@ -218,13 +220,14 @@ class TestProcessParity:
         assert outcomes[0].decisions == ()
         for outcome in outcomes[1:]:
             assert any("whole job matched" in line for line in outcome.decisions)
-            assert outcome.executor == "processes"
+            assert type(outcome) is PigRunResult
             assert outcome.attempts == 1
 
     def test_cross_tenant_reuse_through_worker_processes(self):
         service = JobService(
             dfs=prepared_dfs(),
-            service=ServiceConfig(executor="processes", max_workers=1),
+            executor="processes",
+            max_workers=1,
         )
         alice = service.open_session("alice")
         bob = service.open_session("bob")
@@ -247,7 +250,8 @@ class TestProtocol:
     def test_already_stored_resubmission_acquires_no_worker(self, monkeypatch):
         service = JobService(
             dfs=prepared_dfs(),
-            service=ServiceConfig(executor="processes", max_workers=1),
+            executor="processes",
+            max_workers=1,
         )
         tenant = service.open_session("t")
         tenant.run(GROUP_QUERY.format(out="out/again"))
@@ -323,7 +327,8 @@ class TestProtocol:
         service = JobService(
             dfs=prepared_dfs(),
             config=config,
-            service=ServiceConfig(executor="processes", max_workers=2),
+            executor="processes",
+            max_workers=2,
         )
         tenants = [service.open_session(f"t{i}") for i in range(4)]
         futures = [
@@ -357,9 +362,7 @@ class TestWorkerCrashRecovery:
         monkeypatch.setattr(pool, "run", sabotaged)
 
     def test_crashed_worker_replays_on_a_fresh_one(self, monkeypatch):
-        service = process_service(
-            service=ServiceConfig(executor="processes", max_workers=1, retries=1)
-        )
+        service = process_service(retries=1)
         write_datasets(service.dfs, ["crash/ds"])
         tenant = service.open_session("t")
         pids = []
@@ -399,9 +402,7 @@ class TestWorkerCrashRecovery:
         """The job's match condemned a stale entry before its worker
         died.  The eviction happened once, and the re-run job decides
         nothing again: the outcome holds each event once."""
-        service = process_service(
-            service=ServiceConfig(executor="processes", max_workers=1, retries=1)
-        )
+        service = process_service(retries=1)
         write_datasets(service.dfs, ["crash/ds"])
         tenant = service.open_session("t")
         first = tenant.submit_workflow(
@@ -435,12 +436,12 @@ class TestWorkerCrashRecovery:
             service.shutdown()
             return outcome
 
-        config = ServiceConfig(executor="processes", max_workers=1, retries=2)
-        clean = run(JobService(dfs=prepared_dfs(), service=config))
+        config = dict(executor="processes", max_workers=1, retries=2)
+        clean = run(JobService(dfs=prepared_dfs(), **config))
         crashed = run(
             faulted_service(
                 FaultRule(site="worker.result", action="crash", hits=(1,), worker=1),
-                service=config,
+                **config,
             )
         )
         assert clean.attempts == 1 and crashed.attempts == 2
@@ -456,26 +457,24 @@ class TestWorkerCrashRecovery:
             service.shutdown()
             return outcome, service.stats
 
-        config = ServiceConfig(executor="processes", max_workers=1, retries=1)
-        clean, _ = run(JobService(dfs=prepared_dfs(), service=config))
+        config = dict(executor="processes", max_workers=1, retries=1)
+        clean, _ = run(JobService(dfs=prepared_dfs(), **config))
         garbled, stats = run(
             faulted_service(
                 FaultRule(
                     site="worker.result", action="corrupt", hits=(1,), worker=1
                 ),
-                service=config,
+                **config,
             )
         )
-        assert garbled.attempts == 2
+        assert type(garbled) is PigRunResult and garbled.attempts == 2
         assert stats.retried == 1 and stats.timeouts == 0
         assert garbled.outputs == clean.outputs
         assert garbled.outputs["out/g"]
         assert garbled.decisions == clean.decisions
 
     def test_exhausted_retry_budget_fails_fast_but_pool_recovers(self, monkeypatch):
-        service = process_service(
-            service=ServiceConfig(executor="processes", max_workers=1, retries=0)
-        )
+        service = process_service(retries=0)
         write_datasets(service.dfs, ["crash/ds"])
         tenant = service.open_session("t")
         pids = []
@@ -548,7 +547,8 @@ class TestDurableProcessMode:
         with JobService(
             dfs=dfs,
             persistence=self.CONFIG,
-            service=ServiceConfig(executor="processes", max_workers=1),
+            executor="processes",
+            max_workers=1,
         ) as service:
             # the snapshot/journal are the persister's own files: no job
             # may store over them (TestRepositoryFilesAreNotOutputs)
@@ -565,7 +565,8 @@ class TestDurableProcessMode:
         with JobService(
             dfs=dfs,
             persistence=self.CONFIG,
-            service=ServiceConfig(executor="processes", max_workers=1),
+            executor="processes",
+            max_workers=1,
         ) as successor:
             assert len(successor.repository) == entries_before
             result = successor.open_session("b").run(
@@ -599,7 +600,8 @@ class TestRepositoryFilesAreNotOutputs:
             owner = JobService(
                 dfs=dfs,
                 persistence=self.CONFIG,
-                service=ServiceConfig(executor=executor, max_workers=1),
+                executor=executor,
+                max_workers=1,
             )
             run, persister = owner.open_session("t").run, owner.persister
         try:
@@ -637,11 +639,35 @@ class TestRepositoryFilesAreNotOutputs:
 
 
 class TestConfigConflicts:
-    def test_service_shorthands_clash_with_explicit_config(self):
-        with pytest.raises(ValueError, match="service= already fixes"):
-            JobService(service=ServiceConfig(), max_workers=2)
-        with pytest.raises(ValueError, match="executor"):
-            JobService(service=ServiceConfig(), executor="processes")
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"executor": "gpu"}, "unknown executor"),
+            ({"max_workers": 0}, "at least one worker"),
+            ({"retries": -1}, "retries"),
+            ({"exchange_timeout": -5}, "exchange_timeout must be positive"),
+            ({"standby": True}, "standby=True needs persistence"),
+        ],
+    )
+    def test_service_validation(self, kwargs, message):
+        """A bad execution argument is refused before any worker
+        process spawns, even when the executor is processes."""
+        kwargs.setdefault("executor", "processes")
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match=message):
+            JobService(**kwargs)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_valid_arguments_spawn_the_pool(self):
+        """Non-vacuity for the check above: the same call with valid
+        arguments does spawn worker processes."""
+        before = set(multiprocessing.active_children())
+        service = JobService(executor="processes", max_workers=1)
+        try:
+            assert service.executor == "processes"
+            assert len(set(multiprocessing.active_children()) - before) == 1
+        finally:
+            service.shutdown()
 
     def test_service_persistence_clashes_with_repository(self):
         with pytest.raises(ValueError, match="recovers its own repository"):

@@ -1,5 +1,7 @@
 """ReStoreSession facade: wiring invariants, builder, config paths."""
 
+import weakref
+
 import pytest
 from golden_corpus import load_golden, repo_scale_record
 from repo_stream import probe_config
@@ -50,7 +52,7 @@ class TestQuickstart:
             ("alice", 4.5), ("bob", 4.0), ("carol", 8.0),
         ]
         assert session.manager.elimination_count == 1
-        assert len(session.results) == 2
+        assert session.runs == 2
 
 
 class TestMalformedInput:
@@ -196,6 +198,17 @@ class TestLifecycle:
             session.run(Q1)
         assert len(session.repository) > 0  # state survives close
         assert "closed" in repr(session)
+
+    def test_a_returned_result_is_freed_once_dropped(self, small_data):
+        """The session keeps run totals, not results: what a run returned
+        dies with the caller's last reference to it."""
+        session = ReStoreSession(dfs=small_data)
+        result = session.run(Q1)
+        assert result.outputs["q1_out"]
+        dropped = [weakref.ref(result), weakref.ref(result.stats)]
+        del result
+        assert [ref() for ref in dropped] == [None, None]
+        assert session.runs == 1 and "1 run(s)" in session.report()
 
     def test_report_mentions_repository(self, small_data):
         session = ReStoreSession(dfs=small_data)
