@@ -2,12 +2,17 @@
 
 Every repository mutation after the last snapshot lands here as one
 frame of :mod:`repro.persistence.framedlog` (which owns the frame
-format and the torn-tail / bit-rot scan discipline) whose body is a
-compact, key-sorted JSON object.
+format and the torn-tail / bit-rot scan discipline) whose body is one
+compact JSON object, key-sorted except for a stored plan: an entry
+record's ``plan`` is the plan's own cached encoding
+(:meth:`~repro.pig.physical.plan.PhysicalPlan.to_json`, the bytes a
+snapshot's cold blob holds), spliced in as the entry's last key
+instead of re-encoded.
 
-Record bodies carry a ``type`` field; the types the persister writes
-(``entry_added``, ``entry_removed``, ``entry_used``,
-``kept_path_added``, ``kept_path_removed``, ``counters``) are applied
+Record bodies carry a ``type`` field.  The types the persister writes
+(``entry_added``, ``entry_refreshed``, ``entry_removed``,
+``entry_quarantined``, ``entry_used``, ``kept_path_added``,
+``kept_path_removed``, ``payload_stored``, ``counters``) are applied
 by :class:`repro.persistence.durability.ReplayTarget`.  Unknown types
 are preserved by the scan and skipped by replay, so old readers
 tolerate journals written by newer code.
@@ -42,10 +47,24 @@ class JournalRecord:
         return cls(type=rtype, data=data)
 
 
+def _encode(payload: Mapping) -> bytes:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
 def encode_record(payload: Mapping) -> bytes:
-    """Frame one record payload."""
+    """Frame one record payload.  An entry record's ``plan`` holds the
+    plan's own JSON bytes (:func:`repro.persistence.snapshot.entry_record`):
+    they are spliced in as the entry's last key, not re-encoded."""
+    entry = payload.get("entry")
+    if entry is None:
+        return encode_frame(_encode(payload))
+    fields = _encode({key: value for key, value in entry.items() if key != "plan"})
+    rest = _encode({key: value for key, value in payload.items() if key != "entry"})
+    # {"entry":{<fields>,"plan":<plan>},<rest>}: "entry" sorts before "type"
     return encode_frame(
-        json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+        b"".join(
+            (b'{"entry":', fields[:-1], b',"plan":', entry["plan"], b"},", rest[1:])
+        )
     )
 
 

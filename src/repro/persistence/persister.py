@@ -71,7 +71,8 @@ class RepositoryPersister:
 
     * repository mutation listeners — ``entry_added``/``entry_removed``
       records are built *under the repository lock* (correctness over
-      cost: the entry cannot change or vanish mid-serialization);
+      cost: the entry cannot change or vanish mid-serialization); an
+      entry's plan costs one encode, which every rotation reuses;
     * the manager bus — ``RewriteApplied``/``JobEliminated`` update an
       entry's reuse statistics, staged as ``entry_used`` records;
     * manager hooks — kept-path commits stage inline; a workflow start
@@ -376,7 +377,9 @@ class RepositoryPersister:
     def take_snapshot(self) -> Optional[SnapshotTaken]:
         """Commit what is staged, capture + write a snapshot and reset
         the journal, atomically with respect to mutations (manager and
-        repository locks held through the whole rotation).
+        repository locks held through the whole rotation; the capture
+        reuses each plan's encoded bytes, so that hold grows with the
+        index rows, not with re-encoding every plan).
 
         Payloads rotate *by reference*: the snapshot's ``payloads``
         table carries the live subset of the ref table as it stands, so

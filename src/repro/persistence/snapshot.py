@@ -30,7 +30,8 @@ table captured at rotation time (see
 :mod:`repro.persistence.blockstore`).
 
 The CRC covers the whole body (index + cold blob): a half-written or
-bit-rotted snapshot is rejected as a unit, never partially applied.
+bit-rotted snapshot, or one with bytes past the body, is rejected as
+a unit, never partially applied.
 The *index* keeps each entry as a positional row of small scalars —
 cheap to parse at 10k+ entries — while the serialized plan graph (the
 bulk of the bytes) lives in the *cold blob*, referenced by offset.
@@ -40,6 +41,14 @@ from the recorded metadata and only parses + rebuilds the real
 be served from it.  That laziness is why cold start beats
 rebuild-by-re-registration by an order of magnitude: most stored
 plans are never looked at until they are genuine rewrite candidates.
+
+A stored plan is encoded once.  The cold blob concatenates each
+plan's cached ``to_json()`` bytes (the ones its journal record
+carries too), and a :class:`LazyPlan` hands back the slice it was
+restored from, unparsed; the match keys of an index row are cached
+per plan as well.  So a rotation re-encodes only the index rows, and
+its plan work grows with the entries added since the last one, not
+with the repository.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.dfs.namenode import InputExtent
 from repro.exceptions import ReproError
 from repro.faults import injector as faults
-from repro.pig.physical.plan import PhysicalPlan
+from repro.pig.physical.plan import MatchKeys, PhysicalPlan
 from repro.relational.schema import Schema
 
 SNAPSHOT_FORMAT = "restore-repo-snapshot"
@@ -95,7 +104,15 @@ class LazyPlan:
     miss).
     """
 
-    __slots__ = ("_source", "_fingerprint", "_frontier", "_operators", "_plan")
+    __slots__ = (
+        "_json",
+        "_data",
+        "_fingerprint",
+        "_frontier",
+        "_operators",
+        "_keys",
+        "_plan",
+    )
 
     def __init__(
         self,
@@ -104,11 +121,17 @@ class LazyPlan:
         frontier: Optional[str],
         operators: Iterable[str],
     ) -> None:
-        #: plan dict, or a bytes-like JSON slice parsed on demand
-        self._source = source
+        #: the plan's JSON bytes (a cold-blob slice, served as-is) or its
+        #: dict (a replayed journal record); the other form is made on
+        #: first need
+        if isinstance(source, dict):
+            self._json, self._data = None, source
+        else:
+            self._json, self._data = source, None
         self._fingerprint = fingerprint
         self._frontier = frontier
         self._operators = frozenset(operators)
+        self._keys: Optional[MatchKeys] = None
         self._plan: Optional[PhysicalPlan] = None
 
     # -- the recorded metadata (no materialization) -------------------------------
@@ -123,16 +146,34 @@ class LazyPlan:
         """The recorded keys of the plan's ``operator_fingerprints()``."""
         return self._operators
 
+    def match_keys(self) -> MatchKeys:
+        """:meth:`PhysicalPlan.match_keys` from the recorded metadata."""
+        if self._keys is None:
+            self._keys = (
+                self._fingerprint,
+                self._frontier,
+                tuple(sorted(self._operators)),
+            )
+        return self._keys
+
+    def to_json(self):
+        """The stored plan's JSON bytes (bytes-like): the cold-blob
+        slice it was restored from, never parsed for this, or the
+        replayed dict encoded once."""
+        if self._json is None:
+            self._json = json.dumps(self._data, separators=(",", ":")).encode()
+        return self._json
+
     def _plan_data(self) -> dict:
-        if not isinstance(self._source, dict):
+        if self._data is None:
             try:
-                self._source = json.loads(bytes(self._source).decode())
+                self._data = json.loads(bytes(self._json).decode())
             except (UnicodeDecodeError, ValueError) as exc:
                 raise SnapshotError(
                     f"stored plan {self._fingerprint!r} is not decodable "
                     f"JSON: {exc}"
                 ) from exc
-        return self._source
+        return self._data
 
     def to_dict(self) -> dict:
         if self._plan is not None:
@@ -193,22 +234,16 @@ class LazyPlan:
         return f"LazyPlan({self._fingerprint!r}, {state})"
 
 
-def plan_derived(plan) -> dict:
-    """The derived match metadata persisted alongside a plan."""
-    return {
-        "fingerprint": plan.fingerprint(),
-        "frontier": plan.frontier_fingerprint(),
-        "operators": sorted(plan.operator_fingerprints()),
-    }
-
-
 def entry_record(entry: RepositoryEntry) -> dict:
     """A self-contained dict form of *entry* (used by journal records;
-    the snapshot index uses the positional row form instead)."""
+    the snapshot index uses the positional row form instead).  Its
+    ``plan`` is the plan's cached JSON bytes, which
+    :func:`repro.persistence.journal.encode_record` splices in as-is."""
+    fingerprint, frontier, operators = entry.plan.match_keys()
     stats = entry.stats
     return {
         "entry_id": entry.entry_id,
-        "plan": entry.plan.to_dict(),
+        "plan": entry.plan.to_json(),
         "output_path": entry.output_path,
         "output_schema": entry.output_schema.to_dict(),
         "stats": {
@@ -224,7 +259,11 @@ def entry_record(entry: RepositoryEntry) -> dict:
         "input_extents": {
             path: extent.to_list() for path, extent in entry.input_extents.items()
         },
-        "derived": plan_derived(entry.plan),
+        "derived": {
+            "fingerprint": fingerprint,
+            "frontier": frontier,
+            "operators": operators,
+        },
     }
 
 
@@ -270,7 +309,7 @@ def entry_from_record(record: dict) -> RepositoryEntry:
 def _entry_row(
     entry: RepositoryEntry, seq: int, cold_offset: int, cold_length: int
 ) -> list:
-    derived = plan_derived(entry.plan)
+    fingerprint, frontier, operators = entry.plan.match_keys()
     stats = entry.stats
     return [
         entry.entry_id,
@@ -288,9 +327,9 @@ def _entry_row(
         ],
         {path: extent.to_list() for path, extent in entry.input_extents.items()},
         entry.output_schema.to_dict(),
-        derived["fingerprint"],
-        derived["frontier"],
-        derived["operators"],
+        fingerprint,
+        frontier,
+        operators,
         cold_offset,
         cold_length,
     ]
@@ -373,15 +412,13 @@ class RepositorySnapshot:
             entries = repository.entries()
             seq = state.pop("seq")
             rows: List[list] = []
-            blob = bytearray()
+            bodies = []
+            offset = 0
             for entry in entries:
-                body = json.dumps(
-                    entry.plan.to_dict(), separators=(",", ":")
-                ).encode()
-                rows.append(
-                    _entry_row(entry, seq[entry.entry_id], len(blob), len(body))
-                )
-                blob.extend(body)
+                body = entry.plan.to_json()  # encoded once per plan
+                rows.append(_entry_row(entry, seq[entry.entry_id], offset, len(body)))
+                bodies.append(body)
+                offset += len(body)
         state["entries"] = rows
         payload = {
             "format": SNAPSHOT_FORMAT,
@@ -399,7 +436,7 @@ class RepositorySnapshot:
             # {"gen": N, "refs": {path: [gen, offset, length, crc]}} —
             # the block-store table the recovery scrub verifies against
             payload["payloads"] = payloads
-        return cls(payload, bytes(blob))
+        return cls(payload, b"".join(bodies))
 
     # -- codec --------------------------------------------------------------------
 
@@ -422,6 +459,10 @@ class RepositorySnapshot:
         body = data[_HEADER.size : _HEADER.size + body_len]
         if len(body) != body_len or index_len > body_len:
             raise SnapshotError("snapshot truncated: body incomplete")
+        if len(data) > _HEADER.size + body_len:
+            raise SnapshotError(
+                f"snapshot has {len(data) - _HEADER.size - body_len} trailing bytes"
+            )
         if zlib.crc32(body) != crc:
             raise SnapshotError("snapshot checksum mismatch")
         payload = json.loads(body[:index_len].decode())

@@ -14,13 +14,16 @@ the paper's §3 equivalent operators: the same function over equivalent
 inputs, in the same input order.  All of it is cached until the DAG
 mutates — operators are values, so every change is a structural one —
 and repeated repository lookups cost a dict probe instead of a
-recursive hash.
+recursive hash.  The plan's JSON encoding (:meth:`to_json`, what
+persistence stores) is cached the same way, so a stored plan is
+encoded once however many journal records and snapshots carry it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import PlanError
@@ -32,6 +35,9 @@ from repro.pig.physical.operators import (
     POStore,
 )
 
+#: what :meth:`PhysicalPlan.match_keys` returns
+MatchKeys = Tuple[str, Optional[str], Tuple[str, ...]]
+
 
 class PhysicalPlan:
     """A DAG of physical operators with ordered edges."""
@@ -40,18 +46,23 @@ class PhysicalPlan:
         self._ops: Dict[int, PhysicalOperator] = {}
         self._succs: Dict[int, List[int]] = {}
         self._preds: Dict[int, List[int]] = {}
-        # fingerprint caches, dropped on any structural mutation
+        # fingerprint and encoding caches, dropped on any structural mutation
         self._fp_by_op: Dict[int, str] = {}
         self._fp_plan: Optional[str] = None
         self._fp_ops: Optional[Dict[str, PhysicalOperator]] = None
+        self._keys: Optional[MatchKeys] = None
+        self._json: Optional[bytes] = None
 
     # -- construction ---------------------------------------------------------------
 
     def _mutated(self) -> None:
-        """Invalidate every cached fingerprint (structure changed)."""
+        """Invalidate every cached fingerprint and the cached encoding
+        (structure changed)."""
         self._fp_by_op = {}
         self._fp_plan = None
         self._fp_ops = None
+        self._keys = None
+        self._json = None
 
     def add(
         self, op: PhysicalOperator, before: Optional[PhysicalOperator] = None
@@ -419,6 +430,18 @@ class PhysicalPlan:
         frontier = self.frontier()
         return None if frontier is None else self.op_fingerprint(frontier)
 
+    def match_keys(self) -> MatchKeys:
+        """(:meth:`fingerprint`, :meth:`frontier_fingerprint`, the sorted
+        keys of :meth:`operator_fingerprints`): what a repository indexes
+        a stored plan by, cached like the fingerprints."""
+        if self._keys is None:
+            self._keys = (
+                self.fingerprint(),
+                self.frontier_fingerprint(),
+                tuple(sorted(self.operator_fingerprints())),
+            )
+        return self._keys
+
     def to_dict(self) -> dict:
         ids = {op.op_id: idx for idx, op in enumerate(self._ops.values())}
         return {
@@ -429,6 +452,14 @@ class PhysicalPlan:
                 for dst in self._succs[src]
             ],
         }
+
+    def to_json(self) -> bytes:
+        """:meth:`to_dict` as compact JSON bytes, encoded on first call
+        and cached until the DAG mutates: the bytes a snapshot's cold
+        blob and an entry's journal record hold."""
+        if self._json is None:
+            self._json = json.dumps(self.to_dict(), separators=(",", ":")).encode()
+        return self._json
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhysicalPlan":

@@ -8,6 +8,8 @@ times the same records are replayed.
 
 from __future__ import annotations
 
+import json
+
 from repo_stream import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
@@ -19,6 +21,7 @@ from repro.persistence.durability import (
     RepositoryPersister,
     recover,
 )
+from repro.persistence.framedlog import encode_frame
 from repro.persistence.journal import (
     Journal,
     JournalRecord,
@@ -111,6 +114,44 @@ class TestReplaySemantics:
         ]
         for entry in repo.entries():
             assert restored.get(entry.entry_id).input_extents == entry.input_extents
+
+    def test_entry_frame_is_one_object_with_the_record_keys(self):
+        """An entry record's plan bytes are spliced into its frame, not
+        re-encoded: the frame still decodes to one JSON object with the
+        record's keys, and the plan to the plan's dict."""
+        entry = build_repository(generate_entry_specs(2, seed=3), seed=3).entries()[0]
+        record = entry_record(entry)
+        frame = encode_record({"type": "entry_added", "entry": record})
+        (decoded,) = decode_journal(frame).records
+        assert decoded.type == "entry_added"
+        assert list(decoded.data) == ["entry"]
+        assert decoded.data["entry"].keys() == record.keys()
+        assert decoded.data["entry"]["plan"] == entry.plan.to_dict()
+        assert decoded.data["entry"]["derived"]["operators"] == list(
+            record["derived"]["operators"]
+        )
+
+    def test_key_sorted_plan_journal_still_replays(self):
+        """Before the splice a frame was the whole record key-sorted,
+        plan included; a journal written so replays to the same
+        entries, and their plans rebuild to the recorded fingerprints."""
+        repo = build_repository(generate_entry_specs(8, seed=3), seed=3)
+        frames = []
+        for entry in repo.entries():
+            record = dict(entry_record(entry), plan=entry.plan.to_dict())
+            body = json.dumps(
+                {"type": "entry_added", "entry": record},
+                separators=(",", ":"),
+                sort_keys=True,
+            )
+            frames.append(encode_frame(body.encode()))
+        restored = replay(None, decode_journal(b"".join(frames)).records)
+        assert [e.entry_id for e in restored.ordered_entries()] == [
+            e.entry_id for e in repo.ordered_entries()
+        ]
+        for entry in repo.entries():
+            twin = restored.get(entry.entry_id).plan
+            assert twin.materialize().fingerprint() == entry.plan.fingerprint()
 
     def test_unknown_record_types_are_skipped(self):
         target = ReplayTarget(Repository())

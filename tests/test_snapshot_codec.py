@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,9 @@ from repro.persistence.snapshot import (
     entry_from_record,
     entry_record,
 )
+from repro.pig.physical.operators import POLoad, POStore
+from repro.pig.physical.plan import PhysicalPlan
+from repro.session import ReStoreSession
 
 
 @pytest.fixture
@@ -128,6 +132,13 @@ class TestValidation:
         data = RepositorySnapshot.capture(repository).to_bytes()
         with pytest.raises(SnapshotError, match="truncated"):
             RepositorySnapshot.from_bytes(data[: len(data) // 2])
+
+    def test_trailing_bytes_rejected(self, repository):
+        for source in (Repository(), repository):
+            data = RepositorySnapshot.capture(source).to_bytes()
+            assert len(RepositorySnapshot.from_bytes(data)) == len(source)
+            with pytest.raises(SnapshotError, match="7 trailing bytes"):
+                RepositorySnapshot.from_bytes(data + b"garbage")
 
     def test_bit_rot_rejected(self, repository):
         data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
@@ -294,3 +305,107 @@ class TestInputExtentsColumn:
         for entry in source.entries()[:3]:
             twin = entry_from_record(entry_record(entry))
             assert twin.input_extents == entry.input_extents
+
+
+SCRIPT = """
+A = load 'pv' as (user, action:int, rev:double);
+B = filter A by rev > 1.0;
+C = group B by user;
+D = foreach C generate group, COUNT(B);
+store D into 'OUT';
+"""
+PV = "alice\t1\t1.5\nbob\t2\t4.0\nalice\t3\t2.5\ncarol\t1\t0.5\n"
+
+
+def durable_config(tmp_path) -> PersistenceConfig:
+    return PersistenceConfig(
+        snapshot_path=str(tmp_path / "r.snap"),
+        journal_path=str(tmp_path / "r.journal"),
+        backend="local",
+    )
+
+
+def run_script(session: ReStoreSession) -> None:
+    session.write_file("pv", PV)
+    session.run(SCRIPT.replace("OUT", "out/one"))
+    session.run(SCRIPT.replace("OUT", "out/two"))
+
+
+@pytest.fixture
+def encodes(monkeypatch) -> Counter:
+    """``PhysicalPlan.to_dict`` calls (the encoder's work), per plan."""
+    counts: Counter = Counter()
+    to_dict = PhysicalPlan.to_dict
+
+    def counted(plan):
+        counts[id(plan)] += 1
+        return to_dict(plan)
+
+    monkeypatch.setattr(PhysicalPlan, "to_dict", counted)
+    return counts
+
+
+class TestEncodedOnce:
+    """A stored plan is encoded at most once: every journal record and
+    snapshot rotation after that reuses the same bytes."""
+
+    def test_rotations_encode_each_plan_once(self, repository, encodes):
+        plans = [entry.plan for entry in repository.entries()]
+        assert len(plans) >= 3
+        first = RepositorySnapshot.capture(repository)
+        assert sum(encodes.values()) == len(plans)
+        for _ in range(3):
+            assert RepositorySnapshot.capture(repository).cold == first.cold
+        assert encodes == Counter(id(plan) for plan in plans)
+
+    def test_mutation_after_encode_re_encodes(self, repository):
+        plan = PhysicalPlan.from_dict(repository.entries()[0].plan.to_dict())
+        before = plan.to_json()
+        assert plan.to_json() is before  # cached
+        load = plan.add(POLoad("data/extra", plan.loads()[0].schema))
+        assert plan.to_json() != before
+        store = plan.add(POStore("out/extra"))
+        added = plan.to_json()
+        plan.connect(load, store)
+        assert plan.to_json() != added
+        fresh = json.dumps(plan.to_dict(), separators=(",", ":")).encode()
+        assert plan.to_json() == fresh
+
+    def test_restored_entries_rotate_without_parsing(self, repository, monkeypatch):
+        original = RepositorySnapshot.capture(repository)
+        data = original.to_bytes()
+        restored = RepositorySnapshot.from_bytes(data).restore_repository()
+
+        def parse(plan):
+            raise AssertionError(f"{plan!r} parsed to rotate")
+
+        monkeypatch.setattr(LazyPlan, "_plan_data", parse)
+        rotated = RepositorySnapshot.capture(restored)
+        assert len(rotated) == len(repository) > 0
+        assert rotated.cold == original.cold
+        assert not any(entry.plan.materialized for entry in restored.entries())
+
+    def test_journal_replayed_entries_rotate_into_the_live_bytes(self, tmp_path):
+        config = durable_config(tmp_path)
+        session = ReStoreSession(persistence=config)
+        run_script(session)
+        live = RepositorySnapshot.capture(session.repository)
+        session.close()  # journal only: no snapshot rotates
+        assert not config.snapshot_storage().exists()
+        recovered = recover(config, session.dfs)
+        assert recovered.journal_records > 0
+        replayed = RepositorySnapshot.capture(recovered.repository)
+        assert len(replayed) == len(live) > 0
+        assert replayed.cold == live.cold
+
+    def test_only_a_persister_encodes(self, tmp_path, encodes):
+        with ReStoreSession() as session:
+            run_script(session)
+            assert len(session.repository) > 0
+        assert not encodes
+        # the same runs under a persister encode every stored plan once
+        with ReStoreSession(persistence=durable_config(tmp_path)) as session:
+            run_script(session)
+            stored = [entry.plan for entry in session.repository.entries()]
+        assert stored
+        assert encodes == Counter(id(plan) for plan in stored)
