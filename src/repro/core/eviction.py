@@ -258,7 +258,8 @@ def condemn(
 
     Rejecting the match alone is not enough.  A stale entry
     (``"stale-input"``: an input was rewritten, deleted, or grew past
-    what a delta refresh can take) would still answer
+    what a delta refresh can take; ``"output-modified"``: the stored
+    output no longer holds the entry's bytes) would still answer
     ``find_equivalent`` after this job's full rerun, so the selector
     would discard the *fresh* output and leave the stale one
     registered forever.  A corrupt one (``"quarantined"``, with the

@@ -116,11 +116,16 @@ class EntryFreshness:
     #: time (tail reads are bounded by these, so a racing append just
     #: classifies as appended again on the next probe)
     appended: Dict[str, InputExtent] = field(default_factory=dict)
+    #: the output file still holds the bytes the entry registered
+    output_intact: bool = True
 
     @property
     def stale(self) -> bool:
-        """An input was rewritten or deleted: the entry is unusable."""
-        return any(kind in (REWRITTEN, DEAD) for kind in self.kinds.values())
+        """An input was rewritten or deleted, or the output no longer
+        holds the entry's bytes: the entry is unusable."""
+        return not self.output_intact or any(
+            kind in (REWRITTEN, DEAD) for kind in self.kinds.values()
+        )
 
     @property
     def is_appended(self) -> bool:
@@ -133,7 +138,12 @@ class EntryFreshness:
 
 
 def classify_entry(entry, dfs) -> EntryFreshness:
-    """Classify every recorded input of *entry* against the live DFS.
+    """Classify every recorded input of *entry*, and its output,
+    against the live DFS.
+
+    The output must be intact (:func:`output_intact`): a user's
+    output can be overwritten, appended to, deleted or renamed away
+    like any file, and an entry without a stamp was never verified.
 
     A checksum-verified birth mismatch (the persistence-restart case)
     also *rebases* the entry's recorded extent onto the live inode's
@@ -160,7 +170,16 @@ def classify_entry(entry, dfs) -> EntryFreshness:
                 generation=live.generation,
                 birth=live.birth,
             )
+    freshness.output_intact = output_intact(entry, dfs)
     return freshness
+
+
+def output_intact(entry, dfs) -> bool:
+    """Whether *entry*'s output file still holds the bytes the entry
+    registered: its live extent classifies fresh against the stamp."""
+    recorded = entry.output_extent
+    live = dfs.input_extent(entry.output_path)
+    return recorded is not None and classify_extent(recorded, live) == FRESH
 
 
 #: operators that are row-local and order-preserving, so they commute
@@ -268,6 +287,12 @@ def try_delta_rewrite(manager, job, entry, result, freshness: EntryFreshness) ->
         # not f(old) ++ f(tail); this counter is the headroom a
         # keyed re-grouping delta model would unlock
         return fallback(path, "ineligible-chain")
+    if entry.output_path not in manager.kept_paths and not (
+        result.whole_job and job.plan.primary_store().path == entry.output_path
+    ):
+        # a refresh writes the entry's output: only a file the
+        # repository owns, or the resubmission's own store
+        return fallback(path, "user-owned-output")
     # a delta-eligible entry has exactly one load, hence exactly
     # one (appended) input path
     live = freshness.appended[path]
@@ -331,7 +356,8 @@ def apply_refresh(manager, job, refresh: PendingDeltaRefresh, stats) -> None:
     primary store already wrote the merged file there (the
     resubmission shape, where the probe's output path *is* the
     entry's output path) — then advance the entry's recorded
-    input extents so the grown input now classifies fresh.
+    input extents so the grown input now classifies fresh, and
+    re-stamp its output extent over the merged file.
     """
     dfs = manager.dfs
     try:
@@ -351,6 +377,7 @@ def apply_refresh(manager, job, refresh: PendingDeltaRefresh, stats) -> None:
             manager.repository.refresh_entry(
                 refresh.entry_id,
                 input_extents=refresh.input_extents,
+                output_extent=dfs.input_extent(refresh.output_path),
                 input_bytes_delta=refresh.input_bytes_delta,
                 output_bytes_delta=len(delta_bytes),
                 output_records_delta=delta_records,

@@ -373,6 +373,12 @@ class ReStoreManager(JobListener):
         # entry must be current before any rescan can match it again
         for refresh in refreshes:
             apply_refresh(self, job, refresh, stats)
+        if {s.path for s in stats.stores if not s.side} & set(job.load_paths):
+            # the job stored over one of its own inputs: an extent read
+            # now is not of the bytes it read, so it registers nothing
+            for candidate in candidates:
+                self.dfs.delete_if_exists(candidate.store_path)
+            return
         for candidate in candidates:
             offer_sub_job(self, candidate, stats, workflow)
         offer_whole_job(self, job, stats, workflow)
@@ -442,11 +448,15 @@ class ReStoreManager(JobListener):
                     if freshness is None:
                         continue  # evicted since the candidate snapshot
                     if freshness.stale:
-                        # an input was rewritten or deleted: reusing
-                        # the entry would serve stale bytes — and just
-                        # skipping it would poison this job's rerun
-                        # (find_equivalent discards the fresh output)
-                        condemn(self, entry, "stale-input")
+                        # an input was rewritten or deleted, or the
+                        # output was: reusing the entry would serve
+                        # stale bytes — and just skipping it would
+                        # poison this job's rerun (find_equivalent
+                        # discards the fresh output)
+                        policy = "stale-input"
+                        if not freshness.output_intact:
+                            policy = "output-modified"
+                        condemn(self, entry, policy)
                         continue
                     delta = freshness.is_appended
                     if delta:

@@ -105,6 +105,12 @@ class RepositoryEntry:
     #: and rewritten inputs apart with these (eviction Rule 4, the
     #: match-time guard), and the keys feed the input-path index
     input_extents: Dict[str, InputExtent] = field(default_factory=dict)
+    #: the output file's extent when it last held the entry's bytes:
+    #: stamped at registration, after a delta refresh, and by the
+    #: recovery scrub once the bytes are verified.  A match serves the
+    #: entry only while the live file still classifies fresh against
+    #: it; None (never verified) is never served
+    output_extent: Optional[InputExtent] = None
     entry_id: str = ""
 
     def mark_used(self, now: int) -> None:
@@ -290,6 +296,7 @@ class Repository:
         entry_id: str,
         *,
         input_extents: Optional[Mapping[str, InputExtent]] = None,
+        output_extent: Optional[InputExtent] = None,
         input_bytes_delta: int = 0,
         output_bytes_delta: int = 0,
         output_records_delta: int = 0,
@@ -299,7 +306,8 @@ class Repository:
         The incremental-recomputation layer appended the tail-run's
         output onto the entry's stored file; the entry now describes
         the *grown* computation: input extents move to the captured
-        live values and the size statistics grow by the delta.  The
+        live values, the output extent (when given) to the merged
+        file's, and the size statistics grow by the delta.  The
         plan (and therefore every fingerprint index) is unchanged; only
         the §3 order position may move with the statistics, and the
         input-path index follows the extents' keys
@@ -312,6 +320,8 @@ class Repository:
                 for path in input_extents:
                     self._by_input_path.setdefault(path, set()).add(entry_id)
                 entry.input_extents.update(input_extents)
+            if output_extent is not None:
+                entry.output_extent = output_extent
             entry.stats.input_bytes += input_bytes_delta
             entry.stats.output_bytes += output_bytes_delta
             entry.stats.output_records += output_records_delta

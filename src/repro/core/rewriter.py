@@ -34,9 +34,10 @@ class PlanRewriter:
     ) -> POLoad:
         """Replace the matched sub-plan with a Load of the stored output.
 
-        The frontier's consumers are re-pointed at the new Load; matched
-        operators that no longer reach any store are garbage-collected.
-        The new Load streams where the first Load it replaces did (the
+        The frontier's consumers are re-pointed at the new Load, each in
+        the input position the frontier held there; matched operators
+        that no longer reach any store are garbage-collected.  The new
+        Load streams where the first Load it replaces did (the
         interpreter streams loads in plan order, and a map-side UNION
         emits rows in arrival order).  Returns the inserted Load.
         """
@@ -49,8 +50,7 @@ class PlanRewriter:
         load = POLoad(output_path, output_schema)
         plan.add(load, before=first)
         for succ in list(plan.successors(frontier)):
-            plan.disconnect(frontier, succ)
-            plan.connect(load, succ)
+            plan.move_edge(frontier, succ, load)
 
         self._garbage_collect(plan)
         if load not in plan:
@@ -116,8 +116,7 @@ class PlanRewriter:
         plan.connect(tee, union)
 
         for succ in list(plan.successors(frontier)):
-            plan.disconnect(frontier, succ)
-            plan.connect(union, succ)
+            plan.move_edge(frontier, succ, union)
 
         self._garbage_collect(plan)
         if union not in plan:
@@ -183,12 +182,12 @@ class PlanRewriter:
                 if not plan.successors(op):
                     plan.remove(op)
                     changed = True
-        # Contract pass-through splits left with a single successor.
+        # Contract pass-through splits left with a single successor; the
+        # successor keeps the input position the split held.
         for op in list(plan.operators):
             if isinstance(op, POSplit):
                 succs = plan.successors(op)
                 preds = plan.predecessors(op)
                 if len(succs) == 1 and len(preds) == 1:
-                    pred, succ = preds[0], succs[0]
+                    plan.move_edge(op, succs[0], preds[0])
                     plan.remove(op)
-                    plan.connect(pred, succ)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.eviction import condemn
 from repro.core.freshness import DELTA_TMP_PREFIX
 from repro.core.repository import EntryStats, RepositoryEntry
 from repro.costmodel.model import CostModel, estimate_standalone_time
@@ -207,6 +208,7 @@ def register(
         created_at=manager.clock,
         last_used_at=manager.clock,
         input_extents=input_snapshot(manager.dfs, load_paths),
+        output_extent=manager.dfs.input_extent(output_path),
     )
     refused_as = "whole-job" if anchor_kind == "whole-job" else "sub-job"
 
@@ -238,6 +240,13 @@ def register(
                 manager.persistence.note_kept_path(output_path, True)
     if not added:
         return refuse(f"duplicate of {stored.entry_id} (lost concurrent registration)")
+    if not owned:
+        # the job just stored over a user's file: an entry that stored
+        # there before no longer has its bytes (nor, after a restart,
+        # the payload) at its output, so a path holds one entry
+        for other in repository.entries():
+            if other.output_path == output_path and other is not entry:
+                condemn(manager, other, "output-modified")
     manager._emit(
         SubJobStored(
             entry_id=entry.entry_id,

@@ -129,6 +129,9 @@ def _total_time(
     if job_id in memo:
         return memo[job_id]
     et = job_times.get(job_id, 0.0)
+    # a back edge adds nothing: a rewrite that read a stored copy can
+    # leave two jobs loading each other's outputs after they ran
+    memo[job_id] = et
     upstream = [
         _total_time(d, job_times, deps, memo)
         for d in deps.get(job_id, ())

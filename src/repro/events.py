@@ -182,8 +182,9 @@ class DeltaFallback(ReStoreEvent):
     #: the appended input that triggered the delta attempt
     path: str = ""
     #: "ineligible-chain" (GROUP/JOIN/LIMIT/multi-input shapes),
-    #: "multi-load-probe", "tail-boundary" (append split a record),
-    #: or "refresh-in-flight"
+    #: "multi-load-probe", "user-owned-output" (the refresh would write
+    #: a file the repository does not own), "tail-boundary" (append
+    #: split a record), or "refresh-in-flight"
     reason: str = ""
 
     def render(self) -> str:

@@ -9,10 +9,12 @@ a fresh :class:`RepositoryPersister`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.repository import Repository
+from repro.dfs.namenode import InputExtent
 from repro.events import EntryQuarantined, PersistenceDegraded
 from repro.faults import injector as faults
 from repro.persistence.blockstore import (
@@ -218,8 +220,14 @@ class _PayloadScrub:
       repository, journaled as ``entry_quarantined`` so the decision
       replays idempotently, surfaced for the caller to emit
       :class:`~repro.events.EntryQuarantined`;
+    * every restored input extent forgets its birth (a logical-clock
+      tick of the process that recorded it);
     * an intact ref restores its bytes into the DFS when the file is
-      absent (the warm-start path: payloads come back natively);
+      absent (the warm-start path: payloads come back natively), and
+      stamps the entry's output extent once the file holds exactly
+      those bytes — restored, or already present and equal.  A path
+      two entries claim is stamped for neither (the ref holds one of
+      their outputs, and which one is not recorded);
     * an entry with **no** ref is legacy (pre-block-store state): it
       is tolerated when its output bytes are already present — or when
       there is no DFS to check against — and condemned when a DFS is
@@ -272,18 +280,28 @@ class _PayloadScrub:
 
     def run(self, target: ReplayTarget) -> None:
         refs = target.payload_refs
-        for entry in list(target.repository.entries()):
+        entries = list(target.repository.entries())
+        claims = Counter(entry.output_path for entry in entries)
+        for entry in entries:
+            # births are process-local: a restored one names no live
+            # inode, so an input's first probe goes by its checksum
+            entry.input_extents = {
+                path: replace(extent, birth=0)
+                for path, extent in entry.input_extents.items()
+            }
             ok, payload, reason = self._check(entry.output_path, refs)
             if not ok:
                 self.condemned.append((entry.entry_id, entry.output_path, reason))
                 continue
-            self._restore(entry.output_path, payload)
+            extent = self._restore(entry.output_path, payload)
+            if claims[entry.output_path] == 1:
+                entry.output_extent = extent
         for path in sorted(target.kept_paths):
             ok, payload, _ = self._check(path, refs)
             if not ok:
                 self.kept_condemned.append(path)
-                continue
-            self._restore(path, payload)
+            elif path not in claims:
+                self._restore(path, payload)
         for entry_id, path, _ in self.condemned:
             if target.repository.has_entry(entry_id):
                 target.repository.remove(entry_id)
@@ -292,11 +310,17 @@ class _PayloadScrub:
             target.kept_paths.discard(path)
             refs.pop(path, None)
 
-    def _restore(self, path: str, payload: Optional[bytes]) -> None:
-        if payload is None or self.dfs is None or self.dfs.exists(path):
-            return
-        self.dfs.write_file(path, payload)
-        self.restored += 1
+    def _restore(self, path: str, payload: Optional[bytes]) -> Optional[InputExtent]:
+        """Write verified *payload* back when *path* is absent; the
+        file's extent once it holds exactly those bytes, else None."""
+        if payload is None or self.dfs is None:
+            return None
+        if not self.dfs.exists(path):
+            self.dfs.write_file(path, payload)
+            self.restored += 1
+        elif self.dfs.read_range(path, 0, len(payload) + 1) != payload:
+            return None  # changed since it was stored (the extra byte: grown)
+        return self.dfs.input_extent(path)
 
     def journal_condemnations(self) -> None:
         """Make the scrub's verdicts durable: an ``entry_quarantined``

@@ -45,6 +45,7 @@ import threading
 import zlib
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.core.freshness import output_intact
 from repro.events import (
     EventBus,
     JobEliminated,
@@ -410,7 +411,13 @@ class RepositoryPersister:
     def _rotate(self, pending: List) -> SnapshotTaken:
         """The rotation proper (every lock held): an ``OSError`` before
         the snapshot is durable leaves generation and refs as they were."""
-        live = {entry.output_path for entry in self.repository.entries()}
+        # an output changed behind its entry's back carries no payload:
+        # recovery cannot verify it, so never serves it
+        live = {
+            entry.output_path
+            for entry in self.repository.entries()
+            if output_intact(entry, self.dfs)
+        }
         live = sorted(live | self.manager.kept_paths)
         for path in live:  # reads only files that moved on since capture
             self._stage_payload(path, commit=False)

@@ -98,7 +98,14 @@ class StandbyReplica:
         self.persister.flush(force=True)
         with self._lock:
             self.catch_up()
-            return self._target.finish(journal_records=self.records_applied)
+            state = self._target.finish(journal_records=self.records_applied)
+        # the journal carries no output stamps; the primary, over the
+        # same filesystem, holds them
+        primary = self.persister.repository
+        for entry in state.repository.entries():
+            if primary.has_entry(entry.entry_id):
+                entry.output_extent = primary.get(entry.entry_id).output_extent
+        return state
 
     def close(self) -> None:
         if self._unsubscribe is not None:

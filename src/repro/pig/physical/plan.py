@@ -129,6 +129,21 @@ class PhysicalPlan:
         self._mutated()
         return op
 
+    def move_edge(
+        self, src: PhysicalOperator, dst: PhysicalOperator, new_src: PhysicalOperator
+    ) -> None:
+        """Re-point the edge src→dst to leave *new_src*, in the place it
+        held among *dst*'s inputs (a UNION's input order is
+        fingerprinted); it becomes *new_src*'s last output."""
+        try:
+            self._succs[src.op_id].remove(dst.op_id)
+            position = self._preds[dst.op_id].index(src.op_id)
+        except (KeyError, ValueError):
+            raise PlanError(f"move_edge: no edge {src.op_id} -> {dst.op_id}") from None
+        self._preds[dst.op_id][position] = new_src.op_id
+        self._succs[new_src.op_id].append(dst.op_id)
+        self._mutated()
+
     def replace(self, old: PhysicalOperator, new: PhysicalOperator) -> None:
         """Swap *new* in for *old*: same place in the operator order,
         same position on every edge."""

@@ -270,11 +270,11 @@ class ProcessJobRunner(HadoopSimulator):
                 self._tenant.reruns += 1
                 service._backoff(self._tenant.session_id, attempt)
                 continue
-            except WorkerJobError:
+            except WorkerJobError as exc:
                 # the job failed but the worker replied cleanly — it is
                 # healthy and stays pooled
                 pool.release(worker)
-                raise
+                raise exc.typed() from None
             except BaseException:
                 # a coordinator-side failure mid-exchange: the pipe may
                 # be desynced and must never re-enter the pool

@@ -34,6 +34,7 @@ import multiprocessing
 import threading
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro import exceptions
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.faults import injector as faults
 from repro.mapreduce.job import MapReduceJob
@@ -64,6 +65,14 @@ class WorkerJobError(RuntimeError):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
         self.job_message = message
+
+    def typed(self) -> Exception:
+        """The job's error as the :mod:`repro.exceptions` type a
+        thread-mode run raises; this error when it is of no such type."""
+        cls = getattr(exceptions, self.kind, None)
+        if isinstance(cls, type) and issubclass(cls, exceptions.ReproError):
+            return cls(self.job_message)
+        return self
 
 
 # -- worker side --------------------------------------------------------------------

@@ -251,6 +251,7 @@ def build_repository(
                 ),
                 anchor_kind=spec.shape,
                 input_extents={spec.dataset: extent},
+                output_extent=dfs.input_extent(_stored_path(spec)),
             )
         )
     return repository

@@ -68,11 +68,13 @@ def _payload_for(path: str) -> bytes:
 
 def _add_entries(dfs, manager, n=3, seed=5):
     """Register *n* entries live-style: output bytes land in the DFS
-    first, so the persister captures them into the block store."""
+    first and stamp the entry, so the persister captures them into the
+    block store."""
     entries = build_repository(generate_entry_specs(n, seed=seed), seed=seed)
     added = []
     for entry in entries.entries():
         dfs.write_file(entry.output_path, _payload_for(entry.output_path))
+        entry.output_extent = dfs.input_extent(entry.output_path)
         added.append(manager.repository.add(entry))
     return added
 
@@ -371,23 +373,23 @@ class TestRotationByReference:
         assert recovered.payloads_condemned == [] and recovered.blockstore_gen == 1
         assert fresh.read_file(more.output_path) == _payload_for(more.output_path)
 
-    def test_overwritten_path_is_recaptured_not_carried(self, tmp_path):
+    def test_output_overwritten_behind_its_entry_is_dropped_not_recaptured(
+        self, tmp_path
+    ):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=2, seed=SEED)
         victim = added[0].output_path
-        stale = persister._payload_refs[victim]
-        # the bytes move on behind the persister's back: no mutation
-        # event, only the inode's extent says so
+        # the bytes move on behind the repository's back: no mutation
+        # event, and not the entry's bytes, so nothing to carry
         dfs.write_file(victim, b"rewritten after capture", overwrite=True)
         persister.take_snapshot()
         refs = _snapshot_refs(config)
-        assert refs[victim] != stale
-        assert refs[victim].crc == zlib.crc32(b"rewritten after capture")
+        assert victim not in refs
         carried = added[1].output_path
         assert refs[carried] == persister._payload_refs[carried]
         fresh = DistributedFileSystem()
-        assert recover(config, fresh).payloads_condemned == []
-        assert fresh.read_file(victim) == b"rewritten after capture"
+        assert [p for _, p, _ in recover(config, fresh).payloads_condemned] == [victim]
+        assert not fresh.exists(victim)
 
     def test_recovered_refs_are_reverified_by_the_first_rotation(self, tmp_path):
         """A successor resumes the ref table without knowing the files'

@@ -123,7 +123,7 @@ def test_a_fault_crashed_submission_restores_the_collector(caller_state, inside)
         faults.install(FaultInjector(FaultPlan(rules=(rule,))))
         try:
             with pytest.raises(InjectedFault):
-                session.run(QUERY.format(src="d", out="o2"))
+                session.run(QUERY.format(src="d", out="o1"))
         finally:
             faults.uninstall()
         assert gc.isenabled() is caller_state

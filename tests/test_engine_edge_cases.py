@@ -152,29 +152,6 @@ class TestReuseEdgeCases:
         assert first.outputs["e1"] == []
         assert second.outputs["e2"] == []
 
-    def test_three_statement_chain_rewrites_transitively(self):
-        """Chained partial rewrites: filter entry then filter+project
-        entry apply in sequence across repository scans."""
-        rows = [f"u{i % 4}\t{i}\t{float(i)}" for i in range(24)]
-        dfs, _, schema = engine(rows)
-        manager = ReStoreManager(dfs)
-        server = PigServer(dfs, restore=manager)
-        base = f"""
-            A = load 'd' as ({schema});
-            B = filter A by n > 2;
-            C = foreach B generate u, v;
-        """
-        server.run(base + "D = group C by u; E = foreach D generate group, SUM(C.v); store E into 'o1';")
-        result = server.run(
-            base + "D = group C by u; E = foreach D generate group, AVG(C.v); store E into 'o2';"
-        )
-        # reused at least the group sub-job
-        assert render_events(result.events, LOG_EVENTS)
-        fresh = PigServer(dfs).run(
-            base + "D = group C by u; E = foreach D generate group, AVG(C.v); store E into 'o3';"
-        )
-        assert sorted(result.outputs["o2"]) == sorted(fresh.outputs["o3"])
-
     def test_differing_constants_do_not_match(self):
         rows = [f"u{i % 4}\t{i}\t{float(i)}" for i in range(12)]
         dfs, _, schema = engine(rows)

@@ -338,9 +338,9 @@ class TestQuarantine:
     def _drive(self, entry_specs, probe_specs, config, plan):
         """Recover the lane, run the probes through a manager, close;
         returns (ids left, quarantined events, quarantine_count)."""
-        state = recover(config)
         dfs = DistributedFileSystem()
         prepare_service_dfs(dfs, entry_specs, probe_specs)
+        state = recover(config, dfs)
         manager = ReStoreManager(
             dfs, repository=state.repository, config=probe_config()
         )

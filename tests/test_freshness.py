@@ -40,11 +40,13 @@ PROJ_SCHEMA = SCHEMA.project([0])
 
 @dataclass
 class FakeEntry:
-    """The two attributes the classifiers read from a repository
-    entry, without dragging in registration machinery."""
+    """The attributes the classifiers read from a repository entry,
+    without dragging in registration machinery."""
 
     input_extents: Dict[str, InputExtent] = field(default_factory=dict)
     plan: Optional[PhysicalPlan] = None
+    output_path: str = "out"
+    output_extent: Optional[InputExtent] = None
 
 
 def extent(mtime=1, generation=0, birth=1, size=10, crc=None) -> InputExtent:
@@ -200,12 +202,18 @@ class TestClassifyEntry:
     def _dfs_with(self, path: str, data: bytes) -> DistributedFileSystem:
         dfs = DistributedFileSystem()
         dfs.write_file(path, data)
+        dfs.write_file("out", b"stored\n")
         return dfs
+
+    @staticmethod
+    def _entry(dfs, extents) -> FakeEntry:
+        """An entry over *extents* whose output "out" is stamped."""
+        return FakeEntry(input_extents=extents, output_extent=dfs.input_extent("out"))
 
     def test_fresh_entry(self):
         dfs = self._dfs_with("pv", b"rows\n")
         live = dfs.input_extent("pv", with_crc=True)
-        entry = FakeEntry(input_extents={"pv": live})
+        entry = self._entry(dfs, {"pv": live})
         freshness = classify_entry(entry, dfs)
         assert freshness.fresh
         assert not freshness.stale
@@ -214,7 +222,7 @@ class TestClassifyEntry:
     def test_appended_entry_captures_live_extent(self):
         dfs = self._dfs_with("pv", b"rows\n")
         recorded = dfs.input_extent("pv", with_crc=True)
-        entry = FakeEntry(input_extents={"pv": recorded})
+        entry = self._entry(dfs, {"pv": recorded})
         dfs.append("pv", b"more\n")
         freshness = classify_entry(entry, dfs)
         assert freshness.is_appended
@@ -227,7 +235,7 @@ class TestClassifyEntry:
         }
         dfs.write_file("users", b"alice\n")
         extents["users"] = dfs.input_extent("users", with_crc=True)
-        entry = FakeEntry(input_extents=extents)
+        entry = self._entry(dfs, extents)
         dfs.write_file("users", b"mallory\n", overwrite=True)
         freshness = classify_entry(entry, dfs)
         assert freshness.stale
@@ -243,13 +251,22 @@ class TestClassifyEntry:
         recorded = InputExtent(
             mtime=999, generation=7, birth=999, size=live.size, crc=live.crc
         )
-        entry = FakeEntry(input_extents={"pv": recorded})
+        entry = self._entry(dfs, {"pv": recorded})
         freshness = classify_entry(entry, dfs)
         assert freshness.fresh
         rebased = entry.input_extents["pv"]
         assert rebased.birth == live.birth
         assert rebased.mtime == live.mtime
         assert rebased.crc == live.crc
+
+    def test_an_output_changed_behind_the_entry_poisons_it(self):
+        dfs = self._dfs_with("pv", b"rows\n")
+        entry = self._entry(dfs, {"pv": dfs.input_extent("pv")})
+        dfs.append("out", b"more\n")
+        freshness = classify_entry(entry, dfs)
+        assert freshness.stale and freshness.kinds == {"pv": FRESH}
+        entry.output_extent = None  # never verified: never served
+        assert not classify_entry(entry, dfs).output_intact
 
 
 def filter_plan(store="out"):

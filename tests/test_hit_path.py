@@ -788,9 +788,9 @@ class TestExactProbeDecidesWhatTheScanDecides:
         )
         runs = {}
         for exact in (True, False):
-            state = recover(lane_dir(str(tmp_path), f"lane-{exact}", seed_dir))
             dfs = DistributedFileSystem()
             prepare_service_dfs(dfs, entry_specs, probe_specs)
+            state = recover(lane_dir(str(tmp_path), f"lane-{exact}", seed_dir), dfs)
             faults.install(FaultInjector(plan))
             try:
                 runs[exact] = drive(state.repository, dfs, probe_specs, exact=exact)

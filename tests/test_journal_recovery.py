@@ -203,14 +203,16 @@ class TestLivePersisterCrash:
 
     def _add(self, dfs, manager, entries):
         """Register entries the way a live run does: the output bytes
-        land in the DFS first, so the persister captures them into the
-        block store and the recovery scrub can verify (and restore)
-        them instead of condemning ref-less entries."""
+        land in the DFS first and stamp the entry, so the persister
+        captures them into the block store and the recovery scrub can
+        verify (and restore) them instead of condemning ref-less
+        entries."""
         added = []
         for entry in entries:
             dfs.write_file(
                 entry.output_path, f"bytes:{entry.output_path}".encode()
             )
+            entry.output_extent = dfs.input_extent(entry.output_path)
             added.append(manager.repository.add(entry))
         return added
 

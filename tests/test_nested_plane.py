@@ -4,10 +4,10 @@ Tuple columns (a multi-key GROUP's key) live on the pinned plane like
 scalars and bags: typed by their inner schema when parsed, pinned when
 written, rendered only for a byte reader.  These tests pin
 
-* the bug that motivated it — a job rewritten to load a stored
-  multi-key GROUP result saw ``("u2", "3")`` where the no-reuse run had
-  ``("u2", 3)`` — on the pinned plane, after a recovery (the stored
-  bytes really are parsed) and across the worker pipe;
+* the no-reuse answers over a multi-key GROUP's key (a job rewritten
+  to load the stored result once saw ``("u2", "3")`` where the no-reuse
+  run had ``("u2", 3)``; ``tests/test_reuse_machine.py`` draws that
+  read-back on every executor and across restarts);
 * the element semantics of a tuple column read from text;
 * a *no text between jobs* gate: reuse passes over an L6-shaped result
   render nothing and parse nothing (counted, so it cannot pass
@@ -17,8 +17,6 @@ written, rendered only for a byte reader.  These tests pin
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import pytest
 
 from repro.dfs import filesystem
@@ -26,11 +24,9 @@ from repro.dfs.dataset import canonical_ascii_size, rows_are_canonical
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import JobEliminated, RewriteApplied
 from repro.exceptions import SchemaError
-from repro.persistence.durability import PersistenceConfig
 from repro.relational.schema import FieldSchema, Schema
 from repro.relational.tuples import Bag, deserialize_rows, serialize_rows
 from repro.relational.types import DataType
-from repro.service import JobService
 from repro.session import ReStoreSession
 
 DATA = "u1\t1\t10.5\nu2\t3\t100.0\nu2\t3\t3.5\nu1\t2\t1.0\nu3\t10\t2.0\nu3\t5\t2.0\n"
@@ -50,67 +46,19 @@ ORDERED = (
     + " R = foreach G generate group, SUM(A.v) as s;"
     + " O = order R by group; store O into '{out}';"
 )
-REUSED = (RewriteApplied, JobEliminated)
-#: (query, the event that proves it loaded the stored result)
-STREAM = [
-    (VARIANT.format(out="v1"), RewriteApplied),
-    (VARIANT.format(out="v2"), RewriteApplied),
-    (ORDERED.format(out="ord"), JobEliminated),
-]
 
 
-@lru_cache(maxsize=None)
-def _oracle() -> dict:
-    """Output bytes of the stream on a session that never reuses."""
+def test_the_no_reuse_answer_types_the_key():
     with ReStoreSession(restore_enabled=False) as session:
         session.write_file("in", DATA)
         session.run(STORING)
-        for source, _ in STREAM:
-            session.run(source)
-        return {out: session.dfs.read_file(out) for out in ("v1", "v2", "ord")}
-
-
-def _assert_reused_and_equal(run, dfs) -> None:
-    """Every query of the stream loaded the stored result (non-vacuity)
-    and stored the oracle's bytes."""
-    for source, reused in STREAM:
-        assert any(isinstance(e, reused) for e in run(source).events), source
-    assert {out: dfs.read_file(out) for out in ("v1", "v2", "ord")} == _oracle()
-
-
-class TestReuseOverMultiKeyGroup:
-    def test_oracle_is_the_in_memory_answer(self):
-        outputs = _oracle()
-        assert b"u2\t6\t103.5\n" in outputs["v1"]
-        keys = [line.split(b"\t")[0] for line in outputs["ord"].splitlines()]
-        want = sorted({(r[0], int(r[1])) for r in map(str.split, DATA.splitlines())})
-        assert keys == [f"({user},{action})".encode() for user, action in want]
-
-    def test_pinned_plane(self):
-        with ReStoreSession() as session:
-            session.write_file("in", DATA)
-            session.run(STORING)
-            _assert_reused_and_equal(session.run, session.dfs)
-
-    def test_after_recovery_the_stored_bytes_are_parsed(self, tmp_path):
-        config = PersistenceConfig(
-            snapshot_path=str(tmp_path / "repo.snapshot"),
-            journal_path=str(tmp_path / "repo.journal"),
-            backend="local",
-        )
-        with ReStoreSession(persistence=config) as session:
-            session.write_file("in", DATA)
-            session.run(STORING)
-        with ReStoreSession(persistence=config) as recovered:  # a fresh filesystem
-            recovered.write_file("in", DATA)
-            _assert_reused_and_equal(recovered.run, recovered.dfs)
-
-    def test_across_the_worker_pipe(self):
-        with JobService(executor="processes", max_workers=1) as service:
-            service.dfs.write_file("in", DATA)
-            tenant = service.open_session("t")
-            tenant.run(STORING)
-            _assert_reused_and_equal(tenant.run, service.dfs)
+        session.run(VARIANT.format(out="v1"))
+        session.run(ORDERED.format(out="ord"))
+        v1, ordered = session.dfs.read_file("v1"), session.dfs.read_file("ord")
+    assert b"u2\t6\t103.5\n" in v1
+    keys = [line.split(b"\t")[0] for line in ordered.splitlines()]
+    want = sorted({(r[0], int(r[1])) for r in map(str.split, DATA.splitlines())})
+    assert keys == [f"({user},{action})".encode() for user, action in want]
 
 
 KEY = FieldSchema(
@@ -225,7 +173,8 @@ class TestNoTextBetweenJobs:
             for instance in (0, 1):
                 out = f"pass{n_pass}/i{instance}"
                 result = restore.run(_l6(instance, out))
-                assert any(isinstance(e, REUSED) for e in result.events), out
+                reused = (RewriteApplied, JobEliminated)
+                assert any(isinstance(e, reused) for e in result.events), out
                 assert len(result.outputs[out]) == 21
                 outs.append((instance, out))
         assert restore.dfs.serializations == renders  # nothing rendered,

@@ -557,50 +557,6 @@ class TestMatcherProperties:
         )
 
 
-# -- engine-level property: reuse never changes answers --------------------------------------
-
-
-class TestReuseCorrectnessProperty:
-    @given(
-        st.integers(min_value=0, max_value=5),
-        st.sampled_from(["SUM", "COUNT", "AVG", "MAX", "MIN"]),
-    )
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_rewritten_equals_fresh(self, threshold, agg):
-        """For a family of queries, running against a primed repository
-        returns exactly what a fresh run returns."""
-        from repro.core.manager import ReStoreManager
-        from repro.pig.engine import PigServer
-
-        def data():
-            dfs = DistributedFileSystem()
-            rows = [
-                f"u{i % 4}\t{i}\t{float(i)}" for i in range(12)
-            ]
-            dfs.write_file("d", "\n".join(rows) + "\n")
-            return dfs
-
-        query = f"""
-            A = load 'd' as (u, n:int, v:double);
-            B = filter A by n > {threshold};
-            D = group B by u;
-            E = foreach D generate group, {agg}(B.v);
-            store E into 'out';
-        """
-        fresh = PigServer(data()).run(query).outputs["out"]
-
-        dfs = data()
-        manager = ReStoreManager(dfs)
-        server = PigServer(dfs, restore=manager)
-        server.run(query.replace("'out'", "'prime'"))
-        reused = server.run(query).outputs["out"]
-        assert sorted(reused, key=repr) == sorted(fresh, key=repr)
-
-
 # -- zero-copy data plane round trips -----------------------------------------------------
 
 

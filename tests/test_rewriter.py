@@ -1,12 +1,8 @@
 """Unit tests for plan rewriting (paper §3, Figures 4 and 6)."""
 
-import pytest
-
-from repro import ReStoreSession
 from repro.core.matcher import PlanMatcher
 from repro.core.rewriter import PlanRewriter
 from repro.mapreduce.job import MapReduceJob
-from repro.events import RewriteApplied
 from repro.pig.physical.operators import (
     POFilter,
     POForEach,
@@ -113,32 +109,6 @@ class TestLoadOrder:
         PlanRewriter().rewrite_partial(plan, match, "stored/f", SCHEMA)
         plan.validate()
         assert [load.path for load in plan.loads()] == ["stored/f", "other"]
-
-    @pytest.mark.parametrize(
-        "inputs, order", [("F, B", "abcxy"), ("B, F", "xyabc")]
-    )
-    def test_reusing_a_union_branch_keeps_the_row_order(self, inputs, order):
-        first = (
-            "A = load 'a' as (k, v:int); F = filter A by v > 0;"
-            "store F into 'f';"
-        )
-        second = (
-            "A = load 'a' as (k, v:int); F = filter A by v > 0;"
-            f"B = load 'b' as (k, v:int); U = union {inputs};"
-            "store U into 'u';"
-        )
-
-        def run(restore_enabled):
-            session = ReStoreSession(restore_enabled=restore_enabled)
-            session.write_file("a", "a\t1\nb\t2\nc\t3\n")
-            session.write_file("b", "x\t5\ny\t6\n")
-            session.run(first)
-            return session.run(second)
-
-        reused, plain = run(True), run(False)
-        assert any(isinstance(e, RewriteApplied) for e in reused.events)
-        assert [row[0] for row in plain.outputs["u"]] == list(order)
-        assert reused.outputs == plain.outputs
 
 
 class TestCopyJob:

@@ -47,7 +47,7 @@ from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import EntryEvicted, JobEliminated, RewriteApplied, SubJobStored
-from repro.exceptions import RepositoryError
+from repro.exceptions import FileNotFoundInDFS, RepositoryError
 from repro.faults import injector as faults
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
@@ -55,12 +55,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.persistence.durability import PersistenceConfig, recover
 from repro.persistence.journal import decode_journal
 from repro.pig.engine import PigRunResult
-from repro.service import (
-    JobService,
-    WorkerCrashed,
-    WorkerJobError,
-    WorkloadDriver,
-)
+from repro.service import JobService, WorkerCrashed, WorkloadDriver
 from repro.session import ReStoreSession
 
 #: filter -> group -> store: one map-reduce job
@@ -311,7 +306,7 @@ class TestProtocol:
         (handle,) = service._pool._idle
         assert "data/pv" in handle.synced
         service.dfs.delete("data/pv")
-        with pytest.raises(WorkerJobError, match="data/pv"):
+        with pytest.raises(FileNotFoundInDFS, match="data/pv"):
             tenant.run(GROUP_QUERY.format(out="out/after"))
         service.shutdown()
         assert "data/pv" not in handle.synced

@@ -131,6 +131,7 @@ class TestPromotion:
         entries = _entries(4)
         for entry in entries:
             dfs.write_file(entry.output_path, f"bytes:{entry.output_path}".encode())
+            entry.output_extent = dfs.input_extent(entry.output_path)
         for entry in entries[:2]:
             manager.repository.add(entry)
         blocks = persister.blockstore.size()
