@@ -21,12 +21,11 @@ spawn-based worker-process pool.
 
 ``--snapshot``/``--journal`` make the repository durable across
 invocations: the session recovers from the named local files before
-running, journals every mutation, and rotates a fresh snapshot on
-exit.  Stored output payloads persist natively in the crc-framed
-block store next to the snapshot (``<snapshot>.blocks.g<N>``), and
-recovery scrubs every entry against it — restoring intact bytes into
-the fresh DFS and condemning anything missing or corrupt instead of
-serving it::
+running, logs every mutation, and rotates a fresh snapshot on exit.
+Stored output payloads persist natively in the same crc-framed log as
+the mutation records (``<journal>.g<N>``), and recovery scrubs every
+entry against it — restoring intact bytes into the fresh DFS and
+condemning anything missing or corrupt instead of serving it::
 
     python -m repro run q1.pig --data pv.tsv=data/pv --snapshot state.snap
     python -m repro run q2.pig --data pv.tsv=data/pv --snapshot state.snap
@@ -74,7 +73,7 @@ def _persistence_config(args):
     """Turn ``--snapshot``/``--journal`` into a local-backend config.
 
     Either flag implies the other: a lone ``--snapshot state.snap``
-    journals to ``state.snap.journal``; a lone ``--journal`` derives
+    logs to ``state.snap.journal.g<N>``; a lone ``--journal`` derives
     the snapshot path the same way in reverse.
     """
     snapshot, journal = args.snapshot, args.journal
@@ -149,7 +148,7 @@ def _run_via_service(args, config: ReStoreConfig, source: str, name: str):
         result = service.open_session("cli").run(source, name=name)
         if service.persister is not None:
             # rotate a fresh snapshot, so the next invocation replays
-            # no journal and restores its payloads from the block store
+            # no record and restores its payloads from the log
             service.persister.take_snapshot()
         return result, len(service.repository)
     finally:
@@ -167,7 +166,7 @@ def cmd_run(args) -> int:
         result = session.run(source, name=name)
         if session.persister is not None:
             # rotate a fresh snapshot, so the next invocation replays
-            # no journal and restores its payloads from the block store
+            # no record and restores its payloads from the log
             session.persister.take_snapshot()
         repo_entries = (
             len(session.repository) if session.repository is not None else None
@@ -286,15 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
             "--snapshot",
             metavar="PATH",
             help="persist the repository to a local snapshot file and "
-                 "recover from it on the next run (journals to "
-                 "PATH.journal unless --journal overrides; stored "
-                 "payloads live in PATH.blocks.g<N>)",
+                 "recover from it on the next run (logs records and "
+                 "stored payloads to PATH.journal.g<N> unless --journal "
+                 "overrides)",
         )
         p.add_argument(
             "--journal",
             metavar="PATH",
-            help="append-only journal file for repository mutations "
-                 "(implies --snapshot with a derived path)",
+            help="base path of the append-only log (PATH.g<N>: stored "
+                 "payloads and repository mutations; implies --snapshot "
+                 "with a derived path)",
         )
 
     run_p = sub.add_parser("run", help="execute a Pig script")

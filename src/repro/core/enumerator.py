@@ -39,6 +39,11 @@ class CandidateSubJob:
     injected_store_id: Optional[int] = None
 
 
+#: where injected side stores land; recovery sweeps the files here that
+#: no recovered entry or kept path claims
+SUBJOB_DIR = "restore/subjob"
+
+
 class SubJobEnumerator:
     """Enumerates candidates and injects their Stores into a job."""
 
@@ -46,7 +51,7 @@ class SubJobEnumerator:
         self,
         categories: FrozenSet[str],
         id_allocator: Callable[[], int],
-        path_prefix: str = "restore/subjob",
+        path_prefix: str = SUBJOB_DIR,
     ):
         #: operator categories to materialize (a ``HEURISTICS`` value)
         self.categories = categories

@@ -212,11 +212,9 @@ def run_evictions(manager) -> List[str]:
     # promises they can do so without lock-order deadlocks)
     for event in events:
         manager._emit(event)
-    if evicted and manager.persistence is not None:
-        # evictions must hit the journal before their files are
-        # reclaimed: a crash after the deletes but before a flush
-        # would otherwise resurrect entries for vanished files
-        manager.persistence.flush()
+    # the removals commit with the submission: a crash before that
+    # resurrects an entry together with its proven payload, which
+    # recovery writes back into the reclaimed file
     return evicted
 
 

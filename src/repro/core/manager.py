@@ -46,6 +46,7 @@ from repro.core.eviction import (
     EVICTION_POLICIES,
     build_eviction_policy,
     condemn,
+    evict,
     run_evictions,
 )
 from repro.core.freshness import (
@@ -373,7 +374,20 @@ class ReStoreManager(JobListener):
         # entry must be current before any rescan can match it again
         for refresh in refreshes:
             apply_refresh(self, job, refresh, stats)
-        if {s.path for s in stats.stores if not s.side} & set(job.load_paths):
+        written = {s.path for s in stats.stores if not s.side}
+        refreshed = {refresh.entry_id for refresh in refreshes}
+        for path in written:
+            # the job stored over these entries' output: its bytes (and,
+            # after a restart, the payload recovery would write back)
+            # are no longer the file's, whether or not the job registers.
+            # The removal only stages: it commits with the submission,
+            # ahead of any re-registration over the same path
+            for entry in self.repository.entries_with_output(path):
+                if entry.entry_id not in refreshed:
+                    event = evict(self, entry, "output-modified")
+                    if event is not None:
+                        self._emit(event)
+        if written & set(job.load_paths):
             # the job stored over one of its own inputs: an extent read
             # now is not of the bytes it read, so it registers nothing
             for candidate in candidates:

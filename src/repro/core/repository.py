@@ -161,6 +161,8 @@ class Repository:
         self._by_operator: Dict[str, Set[str]] = {}
         #: input path -> entry ids
         self._by_input_path: Dict[str, Set[str]] = {}
+        #: output path -> entry ids (a user's path can hold several)
+        self._by_output_path: Dict[str, Set[str]] = {}
         # -- §3 subsumption pairs ------------------------------------
         #: a -> {b: a's plan contains b's plan} and the inverse
         self._subsumes: Dict[str, Set[str]] = {}
@@ -342,6 +344,7 @@ class Repository:
         insort(bucket, eid, key=lambda e: self._seq[e])
         for path in entry.input_extents:
             self._by_input_path.setdefault(path, set()).add(eid)
+        self._by_output_path.setdefault(entry.output_path, set()).add(eid)
         subsumed: Set[str] = set()
         for fingerprint in plan.operator_fingerprints():
             self._by_operator.setdefault(fingerprint, set()).add(eid)
@@ -371,6 +374,7 @@ class Repository:
             (self._by_frontier, (entry.plan.frontier_fingerprint(),)),
             (self._by_operator, entry.plan.operator_fingerprints()),
             (self._by_input_path, entry.input_extents),
+            (self._by_output_path, (entry.output_path,)),
         ):
             for key in keys:
                 holders = index.get(key)
@@ -426,8 +430,15 @@ class Repository:
 
     def entries_with_input(self, path: str) -> List[RepositoryEntry]:
         """Entries whose plans read *path* (insertion order)."""
+        return self._holders(self._by_input_path, path)
+
+    def entries_with_output(self, path: str) -> List[RepositoryEntry]:
+        """Entries whose output is *path* (insertion order)."""
+        return self._holders(self._by_output_path, path)
+
+    def _holders(self, index: Dict[str, Set[str]], path: str) -> List[RepositoryEntry]:
         with self._lock:
-            ids = self._by_input_path.get(path, ())
+            ids = index.get(path, ())
             return [
                 self._entries[eid] for eid in sorted(ids, key=lambda e: self._seq[e])
             ]

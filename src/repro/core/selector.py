@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.eviction import condemn
 from repro.core.freshness import DELTA_TMP_PREFIX
 from repro.core.repository import EntryStats, RepositoryEntry
 from repro.costmodel.model import CostModel, estimate_standalone_time
@@ -240,13 +239,6 @@ def register(
                 manager.persistence.note_kept_path(output_path, True)
     if not added:
         return refuse(f"duplicate of {stored.entry_id} (lost concurrent registration)")
-    if not owned:
-        # the job just stored over a user's file: an entry that stored
-        # there before no longer has its bytes (nor, after a restart,
-        # the payload) at its output, so a path holds one entry
-        for other in repository.entries():
-            if other.output_path == output_path and other is not entry:
-                condemn(manager, other, "output-modified")
     manager._emit(
         SubJobStored(
             entry_id=entry.entry_id,

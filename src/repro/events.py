@@ -232,7 +232,8 @@ class EntryEvicted(ReStoreEvent):
 
 @dataclass
 class SnapshotTaken(ReStoreEvent):
-    """The persister wrote a repository snapshot and reset the journal.
+    """The persister wrote a repository snapshot (replay resumes at the
+    log offset it records).
 
     Emitted on the *persister's* bus (not the manager bus): standby
     replicas and durability tooling subscribe there, keeping the
@@ -252,8 +253,10 @@ class SnapshotTaken(ReStoreEvent):
 
 @dataclass
 class JournalAppended(ReStoreEvent):
-    """The persister flushed buffered mutation records to the journal
-    (emitted on the persister's bus; standby replicas tail on it)."""
+    """The persister committed its staged batch to the log: ``records``
+    mutation records, ``bytes`` every byte the commit appended, payload
+    segments included (emitted on the persister's bus; standby replicas
+    tail on it)."""
 
     path: str = ""
     records: int = 0
@@ -265,7 +268,7 @@ class JournalAppended(ReStoreEvent):
 
 @dataclass
 class PersistenceDegraded(ReStoreEvent):
-    """A block-store/journal/snapshot write failed and the persister's
+    """A log or snapshot write failed and the persister's
     circuit breaker opened: the batch stays staged in memory (the reuse
     pipeline keeps serving) until a probe write succeeds.
 

@@ -52,8 +52,8 @@ class PartialWriteFault(InjectedFault):
     """A ``partial``-action rule: the write tore mid-syscall.
 
     Carries the ``prefix`` that reached the medium before the tear.
-    Append-style sites (journal, block store) write the prefix and
-    re-raise, leaving a genuinely torn tail for recovery to repair;
+    The append-style site (the log's ``journal.append``) writes the
+    prefix and re-raises, leaving a genuinely torn tail to cut;
     atomic-replace sites (snapshot write-temp-rename) let it propagate
     untouched — a real partial write there dies in the temp file and
     never publishes, so the fault degenerates to a failed rotation.
@@ -90,13 +90,16 @@ SITE_WORKER_JOB = register_site(
 SITE_WORKER_RESULT = register_site(
     "worker.result", "worker's reply send (stats and stores, or error)"
 )
-#: persister journal append (OSError → circuit breaker)
+#: a commit's one log append: its payload segments, then its records
+#: (any OSError → failed commit, the batch stays staged behind the
+#: breaker; partial write → a commit torn anywhere, even between its
+#: segments and its records)
 SITE_JOURNAL_APPEND = register_site(
-    "journal.append", "journal write of buffered mutation records"
+    "journal.append", "log write of one commit (payload segments + records)"
 )
-#: journal scan (bit-flip → CRC failure → torn-tail truncation)
+#: log scan (bit-flip → CRC failure → frame quarantine / torn-tail cut)
 SITE_JOURNAL_READ = register_site(
-    "journal.read", "journal read-back during scan/recovery"
+    "journal.read", "log read-back during recovery and standby tailing"
 )
 #: snapshot rotation write (OSError → circuit breaker, rotation aborted)
 SITE_SNAPSHOT_WRITE = register_site(
@@ -108,7 +111,7 @@ SITE_SNAPSHOT_READ = register_site(
 )
 #: local-file durability syscall (fsync failure)
 SITE_STORAGE_FSYNC = register_site(
-    "storage.fsync", "fsync of a local snapshot/journal file"
+    "storage.fsync", "fsync of a local snapshot or log file"
 )
 #: lazy-plan rebuild (fingerprint mismatch → entry quarantine)
 SITE_SNAPSHOT_MATERIALIZE = register_site(
@@ -116,16 +119,6 @@ SITE_SNAPSHOT_MATERIALIZE = register_site(
 )
 #: DFS block read (corrupted payload)
 SITE_DFS_READ = register_site("dfs.read", "DFS file read (file payload)")
-#: block-store segment append (partial write → torn segment; any
-#: OSError → failed commit, the batch stays staged behind the breaker)
-SITE_BLOCKSTORE_APPEND = register_site(
-    "blockstore.append", "block-store payload segment append"
-)
-#: block-store read-back during recovery scrub (bit rot → segment
-#: quarantine / torn-tail truncation)
-SITE_BLOCKSTORE_READ = register_site(
-    "blockstore.read", "block-store segment read during recovery scrub"
-)
 #: coordinator liveness channel (suppress → standby promotion)
 SITE_COORDINATOR_HEARTBEAT = register_site(
     "coordinator.heartbeat", "coordinator health heartbeat tick"
@@ -295,8 +288,6 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "PartialWriteFault",
-    "SITE_BLOCKSTORE_APPEND",
-    "SITE_BLOCKSTORE_READ",
     "SITE_COORDINATOR_HEARTBEAT",
     "SITE_DFS_READ",
     "SITE_JOURNAL_APPEND",

@@ -1,4 +1,4 @@
-"""Durable repository persistence: snapshot + journal + recovery.
+"""Durable repository persistence: snapshot + one log + recovery.
 
 A shared ReStore service cannot rebuild its repository from scratch on
 every restart (the N=10k build already costs seconds and grows
@@ -13,22 +13,21 @@ and fast to recover:
   so a cold start rebuilds every fingerprint index and the §3
   subsumption pairs in O(entries read) without re-registering a single
   plan;
-* :mod:`repro.persistence.framedlog` — the one append-only log
-  primitive (``u32 len | crc32 | body`` frames; a torn tail from a
-  mid-append crash is detected and truncated, never replayed; bit rot
-  with an intact continuation is quarantined), with two body codecs
-  over it: :mod:`repro.persistence.journal` (every post-snapshot
-  mutation as a JSON record) and :mod:`repro.persistence.blockstore`
-  (the stored outputs' payload bytes);
+* :mod:`repro.persistence.framedlog` — the one durable log: per
+  generation, one append-only file of ``u32 len | crc32 | body`` frames
+  whose bodies are tagged payload segments (the stored outputs' bytes)
+  and mutation records (everything after the last snapshot).  A torn
+  tail from a mid-append crash is detected and cut, never replayed;
+  bit rot with an intact continuation is quarantined;
 * :mod:`repro.persistence.persister` — the live wiring: a
   :class:`RepositoryPersister` stages mutations, commits them per
-  submission and rotates snapshots, under the durability contract its
-  module docstring states;
-* :mod:`repro.persistence.durability` — crash :func:`recover`: replay
-  the snapshot and journal, scrub every payload, and adopt the result
-  into a live manager;
+  submission in one log write and one fsync, and rotates snapshots,
+  under the durability contract its module docstring states;
+* :mod:`repro.persistence.durability` — crash :func:`recover`: load the
+  snapshot, replay the log from the offset it names, scrub every
+  payload, and adopt the result into a live manager;
 * :mod:`repro.persistence.standby` — an in-memory warm standby that
-  tails the journal via the persister's :class:`~repro.events.EventBus`
+  tails the log via the persister's :class:`~repro.events.EventBus`
   and can be promoted with zero lost reuse opportunities.
 
 Quick start::
@@ -48,7 +47,7 @@ Quick start::
 """
 
 from repro.persistence.durability import PersistenceConfig, RecoveredState, recover
-from repro.persistence.journal import JournalRecord
+from repro.persistence.framedlog import JournalRecord
 from repro.persistence.persister import RepositoryPersister
 from repro.persistence.snapshot import (
     RepositorySnapshot,

@@ -1,9 +1,13 @@
 """Crash recovery, under the contract :mod:`repro.persistence.persister`
-states: :func:`recover` loads the snapshot, replays the clean journal
-prefix (:class:`ReplayTarget`), truncates a torn tail, scrubs every
-payload (:class:`_PayloadScrub`) and restores the DFS id floors;
-:func:`adopt_recovered` makes the result a live manager's state under
-a fresh :class:`RepositoryPersister`.
+states: :func:`recover` loads the snapshot, scans the one log once,
+replays its clean records from the snapshot's offset
+(:class:`ReplayTarget`), cuts a torn tail, scrubs every payload
+against the same scan (:class:`_PayloadScrub`), sweeps unclaimed
+sub-job files and restores the DFS id floors; :func:`adopt_recovered`
+makes the result a live manager's state under a fresh
+:class:`RepositoryPersister`.  A state directory in the retired
+two-file layout is refused with a :class:`LogError` naming the file,
+before anything is read or cut.
 """
 
 from __future__ import annotations
@@ -13,20 +17,25 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.enumerator import SUBJOB_DIR
 from repro.core.repository import Repository
 from repro.dfs.namenode import InputExtent
 from repro.events import EntryQuarantined, PersistenceDegraded
 from repro.faults import injector as faults
-from repro.persistence.blockstore import (
-    BlockStore,
-    BlockStoreError,
+from repro.persistence.framedlog import (
+    FramedLog,
+    FrameScan,
+    JournalRecord,
+    LogError,
     SegmentRef,
     verify_ref,
 )
-from repro.persistence.framedlog import FrameScan
-from repro.persistence.journal import Journal, JournalRecord
 from repro.persistence.persister import RepositoryPersister
-from repro.persistence.snapshot import RepositorySnapshot, entry_from_record
+from repro.persistence.snapshot import (
+    RepositorySnapshot,
+    SnapshotError,
+    entry_from_record,
+)
 from repro.persistence.storage import PersistenceConfig
 
 
@@ -41,19 +50,19 @@ class RecoveredState:
     id_floors: Dict[str, int] = field(default_factory=dict)
     #: entries that came from the snapshot itself
     snapshot_entries: int = 0
-    #: clean journal records replayed on top
+    #: clean log records replayed on top
     journal_records: int = 0
-    #: bytes of torn journal tail truncated (0 = clean shutdown)
+    #: bytes of torn log tail truncated (0 = clean shutdown)
     journal_torn_bytes: int = 0
-    #: mid-journal records quarantined for failing their checksum
+    #: mid-log frames quarantined for failing their checksum
     journal_skipped: int = 0
     #: path → raw segment ref ([gen, offset, length, crc]) for every
     #: payload the scrub verified (the persister resumes dedup from
     #: these)
     payload_refs: Dict[str, list] = field(default_factory=dict)
-    #: block-store generation new appends continue into
-    blockstore_gen: int = 0
-    #: payloads written back into the DFS from the block store
+    #: log generation new appends continue into
+    log_gen: int = 0
+    #: payloads written back into the DFS from the log
     payloads_restored: int = 0
     #: (entry_id, output_path, reason) per entry the scrub condemned —
     #: already removed from the repository and journaled as
@@ -64,13 +73,16 @@ class RecoveredState:
     condemnations_unjournaled: Optional[PersistenceDegraded] = None
     #: kept paths the scrub dropped (bytes unrecoverable)
     kept_paths_condemned: List[str] = field(default_factory=list)
-    #: entries tolerated without a payload ref (pre-block-store state
-    #: whose output bytes were still present, or no DFS to check)
+    #: entries tolerated without a payload ref (output bytes still
+    #: present, or no DFS to check)
     payloads_legacy: int = 0
+    #: unclaimed ``restore/subjob/`` files deleted (a crashed
+    #: submission's side stores, condemned entries' outputs)
+    subjobs_swept: int = 0
 
 
 class ReplayTarget:
-    """Mutable state a journal replay folds records into.
+    """Mutable state a record replay folds records into.
 
     The one replay pipeline — :meth:`from_snapshot`, :meth:`apply_all`,
     :meth:`finish` — shared by crash recovery and the standby replica.
@@ -83,11 +95,11 @@ class ReplayTarget:
         self.kept_paths: Set[str] = set()
         self.clock = 0
         self.id_floors: Dict[str, int] = {"next_script_id": 1, "next_subjob_id": 1}
-        #: path → raw block-store segment ref; seeded from the
-        #: snapshot's payload table, extended by ``payload_stored``
-        #: journal records
+        #: path → raw segment ref; seeded from the snapshot's payload
+        #: table, extended by ``payload_stored`` records
         self.payload_refs: Dict[str, list] = {}
-        self.payload_gen = 0
+        #: the log generation and offset record replay starts from
+        self.log_gen = self.log_offset = 0
         #: entries that came from the snapshot itself
         self.snapshot_entries = 0
 
@@ -109,7 +121,8 @@ class ReplayTarget:
         payloads = snapshot.payload_state
         for path, ref in payloads.get("refs", {}).items():
             target.payload_refs[path] = list(ref)
-        target.payload_gen = int(payloads.get("gen", 0))
+        target.log_gen = int(payloads.get("gen", 0))
+        target.log_offset = int(payloads.get("offset", 0))
         target.snapshot_entries = len(snapshot)
         return target
 
@@ -143,13 +156,12 @@ class ReplayTarget:
             # a later ref for the same path supersedes (refresh /
             # re-capture); replaying twice lands on the same ref
             self.payload_refs[data["path"]] = list(data["ref"])
-            self.payload_gen = max(self.payload_gen, int(data["ref"][0]))
         elif record.type == "counters":
             for key in ("next_script_id", "next_subjob_id"):
                 if key in data:
                     self.id_floors[key] = max(self.id_floors[key], int(data[key]))
             self.clock = max(self.clock, data.get("clock", 0))
-        # unknown types: skipped (journals from newer writers)
+        # unknown types: skipped (logs from newer writers)
 
     def apply_all(self, records) -> int:
         count = 0
@@ -161,16 +173,13 @@ class ReplayTarget:
     def finish(self, **counts) -> "RecoveredState":
         """The replayed state as a :class:`RecoveredState`: id floors
         merged with what the restored paths imply, the clock raised past
-        every entry's timestamps, and the block-store generation new
-        appends continue into.  *counts* fills the caller's bookkeeping
-        fields (``journal_records``, scrub results, ...)."""
+        every entry's timestamps, and the log generation new appends
+        continue into.  *counts* fills the caller's bookkeeping fields
+        (``journal_records``, scrub results, ...)."""
         for key, value in derive_id_floors(self.repository).items():
             self.id_floors[key] = max(self.id_floors.get(key, 1), value)
         for entry in self.repository.entries():
             self.clock = max(self.clock, entry.created_at, entry.last_used_at)
-        gen = self.payload_gen
-        for raw in self.payload_refs.values():
-            gen = max(gen, int(raw[0]))
         return RecoveredState(
             repository=self.repository,
             kept_paths=set(self.kept_paths),
@@ -178,7 +187,7 @@ class ReplayTarget:
             id_floors=dict(self.id_floors),
             snapshot_entries=self.snapshot_entries,
             payload_refs={p: list(r) for p, r in self.payload_refs.items()},
-            blockstore_gen=gen,
+            log_gen=self.log_gen,
             **counts,
         )
 
@@ -212,49 +221,38 @@ _NO_REF = object()
 class _PayloadScrub:
     """The post-recovery payload integrity pass.
 
-    Every restored entry (and kept path) is checked against the block
-    store before it can ever be served:
+    Every restored entry (and kept path) is checked against the log's
+    scan before it can ever be served:
 
     * a recorded ref whose segment is missing, checksum-mismatched, or
       length-drifted **condemns** the entry — removed from the
-      repository, journaled as ``entry_quarantined`` so the decision
+      repository, logged as ``entry_quarantined`` so the decision
       replays idempotently, surfaced for the caller to emit
       :class:`~repro.events.EntryQuarantined`;
     * every restored input extent forgets its birth (a logical-clock
       tick of the process that recorded it);
     * an intact ref restores its bytes into the DFS when the file is
-      absent (the warm-start path: payloads come back natively), and
-      stamps the entry's output extent once the file holds exactly
-      those bytes — restored, or already present and equal.  A path
+      absent, and stamps the entry's output extent once the file holds
+      exactly those bytes — restored, or already present and equal.
+      This write-back into an empty path is the contract: it is the
+      warm start on a fresh filesystem, and over the old one it brings
+      back a stored output the user deleted or renamed away.  A path
       two entries claim is stamped for neither (the ref holds one of
       their outputs, and which one is not recorded);
-    * an entry with **no** ref is legacy (pre-block-store state): it
-      is tolerated when its output bytes are already present — or when
-      there is no DFS to check against — and condemned when a DFS is
-      given and the bytes are gone, which is exactly the stale-output
-      hazard the scrub exists to close.
+    * an entry with **no** ref is tolerated when its output bytes are
+      already present — or when there is no DFS to check against — and
+      condemned when a DFS is given and the bytes are gone, which is
+      exactly the stale-output hazard the scrub exists to close.
     """
 
-    def __init__(self, config: PersistenceConfig, dfs, journal: Journal):
-        self.config = config
+    def __init__(self, dfs, scan: FrameScan, gen: int):
         self.dfs = dfs
-        self.journal = journal
+        self.scan = scan
+        self.gen = gen
         self.restored = 0
         self.legacy = 0
         self.condemned: List[Tuple[str, str, str]] = []
         self.kept_condemned: List[str] = []
-        self._scans: Dict[int, FrameScan] = {}
-
-    def _scan_gen(self, gen: int) -> FrameScan:
-        scan = self._scans.get(gen)
-        if scan is None:
-            store = BlockStore(self.config.blockstore_storage(self.dfs, gen), gen)
-            scan = store.scan()
-            if scan.torn:
-                # not advisory: the successor must not append behind a tear
-                store.repair(scan)
-            self._scans[gen] = scan
-        return scan
 
     def _check(self, path: str, refs: Dict[str, list]):
         """``(ok, payload_or_None, reason)`` for one referenced path."""
@@ -266,9 +264,9 @@ class _PayloadScrub:
             return False, None, "no payload segment recorded and output bytes missing"
         try:
             ref = SegmentRef.from_list(raw)
-        except (BlockStoreError, TypeError, ValueError):
+        except (LogError, TypeError, ValueError):
             return False, None, f"malformed payload segment ref {raw!r}"
-        payload = verify_ref(self._scan_gen(ref.gen), ref, path)
+        payload = verify_ref(self.scan, ref, path) if ref.gen == self.gen else None
         if payload is None:
             return (
                 False,
@@ -310,23 +308,39 @@ class _PayloadScrub:
             target.kept_paths.discard(path)
             refs.pop(path, None)
 
-    def _restore(self, path: str, payload: Optional[bytes]) -> Optional[InputExtent]:
+    def _restore(
+        self, path: str, payload: Optional[memoryview]
+    ) -> Optional[InputExtent]:
         """Write verified *payload* back when *path* is absent; the
         file's extent once it holds exactly those bytes, else None."""
         if payload is None or self.dfs is None:
             return None
         if not self.dfs.exists(path):
-            self.dfs.write_file(path, payload)
+            self.dfs.write_file(path, bytes(payload))
             self.restored += 1
         elif self.dfs.read_range(path, 0, len(payload) + 1) != payload:
             return None  # changed since it was stored (the extra byte: grown)
         return self.dfs.input_extent(path)
 
-    def journal_condemnations(self) -> None:
+    def sweep(self, target: ReplayTarget) -> int:
+        """Delete every sub-job file no recovered entry or kept path
+        claims: a crashed submission's side stores, condemned outputs."""
+        claimed = {e.output_path for e in target.repository.entries()}
+        claimed |= target.kept_paths
+        swept = [
+            path
+            for path in self.dfs.list_paths(SUBJOB_DIR + "/")
+            if path not in claimed
+        ]
+        for path in swept:
+            self.dfs.delete_if_exists(path)
+        return len(swept)
+
+    def log_condemnations(self, log: FramedLog) -> None:
         """Make the scrub's verdicts durable: an ``entry_quarantined``
         replays as an idempotent remove, so the next recovery reaches
         the same state without re-deriving it.  An ``OSError`` from a
-        degraded journal merely defers that; the caller records it."""
+        degraded log merely defers that; the caller records it."""
         records = [
             {
                 "type": "entry_quarantined",
@@ -339,40 +353,58 @@ class _PayloadScrub:
             {"type": "kept_path_removed", "path": path}
             for path in self.kept_condemned
         )
-        if records:
-            self.journal.append_payloads(records)
+        log.append_commit(records)
 
 
 def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
-    """Rebuild repository + manager state from snapshot and journal.
+    """Rebuild repository + manager state from the snapshot and the log.
 
-    Loads the snapshot (if any), replays every intact journal record
-    on top, truncates a torn tail in place, scrubs every restored
-    entry's payload against the block store (see :class:`_PayloadScrub`
-    — intact bytes are written back into *dfs*, condemned entries are
-    removed and journaled), and derives/merges the id and clock
-    floors.  When *dfs* is given the id floors are pushed into it
-    immediately via :meth:`ensure_id_floor`.
+    Refuses a retired layout (:class:`LogError` naming the file), loads
+    the snapshot (if any; a :class:`SnapshotError` names its file),
+    scans the log generation it names once, replays every intact record
+    from its offset, cuts a torn tail in place, scrubs every restored
+    entry's payload against the same scan (see :class:`_PayloadScrub` —
+    intact bytes are written back into *dfs*, condemned entries are
+    removed and logged), sweeps unclaimed sub-job files, and
+    derives/merges the id and clock floors.  When *dfs* is given the id
+    floors are pushed into it immediately via :meth:`ensure_id_floor`.
     """
-    journal = Journal(config.journal_storage(dfs))
+    retired = config.retired_files(dfs)
+    if retired:
+        raise LogError(
+            f"{retired[0]}: a file of the retired journal + block-store "
+            "layout, which this reader refuses (no converter)"
+        )
     storage = config.snapshot_storage(dfs)
     data = storage.read() if storage.exists() else b""
     if data:
         # injection site "snapshot.read": corruption here must surface
         # as a SnapshotError, never as silent partial state
         data = faults.fire("snapshot.read", data=data)
-    target = ReplayTarget.from_snapshot(data)
-    scan = journal.scan()
-    replayed = target.apply_all(scan.records)
-    if scan.torn:
-        journal.repair(scan)
-    scrub = _PayloadScrub(config, dfs, journal)
-    scrub.run(target)
-    unjournaled = None
     try:
-        scrub.journal_condemnations()
-    except OSError as exc:
-        unjournaled = PersistenceDegraded(path=journal.location, error=str(exc))
+        snapshot = RepositorySnapshot.from_bytes(data) if data else None
+    except SnapshotError as exc:
+        raise SnapshotError(f"{storage.location}: {exc}") from None
+    target = ReplayTarget.from_snapshot(snapshot)
+    log = FramedLog(config.log_storage(dfs, target.log_gen), target.log_gen)
+    try:
+        scan = log.scan(target.log_offset)
+        replayed = target.apply_all(scan.records)
+        # not advisory: the successor must not append behind a tear
+        log.repair(scan)
+        if log.tail() < target.log_offset:
+            # the log lost bytes the snapshot covers: replay from its end
+            snapshot.payload["payloads"]["offset"] = log.tail()
+            storage.write(snapshot.to_bytes())
+        scrub = _PayloadScrub(dfs, scan, target.log_gen)
+        scrub.run(target)
+        unjournaled = None
+        try:
+            scrub.log_condemnations(log)
+        except OSError as exc:
+            unjournaled = PersistenceDegraded(path=log.location, error=str(exc))
+    finally:
+        log.close()
     state = target.finish(
         condemnations_unjournaled=unjournaled,
         journal_records=replayed,
@@ -382,9 +414,8 @@ def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
         payloads_condemned=scrub.condemned,
         kept_paths_condemned=scrub.kept_condemned,
         payloads_legacy=scrub.legacy,
+        subjobs_swept=scrub.sweep(target) if dfs is not None else 0,
     )
-    # the successor appends here: scan + repair it, referenced or not
-    scrub._scan_gen(state.blockstore_gen)
     if dfs is not None:
         dfs.ensure_id_floor(**state.id_floors)
     return state
@@ -393,7 +424,7 @@ def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
 def announce_scrub_condemnations(manager, recovered: RecoveredState) -> None:
     """Surface the recovery scrub's verdicts on a live manager.
 
-    The repository removals and ``entry_quarantined`` journal records
+    The repository removals and ``entry_quarantined`` records
     already happened inside :func:`recover`; this bumps the manager's
     quarantine counter and emits one
     :class:`~repro.events.EntryQuarantined` per condemned entry so

@@ -1,50 +1,161 @@
-"""The framed append-only log: one frame format, one scan, one repair.
+"""The repository's one durable log: frames, their two body kinds, one scan.
 
-Everything the persistence layer appends — journal records, block-store
-payload segments — is a sequence of frames::
+Everything the persister appends — the stored outputs' payload bytes
+and the journal of repository mutations — goes into one append-only
+log per *generation* (``journal_path`` + ``.g<N>``), as frames::
 
     body length u32 | crc32(body) u32 | body
 
-Appends never rewrite earlier bytes, so a crash mid-append can only
-tear the *tail*.  :func:`scan_frames` makes the three-way decision
-every reader of such a file needs, and never raises:
+and every body starts with a one-byte kind tag:
+
+* ``S`` — a payload **segment**: ``path length u16 | path utf8 |
+  payload bytes``.  A :class:`SegmentRef` names one: ``(gen, offset,
+  length, crc)``, where ``crc`` is the crc32 of the payload bytes
+  themselves, so :func:`verify_ref` catches substitution and length
+  drift that a frame checksum alone cannot;
+* ``R`` — mutation **records**: compact JSON objects with a ``type``
+  (:class:`JournalRecord`), one per line, key-sorted except for a
+  stored plan, whose cached encoding is spliced in as the entry's last
+  key.
+
+A commit is one :meth:`FramedLog.append_commit`: its segments first,
+then one frame of all its records, whose refs point earlier in the
+same write.  Appends never rewrite earlier bytes, so a crash can only
+tear the *tail* and keeps a prefix of the commit: a surviving record
+implies that its segments survived, and a commit's records land or
+tear together.  :func:`scan_frames` makes the three-way decision every
+reader needs, and never raises:
 
 * an incomplete header or a body shorter than its declared length is a
   **torn tail** — the scan stops at the last intact frame;
-* a frame whose checksum (or body decoder) fails while another intact
-  frame starts exactly where it ends is **bit rot**, not a tear: that
-  one frame is quarantined (counted in ``skipped``) and the scan
-  resyncs, so a flipped byte can never erase the intact suffix;
+* a frame whose checksum (or body) fails while another intact frame
+  starts exactly where it ends is **bit rot**, not a tear: that frame
+  is quarantined (counted in ``skipped``) and the scan resyncs, so a
+  flipped byte can never erase the intact suffix;
 * the same failure with no intact continuation is again a torn tail.
 
 Everything before ``clean_bytes`` is intact, so recovery replays the
-clean prefix and :meth:`FramedLog.repair` truncates the tear in place
-instead of guessing at it.  What a body *means* is the caller's codec:
-:mod:`repro.persistence.journal` (JSON records) and
-:mod:`repro.persistence.blockstore` (path + payload segments) are the
-two in this tree.
+clean prefix and :meth:`FramedLog.repair` cuts the tear in place.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.exceptions import ReproError
 from repro.faults import injector as faults
 from repro.faults.injector import PartialWriteFault
 
 #: body length, crc32(body)
 _FRAME = struct.Struct(">II")
-#: a codec's reader: checksum-valid body → decoded value, or ``None``
-#: for checksummed garbage (a torn rewrite)
-BodyDecoder = Callable[[bytes], Optional[Any]]
+#: a segment body's path length (after the kind tag)
+_PATH_LEN = struct.Struct(">H")
+SEGMENT, RECORD = b"S", b"R"
+
+
+class LogError(ReproError):
+    """A log frame or segment ref could not be encoded or decoded, or
+    the state directory holds a layout this reader refuses."""
+
+
+@dataclass(frozen=True)
+class JournalRecord:
+    """One decoded record: its ``type`` plus the remaining fields."""
+
+    type: str
+    data: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_payload(cls, payload: Mapping) -> "JournalRecord":
+        data = dict(payload)
+        rtype = data.pop("type", "")
+        return cls(type=rtype, data=data)
+
+
+@dataclass(frozen=True)
+class SegmentRef:
+    """One stored payload's durable address + content checksum."""
+
+    gen: int
+    offset: int
+    length: int
+    crc: int
+
+    def to_list(self) -> List[int]:
+        return [self.gen, self.offset, self.length, self.crc]
+
+    @classmethod
+    def from_list(cls, raw: Sequence[int]) -> "SegmentRef":
+        if len(raw) != 4:
+            raise LogError(f"malformed segment ref: {raw!r}")
+        return cls(int(raw[0]), int(raw[1]), int(raw[2]), int(raw[3]))
 
 
 def encode_frame(body: bytes) -> bytes:
     """Frame one body (length-prefixed + checksummed)."""
     return _FRAME.pack(len(body), zlib.crc32(body)) + body
+
+
+def encode_segment(path: str, data: bytes) -> bytes:
+    """Frame one payload segment."""
+    encoded_path = path.encode()
+    if len(encoded_path) > 0xFFFF:
+        raise LogError(f"path too long for a segment header: {path!r}")
+    return encode_frame(
+        SEGMENT + _PATH_LEN.pack(len(encoded_path)) + encoded_path + data
+    )
+
+
+def _json(payload: Mapping) -> bytes:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _record_json(payload: Mapping) -> bytes:
+    """One record's JSON.  An entry record's ``plan`` holds the plan's
+    own JSON bytes (:func:`repro.persistence.snapshot.entry_record`):
+    they are spliced in as the entry's last key, not re-encoded."""
+    entry = payload.get("entry")
+    if entry is None:
+        return _json(payload)
+    fields = _json({key: value for key, value in entry.items() if key != "plan"})
+    rest = _json({key: value for key, value in payload.items() if key != "entry"})
+    # {"entry":{<fields>,"plan":<plan>},<rest>}: "entry" sorts before "type"
+    parts = (b'{"entry":', fields[:-1], b',"plan":', entry["plan"], b"},", rest[1:])
+    return b"".join(parts)
+
+
+def encode_record(*payloads: Mapping) -> bytes:
+    """Frame records, one per line of one frame: they land or tear
+    together (compact JSON holds no newline)."""
+    return encode_frame(RECORD + b"\n".join(map(_record_json, payloads)))
+
+
+def _decode_body(body: memoryview, parse: bool = True):
+    """A segment's ``(path, payload view)``, a list of
+    :class:`JournalRecord` (empty unless *parse*), or ``None`` for
+    checksummed garbage (a torn rewrite)."""
+    kind = body[:1]
+    if kind == SEGMENT and len(body) >= 1 + _PATH_LEN.size:
+        end = 1 + _PATH_LEN.size + _PATH_LEN.unpack_from(body, 1)[0]
+        try:
+            path = str(body[1 + _PATH_LEN.size : end], "utf-8")
+        except UnicodeDecodeError:
+            return None
+        return (path, body[end:]) if end <= len(body) else None
+    elif kind == RECORD:
+        if not parse:
+            return []
+        try:
+            payloads = [json.loads(line) for line in bytes(body[1:]).split(b"\n")]
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        if all(isinstance(payload, dict) for payload in payloads):
+            return list(map(JournalRecord.from_payload, payloads))
+    return None
 
 
 def _frame_intact(data: bytes, offset: int) -> bool:
@@ -68,7 +179,7 @@ class FrameScan:
     crash mid-append.
     """
 
-    frames: Dict[int, Tuple[int, Any]] = field(default_factory=dict)
+    frames: Dict[int, Tuple[int, object]] = field(default_factory=dict)
     clean_bytes: int = 0
     total_bytes: int = 0
     #: mid-file frames skipped over a checksum/decode failure (bit rot
@@ -76,9 +187,14 @@ class FrameScan:
     skipped: int = 0
 
     @property
-    def records(self) -> List[Any]:
-        """The decoded bodies, in file order."""
-        return [body for _, body in self.frames.values()]
+    def records(self) -> List[JournalRecord]:
+        """The decoded records at or past the scan's start, in order."""
+        return [
+            record
+            for _, body in self.frames.values()
+            if isinstance(body, list)
+            for record in body
+        ]
 
     @property
     def torn(self) -> bool:
@@ -89,22 +205,27 @@ class FrameScan:
         return self.total_bytes - self.clean_bytes
 
 
-def scan_frames(data: bytes, decode_body: BodyDecoder) -> FrameScan:
+def scan_frames(data: bytes, start: int = 0) -> FrameScan:
     """Decode every intact frame; stop (never raise) at a torn tail.
-    A body *decode_body* rejects is handled like a checksum failure."""
+    Records before offset *start* (folded into a snapshot) are checked
+    but not parsed; a body that fails to decode is handled like a
+    checksum failure."""
     scan = FrameScan(total_bytes=len(data))
+    data = memoryview(data)  # bodies and payloads are views, not copies
     offset = 0
     total = len(data)
     while offset < total:
         if total - offset < _FRAME.size:
             break  # torn frame header
         length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        end = start + length
+        body_at = offset + _FRAME.size
+        end = body_at + length
         if end > total:
             break  # torn body
-        body = data[start:end]
-        decoded = decode_body(body) if zlib.crc32(body) == crc else None
+        body = data[body_at:end]
+        decoded = (
+            _decode_body(body, offset >= start) if zlib.crc32(body) == crc else None
+        )
         if decoded is None:
             if end < total and _frame_intact(data, end):
                 scan.skipped += 1
@@ -117,18 +238,27 @@ def scan_frames(data: bytes, decode_body: BodyDecoder) -> FrameScan:
     return scan
 
 
+def verify_ref(scan: FrameScan, ref: SegmentRef, path: str) -> Optional[memoryview]:
+    """The scrub's integrity check: a view of the payload bytes *ref*
+    promises, or ``None`` when the segment is missing (torn away, never
+    written), fails its checksum, drifted in length, or frames another
+    path."""
+    length, body = scan.frames.get(ref.offset, (None, None))
+    if length != ref.length or not isinstance(body, tuple) or body[0] != path:
+        return None
+    return body[1] if zlib.crc32(body[1]) == ref.crc else None
+
+
 class FramedLog:
-    """An append-only framed log over one storage backend (local file
-    or simulated-DFS file).
+    """One generation of the log over one storage backend (local file
+    or simulated-DFS file).  It tracks its tail in memory, so an append
+    asks the storage nothing; fault sites ``journal.append`` /
+    ``journal.read``."""
 
-    *site* names the fault-injection sites (``<site>.append`` /
-    ``<site>.read``); *decode_body* is the body codec's reader.
-    """
-
-    def __init__(self, storage, site: str, decode_body: BodyDecoder) -> None:
+    def __init__(self, storage, gen: int = 0) -> None:
         self.storage = storage
-        self.site = site
-        self._decode_body = decode_body
+        self.gen = gen
+        self._tail = storage.size()
         #: where a failed append began: its debris is cut before the
         #: next one, so a retry never sits behind an unscannable tear
         self._torn_at: Optional[int] = None
@@ -137,30 +267,35 @@ class FramedLog:
     def location(self) -> str:
         return self.storage.location
 
+    @property
+    def end(self) -> int:
+        """The end of the last committed append (never debris)."""
+        return self._tail
+
     def tail(self) -> int:
         """Offset of the next append (a failed append's debris is cut first)."""
         if self._torn_at is not None:
             self.storage.truncate(self._torn_at)
-            self._torn_at = None
-        return self.storage.size()
+            self._tail, self._torn_at = self._torn_at, None
+        return self._tail
 
     def append_frames(self, data: bytes) -> int:
         """Append already-framed *data* in one storage write; returns
         the bytes that reached the medium.
 
-        Injection site ``<site>.append``: an ``OSError`` here is what
+        Injection site ``journal.append``: an ``OSError`` here is what
         trips the persister's circuit breaker; a ``partial`` rule lands
         its prefix first, leaving a genuinely torn tail for the next
-        append (or, after a crash, the next scan) to truncate;
-        ``suppress`` models a lost write (the caller is told nothing
-        failed, nothing hit the medium).
+        append (or, after a crash, the next scan) to cut; ``suppress``
+        models a lost write (the caller is told nothing failed, nothing
+        hit the medium).
         """
         if not data:
             return 0
         start = self.tail()
         try:
             try:
-                data = faults.fire(f"{self.site}.append", data=data)
+                data = faults.fire("journal.append", data=data)
             except PartialWriteFault as fault:
                 if fault.prefix:
                     self.storage.append(fault.prefix)
@@ -170,14 +305,44 @@ class FramedLog:
         except OSError:
             self._torn_at = start
             raise
-        return len(data) if data else 0
+        written = len(data) if data else 0
+        self._tail = start + written
+        return written
 
-    def scan(self) -> FrameScan:
+    def append_commit(
+        self, records: Sequence[dict], *, segments_only: bool = False
+    ) -> Tuple[List[Tuple[str, SegmentRef]], int]:
+        """Append one commit in one storage write (one fsync): a
+        segment for every record that carries payload ``data``, then
+        every record (unless *segments_only*: a compaction's copies),
+        the segment's ref in place of the bytes.  Returns ``((path,
+        ref) per segment, bytes written)``; *records* are not changed,
+        so a failed commit is retried whole.  Under a ``suppress`` rule
+        (a lying disk) the refs are handed out although nothing was
+        written: what the recovery scrub catches."""
+        offset = self.tail()
+        frames, refs, bodies = [], [], []
+        for record in records:
+            if "data" in record:
+                path, data = record["path"], record["data"]
+                frame = encode_segment(path, data)
+                ref = SegmentRef(self.gen, offset, len(frame), zlib.crc32(data))
+                frames.append(frame)
+                refs.append((path, ref))
+                offset += len(frame)
+                record = {**record, "ref": ref.to_list()}
+                del record["data"]
+            bodies.append(record)
+        if bodies and not segments_only:
+            frames.append(encode_record(*bodies))
+        return refs, self.append_frames(b"".join(frames))
+
+    def scan(self, start: int = 0) -> FrameScan:
         data = self.storage.read() if self.storage.exists() else b""
-        # injection site "<site>.read": bit rot on the read-back path
+        # injection site "journal.read": bit rot on the read-back path
         # (exercises frame quarantine / torn-tail truncation)
-        data = faults.fire(f"{self.site}.read", data=data)
-        return scan_frames(data, self._decode_body)
+        data = faults.fire("journal.read", data=data)
+        return scan_frames(data, start)
 
     def repair(self, scan: Optional[FrameScan] = None) -> int:
         """Truncate a torn tail in place; returns the bytes dropped."""
@@ -185,15 +350,21 @@ class FramedLog:
             scan = self.scan()
         if scan.torn:
             self.storage.truncate(scan.clean_bytes)
+            self._tail = scan.clean_bytes
         return scan.torn_bytes
 
     def reset(self) -> None:
-        """Empty the log (a new epoch: everything in it was folded
-        elsewhere, or is debris from an aborted writer)."""
+        """Empty the log (debris of an aborted compaction)."""
         self.storage.truncate(0)
+        self._tail = 0
 
     def size(self) -> int:
+        """Bytes on the medium (a failed append's debris included)."""
         return self.storage.size()
 
+    def close(self) -> None:
+        """Release the storage's held handle (reopened on the next append)."""
+        self.storage.close()
+
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.location!r}, bytes={self.size()})"
+        return f"FramedLog({self.location!r}, gen={self.gen}, bytes={self._tail})"

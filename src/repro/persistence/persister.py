@@ -9,34 +9,37 @@ nothing unprovable is served.**  The argument, in one place:
 
 * *staged* — while a submission is open (``on_workflow_start`` to
   ``on_workflow_end``, which the runner calls in a ``finally``) a
-  mutation only joins an in-memory batch: its journal record, behind
-  the output's bytes as read at that moment.  Outside any submission
-  it commits at once (``PersistenceConfig.flush_every``);
-* *the commit* — one block-store write of every staged payload, then
-  one journal write of every record with its segment ref filled in,
-  one fsync each, block store strictly first: a journaled ref always
-  names durable bytes.  Either write failing is a failed commit — the
-  batch stays staged, the breaker opens, a later probe lands it whole;
+  mutation only joins an in-memory batch: its record, behind the
+  output's bytes as read at that moment.  Outside any submission it
+  commits at once (``PersistenceConfig.flush_every``);
+* *the commit* — one write to the log (:mod:`repro.persistence.framedlog`)
+  and one fsync: every staged payload as a segment, then one frame of
+  every record, a record's segments preceding it in the same write.  A
+  payload stages together with the record that needs it, so no commit
+  holds one without the other.  A failed write is a failed commit —
+  the batch stays staged, the breaker opens, a later probe lands it
+  whole;
 * *commit points* — ``note_workflow_end`` (the acknowledgement: no
   submission returns before it), the manager's ordering barriers
-  (eviction before file reclaim, stale-input eviction before
-  re-registration, quarantine, refreshed extents), ``close()`` and the
-  standby's promotion drain, all through ``RepositoryPersister.flush``;
-* *a half-landed batch is harmless* — a crash inside either write
-  tears only that file's tail, which recovery truncates; what survives
-  is a prefix of the mutation order, and replay is idempotent (a
-  same-id re-add replaces and re-integrates to the identical order, a
-  remove of a missing entry is a no-op, usage stats and counter floors
-  merge by max).  Segments whose records never landed are dead bytes,
-  and the post-recovery scrub
+  (stale-input eviction before re-registration, quarantine, refreshed
+  extents), ``close()`` and the standby's promotion drain, all through
+  ``RepositoryPersister.flush``;
+* *a torn commit is harmless* — a crash mid-write tears only the log's
+  tail, which recovery cuts; what survives is a prefix of the write, so
+  a commit's records survive whole or not at all and only behind their
+  segments, and the replayed records are a prefix of the mutation order
+  in whole commits, whose replay is idempotent (a same-id re-add
+  replaces and re-integrates to the identical order, a remove of a
+  missing entry is a no-op, usage stats and counter floors merge by
+  max).  Segments whose records never landed are dead bytes, and the
+  post-recovery scrub
   (:class:`~repro.persistence.durability._PayloadScrub`) refuses to
-  serve an entry whose segment is missing, corrupt, or length-drifted:
-  metadata may over-promise after a torn write, recovery never serves;
-* *rotation* — a snapshot commits (staged batch, capture, write,
-  journal reset) under the manager and repository locks, so no
-  mutation falls between "folded into the snapshot" and "journaled for
-  replay"; a crash between snapshot write and journal reset merely
-  leaves folded records in the journal, replayed idempotently.
+  serve an entry whose segment is missing, corrupt or length-drifted;
+* *rotation* — a snapshot (staged batch committed, capture, write)
+  happens under the manager and repository locks and records the log
+  offset its state covers; replay starts there, so the log is never
+  reset, and a crash on either side of the snapshot's atomic rename
+  replays from the old or the new offset.
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ from repro.events import (
     SnapshotTaken,
 )
 from repro.faults import injector as faults
-from repro.persistence.blockstore import BlockStore, BlockStoreError, SegmentRef
-from repro.persistence.journal import Journal
+from repro.persistence.framedlog import FramedLog, LogError, SegmentRef
 from repro.persistence.snapshot import RepositorySnapshot, entry_record
 from repro.persistence.storage import PersistenceConfig
 
@@ -92,8 +94,9 @@ class RepositoryPersister:
     #: circuit breaker: while open, only every N-th flush attempt
     #: probes storage (the rest stay staged instead of eating an error)
     PROBE_EVERY = 3
-    #: a rotation compacts once the generation's dead bytes exceed
-    #: this multiple of its live ones (space <= 2x live + one interval)
+    #: a rotation compacts once the generation's dead bytes exceed this
+    #: multiple of its live payloads plus twice the snapshot (space <=
+    #: 2x live + 2x snapshot + one interval)
     COMPACT_DEAD_PER_LIVE = 1.0
 
     def __init__(
@@ -110,10 +113,13 @@ class RepositoryPersister:
         #: persister-scoped bus: JournalAppended / SnapshotTaken
         self.events = EventBus()
         self.snapshot_storage = config.snapshot_storage(self.dfs)
-        self.journal = Journal(config.journal_storage(self.dfs))
-        #: *recovered* resumes the block-store generation and ref table
-        gen = recovered.blockstore_gen if recovered is not None else 0
-        self.blockstore = BlockStore(config.blockstore_storage(self.dfs, gen), gen)
+        #: *recovered* resumes the log generation and ref table; without
+        #: it the persister appends to the generation recovery reads —
+        #: the one the snapshot names — behind a cut torn tail
+        gen = recovered.log_gen if recovered is not None else self._snapshot_gen()
+        self.log = FramedLog(config.log_storage(self.dfs, gen), gen)
+        if recovered is None and self.log.end:
+            self.log.repair()
         #: path → durable segment ref, set by the commit that landed it
         self._payload_refs: Dict[str, SegmentRef] = {}
         #: path → (payload crc32, inode extent) as last captured, staged
@@ -124,7 +130,7 @@ class RepositoryPersister:
             for path, raw in recovered.payload_refs.items():
                 try:
                     ref = SegmentRef.from_list(raw)
-                except (BlockStoreError, TypeError, ValueError):
+                except (LogError, TypeError, ValueError):
                     continue
                 self._payload_refs[path] = ref
                 self._captured[path] = (ref.crc, None)
@@ -154,54 +160,57 @@ class RepositoryPersister:
         ]
         manager.persistence = self
 
+    def _snapshot_gen(self) -> int:
+        storage = self.snapshot_storage
+        if not storage.exists():
+            return 0
+        snapshot = RepositorySnapshot.from_bytes(storage.read())
+        return int(snapshot.payload_state.get("gen", 0))
+
     def owns(self, path: str) -> bool:
         """Whether *path* is one of this persister's DFS files: the
-        snapshot, the journal, or the block store's base and its
-        ``.g<N>`` generations.  A local backend owns no DFS path."""
+        snapshot, or the log's base path and its ``.g<N>`` generations.
+        A local backend owns no DFS path."""
         config = self.config
         if config.backend != "dfs":
             return False
-        base = config.blockstore_base
-        return (
-            path in (config.snapshot_path, config.journal_path, base)
-            or path.startswith(base + ".")
-        )
+        base = config.journal_path
+        return path in (config.snapshot_path, base) or path.startswith(base + ".")
 
     # -- record sources -----------------------------------------------------------
 
     def _on_mutation(self, kind: str, entry) -> None:
         if kind == "removed":
-            payload = {"type": "entry_removed", "entry_id": entry.entry_id}
+            self._enqueue({"type": "entry_removed", "entry_id": entry.entry_id})
         elif kind in ("added", "refreshed"):
             # a refresh carries the full post-refresh entry state:
             # replay re-adds it over the original entry_added record;
-            # capture first — added and refreshed outputs hold new bytes
-            self._stage_payload(entry.output_path)
+            # added and refreshed outputs hold new bytes, which stage
+            # with the entry's record, into the same commit
             payload = {"type": f"entry_{kind}", "entry": entry_record(entry)}
-        else:
-            return
-        self._enqueue(payload)
+            self._enqueue(*self._capture(entry.output_path), payload)
 
-    def _stage_payload(self, path: str, *, commit: bool = True) -> None:
-        """Stage *path*'s DFS bytes, read now, as a ``payload_stored``
-        record; they ride in it as ``data`` until the commit that
-        writes them swaps in the segment ref.  A path with no file
-        stages nothing (its entry is journaled without a ref and the
+    def _capture(self, path: str) -> List[dict]:
+        """*path*'s DFS bytes, read now, as a ``payload_stored`` record
+        (none or one) for the caller to stage beside the record that
+        needs them; the bytes ride in it as ``data`` until the commit
+        that writes them swaps in the segment ref.  A path with no file
+        captures nothing (its entry is logged without a ref and the
         recovery scrub refuses to serve it); a file whose inode extent,
         or whose bytes' crc32, equals the last capture's — durable or
-        staged — is not staged again.
+        staged — is not captured again.
         """
         # extent first: a stale one only costs the next capture a re-read
         extent = self.dfs.input_extent(path)
         known_crc, known_extent = self._captured.get(path, (None, None))
         if self._closed or extent is None or extent == known_extent:
-            return
+            return []
         data = self.dfs.read_file(path)
         crc = zlib.crc32(data)
         self._captured[path] = (crc, extent)
-        if crc != known_crc:
-            record = {"type": "payload_stored", "path": path, "ref": None, "data": data}
-            self._enqueue(record, commit=commit)
+        if crc == known_crc:
+            return []
+        return [{"type": "payload_stored", "path": path, "ref": None, "data": data}]
 
     def _on_usage(self, event) -> None:
         entry_id = event.entry_id
@@ -233,13 +242,9 @@ class RepositoryPersister:
     def note_kept_path(self, path: str, added: bool) -> None:
         """Called by the manager (under its lock) when a stored output
         enters or leaves the kept-path set."""
-        if added:
-            self._stage_payload(path)
         self._enqueue(
-            {
-                "type": "kept_path_added" if added else "kept_path_removed",
-                "path": path,
-            }
+            *(self._capture(path) if added else ()),
+            {"type": "kept_path_added" if added else "kept_path_removed", "path": path},
         )
 
     def note_workflow_start(self) -> None:
@@ -268,22 +273,23 @@ class RepositoryPersister:
 
     # -- writing ------------------------------------------------------------------
 
-    def _enqueue(self, record: dict, *, commit: bool = True) -> None:
-        """Append *record* to the staged batch; outside any submission,
-        commit once ``flush_every`` records wait."""
+    def _enqueue(self, *records: dict, commit: bool = True) -> None:
+        """Append *records* to the staged batch, together (a commit
+        takes all of them or none); outside any submission, commit once
+        ``flush_every`` records wait."""
         if self._closed:
             return
         with self._buffer_lock:
-            self._buffer.append(record)
+            self._buffer.extend(records)
             limit = max(1, self.config.flush_every)
             due = commit and not self._open_submissions and len(self._buffer) >= limit
         if due:
             self.flush()
 
     def flush(self, *, force: bool = False) -> int:
-        """Commit the staged batch — payload segments to the block
-        store, then every record to the journal; returns the number of
-        records durably written.
+        """Commit the staged batch — its payload segments, then every
+        record, in one log write; returns the number of records durably
+        written.
 
         A storage failure opens the circuit breaker instead of
         propagating: the batch stays in ``_backlog``, a
@@ -305,36 +311,27 @@ class RepositoryPersister:
             try:
                 written = self._commit(pending)
             except OSError as exc:
-                self._breaker_trip(pending, self.journal.location, exc)
+                self._breaker_trip(pending, self.log.location, exc)
         for event in pending:  # emitted outside the io lock
             self.events.emit(event)
         return written
 
     def _commit(self, pending: List) -> int:
-        """Land everything staged (io lock held): one block-store write
-        whose refs replace the staged bytes in their records, then one
-        journal write.  On ``OSError`` a retry writes no segment twice."""
+        """Land everything staged (io lock held) in one log write; on
+        ``OSError`` the batch stays in the backlog, unchanged."""
         with self._buffer_lock:
             self._backlog.extend(self._buffer)
             self._buffer = []
         if not self._backlog:
             return 0
-        segments = [record for record in self._backlog if "data" in record]
-        if segments:
-            refs = self.blockstore.append_segments(
-                [(record["path"], record["data"]) for record in segments]
-            )
-            for record, ref in zip(segments, refs):
-                del record["data"]
-                record["ref"] = ref.to_list()
-                self._payload_refs[record["path"]] = ref
+        refs, nbytes = self.log.append_commit(self._backlog)
+        self._payload_refs.update(refs)
         records = len(self._backlog)
-        nbytes = self.journal.append_payloads(self._backlog)
         self._backlog = []
         self._records_since_snapshot += records
-        self._breaker_heal(pending, self.journal.location, records)
+        self._breaker_heal(pending, self.log.location, records)
         pending.append(
-            JournalAppended(path=self.journal.location, records=records, bytes=nbytes)
+            JournalAppended(path=self.log.location, records=records, bytes=nbytes)
         )
         return records
 
@@ -371,31 +368,33 @@ class RepositoryPersister:
 
     @property
     def buffered_records(self) -> int:
-        """Records staged in memory but not yet durably journaled."""
+        """Records staged in memory but not yet durably logged."""
         with self._buffer_lock:
             return len(self._buffer) + len(self._backlog)
 
     def take_snapshot(self) -> Optional[SnapshotTaken]:
-        """Commit what is staged, capture + write a snapshot and reset
-        the journal, atomically with respect to mutations (manager and
-        repository locks held through the whole rotation; the capture
-        reuses each plan's encoded bytes, so that hold grows with the
-        index rows, not with re-encoding every plan).
+        """Commit what is staged, then capture + write a snapshot,
+        atomically with respect to mutations (manager and repository
+        locks held through the whole rotation; the capture reuses each
+        plan's encoded bytes, so that hold grows with the index rows,
+        not with re-encoding every plan).
 
         Payloads rotate *by reference*: the snapshot's ``payloads``
-        table carries the live subset of the ref table as it stands, so
-        a rotation costs in proportion to churn, not repository size.
-        A ref is carried only while its file's inode extent is the one
-        captured (O(live) metadata checks); a file that moved on, or a
-        ref resumed from recovery, is re-read — same crc, same ref; new
-        bytes, a new segment in the rotation's one batch.  Only past
-        ``COMPACT_DEAD_PER_LIVE`` does it *compact*: every live payload
-        goes into ``gen+1`` in one framed write, and superseded files
-        go only after snapshot + journal reset committed, so at every
-        crash point all referenced segments are on disk.  A storage
-        failure aborts the rotation *without* resetting the journal or
-        adopting a half-written generation (debris the next compaction
-        truncates), trips the breaker, and returns ``None``.
+        table carries the live subset of the ref table as it stands,
+        and the log offset replay resumes from, so a rotation costs in
+        proportion to churn, not repository size, and never touches the
+        log.  A ref is carried only while its file's inode extent is
+        the one captured (O(live) metadata checks); a file that moved
+        on, or a ref resumed from recovery, is re-read — same crc, same
+        ref; new bytes, a new segment in the rotation's one commit.
+        Only once the log's dead bytes (superseded segments, records
+        before the offset) outweigh ``COMPACT_DEAD_PER_LIVE`` times the
+        live payloads plus twice the snapshot does it *compact*: every
+        live payload goes into generation ``gen+1`` in one write, and
+        older files go only after the snapshot naming it is durable.  A
+        storage failure aborts the rotation without adopting a
+        half-written generation (debris the next compaction truncates),
+        trips the breaker, and returns ``None``.
         """
         pending: List = []
         event: Optional[SnapshotTaken] = None
@@ -420,7 +419,7 @@ class RepositoryPersister:
         }
         live = sorted(live | self.manager.kept_paths)
         for path in live:  # reads only files that moved on since capture
-            self._stage_payload(path, commit=False)
+            self._enqueue(*self._capture(path), commit=False)
         self._commit(pending)
         # a live path whose file is gone has nothing durable to carry
         refs = {
@@ -428,46 +427,48 @@ class RepositoryPersister:
             for path in live
             if path in self._payload_refs and self.dfs.exists(path)
         }
-        store = self.blockstore
-        live_bytes = sum(ref.length for ref in refs.values())
-        if (
-            store.size() - live_bytes > self.COMPACT_DEAD_PER_LIVE * live_bytes
-            or any(ref.gen != store.gen for ref in refs.values())
-        ):
-            store = BlockStore(
-                self.config.blockstore_storage(self.dfs, store.gen + 1),
-                store.gen + 1,
-            )
-            store.reset()  # debris from an earlier aborted compaction
-            copies = store.append_segments([(p, self.dfs.read_file(p)) for p in refs])
-            refs = dict(zip(refs, copies))
+        log = self.log
         snapshot = RepositorySnapshot.capture(
             self.repository,
             kept_paths=self.manager.kept_paths,
             clock=self.manager.clock,
             dfs_ids=self.dfs.id_state(),
-            payloads={
-                "gen": store.gen,
-                "refs": {path: ref.to_list() for path, ref in refs.items()},
-            },
+            payloads=_payload_table(log, refs),
         )
         data = snapshot.to_bytes()
+        live_bytes = sum(ref.length for ref in refs.values())
+        # records before the offset are dead but mostly restate the
+        # snapshot in keyed JSON (~1.2x its size): they weigh against twice it
+        weight = self.COMPACT_DEAD_PER_LIVE * (live_bytes + 2 * len(data))
+        if log.end - live_bytes > weight:
+            gen, read = log.gen + 1, self.dfs.read_file
+            log = FramedLog(self.config.log_storage(self.dfs, gen), gen)
+            log.reset()  # debris from an earlier aborted compaction
+            copies, _ = log.append_commit(
+                [{"path": path, "data": read(path)} for path in refs],
+                segments_only=True,
+            )
+            refs = dict(copies)
+            log.close()  # reopened by the first append once adopted
+            snapshot.payload["payloads"] = _payload_table(log, refs)
+            data = snapshot.to_bytes()
         # injection site "snapshot.write": rotation I/O
         faults.fire("snapshot.write")
         self.snapshot_storage.write(data)
         # the snapshot is durable: its generation and ref table are the
-        # live ones from here, even if the journal reset below fails
-        self.blockstore = store
+        # live ones from here
+        if log is not self.log:
+            self.log.close()
+            self.log = log
+            # every surviving ref names ``log.gen``: older generations
+            # (compacted away, or stragglers of aborted rotations) can go
+            for gen in range(max(0, log.gen - 2), log.gen):
+                try:
+                    self.config.log_storage(self.dfs, gen).delete()
+                except OSError:
+                    pass
         self._payload_refs = refs
         self._captured = {path: self._captured[path] for path in refs}
-        self.journal.reset()
-        # every surviving ref names ``store.gen``: older generations
-        # (compacted away, or stragglers of aborted rotations) can go
-        for gen in range(max(0, store.gen - 2), store.gen):
-            try:
-                self.config.blockstore_storage(self.dfs, gen).delete()
-            except OSError:
-                pass
         self._records_since_snapshot = 0
         self._breaker_heal(pending, self.snapshot_storage.location, 0)
         event = SnapshotTaken(
@@ -488,6 +489,7 @@ class RepositoryPersister:
         if snapshot:
             self.take_snapshot()
         self._closed = True
+        self.log.close()
         for unsubscribe in self._unsubscribes:
             unsubscribe()
         self._unsubscribes = []
@@ -497,8 +499,14 @@ class RepositoryPersister:
     def __repr__(self) -> str:
         state = "degraded" if self._breaker_open else "ok"
         return (
-            f"RepositoryPersister(journal={self.journal.location!r}, "
+            f"RepositoryPersister(log={self.log.location!r}, "
             f"snapshot={self.snapshot_storage.location!r}, "
             f"pending={len(self._buffer) + len(self._backlog)}, "
             f"breaker={state})"
         )
+
+
+def _payload_table(log: FramedLog, refs: Dict[str, SegmentRef]) -> dict:
+    """A snapshot's ``payloads``: generation, live refs, replay offset."""
+    refs = {path: ref.to_list() for path, ref in refs.items()}
+    return {"gen": log.gen, "refs": refs, "offset": log.tail()}

@@ -13,21 +13,19 @@ in O(entries read) — **without re-registering a single plan**:
 * optionally the owning manager's kept-path set and eviction clock,
   and the DFS script/sub-job id floors.
 
-Layout (version 5, the only version this reader accepts)::
+Layout (version 6, the only version this reader accepts)::
 
     magic "RSNP" | version u8 | crc32 u32 | index_len u32 | body_len u32
     index (JSON) | cold blob (concatenated per-entry plan JSON)
 
 Each entry row carries ``input_extents`` (the per-input
 identity/length fingerprints freshness classification compares) as its
-one record of the entry's inputs.  Format 5 is format 4 with the
-derived metadata matching by fingerprint membership needs in place of
-the load signatures and signature multisets candidate pruning needed,
-and without the persisted §3 order; an older file is refused, not
-converted.  The index has one *optional* top-level key,
-``payloads`` — the block-store generation and the path → segment-ref
-table captured at rotation time (see
-:mod:`repro.persistence.blockstore`).
+one record of the entry's inputs.  Format 6 is format 5 with the
+``payloads`` table pointing into the one log: an older file is
+refused, not converted.  The index has one *optional* top-level key,
+``payloads`` — ``{gen, refs, offset}``: the log generation, the path →
+segment-ref table captured at rotation time, and the log offset record
+replay starts from (see :mod:`repro.persistence.framedlog`).
 
 The CRC covers the whole body (index + cold blob): a half-written or
 bit-rotted snapshot, or one with bytes past the body, is rejected as
@@ -43,7 +41,7 @@ rebuild-by-re-registration by an order of magnitude: most stored
 plans are never looked at until they are genuine rewrite candidates.
 
 A stored plan is encoded once.  The cold blob concatenates each
-plan's cached ``to_json()`` bytes (the ones its journal record
+plan's cached ``to_json()`` bytes (the ones its log record
 carries too), and a :class:`LazyPlan` hands back the slice it was
 restored from, unparsed; the match keys of an index row are cached
 per plan as well.  So a rotation re-encodes only the index rows, and
@@ -66,7 +64,7 @@ from repro.pig.physical.plan import MatchKeys, PhysicalPlan
 from repro.relational.schema import Schema
 
 SNAPSHOT_FORMAT = "restore-repo-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 _MAGIC = b"RSNP"
 #: magic, version, crc32(body), index length, total body length
@@ -235,10 +233,10 @@ class LazyPlan:
 
 
 def entry_record(entry: RepositoryEntry) -> dict:
-    """A self-contained dict form of *entry* (used by journal records;
-    the snapshot index uses the positional row form instead).  Its
+    """A self-contained dict form of *entry* (used by log records; the
+    snapshot index uses the positional row form instead).  Its
     ``plan`` is the plan's cached JSON bytes, which
-    :func:`repro.persistence.journal.encode_record` splices in as-is."""
+    :func:`repro.persistence.framedlog.encode_record` splices in as-is."""
     fingerprint, frontier, operators = entry.plan.match_keys()
     stats = entry.stats
     return {
@@ -433,8 +431,9 @@ class RepositorySnapshot:
         if dfs_ids:
             payload["dfs"] = dict(dfs_ids)
         if payloads is not None:
-            # {"gen": N, "refs": {path: [gen, offset, length, crc]}} —
-            # the block-store table the recovery scrub verifies against
+            # {"gen": N, "refs": {path: [gen, offset, length, crc]},
+            # "offset": replay start} — what the recovery scrub verifies
+            # against, and where record replay begins
             payload["payloads"] = payloads
         return cls(payload, b"".join(bodies))
 
@@ -488,7 +487,7 @@ class RepositorySnapshot:
 
     @property
     def payload_state(self) -> dict:
-        """The block-store table (empty when captured without one)."""
+        """The log table (empty when captured without one)."""
         return self.payload.get("payloads", {})
 
     def __len__(self) -> int:

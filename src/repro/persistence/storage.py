@@ -1,7 +1,7 @@
-"""Byte-blob storage backends for snapshots and journals.
+"""Byte-blob storage backends for the snapshot and the log.
 
 The codec layers above (:mod:`repro.persistence.snapshot`,
-:mod:`repro.persistence.journal`) work on opaque byte strings; this
+:mod:`repro.persistence.framedlog`) work on opaque byte strings; this
 module supplies the two places those bytes can live:
 
 * :class:`DFSStorage` — a file inside the simulated DFS, mirroring the
@@ -12,11 +12,12 @@ module supplies the two places those bytes can live:
   process invocations.
 
 Both expose the same small surface: ``exists``/``size``/``read`` for
-recovery, ``write`` for snapshot rotation (full replace), ``append``
-for journal records, and ``truncate`` for repairing a torn journal
-tail.  Individual operations are atomic at the backend's granularity
-(one DFS call under its lock; one file syscall), which is all the
-framing layers need — they tolerate torn *tails*, not torn records.
+recovery, ``read_range`` for the standby's tail, ``write`` for the
+snapshot (full replace), ``append`` for the log, ``truncate`` for
+cutting a torn tail, and ``close``.
+Individual operations are atomic at the backend's granularity (one
+DFS call under its lock; one file syscall), which is all the framing
+layer needs — it tolerates torn *tails*, not torn frames.
 
 :class:`LocalStorage` is additionally *durable* at each operation:
 appends, truncates, and the snapshot's write-temp-then-rename all
@@ -24,14 +25,18 @@ fsync the file (and, for the rename, its directory) before returning.
 Without the fsync after ``truncate`` a crash right after torn-tail
 repair could resurrect the very tail the repair removed; without the
 fsyncs around the rename a crash could publish a snapshot whose bytes
-never reached the platter.
+never reached the platter.  Appends and truncates go through one
+``O_APPEND`` handle, opened on first use and held until ``close``, so
+a commit costs one write and one fsync: no open, mkdir or stat.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 import pathlib
 from dataclasses import dataclass
+from typing import List
 
 from repro.faults import injector as faults
 
@@ -59,10 +64,13 @@ def _fsync_dir(path: pathlib.Path) -> None:
 
 
 class LocalStorage:
-    """Snapshot/journal bytes in a real file on the local filesystem."""
+    """Snapshot/log bytes in a real file on the local filesystem."""
 
     def __init__(self, path) -> None:
         self.path = pathlib.Path(path)
+        #: the held append handle (unbuffered: a failed write leaves
+        #: nothing queued behind it)
+        self._handle = None
 
     @property
     def location(self) -> str:
@@ -77,6 +85,11 @@ class LocalStorage:
     def read(self) -> bytes:
         return self.path.read_bytes()
 
+    def read_range(self, start: int, end: int) -> bytes:
+        with open(self.path, "rb") as handle:
+            handle.seek(start)
+            return handle.read(max(0, end - start))
+
     def write(self, data: bytes) -> None:
         """Replace the whole file: write-temp, fsync the temp, rename
         over the target, fsync the directory — a crash at any point
@@ -90,24 +103,37 @@ class LocalStorage:
         tmp.replace(self.path)
         _fsync_dir(self.path.parent)
 
+    def _appender(self):
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.path, "ab", buffering=0)
+        return self._handle
+
     def append(self, data: bytes) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as handle:
-            handle.write(data)
-            _fsync_fileobj(handle)
+        handle = self._appender()
+        view = memoryview(data)
+        while view:
+            view = view[handle.write(view) :]
+        _fsync_fileobj(handle)
 
     def truncate(self, length: int) -> None:
-        if not self.path.exists():
+        if self._handle is None and not self.path.exists():
             if length == 0:
                 return
             raise FileNotFoundError(str(self.path))
-        with open(self.path, "r+b") as handle:
-            handle.truncate(length)
-            # fsync-after-truncate: torn-tail repair must not be
-            # resurrectable by a crash right after it
-            _fsync_fileobj(handle)
+        handle = self._appender()
+        handle.truncate(length)
+        # fsync-after-truncate: torn-tail repair must not be
+        # resurrectable by a crash right after it
+        _fsync_fileobj(handle)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def delete(self) -> None:
+        self.close()
         self.path.unlink(missing_ok=True)
 
     def __repr__(self) -> str:
@@ -115,7 +141,7 @@ class LocalStorage:
 
 
 class DFSStorage:
-    """Snapshot/journal bytes as a file in the simulated DFS."""
+    """Snapshot/log bytes as a file in the simulated DFS."""
 
     def __init__(self, dfs, path: str) -> None:
         self.dfs = dfs
@@ -134,6 +160,9 @@ class DFSStorage:
     def read(self) -> bytes:
         return self.dfs.read_file(self.path)
 
+    def read_range(self, start: int, end: int) -> bytes:
+        return self.dfs.read_range(self.path, start, end)
+
     def write(self, data: bytes) -> None:
         self.dfs.write_file(self.path, data, overwrite=True)
 
@@ -144,6 +173,9 @@ class DFSStorage:
         # the DFS has no in-place truncate: rewrite the clean prefix
         current = self.read() if self.exists() else b""
         self.dfs.write_file(self.path, current[:length], overwrite=True)
+
+    def close(self) -> None:
+        pass  # nothing held
 
     def delete(self) -> None:
         self.dfs.delete_if_exists(self.path)
@@ -163,24 +195,19 @@ class PersistenceConfig:
     """
 
     snapshot_path: str = "restore/repository.snapshot"
+    #: the log's base path: generation N lives at ``journal_path.g<N>``
     journal_path: str = "restore/repository.journal"
     #: "dfs" or "local"
     backend: str = "dfs"
-    #: journal records between automatic snapshot rotations
+    #: records between automatic snapshot rotations
     #: (0 = snapshot only when explicitly requested)
     snapshot_interval: int = 0
     #: records per commit *outside* a submission (``session.evict()``,
     #: a direct ``Repository.add``); inside one, the workflow end commits
     flush_every: int = 1
 
-    @property
-    def blockstore_base(self) -> str:
-        """Base path of the payload block store (generation files
-        append ``.g<N>``)."""
-        return self.snapshot_path + ".blocks"
-
-    def blockstore_file(self, gen: int) -> str:
-        return f"{self.blockstore_base}.g{gen}"
+    def log_file(self, gen: int) -> str:
+        return f"{self.journal_path}.g{gen}"
 
     def _storage(self, path: str, dfs):
         if self.backend == "local":
@@ -194,8 +221,17 @@ class PersistenceConfig:
     def snapshot_storage(self, dfs=None):
         return self._storage(self.snapshot_path, dfs)
 
-    def journal_storage(self, dfs=None):
-        return self._storage(self.journal_path, dfs)
+    def log_storage(self, dfs=None, gen: int = 0):
+        return self._storage(self.log_file(gen), dfs)
 
-    def blockstore_storage(self, dfs=None, gen: int = 0):
-        return self._storage(self.blockstore_file(gen), dfs)
+    def retired_files(self, dfs=None) -> List[str]:
+        """Files of the two-file layout this reader refuses: a bare
+        journal at ``journal_path`` and block-store generations at
+        ``snapshot_path.blocks.g<N>``."""
+        journal = self._storage(self.journal_path, dfs)
+        blocks = self.snapshot_path + ".blocks.g"
+        if self.backend == "local":
+            found = sorted(glob.glob(glob.escape(blocks) + "*"))
+        else:
+            found = dfs.list_paths(blocks)
+        return [self.journal_path, *found] if journal.exists() else found

@@ -621,7 +621,7 @@ class JobService:
             config=self.config,
         )
         # the promoted state carries the replica's payload-ref table, so
-        # the new persister resumes block-store dedup where the old
+        # the new persister resumes payload dedup where the old
         # coordinator left off
         persister = adopt_recovered(manager, state, self._persistence_config)
         with self._lock:

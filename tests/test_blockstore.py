@@ -1,11 +1,12 @@
-"""Native payload durability: the block store and the recovery scrub.
+"""Native payload durability: segments in the one log, and the scrub.
 
-The contract mirrors the journal's: a crash can tear a block-store
-append at *any* byte, and recovery must (a) restore byte-identical
-payloads for every entry whose segment survived intact, and (b)
-condemn — never serve — every entry whose payload is missing, torn,
-or corrupt.  The new ``partial`` and ``slow`` fault actions drive the
-torn-write and slow-disk timelines deterministically.
+A crash can tear a commit at *any* byte, and recovery must (a) restore
+byte-identical payloads for every entry whose segment survived intact,
+and (b) condemn — never serve — every entry whose payload is missing,
+torn, or corrupt.  A commit writes its segments before its records, so
+a cut never leaves a record behind without its segment.  The
+``partial`` and ``slow`` fault actions drive the torn-write and
+slow-disk timelines deterministically.
 
 Seeds default to 13; set ``CHAOS_SEED`` to sweep another timeline.
 """
@@ -24,25 +25,24 @@ from repro.events import EntryQuarantined, PersistenceDegraded, SnapshotTaken
 from repro.faults import injector as faults
 from repro.faults.injector import FaultInjector, InjectedFault
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.persistence.blockstore import (
-    BlockStore,
-    BlockStoreError,
-    SegmentRef,
-    decode_blockstore,
-    encode_segment,
-    verify_ref,
-)
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
     announce_scrub_condemnations,
     recover,
 )
+from repro.persistence.framedlog import (
+    FramedLog,
+    LogError,
+    SegmentRef,
+    encode_segment,
+    scan_frames,
+    verify_ref,
+)
 from repro.persistence.snapshot import RepositorySnapshot
 from repro.persistence.storage import LocalStorage
 from repro.session import ReStoreSession
 from test_framedlog import BLOCKS, SEED, TornWriteSweep, inject
-
 
 
 def _config(tmp_path, **extra) -> PersistenceConfig:
@@ -69,7 +69,7 @@ def _payload_for(path: str) -> bytes:
 def _add_entries(dfs, manager, n=3, seed=5):
     """Register *n* entries live-style: output bytes land in the DFS
     first and stamp the entry, so the persister captures them into the
-    block store."""
+    log."""
     entries = build_repository(generate_entry_specs(n, seed=seed), seed=seed)
     added = []
     for entry in entries.entries():
@@ -79,9 +79,22 @@ def _add_entries(dfs, manager, n=3, seed=5):
     return added
 
 
+def _log_files(tmp_path) -> dict:
+    return {p.name: p.stat().st_size for p in tmp_path.glob("repo.journal.g*")}
+
+
+def _lose_every_segment(tmp_path, persister) -> None:
+    """Fold everything into a snapshot, then lose the log under it:
+    every ref the snapshot carries now names missing bytes."""
+    persister.take_snapshot()
+    persister.close()
+    for name in _log_files(tmp_path):
+        (tmp_path / name).unlink()
+
+
 class TestSegmentCodec(TornWriteSweep):
-    """The block-store codec under the shared torn-write sweep, plus
-    what only this codec has: refs and their integrity check."""
+    """The segment codec under the shared torn-write sweep, plus what
+    only segments have: refs and their integrity check."""
 
     codec = BLOCKS
     test_every_byte_boundary_of_last_segment = (
@@ -89,19 +102,33 @@ class TestSegmentCodec(TornWriteSweep):
     )
 
     def test_round_trip_through_store(self, tmp_path):
-        store = BlockStore(LocalStorage(str(tmp_path / "b.g0")), 0)
+        log = FramedLog(LocalStorage(str(tmp_path / "log.g0")))
         segments = [("a/b", b"xx"), ("c/d", b"yyyy")]
-        # one batch, one storage write: refs come back in order
-        refs = dict(zip(dict(segments), store.append_segments(segments)))
-        scan = store.scan()
-        assert len(scan.frames) == 2
+        # one commit, one storage write: segments first, refs in order
+        refs, _ = log.append_commit(
+            [{"type": "payload_stored", "path": p, "data": d} for p, d in segments]
+        )
+        refs = dict(refs)
+        scan = log.scan()
+        # the two segments, then one frame holding both records
+        assert len(scan.frames) == 3 and len(scan.records) == 2
         assert not scan.torn
+        assert max(refs["a/b"].offset, refs["c/d"].offset) < min(
+            offset
+            for offset, (_, body) in scan.frames.items()
+            if not isinstance(body, tuple)
+        ), "a commit's segments precede its records"
         assert verify_ref(scan, refs["a/b"], "a/b") == b"xx"
         assert verify_ref(scan, refs["c/d"], "c/d") == b"yyyy"
+        assert [r.data["ref"] for r in scan.records] == [
+            refs["a/b"].to_list(),
+            refs["c/d"].to_list(),
+        ]
 
     def test_ref_is_offset_length_and_payload_crc(self, tmp_path):
-        store = BlockStore(LocalStorage(str(tmp_path / "b.g3")), 3)
-        (ref,) = store.append_segments([("p", b"data")])
+        log = FramedLog(LocalStorage(str(tmp_path / "log.g3")), 3)
+        ((path, ref),), _ = log.append_commit([{"path": "p", "data": b"data"}])
+        assert path == "p"
         assert ref.gen == 3
         assert ref.offset == 0
         assert ref.length == len(encode_segment("p", b"data"))
@@ -109,15 +136,15 @@ class TestSegmentCodec(TornWriteSweep):
         assert SegmentRef.from_list(ref.to_list()) == ref
 
     def test_malformed_ref_rejected(self):
-        with pytest.raises(BlockStoreError, match="malformed"):
+        with pytest.raises(LogError, match="malformed"):
             SegmentRef.from_list([1, 2, 3])
 
     def test_overlong_path_rejected(self):
-        with pytest.raises(BlockStoreError, match="too long"):
+        with pytest.raises(LogError, match="too long"):
             encode_segment("x" * 0x10000, b"")
 
     def test_verify_ref_catches_every_drift(self):
-        scan = decode_blockstore(b"".join(BLOCKS.frames))
+        scan = scan_frames(b"".join(BLOCKS.frames))
         ref = SegmentRef(0, 0, len(BLOCKS.frames[0]), zlib.crc32(b"payload-one"))
         assert verify_ref(scan, ref, "tmp/s1/sj1") == b"payload-one"
         # missing segment (offset never written / torn away)
@@ -133,55 +160,56 @@ class TestSegmentCodec(TornWriteSweep):
 
 
 class TestEveryByteCrashRecovery:
-    """The tentpole gate, as a test: crash a block-store append at
-    every byte boundary; recovery never leaves an entry referencing a
-    missing or corrupt payload."""
+    """The tentpole gate, as a test: crash the last commit at every
+    byte boundary; recovery never leaves an entry referencing a missing
+    or corrupt payload."""
 
     def test_every_cut_recovers_with_no_corrupt_refs(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=2, seed=SEED)
-        block_path = tmp_path / "repo.snap.blocks.g0"
-        journal_bytes = (tmp_path / "repo.journal").read_bytes()
-        block_bytes = block_path.read_bytes()
-        base = decode_blockstore(block_bytes)
-        assert len(base.frames) == 2 and not base.torn
-        last_offset = max(base.frames)
-        last_length = base.frames[last_offset][0]
-        for cut in range(last_length + 1):
-            # rewind the lane: recovery repairs/journals in place
-            (tmp_path / "repo.journal").write_bytes(journal_bytes)
-            block_path.write_bytes(block_bytes[: last_offset + cut])
+        log_path = tmp_path / "repo.journal.g0"
+        log_bytes = log_path.read_bytes()
+        base = scan_frames(log_bytes)
+        assert not base.torn
+        # the last commit: the last entry's segment, then its records
+        last = min(
+            offset
+            for offset, (_, body) in base.frames.items()
+            if isinstance(body, tuple) and body[0] == added[-1].output_path
+        )
+        segment_end = last + base.frames[last][0]
+        torn_between = 0
+        for cut in range(last, len(log_bytes) + 1):
+            # rewind the lane: recovery repairs and logs in place
+            log_path.write_bytes(log_bytes[:cut])
             fresh = DistributedFileSystem()
             recovered = recover(config, fresh)
-            survivors = {
-                e.output_path for e in recovered.repository.entries()
-            }
-            condemned = {p for _, p, _ in recovered.payloads_condemned}
-            assert survivors | condemned == {
-                e.output_path for e in added
-            }, f"entry lost without condemnation at cut={cut}"
-            assert not (survivors & condemned)
+            survivors = {e.output_path for e in recovered.repository.entries()}
+            # a record never outlives its segment: nothing to condemn
+            assert recovered.payloads_condemned == [], f"cut={cut}"
             # the invariant: every survivor serves byte-identical data
             for path in survivors:
                 assert fresh.read_file(path) == _payload_for(path), (
                     f"corrupt payload served at cut={cut}"
                 )
-            if cut == last_length:
-                assert condemned == set()
-            else:
-                assert condemned == {added[-1].output_path}
+            expected = {e.output_path for e in added}
+            if cut < len(log_bytes):
+                expected.discard(added[-1].output_path)
+            assert survivors == expected, f"cut={cut}"
+            torn_between += segment_end <= cut < len(log_bytes)
+        assert torn_between > 0, "the sweep must cut between segment and record"
 
     def test_condemnation_is_journaled_and_replay_idempotent(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=3, seed=SEED)
-        # the whole block file vanishes: every payload ref is orphaned
-        (tmp_path / "repo.snap.blocks.g0").unlink()
+        # the log vanishes under the snapshot: every payload ref is orphaned
+        _lose_every_segment(tmp_path, persister)
         first = recover(config, DistributedFileSystem())
         assert len(first.repository) == 0
         assert {p for _, p, _ in first.payloads_condemned} == {
             e.output_path for e in added
         }
-        # the scrub journaled entry_quarantined: a second recovery
+        # the scrub logged entry_quarantined: a second recovery
         # replays the condemnations instead of re-deriving them
         second = recover(config, DistributedFileSystem())
         assert len(second.repository) == 0
@@ -190,7 +218,7 @@ class TestEveryByteCrashRecovery:
     def test_unjournaled_condemnations_are_recorded_and_announced(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=2, seed=SEED)
-        (tmp_path / "repo.snap.blocks.g0").unlink()
+        _lose_every_segment(tmp_path, persister)
         inject("journal.append", "raise")
         recovered = recover(config, DistributedFileSystem())
         faults.uninstall()
@@ -199,8 +227,9 @@ class TestEveryByteCrashRecovery:
         twin = ReStoreManager(DistributedFileSystem())
         degraded = twin.events.collect(event_types=PersistenceDegraded)
         announce_scrub_condemnations(twin, recovered)
-        assert [e.path for e in degraded] == [config.journal_path]
-        # nothing was journaled, so the next recovery re-derives the
+        gen = _snapshot_table(config)["gen"]
+        assert [e.path for e in degraded] == [config.log_file(gen)]
+        # nothing was logged, so the next recovery re-derives the
         # same verdicts — and this time records them
         again = recover(config, DistributedFileSystem())
         assert {p for _, p, _ in again.payloads_condemned} == {
@@ -210,15 +239,14 @@ class TestEveryByteCrashRecovery:
         assert recover(config, DistributedFileSystem()).payloads_condemned == []
 
     def test_torn_tail_in_unreferenced_resume_generation_is_repaired(self, tmp_path):
-        """A crash tore the first block-store write of a lane whose
-        journal is still empty: no ref points into generation 0, yet
-        the successor appends into it — behind an unscannable tear,
-        unless recovery repairs it."""
+        """A crash tore the first commit of a lane with no snapshot: no
+        record survived, yet the successor appends into generation 0 —
+        behind an unscannable tear, unless recovery repairs it."""
         config = _config(tmp_path)
-        block_path = tmp_path / "repo.snap.blocks.g0"
-        block_path.write_bytes(encode_segment("tmp/s1/sj1", b"x" * 40)[:26])
+        log_path = tmp_path / "repo.journal.g0"
+        log_path.write_bytes(encode_segment("tmp/s1/sj1", b"x" * 40)[:26])
         session = ReStoreSession(persistence=config)
-        assert block_path.stat().st_size == 0, "recovery must cut the tear"
+        assert log_path.stat().st_size == 0, "recovery must cut the tear"
         session.write_file("data/pv", "alice\t1\t1.5\nbob\t2\t4.0\nalice\t1\t0.5\n")
         session.run(
             "A = load 'data/pv' as (user, action:int, rev:double);"
@@ -243,15 +271,21 @@ class TestEveryByteCrashRecovery:
     def test_corrupt_segment_condemns_only_its_entry(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=3, seed=SEED)
-        block_path = tmp_path / "repo.snap.blocks.g0"
-        data = bytearray(block_path.read_bytes())
-        scan = decode_blockstore(bytes(data))
-        victim_offset = sorted(scan.frames)[1]
-        # flip a payload byte inside the middle segment
-        data[victim_offset + 12] ^= 0xFF
-        block_path.write_bytes(bytes(data))
+        log_path = tmp_path / "repo.journal.g0"
+        data = bytearray(log_path.read_bytes())
+        scan = scan_frames(bytes(data))
+        segments = [
+            offset
+            for offset, (_, body) in scan.frames.items()
+            if isinstance(body, tuple)
+        ]
+        # flip a payload byte inside the middle segment (bit rot: the
+        # frame is quarantined, the scan resyncs past it)
+        data[segments[1] + 12] ^= 0xFF
+        log_path.write_bytes(bytes(data))
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
+        assert recovered.journal_skipped == 1
         assert len(recovered.repository) == 2
         assert len(recovered.payloads_condemned) == 1
         for entry in recovered.repository.entries():
@@ -274,7 +308,7 @@ class TestEveryByteCrashRecovery:
     def test_announce_emits_quarantine_events(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=2, seed=SEED)
-        (tmp_path / "repo.snap.blocks.g0").unlink()
+        _lose_every_segment(tmp_path, persister)
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         twin = ReStoreManager(fresh)
@@ -282,48 +316,44 @@ class TestEveryByteCrashRecovery:
         twin.events.subscribe(events.append, event_types=(EntryQuarantined,))
         announce_scrub_condemnations(twin, recovered)
         assert twin.quarantine_count == 2
-        assert {e.output_path for e in events} == {
-            e.output_path for e in added
-        }
+        assert {e.output_path for e in events} == {e.output_path for e in added}
         assert all(e.reason.startswith("payload-scrub:") for e in events)
 
 
 class TestPartialAndSlowActions:
     def test_slow_disk_delays_but_preserves_bytes(self, tmp_path):
-        inject("blockstore.append", "slow", arg=0.05)
-        store = BlockStore(LocalStorage(str(tmp_path / "b.g0")), 0)
+        inject("journal.append", "slow", arg=0.05)
+        log = FramedLog(LocalStorage(str(tmp_path / "log.g0")))
         started = time.monotonic()
-        (ref,) = store.append_segments([("p", b"unhurried")])
+        ((_, ref),), _ = log.append_commit([{"path": "p", "data": b"unhurried"}])
         elapsed = time.monotonic() - started
         assert elapsed >= 0.04
-        assert verify_ref(store.scan(), ref, "p") == b"unhurried"
+        assert verify_ref(log.scan(), ref, "p") == b"unhurried"
 
-    def test_partial_snapshot_write_aborts_rotation_journal_intact(
-        self, tmp_path
-    ):
+    def test_partial_snapshot_write_aborts_rotation_journal_intact(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=2, seed=SEED)
-        journal_len = len((tmp_path / "repo.journal").read_bytes())
+        log_bytes = (tmp_path / "repo.journal.g0").read_bytes()
         inject("snapshot.write", "partial", arg=9)
         persister.take_snapshot()  # breaker: degraded, not raised
         faults.uninstall()
-        # the rotation aborted: no snapshot, the journal was NOT reset
+        # the rotation aborted: no snapshot, the log untouched
         assert not (tmp_path / "repo.snap").exists()
-        assert len((tmp_path / "repo.journal").read_bytes()) >= journal_len
+        assert (tmp_path / "repo.journal.g0").read_bytes() == log_bytes
         recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == len(added)
         assert recovered.payloads_condemned == []
 
 
-def _block_files(tmp_path) -> dict:
-    return {p.name: p.stat().st_size for p in tmp_path.glob("repo.snap.blocks.g*")}
+def _snapshot_table(config) -> dict:
+    snapshot = RepositorySnapshot.from_bytes(config.snapshot_storage().read())
+    return snapshot.payload_state
 
 
 def _snapshot_refs(config) -> dict:
-    snapshot = RepositorySnapshot.from_bytes(config.snapshot_storage().read())
     return {
         path: SegmentRef.from_list(raw)
-        for path, raw in snapshot.payload_state["refs"].items()
+        for path, raw in _snapshot_table(config)["refs"].items()
     }
 
 
@@ -331,36 +361,36 @@ class TestRotationByReference:
     def test_rotation_with_nothing_dead_appends_no_payload_byte(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=4, seed=SEED)
-        files = _block_files(tmp_path)
+        files = _log_files(tmp_path)
         refs = dict(persister._payload_refs)
-        assert set(files) == {"repo.snap.blocks.g0"} and len(refs) == 4
+        assert set(files) == {"repo.journal.g0"} and len(refs) == 4
         assert persister.take_snapshot() is not None
-        assert _block_files(tmp_path) == files, "a rotation by reference copies nothing"
+        assert _log_files(tmp_path) == files, "a rotation by reference writes nothing"
         assert _snapshot_refs(config) == refs, "the refs travel as they are"
-        assert persister.journal.size() == 0
+        assert _snapshot_table(config)["offset"] == files["repo.journal.g0"]
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         assert recovered.journal_records == 0 and recovered.payloads_restored == 4
         assert recovered.payloads_condemned == []
         for entry in added:
-            assert fresh.read_file(entry.output_path) == _payload_for(
-                entry.output_path
-            )
+            assert fresh.read_file(entry.output_path) == _payload_for(entry.output_path)
 
     def test_rotation_compacts_once_dead_bytes_outweigh_live(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=6, seed=SEED)
         persister.take_snapshot()
-        assert set(_block_files(tmp_path)) == {"repo.snap.blocks.g0"}
+        assert set(_log_files(tmp_path)) == {"repo.journal.g0"}
         for entry in added[:4]:  # two thirds of the stored bytes die
             manager.repository.remove(entry.entry_id)
         persister.take_snapshot()
-        files = _block_files(tmp_path)
-        assert set(files) == {"repo.snap.blocks.g1"}, "new generation, old one gone"
+        files = _log_files(tmp_path)
+        assert set(files) == {"repo.journal.g1"}, "new generation, old one gone"
         refs = _snapshot_refs(config)
         assert set(refs) == {e.output_path for e in added[4:]}
-        assert sum(ref.length for ref in refs.values()) == files["repo.snap.blocks.g1"]
-        scan = BlockStore(config.blockstore_storage(gen=1), 1).scan()
+        # the new generation holds the live segments and nothing else
+        assert sum(ref.length for ref in refs.values()) == files["repo.journal.g1"]
+        assert _snapshot_table(config)["offset"] == files["repo.journal.g1"]
+        scan = FramedLog(config.log_storage(gen=1), 1).scan()
         for path, ref in refs.items():
             assert verify_ref(scan, ref, path) == _payload_for(path)
         # appends continue into the compacted generation
@@ -370,8 +400,37 @@ class TestRotationByReference:
         assert persister._payload_refs[more.output_path].gen == 1
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
-        assert recovered.payloads_condemned == [] and recovered.blockstore_gen == 1
+        assert recovered.payloads_condemned == [] and recovered.log_gen == 1
+        assert recovered.journal_records == 2  # the re-add: payload + entry
         assert fresh.read_file(more.output_path) == _payload_for(more.output_path)
+
+    def test_persister_without_recovered_state_appends_where_recovery_reads(
+        self, tmp_path
+    ):
+        """Attached over a compacted state without ``recovered=``, a
+        persister appends to the generation the snapshot names, behind
+        a cut torn tail: recovery replays its records."""
+        dfs, config, manager, persister = _persister(tmp_path)
+        added = _add_entries(dfs, manager, n=6, seed=SEED)
+        for entry in added[:4]:
+            manager.repository.remove(entry.entry_id)
+        persister.take_snapshot()
+        persister.close()
+        assert set(_log_files(tmp_path)) == {"repo.journal.g1"}
+        with open(tmp_path / "repo.journal.g1", "ab") as handle:
+            handle.write(b"\x00\x00")  # a crash's torn frame header
+        dfs = DistributedFileSystem()
+        manager = ReStoreManager(dfs)
+        attached = RepositoryPersister(manager, config)
+        assert attached.log.gen == 1
+        (late,) = _add_entries(dfs, manager, n=1, seed=SEED)
+        attached.close()
+        fresh = DistributedFileSystem()
+        recovered = recover(config, fresh)
+        assert recovered.log_gen == 1 and recovered.journal_torn_bytes == 0
+        assert recovered.repository.has_entry(late.entry_id)
+        assert len(recovered.repository) == 3 and recovered.payloads_condemned == []
+        assert fresh.read_file(late.output_path) == _payload_for(late.output_path)
 
     def test_output_overwritten_behind_its_entry_is_dropped_not_recaptured(
         self, tmp_path
@@ -402,13 +461,13 @@ class TestRotationByReference:
         recovered = recover(config, fresh)
         successor = ReStoreManager(fresh, repository=recovered.repository)
         resumed = RepositoryPersister(successor, config, recovered=recovered)
-        files = _block_files(tmp_path)
+        files = _log_files(tmp_path)
         for expected_reads in (3, 0):
             before = fresh.bytes_read
             assert resumed.take_snapshot() is not None
             reads = fresh.bytes_read - before
             assert (reads > 0) == (expected_reads > 0)
-            assert _block_files(tmp_path) == files
+            assert _log_files(tmp_path) == files
         assert set(_snapshot_refs(config)) == {e.output_path for e in added}
 
     def test_aborted_rotation_leaves_journal_backlog_and_refs_untouched(
@@ -418,27 +477,26 @@ class TestRotationByReference:
         added = _add_entries(dfs, manager, n=6, seed=SEED)
         for entry in added[:4]:  # enough dead bytes to attempt a compaction
             manager.repository.remove(entry.entry_id)
-        journal = (tmp_path / "repo.journal").read_bytes()
         refs = dict(persister._payload_refs)
-        blocks = (tmp_path / "repo.snap.blocks.g0").read_bytes()
+        log_bytes = (tmp_path / "repo.journal.g0").read_bytes()
         inject("snapshot.write", "raise")
         assert persister.take_snapshot() is None
         faults.uninstall()
         assert persister.breaker_open and persister.buffered_records == 0
-        assert (tmp_path / "repo.journal").read_bytes() == journal
-        assert persister._payload_refs == refs and persister.blockstore.gen == 0
-        assert (tmp_path / "repo.snap.blocks.g0").read_bytes() == blocks
+        assert persister._payload_refs == refs and persister.log.gen == 0
+        assert (tmp_path / "repo.journal.g0").read_bytes() == log_bytes
         recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 2 and recovered.payloads_condemned == []
         # the half-built generation is debris the next rotation resets
         assert persister.take_snapshot() is not None
-        assert set(_block_files(tmp_path)) == {"repo.snap.blocks.g1"}
+        assert set(_log_files(tmp_path)) == {"repo.journal.g1"}
         assert recover(config, DistributedFileSystem()).payloads_condemned == []
 
     def test_space_stays_within_twice_live_plus_one_interval(self, tmp_path):
         """220 submissions under a time-window eviction policy: right
-        after every rotation the block files hold at most 2x the live
-        payload bytes, and in between they grow by appends only."""
+        after every rotation the log files hold at most 2x the live
+        payload bytes plus 2x the snapshot (the live form of the records
+        before its offset), and in between they grow by appends only."""
         config = _config(tmp_path, snapshot_interval=25)
         builder = ReStoreSession.builder().persistence(config)
         session = builder.evict("time-window:6").build()
@@ -450,30 +508,31 @@ class TestRotationByReference:
 
         def on_rotation(event) -> None:
             live = sum(ref.length for ref in persister._payload_refs.values())
-            on_disk = sum(_block_files(tmp_path).values())
-            assert on_disk <= 2 * live, "a rotation left more dead bytes than live"
+            on_disk = sum(_log_files(tmp_path).values())
+            budget = 2 * (live + event.bytes)
+            assert on_disk <= budget, "a rotation left more dead bytes than live"
             marks["rotations"] += 1
-            marks["compactions"] += persister.blockstore.gen != marks["gen"]
-            marks["gen"] = persister.blockstore.gen
-            marks["budget"] = 2 * live
+            marks["compactions"] += persister.log.gen != marks["gen"]
+            marks["gen"] = persister.log.gen
+            marks["budget"] = budget
 
         persister.events.subscribe(on_rotation, event_types=(SnapshotTaken,))
         for number in range(220):
             day, action = (number * 5) % 8, number % 4
             if number % 3 == 0:  # a hot query keeps part of the store live
                 day, action = 0, 1
-            appended = persister.blockstore.size()
+            appended = persister.log.size()
             session.run(
                 f"A = load 'data/d{day}' as (user, action:int, rev:double);"
                 f"B = filter A by action == {action}; C = group B by user;"
                 "D = foreach C generate group, SUM(B.rev);"
                 f" store D into 'out/q{number}';"
             )
-            grown = max(0, persister.blockstore.size() - appended)
+            grown = max(0, persister.log.size() - appended)
             marks["budget"] += grown
-            assert sum(_block_files(tmp_path).values()) <= max(
+            assert sum(_log_files(tmp_path).values()) <= max(
                 marks["budget"], grown
-            ), f"block files outgrew 2x live + the interval's writes at {number}"
+            ), f"log files outgrew 2x (live + snapshot) + the interval at {number}"
         assert marks["rotations"] >= 5 and marks["compactions"] >= 2
         assert marks["compactions"] < marks["rotations"]
         live = {
@@ -494,17 +553,17 @@ class TestInjectorHygiene:
     def test_reset_zeroes_clocks_fired_and_revived(self):
         plan = FaultPlan(
             seed=SEED,
-            rules=(FaultRule(site="blockstore.read", action="raise"),),
+            rules=(FaultRule(site="journal.read", action="raise"),),
         )
         injector = FaultInjector(plan)
         with pytest.raises(InjectedFault):
-            injector.fire("blockstore.read")
-        injector.fire("blockstore.read")  # hit 2: rule spent
-        injector.revive("blockstore.read")
-        assert injector.fired and injector.clock.hits("blockstore.read") == 2
+            injector.fire("journal.read")
+        injector.fire("journal.read")  # hit 2: rule spent
+        injector.revive("journal.read")
+        assert injector.fired and injector.clock.hits("journal.read") == 2
         injector.reset()
         assert not injector.fired
-        assert injector.clock.hits("blockstore.read") == 0
+        assert injector.clock.hits("journal.read") == 0
         # the same one-shot rule fires again from a clean clock
         with pytest.raises(InjectedFault):
-            injector.fire("blockstore.read")
+            injector.fire("journal.read")

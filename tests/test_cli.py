@@ -182,7 +182,8 @@ class TestPersistenceFlags:
         first = capsys.readouterr().out
         assert "repository:" in first
         assert snap.exists()
-        assert (script.parent / "state" / "repo.snapshot.journal").exists()
+        # the log generations live beside it: repo.snapshot.journal.g<N>
+        assert list((script.parent / "state").glob("repo.snapshot.journal.g*"))
 
         # a brand-new process would see exactly these files; the second
         # invocation recovers the repository and reuses the stored job
@@ -204,7 +205,7 @@ class TestPersistenceFlags:
         ]
         assert main(args) == 0
         capsys.readouterr()
-        assert journal.exists()
+        assert list(journal.parent.glob("repo.journal.g*"))
         assert main(args) == 0
         assert "already stored" in capsys.readouterr().out
 

@@ -63,7 +63,8 @@ from repro.persistence.durability import (
     RepositoryPersister,
     recover,
 )
-from repro.persistence.journal import Journal, encode_record
+from repro.persistence.framedlog import FramedLog, encode_record
+from repro.persistence.snapshot import RepositorySnapshot
 from repro.persistence.storage import LocalStorage
 from repro.service import JobService
 from test_framedlog import SEED, inject
@@ -315,7 +316,7 @@ class TestCircuitBreaker:
             "PersistenceDegraded",
             "PersistenceRecovered",
         ]
-        scan = persister.journal.scan()
+        scan = persister.log.scan()
         assert len(scan.records) == 2, "every buffered record landed"
         persister.close()
 
@@ -325,12 +326,14 @@ class TestCircuitBreaker:
         inject("snapshot.write", "raise", hits=(1,))
         assert persister.take_snapshot() is None
         assert persister.breaker_open
-        assert persister.journal.size() > 0, (
-            "aborted rotation must not reset the journal"
-        )
         faults.uninstall()
+        # the aborted rotation left no snapshot: recovery replays the
+        # whole log
+        assert recover(config).kept_paths == {"kept/rotate"}
         assert persister.take_snapshot() is not None
-        assert persister.journal.size() == 0
+        snapshot = RepositorySnapshot.from_bytes(config.snapshot_storage().read())
+        assert snapshot.payload_state["offset"] == persister.log.size()
+        assert recover(config).journal_records == 0
         persister.close()
 
 
@@ -524,11 +527,11 @@ class TestShutdownKillsHungWorkers:
 
 
 class TestRepairFsync:
-    def _torn_journal(self, tmp_path) -> Journal:
-        path = tmp_path / "torn.journal"
+    def _torn_journal(self, tmp_path) -> FramedLog:
+        path = tmp_path / "torn.journal.g0"
         frame = encode_record({"type": "counters", "clock": 1})
         path.write_bytes(frame + frame[: len(frame) // 2])
-        return Journal(LocalStorage(str(path)))
+        return FramedLog(LocalStorage(str(path)))
 
     def test_repair_truncates_and_fsyncs(self, tmp_path):
         journal = self._torn_journal(tmp_path)

@@ -1,13 +1,13 @@
-"""The framed log's torn-write contract, stated once for every codec.
+"""The framed log's torn-write contract, stated once for both body kinds.
 
 A crash can tear an append at *any* byte and a disk can rot one in
 place; :mod:`repro.persistence.framedlog` decides what survives.
 :class:`TornWriteSweep` is that decision as a suite over a
-:class:`Codec`; it runs once per body codec by subclassing —
-``test_journal_recovery.TestTornTail`` and
-``test_blockstore.TestSegmentCodec``, so the chaos lanes that select
-those files keep running it.  The format pin below holds both codecs
-to the bytes the pre-``FramedLog`` encoders wrote.
+:class:`Codec`; it runs once per body kind by subclassing —
+``test_journal_recovery.TestTornTail`` (records) and
+``test_blockstore.TestSegmentCodec`` (payload segments), so the chaos
+lanes that select those files keep running it.  The format pin below
+holds both kinds to the bytes of snapshot format 6's log.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ import pytest
 from repro.faults import injector as faults
 from repro.faults.injector import PartialWriteFault
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.persistence.blockstore import (
-    BlockStore,
-    decode_blockstore,
+from repro.persistence.framedlog import (
+    FramedLog,
+    FrameScan,
+    encode_record,
     encode_segment,
+    scan_frames,
 )
-from repro.persistence.framedlog import FramedLog, FrameScan
-from repro.persistence.journal import Journal, decode_journal, encode_record
 from repro.persistence.storage import LocalStorage
 
 
@@ -60,15 +60,17 @@ SEGMENTS = [
 ]
 JOURNAL = Codec(
     [encode_record(r) for r in RECORDS],
-    decode_journal,
-    Journal,
-    lambda log: log.append_payloads([{"type": "kept_path_removed", "path": "x"}]),
+    scan_frames,
+    FramedLog,
+    lambda log: log.append_commit([{"type": "kept_path_removed", "path": "x"}]),
 )
 BLOCKS = Codec(
     [encode_segment(path, data) for path, data in SEGMENTS],
-    decode_blockstore,
-    BlockStore,
-    lambda log: log.append_segments([("tmp/s9/sj9", b"fresh")]),
+    scan_frames,
+    FramedLog,
+    lambda log: log.append_commit(
+        [{"path": "tmp/s9/sj9", "data": b"fresh"}], segments_only=True
+    ),
 )
 
 
@@ -134,7 +136,7 @@ class TornWriteSweep:
     @pytest.mark.parametrize("landed", [0, 7])
     def test_partial_append_lands_prefix_then_raises(self, tmp_path, landed):
         log = self.codec.open(LocalStorage(str(tmp_path / "log")))
-        inject(f"{log.site}.append", "partial", arg=landed)
+        inject("journal.append", "partial", arg=landed)
         with pytest.raises(PartialWriteFault):
             self.codec.append_one(log)
         faults.uninstall()
@@ -152,7 +154,7 @@ class TornWriteSweep:
         log = self.codec.open(LocalStorage(str(tmp_path / "log")))
         self.codec.append_one(log)
         clean = log.size()
-        inject(f"{log.site}.append", "partial", arg=7)
+        inject("journal.append", "partial", arg=7)
         with pytest.raises(PartialWriteFault):
             self.codec.append_one(log)
         faults.uninstall()
@@ -164,33 +166,34 @@ class TornWriteSweep:
         assert log.size() == 3 * clean
 
 
-#: what ``encode_record`` / ``encode_segment`` wrote for RECORDS /
-#: SEGMENTS at 4553440, the last commit with two framing copies
+#: what ``encode_record`` / ``encode_segment`` write for RECORDS /
+#: SEGMENTS: every body behind its kind tag (``R`` / ``S``), the
+#: snapshot-format-6 log
 PINNED_JOURNAL = bytes.fromhex(
-    "0000002e098080ce7b2270617468223a22746d702f73312f736a31222c227479"
-    "7065223a226b6570745f706174685f6164646564227d0000002e0b5e87e97b22"
-    "70617468223a22746d702f73312f736a32222c2274797065223a226b6570745f"
-    "706174685f6164646564227d00000039f3f857527b226e6578745f7363726970"
-    "745f6964223a352c226e6578745f7375626a6f625f6964223a392c2274797065"
-    "223a22636f756e74657273227d"
+    "0000002f986738db527b2270617468223a22746d702f73312f736a31222c2274"
+    "797065223a226b6570745f706174685f6164646564227d0000002f9ab93ffc52"
+    "7b2270617468223a22746d702f73312f736a32222c2274797065223a226b6570"
+    "745f706174685f6164646564227d0000003a0c05ac5b527b226e6578745f7363"
+    "726970745f6964223a352c226e6578745f7375626a6f625f6964223a392c2274"
+    "797065223a22636f756e74657273227d"
 )
 PINNED_BLOCKS = bytes.fromhex(
-    "0000001712caf6d6000a746d702f73312f736a317061796c6f61642d6f6e6500"
-    "00001ed864cdb9000a746d702f73312f736a327061796c6f61642d74776f2d6c"
-    "6f6e6765720000000e4c1245d9000a746d702f73322f736a377033"
+    "00000018c202341253000a746d702f73312f736a317061796c6f61642d6f6e65"
+    "0000001f4327d31d53000a746d702f73312f736a327061796c6f61642d74776f"
+    "2d6c6f6e6765720000000fd59eb1b253000a746d702f73322f736a377033"
 )
 
 
 def test_on_disk_format_is_pinned():
     assert b"".join(JOURNAL.frames) == PINNED_JOURNAL
     assert b"".join(BLOCKS.frames) == PINNED_BLOCKS
-    journal = decode_journal(PINNED_JOURNAL)
+    journal = scan_frames(PINNED_JOURNAL)
     assert [{"type": r.type, **r.data} for r in journal.records] == RECORDS
     assert not journal.torn and journal.skipped == 0
-    blocks = decode_blockstore(PINNED_BLOCKS)
+    blocks = scan_frames(PINNED_BLOCKS)
     assert blocks.frames == {
-        0: (31, SEGMENTS[0]),
-        31: (38, SEGMENTS[1]),
-        69: (22, SEGMENTS[2]),
+        0: (32, SEGMENTS[0]),
+        32: (39, SEGMENTS[1]),
+        71: (23, SEGMENTS[2]),
     }
     assert not blocks.torn and blocks.skipped == 0

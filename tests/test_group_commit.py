@@ -1,8 +1,9 @@
 """Group commit: the submission is the unit of durability.
 
-The persister stages a submission's journal records and payload bytes
-and lands them at the workflow boundary as one block-store write, then
-one journal write.  The contract these tests hold it to is the one
+The persister stages a submission's records and payload bytes and
+lands them at the workflow boundary as one log write — segments first,
+then records — with one fsync.  The contract these tests hold it to is
+the one
 ``repro.persistence.persister`` states: *a crash loses at most the
 submissions in flight; nothing acknowledged is lost, nothing
 unprovable is served.*
@@ -29,14 +30,16 @@ from repro.events import (
     SubJobStored,
 )
 from repro.faults import injector as faults
-from repro.persistence.blockstore import decode_blockstore
 from repro.persistence.durability import PersistenceConfig, recover
-from repro.persistence.journal import decode_journal
+from repro.persistence.framedlog import scan_frames
 from repro.service import JobService
 from repro.session import ReStoreSession
 from test_framedlog import SEED, inject
 
 DAYS = 6
+#: the decoded body kinds of a commit that carried a payload: segments
+#: are ``(path, payload)``, its records one list
+BOTH = {tuple, list}
 
 
 def _config(root, **extra) -> PersistenceConfig:
@@ -107,22 +110,34 @@ class TestFsyncCountGate:
         """30 submissions: six first runs, then two hot queries while a
         time window evicts the rest — one rotation carries every payload
         by reference, a later one finds more dead bytes than live ones
-        and compacts."""
+        and compacts.  One fsync per submission (its commit), two per
+        rotation (the snapshot's temp file and directory), one more per
+        compaction (the new generation's write)."""
         config = _config(tmp_path, snapshot_interval=40)
         builder = ReStoreSession.builder().persistence(config)
         session = builder.evict("time-window:8").build()
         _load(session.dfs)
         persister = session.persister
         rotations, compactions = [], []
-        gen = [persister.blockstore.gen]
+        gen = [persister.log.gen]
 
         def on_rotation(event) -> None:
             rotations.append(event)
-            if persister.blockstore.gen != gen[0]:
-                gen[0] = persister.blockstore.gen
+            if persister.log.gen != gen[0]:
+                gen[0] = persister.log.gen
                 compactions.append(event)
 
         persister.events.subscribe(on_rotation, event_types=(SnapshotTaken,))
+        joint = []  # per commit: did it carry a segment and a record?
+
+        def on_commit(event) -> None:
+            log = persister.log
+            if event.path == log.location:  # not a compaction's old generation
+                data = log.storage.read_range(log.end - event.bytes, log.end)
+                bodies = scan_frames(data).frames.values()
+                joint.append({type(body) for _, body in bodies} == BOTH)
+
+        persister.events.subscribe(on_commit, event_types=(JournalAppended,))
         stream = [(d, 1 + d % 4, d % 3) for d in range(DAYS)]
         stream += [(0, 1, 0), (1, 2, 1)] * 12
         assert len(stream) == 30
@@ -132,12 +147,11 @@ class TestFsyncCountGate:
             session.run(_query(day, action, tail, f"out/q{number}"))
             rotated = len(rotations) - before[1]
             compacted = len(compactions) - before[2]
-            # block store, then journal; a rotation adds the snapshot's
-            # temp-file + directory fsyncs and the journal truncate
-            assert fsyncs[0] - before[0] <= 2 + 3 * rotated + compacted
+            assert fsyncs[0] - before[0] <= 1 + 2 * rotated + compacted, number
         assert len(rotations) >= 2 and len(compactions) >= 1
         assert len(compactions) < len(rotations), "one rotation is by reference"
-        assert 30 <= fsyncs[0] <= 2 * 30 + 3 * len(rotations) + len(compactions)
+        assert 30 <= fsyncs[0] <= 30 + 2 * len(rotations) + len(compactions)
+        assert any(joint), "no commit put a segment and a record under one fsync"
         # and it is all there after a crash (no close): nothing lost
         live = _served(session.manager.repository, session.dfs)
         fresh = DistributedFileSystem()
@@ -145,30 +159,50 @@ class TestFsyncCountGate:
         assert _served(recovered.repository, fresh) == live
         assert recovered.payloads_condemned == []
 
+    def test_storing_over_an_entry_output_is_one_commit(self, tmp_path, fsyncs):
+        """A submission that stores over a registered entry's output
+        evicts that entry on the way: the removal commits with the
+        submission, ahead of the new entry over the same path."""
+        config = _config(tmp_path)
+        session = ReStoreSession(persistence=config)
+        _load(session.dfs)
+        session.run(_query(0, 1, 1, "out/same"))
+        (old,) = session.manager.repository.entries_with_output("out/same")
+        commits = []
+        session.persister.events.subscribe(
+            commits.append, event_types=(JournalAppended,)
+        )
+        fsyncs[0] = 0
+        session.run(_query(1, 2, 1, "out/same"))
+        assert fsyncs[0] == 1 and len(commits) == 1
+        (new,) = session.manager.repository.entries_with_output("out/same")
+        assert new.entry_id != old.entry_id
+        live = _served(session.manager.repository, session.dfs)
+        fresh = DistributedFileSystem()
+        recovered = recover(config, fresh)
+        assert _served(recovered.repository, fresh) == live
+
 
 class TestSubmissionGranularityCrashSweep:
-    """Cut the journal at every frame boundary and a seeded sample of
-    mid-frame bytes, with the block file wherever a crash at that
-    journal position can have left it; recover; check the contract."""
+    """Cut the log at every frame boundary and a seeded sample of
+    mid-frame bytes; recover; check the contract."""
 
     SUBMISSIONS = 6
 
     def _stream(self, root):
         """Run the stream; returns (config, commits, acked, states,
-        truth): ``commits[c]`` = (journal bytes, block bytes) after
-        commit *c* (``commits[0]`` = nothing written), ``acked[k]`` =
-        commits done when submission *k* was acknowledged, ``states[k]``
-        what the repository served then, *truth* every output ever
-        stored, by path."""
+        truth): ``commits[c]`` = log bytes after commit *c*
+        (``commits[0]`` = nothing written), ``acked[k]`` = commits done
+        when submission *k* was acknowledged, ``states[k]`` what the
+        repository served then, *truth* every output ever stored, by
+        path."""
         config = _config(root)
         session = ReStoreSession(persistence=config)
         _load(session.dfs)
         persister = session.persister
-        commits = [(0, 0)]
+        commits = [0]
         persister.events.subscribe(
-            lambda event: commits.append(
-                (persister.journal.size(), persister.blockstore.size())
-            ),
+            lambda event: commits.append(persister.log.size()),
             event_types=(JournalAppended,),
         )
         acked, states = [0], [{}]
@@ -181,51 +215,30 @@ class TestSubmissionGranularityCrashSweep:
         return config, commits, acked, states, truth
 
     def _cuts(self, root, commits):
-        """(journal cut, block cut) pairs a crash can produce."""
-        journal = (root / "repo.journal").read_bytes()
-        blocks = (root / "repo.snap.blocks.g0").read_bytes()
-        assert commits[-1] == (len(journal), len(blocks))
-        frames = decode_journal(journal).frames
-        boundaries = sorted(offset + length for offset, (length, _) in frames.items())
-        rng = random.Random(SEED)
-        inside = sorted(rng.sample(range(1, len(journal)), 40))
-        pairs = []
-        for cut in sorted({0, *boundaries, *inside}):
-            # the commit whose journal write the cut falls into: its
-            # block write landed first, whole
-            landed = max(c for c, (size, _) in enumerate(commits) if size <= cut)
-            if commits[landed][0] < cut:
-                pairs.append((cut, commits[landed + 1][1]))
-                pairs.append((cut, len(blocks)))
-                continue
-            # on a commit boundary the next commit's block write may be
-            # anywhere: not begun, torn mid-frame, landed (journal lost)
-            low = commits[landed][1]
-            high = commits[landed + 1][1] if landed + 1 < len(commits) else low
-            pairs.append((cut, low))
-            if high > low:
-                pairs.append((cut, high))
-                pairs.extend((cut, rng.randrange(low + 1, high)) for _ in range(2))
-        return journal, blocks, pairs
+        """The log, its frames, and the cuts a crash can produce."""
+        log = (root / "repo.journal.g0").read_bytes()
+        assert commits[-1] == len(log)
+        frames = scan_frames(log).frames
+        boundaries = {offset + length for offset, (length, _) in frames.items()}
+        inside = random.Random(SEED).sample(range(1, len(log)), 40)
+        return log, frames, sorted({0, *boundaries, *inside})
 
     def test_acknowledged_survives_in_flight_is_absent_or_proven(self, tmp_path):
         root = tmp_path / "live"
         config, commits, acked, states, truth = self._stream(root)
-        journal, blocks, pairs = self._cuts(root, commits)
-        assert len(pairs) > 60 and len(commits) > self.SUBMISSIONS
+        log, frames, cuts = self._cuts(root, commits)
+        assert len(cuts) > 60 and len(commits) > self.SUBMISSIONS
         lane = tmp_path / "lane"
         lane_config = _config(lane)
-        mid_frame = 0
-        for journal_cut, block_cut in pairs:
+        mid_segment = between = 0
+        for cut in cuts:
             shutil.rmtree(lane, ignore_errors=True)
             lane.mkdir()
-            (lane / "repo.journal").write_bytes(journal[:journal_cut])
-            (lane / "repo.snap.blocks.g0").write_bytes(blocks[:block_cut])
-            mid_frame += decode_blockstore(blocks[:block_cut]).torn
+            (lane / "repo.journal.g0").write_bytes(log[:cut])
             fresh = DistributedFileSystem()
             recovered = recover(lane_config, fresh)
-            where = f"journal cut {journal_cut}, block cut {block_cut}"
-            done = max(c for c, (size, _) in enumerate(commits) if size <= journal_cut)
+            where = f"log cut {cut}"
+            done = max(c for c, size in enumerate(commits) if size <= cut)
             k = max(i for i, commit in enumerate(acked) if commit <= done)
             served = _served(recovered.repository, fresh)
             # nothing acknowledged is lost ...
@@ -234,29 +247,42 @@ class TestSubmissionGranularityCrashSweep:
                     f"acknowledged entry {entry_id} lost or altered at {where}"
                 )
             # ... and what survives of the submission in flight is
-            # served from bytes the store proved, or not at all
+            # served from bytes the log proved, or not at all
             for entry_id, (path, data) in served.items():
                 assert data == truth[path], f"unproven bytes served at {where}"
             for entry_id, _, _ in recovered.payloads_condemned:
                 assert entry_id not in states[k], where
-        assert mid_frame >= 5, "the sweep must tear block-store frames too"
+            # what the cut tore: a segment, or a commit between its
+            # segments and its records
+            torn = [
+                (offset, length, body)
+                for offset, (length, body) in frames.items()
+                if done + 1 < len(commits) and commits[done] <= offset < cut
+            ]
+            mid_segment += any(
+                isinstance(body, tuple) and cut < offset + length
+                for offset, length, body in torn
+            )
+            between += bool(torn) and all(
+                isinstance(body, tuple) and offset + length <= cut
+                for offset, length, body in torn
+            )
+        assert mid_segment >= 5, "the sweep must tear payload segments"
+        assert between >= 3, "the sweep must cut between segments and records"
 
     def test_every_acknowledgement_is_a_commit_boundary(self, tmp_path):
         """Non-vacuity of the sweep's bookkeeping: each submission
-        committed (≥ 1 journal write), and cutting exactly at its
+        committed (≥ 1 log write), and cutting exactly at its
         acknowledgement recovers exactly what it served."""
         root = tmp_path / "live"
         config, commits, acked, states, _ = self._stream(root)
         assert acked == sorted(set(acked)) and len(acked) == self.SUBMISSIONS + 1
-        journal = (root / "repo.journal").read_bytes()
-        blocks = (root / "repo.snap.blocks.g0").read_bytes()
+        log = (root / "repo.journal.g0").read_bytes()
         lane = tmp_path / "lane"
         for k in range(1, self.SUBMISSIONS + 1):
-            journal_cut, block_cut = commits[acked[k]]
             shutil.rmtree(lane, ignore_errors=True)
             lane.mkdir()
-            (lane / "repo.journal").write_bytes(journal[:journal_cut])
-            (lane / "repo.snap.blocks.g0").write_bytes(blocks[:block_cut])
+            (lane / "repo.journal.g0").write_bytes(log[: commits[acked[k]]])
             fresh = DistributedFileSystem()
             recovered = recover(_config(lane), fresh)
             assert _served(recovered.repository, fresh) == states[k]
@@ -359,16 +385,14 @@ class TestBlockStoreFaultIsAFailedCommit:
             event_types=(PersistenceDegraded, PersistenceRecovered)
         )
         session.run(_query(0, 1, 0, "out/before"))
-        journal_bytes = persister.journal.size()
-        block_bytes = persister.blockstore.size()
-        inject("blockstore.append", action, arg=landed)
+        log_bytes = persister.log.size()
+        inject("journal.append", action, arg=landed)
         session.run(_query(1, 2, 1, "out/during"))  # acknowledged degraded
         faults.uninstall()
         assert persister.breaker_open and persister.buffered_records >= 2
-        assert persister.journal.size() == journal_bytes, (
-            "no record may be journaled ahead of its payload"
-        )
-        assert persister.blockstore.size() == block_bytes + landed
+        # only the torn prefix reached the medium, nothing committed
+        assert persister.log.size() == log_bytes + landed
+        assert persister.log.end == log_bytes
         session.run(_query(2, 1, 2, "out/after"))
         assert persister.flush(force=True) > 0
         assert not persister.breaker_open and persister.buffered_records == 0
@@ -377,7 +401,7 @@ class TestBlockStoreFaultIsAFailedCommit:
             "PersistenceRecovered",
         ]
         # the torn prefix was cut before the retry: no frame sits behind it
-        scan = persister.blockstore.scan()
+        scan = persister.log.scan()
         assert not scan.torn and scan.skipped == 0
         live = _served(session.manager.repository, session.dfs)
         assert len(live) >= 6

@@ -1,6 +1,6 @@
-"""Crash recovery through the append-only journal.
+"""Crash recovery through the records of the append-only log.
 
-The framing contract: a crash can tear the journal at *any* byte, and
+The framing contract: a crash can tear the log at *any* byte, and
 recovery must replay every record before the tear, drop the tear
 without guessing, and converge to the same state no matter how many
 times the same records are replayed.
@@ -9,26 +9,33 @@ times the same records are replayed.
 from __future__ import annotations
 
 import json
+import os
+import re
+
+import pytest
 
 from repo_stream import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
+from repro.exceptions import ReproError
 from repro.persistence.durability import (
     PersistenceConfig,
     ReplayTarget,
     RepositoryPersister,
     recover,
 )
-from repro.persistence.framedlog import encode_frame
-from repro.persistence.journal import (
-    Journal,
+from repro.persistence.framedlog import (
+    RECORD,
+    FramedLog,
     JournalRecord,
-    decode_journal,
+    encode_frame,
     encode_record,
+    scan_frames,
 )
 from repro.persistence.snapshot import RepositorySnapshot, entry_record
+from repro.session import ReStoreSession
 from test_framedlog import JOURNAL, TornWriteSweep
 
 
@@ -41,7 +48,7 @@ def replay(snapshot, records) -> Repository:
 
 
 class TestTornTail(TornWriteSweep):
-    """The journal codec under the shared torn-write sweep."""
+    """The record codec under the shared torn-write sweep."""
 
     codec = JOURNAL
     test_every_byte_boundary_of_last_record = (
@@ -107,7 +114,7 @@ class TestReplaySemantics:
                 path: extent.mtime for path, extent in entry.input_extents.items()
             }
             payloads.append({"type": "entry_added", "entry": record})
-        journal = decode_journal(b"".join(map(encode_record, payloads)))
+        journal = scan_frames(b"".join(map(encode_record, payloads)))
         restored = replay(None, journal.records)
         assert [e.entry_id for e in restored.ordered_entries()] == [
             e.entry_id for e in repo.ordered_entries()
@@ -122,7 +129,7 @@ class TestReplaySemantics:
         entry = build_repository(generate_entry_specs(2, seed=3), seed=3).entries()[0]
         record = entry_record(entry)
         frame = encode_record({"type": "entry_added", "entry": record})
-        (decoded,) = decode_journal(frame).records
+        (decoded,) = scan_frames(frame).records
         assert decoded.type == "entry_added"
         assert list(decoded.data) == ["entry"]
         assert decoded.data["entry"].keys() == record.keys()
@@ -144,8 +151,8 @@ class TestReplaySemantics:
                 separators=(",", ":"),
                 sort_keys=True,
             )
-            frames.append(encode_frame(body.encode()))
-        restored = replay(None, decode_journal(b"".join(frames)).records)
+            frames.append(encode_frame(RECORD + body.encode()))
+        restored = replay(None, scan_frames(b"".join(frames)).records)
         assert [e.entry_id for e in restored.ordered_entries()] == [
             e.entry_id for e in repo.ordered_entries()
         ]
@@ -204,7 +211,7 @@ class TestLivePersisterCrash:
     def _add(self, dfs, manager, entries):
         """Register entries the way a live run does: the output bytes
         land in the DFS first and stamp the entry, so the persister
-        captures them into the block store and the recovery scrub can
+        captures them into the log and the recovery scrub can
         verify (and restore) them instead of condemning ref-less
         entries."""
         added = []
@@ -231,7 +238,7 @@ class TestLivePersisterCrash:
         assert recovered.journal_torn_bytes == 0
         assert recovered.payloads_condemned == []
         # surviving entries came back with byte-identical outputs,
-        # restored natively from the block store
+        # restored natively from the log
         for entry in recovered.repository.entries():
             assert fresh.read_file(entry.output_path) == dfs.read_file(
                 entry.output_path
@@ -240,7 +247,7 @@ class TestLivePersisterCrash:
     def test_eviction_record_torn_means_entry_survives(self, tmp_path):
         dfs, config, manager, persister = self._manager(tmp_path)
         added = self._add(dfs, manager, self._entries())
-        journal_path = tmp_path / "repo.journal"
+        journal_path = tmp_path / "repo.journal.g0"
         before = len(journal_path.read_bytes())
         manager.repository.remove(added[1].entry_id)
         after = journal_path.read_bytes()
@@ -254,7 +261,7 @@ class TestLivePersisterCrash:
         assert len(recovered.repository) == 3
         assert recovered.journal_torn_bytes > 0
         # recovery repaired the tear in place: a rescan is clean
-        assert not Journal(config.journal_storage()).scan().torn
+        assert not FramedLog(config.log_storage()).scan().torn
 
     def test_recovery_after_snapshot_rotation_plus_tail(self, tmp_path):
         dfs, config, manager, persister = self._manager(tmp_path)
@@ -265,8 +272,8 @@ class TestLivePersisterCrash:
         recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 4
         assert recovered.snapshot_entries == 2
-        # post-rotation journal: per add, one payload_stored record
-        # (the block-store segment ref) + the entry_added record
+        # past the snapshot's offset: per add, one payload_stored record
+        # (the segment ref) + the entry_added record
         assert recovered.journal_records == 4
 
     def test_counters_record_restores_dfs_floors(self, tmp_path):
@@ -282,3 +289,43 @@ class TestLivePersisterCrash:
         recovered = recover(config, fresh)
         assert fresh.id_state() == dfs.id_state()
         assert recovered.clock >= 3
+
+
+class TestRetiredLayoutRefused:
+    """A state directory from the two-file layout (format-5 snapshot,
+    bare journal, block-store generations) is refused with a typed
+    error that names the file: recovery neither cuts it nor recovers an
+    empty repository over it."""
+
+    @staticmethod
+    def _format_5_snapshot() -> bytes:
+        repo = build_repository(generate_entry_specs(3, seed=3), seed=3)
+        data = bytearray(RepositorySnapshot.capture(repo).to_bytes())
+        data[4] = 5  # the header's version byte
+        return bytes(data)
+
+    @pytest.mark.parametrize("backend", ["local", "dfs"])
+    @pytest.mark.parametrize("retired", ["snapshot", "journal", "blocks"])
+    def test_recovery_refuses_naming_the_file(self, tmp_path, backend, retired):
+        root = str(tmp_path) + "/" if backend == "local" else "state/"
+        config = PersistenceConfig(
+            snapshot_path=root + "repo.snap",
+            journal_path=root + "repo.journal",
+            backend=backend,
+        )
+        path, data = {
+            "snapshot": (config.snapshot_path, self._format_5_snapshot()),
+            "journal": (config.journal_path, encode_record({"type": "counters"})),
+            "blocks": (config.snapshot_path + ".blocks.g3", b"\x00" * 40),
+        }[retired]
+        dfs = DistributedFileSystem()
+        storage = config._storage(path, dfs)
+        storage.write(data)
+        files = sorted(os.listdir(tmp_path)) if backend == "local" else dfs.list_paths()
+        with pytest.raises(ReproError, match=re.escape(path)):
+            recover(config, dfs)
+        with pytest.raises(ReproError, match=re.escape(path)):
+            ReStoreSession(dfs=dfs, persistence=config)
+        assert storage.read() == data, "the retired file must stay as it was"
+        after = sorted(os.listdir(tmp_path)) if backend == "local" else dfs.list_paths()
+        assert after == files, "nothing may be written beside it"

@@ -12,8 +12,8 @@ recover.  After every step it checks that
     submission ended as the oracle's did (or raised the same error
     type): i2MapReduce's *incremental ≡ recomputation* (PAPERS.md);
 (ii) nothing is left under the delta scratch prefix, no entry reads
-     from it, every kept path and (until a crash orphans one) every
-     sub-job file is some entry's output;
+     from it, every kept path and every sub-job file is some entry's
+     output (recovery sweeps what a crashed submission left);
 (iii) every submission ended in a result or a typed ``ReproError`` (or
       the injected fault, under an armed plan);
 
@@ -22,9 +22,12 @@ rewrote, eliminated, refreshed, fell back, evicted, condemned and
 reused a recovered entry.  The eviction policy is drawn per example;
 each executor runs its own budget (``CHAOS_SEED=<n>`` seeds it and
 raises it).  A restart is a new process over the same files:
-bytes survive, in-memory datasets do not.  What a restart or a crash
-leaves in a file of the pool is a write the oracle sees too.  A failure
-prints the shrunk step list, which replays byte for byte.
+bytes survive, in-memory datasets do not.  What a crashed submission
+leaves in a file of the pool is a write the oracle sees too; what a
+restart adds is checked first: recovery writes a stored payload back
+only into an empty path that a recovered entry or kept path claims,
+and only the bytes last stored there.  A failure prints the shrunk
+step list, which replays byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, seed, settings
@@ -67,8 +71,10 @@ INPUTS = ("i0", "i1")
 OUTPUTS = ("o0", "o1", "o2")
 FILES = INPUTS + OUTPUTS
 #: coordinator-side sites a submission crosses: a payload or tail read,
-#: a journal commit (its breaker parks the batch), a block-store commit
-CRASH_SITES = ("dfs.read", "journal.append", "blockstore.append")
+#: and the log commit (its breaker parks the batch); a ``partial`` write
+#: there lands a prefix of the commit, torn anywhere, even between its
+#: segments and its records
+CRASH_SITES = ("dfs.read", "journal.append")
 RESTART_GAP = 3
 #: the ledger key each event books (an ``EntryEvicted`` books by policy)
 BOOKS = {
@@ -181,7 +187,8 @@ class ReuseMachine(RuleBasedStateMachine):
         self.system = None
         self.history = []
         self.since_restart = 0
-        self.crashed = False
+        #: path → the bytes the system's last submission stored there
+        self.stored = {}
         #: entries the running system recovered
         self.restored = set()
 
@@ -242,9 +249,12 @@ class ReuseMachine(RuleBasedStateMachine):
 
     def _submit(self, script, stores, fault=None):
         expected = outcome(self.oracle.run, script)
+        before = [self._bytes(path) for path in stores]
         if fault is not None:
-            site, hit = fault
-            faults.install(FaultPlan(rules=(FaultRule(site, "raise", hits=(hit,)),)))
+            site, hit, cut = fault
+            action = "partial" if cut is not None else "raise"
+            rule = FaultRule(site, action, hits=(hit,), arg=cut or 0)
+            faults.install(FaultPlan(rules=(rule,)))
         try:
             got = outcome(self.system.run, script, armed=fault is not None)
         finally:
@@ -261,6 +271,10 @@ class ReuseMachine(RuleBasedStateMachine):
         else:
             for path in stores:  # whatever the crashed submission stored
                 self._mirror(path)
+        for path, old in zip(stores, before):
+            new = self._bytes(path)  # stored, if it succeeded or moved
+            if new is not None and (got[0] == "ok" or new != old):
+                self.stored[path] = new
         self.history.append((script, stores))
         self.since_restart += 1
 
@@ -292,14 +306,16 @@ class ReuseMachine(RuleBasedStateMachine):
         query=queries(),
         site=st.sampled_from(CRASH_SITES),
         hit=st.integers(min_value=1, max_value=3),
+        cut=st.one_of(st.none(), st.integers(min_value=0, max_value=4000)),
     )
-    def restart(self, how, query, site, hit):
+    def restart(self, how, query, site, hit, cut):
         """Close (after a snapshot rotation, or not) and recover; or
         submit *query* with a fault armed at *site*'s *hit*-th
-        crossing, die, and recover."""
+        crossing (at the log, a write torn after *cut* bytes, if
+        drawn), die, and recover."""
         if how == "crash":
-            self._submit(*query, fault=(site, hit))
-            self.crashed = True
+            torn = cut if site == "journal.append" else None
+            self._submit(*query, fault=(site, hit, torn))
         elif how == "snapshot":
             self.system.host.persister.take_snapshot()
         old = self.system
@@ -309,9 +325,19 @@ class ReuseMachine(RuleBasedStateMachine):
             dfs.write_file(path, old.dfs.read_file(path))
         self.system = System(old.executor, self.config, dfs)
         self.since_restart = 0
-        self.restored = {e.entry_id for e in self.system.manager.repository.entries()}
-        for path in FILES:  # the recovery scrub restores stored payloads
-            self._mirror(path)
+        manager = self.system.manager
+        self.restored = {e.entry_id for e in manager.repository.entries()}
+        claimed = {e.output_path for e in manager.repository.entries()}
+        for path in FILES:  # what the recovery scrub wrote back
+            if self.system.dfs.exists(path) and not self.oracle.dfs.exists(path):
+                assert path in claimed or path in manager.kept_paths, path
+                data = self.system.dfs.read_file(path)
+                assert data == self.stored.get(path), path
+                self.oracle.dfs.write_file(path, data)
+
+    def _bytes(self, path: str):
+        dfs = self.system.dfs
+        return dfs.read_file(path) if dfs.exists(path) else None
 
     def _mirror(self, path: str) -> None:
         """Make the oracle's *path* the system's, byte for byte."""
@@ -343,8 +369,7 @@ class ReuseMachine(RuleBasedStateMachine):
         )
         outputs = {entry.output_path for entry in entries}
         assert manager.kept_paths <= outputs
-        if not self.crashed:
-            assert set(dfs.list_paths("restore/subjob/")) <= outputs
+        assert set(dfs.list_paths("restore/subjob/")) <= outputs
 
 
 def test_reuse_never_changes_an_answer():
@@ -371,9 +396,19 @@ def test_reuse_never_changes_an_answer():
 # -- what the machine found, as the steps it shrank to --------------------------------
 
 
+class Torn(NamedTuple):
+    """A step: run *script*; with reuse on, the log write of its first
+    commit tears after *cut* bytes and the process dies (a new session
+    over a copy of the files takes over)."""
+
+    script: str
+    cut: int
+
+
 def differential(*steps):
-    """Every user file (the reuse-off run's) after *steps* (scripts,
-    filesystem verbs or ``"restart"``), with reuse on, durable, and off."""
+    """Every user file (either run's) after *steps* (scripts, ``Torn``
+    ones, filesystem verbs or ``"restart"``), with reuse on, durable,
+    and off."""
     worlds = []
     for on in (True, False):
         dfs = DistributedFileSystem()
@@ -383,13 +418,25 @@ def differential(*steps):
             if step == "restart":
                 session.close()
                 session = ReStoreSession(dfs, **durable)
+            elif isinstance(step, Torn):
+                rule = FaultRule("journal.append", "partial", hits=(1,), arg=step.cut)
+                faults.install(FaultPlan(rules=(rule,) if on else ()))
+                try:
+                    session.run(step.script)
+                finally:
+                    faults.uninstall()
+                if on:
+                    old, dfs = dfs, DistributedFileSystem()
+                    for path in old.list_paths():
+                        dfs.write_file(path, old.read_file(path))
+                    session = ReStoreSession(dfs, **durable)
             elif callable(step):
                 step(dfs)
             else:
                 session.run(step)
         session.close()
         worlds.append(dfs)
-    paths = worlds[1].list_paths()
+    paths = {p for w in worlds for p in w.list_paths() if not p.startswith("restore/")}
     return [{p: w.read_file(p) if w.exists(p) else None for p in paths} for w in worlds]
 
 
@@ -408,6 +455,10 @@ S = A % "o1" + "split A into P if a > 2, Q if a <= 2; store P into '%s';"
 O = "B = foreach A generate u; store B into 'x';"
 W = write("x", "u9\t9\t9.0\n")
 G = A + "C = group A by u; D = foreach C generate group, COUNT(A); store D into '%s';"
+B2 = A % "i0" + "B = filter A by a > 2; "
+F = B2 + "C = foreach B generate u, a; D = filter C by a<9; store D into 'o0';"
+COG = B2 + "X = load 'i0' as (u, a:int, r:double); C = cogroup B by u, X by u;"
+FLAT = B2 + "C = group B by (u, a); D = foreach C generate FLATTEN(group), SUM(B.r);"
 FOUND = {
     "a refresh appends to a user's output": (
         write("y", "a\t1\nb\t2\n"),
@@ -450,6 +501,21 @@ FOUND = {
         write("o2", "u3\t5\t1.0\n\t1\t1.0\n\t10\t2.25\n"),
         A % "o2" + "B = filter A by a > 2; store B into 'final';"
         " C = foreach B generate u, r; store C into 'o2';",
+    ),
+    "an unregistered job stores over an output, then a delete and a recovery": (
+        write("i0", "u1\t\t\n"),
+        COG + " D = foreach C generate group, COUNT(B), COUNT(X); store D into 'o0';",
+        lambda dfs: dfs.append("i0", "u1\t\t\n"),
+        FLAT + " store D into 'o0';",
+        lambda dfs: dfs.delete("o0"),
+        "restart",
+    ),
+    "a commit torn between a refresh's payload and its entry, then a recovery": (
+        write("i0", "u1\t\t\n"),
+        F,
+        lambda dfs: dfs.append("i0", "u1\t3\t\n"),
+        Torn(F, 190),
+        F,
     ),
     "a copy job reads an output a later job stores": (
         write("o1", "u2\t10\t\nu1\t\t1.0\nu2\t5\t\nu1\t1\t0.5\n"),

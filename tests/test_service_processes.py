@@ -53,7 +53,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.mapreduce.job import MapReduceJob
 from repro.persistence.durability import PersistenceConfig, recover
-from repro.persistence.journal import decode_journal
+from repro.persistence.framedlog import scan_frames
 from repro.pig.engine import PigRunResult
 from repro.service import JobService, WorkerCrashed, WorkloadDriver
 from repro.session import ReStoreSession
@@ -545,10 +545,10 @@ class TestDurableProcessMode:
             executor="processes",
             max_workers=1,
         ) as service:
-            # the snapshot/journal are the persister's own files: no job
-            # may store over them (TestRepositoryFilesAreNotOutputs)
+            # the snapshot and the log are the persister's own files: no
+            # job may store over them (TestRepositoryFilesAreNotOutputs)
             assert service.persister.owns(self.CONFIG.snapshot_path)
-            assert service.persister.owns(self.CONFIG.journal_path)
+            assert service.persister.owns(self.CONFIG.log_file(0))
             service.open_session("a").run(
                 "A = load 'data/pv' as (user, action:int, revenue:double);"
                 "B = filter A by action == 1; store B into 'out/d1';"
@@ -575,16 +575,15 @@ class TestDurableProcessMode:
 
 class TestRepositoryFilesAreNotOutputs:
     """A script cannot store into the persister's files, on any
-    executor: the job is refused before it runs, the snapshot and the
-    journal's bytes stay as they were, and recovery keeps every
-    entry."""
+    executor: the job is refused before it runs, the snapshot's and the
+    log's bytes stay as they were, and recovery keeps every entry."""
 
     CONFIG = PersistenceConfig()
 
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     @pytest.mark.parametrize(
         "target",
-        [CONFIG.journal_path, CONFIG.snapshot_path, CONFIG.blockstore_file(0)],
+        [CONFIG.journal_path, CONFIG.snapshot_path, CONFIG.log_file(0)],
     )
     def test_a_store_into_them_is_refused(self, executor, target):
         dfs = prepared_dfs()
@@ -604,10 +603,8 @@ class TestRepositoryFilesAreNotOutputs:
             persister.take_snapshot()
             run(GROUP_QUERY.format(out="out/2").replace("== 1", "== 2"))
             entries = sorted(e.entry_id for e in persister.repository.entries())
-            files = {
-                path: dfs.read_file(path)
-                for path in (self.CONFIG.snapshot_path, self.CONFIG.journal_path)
-            }
+            paths = (self.CONFIG.snapshot_path, persister.log.location)
+            files = {path: dfs.read_file(path) for path in paths}
             assert entries and all(files.values()), "nothing durable to guard"
             assert persister.owns(target)
 
@@ -616,16 +613,13 @@ class TestRepositoryFilesAreNotOutputs:
                     "A = load 'data/pv' as (user, action:int, revenue:double);"
                     f"store A into '{target}';"
                 )
-            snapshot, journal = (
-                dfs.read_file(path)
-                for path in (self.CONFIG.snapshot_path, self.CONFIG.journal_path)
-            )
+            snapshot, log = (dfs.read_file(path) for path in paths)
             assert snapshot == files[self.CONFIG.snapshot_path]
             # the refused submission still ticked the clock: its one
             # counters record is appended, nothing is overwritten
-            before = files[self.CONFIG.journal_path]
-            assert journal.startswith(before)
-            tail = decode_journal(journal[len(before) :])
+            before = files[persister.log.location]
+            assert log.startswith(before)
+            tail = scan_frames(log[len(before) :])
             assert [r.type for r in tail.records] == ["counters"]
         finally:
             owner.close() if executor == "serial" else owner.shutdown()

@@ -33,7 +33,7 @@ from repro.persistence.durability import (
     derive_id_floors,
     recover,
 )
-from repro.persistence.journal import JournalRecord
+from repro.persistence.framedlog import JournalRecord
 from repro.persistence.snapshot import (
     LazyPlan,
     RepositorySnapshot,
@@ -157,14 +157,14 @@ class TestValidation:
             RepositorySnapshot.from_bytes(snapshot.to_bytes())
 
     def test_older_version_refused_naming_the_supported_one(self, repository):
-        for version in (3, 4):
+        for version in (3, 4, 5):
             data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
             data[4] = version  # the header's version byte
-            with pytest.raises(SnapshotError, match="supports version 5 only"):
+            with pytest.raises(SnapshotError, match="supports version 6 only"):
                 RepositorySnapshot.from_bytes(bytes(data))
             snapshot = RepositorySnapshot.capture(repository)
             snapshot.payload["version"] = version
-            with pytest.raises(SnapshotError, match="supports version 5 only"):
+            with pytest.raises(SnapshotError, match="supports version 6 only"):
                 RepositorySnapshot.from_bytes(snapshot.to_bytes())
 
     def test_format_4_state_is_refused_not_converted(self, repository):
@@ -181,7 +181,7 @@ class TestValidation:
         body = index + snapshot.cold
         crc = zlib.crc32(body)
         header = struct.pack(">4sBIII", b"RSNP", 4, crc, len(index), len(body))
-        with pytest.raises(SnapshotError, match="supports version 5 only"):
+        with pytest.raises(SnapshotError, match="supports version 6 only"):
             ReplayTarget.from_snapshot(header + body)
 
         record = entry_record(repository.entries()[0])

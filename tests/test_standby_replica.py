@@ -12,7 +12,8 @@ import pytest
 from repo_stream import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
-from repro.persistence.blockstore import SegmentRef, verify_ref
+from repro.events import JournalAppended
+from repro.persistence.framedlog import SegmentRef, verify_ref
 from repro.persistence.durability import (
     PersistenceConfig,
     RepositoryPersister,
@@ -68,6 +69,21 @@ class TestTailing:
             manager.repository.add(entry)
         assert len(standby) == 3
         assert _surface(standby.repository) == _surface(manager.repository)
+        standby.close()
+
+    def test_catch_up_reads_only_the_new_commit(self):
+        """Tailing a commit costs the commit's bytes, not the log's."""
+        dfs = DistributedFileSystem()
+        manager = ReStoreManager(dfs)
+        persister = RepositoryPersister(manager, PersistenceConfig())
+        standby = StandbyReplica(persister)
+        added = [manager.repository.add(e) for e in _entries(3)]
+        appended = []
+        persister.events.subscribe(appended.append, event_types=(JournalAppended,))
+        before = dfs.bytes_read
+        manager.repository.remove(added[0].entry_id)
+        assert len(standby) == 2 and len(appended) == 1
+        assert dfs.bytes_read - before == appended[0].bytes < persister.log.end
         standby.close()
 
     def test_late_attaching_standby_catches_up(self, primary):
@@ -130,28 +146,31 @@ class TestPromotion:
         standby = StandbyReplica(persister)
         entries = _entries(4)
         for entry in entries:
-            dfs.write_file(entry.output_path, f"bytes:{entry.output_path}".encode())
+            # payloads that outweigh their records: the rotation finds
+            # less dead than live, and carries the refs as they are
+            payload = f"bytes:{entry.output_path}".encode() * 200
+            dfs.write_file(entry.output_path, payload)
             entry.output_extent = dfs.input_extent(entry.output_path)
         for entry in entries[:2]:
             manager.repository.add(entry)
-        blocks = persister.blockstore.size()
+        log_bytes = persister.log.size()
         persister.take_snapshot()  # by reference: the standby rebases
-        assert persister.blockstore.size() == blocks
+        assert persister.log.size() == log_bytes
         assert len(standby) == 2
         persister.note_workflow_start()  # a submission opens: stage only
         for entry in entries[2:]:
             manager.repository.add(entry)
         assert persister.buffered_records == 4 and len(standby) == 2
-        assert persister.blockstore.size() == blocks, "payload bytes are staged"
+        assert persister.log.size() == log_bytes, "payload bytes are staged"
         state = standby.promote()  # mid-submission: the drain commits
         assert _surface(state.repository) == _surface(manager.repository)
         assert persister.buffered_records == 0
-        scan = persister.blockstore.scan()
+        scan = persister.log.scan()
         assert set(state.payload_refs) == {e.output_path for e in entries}
         for path, raw in state.payload_refs.items():
             ref = SegmentRef.from_list(raw)
             assert ref == persister._payload_refs[path]
-            assert verify_ref(scan, ref, path) == f"bytes:{path}".encode()
+            assert verify_ref(scan, ref, path) == f"bytes:{path}".encode() * 200
         persister.note_workflow_end()
         standby.close()
 
