@@ -7,6 +7,16 @@ output is materialized while the original pipeline continues
 unchanged.  Each injected store corresponds to a *candidate sub-job*:
 a standalone plan from the job's Loads up to the anchored operator
 plus a Store, registered in the repository after the job executes.
+
+An anchor gets no side store when registration would refuse its output
+on the plan alone (:func:`repro.core.selector.registrable`): the store
+would be written, charged and deleted unread.  Two kinds of job are
+left uninstrumented that way.  After a delta rewrite every anchor
+downstream of the UNION that reads the appended tail reads delta
+scratch, which dies when the refresh lands.  A job that stores over one
+of its own loads registers nothing at all.  Sub-job paths
+(``restore/subjob/sjNNNNNN``) are numbered per injected store: an
+anchor that gets none takes no number.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional
 
 from repro.core.heuristics import classify_operator
+from repro.core.selector import registrable
 from repro.mapreduce.job import MapReduceJob
 from repro.pig.physical.operators import (
     PhysicalOperator,
@@ -77,6 +88,7 @@ class SubJobEnumerator:
             op
             for op in plan.topo_order()
             if classify_operator(op, plan) in self.categories
+            and registrable(plan, op)
         ]
         for anchor in anchors:
             candidate = self._inject_for(plan, anchor)

@@ -251,8 +251,7 @@ def evict(manager, entry: RepositoryEntry, policy: str) -> Optional[EntryEvicted
 def condemn(
     manager, entry: RepositoryEntry, policy: str, reason: Optional[str] = None
 ) -> None:
-    """Evict a matched entry the match stage cannot use, and make the
-    removal durable before the scan goes on.
+    """Evict a matched entry the match stage cannot use.
 
     Rejecting the match alone is not enough.  A stale entry
     (``"stale-input"``: an input was rewritten, deleted, or grew past
@@ -265,6 +264,11 @@ def condemn(
     probes and fail every future scan the same way; its removal is
     journaled as ``entry_quarantined`` so recovery and the standby
     converge on the same repository.
+
+    The removal only stages: it commits with the submission, ahead of
+    any re-registration over the same path.  A crash before that
+    commit loses the removal with the rest of the submission, and the
+    next match judges the resurrected entry afresh.
     """
     event = evict(manager, entry, policy)
     if event is None:
@@ -283,7 +287,3 @@ def condemn(
         )
         if persistence is not None:
             persistence.note_quarantine(entry.entry_id, reason)
-    if persistence is not None:
-        # the removal must hit the journal before the rerun
-        # re-registers over the same path
-        persistence.flush()

@@ -357,7 +357,9 @@ def apply_refresh(manager, job, refresh: PendingDeltaRefresh, stats) -> None:
     resubmission shape, where the probe's output path *is* the
     entry's output path) — then advance the entry's recorded
     input extents so the grown input now classifies fresh, and
-    re-stamp its output extent over the merged file.
+    re-stamp its output extent over the merged file.  The refreshed
+    entry, with the merged output's bytes, stages into the
+    submission's one commit.
     """
     dfs = manager.dfs
     try:
@@ -395,11 +397,6 @@ def apply_refresh(manager, job, refresh: PendingDeltaRefresh, stats) -> None:
                 delta_records=delta_records,
             )
         )
-        if manager.persistence is not None:
-            # the refreshed extents must reach the journal before
-            # a crash, or recovery would replay the pre-append
-            # extents and re-run the delta against a merged output
-            manager.persistence.flush()
     finally:
         with manager._lock:
             manager._refreshing.discard(refresh.entry_id)

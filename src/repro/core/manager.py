@@ -390,8 +390,7 @@ class ReStoreManager(JobListener):
         if written & set(job.load_paths):
             # the job stored over one of its own inputs: an extent read
             # now is not of the bytes it read, so it registers nothing
-            for candidate in candidates:
-                self.dfs.delete_if_exists(candidate.store_path)
+            # (and ``before_job`` injected nothing: see ``registrable``)
             return
         for candidate in candidates:
             offer_sub_job(self, candidate, stats, workflow)

@@ -109,6 +109,33 @@ SELECTORS = {"keep-all": KeepAllSelector, "rules": RuleBasedSelector}
 # -- the registration stage ---------------------------------------------------
 
 
+def registrable(plan, anchor=None) -> bool:
+    """Whether an output of *plan* — the rows *anchor* computes, or
+    with no anchor the plan's own output — could enter the repository,
+    judged from the plan alone.  :func:`register` asks it of every
+    offer; the enumerator asks it of every anchor before it writes a
+    side store, so no side store is written only to be deleted.
+
+    * The output reads delta scratch (a load under
+      :data:`~repro.core.freshness.DELTA_TMP_PREFIX` upstream of
+      *anchor*): that file dies when the refresh lands, so the entry
+      could never be recomputed.
+    * The plan stores over one of its own loads: an extent read after
+      the run is not of the bytes it read, so nothing it computes is
+      registered (the manager's ``after_job`` refuses its whole-job
+      offer on the same ground).
+    """
+    loads = plan.loads()
+    written = {op.path for op in plan.stores() if not op.side}
+    if any(op.path in written for op in loads):
+        return False
+    scratch = [op for op in loads if op.path.startswith(DELTA_TMP_PREFIX)]
+    if scratch and anchor is not None:
+        upstream = plan.upstream_closure(anchor)
+        scratch = [op for op in scratch if op.op_id in upstream]
+    return not scratch
+
+
 def offer_sub_job(manager, candidate, stats, workflow) -> None:
     """Offer one injected side store.  The file is the repository's
     own, so a refusal deletes it."""
@@ -187,14 +214,9 @@ def register(
     build the entry, ask the selector, add atomically, keep and pin
     an *owned* file, emit.  Returns whether the output was stored.
     """
-    if len(plan) <= 2:
-        return False  # trivial copy: nothing worth storing
+    if len(plan) <= 2 or not registrable(plan):
+        return False  # a trivial copy, or refused by the plan alone
     load_paths = [op.path for op in plan.loads()]
-    if any(p.startswith(DELTA_TMP_PREFIX) for p in load_paths):
-        # the plan reads delta scratch (an appended tail): that
-        # file dies when the refresh lands, so the entry could
-        # never be recomputed
-        return False
     repository = manager.repository
     if repository.find_equivalent(plan) is not None:
         return False  # duplicate computation already stored

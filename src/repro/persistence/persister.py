@@ -20,10 +20,11 @@ nothing unprovable is served.**  The argument, in one place:
   the batch stays staged, the breaker opens, a later probe lands it
   whole;
 * *commit points* — ``note_workflow_end`` (the acknowledgement: no
-  submission returns before it), the manager's ordering barriers
-  (stale-input eviction before re-registration, quarantine, refreshed
-  extents), ``close()`` and the standby's promotion drain, all through
-  ``RepositoryPersister.flush``;
+  submission returns before it), ``close()`` and the standby's
+  promotion drain, all through ``RepositoryPersister.flush``.  Inside
+  a submission nothing commits early: records land in staging order,
+  so a condemned entry's removal precedes a re-registration over its
+  path, and a refresh's extents travel with the merged output's bytes;
 * *a torn commit is harmless* — a crash mid-write tears only the log's
   tail, which recovery cuts; what survives is a prefix of the write, so
   a commit's records survive whole or not at all and only behind their

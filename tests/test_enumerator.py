@@ -4,6 +4,8 @@ import itertools
 
 from repro.core.enumerator import SubJobEnumerator
 from repro.core.heuristics import HEURISTICS
+from repro.core.manager import ReStoreConfig, ReStoreManager
+from repro.events import SubJobStored
 from repro.mapreduce.job import MapReduceJob
 from repro.pig.engine import PigServer
 from repro.pig.physical.operators import POSplit, POStore
@@ -236,3 +238,43 @@ class TestAnchorTwinMapping:
         # the tee contracts away in the clone; its mapping entry is the
         # operator that absorbed the edge (the anchor's twin)
         assert mapping[tee.op_id] is mapping[anchor.op_id]
+
+
+class TestNothingRegistrationWouldRefuse:
+    """A side store that registration would refuse on the plan alone is
+    never written."""
+
+    #: aggressive anchors a FILTER and a GROUP; the job stores over the
+    #: file it loads
+    OVERWRITE = f"""
+        A = load 'data/page_views' as ({PV});
+        B = filter A by action == 1;
+        D = group B by user;
+        E = foreach D generate group, COUNT(B);
+        store E into 'data/page_views';
+    """
+
+    def test_job_storing_over_its_input_is_not_instrumented(self, server):
+        job = compile_job(server, self.OVERWRITE)
+        assert make_enumerator("aggressive").enumerate_and_inject(job) == []
+        assert job.plan.side_stores() == []
+        # non-vacuity: the same plan storing elsewhere gets both anchors
+        other = compile_job(server, self.OVERWRITE.replace("data/page_views';", "o';"))
+        kinds = sorted(
+            c.anchor_kind
+            for c in make_enumerator("aggressive").enumerate_and_inject(other)
+        )
+        assert kinds == ["filter", "group"]
+
+    def test_storing_over_its_input_writes_and_registers_nothing(self, small_data):
+        manager = ReStoreManager(small_data, config=ReStoreConfig())
+        result = PigServer(small_data, restore=manager).run(self.OVERWRITE)
+        (stats,) = result.stats.job_stats.values()
+        assert [(s.path, s.side) for s in stats.stores] == [("data/page_views", False)]
+        assert small_data.list_paths("restore/") == []
+        assert not [e for e in result.events if isinstance(e, SubJobStored)]
+        assert len(manager.repository) == 0
+        assert small_data.read_text("data/page_views").splitlines() == [
+            "alice\t2",
+            "bob\t1",
+        ]

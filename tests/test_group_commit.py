@@ -23,6 +23,8 @@ import pytest
 
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import (
+    EntryEvicted,
+    EntryRefreshed,
     JournalAppended,
     PersistenceDegraded,
     PersistenceRecovered,
@@ -181,6 +183,44 @@ class TestFsyncCountGate:
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         assert _served(recovered.repository, fresh) == live
+
+    def _one_commit(self, session, fsyncs, script) -> list:
+        """Run *script*; require one fsync and one commit; return its
+        events."""
+        commits = []
+        session.persister.events.subscribe(
+            commits.append, event_types=(JournalAppended,)
+        )
+        fsyncs[0] = 0
+        events = session.run(script).events
+        assert fsyncs[0] == 1 and len(commits) == 1
+        live = _served(session.manager.repository, session.dfs)
+        fresh = DistributedFileSystem()
+        recovered = recover(session.persister.config, fresh)
+        assert _served(recovered.repository, fresh) == live
+        return events
+
+    def test_a_refreshing_submission_is_one_commit(self, tmp_path, fsyncs):
+        """A delta refresh stages its entry with the merged output's
+        bytes into the submission's one commit."""
+        session = ReStoreSession(persistence=_config(tmp_path))
+        _load(session.dfs)
+        session.run(_query(0, 1, 1, "out/project"))
+        session.dfs.append("data/d0", _day(DAYS, rows=20))
+        events = self._one_commit(session, fsyncs, _query(0, 1, 0, "out/sum"))
+        assert sum(isinstance(e, EntryRefreshed) for e in events) == 1
+
+    def test_a_condemning_submission_is_one_commit(self, tmp_path, fsyncs):
+        """An entry condemned at match time leaves in the submission's
+        one commit, ahead of the rerun's registration."""
+        session = ReStoreSession(persistence=_config(tmp_path))
+        _load(session.dfs)
+        session.run(_query(1, 2, 0, "out/first"))
+        session.dfs.write_file("data/d1", _day(DAYS), overwrite=True)
+        events = self._one_commit(session, fsyncs, _query(1, 2, 0, "out/again"))
+        condemned = [e for e in events if isinstance(e, EntryEvicted)]
+        assert condemned and {e.policy for e in condemned} == {"stale-input"}
+        assert any(isinstance(e, SubJobStored) for e in events)
 
 
 class TestSubmissionGranularityCrashSweep:

@@ -12,6 +12,8 @@ from repro.events import (
     EntryEvicted,
     EntryRefreshed,
     RewriteApplied,
+    SubJobDiscarded,
+    SubJobStored,
 )
 from repro.pig.engine import PigServer
 
@@ -118,6 +120,71 @@ class TestDeltaRefresh:
         assert all(
             e.input_extents["data/page_views"].size == grown for e in entries
         )
+
+
+PROJECT_Q = f"""
+A = load 'data/page_views' as ({PV});
+B = filter A by action == 1;
+C = foreach B generate user, est_revenue;
+store C into 'p_out';
+"""
+
+#: shares PROJECT_Q's filter, whose sub-job entry a delta refresh can
+#: grow, and puts a GROUP behind it
+FILTER_GROUP_Q = f"""
+A = load 'data/page_views' as ({PV});
+B = filter A by action == 1;
+D = group B by user;
+E = foreach D generate group, SUM(B.est_revenue);
+store E into 'fg_out';
+"""
+
+
+def subjob_stores(result):
+    return [
+        store.path
+        for stats in result.stats.job_stats.values()
+        for store in stats.stores
+        if store.path.startswith("restore/subjob/")
+    ]
+
+
+class TestTailBranchInjectsNothing:
+    """After a delta rewrite every anchor reads the appended tail, and
+    registration refuses whatever reads it: the probe writes no side
+    store, and decides what an instrumented probe decides."""
+
+    def probe(self, small_data, *, append):
+        server, manager = make(small_data)
+        server.run(PROJECT_Q)
+        if append:
+            small_data.append("data/page_views", TAIL)
+        entries = {e.entry_id: e.output_path for e in manager.repository}
+        return server.run(FILTER_GROUP_Q), manager, entries
+
+    def test_refreshing_probe_writes_no_side_store(self, small_data):
+        result, manager, before = self.probe(small_data, append=True)
+        assert manager.delta_refresh_count == 1
+        assert len(events_of(result, EntryRefreshed)) == 1
+        assert subjob_stores(result) == []
+        # an instrumented probe's decisions: nothing offered is stored
+        # or discarded, and the repository holds the entries it held,
+        # one of them refreshed
+        assert not events_of(result, SubJobStored)
+        assert not events_of(result, SubJobDiscarded)
+        assert {e.entry_id: e.output_path for e in manager.repository} == before
+        assert sorted(small_data.list_paths("restore/subjob/")) == sorted(
+            p for p in before.values() if p.startswith("restore/subjob/")
+        )
+        assert result.outputs["fg_out"]
+
+    def test_same_probe_without_an_append_injects(self, small_data):
+        """Non-vacuity: over an unchanged input the GROUP is a fresh
+        anchor and gets its side store."""
+        result, manager, _ = self.probe(small_data, append=False)
+        assert manager.delta_refresh_count == 0
+        assert subjob_stores(result)
+        assert events_of(result, SubJobStored)
 
 
 class TestDeltaFallback:
