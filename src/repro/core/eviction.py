@@ -262,8 +262,8 @@ def condemn(
     registered forever.  A corrupt one (``"quarantined"``, with the
     materialization error as *reason*) would keep answering index
     probes and fail every future scan the same way; its removal is
-    journaled as ``entry_quarantined`` so recovery and the standby
-    converge on the same repository.
+    journaled as ``entry_quarantined`` so recovery reaches the same
+    repository.
 
     The removal only stages: it commits with the submission, ahead of
     any re-registration over the same path.  A crash before that

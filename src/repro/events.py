@@ -235,9 +235,9 @@ class SnapshotTaken(ReStoreEvent):
     """The persister wrote a repository snapshot (replay resumes at the
     log offset it records).
 
-    Emitted on the *persister's* bus (not the manager bus): standby
-    replicas and durability tooling subscribe there, keeping the
-    manager bus a pure reuse-decision channel.
+    Emitted on the *persister's* bus (not the manager bus): durability
+    tooling subscribes there, keeping the manager bus a pure
+    reuse-decision channel.
     """
 
     path: str = ""
@@ -255,8 +255,7 @@ class SnapshotTaken(ReStoreEvent):
 class JournalAppended(ReStoreEvent):
     """The persister committed its staged batch to the log: ``records``
     mutation records, ``bytes`` every byte the commit appended, payload
-    segments included (emitted on the persister's bus; standby replicas
-    tail on it)."""
+    segments included (emitted on the persister's bus)."""
 
     path: str = ""
     records: int = 0
@@ -334,35 +333,6 @@ class WorkerKilled(ReStoreEvent):
 
     def render(self) -> str:
         return f"killed worker {self.worker} (pid {self.pid}): {self.reason}"
-
-
-@dataclass
-class CoordinatorHeartbeat(ReStoreEvent):
-    """One liveness tick of the coordinator's health channel (emitted
-    on the persister's bus; the standby watchdog counts these)."""
-
-    tick: int = 0
-
-    def render(self) -> str:
-        return f"coordinator heartbeat #{self.tick}"
-
-
-@dataclass
-class StandbyPromoted(ReStoreEvent):
-    """The warm standby became the authoritative repository after the
-    coordinator's health channel went silent."""
-
-    entries: int = 0
-    #: journal records the replica had applied at promotion
-    records_applied: int = 0
-    missed_beats: int = 0
-
-    def render(self) -> str:
-        return (
-            f"standby promoted: {self.entries} entries, "
-            f"{self.records_applied} record(s) applied, after "
-            f"{self.missed_beats} missed heartbeat(s)"
-        )
 
 
 EventTypes = Union[Type[ReStoreEvent], Tuple[Type[ReStoreEvent], ...]]

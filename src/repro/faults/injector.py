@@ -99,7 +99,7 @@ SITE_JOURNAL_APPEND = register_site(
 )
 #: log scan (bit-flip → CRC failure → frame quarantine / torn-tail cut)
 SITE_JOURNAL_READ = register_site(
-    "journal.read", "log read-back during recovery and standby tailing"
+    "journal.read", "log read-back during recovery"
 )
 #: snapshot rotation write (OSError → circuit breaker, rotation aborted)
 SITE_SNAPSHOT_WRITE = register_site(
@@ -119,10 +119,6 @@ SITE_SNAPSHOT_MATERIALIZE = register_site(
 )
 #: DFS block read (corrupted payload)
 SITE_DFS_READ = register_site("dfs.read", "DFS file read (file payload)")
-#: coordinator liveness channel (suppress → standby promotion)
-SITE_COORDINATOR_HEARTBEAT = register_site(
-    "coordinator.heartbeat", "coordinator health heartbeat tick"
-)
 
 
 @dataclass
@@ -154,20 +150,13 @@ class FaultInjector:
         self.clock = FaultClock()
         #: (site, when, worker, hit, action) per firing — the replay log
         self.fired: List[Tuple[str, str, int, int, str]] = []
-        self._revived: set = set()
         self._lock = threading.Lock()
         unknown = [s for s in plan.sites() if s not in _SITES]
         if unknown:
             raise ValueError(f"plan names unregistered sites: {unknown}")
 
-    def revive(self, site: str) -> None:
-        """Permanently disarm *site* (e.g. after failover replaced the
-        entity the sticky rule was killing)."""
-        with self._lock:
-            self._revived.add(site)
-
     def reset(self) -> None:
-        """Zero every clock, the fired log, and the revived set.
+        """Zero every clock and the fired log.
 
         Reusing one injector across seeds or bench lanes without a
         reset lets hit counters bleed between runs — rules scheduled
@@ -178,15 +167,12 @@ class FaultInjector:
         with self._lock:
             self.clock = FaultClock()
             self.fired.clear()
-            self._revived.clear()
 
     def _match(self, site: str, when: str, worker: int) -> Optional[
         Tuple[FaultRule, int]
     ]:
         with self._lock:
             hit = self.clock.tick(site, when)
-            if site in self._revived:
-                return None
             for rule in self.plan.for_site(site):
                 if rule.matches(hit, when, worker):
                     self.fired.append((site, when, worker, hit, rule.action))
@@ -288,7 +274,6 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "PartialWriteFault",
-    "SITE_COORDINATOR_HEARTBEAT",
     "SITE_DFS_READ",
     "SITE_JOURNAL_APPEND",
     "SITE_JOURNAL_READ",

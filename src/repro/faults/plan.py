@@ -12,8 +12,8 @@ a log the tests compare across replays.
 Two plan builders cover the common shapes:
 
 * :func:`storm_plan` — the bench's seeded fault storm (worker crash,
-  worker hang, a journal-error window, one entry corruption, one
-  coordinator kill), with every hit number drawn from the seed;
+  worker hang, a journal-error window), with every hit number drawn
+  from the seed;
 * hand-written plans in tests, one rule per scenario.
 
 Worker-side rules target a worker *ordinal* (the pool's spawn
@@ -42,9 +42,8 @@ class FaultRule:
     ``hits`` are 1-based per-site invocation numbers (per worker
     ordinal for worker-side sites); the rule fires when the site's
     clock reaches any of them.  ``sticky`` rules keep firing on every
-    hit at or past their first scheduled one until the injector
-    revives the site — that is how a dead coordinator stays dead until
-    failover replaces it.
+    hit at or past their first scheduled one (a site that stays
+    broken).
     """
 
     site: str
@@ -120,12 +119,11 @@ class StormSpec:
 def storm_plan(spec: Optional[StormSpec] = None) -> FaultPlan:
     """The bench's seeded fault storm.
 
-    One worker crash, one worker hang, a journal-error window (the
-    circuit breaker trips, then recovers on probe), and one sticky
-    coordinator kill late in the run — ordered so the journal is whole
-    again *before* the coordinator dies, which is what makes the
-    promotion lossless.  Entry corruption is injected separately (it
-    targets a specific entry's cold bytes, not a site clock).
+    One worker crash, one worker hang and a journal-error window (the
+    circuit breaker trips, then recovers on probe).  Entry corruption
+    is injected separately (it targets a specific entry's cold bytes,
+    not a site clock), and so is a coordinator restart (it is a new
+    service, not a fault at a site).
     """
     spec = spec or StormSpec()
     rng = random.Random(spec.seed)
@@ -136,10 +134,6 @@ def storm_plan(spec: Optional[StormSpec] = None) -> FaultPlan:
         "worker.result", crash_hit + 1 + rng.randint(1, 2)
     )
     journal_hit = spec.pinned.get("journal.append", rng.randint(1, 3))
-    # the kill lands in the last third, after the breaker recovered
-    kill_hit = spec.pinned.get(
-        "coordinator.heartbeat", span - rng.randint(1, max(1, span // 6))
-    )
     ordinal = spec.worker_ordinals[0]
     rules = (
         FaultRule(
@@ -162,13 +156,6 @@ def storm_plan(spec: Optional[StormSpec] = None) -> FaultPlan:
             action="raise",
             hits=tuple(range(journal_hit, journal_hit + spec.journal_error_hits)),
             when="before",
-        ),
-        FaultRule(
-            site="coordinator.heartbeat",
-            action="suppress",
-            hits=(kill_hit,),
-            when="before",
-            sticky=True,
         ),
     )
     return FaultPlan(seed=spec.seed, rules=rules)

@@ -25,10 +25,9 @@ and fast to recover:
   under the durability contract its module docstring states;
 * :mod:`repro.persistence.durability` — crash :func:`recover`: load the
   snapshot, replay the log from the offset it names, scrub every
-  payload, and adopt the result into a live manager;
-* :mod:`repro.persistence.standby` — an in-memory warm standby that
-  tails the log via the persister's :class:`~repro.events.EventBus`
-  and can be promoted with zero lost reuse opportunities.
+  payload, and adopt the result into a live manager.  Coordinator
+  loss is a restart: a new session or service over the same
+  :class:`PersistenceConfig` runs it.
 
 Quick start::
 
@@ -53,7 +52,6 @@ from repro.persistence.snapshot import (
     RepositorySnapshot,
     SnapshotError,
 )
-from repro.persistence.standby import StandbyReplica
 
 __all__ = [
     "JournalRecord",
@@ -62,6 +60,5 @@ __all__ = [
     "RepositoryPersister",
     "RepositorySnapshot",
     "SnapshotError",
-    "StandbyReplica",
     "recover",
 ]

@@ -41,7 +41,7 @@ from repro.persistence.storage import PersistenceConfig
 
 @dataclass
 class RecoveredState:
-    """Everything :func:`recover` (or a standby promotion) hands back."""
+    """Everything :func:`recover` hands back."""
 
     repository: Repository
     kept_paths: Set[str] = field(default_factory=set)
@@ -84,10 +84,10 @@ class RecoveredState:
 class ReplayTarget:
     """Mutable state a record replay folds records into.
 
-    The one replay pipeline — :meth:`from_snapshot`, :meth:`apply_all`,
-    :meth:`finish` — shared by crash recovery and the standby replica.
-    Replay is idempotent: every handler is a no-op or a max-merge when
-    its effect is already present.
+    The replay pipeline of :func:`recover` — :meth:`from_snapshot`,
+    :meth:`apply_all`, :meth:`finish`.  Replay is idempotent: every
+    handler is a no-op or a max-merge when its effect is already
+    present.
     """
 
     def __init__(self, repository: Repository) -> None:
@@ -104,14 +104,11 @@ class ReplayTarget:
         self.snapshot_entries = 0
 
     @classmethod
-    def from_snapshot(cls, snapshot) -> "ReplayTarget":
-        """The replay's starting state: *snapshot* (a
-        :class:`RepositorySnapshot`, its encoded bytes, or ``None`` /
-        empty for "no snapshot yet") restored, or an empty repository."""
-        if not isinstance(snapshot, RepositorySnapshot):
-            if not snapshot:
-                return cls(Repository())
-            snapshot = RepositorySnapshot.from_bytes(bytes(snapshot))
+    def from_snapshot(cls, snapshot: Optional[RepositorySnapshot]) -> "ReplayTarget":
+        """The replay's starting state: *snapshot* restored, or an empty
+        repository for ``None`` (no snapshot yet)."""
+        if snapshot is None:
+            return cls(Repository())
         target = cls(snapshot.restore_repository())
         manager_state = snapshot.manager_state
         target.kept_paths.update(manager_state.get("kept_paths", ()))
@@ -451,9 +448,9 @@ def announce_scrub_condemnations(manager, recovered: RecoveredState) -> None:
 def adopt_recovered(
     manager, state: RecoveredState, config: PersistenceConfig
 ) -> RepositoryPersister:
-    """Make *state* (from :func:`recover` or a standby promotion) the
-    live state of *manager* — already built over ``state.repository`` —
-    and return its attached persister.
+    """Make *state* (from :func:`recover`) the live state of *manager*
+    — already built over ``state.repository`` — and return its attached
+    persister.
 
     Kept paths, clock and id floors land before the persister
     subscribes, so nothing already durable is journaled again; the

@@ -20,8 +20,8 @@ nothing unprovable is served.**  The argument, in one place:
   the batch stays staged, the breaker opens, a later probe lands it
   whole;
 * *commit points* — ``note_workflow_end`` (the acknowledgement: no
-  submission returns before it), ``close()`` and the standby's
-  promotion drain, all through ``RepositoryPersister.flush``.  Inside
+  submission returns before it) and ``close()``, both through
+  ``RepositoryPersister.flush``.  Inside
   a submission nothing commits early: records land in staging order,
   so a condemned entry's removal precedes a re-registration over its
   path, and a refresh's extents travel with the merged output's bytes;
@@ -88,8 +88,8 @@ class RepositoryPersister:
     acknowledgement makes the others' records durable early).  Lock
     order: manager → repository → io → buffer → dfs.  The
     persister's own :class:`EventBus` (``events``) carries
-    :class:`JournalAppended`/:class:`SnapshotTaken` so standby
-    replicas never touch the manager bus.
+    :class:`JournalAppended`/:class:`SnapshotTaken`, so durability
+    tooling never touches the manager bus.
     """
 
     #: circuit breaker: while open, only every N-th flush attempt
@@ -296,7 +296,7 @@ class RepositoryPersister:
         propagating: the batch stays in ``_backlog``, a
         :class:`PersistenceDegraded` says so, and only every
         ``PROBE_EVERY``-th attempt probes storage (*force* skips the
-        gating: close, promotion) until one lands the backlog whole
+        gating: close) until one lands the backlog whole
         and emits :class:`PersistenceRecovered`.
         """
         pending: List = []

@@ -12,9 +12,8 @@ module supplies the two places those bytes can live:
   process invocations.
 
 Both expose the same small surface: ``exists``/``size``/``read`` for
-recovery, ``read_range`` for the standby's tail, ``write`` for the
-snapshot (full replace), ``append`` for the log, ``truncate`` for
-cutting a torn tail, and ``close``.
+recovery, ``write`` for the snapshot (full replace), ``append`` for
+the log, ``truncate`` for cutting a torn tail, and ``close``.
 Individual operations are atomic at the backend's granularity (one
 DFS call under its lock; one file syscall), which is all the framing
 layer needs — it tolerates torn *tails*, not torn frames.
@@ -85,11 +84,6 @@ class LocalStorage:
     def read(self) -> bytes:
         return self.path.read_bytes()
 
-    def read_range(self, start: int, end: int) -> bytes:
-        with open(self.path, "rb") as handle:
-            handle.seek(start)
-            return handle.read(max(0, end - start))
-
     def write(self, data: bytes) -> None:
         """Replace the whole file: write-temp, fsync the temp, rename
         over the target, fsync the directory — a crash at any point
@@ -159,9 +153,6 @@ class DFSStorage:
 
     def read(self) -> bytes:
         return self.dfs.read_file(self.path)
-
-    def read_range(self, start: int, end: int) -> bytes:
-        return self.dfs.read_range(self.path, start, end)
 
     def write(self, data: bytes) -> None:
         self.dfs.write_file(self.path, data, overwrite=True)

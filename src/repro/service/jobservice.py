@@ -71,11 +71,9 @@ from repro.core.repository import Repository
 from repro.costmodel.model import CostModel
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import (
-    CoordinatorHeartbeat,
     EntryQuarantined,
     PersistenceDegraded,
     ReStoreEvent,
-    StandbyPromoted,
     WorkerKilled,
 )
 from repro.faults import injector as faults
@@ -90,7 +88,6 @@ from repro.persistence.durability import (
     adopt_recovered,
     recover,
 )
-from repro.persistence.standby import StandbyReplica
 from repro.service.procpool import (
     ProcessWorkerPool,
     WorkerCrashed,
@@ -107,9 +104,6 @@ EXECUTORS = ("threads", "processes")
 #: tenants yet replay identically
 BACKOFF_BASE_S = 0.02
 BACKOFF_CAP_S = 1.0
-#: standby watchdog: consecutive missed coordinator heartbeats before
-#: the warm replica is promoted into a fresh manager
-HEARTBEAT_MISSES = 2
 
 
 @dataclass
@@ -128,8 +122,6 @@ class ServiceStats:
     timeouts: int = 0
     #: repository entries evicted for failing to materialize
     quarantined_entries: int = 0
-    #: standby replicas promoted into a fresh coordinator manager
-    promotions: int = 0
     #: persistence circuit-breaker trips (journal/snapshot write
     #: failures that degraded to buffered-in-memory mode)
     breaker_trips: int = 0
@@ -311,10 +303,7 @@ class JobService:
       fresh worker after its worker crashed, hung or garbled its reply
       (0 = fail fast);
     * ``exchange_timeout`` — process mode: seconds to wait for a
-      worker's reply before declaring it hung (None = block forever);
-    * ``standby`` — keep a journal-tailing :class:`StandbyReplica` warm
-      and promote it when the heartbeat goes silent (needs
-      ``persistence=``).
+      worker's reply before declaring it hung (None = block forever).
 
     All of them are checked before any thread or process starts.  With
     1 worker (thread or process) the service degenerates to a
@@ -334,7 +323,6 @@ class JobService:
         max_workers: int = 4,
         retries: int = 1,
         exchange_timeout: Optional[float] = 30.0,
-        standby: bool = False,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -348,11 +336,6 @@ class JobService:
             raise ValueError(
                 "exchange_timeout must be positive seconds (or None to "
                 "block forever)"
-            )
-        if standby and persistence is None:
-            raise ValueError(
-                "standby=True needs persistence= (the warm replica "
-                "tails the persister's journal)"
             )
         self.executor = executor
         self.max_workers = max_workers
@@ -411,19 +394,12 @@ class JobService:
         self._session_counter = 0
         self._closed = False
         self.stats = ServiceStats()
-        self._persistence_config = persistence
-        #: the warm replica (standby=True), swapped on promotion
-        self.standby: Optional[StandbyReplica] = None
-        self._heartbeat_tick = 0
-        self._missed_beats = 0
         self._wire_resilience()
-        if standby:
-            self.standby = StandbyReplica(self.persister)
 
     def _wire_resilience(self) -> None:
         """Fold resilience events into the service counters (the
         manager bus for quarantines, the persister bus for breaker
-        trips); re-run against the fresh manager after a promotion."""
+        trips)."""
 
         def _count_quarantine(event) -> None:
             with self._lock:
@@ -553,7 +529,6 @@ class JobService:
             self.stats.completed += 1
             sid = handle.session_id
             self.stats.per_session[sid] = self.stats.per_session.get(sid, 0) + 1
-        self._heartbeat()
         return result
 
     # -- self-healing ------------------------------------------------------------
@@ -566,89 +541,6 @@ class JobService:
         delay = min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S)
         jitter = random.Random(f"{session_id}:{attempt}").uniform(0.0, BACKOFF_BASE_S)
         time.sleep(min(delay + jitter, BACKOFF_CAP_S))
-
-    def _heartbeat(self) -> None:
-        """One coordinator liveness tick, taken after every completed
-        job.  The tick routes through the "coordinator.heartbeat"
-        injection site; a suppressed beat (the harness's stand-in for a
-        dead coordinator) advances the missed-beat counter, and
-        :data:`HEARTBEAT_MISSES` consecutive misses trigger the standby
-        promotion.  A no-op unless standby mode is on.
-        """
-        if self.standby is None:
-            return
-        with self._lock:
-            self._heartbeat_tick += 1
-            tick = self._heartbeat_tick
-        beat = faults.fire("coordinator.heartbeat", data=tick)
-        if beat is None:
-            with self._lock:
-                self._missed_beats += 1
-                missed = self._missed_beats
-            if missed >= HEARTBEAT_MISSES:
-                self.promote_standby(missed_beats=missed)
-            return
-        with self._lock:
-            self._missed_beats = 0
-        if self.persister is not None:
-            self.persister.events.emit(CoordinatorHeartbeat(tick=tick))
-
-    def promote_standby(self, *, missed_beats: int = 0):
-        """Fail over to the warm replica: the standby's caught-up state
-        becomes a fresh manager + persister, and every open tenant
-        session is re-wired onto it.
-
-        The promoted state contains every mutation the old coordinator
-        ever journaled (``StandbyReplica.promote`` flushes the primary
-        and catches up through the final record), so no entry is lost
-        and none duplicates — recovery and the replica replay the same
-        idempotent log.  Returns the :class:`StandbyPromoted` event, or
-        ``None`` when no standby is armed.
-        """
-        with self._lock:
-            standby = self.standby
-            if standby is None:
-                return None
-            self.standby = None  # single promotion in flight
-        state = standby.promote()
-        standby.close()
-        # a standby is only ever armed beside a persister
-        self.persister.close()
-        manager = ReStoreManager(
-            self.dfs,
-            cost_model=self.cost_model,
-            repository=state.repository,
-            config=self.config,
-        )
-        # the promoted state carries the replica's payload-ref table, so
-        # the new persister resumes payload dedup where the old
-        # coordinator left off
-        persister = adopt_recovered(manager, state, self._persistence_config)
-        with self._lock:
-            self.manager = manager
-            self.persister = persister
-            for handle in self._sessions.values():
-                session = handle.session
-                session.manager = manager
-                session.server.restore = manager
-                session._events = manager.events
-            self.stats.promotions += 1
-            self._missed_beats = 0
-        self._wire_resilience()
-        # re-arm: the new coordinator gets its own warm replica, and
-        # the harness's suppressed heartbeat site comes back to life
-        # (the old coordinator entity is gone)
-        injector = faults.active()
-        if injector is not None:
-            injector.revive("coordinator.heartbeat")
-        self.standby = StandbyReplica(persister)
-        event = StandbyPromoted(
-            entries=len(state.repository),
-            records_applied=state.journal_records,
-            missed_beats=missed_beats,
-        )
-        persister.events.emit(event)
-        return event
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -689,8 +581,6 @@ class JobService:
                 handle.session.close()
             if self._pool is not None:
                 self._pool.stop()
-            if self.standby is not None:
-                self.standby.close()
             if self.persister is not None:
                 self.persister.close()
 

@@ -237,7 +237,6 @@ KNOB_LEDGER = {
             "max_workers",
             "retries",
             "exchange_timeout",
-            "standby",
         },
     ),
     "ReStoreManager": (

@@ -404,6 +404,38 @@ class TestRotationByReference:
         assert recovered.journal_records == 2  # the re-add: payload + entry
         assert fresh.read_file(more.output_path) == _payload_for(more.output_path)
 
+    def test_close_mid_submission_commits_staged_payload_bytes(self, tmp_path):
+        """A close while a submission is open (a coordinator going away
+        mid-stream) commits the staged payload *bytes*, not only their
+        records: the restart's recovery verifies every ref, the ones
+        the rotation carried by reference included."""
+        dfs, config, manager, persister = _persister(tmp_path)
+        specs = generate_entry_specs(4, seed=SEED)
+        entries = build_repository(specs, seed=SEED).entries()
+        for entry in entries:
+            dfs.write_file(entry.output_path, _payload_for(entry.output_path))
+            entry.output_extent = dfs.input_extent(entry.output_path)
+        for entry in entries[:2]:
+            manager.repository.add(entry)
+        persister.take_snapshot()  # by reference: the refs stay in g0
+        log_bytes = persister.log.size()
+        persister.note_workflow_start()  # a submission opens: stage only
+        for entry in entries[2:]:
+            manager.repository.add(entry)
+        assert persister.buffered_records == 4
+        assert persister.log.size() == log_bytes, "payload bytes are staged"
+        persister.close()
+        assert persister.buffered_records == 0
+        fresh = DistributedFileSystem()
+        recovered = recover(config, fresh)
+        assert recovered.payloads_condemned == []
+        assert set(recovered.payload_refs) == {e.output_path for e in entries}
+        assert {e.entry_id for e in recovered.repository.entries()} == {
+            e.entry_id for e in entries
+        }
+        for entry in entries:
+            assert fresh.read_file(entry.output_path) == _payload_for(entry.output_path)
+
     def test_persister_without_recovered_state_appends_where_recovery_reads(
         self, tmp_path
     ):
@@ -550,7 +582,7 @@ class TestRotationByReference:
 
 
 class TestInjectorHygiene:
-    def test_reset_zeroes_clocks_fired_and_revived(self):
+    def test_reset_zeroes_clocks_and_fired(self):
         plan = FaultPlan(
             seed=SEED,
             rules=(FaultRule(site="journal.read", action="raise"),),
@@ -559,7 +591,6 @@ class TestInjectorHygiene:
         with pytest.raises(InjectedFault):
             injector.fire("journal.read")
         injector.fire("journal.read")  # hit 2: rule spent
-        injector.revive("journal.read")
         assert injector.fired and injector.clock.hits("journal.read") == 2
         injector.reset()
         assert not injector.fired

@@ -1,15 +1,15 @@
 """A seeded fault storm against the self-healing JobService, held
 differentially against a fault-free twin.
 
-Two identical single-worker process-mode services — standby armed,
-retries budgeted, exchange timeout set — recover the same seeded
-repository from the same snapshot and drive the same probe stream.
-One runs clean (the baseline); the other runs under
+Two identical single-worker process-mode services — retries
+budgeted, exchange timeout set — recover the same seeded repository
+from the same snapshot and drive the same probe stream.  One runs
+clean (the baseline); the other runs under
 :func:`~repro.faults.plan.storm_plan` plus one entry-corruption rule:
 a worker crash, a hung worker, a journal-error window (circuit breaker
 trips then recovers on probe), one unreadable stored plan
-(quarantined), and a sticky coordinator kill late in the run (the
-standby promotes).
+(quarantined), and a coordinator restart late in the run (the service
+closes and a new one recovers from the same files).
 
 The differential only means something if the baseline *decides*: every
 ``hit``/``variant`` probe must be rewritten, and no entry may be
@@ -21,6 +21,7 @@ Seeds default to 13; set ``CHAOS_SEED`` to sweep another timeline.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -58,6 +59,11 @@ RETRIES = 3
 #: the liveness bound's per-attempt allowance for the service's retry
 #: backoff sleep
 RETRY_SLEEP_S = 0.2
+#: the storm lane's coordinator restarts after this probe: in the
+#: stream's last sixth, after the journal-error window
+RESTART_AFTER = N_JOBS - random.Random(SEED).randint(1, N_JOBS // 6)
+#: the service counters a lane sums over its services
+STAT_KEYS = ("retried", "timeouts", "quarantined_entries", "breaker_trips")
 
 
 @dataclass
@@ -89,29 +95,48 @@ def _entry_ids(repository) -> List[str]:
     return sorted(entry.entry_id for entry in repository.entries())
 
 
+def _start(dfs, persistence: PersistenceConfig):
+    """One self-healing service over *dfs*, recovered from
+    *persistence*: (service, tenant session, recovery events)."""
+    service = JobService(
+        dfs=dfs,
+        persistence=persistence,
+        config=probe_config(),
+        executor="processes",
+        max_workers=1,
+        retries=RETRIES,
+        exchange_timeout=EXCHANGE_TIMEOUT_S,
+    )
+    recoveries = service.persister.events.collect(event_types=PersistenceRecovered)
+    return service, service.open_session("storm"), recoveries
+
+
+def _stop(service, recoveries, lane: Lane) -> None:
+    """Shut *service* down and add its counters to *lane*'s."""
+    service.shutdown(wait=True)
+    for key in STAT_KEYS:
+        lane.stats[key] = lane.stats.get(key, 0) + getattr(service.stats, key)
+    lane.persistence_recoveries += len(recoveries)
+
+
 def _run_lane(
-    label: str, persistence: PersistenceConfig, plan: Optional[FaultPlan]
+    label: str,
+    persistence: PersistenceConfig,
+    plan: Optional[FaultPlan],
+    restart_after: int = 0,
 ) -> Lane:
-    """Drive the probe stream through one self-healing service."""
-    lane = Lane()
+    """Drive the probe stream through one self-healing service, or,
+    with *restart_after*, through two: the first closes after that
+    probe and its successor recovers from the same files."""
+    lane = Lane(stats={"restarts": 0})
     dfs = DistributedFileSystem()
     prepare_service_dfs(dfs, ENTRY_SPECS, PROBE_SPECS)
     if plan is not None:
         faults.install(FaultInjector(plan))
     try:
-        service = JobService(
-            dfs=dfs,
-            persistence=persistence,
-            config=probe_config(),
-            executor="processes",
-            max_workers=1,
-            retries=RETRIES,
-            exchange_timeout=EXCHANGE_TIMEOUT_S,
-            standby=True,
-        )
-        recoveries = service.persister.events.collect(event_types=PersistenceRecovered)
-        session = service.open_session("storm")
-        for builder in service_workload(PROBE_SPECS, f"storm/{label}"):
+        service, session, recoveries = _start(dfs, persistence)
+        workload = service_workload(PROBE_SPECS, f"storm/{label}")
+        for number, builder in enumerate(workload, 1):
             started = time.perf_counter()
             outcome = session.submit_workflow(builder()).result(timeout=120)
             lane.latencies_s.append(time.perf_counter() - started)
@@ -121,20 +146,15 @@ def _run_lane(
                     lane.quarantined[event.entry_id] = event.output_path
                 elif isinstance(event, EntryEvicted):
                     lane.stale_evictions += event.policy == "stale-input"
+            if number == restart_after:
+                _stop(service, recoveries, lane)
+                lane.stats["restarts"] += 1
+                service, session, recoveries = _start(dfs, persistence)
         lane.final_ids = _entry_ids(service.repository)
-        stats = service.stats
-        lane.stats = {
-            "retried": stats.retried,
-            "timeouts": stats.timeouts,
-            "quarantined_entries": stats.quarantined_entries,
-            "promotions": stats.promotions,
-            "breaker_trips": stats.breaker_trips,
-        }
         lane.breaker_open_at_end = service.persister.breaker_open
-        lane.persistence_recoveries = len(recoveries)
         if plan is not None:
             lane.fired = list(faults.active().fired)
-        service.shutdown(wait=True)
+        _stop(service, recoveries, lane)
     finally:
         faults.uninstall()
     lane.recovered_ids = _entry_ids(recover(persistence).repository)
@@ -156,8 +176,11 @@ def lanes(tmp_path_factory):
     )
     seed_dir = seed_state(workdir, ENTRY_SPECS, SEED)
     return tuple(
-        _run_lane(label, lane_dir(workdir, label, seed_dir), plan)
-        for label, plan in (("baseline", None), ("storm", storm))
+        _run_lane(label, lane_dir(workdir, label, seed_dir), plan, restart)
+        for label, plan, restart in (
+            ("baseline", None, 0),
+            ("storm", storm, RESTART_AFTER),
+        )
     )
 
 
@@ -208,15 +231,15 @@ class TestStormLane:
 
     def test_every_self_healing_path_ran(self, lanes):
         _, storm = lanes
-        assert storm.stats["promotions"] == 1
+        assert storm.stats["restarts"] == 1
         assert storm.stats["quarantined_entries"] == 1
         assert storm.stats["timeouts"] >= 1
         assert storm.stats["retried"] >= 2
         assert storm.stats["breaker_trips"] >= 1
         assert storm.persistence_recoveries >= 1
         assert not storm.breaker_open_at_end
-        # the corruption, the journal window (two hits) and the kill
-        assert len(storm.fired) >= 4
+        # the corruption and the journal window (two hits)
+        assert len(storm.fired) >= 3
 
     def test_storm_stays_inside_the_liveness_bound(self, lanes):
         """A broken exchange timeout (the hung worker sleeping its

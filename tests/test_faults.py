@@ -12,9 +12,9 @@ Covers the chaos surface end to end:
   on journal errors and recovers on its probe flush with nothing lost;
 * an unreadable stored plan is quarantined, journaled, and stays gone
   across recoveries while the probe is served as a miss;
-* a suppressed coordinator heartbeat promotes the warm standby and the
-  failed-over service finishes the stream with the fault-free twin's
-  decisions;
+* coordinator loss is a restart: the service closes mid-stream, a new
+  one recovers from the same persistence config, and the stream
+  finishes with the fault-free twin's decisions;
 * ``shutdown(wait=False)`` kills a hung worker within a bound and
   surfaces the kill as a typed :class:`WorkerKilled` event;
 * torn-tail journal repair fsyncs after truncating (the repair cannot
@@ -120,7 +120,6 @@ class TestPlansAndRules:
             "worker.job",
             "worker.result",
             "journal.append",
-            "coordinator.heartbeat",
         ):
             assert site in sites
 
@@ -142,8 +141,8 @@ class TestInjectorDeterminism:
                 observed.append(injector.fire("journal.append", data=b"abc"))
             except InjectedFault as exc:
                 observed.append(("raised", exc.site, exc.hit))
-        observed.append(injector.fire("coordinator.heartbeat", data=7))
-        observed.append(injector.fire("coordinator.heartbeat", data=8))
+        observed.append(injector.fire("dfs.read", data=7))
+        observed.append(injector.fire("dfs.read", data=8))
         return list(injector.fired), observed
 
     def _plan(self) -> FaultPlan:
@@ -151,11 +150,7 @@ class TestInjectorDeterminism:
             seed=SEED,
             rules=(
                 FaultRule(site="journal.append", action="raise", hits=(2, 3)),
-                FaultRule(
-                    site="coordinator.heartbeat",
-                    action="suppress",
-                    hits=(2,),
-                ),
+                FaultRule(site="dfs.read", action="suppress", hits=(2,)),
             ),
         )
 
@@ -168,7 +163,7 @@ class TestInjectorDeterminism:
         assert observed[0] == b"abc"  # hit 1 passes through
         assert observed[1][0] == "raised"
         assert observed[-2] == 7  # hit 1 passes through
-        assert observed[-1] is None  # hit 2: suppressed beat
+        assert observed[-1] is None  # hit 2: suppressed read
 
     def test_corrupt_flips_one_byte_and_garbles_non_bytes(self):
         plan = FaultPlan(
@@ -181,22 +176,6 @@ class TestInjectorDeterminism:
         assert injector.fire("dfs.read", data={"k": 1}) is GARBLED
         # past its scheduled hits the site is clean again
         assert injector.fire("dfs.read", data=b"xyz") == b"xyz"
-
-    def test_revive_silences_a_sticky_site(self):
-        plan = FaultPlan(
-            rules=(
-                FaultRule(
-                    site="coordinator.heartbeat",
-                    action="suppress",
-                    hits=(1,),
-                    sticky=True,
-                ),
-            )
-        )
-        injector = FaultInjector(plan)
-        assert injector.fire("coordinator.heartbeat", data=1) is None
-        injector.revive("coordinator.heartbeat")
-        assert injector.fire("coordinator.heartbeat", data=2) == 2
 
     def test_module_fast_path_without_injector(self):
         assert faults.active() is None
@@ -407,15 +386,17 @@ class TestQuarantine:
         assert recovered_ids == live
 
 
-class TestStandbyPromotion:
-    def _run_stream(self, tmp_path, label: str, plan):
+class TestCoordinatorRestart:
+    def _run_stream(self, tmp_path, label: str, restart_after: int = 0):
+        """The probe stream through one service, or, with
+        *restart_after*, through a service that closes after that
+        probe and a successor that recovers from the same config."""
         entry_specs, config = _seeded_lane(tmp_path, label, FULL_GRID_ENTRIES)
         probe_specs = generate_probe_specs(entry_specs, 6, SEED)
         dfs = DistributedFileSystem()
         prepare_service_dfs(dfs, entry_specs, probe_specs)
-        if plan is not None:
-            faults.install(FaultInjector(plan))
-        try:
+
+        def start():
             service = JobService(
                 dfs=dfs,
                 persistence=config,
@@ -424,45 +405,28 @@ class TestStandbyPromotion:
                 max_workers=1,
                 retries=2,
                 exchange_timeout=10.0,
-                standby=True,
             )
-            session = service.open_session("tenant")
-            decisions = []
-            for builder in service_workload(probe_specs, f"{label}/out"):
-                outcome = session.submit_workflow(builder()).result(timeout=60)
-                decisions.append(outcome.decisions)
-            promotions = service.stats.promotions
-            standby_armed = service.standby is not None
-            final_ids = sorted(
-                e.entry_id for e in service.repository.entries()
-            )
-            service.shutdown(wait=True)
-        finally:
-            if plan is not None:
-                faults.uninstall()
-        return decisions, promotions, standby_armed, final_ids, config
+            return service, service.open_session("tenant")
 
-    def test_missed_heartbeats_promote_and_decisions_match_fault_free(
-        self, tmp_path
-    ):
-        kill_plan = FaultPlan(
-            seed=SEED,
-            rules=(
-                FaultRule(
-                    site="coordinator.heartbeat",
-                    action="suppress",
-                    hits=(2,),
-                    sticky=True,
-                ),
-            ),
-        )
-        clean = self._run_stream(tmp_path / "clean", "clean", None)
-        stormy = self._run_stream(tmp_path / "kill", "kill", kill_plan)
+        service, session = start()
+        decisions = []
+        workload = service_workload(probe_specs, f"{label}/out")
+        for number, builder in enumerate(workload, 1):
+            outcome = session.submit_workflow(builder()).result(timeout=60)
+            decisions.append(outcome.decisions)
+            if number == restart_after:
+                service.shutdown(wait=True)
+                service, session = start()
+        final_ids = sorted(e.entry_id for e in service.repository.entries())
+        service.shutdown(wait=True)
+        return decisions, final_ids, config
 
-        assert clean[1] == 0 and stormy[1] == 1, "exactly one promotion"
-        assert stormy[2], "a fresh standby re-arms after promotion"
-        assert stormy[0] == clean[0], (
-            "the failed-over service must make the fault-free decisions"
+    def test_restart_mid_stream_makes_the_uninterrupted_decisions(self, tmp_path):
+        clean = self._run_stream(tmp_path / "clean", "clean")
+        restarted = self._run_stream(tmp_path / "restart", "restart", 2)
+
+        assert restarted[0] == clean[0], (
+            "the restarted service must make the uninterrupted decisions"
         )
         # ... and compare decisions, not empty tuples: every probe
         # that is not a miss is rewritten, at least half of them are
@@ -472,9 +436,9 @@ class TestStandbyPromotion:
         decided = [bool(lines) for lines in clean[0]]
         assert decided == [spec.kind != "miss" for spec in probe_specs]
         assert sum(decided) * 2 >= len(decided)
-        assert stormy[3] == clean[3]
-        # the promoted lane's durable state survives a restart too
-        assert _entry_ids(stormy[4]) == stormy[3]
+        assert restarted[1] == clean[1]
+        # the restarted lane's durable state survives another restart
+        assert _entry_ids(restarted[2]) == restarted[1]
 
 
 class TestShutdownKillsHungWorkers:

@@ -135,7 +135,7 @@ class TestFsyncCountGate:
         def on_commit(event) -> None:
             log = persister.log
             if event.path == log.location:  # not a compaction's old generation
-                data = log.storage.read_range(log.end - event.bytes, log.end)
+                data = log.storage.read()[log.end - event.bytes : log.end]
                 bodies = scan_frames(data).frames.values()
                 joint.append({type(body) for _, body in bodies} == BOTH)
 

@@ -41,7 +41,7 @@ from test_framedlog import JOURNAL, TornWriteSweep
 
 def replay(snapshot, records) -> Repository:
     """The repository a journal replay of *records* over *snapshot*
-    reaches (the pipeline recovery and the standby run)."""
+    reaches (the pipeline recovery runs)."""
     target = ReplayTarget.from_snapshot(snapshot)
     target.apply_all(records)
     return target.repository
@@ -275,6 +275,14 @@ class TestLivePersisterCrash:
         # past the snapshot's offset: per add, one payload_stored record
         # (the segment ref) + the entry_added record
         assert recovered.journal_records == 4
+
+    def test_kept_path_removals_replay(self, tmp_path):
+        dfs, config, manager, persister = self._manager(tmp_path)
+        persister.note_kept_path("tmp/s1/sj1", True)
+        persister.note_kept_path("tmp/s1/sj2", True)
+        persister.note_kept_path("tmp/s1/sj1", False)
+        persister.flush()
+        assert recover(config).kept_paths == {"tmp/s1/sj2"}
 
     def test_counters_record_restores_dfs_floors(self, tmp_path):
         dfs, config, manager, persister = self._manager(tmp_path)

@@ -635,7 +635,6 @@ class TestConfigConflicts:
             ({"max_workers": 0}, "at least one worker"),
             ({"retries": -1}, "retries"),
             ({"exchange_timeout": -5}, "exchange_timeout must be positive"),
-            ({"standby": True}, "standby=True needs persistence"),
         ],
     )
     def test_service_validation(self, kwargs, message):

@@ -182,7 +182,7 @@ class TestValidation:
         crc = zlib.crc32(body)
         header = struct.pack(">4sBIII", b"RSNP", 4, crc, len(index), len(body))
         with pytest.raises(SnapshotError, match="supports version 6 only"):
-            ReplayTarget.from_snapshot(header + body)
+            RepositorySnapshot.from_bytes(header + body)
 
         record = entry_record(repository.entries()[0])
         record["derived"] = {
