@@ -3,19 +3,29 @@
 Shows the machinery the paper describes in §2.2-§5: what an entry
 stores, how the §3 ordering rules (subsumption first, then I/O ratio
 and execution time) arrange the scan order, plan rendering, and
-snapshot persistence across engine restarts.
+persistence across engine restarts (one log: the stored outputs, the
+stored plans, the mutation records and a checkpoint of the index).
 
 Run:  python examples/repository_tour.py
 """
 
+import os
+import tempfile
+
 from repro import ReStoreSession
-from repro.persistence.snapshot import RepositorySnapshot
+from repro.persistence import PersistenceConfig
 
 PV = "user, action:int, timestamp:int, est_revenue:double, page_info, page_links"
 
 
 def main() -> None:
-    session = ReStoreSession()
+    state = tempfile.TemporaryDirectory()
+    config = PersistenceConfig(
+        snapshot_path=os.path.join(state.name, "repo.snapshot"),
+        journal_path=os.path.join(state.name, "repo.journal"),
+        backend="local",
+    )
+    session = ReStoreSession(persistence=config)
     session.write_file(
         "data/page_views",
         "\n".join(
@@ -61,19 +71,27 @@ def main() -> None:
                 print(f"{a} subsumes {b}")
 
     print("\n=== persistence round trip ===")
-    payload = RepositorySnapshot.capture(session.repository).to_bytes()
-    restored = RepositorySnapshot.from_bytes(payload).restore_repository()
+    checkpoint = session.persister.take_snapshot()
+    session.close()
+    files = {
+        name: os.path.getsize(os.path.join(state.name, name))
+        for name in sorted(os.listdir(state.name))
+    }
+    restored = ReStoreSession(dfs=session.dfs, persistence=config)
     print(
-        f"serialized {len(payload)} bytes; restored "
-        f"{len(restored)} entries with matching fingerprints: "
+        f"log files {files} (the checkpoint: {checkpoint.bytes} bytes); "
+        f"restored {len(restored.repository)} entries with matching "
+        "fingerprints: "
         + str(
             all(
-                restored.get(e.entry_id).plan.fingerprint()
+                restored.repository.get(e.entry_id).plan.fingerprint()
                 == e.plan.fingerprint()
                 for e in session.repository
             )
         )
     )
+    restored.close()
+    state.cleanup()
 
 
 if __name__ == "__main__":

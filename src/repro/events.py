@@ -232,8 +232,9 @@ class EntryEvicted(ReStoreEvent):
 
 @dataclass
 class SnapshotTaken(ReStoreEvent):
-    """The persister wrote a repository snapshot (replay resumes at the
-    log offset it records).
+    """The persister appended a checkpoint of the repository index to
+    its log (recovery replays only the records after it); ``bytes``
+    counts what the rotation appended, a compaction's copies included.
 
     Emitted on the *persister's* bus (not the manager bus): durability
     tooling subscribes there, keeping the manager bus a pure
@@ -267,7 +268,7 @@ class JournalAppended(ReStoreEvent):
 
 @dataclass
 class PersistenceDegraded(ReStoreEvent):
-    """A log or snapshot write failed and the persister's
+    """A log write (a commit or a checkpoint) failed and the persister's
     circuit breaker opened: the batch stays staged in memory (the reuse
     pipeline keeps serving) until a probe write succeeds.
 

@@ -101,17 +101,9 @@ SITE_JOURNAL_APPEND = register_site(
 SITE_JOURNAL_READ = register_site(
     "journal.read", "log read-back during recovery"
 )
-#: snapshot rotation write (OSError → circuit breaker, rotation aborted)
-SITE_SNAPSHOT_WRITE = register_site(
-    "snapshot.write", "snapshot storage write during rotation"
-)
-#: snapshot read-back (corrupt → checksum rejection at recovery)
-SITE_SNAPSHOT_READ = register_site(
-    "snapshot.read", "snapshot storage read during recovery/rebase"
-)
 #: local-file durability syscall (fsync failure)
 SITE_STORAGE_FSYNC = register_site(
-    "storage.fsync", "fsync of a local snapshot or log file"
+    "storage.fsync", "fsync of a local log file after an append or a truncate"
 )
 #: lazy-plan rebuild (fingerprint mismatch → entry quarantine)
 SITE_SNAPSHOT_MATERIALIZE = register_site(
@@ -278,8 +270,6 @@ __all__ = [
     "SITE_JOURNAL_APPEND",
     "SITE_JOURNAL_READ",
     "SITE_SNAPSHOT_MATERIALIZE",
-    "SITE_SNAPSHOT_READ",
-    "SITE_SNAPSHOT_WRITE",
     "SITE_STORAGE_FSYNC",
     "SITE_WORKER_JOB",
     "SITE_WORKER_RESULT",

@@ -1,13 +1,15 @@
 """Crash recovery, under the contract :mod:`repro.persistence.persister`
-states: :func:`recover` loads the snapshot, scans the one log once,
-replays its clean records from the snapshot's offset
-(:class:`ReplayTarget`), cuts a torn tail, scrubs every payload
-against the same scan (:class:`_PayloadScrub`), sweeps unclaimed
-sub-job files and restores the DFS id floors; :func:`adopt_recovered`
-makes the result a live manager's state under a fresh
-:class:`RepositoryPersister`.  A state directory in the retired
-two-file layout is refused with a :class:`LogError` naming the file,
-before anything is read or cut.
+states: :func:`recover` opens the newest log generation that holds an
+intact checkpoint, scans it once, restores the last checkpoint and
+replays the clean records after it (:class:`ReplayTarget`), cuts a
+torn tail, scrubs every payload and plan against the same scan
+(:class:`_PayloadScrub`), sweeps unclaimed sub-job files and restores
+the DFS id floors; :func:`adopt_recovered` makes the result a live
+manager's state under a fresh :class:`RepositoryPersister`, the only
+way one is built.  A state directory holding a file of a retired
+layout (a snapshot file, a bare journal, block-store generations) is
+refused with a :class:`LogError` naming the file, before anything is
+read or cut.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.core.enumerator import SUBJOB_DIR
 from repro.core.repository import Repository
 from repro.dfs.namenode import InputExtent
 from repro.events import EntryQuarantined, PersistenceDegraded
-from repro.faults import injector as faults
 from repro.persistence.framedlog import (
     FramedLog,
     FrameScan,
@@ -31,11 +32,7 @@ from repro.persistence.framedlog import (
     verify_ref,
 )
 from repro.persistence.persister import RepositoryPersister
-from repro.persistence.snapshot import (
-    RepositorySnapshot,
-    SnapshotError,
-    entry_from_record,
-)
+from repro.persistence.snapshot import entry_from_record
 from repro.persistence.storage import PersistenceConfig
 
 
@@ -48,8 +45,8 @@ class RecoveredState:
     clock: int = 0
     #: DFS id floors ({"next_script_id": ..., "next_subjob_id": ...})
     id_floors: Dict[str, int] = field(default_factory=dict)
-    #: entries that came from the snapshot itself
-    snapshot_entries: int = 0
+    #: entries that came from the checkpoint itself
+    checkpoint_entries: int = 0
     #: clean log records replayed on top
     journal_records: int = 0
     #: bytes of torn log tail truncated (0 = clean shutdown)
@@ -60,6 +57,8 @@ class RecoveredState:
     #: payload the scrub verified (the persister resumes dedup from
     #: these)
     payload_refs: Dict[str, list] = field(default_factory=dict)
+    #: entry id → raw ref of the plan segment the scrub verified
+    plan_refs: Dict[str, list] = field(default_factory=dict)
     #: log generation new appends continue into
     log_gen: int = 0
     #: payloads written back into the DFS from the log
@@ -84,8 +83,8 @@ class RecoveredState:
 class ReplayTarget:
     """Mutable state a record replay folds records into.
 
-    The replay pipeline of :func:`recover` — :meth:`from_snapshot`,
-    :meth:`apply_all`, :meth:`finish`.  Replay is idempotent: every
+    The replay pipeline of :func:`recover` — :meth:`from_checkpoint`,
+    :meth:`apply` per record, :meth:`finish`.  Replay is idempotent: every
     handler is a no-op or a max-merge when its effect is already
     present.
     """
@@ -95,32 +94,34 @@ class ReplayTarget:
         self.kept_paths: Set[str] = set()
         self.clock = 0
         self.id_floors: Dict[str, int] = {"next_script_id": 1, "next_subjob_id": 1}
-        #: path → raw segment ref; seeded from the snapshot's payload
+        #: path → raw segment ref; seeded from the checkpoint's payload
         #: table, extended by ``payload_stored`` records
         self.payload_refs: Dict[str, list] = {}
-        #: the log generation and offset record replay starts from
-        self.log_gen = self.log_offset = 0
-        #: entries that came from the snapshot itself
-        self.snapshot_entries = 0
+        #: entry id → raw ref of its plan segment
+        self.plan_refs: Dict[str, list] = {}
+        #: entries that came from the checkpoint itself
+        self.checkpoint_entries = 0
 
     @classmethod
-    def from_snapshot(cls, snapshot: Optional[RepositorySnapshot]) -> "ReplayTarget":
-        """The replay's starting state: *snapshot* restored, or an empty
-        repository for ``None`` (no snapshot yet)."""
-        if snapshot is None:
+    def from_checkpoint(cls, checkpoint: Optional[dict]) -> "ReplayTarget":
+        """The replay's starting state: *checkpoint* restored (every
+        index and the §3 subsumption pairs, in one pass over its rows),
+        or an empty repository for ``None`` (no checkpoint yet)."""
+        if checkpoint is None:
             return cls(Repository())
-        target = cls(snapshot.restore_repository())
-        manager_state = snapshot.manager_state
-        target.kept_paths.update(manager_state.get("kept_paths", ()))
-        target.clock = int(manager_state.get("clock", 0))
-        for key, value in snapshot.dfs_state.items():
+        state = dict(checkpoint["repository"])
+        seqs = state.pop("seq")
+        rows = checkpoint["entries"]
+        entries = [entry_from_record(row["entry"]) for row in rows]
+        target = cls(Repository.from_persisted_state(entries, seqs, state))
+        for row in rows:
+            target.plan_refs[row["entry"]["entry_id"]] = row["ref"]
+        target.kept_paths.update(checkpoint["kept_paths"])
+        target.clock = int(checkpoint["clock"])
+        for key, value in checkpoint["ids"].items():
             target.id_floors[key] = max(target.id_floors.get(key, 1), int(value))
-        payloads = snapshot.payload_state
-        for path, ref in payloads.get("refs", {}).items():
-            target.payload_refs[path] = list(ref)
-        target.log_gen = int(payloads.get("gen", 0))
-        target.log_offset = int(payloads.get("offset", 0))
-        target.snapshot_entries = len(snapshot)
+        target.payload_refs.update(checkpoint["payloads"])
+        target.checkpoint_entries = len(entries)
         return target
 
     def apply(self, record: JournalRecord) -> None:
@@ -129,7 +130,8 @@ class ReplayTarget:
             # a refresh (delta merge) carries the entry's full
             # post-refresh state; a same-id add replaces in place
             # (idempotent on replay, no-op ordering hazards)
-            self.repository.add(entry_from_record(data["entry"]))
+            entry = self.repository.add(entry_from_record(data["entry"]))
+            self.plan_refs[entry.entry_id] = data.get("ref")
         elif record.type in ("entry_removed", "entry_quarantined"):
             # quarantine is an eviction with a recorded reason: replay
             # treats both as an idempotent remove
@@ -160,19 +162,12 @@ class ReplayTarget:
             self.clock = max(self.clock, data.get("clock", 0))
         # unknown types: skipped (logs from newer writers)
 
-    def apply_all(self, records) -> int:
-        count = 0
-        for record in records:
-            self.apply(record)
-            count += 1
-        return count
-
     def finish(self, **counts) -> "RecoveredState":
         """The replayed state as a :class:`RecoveredState`: id floors
-        merged with what the restored paths imply, the clock raised past
-        every entry's timestamps, and the log generation new appends
-        continue into.  *counts* fills the caller's bookkeeping fields
-        (``journal_records``, scrub results, ...)."""
+        merged with what the restored paths imply and the clock raised
+        past every entry's timestamps.  *counts* fills the caller's
+        bookkeeping fields (``log_gen``, ``journal_records``, scrub
+        results, ...)."""
         for key, value in derive_id_floors(self.repository).items():
             self.id_floors[key] = max(self.id_floors.get(key, 1), value)
         for entry in self.repository.entries():
@@ -182,9 +177,12 @@ class ReplayTarget:
             kept_paths=set(self.kept_paths),
             clock=self.clock,
             id_floors=dict(self.id_floors),
-            snapshot_entries=self.snapshot_entries,
+            checkpoint_entries=self.checkpoint_entries,
             payload_refs={p: list(r) for p, r in self.payload_refs.items()},
-            log_gen=self.log_gen,
+            plan_refs={
+                entry.entry_id: list(self.plan_refs[entry.entry_id])
+                for entry in self.repository.entries()
+            },
             **counts,
         )
 
@@ -211,21 +209,20 @@ def derive_id_floors(repository: Repository) -> Dict[str, int]:
     return {"next_script_id": script + 1, "next_subjob_id": subjob + 1}
 
 
-#: sentinel distinguishing "no ref recorded" from "ref malformed"
-_NO_REF = object()
-
-
 class _PayloadScrub:
     """The post-recovery payload integrity pass.
 
     Every restored entry (and kept path) is checked against the log's
     scan before it can ever be served:
 
-    * a recorded ref whose segment is missing, checksum-mismatched, or
-      length-drifted **condemns** the entry — removed from the
-      repository, logged as ``entry_quarantined`` so the decision
-      replays idempotently, surfaced for the caller to emit
-      :class:`~repro.events.EntryQuarantined`;
+    * an entry's plan ref is verified first: the segment's bytes become
+      its :class:`~repro.persistence.snapshot.LazyPlan`'s, copied out of
+      the scan, unparsed;
+    * a recorded ref (plan or payload) whose segment is missing,
+      checksum-mismatched, or length-drifted **condemns** the entry —
+      removed from the repository, logged as ``entry_quarantined`` so
+      the decision replays idempotently, surfaced for the caller to
+      emit :class:`~repro.events.EntryQuarantined`;
     * every restored input extent forgets its birth (a logical-clock
       tick of the process that recorded it);
     * an intact ref restores its bytes into the DFS when the file is
@@ -253,24 +250,24 @@ class _PayloadScrub:
 
     def _check(self, path: str, refs: Dict[str, list]):
         """``(ok, payload_or_None, reason)`` for one referenced path."""
-        raw = refs.get(path, _NO_REF)
-        if raw is _NO_REF:
-            if self.dfs is None or self.dfs.exists(path):
-                self.legacy += 1
-                return True, None, ""
-            return False, None, "no payload segment recorded and output bytes missing"
+        if path in refs:
+            return self._verify(path, refs[path], "payload")
+        if self.dfs is None or self.dfs.exists(path):
+            self.legacy += 1
+            return True, None, ""
+        return False, None, "no payload segment recorded and output bytes missing"
+
+    def _verify(self, name: str, raw, kind: str):
+        """``(ok, bytes_or_None, reason)`` for the segment *raw* refers
+        to, which must frame *name*."""
         try:
             ref = SegmentRef.from_list(raw)
         except (LogError, TypeError, ValueError):
-            return False, None, f"malformed payload segment ref {raw!r}"
-        payload = verify_ref(self.scan, ref, path) if ref.gen == self.gen else None
+            return False, None, f"malformed {kind} segment ref {raw!r}"
+        payload = verify_ref(self.scan, ref, name) if ref.gen == self.gen else None
+        where = f"(gen {ref.gen}, offset {ref.offset})"
         if payload is None:
-            return (
-                False,
-                None,
-                f"payload segment missing or corrupt "
-                f"(gen {ref.gen}, offset {ref.offset})",
-            )
+            return False, None, f"{kind} segment missing or corrupt {where}"
         return True, payload, ""
 
     def run(self, target: ReplayTarget) -> None:
@@ -284,7 +281,11 @@ class _PayloadScrub:
                 path: replace(extent, birth=0)
                 for path, extent in entry.input_extents.items()
             }
-            ok, payload, reason = self._check(entry.output_path, refs)
+            plan_ref = target.plan_refs.get(entry.entry_id)
+            ok, plan, reason = self._verify(entry.plan.fingerprint(), plan_ref, "plan")
+            if ok:
+                entry.plan.json = bytes(plan)
+                ok, payload, reason = self._check(entry.output_path, refs)
             if not ok:
                 self.condemned.append((entry.entry_id, entry.output_path, reason))
                 continue
@@ -353,47 +354,56 @@ class _PayloadScrub:
         log.append_commit(records)
 
 
-def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
-    """Rebuild repository + manager state from the snapshot and the log.
+def _open_generation(config: PersistenceConfig, dfs) -> Tuple[FramedLog, FrameScan]:
+    """The newest log generation that holds an intact checkpoint (gen 0
+    needs none: it starts empty), and its scan.  A later one without
+    is a torn compaction's debris, deleted once an older generation is
+    found; with bit rot in it, or no older generation left, it raises
+    :class:`LogError` naming the file."""
+    debris: List[FramedLog] = []
+    for gen in config.generations(dfs) or [0]:
+        log = FramedLog(config.log_storage(dfs, gen), gen)
+        scan = log.scan()
+        if scan.checkpoint is not None or gen == 0:
+            for stale in debris:
+                stale.storage.delete()
+            return log, scan
+        log.close()
+        if scan.skipped:
+            break
+        debris.append(log)
+    raise LogError(
+        f"{log.location}: a compacted log generation without an intact "
+        "checkpoint (bit rot, or no older generation to recover from)"
+    )
 
-    Refuses a retired layout (:class:`LogError` naming the file), loads
-    the snapshot (if any; a :class:`SnapshotError` names its file),
-    scans the log generation it names once, replays every intact record
-    from its offset, cuts a torn tail in place, scrubs every restored
-    entry's payload against the same scan (see :class:`_PayloadScrub` —
-    intact bytes are written back into *dfs*, condemned entries are
-    removed and logged), sweeps unclaimed sub-job files, and
-    derives/merges the id and clock floors.  When *dfs* is given the id
-    floors are pushed into it immediately via :meth:`ensure_id_floor`.
+
+def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
+    """Rebuild repository + manager state from the one log.
+
+    Refuses a retired layout (:class:`LogError` naming the file), scans
+    the generation :func:`_open_generation` picks once, restores its
+    last checkpoint, replays every intact record after it, cuts a torn
+    tail in place, scrubs every restored plan and payload against the
+    same scan (:class:`_PayloadScrub`), sweeps unclaimed sub-job files,
+    and derives/merges the id and clock floors, pushing them into *dfs*
+    when it is given.
     """
     retired = config.retired_files(dfs)
     if retired:
         raise LogError(
-            f"{retired[0]}: a file of the retired journal + block-store "
-            "layout, which this reader refuses (no converter)"
+            f"{retired[0]}: a file of a retired layout (a snapshot file, a "
+            "bare journal or the block store), which this reader refuses "
+            "(no converter)"
         )
-    storage = config.snapshot_storage(dfs)
-    data = storage.read() if storage.exists() else b""
-    if data:
-        # injection site "snapshot.read": corruption here must surface
-        # as a SnapshotError, never as silent partial state
-        data = faults.fire("snapshot.read", data=data)
+    log, scan = _open_generation(config, dfs)
     try:
-        snapshot = RepositorySnapshot.from_bytes(data) if data else None
-    except SnapshotError as exc:
-        raise SnapshotError(f"{storage.location}: {exc}") from None
-    target = ReplayTarget.from_snapshot(snapshot)
-    log = FramedLog(config.log_storage(dfs, target.log_gen), target.log_gen)
-    try:
-        scan = log.scan(target.log_offset)
-        replayed = target.apply_all(scan.records)
+        target = ReplayTarget.from_checkpoint(scan.checkpoint)
+        for record in scan.records:
+            target.apply(record)
         # not advisory: the successor must not append behind a tear
         log.repair(scan)
-        if log.tail() < target.log_offset:
-            # the log lost bytes the snapshot covers: replay from its end
-            snapshot.payload["payloads"]["offset"] = log.tail()
-            storage.write(snapshot.to_bytes())
-        scrub = _PayloadScrub(dfs, scan, target.log_gen)
+        scrub = _PayloadScrub(dfs, scan, log.gen)
         scrub.run(target)
         unjournaled = None
         try:
@@ -403,8 +413,9 @@ def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
     finally:
         log.close()
     state = target.finish(
+        log_gen=log.gen,
         condemnations_unjournaled=unjournaled,
-        journal_records=replayed,
+        journal_records=len(scan.records),
         journal_torn_bytes=scan.torn_bytes,
         journal_skipped=scan.skipped,
         payloads_restored=scrub.restored,

@@ -1,22 +1,26 @@
-"""The repository's one durable log: frames, their two body kinds, one scan.
+"""The repository's one durable log: frames, their three body kinds, one scan.
 
-Everything the persister appends — the stored outputs' payload bytes
-and the journal of repository mutations — goes into one append-only
-log per *generation* (``journal_path`` + ``.g<N>``), as frames::
+Everything the persister writes — the stored outputs' payload bytes,
+the stored plans' bytes, the journal of repository mutations and the
+checkpoints of the whole index — goes into one append-only log per
+*generation* (``journal_path`` + ``.g<N>``), as frames::
 
     body length u32 | crc32(body) u32 | body
 
 and every body starts with a one-byte kind tag:
 
-* ``S`` — a payload **segment**: ``path length u16 | path utf8 |
-  payload bytes``.  A :class:`SegmentRef` names one: ``(gen, offset,
-  length, crc)``, where ``crc`` is the crc32 of the payload bytes
+* ``S`` — a **segment**: ``name length u16 | name utf8 | bytes``: a
+  stored output's payload, named by its path, or a stored plan's JSON,
+  named by its fingerprint.  A :class:`SegmentRef` names one: ``(gen,
+  offset, length, crc)``, where ``crc`` is the crc32 of the bytes
   themselves, so :func:`verify_ref` catches substitution and length
   drift that a frame checksum alone cannot;
-* ``R`` — mutation **records**: compact JSON objects with a ``type``
-  (:class:`JournalRecord`), one per line, key-sorted except for a
-  stored plan, whose cached encoding is spliced in as the entry's last
-  key.
+* ``R`` — mutation **records**: compact, key-sorted JSON objects with a
+  ``type`` (:class:`JournalRecord`), one per line;
+* ``C`` — a **checkpoint**: one compact JSON object holding the whole
+  index as of a rotation (:func:`encode_checkpoint`).  Recovery restores
+  the last intact checkpoint and replays only the records after it, so
+  records before it are never parsed.
 
 A commit is one :meth:`FramedLog.append_commit`: its segments first,
 then one frame of all its records, whose refs point earlier in the
@@ -24,7 +28,7 @@ same write.  Appends never rewrite earlier bytes, so a crash can only
 tear the *tail* and keeps a prefix of the commit: a surviving record
 implies that its segments survived, and a commit's records land or
 tear together.  :func:`scan_frames` makes the three-way decision every
-reader needs, and never raises:
+reader needs:
 
 * an incomplete header or a body shorter than its declared length is a
   **torn tail** — the scan stops at the last intact frame;
@@ -35,7 +39,9 @@ reader needs, and never raises:
 * the same failure with no intact continuation is again a torn tail.
 
 Everything before ``clean_bytes`` is intact, so recovery replays the
-clean prefix and :meth:`FramedLog.repair` cuts the tear in place.
+clean prefix and :meth:`FramedLog.repair` cuts the tear in place.  A
+checksum-valid record or checkpoint that is not JSON was written by no
+writer of this format: the scan raises :class:`LogError` for it.
 """
 
 from __future__ import annotations
@@ -52,9 +58,9 @@ from repro.faults.injector import PartialWriteFault
 
 #: body length, crc32(body)
 _FRAME = struct.Struct(">II")
-#: a segment body's path length (after the kind tag)
+#: a segment body's name length (after the kind tag)
 _PATH_LEN = struct.Struct(">H")
-SEGMENT, RECORD = b"S", b"R"
+SEGMENT, RECORD, CHECKPOINT = b"S", b"R", b"C"
 
 
 class LogError(ReproError):
@@ -78,7 +84,7 @@ class JournalRecord:
 
 @dataclass(frozen=True)
 class SegmentRef:
-    """One stored payload's durable address + content checksum."""
+    """One segment's durable address + content checksum."""
 
     gen: int
     offset: int
@@ -101,7 +107,7 @@ def encode_frame(body: bytes) -> bytes:
 
 
 def encode_segment(path: str, data: bytes) -> bytes:
-    """Frame one payload segment."""
+    """Frame one segment named *path*."""
     encoded_path = path.encode()
     if len(encoded_path) > 0xFFFF:
         raise LogError(f"path too long for a segment header: {path!r}")
@@ -114,30 +120,21 @@ def _json(payload: Mapping) -> bytes:
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
 
 
-def _record_json(payload: Mapping) -> bytes:
-    """One record's JSON.  An entry record's ``plan`` holds the plan's
-    own JSON bytes (:func:`repro.persistence.snapshot.entry_record`):
-    they are spliced in as the entry's last key, not re-encoded."""
-    entry = payload.get("entry")
-    if entry is None:
-        return _json(payload)
-    fields = _json({key: value for key, value in entry.items() if key != "plan"})
-    rest = _json({key: value for key, value in payload.items() if key != "entry"})
-    # {"entry":{<fields>,"plan":<plan>},<rest>}: "entry" sorts before "type"
-    parts = (b'{"entry":', fields[:-1], b',"plan":', entry["plan"], b"},", rest[1:])
-    return b"".join(parts)
-
-
 def encode_record(*payloads: Mapping) -> bytes:
     """Frame records, one per line of one frame: they land or tear
     together (compact JSON holds no newline)."""
-    return encode_frame(RECORD + b"\n".join(map(_record_json, payloads)))
+    return encode_frame(RECORD + b"\n".join(map(_json, payloads)))
 
 
-def _decode_body(body: memoryview, parse: bool = True):
-    """A segment's ``(path, payload view)``, a list of
-    :class:`JournalRecord` (empty unless *parse*), or ``None`` for
-    checksummed garbage (a torn rewrite)."""
+def encode_checkpoint(state: Mapping) -> bytes:
+    """Frame one checkpoint: the index *state* as one JSON object."""
+    return encode_frame(CHECKPOINT + _json(state))
+
+
+def _decode_body(body: memoryview):
+    """A segment's ``(path, payload view)``, a record or checkpoint
+    body as it stands (parsed after the scan, only where needed), or
+    ``None`` for a body no writer of this format produces."""
     kind = body[:1]
     if kind == SEGMENT and len(body) >= 1 + _PATH_LEN.size:
         end = 1 + _PATH_LEN.size + _PATH_LEN.unpack_from(body, 1)[0]
@@ -146,16 +143,17 @@ def _decode_body(body: memoryview, parse: bool = True):
         except UnicodeDecodeError:
             return None
         return (path, body[end:]) if end <= len(body) else None
-    elif kind == RECORD:
-        if not parse:
-            return []
-        try:
-            payloads = [json.loads(line) for line in bytes(body[1:]).split(b"\n")]
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if all(isinstance(payload, dict) for payload in payloads):
-            return list(map(JournalRecord.from_payload, payloads))
-    return None
+    return body if kind in (RECORD, CHECKPOINT) else None
+
+
+def _parse(body: memoryview, offset: int) -> List[dict]:
+    try:
+        payloads = [json.loads(line) for line in bytes(body[1:]).split(b"\n")]
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        payloads = None
+    if payloads is None or not all(isinstance(p, dict) for p in payloads):
+        raise LogError(f"the frame at offset {offset} holds no JSON objects")
+    return payloads
 
 
 def _frame_intact(data: bytes, offset: int) -> bool:
@@ -173,10 +171,13 @@ def _frame_intact(data: bytes, offset: int) -> bool:
 class FrameScan:
     """The result of decoding a framed byte string.
 
-    ``frames`` maps frame offset → ``(frame length, decoded body)`` for
-    every intact frame, in file order; ``clean_bytes`` is the longest
-    prefix of intact frames, and anything past it is a torn tail from a
-    crash mid-append.
+    ``frames`` maps frame offset → ``(frame length, body)`` for every
+    intact frame, in file order: a segment's body is its ``(path,
+    payload view)``, a record or checkpoint frame's its raw bytes.
+    ``clean_bytes`` is the longest prefix of intact frames, and anything
+    past it is a torn tail from a crash mid-append.  ``checkpoint`` is
+    the last intact checkpoint (``None``: there is none) and
+    ``records`` the records after it, decoded, in order.
     """
 
     frames: Dict[int, Tuple[int, object]] = field(default_factory=dict)
@@ -185,16 +186,8 @@ class FrameScan:
     #: mid-file frames skipped over a checksum/decode failure (bit rot
     #: with an intact continuation, not a tear)
     skipped: int = 0
-
-    @property
-    def records(self) -> List[JournalRecord]:
-        """The decoded records at or past the scan's start, in order."""
-        return [
-            record
-            for _, body in self.frames.values()
-            if isinstance(body, list)
-            for record in body
-        ]
+    checkpoint: Optional[dict] = None
+    records: List[JournalRecord] = field(default_factory=list)
 
     @property
     def torn(self) -> bool:
@@ -205,15 +198,14 @@ class FrameScan:
         return self.total_bytes - self.clean_bytes
 
 
-def scan_frames(data: bytes, start: int = 0) -> FrameScan:
-    """Decode every intact frame; stop (never raise) at a torn tail.
-    Records before offset *start* (folded into a snapshot) are checked
-    but not parsed; a body that fails to decode is handled like a
-    checksum failure."""
+def scan_frames(data: bytes) -> FrameScan:
+    """Decode every intact frame; stop at a torn tail.  Only the last
+    checkpoint and the records after it are parsed."""
     scan = FrameScan(total_bytes=len(data))
     data = memoryview(data)  # bodies and payloads are views, not copies
     offset = 0
     total = len(data)
+    last = 0  # where the last checkpoint starts (0: replay everything)
     while offset < total:
         if total - offset < _FRAME.size:
             break  # torn frame header
@@ -223,9 +215,7 @@ def scan_frames(data: bytes, start: int = 0) -> FrameScan:
         if end > total:
             break  # torn body
         body = data[body_at:end]
-        decoded = (
-            _decode_body(body, offset >= start) if zlib.crc32(body) == crc else None
-        )
+        decoded = _decode_body(body) if zlib.crc32(body) == crc else None
         if decoded is None:
             if end < total and _frame_intact(data, end):
                 scan.skipped += 1
@@ -233,16 +223,25 @@ def scan_frames(data: bytes, start: int = 0) -> FrameScan:
                 continue
             break  # no valid continuation: a genuine torn tail
         scan.frames[offset] = (end - offset, decoded)
+        if body[:1] == CHECKPOINT:
+            last = offset
         offset = end
     scan.clean_bytes = offset
+    for at, (_, body) in scan.frames.items():
+        if at < last or isinstance(body, tuple):
+            continue
+        payloads = _parse(body, at)
+        if body[:1] == CHECKPOINT:
+            scan.checkpoint = payloads[0]
+        else:
+            scan.records.extend(map(JournalRecord.from_payload, payloads))
     return scan
 
 
 def verify_ref(scan: FrameScan, ref: SegmentRef, path: str) -> Optional[memoryview]:
-    """The scrub's integrity check: a view of the payload bytes *ref*
-    promises, or ``None`` when the segment is missing (torn away, never
-    written), fails its checksum, drifted in length, or frames another
-    path."""
+    """The scrub's integrity check: a view of the bytes *ref* promises,
+    or ``None`` when the segment is missing (torn away, never written),
+    fails its checksum, drifted in length, or frames another name."""
     length, body = scan.frames.get(ref.offset, (None, None))
     if length != ref.length or not isinstance(body, tuple) or body[0] != path:
         return None
@@ -309,40 +308,54 @@ class FramedLog:
         self._tail = start + written
         return written
 
-    def append_commit(
+    def encode_commit(
         self, records: Sequence[dict], *, segments_only: bool = False
-    ) -> Tuple[List[Tuple[str, SegmentRef]], int]:
-        """Append one commit in one storage write (one fsync): a
-        segment for every record that carries payload ``data``, then
-        every record (unless *segments_only*: a compaction's copies),
-        the segment's ref in place of the bytes.  Returns ``((path,
-        ref) per segment, bytes written)``; *records* are not changed,
-        so a failed commit is retried whole.  Under a ``suppress`` rule
-        (a lying disk) the refs are handed out although nothing was
-        written: what the recovery scrub catches."""
+    ) -> Tuple[bytes, List[Tuple[str, SegmentRef]]]:
+        """The frames of one commit at the log's tail: a segment for
+        every record that carries ``data`` (named by its ``path``; the
+        same bytes under the same name are framed once), then every
+        record (unless *segments_only*: a compaction's copies), the
+        segment's ref in place of the bytes.  Returns ``(frames, (path,
+        ref) per record that carried data, in order)``; *records* are
+        not changed, so a failed commit is retried whole."""
         offset = self.tail()
         frames, refs, bodies = [], [], []
+        framed: Dict[Tuple[str, int], SegmentRef] = {}
         for record in records:
             if "data" in record:
                 path, data = record["path"], record["data"]
-                frame = encode_segment(path, data)
-                ref = SegmentRef(self.gen, offset, len(frame), zlib.crc32(data))
-                frames.append(frame)
+                key = (path, zlib.crc32(data))
+                ref = framed.get(key)
+                if ref is None:
+                    frame = encode_segment(path, data)
+                    ref = framed[key] = SegmentRef(self.gen, offset, len(frame), key[1])
+                    frames.append(frame)
+                    offset += len(frame)
                 refs.append((path, ref))
-                offset += len(frame)
                 record = {**record, "ref": ref.to_list()}
                 del record["data"]
             bodies.append(record)
         if bodies and not segments_only:
             frames.append(encode_record(*bodies))
-        return refs, self.append_frames(b"".join(frames))
+        return b"".join(frames), refs
 
-    def scan(self, start: int = 0) -> FrameScan:
+    def append_commit(
+        self, records: Sequence[dict], *, segments_only: bool = False
+    ) -> Tuple[List[Tuple[str, SegmentRef]], int]:
+        """Append :meth:`encode_commit`'s frames in one storage write
+        (one fsync); returns ``((path, ref) per segment-carrying record,
+        bytes written)``.  Under a ``suppress`` rule (a lying disk) the
+        refs are handed out although nothing was written: what the
+        recovery scrub catches."""
+        data, refs = self.encode_commit(records, segments_only=segments_only)
+        return refs, self.append_frames(data)
+
+    def scan(self) -> FrameScan:
         data = self.storage.read() if self.storage.exists() else b""
         # injection site "journal.read": bit rot on the read-back path
         # (exercises frame quarantine / torn-tail truncation)
         data = faults.fire("journal.read", data=data)
-        return scan_frames(data, start)
+        return scan_frames(data)
 
     def repair(self, scan: Optional[FrameScan] = None) -> int:
         """Truncate a torn tail in place; returns the bytes dropped."""
@@ -352,15 +365,6 @@ class FramedLog:
             self.storage.truncate(scan.clean_bytes)
             self._tail = scan.clean_bytes
         return scan.torn_bytes
-
-    def reset(self) -> None:
-        """Empty the log (debris of an aborted compaction)."""
-        self.storage.truncate(0)
-        self._tail = 0
-
-    def size(self) -> int:
-        """Bytes on the medium (a failed append's debris included)."""
-        return self.storage.size()
 
     def close(self) -> None:
         """Release the storage's held handle (reopened on the next append)."""

@@ -1,7 +1,8 @@
 """Live durability: :class:`RepositoryPersister` stages every repository
 mutation, **commits** the staged batch at the submission boundary and
-rotates snapshots; :func:`repro.persistence.durability.recover` is the
-other half.
+appends checkpoints; :func:`repro.persistence.durability.recover` is
+the other half, and the only way a persister is built
+(:func:`~repro.persistence.durability.adopt_recovered`).
 
 The contract (``tests/test_group_commit.py`` asserts it): **a crash
 loses at most the submissions in flight; nothing acknowledged is lost,
@@ -13,12 +14,12 @@ nothing unprovable is served.**  The argument, in one place:
   output's bytes as read at that moment.  Outside any submission it
   commits at once (``PersistenceConfig.flush_every``);
 * *the commit* — one write to the log (:mod:`repro.persistence.framedlog`)
-  and one fsync: every staged payload as a segment, then one frame of
-  every record, a record's segments preceding it in the same write.  A
-  payload stages together with the record that needs it, so no commit
-  holds one without the other.  A failed write is a failed commit —
-  the batch stays staged, the breaker opens, a later probe lands it
-  whole;
+  and one fsync: every staged payload, and every new entry's plan, as a
+  segment, then one frame of every record, a record's segments
+  preceding it in the same write.  A payload stages together with the
+  record that needs it, so no commit holds one without the other.  A
+  failed write is a failed commit — the batch stays staged, the breaker
+  opens, a later probe lands it whole;
 * *commit points* — ``note_workflow_end`` (the acknowledgement: no
   submission returns before it) and ``close()``, both through
   ``RepositoryPersister.flush``.  Inside
@@ -26,21 +27,19 @@ nothing unprovable is served.**  The argument, in one place:
   so a condemned entry's removal precedes a re-registration over its
   path, and a refresh's extents travel with the merged output's bytes;
 * *a torn commit is harmless* — a crash mid-write tears only the log's
-  tail, which recovery cuts; what survives is a prefix of the write, so
-  a commit's records survive whole or not at all and only behind their
-  segments, and the replayed records are a prefix of the mutation order
-  in whole commits, whose replay is idempotent (a same-id re-add
-  replaces and re-integrates to the identical order, a remove of a
-  missing entry is a no-op, usage stats and counter floors merge by
-  max).  Segments whose records never landed are dead bytes, and the
-  post-recovery scrub
+  tail, which recovery cuts: a commit's records survive whole or not at
+  all and only behind their segments, and replaying a prefix of the
+  mutation order in whole commits is idempotent (a same-id re-add
+  replaces in place, a remove of a missing entry is a no-op, usage
+  stats and counter floors merge by max).  The post-recovery scrub
   (:class:`~repro.persistence.durability._PayloadScrub`) refuses to
   serve an entry whose segment is missing, corrupt or length-drifted;
-* *rotation* — a snapshot (staged batch committed, capture, write)
-  happens under the manager and repository locks and records the log
-  offset its state covers; replay starts there, so the log is never
-  reset, and a crash on either side of the snapshot's atomic rename
-  replays from the old or the new offset.
+* *rotation* — a checkpoint (staged batch committed, capture, one
+  append of one frame) happens under the manager and repository locks;
+  recovery restores the last intact checkpoint and replays the records
+  after it, so a torn checkpoint leaves the previous one plus every
+  record after it.  A compaction's one append into generation ``gen+1``
+  is preferred by recovery only once it is intact.
 """
 
 from __future__ import annotations
@@ -59,9 +58,13 @@ from repro.events import (
     RewriteApplied,
     SnapshotTaken,
 )
-from repro.faults import injector as faults
-from repro.persistence.framedlog import FramedLog, LogError, SegmentRef
-from repro.persistence.snapshot import RepositorySnapshot, entry_record
+from repro.persistence.framedlog import (
+    FramedLog,
+    LogError,
+    SegmentRef,
+    encode_checkpoint,
+)
+from repro.persistence.snapshot import entry_record
 from repro.persistence.storage import PersistenceConfig
 
 if TYPE_CHECKING:
@@ -69,20 +72,21 @@ if TYPE_CHECKING:
 
 
 class RepositoryPersister:
-    """Stages live mutations, commits per submission, rotates snapshots.
+    """Stages live mutations, commits per submission, appends checkpoints.
 
     Wiring (all detachable via :meth:`close`):
 
     * repository mutation listeners — ``entry_added``/``entry_removed``
       records are built *under the repository lock* (correctness over
       cost: the entry cannot change or vanish mid-serialization); an
-      entry's plan costs one encode, which every rotation reuses;
+      entry's plan costs one encode, into one segment that every later
+      record, checkpoint and compaction refers to or copies;
     * the manager bus — ``RewriteApplied``/``JobEliminated`` update an
       entry's reuse statistics, staged as ``entry_used`` records;
     * manager hooks — kept-path commits stage inline; a workflow start
       opens a submission, and its end stages a ``counters`` record when
       the DFS id state or clock moved, commits (:meth:`flush`) and
-      rotates the snapshot when the configured interval has elapsed.
+      appends a checkpoint when the configured interval has elapsed.
 
     A commit lands everything staged, whichever tenant staged it (one
     acknowledgement makes the others' records durable early).  Lock
@@ -95,17 +99,14 @@ class RepositoryPersister:
     #: circuit breaker: while open, only every N-th flush attempt
     #: probes storage (the rest stay staged instead of eating an error)
     PROBE_EVERY = 3
-    #: a rotation compacts once the generation's dead bytes exceed this
-    #: multiple of its live payloads plus twice the snapshot (space <=
-    #: 2x live + 2x snapshot + one interval)
+    #: a rotation compacts once the generation's dead bytes, with its own
+    #: checkpoint appended, would exceed this multiple of its live
+    #: segments plus twice the checkpoint (space <= 2x live + 2x
+    #: checkpoint + one interval)
     COMPACT_DEAD_PER_LIVE = 1.0
 
     def __init__(
-        self,
-        manager,
-        config: PersistenceConfig,
-        *,
-        recovered: Optional[RecoveredState] = None,
+        self, manager, config: PersistenceConfig, *, recovered: RecoveredState
     ) -> None:
         self.manager = manager
         self.repository = manager.repository
@@ -113,28 +114,20 @@ class RepositoryPersister:
         self.dfs = manager.dfs
         #: persister-scoped bus: JournalAppended / SnapshotTaken
         self.events = EventBus()
-        self.snapshot_storage = config.snapshot_storage(self.dfs)
-        #: *recovered* resumes the log generation and ref table; without
-        #: it the persister appends to the generation recovery reads —
-        #: the one the snapshot names — behind a cut torn tail
-        gen = recovered.log_gen if recovered is not None else self._snapshot_gen()
+        #: appends continue into the generation recovery read
+        gen = recovered.log_gen
         self.log = FramedLog(config.log_storage(self.dfs, gen), gen)
-        if recovered is None and self.log.end:
-            self.log.repair()
-        #: path → durable segment ref, set by the commit that landed it
-        self._payload_refs: Dict[str, SegmentRef] = {}
+        #: path → durable payload segment ref, set by the commit that
+        #: landed it
+        self._payload_refs = _refs(recovered.payload_refs)
+        #: entry id → durable ref of its plan's segment
+        self._plan_refs = _refs(recovered.plan_refs)
         #: path → (payload crc32, inode extent) as last captured, staged
         #: or durable: a matching extent skips the read (and lets rotation
         #: carry the ref), a matching crc the write (``None``: resumed)
-        self._captured: Dict[str, tuple] = {}
-        if recovered is not None:
-            for path, raw in recovered.payload_refs.items():
-                try:
-                    ref = SegmentRef.from_list(raw)
-                except (LogError, TypeError, ValueError):
-                    continue
-                self._payload_refs[path] = ref
-                self._captured[path] = (ref.crc, None)
+        self._captured: Dict[str, tuple] = {
+            path: (ref.crc, None) for path, ref in self._payload_refs.items()
+        }
         #: the staged batch, in mutation order
         self._buffer: List[dict] = []
         self._buffer_lock = threading.Lock()
@@ -161,17 +154,11 @@ class RepositoryPersister:
         ]
         manager.persistence = self
 
-    def _snapshot_gen(self) -> int:
-        storage = self.snapshot_storage
-        if not storage.exists():
-            return 0
-        snapshot = RepositorySnapshot.from_bytes(storage.read())
-        return int(snapshot.payload_state.get("gen", 0))
-
     def owns(self, path: str) -> bool:
         """Whether *path* is one of this persister's DFS files: the
-        snapshot, or the log's base path and its ``.g<N>`` generations.
-        A local backend owns no DFS path."""
+        log's base path and its ``.g<N>`` generations, or the retired
+        snapshot path, which recovery refuses a file at.  A local backend
+        owns no DFS path."""
         config = self.config
         if config.backend != "dfs":
             return False
@@ -188,19 +175,34 @@ class RepositoryPersister:
             # replay re-adds it over the original entry_added record;
             # added and refreshed outputs hold new bytes, which stage
             # with the entry's record, into the same commit
-            payload = {"type": f"entry_{kind}", "entry": entry_record(entry)}
-            self._enqueue(*self._capture(entry.output_path), payload)
+            self._enqueue(
+                *self._capture(entry.output_path), self._entry_record(kind, entry)
+            )
+
+    def _entry_record(self, kind: str, entry) -> dict:
+        """An ``entry_<kind>`` record.  Until a commit lands the entry's
+        plan as a segment named by its fingerprint, the plan's bytes ride
+        in it as ``data``; after that it carries the segment's ref."""
+        plan = entry.plan.to_json()
+        ref = self._plan_refs.get(entry.entry_id)
+        record = {
+            "type": f"entry_{kind}",
+            "entry": entry_record(entry),
+            "path": entry.plan.fingerprint(),
+        }
+        if ref is not None and ref.crc == zlib.crc32(plan):
+            record["ref"] = ref.to_list()
+        else:
+            record["data"] = plan
+        return record
 
     def _capture(self, path: str) -> List[dict]:
         """*path*'s DFS bytes, read now, as a ``payload_stored`` record
-        (none or one) for the caller to stage beside the record that
-        needs them; the bytes ride in it as ``data`` until the commit
-        that writes them swaps in the segment ref.  A path with no file
-        captures nothing (its entry is logged without a ref and the
-        recovery scrub refuses to serve it); a file whose inode extent,
-        or whose bytes' crc32, equals the last capture's — durable or
-        staged — is not captured again.
-        """
+        (none or one) to stage beside the record that needs them; the
+        bytes ride as ``data`` until the commit swaps in the segment
+        ref.  A path with no file captures nothing (the scrub refuses to
+        serve its entry); a file whose inode extent, or whose bytes'
+        crc32, equals the last capture's is not captured again."""
         # extent first: a stale one only costs the next capture a re-read
         extent = self.dfs.input_extent(path)
         known_crc, known_extent = self._captured.get(path, (None, None))
@@ -255,7 +257,7 @@ class RepositoryPersister:
 
     def note_workflow_end(self) -> None:
         """Workflow boundary, the submission's commit point: persist moved
-        counters, commit everything staged, rotate the snapshot if due."""
+        counters, commit everything staged, append a checkpoint if due."""
         self._journal_counters_if_moved()
         with self._buffer_lock:
             # floored: probes and tests end workflows they never started
@@ -288,16 +290,15 @@ class RepositoryPersister:
             self.flush()
 
     def flush(self, *, force: bool = False) -> int:
-        """Commit the staged batch — its payload segments, then every
-        record, in one log write; returns the number of records durably
-        written.
+        """Commit the staged batch — its segments, then every record, in
+        one log write; returns the number of records durably written.
 
         A storage failure opens the circuit breaker instead of
         propagating: the batch stays in ``_backlog``, a
         :class:`PersistenceDegraded` says so, and only every
         ``PROBE_EVERY``-th attempt probes storage (*force* skips the
-        gating: close) until one lands the backlog whole
-        and emits :class:`PersistenceRecovered`.
+        gating: close) until one lands the backlog whole and emits
+        :class:`PersistenceRecovered`.
         """
         pending: List = []
         written = 0
@@ -325,8 +326,13 @@ class RepositoryPersister:
             self._buffer = []
         if not self._backlog:
             return 0
+        carriers = [record for record in self._backlog if "data" in record]
         refs, nbytes = self.log.append_commit(self._backlog)
-        self._payload_refs.update(refs)
+        for record, (path, ref) in zip(carriers, refs):
+            if "entry" in record:
+                self._plan_refs[record["entry"]["entry_id"]] = ref
+            else:
+                self._payload_refs[path] = ref
         records = len(self._backlog)
         self._backlog = []
         self._records_since_snapshot += records
@@ -374,28 +380,20 @@ class RepositoryPersister:
             return len(self._buffer) + len(self._backlog)
 
     def take_snapshot(self) -> Optional[SnapshotTaken]:
-        """Commit what is staged, then capture + write a snapshot,
-        atomically with respect to mutations (manager and repository
-        locks held through the whole rotation; the capture reuses each
-        plan's encoded bytes, so that hold grows with the index rows,
-        not with re-encoding every plan).
+        """Commit what is staged, then append a checkpoint of the whole
+        index, with the manager and repository locks held (no plan is
+        encoded or parsed for it: the hold grows with the index rows).
 
-        Payloads rotate *by reference*: the snapshot's ``payloads``
-        table carries the live subset of the ref table as it stands,
-        and the log offset replay resumes from, so a rotation costs in
-        proportion to churn, not repository size, and never touches the
-        log.  A ref is carried only while its file's inode extent is
-        the one captured (O(live) metadata checks); a file that moved
-        on, or a ref resumed from recovery, is re-read — same crc, same
-        ref; new bytes, a new segment in the rotation's one commit.
-        Only once the log's dead bytes (superseded segments, records
-        before the offset) outweigh ``COMPACT_DEAD_PER_LIVE`` times the
-        live payloads plus twice the snapshot does it *compact*: every
-        live payload goes into generation ``gen+1`` in one write, and
-        older files go only after the snapshot naming it is durable.  A
-        storage failure aborts the rotation without adopting a
-        half-written generation (debris the next compaction truncates),
-        trips the breaker, and returns ``None``.
+        Payloads and plans rotate *by reference*: the checkpoint carries
+        the live subset of the ref tables, so a rotation appends one
+        frame.  A payload ref is carried only while its file's inode
+        extent is the one captured; a file that moved on, or a ref
+        resumed from recovery, is re-read — same crc, same ref; new
+        bytes, a new segment in the rotation's commit.  Once the dead
+        bytes outweigh ``COMPACT_DEAD_PER_LIVE`` it *compacts* instead
+        (see ``_rotate``).  A storage failure aborts the rotation
+        without adopting a half-written generation, trips the breaker,
+        and returns ``None``.
         """
         pending: List = []
         event: Optional[SnapshotTaken] = None
@@ -403,61 +401,66 @@ class RepositoryPersister:
             try:
                 event = self._rotate(pending)
             except OSError as exc:
-                self._breaker_trip(pending, self.snapshot_storage.location, exc)
+                self._breaker_trip(pending, self.log.location, exc)
         for item in pending:  # emitted outside every lock
             self.events.emit(item)
         return event
 
     def _rotate(self, pending: List) -> SnapshotTaken:
         """The rotation proper (every lock held): an ``OSError`` before
-        the snapshot is durable leaves generation and refs as they were."""
+        the checkpoint is durable leaves generation and refs as they
+        were.  A compaction writes every live segment and the checkpoint
+        into generation ``gen+1`` in one append (deleted again if that
+        fails), and deletes older files only after it is durable."""
+        entries = self.repository.entries()
         # an output changed behind its entry's back carries no payload:
         # recovery cannot verify it, so never serves it
-        live = {
-            entry.output_path
-            for entry in self.repository.entries()
-            if output_intact(entry, self.dfs)
-        }
+        live = {e.output_path for e in entries if output_intact(e, self.dfs)}
         live = sorted(live | self.manager.kept_paths)
         for path in live:  # reads only files that moved on since capture
             self._enqueue(*self._capture(path), commit=False)
+        for entry in entries:  # added before this persister attached
+            if entry.entry_id not in self._plan_refs:
+                self._enqueue(self._entry_record("added", entry), commit=False)
         self._commit(pending)
         # a live path whose file is gone has nothing durable to carry
-        refs = {
+        payloads = {
             path: self._payload_refs[path]
             for path in live
             if path in self._payload_refs and self.dfs.exists(path)
         }
+        plans = {entry.entry_id: self._plan_refs[entry.entry_id] for entry in entries}
         log = self.log
-        snapshot = RepositorySnapshot.capture(
-            self.repository,
-            kept_paths=self.manager.kept_paths,
-            clock=self.manager.clock,
-            dfs_ids=self.dfs.id_state(),
-            payloads=_payload_table(log, refs),
-        )
-        data = snapshot.to_bytes()
-        live_bytes = sum(ref.length for ref in refs.values())
-        # records before the offset are dead but mostly restate the
-        # snapshot in keyed JSON (~1.2x its size): they weigh against twice it
-        weight = self.COMPACT_DEAD_PER_LIVE * (live_bytes + 2 * len(data))
-        if log.end - live_bytes > weight:
+        checkpoint = self._checkpoint(entries, payloads, plans)
+        live_bytes = sum(ref.length for ref in {*payloads.values(), *plans.values()})
+        weight = self.COMPACT_DEAD_PER_LIVE * (live_bytes + 2 * len(checkpoint))
+        if log.end + len(checkpoint) - live_bytes <= weight:
+            written = log.append_frames(checkpoint)
+        else:
             gen, read = log.gen + 1, self.dfs.read_file
-            log = FramedLog(self.config.log_storage(self.dfs, gen), gen)
-            log.reset()  # debris from an earlier aborted compaction
-            copies, _ = log.append_commit(
-                [{"path": path, "data": read(path)} for path in refs],
-                segments_only=True,
-            )
-            refs = dict(copies)
-            log.close()  # reopened by the first append once adopted
-            snapshot.payload["payloads"] = _payload_table(log, refs)
-            data = snapshot.to_bytes()
-        # injection site "snapshot.write": rotation I/O
-        faults.fire("snapshot.write")
-        self.snapshot_storage.write(data)
-        # the snapshot is durable: its generation and ref table are the
-        # live ones from here
+            storage = self.config.log_storage(self.dfs, gen)
+            storage.delete()  # debris of an earlier aborted compaction
+            log = FramedLog(storage, gen)
+            copies = [{"path": path, "data": read(path)} for path in payloads]
+            copies += [
+                {"path": entry.plan.fingerprint(), "data": entry.plan.to_json()}
+                for entry in entries
+            ]
+            frames, refs = log.encode_commit(copies, segments_only=True)
+            refs = [ref for _, ref in refs]
+            payloads = dict(zip(payloads, refs))
+            plans = {e.entry_id: ref for e, ref in zip(entries, refs[len(payloads) :])}
+            checkpoint = self._checkpoint(entries, payloads, plans)
+            try:
+                written = log.append_frames(frames + checkpoint)
+            except OSError:
+                # never leave a checkpoint behind that recovery would
+                # prefer to the generation this persister keeps using
+                log.storage.delete()
+                raise
+            log.close()  # reopened by the first append
+        # the checkpoint is durable: its generation and ref tables are
+        # the live ones from here
         if log is not self.log:
             self.log.close()
             self.log = log
@@ -468,19 +471,34 @@ class RepositoryPersister:
                     self.config.log_storage(self.dfs, gen).delete()
                 except OSError:
                     pass
-        self._payload_refs = refs
-        self._captured = {path: self._captured[path] for path in refs}
+        self._payload_refs, self._plan_refs = payloads, plans
+        self._captured = {path: self._captured[path] for path in payloads}
         self._records_since_snapshot = 0
-        self._breaker_heal(pending, self.snapshot_storage.location, 0)
-        event = SnapshotTaken(
-            path=self.snapshot_storage.location, entries=len(snapshot), bytes=len(data)
-        )
+        self._breaker_heal(pending, log.location, 0)
+        event = SnapshotTaken(path=log.location, entries=len(entries), bytes=written)
         pending.append(event)
         return event
 
+    def _checkpoint(self, entries, payloads, plans) -> bytes:
+        """The checkpoint frame of the index as it stands (locks held)."""
+        rows = [
+            {"entry": entry_record(entry), "ref": plans[entry.entry_id].to_list()}
+            for entry in entries
+        ]
+        return encode_checkpoint(
+            {
+                "clock": self.manager.clock,
+                "kept_paths": sorted(self.manager.kept_paths),
+                "ids": self.dfs.id_state(),
+                "repository": self.repository.snapshot_state(),
+                "payloads": {path: ref.to_list() for path, ref in payloads.items()},
+                "entries": rows,
+            }
+        )
+
     def close(self, *, snapshot: bool = False) -> None:
         """Detach from the manager, committing (and optionally
-        snapshotting) first; idempotent."""
+        appending a checkpoint) first; idempotent."""
         if self._closed:
             return
         self._journal_counters_if_moved()
@@ -501,13 +519,17 @@ class RepositoryPersister:
         state = "degraded" if self._breaker_open else "ok"
         return (
             f"RepositoryPersister(log={self.log.location!r}, "
-            f"snapshot={self.snapshot_storage.location!r}, "
             f"pending={len(self._buffer) + len(self._backlog)}, "
             f"breaker={state})"
         )
 
 
-def _payload_table(log: FramedLog, refs: Dict[str, SegmentRef]) -> dict:
-    """A snapshot's ``payloads``: generation, live refs, replay offset."""
-    refs = {path: ref.to_list() for path, ref in refs.items()}
-    return {"gen": log.gen, "refs": refs, "offset": log.tail()}
+def _refs(raw_refs: Dict[str, list]) -> Dict[str, SegmentRef]:
+    """A recovered raw ref table, decoded (a malformed ref is dropped)."""
+    refs = {}
+    for key, raw in raw_refs.items():
+        try:
+            refs[key] = SegmentRef.from_list(raw)
+        except (LogError, TypeError, ValueError):
+            pass
+    return refs

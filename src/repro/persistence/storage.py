@@ -1,8 +1,8 @@
-"""Byte-blob storage backends for the snapshot and the log.
+"""Byte-blob storage backends for the log.
 
-The codec layers above (:mod:`repro.persistence.snapshot`,
-:mod:`repro.persistence.framedlog`) work on opaque byte strings; this
-module supplies the two places those bytes can live:
+The codec layer above (:mod:`repro.persistence.framedlog`) works on
+opaque byte strings; this module supplies the two places those bytes
+can live:
 
 * :class:`DFSStorage` — a file inside the simulated DFS, mirroring the
   paper's deployment where the repository metadata is just another
@@ -11,22 +11,13 @@ module supplies the two places those bytes can live:
   CLI can carry repository state across separate ``python -m repro``
   process invocations.
 
-Both expose the same small surface: ``exists``/``size``/``read`` for
-recovery, ``write`` for the snapshot (full replace), ``append`` for
-the log, ``truncate`` for cutting a torn tail, and ``close``.
-Individual operations are atomic at the backend's granularity (one
-DFS call under its lock; one file syscall), which is all the framing
-layer needs — it tolerates torn *tails*, not torn frames.
-
-:class:`LocalStorage` is additionally *durable* at each operation:
-appends, truncates, and the snapshot's write-temp-then-rename all
-fsync the file (and, for the rename, its directory) before returning.
-Without the fsync after ``truncate`` a crash right after torn-tail
-repair could resurrect the very tail the repair removed; without the
-fsyncs around the rename a crash could publish a snapshot whose bytes
-never reached the platter.  Appends and truncates go through one
-``O_APPEND`` handle, opened on first use and held until ``close``, so
-a commit costs one write and one fsync: no open, mkdir or stat.
+Both expose ``exists``/``size``/``read``, ``append`` (every write),
+``truncate`` (a torn tail), ``delete`` (a compacted-away generation)
+and ``close``, each atomic at the backend's granularity — the framing
+layer tolerates torn *tails*, not torn frames.  :class:`LocalStorage`
+fsyncs after every append and truncate (a crash right after torn-tail
+repair must not resurrect the tail), through one ``O_APPEND`` handle
+held until ``close``: a commit costs one write and one fsync.
 """
 
 from __future__ import annotations
@@ -47,23 +38,8 @@ def _fsync_fileobj(handle) -> None:
     os.fsync(handle.fileno())
 
 
-def _fsync_dir(path: pathlib.Path) -> None:
-    """fsync a directory so a rename inside it is durable; platforms
-    that cannot open directories simply skip (the rename itself is
-    still atomic — durability degrades, correctness does not)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        faults.fire("storage.fsync")
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class LocalStorage:
-    """Snapshot/log bytes in a real file on the local filesystem."""
+    """Log bytes in a real file on the local filesystem."""
 
     def __init__(self, path) -> None:
         self.path = pathlib.Path(path)
@@ -84,19 +60,6 @@ class LocalStorage:
     def read(self) -> bytes:
         return self.path.read_bytes()
 
-    def write(self, data: bytes) -> None:
-        """Replace the whole file: write-temp, fsync the temp, rename
-        over the target, fsync the directory — a crash at any point
-        leaves either the old complete file or the new complete file,
-        and the survivor is on stable storage."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            _fsync_fileobj(handle)
-        tmp.replace(self.path)
-        _fsync_dir(self.path.parent)
-
     def _appender(self):
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -111,10 +74,6 @@ class LocalStorage:
         _fsync_fileobj(handle)
 
     def truncate(self, length: int) -> None:
-        if self._handle is None and not self.path.exists():
-            if length == 0:
-                return
-            raise FileNotFoundError(str(self.path))
         handle = self._appender()
         handle.truncate(length)
         # fsync-after-truncate: torn-tail repair must not be
@@ -135,7 +94,7 @@ class LocalStorage:
 
 
 class DFSStorage:
-    """Snapshot/log bytes as a file in the simulated DFS."""
+    """Log bytes as a file in the simulated DFS."""
 
     def __init__(self, dfs, path: str) -> None:
         self.dfs = dfs
@@ -153,9 +112,6 @@ class DFSStorage:
 
     def read(self) -> bytes:
         return self.dfs.read_file(self.path)
-
-    def write(self, data: bytes) -> None:
-        self.dfs.write_file(self.path, data, overwrite=True)
 
     def append(self, data: bytes) -> None:
         self.dfs.append(self.path, data)
@@ -185,13 +141,15 @@ class PersistenceConfig:
     CLI can carry state across process invocations.
     """
 
+    #: names where a snapshot file of the retired layout would be:
+    #: recovery refuses a file there (it writes nothing at this path)
     snapshot_path: str = "restore/repository.snapshot"
     #: the log's base path: generation N lives at ``journal_path.g<N>``
     journal_path: str = "restore/repository.journal"
     #: "dfs" or "local"
     backend: str = "dfs"
-    #: records between automatic snapshot rotations
-    #: (0 = snapshot only when explicitly requested)
+    #: records between automatic checkpoint rotations
+    #: (0 = checkpoint only when explicitly requested)
     snapshot_interval: int = 0
     #: records per commit *outside* a submission (``session.evict()``,
     #: a direct ``Repository.add``); inside one, the workflow end commits
@@ -209,20 +167,26 @@ class PersistenceConfig:
             raise ValueError("the 'dfs' persistence backend needs a filesystem")
         return DFSStorage(dfs, path)
 
-    def snapshot_storage(self, dfs=None):
-        return self._storage(self.snapshot_path, dfs)
-
     def log_storage(self, dfs=None, gen: int = 0):
         return self._storage(self.log_file(gen), dfs)
 
-    def retired_files(self, dfs=None) -> List[str]:
-        """Files of the two-file layout this reader refuses: a bare
-        journal at ``journal_path`` and block-store generations at
-        ``snapshot_path.blocks.g<N>``."""
-        journal = self._storage(self.journal_path, dfs)
-        blocks = self.snapshot_path + ".blocks.g"
+    def _files(self, prefix: str, dfs) -> List[str]:
         if self.backend == "local":
-            found = sorted(glob.glob(glob.escape(blocks) + "*"))
-        else:
-            found = dfs.list_paths(blocks)
-        return [self.journal_path, *found] if journal.exists() else found
+            return sorted(glob.glob(glob.escape(prefix) + "*"))
+        self._storage(prefix, dfs)  # validates backend and filesystem
+        return dfs.list_paths(prefix)
+
+    def generations(self, dfs=None) -> List[int]:
+        """The log generations on the medium, newest first."""
+        prefix = self.log_file("")
+        tails = (path[len(prefix) :] for path in self._files(prefix, dfs))
+        return sorted((int(tail) for tail in tails if tail.isdigit()), reverse=True)
+
+    def retired_files(self, dfs=None) -> List[str]:
+        """Files of a retired layout, which this reader refuses: a
+        snapshot file at ``snapshot_path``, a bare journal at
+        ``journal_path`` and block-store generations at
+        ``snapshot_path.blocks.g<N>``."""
+        singles = [self.snapshot_path, self.journal_path]
+        found = [path for path in singles if self._storage(path, dfs).exists()]
+        return found + self._files(self.snapshot_path + ".blocks.g", dfs)

@@ -122,8 +122,8 @@ class ServiceStats:
     timeouts: int = 0
     #: repository entries evicted for failing to materialize
     quarantined_entries: int = 0
-    #: persistence circuit-breaker trips (journal/snapshot write
-    #: failures that degraded to buffered-in-memory mode)
+    #: persistence circuit-breaker trips (log write failures that
+    #: degraded to buffered-in-memory mode)
     breaker_trips: int = 0
     #: session id -> jobs completed for that tenant
     per_session: Dict[str, int] = field(default_factory=dict)

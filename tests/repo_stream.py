@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import random
 import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -29,7 +30,13 @@ from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.events import JobEliminated, RewriteApplied
 from repro.mapreduce.job import MapReduceJob, Workflow
-from repro.persistence.durability import PersistenceConfig, RepositoryPersister
+from repro.persistence.durability import (
+    PersistenceConfig,
+    RecoveredState,
+    RepositoryPersister,
+    adopt_recovered,
+    recover,
+)
 from repro.pig.physical.operators import (
     POFilter,
     POForEach,
@@ -339,6 +346,34 @@ def _local_config(directory: str) -> PersistenceConfig:
     )
 
 
+def attach(manager: ReStoreManager, config: PersistenceConfig) -> RepositoryPersister:
+    """A persister for *manager* over what :func:`recover` finds at
+    *config* (a local log is recovered without a filesystem, so nothing
+    is written into the manager's DFS): the one way one is built."""
+    dfs = manager.dfs if config.backend == "dfs" else None
+    return adopt_recovered(manager, recover(config, dfs), config)
+
+
+def checkpointed(
+    repository: Repository, kept_paths=(), clock: int = 0, dfs_ids=None
+) -> RecoveredState:
+    """*repository* (with a manager's kept paths and clock, and the DFS
+    id state) persisted as one checkpoint in a fresh local log, then
+    recovered from it — without a filesystem, so output bytes go
+    unchecked and every entry comes back."""
+    with tempfile.TemporaryDirectory() as directory:
+        config = _local_config(directory)
+        dfs = DistributedFileSystem()
+        dfs.ensure_id_floor(**(dfs_ids or {}))
+        manager = ReStoreManager(dfs, repository=repository)
+        manager.kept_paths.update(kept_paths)
+        manager.clock = clock
+        persister = attach(manager, config)
+        persister.take_snapshot()
+        persister.close()
+        return recover(config)
+
+
 def seed_state(workdir: str, entry_specs: List[EntrySpec], seed: int) -> str:
     """Build the repository once and persist it under ``workdir/seed``
     (returned), so every lane recovers the *same* LazyPlan-backed
@@ -349,15 +384,15 @@ def seed_state(workdir: str, entry_specs: List[EntrySpec], seed: int) -> str:
     repository = build_repository(entry_specs, seed, dfs)
     repository.ordered_entries()
     manager = ReStoreManager(dfs, repository=repository, config=probe_config())
-    persister = RepositoryPersister(manager, _local_config(seed_dir))
+    persister = attach(manager, _local_config(seed_dir))
     persister.take_snapshot()
     persister.close()
     return seed_dir
 
 
 def lane_dir(workdir: str, label: str, seed_dir: str) -> PersistenceConfig:
-    """A private copy of the seed state (snapshot and the block-store
-    generation it references) for one lane to recover and journal in."""
+    """A private copy of the seed state (its log generation) for one
+    lane to recover and journal in."""
     lane = os.path.join(workdir, label)
     shutil.copytree(seed_dir, lane)
     return _local_config(lane)

@@ -121,14 +121,11 @@ class TestBatchAmortization:
     def test_snapshot_restores_without_matcher_work(self):
         # the order comes back from the recorded fingerprints: no
         # stored plan is rebuilt
-        from repro.persistence.snapshot import RepositorySnapshot
+        from repo_stream import checkpointed
 
         repo = Repository()
         add_all(repo, self._random_entries(6))
-        snapshot = RepositorySnapshot.capture(repo)
-        restored = RepositorySnapshot.from_bytes(
-            snapshot.to_bytes()
-        ).restore_repository()
+        restored = checkpointed(repo).repository
         assert [e.entry_id for e in restored.ordered_entries()] == [
             e.entry_id for e in repo.ordered_entries()
         ]

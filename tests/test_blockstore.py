@@ -1,4 +1,5 @@
-"""Native payload durability: segments in the one log, and the scrub.
+"""Native payload durability: segments and checkpoints in the one log,
+and the scrub.
 
 A crash can tear a commit at *any* byte, and recovery must (a) restore
 byte-identical payloads for every entry whose segment survived intact,
@@ -13,6 +14,7 @@ Seeds default to 13; set ``CHAOS_SEED`` to sweep another timeline.
 
 from __future__ import annotations
 
+import re
 import time
 import zlib
 
@@ -27,11 +29,12 @@ from repro.faults.injector import FaultInjector, InjectedFault
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.persistence.durability import (
     PersistenceConfig,
-    RepositoryPersister,
+    adopt_recovered,
     announce_scrub_condemnations,
     recover,
 )
 from repro.persistence.framedlog import (
+    CHECKPOINT,
     FramedLog,
     LogError,
     SegmentRef,
@@ -39,10 +42,9 @@ from repro.persistence.framedlog import (
     scan_frames,
     verify_ref,
 )
-from repro.persistence.snapshot import RepositorySnapshot
 from repro.persistence.storage import LocalStorage
 from repro.session import ReStoreSession
-from test_framedlog import BLOCKS, SEED, TornWriteSweep, inject
+from test_framedlog import BLOCKS, CHECKPOINTS, SEED, TornWriteSweep, inject
 
 
 def _config(tmp_path, **extra) -> PersistenceConfig:
@@ -58,7 +60,7 @@ def _persister(tmp_path, **extra):
     dfs = DistributedFileSystem()
     config = _config(tmp_path, **extra)
     manager = ReStoreManager(dfs)
-    persister = RepositoryPersister(manager, config)
+    persister = adopt_recovered(manager, recover(config, dfs), config)
     return dfs, config, manager, persister
 
 
@@ -84,12 +86,36 @@ def _log_files(tmp_path) -> dict:
 
 
 def _lose_every_segment(tmp_path, persister) -> None:
-    """Fold everything into a snapshot, then lose the log under it:
-    every ref the snapshot carries now names missing bytes."""
+    """Fold everything into a checkpoint, then rot every payload
+    segment under it: every payload ref it carries now names bytes the
+    scan quarantines."""
     persister.take_snapshot()
     persister.close()
-    for name in _log_files(tmp_path):
-        (tmp_path / name).unlink()
+    log_path = tmp_path / f"repo.journal.g{persister.log.gen}"
+    data = bytearray(log_path.read_bytes())
+    for offset, (_, body) in scan_frames(bytes(data)).frames.items():
+        if isinstance(body, tuple) and "/" in body[0]:  # a payload, not a plan
+            data[offset + 12] ^= 0xFF
+    log_path.write_bytes(bytes(data))
+
+
+def _frames(log_path, kind) -> list:
+    """(offset, length) of every intact frame of *kind* in the file."""
+    scan = scan_frames(log_path.read_bytes())
+    return [
+        (offset, length)
+        for offset, (length, body) in scan.frames.items()
+        if not isinstance(body, tuple) and body[:1] == kind
+    ]
+
+
+class TestCheckpointCodec(TornWriteSweep):
+    """The checkpoint frame under the shared torn-write sweep."""
+
+    codec = CHECKPOINTS
+    test_every_byte_boundary_of_last_checkpoint = (
+        TornWriteSweep.every_byte_boundary_of_last_frame
+    )
 
 
 class TestSegmentCodec(TornWriteSweep):
@@ -227,8 +253,7 @@ class TestEveryByteCrashRecovery:
         twin = ReStoreManager(DistributedFileSystem())
         degraded = twin.events.collect(event_types=PersistenceDegraded)
         announce_scrub_condemnations(twin, recovered)
-        gen = _snapshot_table(config)["gen"]
-        assert [e.path for e in degraded] == [config.log_file(gen)]
+        assert [e.path for e in degraded] == [config.log_file(persister.log.gen)]
         # nothing was logged, so the next recovery re-derives the
         # same verdicts — and this time records them
         again = recover(config, DistributedFileSystem())
@@ -330,44 +355,68 @@ class TestPartialAndSlowActions:
         assert elapsed >= 0.04
         assert verify_ref(log.scan(), ref, "p") == b"unhurried"
 
-    def test_partial_snapshot_write_aborts_rotation_journal_intact(self, tmp_path):
+    def test_partial_checkpoint_write_aborts_rotation_nothing_lost(self, tmp_path):
+        """A checkpoint torn by a crash: recovery falls back to the
+        previous checkpoint plus every record after it."""
         dfs, config, manager, persister = _persister(tmp_path)
-        added = _add_entries(dfs, manager, n=2, seed=SEED)
-        log_bytes = (tmp_path / "repo.journal.g0").read_bytes()
-        inject("snapshot.write", "partial", arg=9)
-        persister.take_snapshot()  # breaker: degraded, not raised
+        added = build_repository(generate_entry_specs(4, seed=SEED), SEED).entries()
+        for number, entry in enumerate(added):
+            dfs.write_file(entry.output_path, _payload_for(entry.output_path))
+            entry.output_extent = dfs.input_extent(entry.output_path)
+            manager.repository.add(entry)
+            if number == 1:
+                persister.take_snapshot()
+        log_path = tmp_path / "repo.journal.g0"
+        log_bytes = log_path.read_bytes()
+        inject("journal.append", "partial", arg=9)
+        assert persister.take_snapshot() is None  # breaker: degraded
         faults.uninstall()
-        # the rotation aborted: no snapshot, the log untouched
-        assert not (tmp_path / "repo.snap").exists()
-        assert (tmp_path / "repo.journal.g0").read_bytes() == log_bytes
+        assert persister.breaker_open
+        # the torn prefix is the only change: a crash now leaves it
+        assert log_path.read_bytes()[: len(log_bytes)] == log_bytes
+        assert log_path.stat().st_size == len(log_bytes) + 9
         recovered = recover(config, DistributedFileSystem())
-        assert len(recovered.repository) == len(added)
+        assert recovered.journal_torn_bytes == 9
+        assert recovered.checkpoint_entries == 2 and recovered.journal_records == 4
+        assert {e.entry_id for e in recovered.repository.entries()} == {
+            e.entry_id for e in added
+        }
         assert recovered.payloads_condemned == []
 
 
-def _snapshot_table(config) -> dict:
-    snapshot = RepositorySnapshot.from_bytes(config.snapshot_storage().read())
-    return snapshot.payload_state
+def _checkpoint(config, gen: int = 0) -> dict:
+    return FramedLog(config.log_storage(gen=gen), gen).scan().checkpoint
 
 
-def _snapshot_refs(config) -> dict:
+def _checkpoint_refs(config, gen: int = 0) -> dict:
     return {
         path: SegmentRef.from_list(raw)
-        for path, raw in _snapshot_table(config)["refs"].items()
+        for path, raw in _checkpoint(config, gen)["payloads"].items()
     }
 
 
+def _live_segment_bytes(persister) -> int:
+    refs = {*persister._payload_refs.values(), *persister._plan_refs.values()}
+    return sum(ref.length for ref in refs)
+
+
 class TestRotationByReference:
-    def test_rotation_with_nothing_dead_appends_no_payload_byte(self, tmp_path):
+    def test_rotation_with_nothing_dead_appends_one_checkpoint(self, tmp_path):
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=4, seed=SEED)
         files = _log_files(tmp_path)
         refs = dict(persister._payload_refs)
+        plans = dict(persister._plan_refs)
         assert set(files) == {"repo.journal.g0"} and len(refs) == 4
-        assert persister.take_snapshot() is not None
-        assert _log_files(tmp_path) == files, "a rotation by reference writes nothing"
-        assert _snapshot_refs(config) == refs, "the refs travel as they are"
-        assert _snapshot_table(config)["offset"] == files["repo.journal.g0"]
+        event = persister.take_snapshot()
+        assert event is not None and event.path == config.log_file(0)
+        grown = {"repo.journal.g0": files["repo.journal.g0"] + event.bytes}
+        assert _log_files(tmp_path) == grown, "one frame, no segment"
+        assert _frames(tmp_path / "repo.journal.g0", CHECKPOINT) == [
+            (files["repo.journal.g0"], event.bytes)
+        ]
+        assert _checkpoint_refs(config) == refs, "the refs travel as they are"
+        assert persister._plan_refs == plans
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         assert recovered.journal_records == 0 and recovered.payloads_restored == 4
@@ -382,14 +431,21 @@ class TestRotationByReference:
         assert set(_log_files(tmp_path)) == {"repo.journal.g0"}
         for entry in added[:4]:  # two thirds of the stored bytes die
             manager.repository.remove(entry.entry_id)
-        persister.take_snapshot()
+        event = persister.take_snapshot()
         files = _log_files(tmp_path)
         assert set(files) == {"repo.journal.g1"}, "new generation, old one gone"
-        refs = _snapshot_refs(config)
+        # after rotations and a compaction the state directory holds the
+        # log's generation and nothing else: no snapshot file
+        assert [path.name for path in tmp_path.iterdir()] == ["repo.journal.g1"]
+        refs = _checkpoint_refs(config, 1)
         assert set(refs) == {e.output_path for e in added[4:]}
-        # the new generation holds the live segments and nothing else
-        assert sum(ref.length for ref in refs.values()) == files["repo.journal.g1"]
-        assert _snapshot_table(config)["offset"] == files["repo.journal.g1"]
+        # the new generation holds the live segments, then one checkpoint
+        live = _live_segment_bytes(persister)
+        assert files["repo.journal.g1"] == live + len(
+            (tmp_path / "repo.journal.g1").read_bytes()[live:]
+        )
+        assert _frames(tmp_path / "repo.journal.g1", CHECKPOINT)[0][0] == live
+        assert event.bytes == files["repo.journal.g1"]
         scan = FramedLog(config.log_storage(gen=1), 1).scan()
         for path, ref in refs.items():
             assert verify_ref(scan, ref, path) == _payload_for(path)
@@ -418,12 +474,12 @@ class TestRotationByReference:
         for entry in entries[:2]:
             manager.repository.add(entry)
         persister.take_snapshot()  # by reference: the refs stay in g0
-        log_bytes = persister.log.size()
+        log_bytes = persister.log.storage.size()
         persister.note_workflow_start()  # a submission opens: stage only
         for entry in entries[2:]:
             manager.repository.add(entry)
         assert persister.buffered_records == 4
-        assert persister.log.size() == log_bytes, "payload bytes are staged"
+        assert persister.log.storage.size() == log_bytes, "payload bytes are staged"
         persister.close()
         assert persister.buffered_records == 0
         fresh = DistributedFileSystem()
@@ -436,12 +492,10 @@ class TestRotationByReference:
         for entry in entries:
             assert fresh.read_file(entry.output_path) == _payload_for(entry.output_path)
 
-    def test_persister_without_recovered_state_appends_where_recovery_reads(
-        self, tmp_path
-    ):
-        """Attached over a compacted state without ``recovered=``, a
-        persister appends to the generation the snapshot names, behind
-        a cut torn tail: recovery replays its records."""
+    def test_successor_appends_where_recovery_reads(self, tmp_path):
+        """Over a compacted state whose log a crash left torn, the
+        successor's persister appends to the generation recovery read,
+        behind the cut tear: the next recovery replays its records."""
         dfs, config, manager, persister = _persister(tmp_path)
         added = _add_entries(dfs, manager, n=6, seed=SEED)
         for entry in added[:4]:
@@ -452,10 +506,12 @@ class TestRotationByReference:
         with open(tmp_path / "repo.journal.g1", "ab") as handle:
             handle.write(b"\x00\x00")  # a crash's torn frame header
         dfs = DistributedFileSystem()
-        manager = ReStoreManager(dfs)
-        attached = RepositoryPersister(manager, config)
+        state = recover(config, dfs)
+        assert state.log_gen == 1 and state.journal_torn_bytes == 2
+        successor = ReStoreManager(dfs, repository=state.repository)
+        attached = adopt_recovered(successor, state, config)
         assert attached.log.gen == 1
-        (late,) = _add_entries(dfs, manager, n=1, seed=SEED)
+        (late,) = _add_entries(dfs, successor, n=1, seed=SEED)
         attached.close()
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
@@ -474,7 +530,7 @@ class TestRotationByReference:
         # event, and not the entry's bytes, so nothing to carry
         dfs.write_file(victim, b"rewritten after capture", overwrite=True)
         persister.take_snapshot()
-        refs = _snapshot_refs(config)
+        refs = _checkpoint_refs(config, persister.log.gen)
         assert victim not in refs
         carried = added[1].output_path
         assert refs[carried] == persister._payload_refs[carried]
@@ -492,15 +548,16 @@ class TestRotationByReference:
         fresh = DistributedFileSystem()
         recovered = recover(config, fresh)
         successor = ReStoreManager(fresh, repository=recovered.repository)
-        resumed = RepositoryPersister(successor, config, recovered=recovered)
+        resumed = adopt_recovered(successor, recovered, config)
         files = _log_files(tmp_path)
         for expected_reads in (3, 0):
             before = fresh.bytes_read
-            assert resumed.take_snapshot() is not None
+            event = resumed.take_snapshot()
             reads = fresh.bytes_read - before
             assert (reads > 0) == (expected_reads > 0)
+            files["repo.journal.g0"] += event.bytes  # the checkpoint alone
             assert _log_files(tmp_path) == files
-        assert set(_snapshot_refs(config)) == {e.output_path for e in added}
+        assert set(_checkpoint_refs(config)) == {e.output_path for e in added}
 
     def test_aborted_rotation_leaves_journal_backlog_and_refs_untouched(
         self, tmp_path
@@ -511,15 +568,16 @@ class TestRotationByReference:
             manager.repository.remove(entry.entry_id)
         refs = dict(persister._payload_refs)
         log_bytes = (tmp_path / "repo.journal.g0").read_bytes()
-        inject("snapshot.write", "raise")
+        # the compaction's one append fails
+        inject("journal.append", "raise")
         assert persister.take_snapshot() is None
         faults.uninstall()
         assert persister.breaker_open and persister.buffered_records == 0
         assert persister._payload_refs == refs and persister.log.gen == 0
         assert (tmp_path / "repo.journal.g0").read_bytes() == log_bytes
+        assert set(_log_files(tmp_path)) == {"repo.journal.g0"}, "nothing half-built"
         recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 2 and recovered.payloads_condemned == []
-        # the half-built generation is debris the next rotation resets
         assert persister.take_snapshot() is not None
         assert set(_log_files(tmp_path)) == {"repo.journal.g1"}
         assert recover(config, DistributedFileSystem()).payloads_condemned == []
@@ -527,8 +585,9 @@ class TestRotationByReference:
     def test_space_stays_within_twice_live_plus_one_interval(self, tmp_path):
         """220 submissions under a time-window eviction policy: right
         after every rotation the log files hold at most 2x the live
-        payload bytes plus 2x the snapshot (the live form of the records
-        before its offset), and in between they grow by appends only."""
+        segment bytes (payloads and plans) plus 2x the checkpoint (the
+        live form of the records and checkpoints before it), and in
+        between they grow by appends only."""
         config = _config(tmp_path, snapshot_interval=25)
         builder = ReStoreSession.builder().persistence(config)
         session = builder.evict("time-window:6").build()
@@ -539,7 +598,7 @@ class TestRotationByReference:
         marks = {"rotations": 0, "compactions": 0, "budget": 0, "gen": 0}
 
         def on_rotation(event) -> None:
-            live = sum(ref.length for ref in persister._payload_refs.values())
+            live = _live_segment_bytes(persister)
             on_disk = sum(_log_files(tmp_path).values())
             budget = 2 * (live + event.bytes)
             assert on_disk <= budget, "a rotation left more dead bytes than live"
@@ -553,18 +612,18 @@ class TestRotationByReference:
             day, action = (number * 5) % 8, number % 4
             if number % 3 == 0:  # a hot query keeps part of the store live
                 day, action = 0, 1
-            appended = persister.log.size()
+            appended = persister.log.storage.size()
             session.run(
                 f"A = load 'data/d{day}' as (user, action:int, rev:double);"
                 f"B = filter A by action == {action}; C = group B by user;"
                 "D = foreach C generate group, SUM(B.rev);"
                 f" store D into 'out/q{number}';"
             )
-            grown = max(0, persister.log.size() - appended)
+            grown = max(0, persister.log.storage.size() - appended)
             marks["budget"] += grown
             assert sum(_log_files(tmp_path).values()) <= max(
                 marks["budget"], grown
-            ), f"log files outgrew 2x (live + snapshot) + the interval at {number}"
+            ), f"log files outgrew 2x (live + checkpoint) + the interval at {number}"
         assert marks["rotations"] >= 5 and marks["compactions"] >= 2
         assert marks["compactions"] < marks["rotations"]
         live = {
@@ -579,6 +638,117 @@ class TestRotationByReference:
             e.entry_id: fresh.read_file(e.output_path)
             for e in recovered.repository.entries()
         } == live
+
+
+class _Crash(BaseException):
+    """The process dies here: nothing after it runs."""
+
+
+def _flip_checkpoint(log_path, which: int = -1) -> None:
+    """Bit rot inside the body of the *which*-th checkpoint frame."""
+    offset, length = _frames(log_path, CHECKPOINT)[which]
+    data = bytearray(log_path.read_bytes())
+    data[offset + length // 2] ^= 0xFF
+    log_path.write_bytes(bytes(data))
+
+
+def _live(holder) -> dict:
+    """Entry id → output path, of a manager's or a recovered state's
+    repository."""
+    return {e.entry_id: e.output_path for e in holder.repository.entries()}
+
+
+class TestCheckpointFaults:
+    """What replaced the snapshot file's faults: a torn or rotten
+    checkpoint, and a compaction cut short."""
+
+    def _two_checkpoints(self, tmp_path):
+        dfs, config, manager, persister = _persister(tmp_path)
+        persister.COMPACT_DEAD_PER_LIVE = float("inf")  # both stay in g0
+        added = _add_entries(dfs, manager, n=3, seed=SEED)
+        manager.repository.remove(added[0].entry_id)
+        persister.take_snapshot()
+        manager.repository.remove(added[1].entry_id)
+        persister.take_snapshot()
+        persister.note_kept_path(added[2].output_path, True)  # a record after it
+        assert persister.log.gen == 0
+        return dfs, config, manager, persister
+
+    def test_bit_rot_in_the_last_checkpoint_replays_from_the_one_before(
+        self, tmp_path
+    ):
+        dfs, config, manager, persister = self._two_checkpoints(tmp_path)
+        live = _live(manager)
+        _flip_checkpoint(tmp_path / "repo.journal.g0")
+        recovered = recover(config, DistributedFileSystem())
+        assert recovered.journal_skipped == 1
+        assert recovered.checkpoint_entries == 2  # the first checkpoint's
+        assert recovered.journal_records == 2  # the remove, the kept path
+        assert _live(recovered) == live
+        assert recovered.kept_paths == set(live.values())  # the one left, kept
+        assert recovered.payloads_condemned == []
+
+    @pytest.mark.parametrize("tail", [False, True], ids=["mid-file", "at-the-tail"])
+    def test_bit_rot_in_a_compacted_generations_checkpoint_names_the_file(
+        self, tmp_path, tail
+    ):
+        dfs, config, manager, persister = _persister(tmp_path)
+        _add_entries(dfs, manager, n=3, seed=SEED)
+        persister.COMPACT_DEAD_PER_LIVE = 0
+        persister.take_snapshot()
+        assert set(_log_files(tmp_path)) == {"repo.journal.g1"}
+        if not tail:
+            persister.note_kept_path("tmp/s1/sj1", True)
+        persister.close()
+        _flip_checkpoint(tmp_path / "repo.journal.g1")
+        before = _log_files(tmp_path)
+        with pytest.raises(LogError, match=re.escape(config.log_file(1))):
+            recover(config, DistributedFileSystem())
+        assert _log_files(tmp_path) == before, "nothing is cut or deleted"
+
+    @pytest.mark.parametrize("crash", ["mid-append", "before-deletion"])
+    def test_a_compaction_cut_short_loses_nothing(self, tmp_path, monkeypatch, crash):
+        dfs, config, manager, persister = _persister(tmp_path)
+        added = _add_entries(dfs, manager, n=4, seed=SEED)
+        manager.repository.remove(added[0].entry_id)
+        live = _live(manager)
+        old = tmp_path / "repo.journal.g0"
+        old_bytes = old.read_bytes()
+        persister.COMPACT_DEAD_PER_LIVE = 0
+        if crash == "before-deletion":
+            # the compaction's append is durable, then the process dies
+            # as it deletes the old generation
+            delete = LocalStorage.delete
+
+            def die(storage):
+                if storage.path == old:
+                    raise _Crash()
+                delete(storage)
+
+            monkeypatch.setattr(LocalStorage, "delete", die)
+            with pytest.raises(_Crash):
+                persister.take_snapshot()
+            monkeypatch.undo()
+        else:
+            persister.take_snapshot()
+            # what a crash mid-append leaves: the old generation as it
+            # was, the new one torn inside its checkpoint
+            new = tmp_path / "repo.journal.g1"
+            ((offset, length),) = _frames(new, CHECKPOINT)
+            new.write_bytes(new.read_bytes()[: offset + length - 5])
+            old.write_bytes(old_bytes)
+        assert set(_log_files(tmp_path)) == {"repo.journal.g0", "repo.journal.g1"}
+        fresh = DistributedFileSystem()
+        recovered = recover(config, fresh)
+        expected_gen = 1 if crash == "before-deletion" else 0
+        assert recovered.log_gen == expected_gen
+        assert _live(recovered) == live
+        assert recovered.payloads_condemned == []
+        for path in live.values():
+            assert fresh.read_file(path) == _payload_for(path)
+        if crash == "mid-append":
+            # the torn generation was debris: recovery deleted it
+            assert set(_log_files(tmp_path)) == {"repo.journal.g0"}
 
 
 class TestInjectorHygiene:

@@ -1,29 +1,32 @@
-"""The versioned snapshot codec: capture, restore, laziness, hygiene.
+"""The checkpoint a rotation appends: restore, laziness, hygiene.
 
-A snapshot must rebuild a byte-identical matching surface — same
+A checkpoint must rebuild a byte-identical matching surface — same
 entries, same fingerprints, same §3 scan order — in O(entries read),
 without re-registering a single plan, and post-restore id allocation
-must never collide with persisted state.
+must never collide with persisted state.  A stored plan is a log
+segment, encoded once and never parsed to rotate.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repo_stream import (
     FULL_GRID_ENTRIES,
+    attach,
     build_repository,
+    checkpointed,
     generate_entry_specs,
     generate_probe_specs,
     match_stream,
 )
 from test_fingerprint_index import assert_index_consistent
 
+from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
@@ -33,10 +36,9 @@ from repro.persistence.durability import (
     derive_id_floors,
     recover,
 )
-from repro.persistence.framedlog import JournalRecord
+from repro.persistence.framedlog import FramedLog, JournalRecord
 from repro.persistence.snapshot import (
     LazyPlan,
-    RepositorySnapshot,
     SnapshotError,
     entry_from_record,
     entry_record,
@@ -51,48 +53,64 @@ def repository() -> Repository:
     return build_repository(generate_entry_specs(24, seed=7), seed=7)
 
 
-def roundtrip(repository: Repository, **capture_kwargs) -> RepositorySnapshot:
-    data = RepositorySnapshot.capture(repository, **capture_kwargs).to_bytes()
-    return RepositorySnapshot.from_bytes(data)
+def restored(repository: Repository, **state) -> Repository:
+    return checkpointed(repository, **state).repository
+
+
+def unborn(extents: dict) -> dict:
+    """*extents* as recovery returns them: births are process-local."""
+    return {path: replace(extent, birth=0) for path, extent in extents.items()}
+
+
+def durable_config(tmp_path) -> PersistenceConfig:
+    return PersistenceConfig(
+        snapshot_path=str(tmp_path / "r.snap"),
+        journal_path=str(tmp_path / "r.journal"),
+        backend="local",
+    )
+
+
+def last_checkpoint(config: PersistenceConfig, gen: int = 0) -> dict:
+    return FramedLog(config.log_storage(gen=gen), gen).scan().checkpoint
 
 
 class TestRoundTrip:
     def test_entries_and_fingerprints_survive(self, repository):
-        restored = roundtrip(repository).restore_repository()
-        assert len(restored) == len(repository)
+        twin_repository = restored(repository)
+        assert len(twin_repository) == len(repository)
         for entry in repository.entries():
-            twin = restored.get(entry.entry_id)
+            twin = twin_repository.get(entry.entry_id)
             assert twin.plan.fingerprint() == entry.plan.fingerprint()
             assert twin.output_path == entry.output_path
             assert twin.stats.exec_time_s == entry.stats.exec_time_s
-            assert twin.input_extents == entry.input_extents
+            assert twin.input_extents == unborn(entry.input_extents)
 
     def test_scan_order_is_identical(self, repository):
-        restored = roundtrip(repository).restore_repository()
-        assert [e.entry_id for e in restored.ordered_entries()] == [
+        assert [e.entry_id for e in restored(repository).ordered_entries()] == [
             e.entry_id for e in repository.ordered_entries()
         ]
 
     def test_restore_spends_zero_matcher_traversals(self, repository):
-        restored = roundtrip(repository).restore_repository()
-        assert restored.subsumption_pairs() == repository.subsumption_pairs()
+        twin = restored(repository)
+        assert twin.subsumption_pairs() == repository.subsumption_pairs()
         assert repository.subsumption_pairs()
-        restored.ordered_entries()
+        twin.ordered_entries()
         # the pairs came from the recorded fingerprints: no plan rebuilt
-        assert not any(entry.plan.materialized for entry in restored.entries())
+        assert not any(entry.plan.materialized for entry in twin.entries())
+        assert_index_consistent(twin)
 
-    def test_retired_state_keys_are_not_written_and_still_load(self, repository):
-        snapshot = roundtrip(repository)
-        retired = {"n_shards", "ordering_enabled", "order"}
-        assert not retired & set(snapshot.repository_state)
-        # a snapshot written before the keys were retired carries both
-        snapshot.repository_state["n_shards"] = 3
-        snapshot.repository_state["ordering_enabled"] = False
-        restored = snapshot.restore_repository()
-        assert_index_consistent(restored)
-        assert [e.entry_id for e in restored.ordered_entries()] == [
-            e.entry_id for e in repository.ordered_entries()
-        ]
+    def test_checkpoint_holds_the_counters_and_no_retired_key(
+        self, repository, tmp_path
+    ):
+        config = durable_config(tmp_path)
+        manager = ReStoreManager(DistributedFileSystem(), repository=repository)
+        attach(manager, config).take_snapshot()
+        checkpoint = last_checkpoint(config)
+        assert set(checkpoint["repository"]) == {"id_counter", "seq_counter", "seq"}
+        assert len(checkpoint["entries"]) == len(repository)
+        # the plan is a segment: a row carries its ref, not its bytes
+        assert all(set(row) == {"entry", "ref"} for row in checkpoint["entries"])
+        assert not any("plan" in row["entry"] for row in checkpoint["entries"])
 
     def test_restored_repository_makes_the_originals_decisions(self):
         """Same entries matched in the same order, same rewritten-plan
@@ -102,88 +120,35 @@ class TestRoundTrip:
         dfs = DistributedFileSystem()
         original = build_repository(entry_specs, 13, dfs, probe_specs)
         original.ordered_entries()
-        restored = roundtrip(original).restore_repository()
-        for entry in restored.entries():
+        twin = restored(original)
+        for entry in twin.entries():
             # no output stamp travels: the recovery scrub stamps the
             # outputs it verifies, as here the files it never left
             entry.output_extent = dfs.input_extent(entry.output_path)
-        after = match_stream(restored, dfs, probe_specs)
+        after = match_stream(twin, dfs, probe_specs)
         before = match_stream(original, dfs, probe_specs)
         assert after.decisions == before.decisions
         assert before.rewrites >= len(probe_specs) // 2
 
     def test_manager_and_dfs_state_travel(self, repository):
-        snapshot = roundtrip(
+        state = checkpointed(
             repository,
             kept_paths={"tmp/s3/sj7", "tmp/s3/sj9"},
             clock=42,
             dfs_ids={"next_script_id": 4, "next_subjob_id": 10},
         )
-        assert snapshot.manager_state == {
-            "kept_paths": ["tmp/s3/sj7", "tmp/s3/sj9"],
-            "clock": 42,
-        }
-        assert snapshot.dfs_state == {"next_script_id": 4, "next_subjob_id": 10}
+        assert state.kept_paths == {"tmp/s3/sj7", "tmp/s3/sj9"}
+        assert state.clock == 42
+        assert state.id_floors["next_script_id"] >= 4
+        assert state.id_floors["next_subjob_id"] >= 10
+        assert state.checkpoint_entries == len(repository)
 
 
-class TestValidation:
-    def test_bad_magic_rejected(self, repository):
-        data = RepositorySnapshot.capture(repository).to_bytes()
-        with pytest.raises(SnapshotError, match="magic"):
-            RepositorySnapshot.from_bytes(b"XXXX" + data[4:])
-
-    def test_truncated_body_rejected(self, repository):
-        data = RepositorySnapshot.capture(repository).to_bytes()
-        with pytest.raises(SnapshotError, match="truncated"):
-            RepositorySnapshot.from_bytes(data[: len(data) // 2])
-
-    def test_trailing_bytes_rejected(self, repository):
-        for source in (Repository(), repository):
-            data = RepositorySnapshot.capture(source).to_bytes()
-            assert len(RepositorySnapshot.from_bytes(data)) == len(source)
-            with pytest.raises(SnapshotError, match="7 trailing bytes"):
-                RepositorySnapshot.from_bytes(data + b"garbage")
-
-    def test_bit_rot_rejected(self, repository):
-        data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
-        data[len(data) // 2] ^= 0xFF
-        with pytest.raises(SnapshotError, match="checksum"):
-            RepositorySnapshot.from_bytes(bytes(data))
-
-    def test_newer_version_rejected(self, repository):
-        snapshot = RepositorySnapshot.capture(repository)
-        snapshot.payload["version"] = 99
-        with pytest.raises(SnapshotError, match="newer"):
-            RepositorySnapshot.from_bytes(snapshot.to_bytes())
-
-    def test_older_version_refused_naming_the_supported_one(self, repository):
-        for version in (3, 4, 5):
-            data = bytearray(RepositorySnapshot.capture(repository).to_bytes())
-            data[4] = version  # the header's version byte
-            with pytest.raises(SnapshotError, match="supports version 6 only"):
-                RepositorySnapshot.from_bytes(bytes(data))
-            snapshot = RepositorySnapshot.capture(repository)
-            snapshot.payload["version"] = version
-            with pytest.raises(SnapshotError, match="supports version 6 only"):
-                RepositorySnapshot.from_bytes(snapshot.to_bytes())
-
-    def test_format_4_state_is_refused_not_converted(self, repository):
+class TestOlderFormatsRefused:
+    def test_entry_record_without_derived_keys_is_refused(self, repository):
         """Format 4 recorded load signatures and signature multisets
-        (what candidate pruning needed) and the §3 order.  Its snapshot
-        and its journal records are refused with a typed error."""
-        snapshot = RepositorySnapshot.capture(repository)
-        payload = snapshot.payload
-        payload["version"] = 4
-        payload["repository"]["order"] = {"scores": {}, "subsumes": {}, "pending": []}
-        for row in payload["repository"]["entries"]:
-            row[11:13] = [["load-sig"], {"sig": 1}]
-        index = json.dumps(payload, separators=(",", ":")).encode()
-        body = index + snapshot.cold
-        crc = zlib.crc32(body)
-        header = struct.pack(">4sBIII", b"RSNP", 4, crc, len(index), len(body))
-        with pytest.raises(SnapshotError, match="supports version 6 only"):
-            RepositorySnapshot.from_bytes(header + body)
-
+        instead of the derived frontier and operators: its records are
+        refused with a typed error, not converted."""
         record = entry_record(repository.entries()[0])
         record["derived"] = {
             "fingerprint": record["derived"]["fingerprint"],
@@ -199,8 +164,7 @@ class TestValidation:
 
 class TestLazyPlan:
     def test_metadata_served_without_materializing(self, repository):
-        restored = roundtrip(repository).restore_repository()
-        entry = restored.entries()[0]
+        entry = restored(repository).entries()[0]
         original = repository.get(entry.entry_id)
         assert isinstance(entry.plan, LazyPlan)
         assert entry.plan.fingerprint() == original.plan.fingerprint()
@@ -211,19 +175,23 @@ class TestLazyPlan:
             original.plan.operator_fingerprints()
         )
         assert not entry.plan.materialized
+        # the segment's bytes, copied out of the scan's buffer
+        assert type(entry.plan.to_json()) is bytes
+        assert entry.plan.to_json() == original.plan.to_json()
 
     def test_structural_access_materializes_real_plan(self, repository):
-        restored = roundtrip(repository).restore_repository()
-        entry = restored.entries()[0]
+        entry = restored(repository).entries()[0]
         original = repository.get(entry.entry_id)
         assert len(entry.plan) == len(original.plan)  # forces the rebuild
         assert entry.plan.materialized
         assert entry.plan.to_dict() == original.plan.to_dict()
 
     def test_fingerprint_mismatch_is_corruption(self, repository):
-        record = entry_record(repository.entries()[0])
+        original = repository.entries()[0]
+        record = entry_record(original)
         record["derived"]["fingerprint"] = "fp_bogus"
         entry = entry_from_record(record)
+        entry.plan.json = original.plan.to_json()
         assert entry.plan.fingerprint() == "fp_bogus"  # metadata as stored
         with pytest.raises(SnapshotError, match="mismatch"):
             entry.plan.materialize()
@@ -231,36 +199,32 @@ class TestLazyPlan:
 
 class TestIdHygiene:
     def test_new_entry_ids_resume_past_persisted(self, repository):
-        restored = roundtrip(repository).restore_repository()
+        twin = restored(repository)
         top = max(e.entry_id for e in repository.entries())
-        fresh = restored.add(entry_from_record(_unowned_record(repository)))
+        fresh = twin.add(entry_from_record(_unowned_record(repository)))
         assert fresh.entry_id > top
 
     def test_dfs_id_floors_pushed_on_recover(self, tmp_path):
         repo = build_repository(generate_entry_specs(4, seed=5), seed=5)
         repo.ordered_entries()
-        snapshot = RepositorySnapshot.capture(
-            repo, dfs_ids={"next_script_id": 40, "next_subjob_id": 90}
-        )
-        config = PersistenceConfig(
-            snapshot_path=str(tmp_path / "r.snap"),
-            journal_path=str(tmp_path / "r.journal"),
-            backend="local",
-        )
-        config.snapshot_storage().write(snapshot.to_bytes())
+        config = durable_config(tmp_path)
         dfs = DistributedFileSystem()
-        # a legacy (pre-block-store) snapshot carries no payload refs:
-        # the recovery scrub tolerates its entries only while their
-        # output bytes are present, so stage them like a live DFS
+        dfs.ensure_id_floor(next_script_id=40, next_subjob_id=90)
+        persister = attach(ReStoreManager(dfs, repository=repo), config)
+        persister.take_snapshot()
+        persister.close()
+        fresh = DistributedFileSystem()
+        # no output was ever written, so no payload was captured: the
+        # scrub tolerates the entries only while their bytes are present
         for entry in repo.entries():
-            dfs.write_file(entry.output_path, b"x")
-        recovered = recover(config, dfs)
+            fresh.write_file(entry.output_path, b"x")
+        recovered = recover(config, fresh)
         assert len(recovered.repository) == 4
         assert recovered.payloads_legacy == 4
-        assert dfs.id_state()["next_script_id"] >= 40
-        assert dfs.id_state()["next_subjob_id"] >= 90
+        assert fresh.id_state()["next_script_id"] >= 40
+        assert fresh.id_state()["next_subjob_id"] >= 90
         # allocation after recovery starts past the persisted floor
-        assert int(dfs.next_script_id()) >= 40
+        assert int(fresh.next_script_id()) >= 40
 
     def test_floors_derived_from_entry_paths(self):
         repo = Repository()
@@ -282,8 +246,7 @@ def _unowned_record(repository: Repository) -> dict:
     return record
 
 
-class TestInputExtentsColumn:
-
+class TestInputExtents:
     def _with_extents(self, repository: Repository) -> Repository:
         for i, entry in enumerate(repository.entries()[:3]):
             entry.input_extents["data/pv"] = InputExtent(
@@ -298,10 +261,10 @@ class TestInputExtentsColumn:
 
     def test_extents_round_trip(self, repository):
         source = self._with_extents(repository)
-        restored = roundtrip(source).restore_repository()
+        twin = restored(source)
         for entry in source.entries():
-            assert restored.get(entry.entry_id).input_extents == (
-                entry.input_extents
+            assert twin.get(entry.entry_id).input_extents == (
+                unborn(entry.input_extents)
             )
 
     def test_entry_record_round_trips_extents(self, repository):
@@ -319,14 +282,6 @@ D = foreach C generate group, COUNT(B);
 store D into 'OUT';
 """
 PV = "alice\t1\t1.5\nbob\t2\t4.0\nalice\t3\t2.5\ncarol\t1\t0.5\n"
-
-
-def durable_config(tmp_path) -> PersistenceConfig:
-    return PersistenceConfig(
-        snapshot_path=str(tmp_path / "r.snap"),
-        journal_path=str(tmp_path / "r.journal"),
-        backend="local",
-    )
 
 
 def run_script(session: ReStoreSession) -> None:
@@ -349,17 +304,32 @@ def encodes(monkeypatch) -> Counter:
     return counts
 
 
-class TestEncodedOnce:
-    """A stored plan is encoded at most once: every journal record and
-    snapshot rotation after that reuses the same bytes."""
+@pytest.fixture
+def no_parse(monkeypatch):
+    """Fail any parse of a restored plan's bytes (only a rebuild parses)."""
 
-    def test_rotations_encode_each_plan_once(self, repository, encodes):
+    def parse(plan):
+        raise AssertionError(f"{plan!r} parsed")
+
+    monkeypatch.setattr(LazyPlan, "materialize", parse)
+
+
+class TestEncodedOnce:
+    """A stored plan is encoded at most once, into one segment: every
+    later record, rotation and compaction refers to or copies those
+    bytes."""
+
+    def test_rotations_encode_no_plan(self, repository, tmp_path, encodes):
         plans = [entry.plan for entry in repository.entries()]
         assert len(plans) >= 3
-        first = RepositorySnapshot.capture(repository)
-        assert sum(encodes.values()) == len(plans)
-        for _ in range(3):
-            assert RepositorySnapshot.capture(repository).cold == first.cold
+        manager = ReStoreManager(DistributedFileSystem(), repository=repository)
+        persister = attach(manager, durable_config(tmp_path))
+        persister.take_snapshot()  # the first lands every plan's segment
+        assert encodes == Counter(id(plan) for plan in plans)
+        for compact in (float("inf"), float("inf"), 0):  # by reference, compacting
+            persister.COMPACT_DEAD_PER_LIVE = compact
+            assert persister.take_snapshot() is not None
+        assert persister.log.gen == 1
         assert encodes == Counter(id(plan) for plan in plans)
 
     def test_mutation_after_encode_re_encodes(self, repository):
@@ -375,32 +345,36 @@ class TestEncodedOnce:
         fresh = json.dumps(plan.to_dict(), separators=(",", ":")).encode()
         assert plan.to_json() == fresh
 
-    def test_restored_entries_rotate_without_parsing(self, repository, monkeypatch):
-        original = RepositorySnapshot.capture(repository)
-        data = original.to_bytes()
-        restored = RepositorySnapshot.from_bytes(data).restore_repository()
+    def test_restored_entries_rotate_without_parsing(
+        self, repository, tmp_path, encodes, no_parse
+    ):
+        state = checkpointed(repository)
+        encodes.clear()  # what persisting the originals took
+        config = durable_config(tmp_path)
+        manager = ReStoreManager(DistributedFileSystem(), repository=state.repository)
+        persister = attach(manager, config)
+        for compact in (float("inf"), 0):  # by reference, then compacting
+            persister.COMPACT_DEAD_PER_LIVE = compact
+            assert persister.take_snapshot().entries == len(repository) > 0
+        assert not encodes
+        assert not any(e.plan.materialized for e in state.repository.entries())
+        persister.close()
+        again = recover(config).repository
+        for entry in repository.entries():
+            assert again.get(entry.entry_id).plan.to_json() == entry.plan.to_json()
 
-        def parse(plan):
-            raise AssertionError(f"{plan!r} parsed to rotate")
-
-        monkeypatch.setattr(LazyPlan, "_plan_data", parse)
-        rotated = RepositorySnapshot.capture(restored)
-        assert len(rotated) == len(repository) > 0
-        assert rotated.cold == original.cold
-        assert not any(entry.plan.materialized for entry in restored.entries())
-
-    def test_journal_replayed_entries_rotate_into_the_live_bytes(self, tmp_path):
+    def test_journal_replayed_entries_hold_the_live_bytes(self, tmp_path, no_parse):
         config = durable_config(tmp_path)
         session = ReStoreSession(persistence=config)
         run_script(session)
-        live = RepositorySnapshot.capture(session.repository)
-        session.close()  # journal only: no snapshot rotates
-        assert not config.snapshot_storage().exists()
+        live = {e.entry_id: e.plan.to_json() for e in session.repository.entries()}
+        session.close()  # records only: no checkpoint rotates
         recovered = recover(config, session.dfs)
-        assert recovered.journal_records > 0
-        replayed = RepositorySnapshot.capture(recovered.repository)
-        assert len(replayed) == len(live) > 0
-        assert replayed.cold == live.cold
+        assert recovered.journal_records > 0 and recovered.checkpoint_entries == 0
+        replayed = {
+            e.entry_id: e.plan.to_json() for e in recovered.repository.entries()
+        }
+        assert replayed == live and live
 
     def test_only_a_persister_encodes(self, tmp_path, encodes):
         with ReStoreSession() as session:

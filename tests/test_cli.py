@@ -181,8 +181,9 @@ class TestPersistenceFlags:
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "repository:" in first
-        assert snap.exists()
-        # the log generations live beside it: repo.snapshot.journal.g<N>
+        # the state is the log generations beside it,
+        # repo.snapshot.journal.g<N>; nothing is written at PATH itself
+        assert not snap.exists()
         assert list((script.parent / "state").glob("repo.snapshot.journal.g*"))
 
         # a brand-new process would see exactly these files; the second

@@ -60,11 +60,10 @@ from repro.faults.injector import (
 from repro.faults.plan import FaultPlan, FaultRule, StormSpec, storm_plan
 from repro.persistence.durability import (
     PersistenceConfig,
-    RepositoryPersister,
+    adopt_recovered,
     recover,
 )
 from repro.persistence.framedlog import FramedLog, encode_record
-from repro.persistence.snapshot import RepositorySnapshot
 from repro.persistence.storage import LocalStorage
 from repro.service import JobService
 from test_framedlog import SEED, inject
@@ -270,7 +269,7 @@ class TestCircuitBreaker:
         )
         dfs = DistributedFileSystem()
         manager = ReStoreManager(dfs, config=probe_config())
-        return manager, RepositoryPersister(manager, config), config
+        return manager, adopt_recovered(manager, recover(config), config), config
 
     def test_breaker_degrades_buffers_and_recovers_on_probe(self, tmp_path):
         manager, persister, config = self._persister(tmp_path)
@@ -299,20 +298,22 @@ class TestCircuitBreaker:
         assert len(scan.records) == 2, "every buffered record landed"
         persister.close()
 
-    def test_failed_snapshot_rotation_keeps_the_journal(self, tmp_path):
+    def test_failed_checkpoint_append_keeps_the_journal(self, tmp_path):
         manager, persister, config = self._persister(tmp_path)
         persister.note_kept_path("kept/rotate", True)
-        inject("snapshot.write", "raise", hits=(1,))
+        # the rotation's one append: its checkpoint
+        inject("journal.append", "raise", hits=(1,))
         assert persister.take_snapshot() is None
         assert persister.breaker_open
         faults.uninstall()
-        # the aborted rotation left no snapshot: recovery replays the
+        # the aborted rotation left no checkpoint: recovery replays the
         # whole log
-        assert recover(config).kept_paths == {"kept/rotate"}
-        assert persister.take_snapshot() is not None
-        snapshot = RepositorySnapshot.from_bytes(config.snapshot_storage().read())
-        assert snapshot.payload_state["offset"] == persister.log.size()
-        assert recover(config).journal_records == 0
+        state = recover(config)
+        assert state.kept_paths == {"kept/rotate"} and state.journal_records == 1
+        event = persister.take_snapshot()
+        assert event is not None and not persister.breaker_open
+        assert event.path == persister.log.location
+        assert recover(config).journal_records == 0  # all in the checkpoint
         persister.close()
 
 
@@ -326,7 +327,7 @@ class TestQuarantine:
         manager = ReStoreManager(
             dfs, repository=state.repository, config=probe_config()
         )
-        persister = RepositoryPersister(manager, config)
+        persister = adopt_recovered(manager, state, config)
         quarantined = []
         manager.events.subscribe(
             quarantined.append, event_types=(EntryQuarantined,)

@@ -340,13 +340,11 @@ class TestEntryIdScoping:
         )
 
     def test_loaded_ids_never_collide_with_generated(self):
-        from repro.persistence.snapshot import RepositorySnapshot
+        from repo_stream import checkpointed
 
         repo = Repository()
         repo.add(make_entry([], "ds0", "stored/a"))
-        restored = RepositorySnapshot.from_bytes(
-            RepositorySnapshot.capture(repo).to_bytes()
-        ).restore_repository()
+        restored = checkpointed(repo).repository
         fresh = restored.add(make_entry([("filter", 1)], "ds0", "stored/b"))
         assert fresh.entry_id != "entry_000001"
         assert len(restored) == 2

@@ -1,13 +1,15 @@
-"""The framed log's torn-write contract, stated once for both body kinds.
+"""The framed log's torn-write contract, stated once for every body kind.
 
 A crash can tear an append at *any* byte and a disk can rot one in
 place; :mod:`repro.persistence.framedlog` decides what survives.
 :class:`TornWriteSweep` is that decision as a suite over a
 :class:`Codec`; it runs once per body kind by subclassing —
-``test_journal_recovery.TestTornTail`` (records) and
-``test_blockstore.TestSegmentCodec`` (payload segments), so the chaos
+``test_journal_recovery.TestTornTail`` (records),
+``test_blockstore.TestSegmentCodec`` (segments) and
+``test_blockstore.TestCheckpointCodec`` (checkpoints), so the chaos
 lanes that select those files keep running it.  The format pin below
-holds both kinds to the bytes of snapshot format 6's log.
+holds the three kinds to their bytes: records and segments are as the
+log wrote them before checkpoints joined it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.persistence.framedlog import (
     FramedLog,
     FrameScan,
+    LogError,
+    encode_checkpoint,
+    encode_frame,
     encode_record,
     encode_segment,
     scan_frames,
@@ -72,6 +77,13 @@ BLOCKS = Codec(
         [{"path": "tmp/s9/sj9", "data": b"fresh"}], segments_only=True
     ),
 )
+CHECKPOINTS_STATE = [{"clock": n, "kept_paths": [f"tmp/s{n}/sj1"]} for n in (1, 2, 3)]
+CHECKPOINTS = Codec(
+    [encode_checkpoint(state) for state in CHECKPOINTS_STATE],
+    scan_frames,
+    FramedLog,
+    lambda log: log.append_frames(encode_checkpoint({"clock": 9})),
+)
 
 
 class TornWriteSweep:
@@ -111,6 +123,7 @@ class TornWriteSweep:
         assert not scan.torn  # an intact frame followed: resync, no tear
         decode = self.codec.decode
         assert scan.records == decode(first).records + decode(last).records
+        assert scan.checkpoint == decode(last).checkpoint
 
     def test_torn_middle_censors_the_rest(self):
         # appends never rewrite earlier bytes, so a tear can only be at
@@ -140,7 +153,7 @@ class TornWriteSweep:
         with pytest.raises(PartialWriteFault):
             self.codec.append_one(log)
         faults.uninstall()
-        assert log.size() == landed  # exactly the torn prefix landed
+        assert log.storage.size() == landed  # exactly the torn prefix landed
         scan = log.scan()
         assert scan.torn_bytes == landed and not scan.frames
         log.repair(scan)
@@ -153,17 +166,17 @@ class TornWriteSweep:
         where it would censor every later frame."""
         log = self.codec.open(LocalStorage(str(tmp_path / "log")))
         self.codec.append_one(log)
-        clean = log.size()
+        clean = log.storage.size()
         inject("journal.append", "partial", arg=7)
         with pytest.raises(PartialWriteFault):
             self.codec.append_one(log)
         faults.uninstall()
-        assert log.size() == clean + 7
+        assert log.storage.size() == clean + 7
         self.codec.append_one(log)  # the retry
         self.codec.append_one(log)
         scan = log.scan()
         assert len(scan.frames) == 3 and not scan.torn and scan.skipped == 0
-        assert log.size() == 3 * clean
+        assert log.storage.size() == 3 * clean
 
 
 #: what ``encode_record`` / ``encode_segment`` write for RECORDS /
@@ -182,6 +195,11 @@ PINNED_BLOCKS = bytes.fromhex(
     "0000001f4327d31d53000a746d702f73312f736a327061796c6f61642d74776f"
     "2d6c6f6e6765720000000fd59eb1b253000a746d702f73322f736a377033"
 )
+#: ``encode_checkpoint(CHECKPOINTS_STATE[0])``: key-sorted JSON behind ``C``
+PINNED_CHECKPOINT = bytes.fromhex(
+    "00000028f88044ed437b22636c6f636b223a312c226b6570745f706174687322"
+    "3a5b22746d702f73312f736a31225d7d"
+)
 
 
 def test_on_disk_format_is_pinned():
@@ -197,3 +215,24 @@ def test_on_disk_format_is_pinned():
         71: (23, SEGMENTS[2]),
     }
     assert not blocks.torn and blocks.skipped == 0
+    assert CHECKPOINTS.frames[0] == PINNED_CHECKPOINT
+    assert scan_frames(PINNED_CHECKPOINT).checkpoint == CHECKPOINTS_STATE[0]
+
+
+def test_only_the_last_checkpoint_and_the_records_after_it_are_parsed():
+    """Records before the last checkpoint are folded into it: the scan
+    checks their checksums but hands back (and parses) only what
+    follows; a checksum-valid frame that is not JSON is no writer's."""
+    before, after = (encode_record(record) for record in RECORDS[:2])
+    first, last = CHECKPOINTS.frames[0], CHECKPOINTS.frames[1]
+    scan = scan_frames(before + first + after + last)
+    assert scan.checkpoint == CHECKPOINTS_STATE[1] and scan.records == []
+    scan = scan_frames(before + first + after)
+    assert scan.checkpoint == CHECKPOINTS_STATE[0]
+    assert [r.data["path"] for r in scan.records] == [RECORDS[1]["path"]]
+    assert len(scan.frames) == 3 and not scan.torn
+    garbage = encode_frame(b"R{not json")
+    with pytest.raises(LogError, match="offset"):
+        scan_frames(first + garbage)
+    # before the last checkpoint it is never parsed
+    assert scan_frames(garbage + first).checkpoint == CHECKPOINTS_STATE[0]

@@ -8,42 +8,39 @@ times the same records are replayed.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
 import pytest
 
-from repo_stream import build_repository, generate_entry_specs
+from repo_stream import attach, build_repository, checkpointed, generate_entry_specs
 from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
 from repro.exceptions import ReproError
-from repro.persistence.durability import (
-    PersistenceConfig,
-    ReplayTarget,
-    RepositoryPersister,
-    recover,
-)
+from repro.persistence.durability import PersistenceConfig, ReplayTarget, recover
 from repro.persistence.framedlog import (
-    RECORD,
     FramedLog,
     JournalRecord,
-    encode_frame,
     encode_record,
     scan_frames,
 )
-from repro.persistence.snapshot import RepositorySnapshot, entry_record
+from repro.persistence.snapshot import entry_record
 from repro.session import ReStoreSession
 from test_framedlog import JOURNAL, TornWriteSweep
 
 
-def replay(snapshot, records) -> Repository:
-    """The repository a journal replay of *records* over *snapshot*
-    reaches (the pipeline recovery runs)."""
-    target = ReplayTarget.from_snapshot(snapshot)
-    target.apply_all(records)
+def replay(repository, records) -> Repository:
+    """The repository a journal replay of *records* over a checkpoint of
+    *repository* reaches (the pipeline recovery runs; ``None``: no
+    checkpoint)."""
+    if repository is None:
+        target = ReplayTarget.from_checkpoint(None)
+    else:
+        target = ReplayTarget(checkpointed(repository).repository)
+    for record in records:
+        target.apply(record)
     return target.repository
 
 
@@ -60,7 +57,6 @@ class TestReplaySemantics:
     def test_replay_twice_equals_replay_once(self):
         repo = build_repository(generate_entry_specs(8, seed=3), seed=3)
         repo.ordered_entries()
-        snapshot = RepositorySnapshot.capture(repo)
         victim = repo.entries()[2]
         records = [
             JournalRecord.from_payload(
@@ -79,8 +75,8 @@ class TestReplaySemantics:
                 }
             ),
         ]
-        once = replay(snapshot, records)
-        twice = replay(snapshot, records + records)
+        once = replay(repo, records)
+        twice = replay(repo, records + records)
         assert [e.entry_id for e in once.ordered_entries()] == [
             e.entry_id for e in twice.ordered_entries()
         ]
@@ -93,12 +89,11 @@ class TestReplaySemantics:
     def test_same_id_readd_keeps_scan_position(self):
         repo = build_repository(generate_entry_specs(8, seed=3), seed=3)
         repo.ordered_entries()
-        snapshot = RepositorySnapshot.capture(repo)
         order = [e.entry_id for e in repo.ordered_entries()]
         readd = JournalRecord.from_payload(
             {"type": "entry_added", "entry": entry_record(repo.entries()[4])}
         )
-        restored = replay(snapshot, [readd])
+        restored = replay(repo, [readd])
         assert [e.entry_id for e in restored.ordered_entries()] == order
 
     def test_journal_from_before_snapshot_format_4_still_replays(self):
@@ -122,43 +117,46 @@ class TestReplaySemantics:
         for entry in repo.entries():
             assert restored.get(entry.entry_id).input_extents == entry.input_extents
 
-    def test_entry_frame_is_one_object_with_the_record_keys(self):
-        """An entry record's plan bytes are spliced into its frame, not
-        re-encoded: the frame still decodes to one JSON object with the
-        record's keys, and the plan to the plan's dict."""
+    def test_entry_record_carries_a_plan_ref_not_the_plan(self, tmp_path):
+        """An entry record is plain key-sorted JSON: the plan's bytes are
+        a segment named by its fingerprint, written in the same commit,
+        and the record carries its ref."""
+        dfs, config, manager, persister = TestLivePersisterCrash()._manager(tmp_path)
         entry = build_repository(generate_entry_specs(2, seed=3), seed=3).entries()[0]
-        record = entry_record(entry)
-        frame = encode_record({"type": "entry_added", "entry": record})
-        (decoded,) = scan_frames(frame).records
-        assert decoded.type == "entry_added"
-        assert list(decoded.data) == ["entry"]
-        assert decoded.data["entry"].keys() == record.keys()
-        assert decoded.data["entry"]["plan"] == entry.plan.to_dict()
-        assert decoded.data["entry"]["derived"]["operators"] == list(
-            record["derived"]["operators"]
-        )
-
-    def test_key_sorted_plan_journal_still_replays(self):
-        """Before the splice a frame was the whole record key-sorted,
-        plan included; a journal written so replays to the same
-        entries, and their plans rebuild to the recorded fingerprints."""
-        repo = build_repository(generate_entry_specs(8, seed=3), seed=3)
-        frames = []
-        for entry in repo.entries():
-            record = dict(entry_record(entry), plan=entry.plan.to_dict())
-            body = json.dumps(
-                {"type": "entry_added", "entry": record},
-                separators=(",", ":"),
-                sort_keys=True,
-            )
-            frames.append(encode_frame(RECORD + body.encode()))
-        restored = replay(None, scan_frames(b"".join(frames)).records)
-        assert [e.entry_id for e in restored.ordered_entries()] == [
-            e.entry_id for e in repo.ordered_entries()
+        manager.repository.add(entry)
+        scan = persister.log.scan()
+        (record,) = [r for r in scan.records if r.type == "entry_added"]
+        assert list(record.data) == ["entry", "path", "ref"]
+        assert "plan" not in record.data["entry"]
+        assert record.data["path"] == entry.plan.fingerprint()
+        ((length, (name, plan)),) = [
+            frame for frame in scan.frames.values() if isinstance(frame[1], tuple)
         ]
-        for entry in repo.entries():
-            twin = restored.get(entry.entry_id).plan
-            assert twin.materialize().fingerprint() == entry.plan.fingerprint()
+        assert name == entry.plan.fingerprint() and plan == entry.plan.to_json()
+        assert record.data["ref"][2] == length
+
+    def test_entry_record_without_a_plan_ref_is_condemned(self, tmp_path):
+        """A log written before plans were segments inlines each plan in
+        its entry record: its entries are condemned, never served."""
+        repo = build_repository(generate_entry_specs(3, seed=3), seed=3)
+        config = PersistenceConfig(
+            snapshot_path=str(tmp_path / "repo.snap"),
+            journal_path=str(tmp_path / "repo.journal"),
+            backend="local",
+        )
+        records = [
+            {
+                "type": "entry_added",
+                "entry": dict(entry_record(entry), plan=entry.plan.to_dict()),
+            }
+            for entry in repo.entries()
+        ]
+        FramedLog(config.log_storage()).append_frames(encode_record(*records))
+        recovered = recover(config)
+        assert len(recovered.repository) == 0
+        reasons = [reason for _, _, reason in recovered.payloads_condemned]
+        assert len(reasons) == 3
+        assert all("malformed plan segment ref" in reason for reason in reasons)
 
     def test_unknown_record_types_are_skipped(self):
         target = ReplayTarget(Repository())
@@ -171,14 +169,13 @@ class TestReplaySemantics:
         without duplicating it or disturbing the scan order."""
         repo = build_repository(generate_entry_specs(8, seed=3), seed=3)
         order = [e.entry_id for e in repo.ordered_entries()]
-        snapshot = RepositorySnapshot.capture(repo)
         entry = repo.entries()[2]
         record = entry_record(entry)
         record["input_extents"] = {"data/pv": [4, 0, 2, 64, 123]}
         refreshed = JournalRecord.from_payload(
             {"type": "entry_refreshed", "entry": record}
         )
-        restored = replay(snapshot, [refreshed, refreshed])
+        restored = replay(repo, [refreshed, refreshed])
         assert len(restored) == len(repo)
         assert [e.entry_id for e in restored.ordered_entries()] == order
         twin = restored.get(entry.entry_id)
@@ -201,8 +198,7 @@ class TestLivePersisterCrash:
             backend="local",
         )
         manager = ReStoreManager(dfs)
-        persister = RepositoryPersister(manager, config)
-        return dfs, config, manager, persister
+        return dfs, config, manager, attach(manager, config)
 
     def _entries(self, n=3):
         repo = build_repository(generate_entry_specs(n, seed=5), seed=5)
@@ -271,9 +267,9 @@ class TestLivePersisterCrash:
         self._add(dfs, manager, entries[2:])
         recovered = recover(config, DistributedFileSystem())
         assert len(recovered.repository) == 4
-        assert recovered.snapshot_entries == 2
-        # past the snapshot's offset: per add, one payload_stored record
-        # (the segment ref) + the entry_added record
+        assert recovered.checkpoint_entries == 2
+        # past the checkpoint: per add, one payload_stored record (the
+        # segment ref) + the entry_added record
         assert recovered.journal_records == 4
 
     def test_kept_path_removals_replay(self, tmp_path):
@@ -300,17 +296,13 @@ class TestLivePersisterCrash:
 
 
 class TestRetiredLayoutRefused:
-    """A state directory from the two-file layout (format-5 snapshot,
-    bare journal, block-store generations) is refused with a typed
-    error that names the file: recovery neither cuts it nor recovers an
-    empty repository over it."""
+    """A state directory holding a file of a retired layout (a snapshot
+    file of any format, a bare journal, block-store generations) is
+    refused with a typed error that names the file: recovery neither
+    cuts it nor recovers an empty repository over it."""
 
-    @staticmethod
-    def _format_5_snapshot() -> bytes:
-        repo = build_repository(generate_entry_specs(3, seed=3), seed=3)
-        data = bytearray(RepositorySnapshot.capture(repo).to_bytes())
-        data[4] = 5  # the header's version byte
-        return bytes(data)
+    #: the header of a format-6 snapshot file (magic, version byte)
+    RSNP = b"RSNP\x06" + b"\x00" * 12
 
     @pytest.mark.parametrize("backend", ["local", "dfs"])
     @pytest.mark.parametrize("retired", ["snapshot", "journal", "blocks"])
@@ -322,13 +314,14 @@ class TestRetiredLayoutRefused:
             backend=backend,
         )
         path, data = {
-            "snapshot": (config.snapshot_path, self._format_5_snapshot()),
+            "snapshot": (config.snapshot_path, self.RSNP),
             "journal": (config.journal_path, encode_record({"type": "counters"})),
             "blocks": (config.snapshot_path + ".blocks.g3", b"\x00" * 40),
         }[retired]
         dfs = DistributedFileSystem()
         storage = config._storage(path, dfs)
-        storage.write(data)
+        storage.append(data)
+        storage.close()
         files = sorted(os.listdir(tmp_path)) if backend == "local" else dfs.list_paths()
         with pytest.raises(ReproError, match=re.escape(path)):
             recover(config, dfs)

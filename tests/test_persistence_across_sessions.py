@@ -2,12 +2,11 @@
 
 ReStore's value compounds across submissions that may be days apart
 (§1: Facebook keeps results for seven days), so the repository must
-survive engine restarts.  These tests persist through the snapshot +
-journal subsystem — the snapshot is just another replicated file on
-the DFS it indexes — and verify that eviction applies to a recovered
-repository and that a successor on a fresh filesystem serves its
-stored bytes.  (``tests/test_snapshot_codec.py`` round-trips entries
-and their §3 order.)  That answers stay the same across a restart, on
+survive engine restarts.  These tests persist through the one log —
+just another replicated file on the DFS it indexes — and verify that
+eviction applies to a recovered repository and that a successor on a
+fresh filesystem serves its stored bytes.
+(``tests/test_checkpoint.py`` round-trips entries and their §3 order.)  That answers stay the same across a restart, on
 every executor, is ``tests/test_reuse_machine.py``'s to check.
 """
 
@@ -17,7 +16,7 @@ import pytest
 
 from repro.core.manager import ReStoreConfig, ReStoreManager
 from repro.core.repository import Repository
-from repro.persistence.durability import PersistenceConfig, RepositoryPersister
+from repro.persistence.durability import PersistenceConfig, adopt_recovered, recover
 from repro.pig.engine import PigServer
 
 PV = "user, action:int, timestamp:int, est_revenue:double, page_info, page_links"
@@ -38,9 +37,9 @@ CONFIG = PersistenceConfig()  # dfs backend, default restore/ paths
 
 
 def first_session(dfs):
-    """Run a query under a live persister, then snapshot into the DFS."""
+    """Run a query under a live persister, then checkpoint into the DFS."""
     manager = ReStoreManager(dfs)
-    persister = RepositoryPersister(manager, CONFIG)
+    persister = adopt_recovered(manager, recover(CONFIG, dfs), CONFIG)
     server = PigServer(dfs, restore=manager)
     result = server.run(Q2.replace("OUT", "out/session1"))
     persister.close(snapshot=True)

@@ -1,6 +1,6 @@
 """Coordinator loss is a restart: ``recover()`` over the live files.
 
-A coordinator that dies leaves its snapshot and log behind; its
+A coordinator that dies leaves its log behind; its
 successor is a new manager over ``recover(config, dfs)``.  Nothing the
 dead coordinator committed may be lost or changed on the way:
 
@@ -28,7 +28,6 @@ from repro.core.manager import ReStoreManager
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.persistence.durability import (
     PersistenceConfig,
-    RepositoryPersister,
     adopt_recovered,
     recover,
 )
@@ -178,7 +177,7 @@ class TestRestartAtEveryScript:
     """Two passes over the scripts (the second reprobes every stored
     result); the session restarts after script *restart_after* on a
     filesystem holding only the input data, so the stored outputs and
-    the id counters come back from the snapshot and log alone."""
+    the id counters come back from the log alone."""
 
     def _run(self, small_data, directory, restart_after: int = 0):
         dfs = _lane_dfs(small_data)
@@ -224,7 +223,7 @@ def primary(request, tmp_path):
         backend=request.param,
     )
     manager = ReStoreManager(dfs)
-    return dfs, config, manager, RepositoryPersister(manager, config)
+    return dfs, config, manager, adopt_recovered(manager, recover(config, dfs), config)
 
 
 def _stored_entries(dfs, n, seed=5):

@@ -6,7 +6,9 @@ rename or swap a file (outputs too: later queries read them); submit a
 query from a small Pig grammar into a small pool of colliding output
 paths, or one of the last few again, elsewhere or with its UNION's
 inputs swapped; crash a submission at a seeded fault site; close and
-recover.  After every step it checks that
+recover (after a clean close, a checkpoint rotation, a crash, a
+rotation torn by a crash, or a compaction).  After every step it
+checks that
 
 (i) every file of the pool holds the oracle's bytes, and every
     submission ended as the oracle's did (or raised the same error
@@ -19,7 +21,8 @@ recover.  After every step it checks that
 
 and (iv) the run fails unless, across its examples, the machine
 rewrote, eliminated, refreshed, fell back, evicted, condemned and
-reused a recovered entry.  The eviction policy is drawn per example;
+reused a recovered entry, and recovered from a torn checkpoint and
+from a compacted generation.  The eviction policy is drawn per example;
 each executor runs its own budget (``CHAOS_SEED=<n>`` seeds it and
 raises it).  A restart is a new process over the same files:
 bytes survive, in-memory datasets do not.  What a crashed submission
@@ -76,6 +79,10 @@ FILES = INPUTS + OUTPUTS
 #: segments and its records
 CRASH_SITES = ("dfs.read", "journal.append")
 RESTART_GAP = 3
+#: how a restart ends the running system: a clean close, a close after a
+#: checkpoint rotation, a crash mid-submission, a crash after a rotation
+#: whose append tore, a close after a rotation that compacted
+RESTARTS = ("close", "snapshot", "crash", "torn-rotation", "compacted")
 #: the ledger key each event books (an ``EntryEvicted`` books by policy)
 BOOKS = {
     events.RewriteApplied: "rewrite",
@@ -302,24 +309,40 @@ class ReuseMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.since_restart >= RESTART_GAP)
     @rule(
-        how=st.sampled_from(("close", "snapshot", "crash")),
+        how=st.sampled_from(RESTARTS),
         query=queries(),
         site=st.sampled_from(CRASH_SITES),
         hit=st.integers(min_value=1, max_value=3),
         cut=st.one_of(st.none(), st.integers(min_value=0, max_value=4000)),
     )
     def restart(self, how, query, site, hit, cut):
-        """Close (after a snapshot rotation, or not) and recover; or
+        """Close (after a checkpoint rotation, or not) and recover; or
         submit *query* with a fault armed at *site*'s *hit*-th
         crossing (at the log, a write torn after *cut* bytes, if
-        drawn), die, and recover."""
+        drawn), die, and recover; or tear a rotation's append after
+        *cut* bytes, die, and recover from the checkpoint before it; or
+        compact on a rotation, then close and recover the new
+        generation."""
+        persister = self.system.host.persister
         if how == "crash":
             torn = cut if site == "journal.append" else None
             self._submit(*query, fault=(site, hit, torn))
         elif how == "snapshot":
-            self.system.host.persister.take_snapshot()
+            persister.take_snapshot()
+        elif how == "torn-rotation":
+            rule = FaultRule("journal.append", "partial", hits=(1,), arg=cut or 0)
+            faults.install(FaultPlan(rules=(rule,)))
+            try:
+                LEDGER[how] += persister.take_snapshot() is None
+            finally:
+                faults.uninstall()
+        elif how == "compacted":
+            gen = persister.log.gen
+            persister.COMPACT_DEAD_PER_LIVE = 0  # this rotation compacts
+            persister.take_snapshot()
+            LEDGER[how] += persister.log.gen > gen
         old = self.system
-        old.stop(crash=how == "crash")
+        old.stop(crash=how in ("crash", "torn-rotation"))
         dfs = DistributedFileSystem()
         for path in old.dfs.list_paths():
             dfs.write_file(path, old.dfs.read_file(path))
@@ -390,6 +413,7 @@ def test_reuse_never_changes_an_answer():
         test()
     # (iv): no invariant above held vacuously
     happened = {*BOOKS.values(), "eviction", "condemnation", "recovery"}
+    happened |= {"torn-rotation", "compacted"}
     assert happened <= {key for key, n in LEDGER.items() if n}, dict(LEDGER)
 
 

@@ -545,8 +545,9 @@ class TestDurableProcessMode:
             executor="processes",
             max_workers=1,
         ) as service:
-            # the snapshot and the log are the persister's own files: no
-            # job may store over them (TestRepositoryFilesAreNotOutputs)
+            # the log and the retired snapshot path are the persister's
+            # own: no job may store over them
+            # (TestRepositoryFilesAreNotOutputs)
             assert service.persister.owns(self.CONFIG.snapshot_path)
             assert service.persister.owns(self.CONFIG.log_file(0))
             service.open_session("a").run(
@@ -575,8 +576,9 @@ class TestDurableProcessMode:
 
 class TestRepositoryFilesAreNotOutputs:
     """A script cannot store into the persister's files, on any
-    executor: the job is refused before it runs, the snapshot's and the
-    log's bytes stay as they were, and recovery keeps every entry."""
+    executor: the job is refused before it runs, the log's bytes stay as
+    they were, no file appears at the retired snapshot path (where one
+    would block recovery), and recovery keeps every entry."""
 
     CONFIG = PersistenceConfig()
 
@@ -603,9 +605,8 @@ class TestRepositoryFilesAreNotOutputs:
             persister.take_snapshot()
             run(GROUP_QUERY.format(out="out/2").replace("== 1", "== 2"))
             entries = sorted(e.entry_id for e in persister.repository.entries())
-            paths = (self.CONFIG.snapshot_path, persister.log.location)
-            files = {path: dfs.read_file(path) for path in paths}
-            assert entries and all(files.values()), "nothing durable to guard"
+            before = dfs.read_file(persister.log.location)
+            assert entries and before, "nothing durable to guard"
             assert persister.owns(target)
 
             with pytest.raises(RepositoryError, match="own persistence"):
@@ -613,11 +614,10 @@ class TestRepositoryFilesAreNotOutputs:
                     "A = load 'data/pv' as (user, action:int, revenue:double);"
                     f"store A into '{target}';"
                 )
-            snapshot, log = (dfs.read_file(path) for path in paths)
-            assert snapshot == files[self.CONFIG.snapshot_path]
+            assert not dfs.exists(self.CONFIG.snapshot_path)
             # the refused submission still ticked the clock: its one
             # counters record is appended, nothing is overwritten
-            before = files[persister.log.location]
+            log = dfs.read_file(persister.log.location)
             assert log.startswith(before)
             tail = scan_frames(log[len(before) :])
             assert [r.type for r in tail.records] == ["counters"]
