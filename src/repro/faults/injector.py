@@ -52,12 +52,9 @@ class PartialWriteFault(InjectedFault):
     """A ``partial``-action rule: the write tore mid-syscall.
 
     Carries the ``prefix`` that reached the medium before the tear.
-    The append-style site (the log's ``journal.append``) writes the
-    prefix and re-raises, leaving a genuinely torn tail to cut;
-    atomic-replace sites (snapshot write-temp-rename) let it propagate
-    untouched — a real partial write there dies in the temp file and
-    never publishes, so the fault degenerates to a failed rotation.
-    Uninstrumented sites inherit plain ``raise`` semantics for free.
+    The log's ``journal.append`` writes the prefix and re-raises,
+    leaving a genuinely torn tail to cut; every other site inherits
+    plain ``raise`` semantics for free.
     """
 
     def __init__(self, site: str, hit: int, prefix: bytes = b""):
@@ -103,7 +100,9 @@ SITE_JOURNAL_READ = register_site(
 )
 #: local-file durability syscall (fsync failure)
 SITE_STORAGE_FSYNC = register_site(
-    "storage.fsync", "fsync of a local log file after an append or a truncate"
+    "storage.fsync",
+    "fsync of a local log file after an append or a truncate, and of "
+    "its directory after the first append into a file it created",
 )
 #: lazy-plan rebuild (fingerprint mismatch → entry quarantine)
 SITE_SNAPSHOT_MATERIALIZE = register_site(

@@ -11,8 +11,9 @@ and fast to recover:
   generation, one append-only log of checksummed frames holding
   segments (stored outputs and plans), mutation records and
   checkpoints of the whole index;
-* :mod:`repro.persistence.snapshot` — the entry codec a checkpoint row
-  and an entry record share, and the lazy plan a restored entry holds;
+* :mod:`repro.persistence.snapshot` — the checkpoint codec, the entry
+  codec a checkpoint row and an entry record share, and the lazy plan
+  a restored entry holds;
 * :mod:`repro.persistence.persister` — the live wiring: commits per
   submission, checkpoints per interval, under the durability contract
   its module docstring states;

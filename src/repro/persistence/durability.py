@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.enumerator import SUBJOB_DIR
 from repro.core.repository import Repository
@@ -32,33 +32,21 @@ from repro.persistence.framedlog import (
     verify_ref,
 )
 from repro.persistence.persister import RepositoryPersister
-from repro.persistence.snapshot import entry_from_record
+from repro.persistence.snapshot import IndexState, SnapshotError, entry_from_record
 from repro.persistence.storage import PersistenceConfig
 
 
 @dataclass
-class RecoveredState:
-    """Everything :func:`recover` hands back."""
+class RecoveredState(IndexState):
+    """Everything :func:`recover` hands back: the recovered index (its
+    refs are those the scrub verified) and the recovery's bookkeeping."""
 
-    repository: Repository
-    kept_paths: Set[str] = field(default_factory=set)
-    clock: int = 0
-    #: DFS id floors ({"next_script_id": ..., "next_subjob_id": ...})
-    id_floors: Dict[str, int] = field(default_factory=dict)
-    #: entries that came from the checkpoint itself
-    checkpoint_entries: int = 0
     #: clean log records replayed on top
     journal_records: int = 0
     #: bytes of torn log tail truncated (0 = clean shutdown)
     journal_torn_bytes: int = 0
     #: mid-log frames quarantined for failing their checksum
     journal_skipped: int = 0
-    #: path → raw segment ref ([gen, offset, length, crc]) for every
-    #: payload the scrub verified (the persister resumes dedup from
-    #: these)
-    payload_refs: Dict[str, list] = field(default_factory=dict)
-    #: entry id → raw ref of the plan segment the scrub verified
-    plan_refs: Dict[str, list] = field(default_factory=dict)
     #: log generation new appends continue into
     log_gen: int = 0
     #: payloads written back into the DFS from the log
@@ -80,49 +68,10 @@ class RecoveredState:
     subjobs_swept: int = 0
 
 
-class ReplayTarget:
-    """Mutable state a record replay folds records into.
-
-    The replay pipeline of :func:`recover` — :meth:`from_checkpoint`,
-    :meth:`apply` per record, :meth:`finish`.  Replay is idempotent: every
-    handler is a no-op or a max-merge when its effect is already
-    present.
-    """
-
-    def __init__(self, repository: Repository) -> None:
-        self.repository = repository
-        self.kept_paths: Set[str] = set()
-        self.clock = 0
-        self.id_floors: Dict[str, int] = {"next_script_id": 1, "next_subjob_id": 1}
-        #: path → raw segment ref; seeded from the checkpoint's payload
-        #: table, extended by ``payload_stored`` records
-        self.payload_refs: Dict[str, list] = {}
-        #: entry id → raw ref of its plan segment
-        self.plan_refs: Dict[str, list] = {}
-        #: entries that came from the checkpoint itself
-        self.checkpoint_entries = 0
-
-    @classmethod
-    def from_checkpoint(cls, checkpoint: Optional[dict]) -> "ReplayTarget":
-        """The replay's starting state: *checkpoint* restored (every
-        index and the §3 subsumption pairs, in one pass over its rows),
-        or an empty repository for ``None`` (no checkpoint yet)."""
-        if checkpoint is None:
-            return cls(Repository())
-        state = dict(checkpoint["repository"])
-        seqs = state.pop("seq")
-        rows = checkpoint["entries"]
-        entries = [entry_from_record(row["entry"]) for row in rows]
-        target = cls(Repository.from_persisted_state(entries, seqs, state))
-        for row in rows:
-            target.plan_refs[row["entry"]["entry_id"]] = row["ref"]
-        target.kept_paths.update(checkpoint["kept_paths"])
-        target.clock = int(checkpoint["clock"])
-        for key, value in checkpoint["ids"].items():
-            target.id_floors[key] = max(target.id_floors.get(key, 1), int(value))
-        target.payload_refs.update(checkpoint["payloads"])
-        target.checkpoint_entries = len(entries)
-        return target
+class ReplayTarget(IndexState):
+    """What :func:`recover`'s replay folds records into: :meth:`apply`
+    per record over :meth:`from_checkpoint`, then :meth:`finish`.  Every
+    handler is idempotent: a no-op or a max-merge once applied."""
 
     def apply(self, record: JournalRecord) -> None:
         data = record.data
@@ -130,8 +79,13 @@ class ReplayTarget:
             # a refresh (delta merge) carries the entry's full
             # post-refresh state; a same-id add replaces in place
             # (idempotent on replay, no-op ordering hazards)
-            entry = self.repository.add(entry_from_record(data["entry"]))
-            self.plan_refs[entry.entry_id] = data.get("ref")
+            entry = entry_from_record(data["entry"])
+            if "ref" not in data:
+                raise LogError(
+                    "an entry record without a plan ref: written by an older "
+                    "format, which this reader refuses (no converter)"
+                )
+            self.plan_refs[self.repository.add(entry).entry_id] = data["ref"]
         elif record.type in ("entry_removed", "entry_quarantined"):
             # quarantine is an eviction with a recorded reason: replay
             # treats both as an idempotent remove
@@ -163,28 +117,15 @@ class ReplayTarget:
         # unknown types: skipped (logs from newer writers)
 
     def finish(self, **counts) -> "RecoveredState":
-        """The replayed state as a :class:`RecoveredState`: id floors
-        merged with what the restored paths imply and the clock raised
-        past every entry's timestamps.  *counts* fills the caller's
-        bookkeeping fields (``log_gen``, ``journal_records``, scrub
-        results, ...)."""
+        """The replayed state, its id floors merged with what the restored
+        paths imply and its clock raised past every entry's timestamps;
+        *counts* fills the bookkeeping fields (``log_gen``, ...)."""
         for key, value in derive_id_floors(self.repository).items():
             self.id_floors[key] = max(self.id_floors.get(key, 1), value)
         for entry in self.repository.entries():
             self.clock = max(self.clock, entry.created_at, entry.last_used_at)
-        return RecoveredState(
-            repository=self.repository,
-            kept_paths=set(self.kept_paths),
-            clock=self.clock,
-            id_floors=dict(self.id_floors),
-            checkpoint_entries=self.checkpoint_entries,
-            payload_refs={p: list(r) for p, r in self.payload_refs.items()},
-            plan_refs={
-                entry.entry_id: list(self.plan_refs[entry.entry_id])
-                for entry in self.repository.entries()
-            },
-            **counts,
-        )
+        live = {e.entry_id: self.plan_refs[e.entry_id] for e in self.repository}
+        return RecoveredState(**{**vars(self), "plan_refs": live}, **counts)
 
 
 #: id-bearing paths a repository entry can reference: enumerator
@@ -381,7 +322,8 @@ def _open_generation(config: PersistenceConfig, dfs) -> Tuple[FramedLog, FrameSc
 def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
     """Rebuild repository + manager state from the one log.
 
-    Refuses a retired layout (:class:`LogError` naming the file), scans
+    Refuses a retired layout (:class:`LogError` naming the file: a file
+    of one beside the log, or a record of an older format in it), scans
     the generation :func:`_open_generation` picks once, restores its
     last checkpoint, replays every intact record after it, cuts a torn
     tail in place, scrubs every restored plan and payload against the
@@ -398,9 +340,12 @@ def recover(config: PersistenceConfig, dfs=None) -> RecoveredState:
         )
     log, scan = _open_generation(config, dfs)
     try:
-        target = ReplayTarget.from_checkpoint(scan.checkpoint)
-        for record in scan.records:
-            target.apply(record)
+        try:
+            target = ReplayTarget.from_checkpoint(scan.checkpoint)
+            for record in scan.records:
+                target.apply(record)
+        except (LogError, SnapshotError) as exc:
+            raise LogError(f"{log.location}: {exc}") from None
         # not advisory: the successor must not append behind a tear
         log.repair(scan)
         scrub = _PayloadScrub(dfs, scan, log.gen)

@@ -312,25 +312,20 @@ class FramedLog:
         self, records: Sequence[dict], *, segments_only: bool = False
     ) -> Tuple[bytes, List[Tuple[str, SegmentRef]]]:
         """The frames of one commit at the log's tail: a segment for
-        every record that carries ``data`` (named by its ``path``; the
-        same bytes under the same name are framed once), then every
-        record (unless *segments_only*: a compaction's copies), the
-        segment's ref in place of the bytes.  Returns ``(frames, (path,
-        ref) per record that carried data, in order)``; *records* are
-        not changed, so a failed commit is retried whole."""
+        every record that carries ``data`` (named by its ``path``), then
+        every record (unless *segments_only*: a compaction's copies),
+        the segment's ref in place of the bytes.  Returns ``(frames,
+        (path, ref) per record that carried data, in order)``; *records*
+        are not changed, so a failed commit is retried whole."""
         offset = self.tail()
         frames, refs, bodies = [], [], []
-        framed: Dict[Tuple[str, int], SegmentRef] = {}
         for record in records:
             if "data" in record:
                 path, data = record["path"], record["data"]
-                key = (path, zlib.crc32(data))
-                ref = framed.get(key)
-                if ref is None:
-                    frame = encode_segment(path, data)
-                    ref = framed[key] = SegmentRef(self.gen, offset, len(frame), key[1])
-                    frames.append(frame)
-                    offset += len(frame)
+                frame = encode_segment(path, data)
+                ref = SegmentRef(self.gen, offset, len(frame), zlib.crc32(data))
+                frames.append(frame)
+                offset += len(frame)
                 refs.append((path, ref))
                 record = {**record, "ref": ref.to_list()}
                 del record["data"]

@@ -64,7 +64,7 @@ from repro.persistence.framedlog import (
     SegmentRef,
     encode_checkpoint,
 )
-from repro.persistence.snapshot import entry_record
+from repro.persistence.snapshot import IndexState, entry_record
 from repro.persistence.storage import PersistenceConfig
 
 if TYPE_CHECKING:
@@ -385,15 +385,17 @@ class RepositoryPersister:
         encoded or parsed for it: the hold grows with the index rows).
 
         Payloads and plans rotate *by reference*: the checkpoint carries
-        the live subset of the ref tables, so a rotation appends one
-        frame.  A payload ref is carried only while its file's inode
-        extent is the one captured; a file that moved on, or a ref
-        resumed from recovery, is re-read — same crc, same ref; new
-        bytes, a new segment in the rotation's commit.  Once the dead
-        bytes outweigh ``COMPACT_DEAD_PER_LIVE`` it *compacts* instead
-        (see ``_rotate``).  A storage failure aborts the rotation
-        without adopting a half-written generation, trips the breaker,
-        and returns ``None``.
+        the live subset of the ref tables.  A payload ref is carried
+        only while its file's inode extent is the one captured; a file
+        that moved on, or a ref resumed from recovery, is re-read — same
+        crc, same ref; new bytes, a new segment in the rotation's
+        commit.  Once the dead bytes outweigh ``COMPACT_DEAD_PER_LIVE``
+        it *compacts*: every live segment and the checkpoint go into
+        generation ``gen+1`` in one append, and older files go only once
+        that is durable, name included (a new file's first append fsyncs
+        its directory).  A storage failure leaves generation and refs as
+        they were (a failed compaction deletes what it wrote), trips the
+        breaker, and returns ``None``.
         """
         pending: List = []
         event: Optional[SnapshotTaken] = None
@@ -407,11 +409,7 @@ class RepositoryPersister:
         return event
 
     def _rotate(self, pending: List) -> SnapshotTaken:
-        """The rotation proper (every lock held): an ``OSError`` before
-        the checkpoint is durable leaves generation and refs as they
-        were.  A compaction writes every live segment and the checkpoint
-        into generation ``gen+1`` in one append (deleted again if that
-        fails), and deletes older files only after it is durable."""
+        """The rotation proper (every lock held)."""
         entries = self.repository.entries()
         # an output changed behind its entry's back carries no payload:
         # recovery cannot verify it, so never serves it
@@ -419,9 +417,6 @@ class RepositoryPersister:
         live = sorted(live | self.manager.kept_paths)
         for path in live:  # reads only files that moved on since capture
             self._enqueue(*self._capture(path), commit=False)
-        for entry in entries:  # added before this persister attached
-            if entry.entry_id not in self._plan_refs:
-                self._enqueue(self._entry_record("added", entry), commit=False)
         self._commit(pending)
         # a live path whose file is gone has nothing durable to carry
         payloads = {
@@ -431,7 +426,7 @@ class RepositoryPersister:
         }
         plans = {entry.entry_id: self._plan_refs[entry.entry_id] for entry in entries}
         log = self.log
-        checkpoint = self._checkpoint(entries, payloads, plans)
+        checkpoint = self._checkpoint(payloads, plans)
         live_bytes = sum(ref.length for ref in {*payloads.values(), *plans.values()})
         weight = self.COMPACT_DEAD_PER_LIVE * (live_bytes + 2 * len(checkpoint))
         if log.end + len(checkpoint) - live_bytes <= weight:
@@ -450,7 +445,7 @@ class RepositoryPersister:
             refs = [ref for _, ref in refs]
             payloads = dict(zip(payloads, refs))
             plans = {e.entry_id: ref for e, ref in zip(entries, refs[len(payloads) :])}
-            checkpoint = self._checkpoint(entries, payloads, plans)
+            checkpoint = self._checkpoint(payloads, plans)
             try:
                 written = log.append_frames(frames + checkpoint)
             except OSError:
@@ -479,22 +474,17 @@ class RepositoryPersister:
         pending.append(event)
         return event
 
-    def _checkpoint(self, entries, payloads, plans) -> bytes:
+    def _checkpoint(self, payloads, plans) -> bytes:
         """The checkpoint frame of the index as it stands (locks held)."""
-        rows = [
-            {"entry": entry_record(entry), "ref": plans[entry.entry_id].to_list()}
-            for entry in entries
-        ]
-        return encode_checkpoint(
-            {
-                "clock": self.manager.clock,
-                "kept_paths": sorted(self.manager.kept_paths),
-                "ids": self.dfs.id_state(),
-                "repository": self.repository.snapshot_state(),
-                "payloads": {path: ref.to_list() for path, ref in payloads.items()},
-                "entries": rows,
-            }
+        state = IndexState(
+            self.repository,
+            self.manager.kept_paths,
+            self.manager.clock,
+            self.dfs.id_state(),
+            {path: ref.to_list() for path, ref in payloads.items()},
+            {entry_id: ref.to_list() for entry_id, ref in plans.items()},
         )
+        return encode_checkpoint(state.checkpoint())
 
     def close(self, *, snapshot: bool = False) -> None:
         """Detach from the manager, committing (and optionally

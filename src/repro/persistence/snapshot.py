@@ -1,4 +1,5 @@
-"""Stored entries as the log holds them: the entry codec and :class:`LazyPlan`.
+"""The index as the log holds it: the checkpoint codec
+(:class:`IndexState`), the entry codec and :class:`LazyPlan`.
 
 A checkpoint row and an ``entry_added`` record
 (:mod:`repro.persistence.framedlog`) hold one entry as
@@ -23,9 +24,10 @@ are never looked at until they are genuine rewrite candidates.
 from __future__ import annotations
 
 import json
-from typing import FrozenSet, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
-from repro.core.repository import EntryStats, RepositoryEntry
+from repro.core.repository import EntryStats, Repository, RepositoryEntry
 from repro.dfs.namenode import InputExtent
 from repro.exceptions import ReproError
 from repro.faults import injector as faults
@@ -217,3 +219,61 @@ def entry_from_record(record: dict) -> RepositoryEntry:
         },
         entry_id=record.get("entry_id", ""),
     )
+
+
+@dataclass
+class IndexState:
+    """The index as a checkpoint frame holds it — repository, kept
+    paths, clock, DFS id floors, and the raw refs of the live payload
+    segments (by output path) and plan segments (by entry id) — and
+    its codec: :meth:`checkpoint` encodes, :meth:`from_checkpoint`
+    restores."""
+
+    repository: Repository
+    kept_paths: Set[str] = field(default_factory=set)
+    clock: int = 0
+    #: {"next_script_id": ..., "next_subjob_id": ...}
+    id_floors: Dict[str, int] = field(
+        default_factory=lambda: {"next_script_id": 1, "next_subjob_id": 1}
+    )
+    payload_refs: Dict[str, list] = field(default_factory=dict)
+    plan_refs: Dict[str, list] = field(default_factory=dict)
+    #: entries that came from the checkpoint itself
+    checkpoint_entries: int = 0
+
+    def checkpoint(self) -> dict:
+        """The checkpoint's JSON object: one row per live entry, its
+        :func:`entry_record` beside its plan segment's ref."""
+        rows = [
+            {"entry": entry_record(entry), "ref": self.plan_refs[entry.entry_id]}
+            for entry in self.repository.entries()
+        ]
+        return {
+            "clock": self.clock,
+            "kept_paths": sorted(self.kept_paths),
+            "ids": self.id_floors,
+            "repository": self.repository.snapshot_state(),
+            "payloads": self.payload_refs,
+            "entries": rows,
+        }
+
+    @classmethod
+    def from_checkpoint(cls, record: Optional[dict]):
+        """*record* restored (every index and the §3 subsumption pairs,
+        in one pass over its rows), or an empty repository for ``None``
+        (no checkpoint yet)."""
+        if record is None:
+            return cls(Repository())
+        state = dict(record["repository"])
+        seqs = state.pop("seq")
+        rows = record["entries"]
+        entries = [entry_from_record(row["entry"]) for row in rows]
+        return cls(
+            Repository.from_persisted_state(entries, seqs, state),
+            set(record["kept_paths"]),
+            int(record["clock"]),
+            {key: int(value) for key, value in record["ids"].items()},
+            dict(record["payloads"]),
+            {row["entry"]["entry_id"]: row["ref"] for row in rows},
+            len(entries),
+        )

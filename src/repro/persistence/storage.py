@@ -17,7 +17,9 @@ and ``close``, each atomic at the backend's granularity — the framing
 layer tolerates torn *tails*, not torn frames.  :class:`LocalStorage`
 fsyncs after every append and truncate (a crash right after torn-tail
 repair must not resurrect the tail), through one ``O_APPEND`` handle
-held until ``close``: a commit costs one write and one fsync.
+held until ``close``: a commit costs one write and one fsync.  The
+first append into a file it created also fsyncs the directory, so a
+new generation's name is durable before that append returns.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from typing import List
 from repro.faults import injector as faults
 
 
-def _fsync_fileobj(handle) -> None:
-    """Flush + fsync one open file (injection site "storage.fsync")."""
-    handle.flush()
+def _fsync(fd: int) -> None:
+    """fsync one open file or directory (injection site "storage.fsync")."""
     faults.fire("storage.fsync")
-    os.fsync(handle.fileno())
+    os.fsync(fd)
 
 
 class LocalStorage:
@@ -46,6 +47,8 @@ class LocalStorage:
         #: the held append handle (unbuffered: a failed write leaves
         #: nothing queued behind it)
         self._handle = None
+        #: the handle created the file, whose name is not durable yet
+        self._created = False
 
     @property
     def location(self) -> str:
@@ -63,6 +66,7 @@ class LocalStorage:
     def _appender(self):
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._created = self._created or not self.path.exists()
             self._handle = open(self.path, "ab", buffering=0)
         return self._handle
 
@@ -71,14 +75,21 @@ class LocalStorage:
         view = memoryview(data)
         while view:
             view = view[handle.write(view) :]
-        _fsync_fileobj(handle)
+        _fsync(handle.fileno())
+        if self._created:  # the new file's name, as durable as its bytes
+            fd = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                _fsync(fd)
+            finally:
+                os.close(fd)
+            self._created = False
 
     def truncate(self, length: int) -> None:
         handle = self._appender()
         handle.truncate(length)
         # fsync-after-truncate: torn-tail repair must not be
         # resurrectable by a crash right after it
-        _fsync_fileobj(handle)
+        _fsync(handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:

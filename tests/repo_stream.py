@@ -346,29 +346,40 @@ def _local_config(directory: str) -> PersistenceConfig:
     )
 
 
-def attach(manager: ReStoreManager, config: PersistenceConfig) -> RepositoryPersister:
-    """A persister for *manager* over what :func:`recover` finds at
-    *config* (a local log is recovered without a filesystem, so nothing
-    is written into the manager's DFS): the one way one is built."""
-    dfs = manager.dfs if config.backend == "dfs" else None
-    return adopt_recovered(manager, recover(config, dfs), config)
+def attach(
+    persistence: PersistenceConfig, dfs=None, entries=(), **manager_args
+) -> Tuple[ReStoreManager, RepositoryPersister]:
+    """A manager over what :func:`recover` finds at *persistence* and
+    its persister (the one way one is built), with *entries* then added
+    through ``Repository.add`` in one commit, so the persister stages
+    each as a live registration would.  A local log is recovered
+    without a filesystem, so nothing is written into *dfs*."""
+    dfs = dfs or DistributedFileSystem()
+    local = persistence.backend != "dfs"
+    state = recover(persistence, None if local else dfs)
+    manager = ReStoreManager(dfs, repository=state.repository, **manager_args)
+    persister = adopt_recovered(manager, state, persistence)
+    persister.note_workflow_start()
+    for entry in entries:
+        manager.repository.add(entry)
+    persister.note_workflow_end()
+    return manager, persister
 
 
 def checkpointed(
     repository: Repository, kept_paths=(), clock: int = 0, dfs_ids=None
 ) -> RecoveredState:
-    """*repository* (with a manager's kept paths and clock, and the DFS
-    id state) persisted as one checkpoint in a fresh local log, then
-    recovered from it — without a filesystem, so output bytes go
-    unchecked and every entry comes back."""
+    """*repository*'s entries (with a manager's kept paths and clock,
+    and the DFS id state) persisted as one checkpoint in a fresh local
+    log, then recovered from it — without a filesystem, so output bytes
+    go unchecked and every entry comes back."""
     with tempfile.TemporaryDirectory() as directory:
         config = _local_config(directory)
         dfs = DistributedFileSystem()
         dfs.ensure_id_floor(**(dfs_ids or {}))
-        manager = ReStoreManager(dfs, repository=repository)
+        manager, persister = attach(config, dfs, repository.entries())
         manager.kept_paths.update(kept_paths)
         manager.clock = clock
-        persister = attach(manager, config)
         persister.take_snapshot()
         persister.close()
         return recover(config)
@@ -382,9 +393,8 @@ def seed_state(workdir: str, entry_specs: List[EntrySpec], seed: int) -> str:
     seed_dir = os.path.join(workdir, "seed")
     dfs = DistributedFileSystem()
     repository = build_repository(entry_specs, seed, dfs)
-    repository.ordered_entries()
-    manager = ReStoreManager(dfs, repository=repository, config=probe_config())
-    persister = attach(manager, _local_config(seed_dir))
+    config = _local_config(seed_dir)
+    _, persister = attach(config, dfs, repository.entries(), config=probe_config())
     persister.take_snapshot()
     persister.close()
     return seed_dir

@@ -26,7 +26,6 @@ from repo_stream import (
 )
 from test_fingerprint_index import assert_index_consistent
 
-from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
@@ -103,8 +102,8 @@ class TestRoundTrip:
         self, repository, tmp_path
     ):
         config = durable_config(tmp_path)
-        manager = ReStoreManager(DistributedFileSystem(), repository=repository)
-        attach(manager, config).take_snapshot()
+        _, persister = attach(config, entries=repository.entries())
+        persister.take_snapshot()
         checkpoint = last_checkpoint(config)
         assert set(checkpoint["repository"]) == {"id_counter", "seq_counter", "seq"}
         assert len(checkpoint["entries"]) == len(repository)
@@ -210,7 +209,7 @@ class TestIdHygiene:
         config = durable_config(tmp_path)
         dfs = DistributedFileSystem()
         dfs.ensure_id_floor(next_script_id=40, next_subjob_id=90)
-        persister = attach(ReStoreManager(dfs, repository=repo), config)
+        _, persister = attach(config, dfs, repo.entries())
         persister.take_snapshot()
         persister.close()
         fresh = DistributedFileSystem()
@@ -322,9 +321,8 @@ class TestEncodedOnce:
     def test_rotations_encode_no_plan(self, repository, tmp_path, encodes):
         plans = [entry.plan for entry in repository.entries()]
         assert len(plans) >= 3
-        manager = ReStoreManager(DistributedFileSystem(), repository=repository)
-        persister = attach(manager, durable_config(tmp_path))
-        persister.take_snapshot()  # the first lands every plan's segment
+        _, persister = attach(durable_config(tmp_path), entries=repository.entries())
+        # registering them landed every plan's segment, one encode each
         assert encodes == Counter(id(plan) for plan in plans)
         for compact in (float("inf"), float("inf"), 0):  # by reference, compacting
             persister.COMPACT_DEAD_PER_LIVE = compact
@@ -351,8 +349,7 @@ class TestEncodedOnce:
         state = checkpointed(repository)
         encodes.clear()  # what persisting the originals took
         config = durable_config(tmp_path)
-        manager = ReStoreManager(DistributedFileSystem(), repository=state.repository)
-        persister = attach(manager, config)
+        _, persister = attach(config, entries=state.repository.entries())
         for compact in (float("inf"), 0):  # by reference, then compacting
             persister.COMPACT_DEAD_PER_LIVE = compact
             assert persister.take_snapshot().entries == len(repository) > 0

@@ -14,8 +14,10 @@ Seeds default to 13; set ``CHAOS_SEED`` to sweep another timeline.
 from __future__ import annotations
 
 import os
+import pathlib
 import random
 import shutil
+import stat
 import sys
 import threading
 
@@ -95,12 +97,14 @@ def _served(repository, dfs) -> dict:
 
 @pytest.fixture
 def fsyncs(monkeypatch):
-    """A counting wrapper around ``os.fsync``."""
-    count = [0]
+    """A counting wrapper around ``os.fsync``: ``[fsyncs, of them of a
+    directory]``."""
+    count = [0, 0]
     real = os.fsync
 
     def counting(fd):
         count[0] += 1
+        count[1] += stat.S_ISDIR(os.fstat(fd).st_mode)
         return real(fd)
 
     monkeypatch.setattr(os, "fsync", counting)
@@ -114,7 +118,8 @@ class TestFsyncCountGate:
         by reference, a later one finds more dead bytes than live ones
         and compacts.  One fsync per submission (its commit), one per
         rotation (its one append: a checkpoint, or a compaction's live
-        segments and checkpoint)."""
+        segments and checkpoint), and one of the directory per
+        generation created (the first commit's, each compaction's)."""
         config = _config(tmp_path, snapshot_interval=40)
         builder = ReStoreSession.builder().persistence(config)
         session = builder.evict("time-window:8").build()
@@ -143,15 +148,17 @@ class TestFsyncCountGate:
         stream = [(d, 1 + d % 4, d % 3) for d in range(DAYS)]
         stream += [(0, 1, 0), (1, 2, 1)] * 12
         assert len(stream) == 30
-        fsyncs[0] = 0
+        fsyncs[:] = [0, 0]
         for number, (day, action, tail) in enumerate(stream):
-            before = fsyncs[0], len(rotations)
+            before = fsyncs[0], len(rotations), len(compactions)
             session.run(_query(day, action, tail, f"out/q{number}"))
             rotated = len(rotations) - before[1]
-            assert fsyncs[0] - before[0] <= 1 + rotated, number
+            created = len(compactions) - before[2] + (number == 0)
+            assert fsyncs[0] - before[0] <= 1 + rotated + created, number
         assert len(rotations) >= 2 and len(compactions) >= 1
         assert len(compactions) < len(rotations), "one rotation is by reference"
-        assert 30 <= fsyncs[0] <= 30 + len(rotations)
+        assert fsyncs[1] == 1 + len(compactions)
+        assert 30 + fsyncs[1] <= fsyncs[0] <= 30 + len(rotations) + fsyncs[1]
         assert any(joint), "no commit put a segment and a record under one fsync"
         # and it is all there after a crash (no close): nothing lost
         live = _served(session.manager.repository, session.dfs)
@@ -159,6 +166,41 @@ class TestFsyncCountGate:
         recovered = recover(config, fresh)
         assert _served(recovered.repository, fresh) == live
         assert recovered.payloads_condemned == []
+
+    def test_a_generation_is_named_durably_before_the_older_goes(
+        self, tmp_path, monkeypatch
+    ):
+        """The first commit into a new generation fsyncs the state
+        directory, so a power loss cannot drop the file it was
+        acknowledged in; a compaction's does so before the generation
+        it replaces is unlinked."""
+        steps = []
+        fsync, unlink = os.fsync, pathlib.Path.unlink
+
+        def logged_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                steps.append("fsync dir")
+            return fsync(fd)
+
+        def logged_unlink(path, *args, **kwargs):
+            steps.append(f"unlink {path.name}")
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(pathlib.Path, "unlink", logged_unlink)
+        session = ReStoreSession(persistence=_config(tmp_path))
+        _load(session.dfs)
+        session.run(_query(0, 1, 1, "out/first"))
+        assert steps == ["fsync dir"]
+        session.persister.COMPACT_DEAD_PER_LIVE = 0
+        session.persister.take_snapshot()
+        assert session.persister.log.gen == 1
+        assert steps[1:] == [
+            "unlink repo.journal.g1",  # debris of an aborted compaction
+            "fsync dir",
+            "unlink repo.journal.g0",
+        ]
+        session.close()
 
     def test_storing_over_an_entry_output_is_one_commit(self, tmp_path, fsyncs):
         """A submission that stores over a registered entry's output

@@ -14,7 +14,6 @@ import re
 import pytest
 
 from repo_stream import attach, build_repository, checkpointed, generate_entry_specs
-from repro.core.manager import ReStoreManager
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
@@ -23,12 +22,18 @@ from repro.persistence.durability import PersistenceConfig, ReplayTarget, recove
 from repro.persistence.framedlog import (
     FramedLog,
     JournalRecord,
+    LogError,
     encode_record,
     scan_frames,
 )
 from repro.persistence.snapshot import entry_record
 from repro.session import ReStoreSession
 from test_framedlog import JOURNAL, TornWriteSweep
+
+
+#: a plan ref for a replayed record (replay never reads the segment:
+#: recovery's scrub verifies it)
+REF = [0, 0, 0, 0]
 
 
 def replay(repository, records) -> Repository:
@@ -60,7 +65,7 @@ class TestReplaySemantics:
         victim = repo.entries()[2]
         records = [
             JournalRecord.from_payload(
-                {"type": "entry_added", "entry": entry_record(victim)}
+                {"type": "entry_added", "entry": entry_record(victim), "ref": REF}
             ),
             JournalRecord.from_payload(
                 {"type": "entry_removed", "entry_id": victim.entry_id}
@@ -91,16 +96,19 @@ class TestReplaySemantics:
         repo.ordered_entries()
         order = [e.entry_id for e in repo.ordered_entries()]
         readd = JournalRecord.from_payload(
-            {"type": "entry_added", "entry": entry_record(repo.entries()[4])}
+            {
+                "type": "entry_added",
+                "entry": entry_record(repo.entries()[4]),
+                "ref": REF,
+            }
         )
         restored = replay(repo, [readd])
         assert [e.entry_id for e in restored.ordered_entries()] == order
 
-    def test_journal_from_before_snapshot_format_4_still_replays(self):
-        """Journal frames carry no version, so one written before the
-        entry's second input-identity column was retired (and never
-        folded into a snapshot) must replay: the extra key is ignored
-        and ids, scan order and extents come back the same."""
+    def test_entry_record_with_a_retired_key_replays(self):
+        """An entry record holding a key no reader uses any more (the
+        retired second input-identity column) replays: the extra key is
+        ignored and ids, scan order and extents come back the same."""
         repo = build_repository(generate_entry_specs(8, seed=3), seed=3)
         payloads = []
         for entry in repo.entries():
@@ -108,7 +116,7 @@ class TestReplaySemantics:
             record["input_mtimes"] = {
                 path: extent.mtime for path, extent in entry.input_extents.items()
             }
-            payloads.append({"type": "entry_added", "entry": record})
+            payloads.append({"type": "entry_added", "entry": record, "ref": REF})
         journal = scan_frames(b"".join(map(encode_record, payloads)))
         restored = replay(None, journal.records)
         assert [e.entry_id for e in restored.ordered_entries()] == [
@@ -135,9 +143,10 @@ class TestReplaySemantics:
         assert name == entry.plan.fingerprint() and plan == entry.plan.to_json()
         assert record.data["ref"][2] == length
 
-    def test_entry_record_without_a_plan_ref_is_condemned(self, tmp_path):
+    def test_entry_record_without_a_plan_ref_is_refused(self, tmp_path):
         """A log written before plans were segments inlines each plan in
-        its entry record: its entries are condemned, never served."""
+        its entry record: recovery refuses it, naming the file, before
+        anything is cut or appended (no converter)."""
         repo = build_repository(generate_entry_specs(3, seed=3), seed=3)
         config = PersistenceConfig(
             snapshot_path=str(tmp_path / "repo.snap"),
@@ -151,12 +160,14 @@ class TestReplaySemantics:
             }
             for entry in repo.entries()
         ]
-        FramedLog(config.log_storage()).append_frames(encode_record(*records))
-        recovered = recover(config)
-        assert len(recovered.repository) == 0
-        reasons = [reason for _, _, reason in recovered.payloads_condemned]
-        assert len(reasons) == 3
-        assert all("malformed plan segment ref" in reason for reason in reasons)
+        log = FramedLog(config.log_storage())
+        log.append_frames(encode_record(*records) + b"\x00\x00")  # and a torn tail
+        log.close()
+        before = (tmp_path / "repo.journal.g0").read_bytes()
+        name = re.escape(config.log_file(0))
+        with pytest.raises(LogError, match=f"{name}: .*without a plan ref"):
+            recover(config)
+        assert (tmp_path / "repo.journal.g0").read_bytes() == before
 
     def test_unknown_record_types_are_skipped(self):
         target = ReplayTarget(Repository())
@@ -173,7 +184,7 @@ class TestReplaySemantics:
         record = entry_record(entry)
         record["input_extents"] = {"data/pv": [4, 0, 2, 64, 123]}
         refreshed = JournalRecord.from_payload(
-            {"type": "entry_refreshed", "entry": record}
+            {"type": "entry_refreshed", "entry": record, "ref": REF}
         )
         restored = replay(repo, [refreshed, refreshed])
         assert len(restored) == len(repo)
@@ -197,8 +208,8 @@ class TestLivePersisterCrash:
             journal_path=str(tmp_path / "repo.journal"),
             backend="local",
         )
-        manager = ReStoreManager(dfs)
-        return dfs, config, manager, attach(manager, config)
+        manager, persister = attach(config, dfs)
+        return dfs, config, manager, persister
 
     def _entries(self, n=3):
         repo = build_repository(generate_entry_specs(n, seed=5), seed=5)

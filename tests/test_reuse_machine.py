@@ -61,6 +61,7 @@ from repro.faults import injector as faults
 from repro.faults.injector import InjectedFault
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.persistence.durability import PersistenceConfig
+from repro.persistence.framedlog import scan_frames
 from repro.service import JobService
 from repro.session import ReStoreSession
 
@@ -330,12 +331,20 @@ class ReuseMachine(RuleBasedStateMachine):
         elif how == "snapshot":
             persister.take_snapshot()
         elif how == "torn-rotation":
+            persister.flush(force=True)  # so the first append is the checkpoint's
             rule = FaultRule("journal.append", "partial", hits=(1,), arg=cut or 0)
             faults.install(FaultPlan(rules=(rule,)))
             try:
-                LEDGER[how] += persister.take_snapshot() is None
+                failed = persister.take_snapshot() is None
             finally:
                 faults.uninstall()
+            # counted only when the checkpoint's own append tore mid-frame:
+            # nothing stayed staged, and what follows the last commit is
+            # a frame's prefix (a rotation can still capture a moved file)
+            log = persister.log
+            torn = failed and log.storage.exists()
+            tail = log.storage.read()[log.end :] if torn else b""
+            LEDGER[how] += not persister.buffered_records and scan_frames(tail).torn
         elif how == "compacted":
             gen = persister.log.gen
             persister.COMPACT_DEAD_PER_LIVE = 0  # this rotation compacts
