@@ -44,12 +44,13 @@ from repro.core.heuristics import HEURISTICS
 from repro.core.manager import ReStoreConfig
 from repro.core.selector import SELECTORS
 from repro.events import LOG_EVENTS, render_events
+from repro.exceptions import ReproError
 from repro.session import ReStoreSession
 
 
-def _exit_on_bad_config(exc: ValueError) -> NoReturn:
-    """Print a configuration error the way every CLI misuse is
-    reported, and exit 2."""
+def _exit_on_bad_config(exc: Exception) -> NoReturn:
+    """Print a configuration error — or a state directory recovery
+    refuses — the way every CLI misuse is reported, and exit 2."""
     print(f"error: {exc}", file=sys.stderr)
     raise SystemExit(2) from None
 
@@ -113,7 +114,7 @@ def _build_session(args, config: Optional[ReStoreConfig]) -> ReStoreSession:
             persistence=_persistence_config(args),
             restore_enabled=config is not None,
         )
-    except ValueError as exc:
+    except (ValueError, ReproError) as exc:
         _exit_on_bad_config(exc)
     _load_data(session, args.data or [])
     return session
@@ -141,7 +142,7 @@ def _run_via_service(args, config: ReStoreConfig, source: str, name: str):
             # 0 blocks forever; a negative value is the service's to refuse
             exchange_timeout=args.exchange_timeout or None,
         )
-    except ValueError as exc:
+    except (ValueError, ReproError) as exc:
         _exit_on_bad_config(exc)
     try:
         _load_data(service, args.data or [])

@@ -23,6 +23,7 @@ from repro.core.enumerator import SUBJOB_DIR
 from repro.core.repository import Repository
 from repro.dfs.namenode import InputExtent
 from repro.events import EntryQuarantined, PersistenceDegraded
+from repro.exceptions import RepositoryError
 from repro.persistence.framedlog import (
     FramedLog,
     FrameScan,
@@ -411,7 +412,16 @@ def adopt_recovered(
     Kept paths, clock and id floors land before the persister
     subscribes, so nothing already durable is journaled again; the
     scrub's condemnations are announced last, to a fully wired manager.
+    A manager over any other repository is refused: the log holds none
+    of its entries, and its checkpoints would drop the recovered ones.
     """
+    if manager.repository is not state.repository:
+        raise RepositoryError(
+            "adopt_recovered: the manager is not built over the recovered "
+            "repository (pass repository=state.repository to ReStoreManager); "
+            f"its own holds {len(manager.repository)} entries the log has "
+            f"never seen, the recovered one {len(state.repository)}"
+        )
     manager.kept_paths.update(state.kept_paths)
     manager.clock = max(manager.clock, state.clock)
     manager.dfs.ensure_id_floor(**state.id_floors)

@@ -5,7 +5,8 @@ plan -> logical optimizer -> MapReduce compiler -> (ReStore hooks) ->
 Hadoop execution, then cleans up intermediate outputs *except* the
 ones ReStore decided to keep.  The stages between the parse and the
 hooks run once per script shape: each submission gets a re-stamped copy
-of a memoised workflow template.  A submission runs with CPython's
+of a memoised workflow template, sharing the template's operators and
+inheriting its plans' order and validity.  A submission runs with CPython's
 cyclic collector paused (:func:`_pause_collector`).
 """
 
@@ -246,13 +247,19 @@ class _Template:
 def _template(statements: Tuple[AstStatement, ...]) -> _Template:
     """Logical plan, optimizer and MR compiler for *statements*, whose
     store paths are blank, memoised process-wide: a script repeated with
-    other outputs costs a lookup.  The template's fingerprints are
-    computed here, once, so nothing writes to it after it is cached; a
-    script that fails to build raises and is not kept."""
+    other outputs costs a lookup.  Each job's plan is validated and its
+    facts computed here, once — topological order, loads, stores,
+    fingerprints — so every re-stamped copy inherits them and nothing
+    writes to the template after it is cached (its operators are shared
+    with every copy); a script that fails to build raises and is not
+    kept."""
     plan = LogicalOptimizer().optimize(build_logical_plan(Script(list(statements))))
     compiler = MRCompiler(temp_prefix="tmp/template", job_prefix="template")
     workflow = compiler.compile(plan)
     for job in workflow.jobs:
+        job.validate()
+        job.plan.loads()
+        job.plan.stores()
         job.plan.fingerprint()
     return _Template(tuple(workflow.jobs), dict(compiler.slots))
 
@@ -260,26 +267,28 @@ def _template(statements: Tuple[AstStatement, ...]) -> _Template:
 def _restamp(
     template: _Template, script_id: int, store_paths: Sequence[str], name: str
 ) -> Workflow:
-    """A fresh workflow from *template* for one submission: its own
-    operators, temp paths under ``tmp/s<script_id>``, the script's store
-    paths and job ids ``job_s<script_id>_<n>`` (``n`` the template job's
-    own number).  Every check runs here, on the copy, because a path
-    cycle exists only once the real paths are in."""
+    """A fresh workflow from *template* for one submission: temp paths
+    under ``tmp/s<script_id>``, the script's store paths and job ids
+    ``job_s<script_id>_<n>`` (``n`` the template job's own number).
+    Each job's plan shares the template's operators but the re-pathed
+    loads and stores, and inherits its order and validity
+    (:meth:`~repro.pig.physical.plan.PhysicalPlan.restamped`); what is
+    checked here is the workflow, because a path cycle exists only once
+    the real paths are in."""
     temp_prefix = f"tmp/s{script_id}"
     paths = {
         op_id: f"{temp_prefix}/t{n}" if kind == "temp" else store_paths[n]
         for op_id, (kind, n) in template.slots.items()
     }
-    jobs = []
-    for job in template.jobs:
-        clone = MapReduceJob(
+    jobs = [
+        MapReduceJob(
             job.plan.restamped(paths),
             replace(job.conf),
             temporary=job.temporary,
             job_id=f"job_s{script_id}_{job.job_id.rsplit('_', 1)[1]}",
         )
-        clone.validate()
-        jobs.append(clone)
+        for job in template.jobs
+    ]
     workflow = Workflow(jobs=jobs, name=name or f"script_{script_id}")
     try:
         workflow.topo_order()

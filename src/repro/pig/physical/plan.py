@@ -5,18 +5,31 @@ rewrites: a DAG of :class:`PhysicalOperator` nodes from ``POLoad``
 sources to ``POStore`` sinks, with ordered edges (input order matters
 for join/cogroup branch numbering).
 
+Operators are values — nothing writes to one after its constructor —
+so plans share them.  A plan owns its structure (operator order, edge
+lists and each operator's *rank*, the order it was added in) but not
+its operators: :meth:`PhysicalPlan.restamped`, how every submission
+gets its copy of a memoised template, shares every operator it does not
+re-path, and mutating the copy never touches the template.  Because op
+ids are shared, :meth:`~PhysicalPlan.topo_order` breaks ties by rank,
+never by op id.
+
 Plans carry Merkle-style structural fingerprints: each operator's
 fingerprint is a digest of its own :meth:`signature` hash plus the
 ordered fingerprints of its inputs, and the plan fingerprint combines
 the sink fingerprints.  A ``POSplit`` tee computes nothing, so it takes
 its one input's fingerprint.  Two operators with one fingerprint are
 the paper's §3 equivalent operators: the same function over equivalent
-inputs, in the same input order.  All of it is cached until the DAG
-mutates — operators are values, so every change is a structural one —
-and repeated repository lookups cost a dict probe instead of a
-recursive hash.  The plan's JSON encoding (:meth:`to_json`, what
-persistence stores) is cached the same way, so a stored plan is
-encoded once however many journal records and snapshots carry it.
+inputs, in the same input order.
+
+Every fact a plan derives from its structure — topological order,
+loads, stores, validity, fingerprints, and the JSON encoding
+(:meth:`~PhysicalPlan.to_json`, what persistence stores) — is cached
+until the DAG mutates; every mutator drops them all.  Repeated lookups
+cost an attribute read instead of a walk, a stored plan is encoded once
+however many log records carry it, and a re-stamped copy inherits its
+template's facts (its fingerprints only while no load moved, a load's
+path being in its signature) instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -46,7 +59,17 @@ class PhysicalPlan:
         self._ops: Dict[int, PhysicalOperator] = {}
         self._succs: Dict[int, List[int]] = {}
         self._preds: Dict[int, List[int]] = {}
-        # fingerprint and encoding caches, dropped on any structural mutation
+        #: op id -> rank, handed out as operators are added: what
+        #: :meth:`topo_order` breaks ties by (op ids are shared with a
+        #: template, so they are not in this plan's order)
+        self._seq: Dict[int, int] = {}
+        self._next_seq = 0
+        # plan facts, fingerprints and encoding, dropped on any
+        # structural mutation
+        self._order: Optional[List[PhysicalOperator]] = None
+        self._loads: Optional[List[POLoad]] = None
+        self._stores: Optional[List[POStore]] = None
+        self._valid = False
         self._fp_by_op: Dict[int, str] = {}
         self._fp_plan: Optional[str] = None
         self._fp_ops: Optional[Dict[str, PhysicalOperator]] = None
@@ -56,13 +79,23 @@ class PhysicalPlan:
     # -- construction ---------------------------------------------------------------
 
     def _mutated(self) -> None:
-        """Invalidate every cached fingerprint and the cached encoding
+        """Drop every cached fact, fingerprint and the cached encoding
         (structure changed)."""
+        self._order = None
+        self._loads = None
+        self._stores = None
+        self._valid = False
         self._fp_by_op = {}
         self._fp_plan = None
         self._fp_ops = None
         self._keys = None
         self._json = None
+
+    def _ranked(self, op: PhysicalOperator) -> None:
+        """Give *op* the next tie-break rank: later than any operator
+        already in the plan, as a fresh op id would be."""
+        self._seq[op.op_id] = self._next_seq
+        self._next_seq += 1
 
     def add(
         self, op: PhysicalOperator, before: Optional[PhysicalOperator] = None
@@ -77,6 +110,7 @@ class PhysicalPlan:
             ops = list(self._ops.items())
             ops.insert(list(self._ops).index(before.op_id), (op.op_id, op))
             self._ops = dict(ops)
+        self._ranked(op)
         self._succs[op.op_id] = []
         self._preds[op.op_id] = []
         self._mutated()
@@ -110,6 +144,7 @@ class PhysicalPlan:
         del self._ops[op.op_id]
         del self._succs[op.op_id]
         del self._preds[op.op_id]
+        del self._seq[op.op_id]
         self._mutated()
 
     def insert_between(
@@ -146,7 +181,8 @@ class PhysicalPlan:
 
     def replace(self, old: PhysicalOperator, new: PhysicalOperator) -> None:
         """Swap *new* in for *old*: same place in the operator order,
-        same position on every edge."""
+        same position on every edge; *new* ranks last, like an added
+        operator."""
 
         def renamed(op_id: int) -> int:
             return new.op_id if op_id == old.op_id else op_id
@@ -162,6 +198,8 @@ class PhysicalPlan:
         }
         self._succs = renamed_edges(self._succs)
         self._preds = renamed_edges(self._preds)
+        del self._seq[old.op_id]
+        self._ranked(new)
         self._mutated()
 
     # -- inspection --------------------------------------------------------------------
@@ -194,10 +232,16 @@ class PhysicalPlan:
         return [op for op in self._ops.values() if not self._succs[op.op_id]]
 
     def loads(self) -> List[POLoad]:
-        return [op for op in self._ops.values() if isinstance(op, POLoad)]
+        """The loads, in operator order (cached)."""
+        if self._loads is None:
+            self._loads = [op for op in self._ops.values() if isinstance(op, POLoad)]
+        return list(self._loads)
 
     def stores(self) -> List[POStore]:
-        return [op for op in self._ops.values() if isinstance(op, POStore)]
+        """The stores, in operator order (cached)."""
+        if self._stores is None:
+            self._stores = [op for op in self._ops.values() if isinstance(op, POStore)]
+        return list(self._stores)
 
     def primary_store(self) -> Optional[POStore]:
         for op in self.stores():
@@ -215,22 +259,25 @@ class PhysicalPlan:
         return None
 
     def topo_order(self) -> List[PhysicalOperator]:
-        """Kahn topological order; raises on cycles."""
-        in_deg = {i: len(p) for i, p in self._preds.items()}
-        frontier = [i for i, d in in_deg.items() if d == 0]
-        heapq.heapify(frontier)
-        order: List[int] = []
-        while frontier:
-            # pop smallest id for determinism
-            node = heapq.heappop(frontier)
-            order.append(node)
-            for succ in self._succs[node]:
-                in_deg[succ] -= 1
-                if in_deg[succ] == 0:
-                    heapq.heappush(frontier, succ)
-        if len(order) != len(self._ops):
-            raise PlanError("physical plan contains a cycle")
-        return [self._ops[i] for i in order]
+        """Kahn topological order, ties broken by rank (the order the
+        operators were added in); cached, raises on cycles."""
+        if self._order is None:
+            seq = self._seq
+            in_deg = {i: len(p) for i, p in self._preds.items()}
+            frontier = [(seq[i], i) for i, d in in_deg.items() if d == 0]
+            heapq.heapify(frontier)
+            order: List[PhysicalOperator] = []
+            while frontier:
+                node = heapq.heappop(frontier)[1]
+                order.append(self._ops[node])
+                for succ in self._succs[node]:
+                    in_deg[succ] -= 1
+                    if in_deg[succ] == 0:
+                        heapq.heappush(frontier, (seq[succ], succ))
+            if len(order) != len(self._ops):
+                raise PlanError("physical plan contains a cycle")
+            self._order = order
+        return list(self._order)
 
     def upstream_closure(self, op: PhysicalOperator) -> Set[int]:
         """Ids of *op* and everything reachable backwards from it."""
@@ -258,7 +305,10 @@ class PhysicalPlan:
     # -- validation -----------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the structural invariants the executor relies on."""
+        """Check the structural invariants the executor relies on; a
+        plan that passed is not checked again until it mutates."""
+        if self._valid:
+            return
         self.topo_order()  # raises on cycles
         gr_count = 0
         for op in self._ops.values():
@@ -281,40 +331,55 @@ class PhysicalPlan:
         for op in self.sinks():
             if not isinstance(op, POStore):
                 raise PlanError(f"plan sink is not a store: {op!r}")
+        self._valid = True
 
     # -- cloning / extraction ---------------------------------------------------------------
 
     def restamped(self, paths: Mapping[int, str]) -> "PhysicalPlan":
-        """A copy of this plan whose loads and stores named in *paths*
-        (op id -> path) read and write there instead.
+        """A plan computing what this one does, whose loads and stores
+        named in *paths* (op id -> path) read and write there instead.
 
-        The copy keeps the operator order and each edge list's order, so
-        it fingerprints like a compile of the same statements; its ids
-        rise in operator order, as a compiled plan's do, so
-        :meth:`topo_order` breaks ties the same way.  When no load moves,
-        the copy also inherits this plan's fingerprints: a store's path
-        is not in its signature.
+        The copy shares every operator it does not re-path (operators
+        are values); each re-pathed load or store gets a new twin in its
+        place.  Its operator order, edge lists and ranks are its own, so
+        mutating the copy never touches this plan, and it fingerprints
+        and breaks topological ties like a compile of the same
+        statements.  It inherits this plan's facts, mapped onto the
+        twins: topological order, loads, stores, validity and, when no
+        load moves, fingerprints (a store's path is not in its
+        signature).  Only facts already cached here carry over; this
+        plan is only read.
         """
         out = PhysicalPlan()
-        ids: Dict[int, int] = {}
-        moved_load = False
+        twins: Dict[int, PhysicalOperator] = {}
         for op_id, op in self._ops.items():
             path = paths.get(op_id)
-            if path is None:
-                twin = op.copy()
-            elif isinstance(op, POLoad):
-                twin = POLoad(path, op.schema, op.loader)
-                moved_load = True
-            else:
-                twin = POStore(path, op.schema, op.side)
-            ids[op_id] = twin.op_id
-            out._ops[twin.op_id] = twin
+            if path is not None:
+                if isinstance(op, POLoad):
+                    op = POLoad(path, op.schema, op.loader)
+                else:
+                    op = POStore(path, op.schema, op.side)
+                twins[op_id] = op
+            out._ops[op.op_id] = op
+        ids = {op_id: twin.op_id for op_id, twin in twins.items()}
+        image = ids.get
         for op_id, ends in self._succs.items():
-            out._succs[ids[op_id]] = [ids[end] for end in ends]
+            out._succs[image(op_id, op_id)] = [image(end, end) for end in ends]
         for op_id, ends in self._preds.items():
-            out._preds[ids[op_id]] = [ids[end] for end in ends]
+            out._preds[image(op_id, op_id)] = [image(end, end) for end in ends]
+        out._seq = {image(op_id, op_id): rank for op_id, rank in self._seq.items()}
+        out._next_seq = self._next_seq
+
+        def mapped(ops):
+            return None if ops is None else [twins.get(op.op_id, op) for op in ops]
+
+        out._order = mapped(self._order)
+        out._loads = mapped(self._loads)
+        out._stores = mapped(self._stores)
+        out._valid = self._valid
+        moved_load = any(isinstance(twin, POLoad) for twin in twins.values())
         if not moved_load and self._fp_plan is not None:
-            out._fp_by_op = {ids[i]: fp for i, fp in self._fp_by_op.items()}
+            out._fp_by_op = {image(i, i): fp for i, fp in self._fp_by_op.items()}
             out._fp_plan = self._fp_plan
         return out
 
@@ -415,13 +480,13 @@ class PhysicalPlan:
         return self._fp_plan  # type: ignore[return-value]
 
     def operator_fingerprints(self) -> Mapping[str, PhysicalOperator]:
-        """Fingerprint -> the lowest-id operator computing it, over
+        """Fingerprint -> the lowest-ranked operator computing it, over
         every operator but Splits and Stores: what a stored plan's
         frontier can be equivalent to (``repro.core.matcher``)."""
         if self._fp_ops is None:
             self._ensure_fingerprints()
             ops: Dict[str, PhysicalOperator] = {}
-            for op_id in sorted(self._ops):
+            for op_id in sorted(self._ops, key=self._seq.__getitem__):
                 op = self._ops[op_id]
                 if not isinstance(op, (POSplit, POStore)):
                     ops.setdefault(self._fp_by_op[op_id], op)

@@ -23,6 +23,7 @@ back to its bound ``eval``.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable
@@ -210,6 +211,18 @@ def _compile_bagfield(expr: BagField) -> CompiledExpr:
 _CMP_SOURCE = ("==", "!=", "<", "<=", ">", ">=")
 
 
+@lru_cache(maxsize=256)
+def _inline_filter(index: int, op: str) -> Callable[[Any], Callable]:
+    """The generated chunk filter for ``row[index] <op> constant``, as a
+    factory taking the constant: one ``eval`` per (column, operator),
+    however many jobs and constants filter that way."""
+    source = (
+        "lambda _c: lambda rows: [row for row in rows "
+        f"if row[{index}] is not None and row[{index}] {op} _c]"
+    )
+    return eval(source)  # noqa: S307 - static source
+
+
 def compile_filter_list(predicate: Expression):
     """A chunk filter ``rows -> [row for row in rows if <pred>]``.
 
@@ -228,13 +241,7 @@ def compile_filter_list(predicate: Expression):
         and type(predicate.right) is Const
         and predicate.right.value is not None
     ):
-        index = predicate.left.index
-        source = (
-            "lambda _c: lambda rows: [row for row in rows "
-            f"if row[{index}] is not None and row[{index}] "
-            f"{predicate.op} _c]"
-        )
-        return eval(source)(predicate.right.value)  # noqa: S307 - static source
+        return _inline_filter(predicate.left.index, predicate.op)(predicate.right.value)
     compiled = compile_expression(predicate)
 
     def filter_rows(rows, _pred=compiled):

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.execution.interpreter import JobInterpreter
+from repro.relational import compiled as compiled_module
 from repro.relational.compiled import (
     compile_expression,
     compile_filter_list,
@@ -230,6 +231,23 @@ class TestCompiledExpressions:
             filter_rows = compile_filter_list(predicate)
             want = [row for row in ROWS if bool(predicate.eval(row))]
             assert filter_rows(ROWS) == want, predicate
+
+    def test_an_inline_filter_is_generated_once_per_shape(self, monkeypatch):
+        compiled_module._inline_filter.cache_clear()
+        sources = []
+        monkeypatch.setattr(
+            compiled_module,
+            "eval",
+            lambda source: sources.append(source) or eval(source),
+            raising=False,
+        )
+        for bound in (0, 2, 1, 2):  # the constant is bound per call
+            predicate = BinaryOp(">", Column(1), Const(bound))
+            want = [row for row in ROWS if bool(predicate.eval(row))]
+            assert compile_filter_list(predicate)(ROWS) == want, bound
+        compile_filter_list(BinaryOp("<", Column(1), Const(2)))
+        compile_filter_list(BinaryOp(">", Column(2), Const(2)))
+        assert len(sources) == 3  # (1, ">"), (1, "<"), (2, ">")
 
     def test_compile_projection_matches_foreach_semantics(self):
         project = compile_projection([Column(0), BagField(3, 0)], [False, False])

@@ -59,8 +59,9 @@ def _config(tmp_path, **extra) -> PersistenceConfig:
 def _persister(tmp_path, **extra):
     dfs = DistributedFileSystem()
     config = _config(tmp_path, **extra)
-    manager = ReStoreManager(dfs)
-    persister = adopt_recovered(manager, recover(config, dfs), config)
+    state = recover(config, dfs)
+    manager = ReStoreManager(dfs, repository=state.repository)
+    persister = adopt_recovered(manager, state, config)
     return dfs, config, manager, persister
 
 

@@ -217,3 +217,20 @@ class TestPersistenceFlags:
                 "run", str(script), "--data", f"{data}=pv", "--no-restore",
                 "--snapshot", str(tmp_path / "s"),
             ])
+
+    @pytest.mark.parametrize("flags", [[], ["--executor", "threads"]])
+    def test_a_refused_state_directory_exits_2(self, script_and_data, capsys, flags):
+        """Recovery refusing the state (a file planted at PATH) is
+        reported like any misuse: one ``error:`` line, exit 2."""
+        script, data = script_and_data
+        snap = script.parent / "state.snap"
+        snap.write_text("planted\n")
+        code = main([
+            "run", str(script), "--data", f"{data}=pv", "--snapshot", str(snap),
+            *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {snap}:")
+        assert "Traceback" not in captured.err
+        assert "rows) ==" not in captured.out  # nothing ran

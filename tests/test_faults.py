@@ -268,8 +268,11 @@ class TestCircuitBreaker:
             journal_path=str(tmp_path / "repository.journal"),
         )
         dfs = DistributedFileSystem()
-        manager = ReStoreManager(dfs, config=probe_config())
-        return manager, adopt_recovered(manager, recover(config), config), config
+        state = recover(config)
+        manager = ReStoreManager(
+            dfs, repository=state.repository, config=probe_config()
+        )
+        return manager, adopt_recovered(manager, state, config), config
 
     def test_breaker_degrades_buffers_and_recovers_on_probe(self, tmp_path):
         manager, persister, config = self._persister(tmp_path)

@@ -491,6 +491,61 @@ class TestCompileMemo:
         for template, seen in first_seen.values():
             assert state(template) == seen
 
+    def test_shared_template_operators_are_values(self, fresh_memo, monkeypatch):
+        """A re-stamped copy shares the template's operators, so no stage
+        may write to one: over a reuse pass and a thread-mode service run,
+        every template operator keeps the very attributes it was built
+        with."""
+        first_seen, shared = {}, Counter()
+        restamp = engine._restamp
+
+        def recording(template, *args):
+            for job in template.jobs:
+                for op in job.plan.operators:
+                    first_seen.setdefault(id(op), (op, dict(op.__dict__)))
+            workflow = restamp(template, *args)
+            ids = {id(op) for job in template.jobs for op in job.plan.operators}
+            shared.update(
+                id(op) in ids for job in workflow.jobs for op in job.plan.operators
+            )
+            return workflow
+
+        monkeypatch.setattr(engine, "_restamp", recording)
+        sizes = QUICK["pigmix"]
+        plan = inputs.pigmix_plan(0, sizes, passes=1)
+        steps = inputs.pigmix_stream(sizes) + plan.queries
+        events = Counter()
+        with ReStoreSession() as session:
+            for path, payload in plan.files.items():
+                session.write_file(path, payload)
+            for step in steps:
+                result = session.run(step.source)
+                events.update(type(event).__name__ for event in result.events)
+        service = JobService(executor="threads", max_workers=2)
+        try:
+            for path, payload in plan.files.items():
+                service.dfs.write_file(path, payload)
+            tenants = [service.open_session(f"t{n}") for n in range(2)]
+            futures = [
+                tenants[n % 2].submit(step.source) for n, step in enumerate(steps)
+            ]
+            for future in futures:
+                events.update(
+                    type(event).__name__ for event in future.result(timeout=120).events
+                )
+        finally:
+            service.shutdown(wait=True)
+        # the copies were rewritten, injected into and eliminated, and
+        # most of their operators were the template's own
+        assert events["RewriteApplied"] and events["JobEliminated"]
+        assert events["SubJobStored"]
+        assert shared[True] > shared[False] > 0
+        assert len(first_seen) > 50
+        for op, attributes in first_seen.values():
+            assert op.__dict__ == attributes, op
+            for name, value in attributes.items():
+                assert op.__dict__[name] is value, (op, name)
+
     def test_two_threads_compiling_the_same_scripts_get_equal_workflows(
         self, fresh_memo
     ):

@@ -38,8 +38,9 @@ CONFIG = PersistenceConfig()  # dfs backend, default restore/ paths
 
 def first_session(dfs):
     """Run a query under a live persister, then checkpoint into the DFS."""
-    manager = ReStoreManager(dfs)
-    persister = adopt_recovered(manager, recover(CONFIG, dfs), CONFIG)
+    state = recover(CONFIG, dfs)
+    manager = ReStoreManager(dfs, repository=state.repository)
+    persister = adopt_recovered(manager, state, CONFIG)
     server = PigServer(dfs, restore=manager)
     result = server.run(Q2.replace("OUT", "out/session1"))
     persister.close(snapshot=True)

@@ -188,20 +188,6 @@ class TestValidation:
 
 
 class TestCloneAndSubplan:
-    def test_clone_is_deep(self):
-        plan, (load, filt, store) = simple_plan()
-        fingerprint = plan.fingerprint()
-        clone = plan.restamped({})
-        assert len(clone) == 3
-        twins = clone.topo_order()
-        assert [op.kind for op in twins] == ["load", "filter", "store"]
-        assert not {op.op_id for op in twins} & {load.op_id, filt.op_id, store.op_id}
-        clone.remove(twins[1])
-        assert len(clone) == 2
-        assert len(plan) == 3  # original untouched
-        assert plan.successors(load) == [filt]
-        assert plan.fingerprint() == fingerprint
-
     def test_clone_preserves_fingerprint(self):
         plan, _ = simple_plan()
         want = plan.fingerprint()
@@ -232,6 +218,140 @@ class TestCloneAndSubplan:
         sub = plan.subplan_upto(filt)
         kinds = sorted(op.kind for op in sub)
         assert kinds == ["filter", "load"]  # no split, no side store
+
+
+def tied_plan():
+    """Two sources that tie in a topological sort, added in the order
+    their ids do not follow: load b, load a -> filter, union, store."""
+    load_a = POLoad("in/a", SCHEMA)
+    load_b = POLoad("in/b", SCHEMA)
+    filt = POFilter(BinaryOp(">", Column(1), Const(1)), schema=SCHEMA)
+    union = POUnion(2, schema=SCHEMA)
+    store = POStore("out", schema=SCHEMA)
+    plan = PhysicalPlan()
+    for op in (load_b, load_a, filt, union, store):
+        plan.add(op)
+    plan.connect(load_a, filt)
+    plan.connect(load_b, union)
+    plan.connect(filt, union)
+    plan.connect(union, store)
+    return plan
+
+
+def named(plan):
+    """The operators of a :func:`tied_plan` (or of a copy), by role."""
+    return dict(zip(("load_b", "load_a", "filt", "union", "store"), plan.operators))
+
+
+#: each structural mutator, applied to a plan's operators by role
+MUTATORS = {
+    "add": lambda plan, ops: plan.add(POLimit(5, schema=SCHEMA)),
+    "add_before": lambda plan, ops: plan.add(
+        POLoad("in/c", SCHEMA), before=ops["load_a"]
+    ),
+    "connect": lambda plan, ops: plan.connect(ops["load_a"], ops["store"]),
+    "disconnect": lambda plan, ops: plan.disconnect(ops["load_b"], ops["union"]),
+    "remove": lambda plan, ops: plan.remove(ops["filt"]),
+    "insert_between": lambda plan, ops: plan.insert_between(
+        ops["filt"], ops["union"], POLimit(5, schema=SCHEMA)
+    ),
+    "move_edge": lambda plan, ops: plan.move_edge(
+        ops["filt"], ops["union"], ops["load_a"]
+    ),
+    "replace": lambda plan, ops: plan.replace(
+        ops["load_b"], POLoad("in/b2", SCHEMA)
+    ),
+}
+
+
+def structure(plan):
+    return (
+        list(plan._ops.items()),
+        {i: list(ends) for i, ends in plan._succs.items()},
+        {i: list(ends) for i, ends in plan._preds.items()},
+        dict(plan._seq),
+    )
+
+
+def positions(plan):
+    """The topological order as places in the operator order: what two
+    plans built alike share although their operators differ."""
+    ops = plan.operators
+    return [ops.index(op) for op in plan.topo_order()]
+
+
+class TestRestampContract:
+    """A re-stamped copy shares its template's operators but its own
+    structure: it inherits the template's facts, and mutating it drops
+    them on the copy alone."""
+
+    def test_a_copy_shares_all_but_the_repathed_operators(self):
+        template = tied_plan()
+        template.validate()
+        ops = named(template)
+        clone = template.restamped({ops["load_a"].op_id: "in/z"})
+        twins = named(clone)
+        for role in ("load_b", "filt", "union", "store"):
+            assert twins[role] is ops[role]
+        assert twins["load_a"] is not ops["load_a"]
+        assert twins["load_a"].path == "in/z"
+        assert ops["load_a"].path == "in/a"
+        # the template's facts, mapped onto the twin, with no recompute
+        assert clone._valid and clone._order is not None
+        assert positions(clone) == positions(template) == [0, 1, 2, 3, 4]
+        assert clone.loads() == [twins["load_b"], twins["load_a"]]
+        assert clone.stores() == [ops["store"]]
+
+    def test_ties_break_by_rank_not_by_shared_op_id(self):
+        template = tied_plan()
+        ops = named(template)
+        assert ops["load_a"].op_id < ops["load_b"].op_id
+        # load b was added first, so it comes first, in a copy computing
+        # its own order and in the template
+        clone = template.restamped({})
+        assert clone._order is None  # nothing cached to inherit
+        assert clone.topo_order()[0] is ops["load_b"]
+        assert template.topo_order()[0] is ops["load_b"]
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_mutating_a_copy_leaves_the_template_alone(self, mutator):
+        template = tied_plan()
+        template.validate()
+        fingerprint = template.fingerprint()
+        before, cached = structure(template), template._order
+        order = list(cached)
+        clone = template.restamped({})
+        MUTATORS[mutator](clone, named(clone))
+        assert structure(template) == before
+        assert template.fingerprint() == fingerprint
+        assert template._order is cached and cached == order
+        assert template._valid
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_mutating_drops_the_facts_and_recomputes_a_fresh_order(self, mutator):
+        template = tied_plan()
+        template.validate()
+        template.fingerprint()
+        clone = template.restamped({named(template)["store"].op_id: "elsewhere"})
+        clone.loads(), clone.stores()
+        MUTATORS[mutator](clone, named(clone))
+        assert clone._order is None and not clone._valid
+        assert clone._loads is None and clone._stores is None
+        assert clone._fp_plan is None and clone._fp_by_op == {}
+        fresh = tied_plan()
+        MUTATORS[mutator](fresh, named(fresh))
+        assert positions(clone) == positions(fresh)
+        assert [op.kind for op in clone.loads()] == [op.kind for op in fresh.loads()]
+        assert len(clone.stores()) == len(fresh.stores())
+
+    def test_a_failed_validation_is_not_cached(self):
+        plan, (load, filt, store) = simple_plan()
+        plan.validate()
+        plan.connect(load, store)  # a second successor without a split
+        with pytest.raises(PlanError):
+            plan.validate()
+        with pytest.raises(PlanError):
+            plan.validate()
 
 
 class TestFingerprints:

@@ -25,7 +25,9 @@ import pytest
 
 from repo_stream import build_repository, generate_entry_specs
 from repro.core.manager import ReStoreManager
+from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
+from repro.exceptions import RepositoryError
 from repro.persistence.durability import (
     PersistenceConfig,
     adopt_recovered,
@@ -222,8 +224,9 @@ def primary(request, tmp_path):
         journal_path=str(tmp_path / "repo.journal"),
         backend=request.param,
     )
-    manager = ReStoreManager(dfs)
-    return dfs, config, manager, adopt_recovered(manager, recover(config, dfs), config)
+    state = recover(config, dfs)
+    manager = ReStoreManager(dfs, repository=state.repository)
+    return dfs, config, manager, adopt_recovered(manager, state, config)
 
 
 def _stored_entries(dfs, n, seed=5):
@@ -242,6 +245,32 @@ def _surface(repository):
         (e.entry_id, e.plan.fingerprint(), e.output_path)
         for e in repository.ordered_entries()
     ]
+
+
+class TestAdoption:
+    def test_a_manager_over_another_repository_is_refused(self, tmp_path):
+        """The log has never seen a hand-built repository's entries, so
+        the first rotation could not checkpoint them: adoption refuses
+        up front, naming the mistake, and wires nothing."""
+        dfs = DistributedFileSystem()
+        config = _config(tmp_path)
+        state = recover(config, dfs)
+        own = Repository()
+        for entry in _stored_entries(dfs, 3):
+            own.add(entry)
+        manager = ReStoreManager(dfs, repository=own)
+        with pytest.raises(RepositoryError, match="not built over the recovered"):
+            adopt_recovered(manager, state, config)
+        assert manager.persistence is None
+        assert list(tmp_path.iterdir()) == []
+        # the same entries added over the recovered repository persist
+        manager = ReStoreManager(dfs, repository=state.repository)
+        persister = adopt_recovered(manager, state, config)
+        for entry in own.entries():
+            manager.repository.add(entry)
+        persister.take_snapshot()
+        persister.close()
+        assert _surface(recover(config, dfs).repository) == _surface(own)
 
 
 class TestPersisterCrash:
