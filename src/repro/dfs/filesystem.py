@@ -10,6 +10,7 @@ consumed by the cost model.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, List, Optional, Tuple
 
@@ -24,6 +25,21 @@ from repro.relational.tuples import (
     serialize_rows,
     snapshot_rows,
 )
+
+
+@dataclass(frozen=True)
+class WriteStatus(FileStatus):
+    """What :meth:`DistributedFileSystem.write_rows` returns: the new
+    file's status, and which path sized it."""
+
+    #: True when ``size`` is ``canonical_ascii_size(rows, schema)`` of
+    #: the rows written — their serialized characters, one newline
+    #: each.  False for a rendered write (non-canonical or non-ASCII
+    #: rows, or no schema) and a payload clone, whose size is bytes of
+    #: text the rows were never sized for.  ``TypedDataset.exact``
+    #: cannot stand in: a canonical non-ASCII write is exact, and its
+    #: size counts UTF-8 bytes, not characters.
+    sized_from_rows: bool = False
 
 
 class DistributedFileSystem:
@@ -172,7 +188,7 @@ class DistributedFileSystem:
         overwrite: bool = False,
         source: Optional[str] = None,
         snapshot: bool = True,
-    ) -> FileStatus:
+    ) -> WriteStatus:
         """Create *path* from typed rows (the zero-copy write path).
 
         The PigStorage serialization stays the source of truth — it is
@@ -194,14 +210,15 @@ class DistributedFileSystem:
         Byte counters move exactly as a fresh write would move them on
         either path.  ``snapshot=False`` is for the interpreter, which
         owns its flush rows (no caller can mutate them later) and so
-        skips the defensive copy.
+        skips the defensive copy.  The returned status says whether the
+        size was counted from the rows (:attr:`WriteStatus.sized_from_rows`).
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
         if source is not None and schema is not None:
             clone = self._clone_payload(path, rows, schema, source, overwrite)
             if clone is not None:
-                return clone
+                return WriteStatus(clone.path, clone.size, clone.mtime)
         if snapshot:
             # snapshot at call time, like write_file snapshots bytes: a
             # caller mutating a Bag after this returns must not corrupt
@@ -241,7 +258,10 @@ class DistributedFileSystem:
                 inode.datasets[fingerprint] = TypedDataset(
                     rows, fingerprint, inode.generation, exact=True, covers=inode.size
                 )
-            return self.namenode.stat(path)
+            status = self.namenode.stat(path)
+        return WriteStatus(
+            status.path, status.size, status.mtime, total_bytes is not None
+        )
 
     def _clone_payload(
         self,

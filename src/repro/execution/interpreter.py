@@ -23,6 +23,14 @@ store fed only by a load, possibly through split tees — the shape of
 whole-job copy rewrites and load-teeing side stores), letting the DFS
 clone the producer's serialized payload instead of rendering the same
 text twice.
+
+A row is sized once: a rearrange whose only input is a split that also
+feeds stores (the shape of a side store injected on a shuffle's input)
+receives exactly the chunks those stores write, so it adds its chunks
+to the shuffle with row sizing off, and after the flush the rows' bytes
+come from a store's write (see :meth:`JobInterpreter._tee_row_bytes`).
+The relation is found once per handler compile, so a job without it
+runs the per-chunk sizing unchanged.
 """
 
 from __future__ import annotations
@@ -31,10 +39,10 @@ import time
 from collections import defaultdict
 from functools import partial
 from itertools import chain, compress, product, starmap
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.dfs.filesystem import DistributedFileSystem
+from repro.dfs.filesystem import DistributedFileSystem, WriteStatus
 from repro.exceptions import ExecutionError, PlanError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import ShuffleBuffer
@@ -59,7 +67,7 @@ from repro.relational.compiled import (
     compile_key,
     compile_projection_list,
 )
-from repro.relational.tuples import Bag, Row
+from repro.relational.tuples import Bag, Row, serialized_rows_size
 
 #: a compiled chunk handler: (rows, source operator) -> None
 BatchHandler = Callable[[Sequence[Row], Optional[PhysicalOperator]], None]
@@ -98,6 +106,11 @@ class JobInterpreter:
         #: op_id -> compiled chunk handler / successor handler list
         self._batch_handlers: Dict[int, BatchHandler] = {}
         self._succ_batch_handlers: Dict[int, List[BatchHandler]] = {}
+        #: tee'd rearrange op_id -> the stores on its split (see
+        #: :meth:`_tee_stores`), and the characters of the rows those
+        #: rearranges dropped
+        self._tees: Dict[int, List[POStore]] = {}
+        self._tee_dropped = 0
 
     # -- public ------------------------------------------------------------------
 
@@ -138,9 +151,9 @@ class JobInterpreter:
         if gr is not None:
             self._run_reduce_batched(self._package_after(gr), stats)
             stats.shuffle_records = self._shuffle.records
-            stats.shuffle_bytes = self._shuffle.bytes
 
         # Flush stores.
+        written: Dict[int, WriteStatus] = {}
         for store in self.plan.stores():
             rows = self._store_rows.get(store.op_id, [])
             status = self.dfs.write_rows(
@@ -154,6 +167,7 @@ class JobInterpreter:
                 # snapshot is skipped
                 snapshot=False,
             )
+            written[store.op_id] = status
             stats.stores.append(
                 StoreStat(
                     path=store.path,
@@ -163,6 +177,10 @@ class JobInterpreter:
                     side=store.side,
                 )
             )
+        if gr is not None:
+            stats.shuffle_bytes = self._shuffle.bytes
+            if self._tees:
+                stats.shuffle_bytes += self._tee_row_bytes(written)
 
         stats.map_output_records = self._map_output_records
         stats.op_records = self._op_records
@@ -281,6 +299,11 @@ class JobInterpreter:
             # row by row only in a chunk that holds a null key
             key_of = compile_key(op.key_exprs)
             policy = self._null_key_policy.get(op.op_id, "keep")
+            # a tee'd rearrange's row bytes come from its stores' write
+            tee_stores = self._tee_stores(op)
+            size_rows = not tee_stores
+            if tee_stores:
+                self._tees[op.op_id] = tee_stores
 
             def handler(rows, source, _branch=op.branch):
                 self._op_records += len(rows)
@@ -289,6 +312,9 @@ class JobInterpreter:
                     if policy == "drop":
                         # Pig: null keys never match in inner joins
                         live = [not _is_null_key(key) for key in keys]
+                        if not size_rows:
+                            dropped = list(compress(rows, map(not_, live)))
+                            self._tee_dropped += serialized_rows_size(dropped)
                         keys = list(compress(keys, live))
                         rows = list(compress(rows, live))
                     else:  # isolate: outer-preserved rows survive, unmatched
@@ -296,7 +322,7 @@ class JobInterpreter:
                             if _is_null_key(key):
                                 self._null_counter += 1
                                 keys[index] = ("__null__", self._null_counter)
-                self._shuffle.add_batch(_branch, keys, rows)
+                self._shuffle.add_batch(_branch, keys, rows, size_rows)
                 self._map_output_records += len(rows)
 
         elif isinstance(op, POStore):
@@ -343,6 +369,40 @@ class JobInterpreter:
 
         self._batch_handlers[op.op_id] = handler
         return handler
+
+    # -- tee'd rearranges --------------------------------------------------------------
+
+    def _tee_stores(self, rearrange: POLocalRearrange) -> List[POStore]:
+        """The stores hanging directly off *rearrange*'s split, when a
+        split is its only input: each receives exactly the chunks the
+        rearrange does (a split forwards one chunk object to every
+        branch), so the rows a store writes are the rows the rearrange
+        received.  Empty for any other rearrange."""
+        preds = self.plan.predecessors(rearrange)
+        if len(preds) != 1 or not isinstance(preds[0], POSplit):
+            return []
+        succs = self.plan.successors(preds[0])
+        return [succ for succ in succs if isinstance(succ, POStore)]
+
+    def _tee_row_bytes(self, written: Dict[int, WriteStatus]) -> int:
+        """The row bytes the tee'd rearranges left unsized, taken from
+        their stores' writes: a write sized from the rows is their
+        characters plus one newline per row
+        (:attr:`~repro.dfs.filesystem.WriteStatus.sized_from_rows`);
+        without one, the first store's rows are sized here.  The rows a
+        rearrange dropped (inner-join null keys) never reached the
+        shuffle, so their characters, counted as they were dropped,
+        come off."""
+        total = -self._tee_dropped
+        for stores in self._tees.values():
+            for store in stores:
+                status = written[store.op_id]
+                if status.sized_from_rows:
+                    total += status.size - len(self._store_rows[store.op_id])
+                    break
+            else:
+                total += serialized_rows_size(self._store_rows[stores[0].op_id])
+        return total
 
     # -- payload reuse ----------------------------------------------------------------
 

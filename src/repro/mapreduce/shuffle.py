@@ -25,6 +25,12 @@ and both counters are those of a stable sort by :func:`sort_key`
 scanned for equal neighbours — the sort-based reference buffer in
 ``tests/test_shuffle.py`` pins that down (and states the one
 departure: NaN keys).
+
+:attr:`ShuffleBuffer.bytes` is Hadoop's map-output accounting: per
+record its key's repr length, its row's serialized length and two
+framing bytes.  A caller that knows a chunk's row bytes from elsewhere
+adds the chunk with ``size_rows=False`` and adds them itself (the
+interpreter does, for a rearrange tee'd with a store).
 """
 
 from __future__ import annotations
@@ -110,14 +116,19 @@ class ShuffleBuffer:
     def add(self, key, branch: int, row: Row) -> None:
         self.add_batch(branch, [key], [row])
 
-    def add_batch(self, branch: int, keys: List, rows: List[Row]) -> None:
+    def add_batch(
+        self, branch: int, keys: List, rows: List[Row], size_rows: bool = True
+    ) -> None:
         """Add a chunk's records of one branch.
 
         The chunk's key table hands out every record's row list in one
         C-level pass and the rows land in another; Python runs only
         for the distinct keys the table has not met.  Wire bytes —
         Hadoop's map-output accounting, serialized key + value — sum
-        column-wise, a key's from its memoised repr length.
+        column-wise, a key's from its memoised repr length.  With
+        *size_rows* off the rows' own bytes are left out (keys and the
+        two framing bytes per record still count): the caller knows
+        them from elsewhere and adds them to :attr:`bytes` itself.
         """
         if not rows:
             return
@@ -135,7 +146,9 @@ class ShuffleBuffer:
         any(map(list.append, bags, rows))  # appends return None
         key_bytes = sum(map(self._key_lens.__getitem__, index))
         self.records += len(rows)
-        self.bytes += serialized_rows_size(rows) + key_bytes + 2 * len(rows)
+        if size_rows:
+            key_bytes += serialized_rows_size(rows)
+        self.bytes += key_bytes + 2 * len(rows)
 
     def _open(self, branch: int, table: dict, index: List, keys: List, raw) -> None:
         """Enter the chunk's entries *table* has not met, in order of

@@ -116,19 +116,33 @@ def encode_segment(path: str, data: bytes) -> bytes:
     )
 
 
-def _json(payload: Mapping) -> bytes:
+def encode_json(payload) -> bytes:
+    """Compact, key-sorted JSON: the form of every record, checkpoint
+    and checkpoint row."""
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
 
 
 def encode_record(*payloads: Mapping) -> bytes:
     """Frame records, one per line of one frame: they land or tear
     together (compact JSON holds no newline)."""
-    return encode_frame(RECORD + b"\n".join(map(_json, payloads)))
+    return encode_frame(RECORD + b"\n".join(map(encode_json, payloads)))
 
 
-def encode_checkpoint(state: Mapping) -> bytes:
-    """Frame one checkpoint: the index *state* as one JSON object."""
-    return encode_frame(CHECKPOINT + _json(state))
+#: where a checkpoint's entry rows go: its keys sort ``clock`` (an int)
+#: first and ``entries`` second, so this is the first match in the body
+_NO_ENTRIES = b'"entries":[]'
+
+
+def encode_checkpoint(state: Mapping, rows: Optional[Sequence[bytes]] = None) -> bytes:
+    """Frame one checkpoint: the index *state* as one JSON object.  With
+    *rows*, the state's ``entries`` are those rows, each already encoded
+    by :func:`encode_json`, spliced into the body as they are: the same
+    bytes as encoding a state that holds them."""
+    if rows is None:
+        return encode_frame(CHECKPOINT + encode_json(state))
+    body = encode_json({**state, "entries": []})
+    at = body.index(_NO_ENTRIES) + len(_NO_ENTRIES) - 1
+    return encode_frame(CHECKPOINT + body[:at] + b",".join(rows) + body[at:])
 
 
 def _decode_body(body: memoryview):

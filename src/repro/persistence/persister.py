@@ -63,6 +63,7 @@ from repro.persistence.framedlog import (
     LogError,
     SegmentRef,
     encode_checkpoint,
+    encode_json,
 )
 from repro.persistence.snapshot import IndexState, entry_record
 from repro.persistence.storage import PersistenceConfig
@@ -144,6 +145,10 @@ class RepositoryPersister:
         self.breaker_trips = 0
         self.breaker_recoveries = 0
         self._records_since_snapshot = 0
+        #: entry id -> (what the bytes are checked by, its encoded
+        #: entry record): kept until the entry's next record (see
+        #: :meth:`_checkpoint`)
+        self._rows: Dict[str, tuple] = {}
         self._last_counters: Optional[dict] = None
         self._closed = False
         self._unsubscribes = [
@@ -168,6 +173,7 @@ class RepositoryPersister:
     # -- record sources -----------------------------------------------------------
 
     def _on_mutation(self, kind: str, entry) -> None:
+        self._rows.pop(entry.entry_id, None)
         if kind == "removed":
             self._enqueue({"type": "entry_removed", "entry_id": entry.entry_id})
         elif kind in ("added", "refreshed"):
@@ -217,6 +223,7 @@ class RepositoryPersister:
 
     def _on_usage(self, event) -> None:
         entry_id = event.entry_id
+        self._rows.pop(entry_id, None)
         if not entry_id or not self.repository.has_entry(entry_id):
             return
         entry = self.repository.get(entry_id)
@@ -475,7 +482,17 @@ class RepositoryPersister:
         return event
 
     def _checkpoint(self, payloads, plans) -> bytes:
-        """The checkpoint frame of the index as it stands (locks held)."""
+        """The checkpoint frame of the index as it stands (locks held):
+        ``encode_checkpoint(state.checkpoint())``, byte for byte, with
+        each entry's record encoded once and reused until the entry's
+        next record (added, refreshed, used or removed) drops it.  What
+        moves without a record of its own is checked per row: an input
+        extent rebased by a match
+        (:func:`~repro.core.freshness.classify_entry`) and the use
+        counters (marked under the manager lock, their record staged
+        after it).  The plan ref, which a compaction moves, is encoded
+        per row beside the kept bytes, as :meth:`IndexState.checkpoint`
+        lays the row out."""
         state = IndexState(
             self.repository,
             self.manager.kept_paths,
@@ -484,7 +501,22 @@ class RepositoryPersister:
             {path: ref.to_list() for path, ref in payloads.items()},
             {entry_id: ref.to_list() for entry_id, ref in plans.items()},
         )
-        return encode_checkpoint(state.checkpoint())
+        cached = self._rows
+        rows = []
+        for entry in self.repository.entries():
+            entry_id = entry.entry_id
+            key = (
+                tuple(entry.input_extents.items()),
+                entry.use_count,
+                entry.last_used_at,
+            )
+            kept = cached.get(entry_id)
+            if kept is None or kept[0] != key:
+                kept = (key, encode_json(entry_record(entry)))
+                cached[entry_id] = kept
+            ref = encode_json(state.plan_refs[entry_id])
+            rows.append(b'{"entry":%b,"ref":%b}' % (kept[1], ref))
+        return encode_checkpoint(state.header(), rows)
 
     def close(self, *, snapshot: bool = False) -> None:
         """Detach from the manager, committing (and optionally

@@ -242,19 +242,23 @@ class IndexState:
     checkpoint_entries: int = 0
 
     def checkpoint(self) -> dict:
-        """The checkpoint's JSON object: one row per live entry, its
-        :func:`entry_record` beside its plan segment's ref."""
+        """The checkpoint's JSON object: :meth:`header`, and one row per
+        live entry, its :func:`entry_record` beside its plan segment's
+        ref."""
         rows = [
             {"entry": entry_record(entry), "ref": self.plan_refs[entry.entry_id]}
             for entry in self.repository.entries()
         ]
+        return {**self.header(), "entries": rows}
+
+    def header(self) -> dict:
+        """The checkpoint's JSON object but its entry rows."""
         return {
             "clock": self.clock,
             "kept_paths": sorted(self.kept_paths),
             "ids": self.id_floors,
             "repository": self.repository.snapshot_state(),
             "payloads": self.payload_refs,
-            "entries": rows,
         }
 
     @classmethod

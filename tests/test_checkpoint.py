@@ -29,14 +29,17 @@ from test_fingerprint_index import assert_index_consistent
 from repro.core.repository import Repository
 from repro.dfs.filesystem import DistributedFileSystem
 from repro.dfs.namenode import InputExtent
+from repro.events import EntryRefreshed
 from repro.persistence.durability import (
     PersistenceConfig,
     ReplayTarget,
     derive_id_floors,
     recover,
 )
-from repro.persistence.framedlog import FramedLog, JournalRecord
+from repro.persistence import persister as persister_module
+from repro.persistence.framedlog import FramedLog, JournalRecord, encode_checkpoint
 from repro.persistence.snapshot import (
+    IndexState,
     LazyPlan,
     SnapshotError,
     entry_from_record,
@@ -384,3 +387,58 @@ class TestEncodedOnce:
             stored = [entry.plan for entry in session.repository.entries()]
         assert stored
         assert encodes == Counter(id(plan) for plan in stored)
+
+
+FILTER = """
+A = load 'pv' as (user, action:int, rev:double);
+B = filter A by action == 1;
+store B into 'OUT';
+"""
+
+
+class TestCachedRows:
+    """A rotation splices each entry's encoded row, kept since the
+    entry's last record, into the checkpoint frame."""
+
+    def test_frame_is_the_fresh_encoding(self, tmp_path, monkeypatch):
+        session = ReStoreSession(persistence=durable_config(tmp_path))
+        persister = session.persister
+        frames, encoded = [], Counter()
+        checkpoint, encode_json = persister._checkpoint, persister_module.encode_json
+
+        def compared(payloads, plans):
+            frame = checkpoint(payloads, plans)
+            state = IndexState(
+                persister.repository,
+                persister.manager.kept_paths,
+                persister.manager.clock,
+                persister.dfs.id_state(),
+                {path: ref.to_list() for path, ref in payloads.items()},
+                {entry_id: ref.to_list() for entry_id, ref in plans.items()},
+            )
+            assert frame == encode_checkpoint(state.checkpoint())
+            frames.append(frame)
+            return frame
+
+        def counted(payload):
+            encoded[type(payload)] += 1  # a dict: an entry record
+            return encode_json(payload)
+
+        monkeypatch.setattr(persister, "_checkpoint", compared)
+        monkeypatch.setattr(persister_module, "encode_json", counted)
+        run_script(session)  # a group entry, and a use of it
+        session.run(FILTER.replace("OUT", "f/one"))
+        assert persister.take_snapshot() is not None
+        first = encoded[dict]
+        assert first == len(session.repository) >= 2
+        session.run(SCRIPT.replace("OUT", "out/three"))  # used again
+        session.dfs.append("pv", "dave\t1\t3.0\n")
+        result = session.run(FILTER.replace("OUT", "f/one"))  # refreshed
+        assert any(isinstance(e, EntryRefreshed) for e in result.events)
+        assert persister.take_snapshot() is not None
+        # only the entries with a record since the first were encoded
+        # again, once, though this rotation compacted (new plan refs)
+        assert persister.log.gen == 1 and len(frames) == 3
+        assert encoded[dict] - first == 2 < len(session.repository)
+        session.close()
+        assert frames[0] != frames[2]

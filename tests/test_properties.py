@@ -30,6 +30,7 @@ from repro.relational.tuples import (
     iter_data_lines,
     serialize_row,
     serialize_rows,
+    serialized_rows_size,
 )
 from repro.relational.types import DataType
 
@@ -941,6 +942,51 @@ class TestDataPlaneProperties:
         want = "".join(serialize_row(row) + "\n" for row in rows)
         assert serialize_rows(rows) == want
         assert serialize_rows(iter(rows)) == want
+
+    def test_a_canonical_ascii_size_is_the_rows_characters(self):
+        """Whenever ``canonical_ascii_size`` sizes a write, the size is
+        ``serialized_rows_size(rows)`` plus one newline per row: the
+        identity the interpreter takes a tee'd rearrange's row bytes
+        from.  Over the canonical and the hostile draws, both answers
+        drawn."""
+        from repro.dfs.dataset import canonical_ascii_size
+
+        drawn = Counter()
+
+        @given(plane_rows)
+        @settings(
+            max_examples=200,
+            deadline=None,
+            derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @example((Schema(()), [(), ()]))
+        def check(schema_rows):
+            schema, rows = schema_rows
+            rows = tuple(rows)
+            size = canonical_ascii_size(rows, schema)
+            drawn["sized" if size is not None else "refused"] += 1
+            if size is not None:
+                assert size == serialized_rows_size(rows) + len(rows)
+
+        check()
+        assert drawn["sized"] >= 20 and drawn["refused"] >= 20, drawn
+
+    def test_an_exact_non_ascii_write_is_not_sized_from_its_rows(self):
+        """The counterexample to using ``TypedDataset.exact`` as that
+        signal: a canonical non-ASCII write is pinned exact, and its
+        size counts UTF-8 bytes (14), not the rows' characters (13)."""
+        from repro.dfs.dataset import canonical_ascii_size
+
+        schema = Schema.of(("s", DataType.CHARARRAY), ("n", DataType.INT))
+        rows = (("héllo", 1), ("b", 22))
+        dfs = DistributedFileSystem()
+        status = dfs.write_rows("f", rows, schema)
+        (dataset,) = dfs.namenode.lookup("f").datasets.values()
+        assert dataset.exact and status.size == 14
+        assert serialized_rows_size(rows) + len(rows) == 13
+        assert canonical_ascii_size(rows, schema) is None
+        assert not status.sized_from_rows
 
 
 # -- an append extends the pinned rows ------------------------------------------------
