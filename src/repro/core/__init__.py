@@ -1,6 +1,6 @@
 """ReStore core: repository, matcher/rewriter, enumerator, policies."""
 
-from repro.core.enumerator import CandidateSubJob, SubJobEnumerator
+from repro.core.enumerator import SubJobEnumerator
 from repro.core.eviction import (
     EVICTION_POLICIES,
     CapacityEviction,
@@ -27,7 +27,6 @@ __all__ = [
     "HEURISTICS",
     "SELECTORS",
     "build_eviction_policy",
-    "CandidateSubJob",
     "CapacityEviction",
     "EntryStats",
     "EvictionPolicy",

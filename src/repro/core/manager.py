@@ -8,7 +8,8 @@ match stage, here); (2) the sub-job enumerator injects Split+Store
 instrumentation chosen by the active heuristic
 (:mod:`repro.core.enumerator`); after execution, delta refreshes merge
 (:mod:`repro.core.freshness`) and (3) the enumerated sub-job selector
-decides which outputs stay in the repository
+cuts each instrumented sub-job from the plan that ran and decides which
+outputs stay in the repository
 (:mod:`repro.core.selector`), and eviction policies run between
 workflows (:mod:`repro.core.eviction`).  Those stages are functions of
 the manager: the facade owns the state they share — config, counters,
@@ -24,11 +25,11 @@ project any typed event list through
 The manager is **multi-tenant and concurrency-safe**: many sessions
 (threads) may drive jobs through one manager against one shared
 repository.  A reentrant manager lock guards the mutable aggregates
-(counters, pending sub-jobs, kept paths, the logical clock, event
-buffers); the repository carries its own lock, always taken after this
-one (the order is stated in :mod:`repro.core.repository`); and the
-match scan runs outside any manager-level lock against candidate
-snapshots.  Each worker thread activates a *session
+(counters, kept paths, the logical clock, queued delta refreshes,
+event buffers); the repository carries its own lock, always taken
+after this one (the order is stated in :mod:`repro.core.repository`);
+and the match scan runs outside any manager-level lock against
+candidate snapshots.  Each worker thread activates a *session
 scope* (:meth:`ReStoreManager.session_scope`) so every emitted event
 is stamped with its session id and lands in a per-session drain buffer
 — sessions sharing the manager never see each other's events.
@@ -41,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.core.enumerator import CandidateSubJob, SubJobEnumerator
+from repro.core.enumerator import SUBJOB_DIR, SubJobEnumerator
 from repro.core.eviction import (
     EVICTION_POLICIES,
     build_eviction_policy,
@@ -193,16 +194,11 @@ class ReStoreManager(JobListener):
         self.kept_paths: Set[str] = set()
         #: logical clock: one tick per workflow (drives eviction Rule 3)
         self.clock = 0
-        #: guards counters, pending sub-jobs, kept paths, the clock,
-        #: and the per-session event buffers
+        #: guards counters, kept paths, the clock, queued delta
+        #: refreshes and the per-session event buffers
         self._lock = threading.RLock()
         #: active session scope, tracked per worker thread
         self._session_local = threading.local()
-        #: live job object -> its enumerated sub-job candidates.  Keyed
-        #: by id(job), not job_id: tenants may submit pre-built
-        #: workflows with colliding job ids, and bare-string keys would
-        #: let one tenant's bookkeeping clobber another's
-        self._pending: Dict[int, List[CandidateSubJob]] = {}
         #: session id -> events awaiting that session's drain()
         self._pending_events: Dict[str, List[ReStoreEvent]] = {}
         #: workflow -> repository output paths its rewritten plans
@@ -228,8 +224,8 @@ class ReStoreManager(JobListener):
         #: matching the same append-grown entry before the first merge
         #: lands must fall back — two merges would double the tail
         self._refreshing: Set[str] = set()
-        #: live job object -> delta refreshes to apply in after_job
-        #: (keyed by id(job) like ``_pending``, for the same reason)
+        #: live job object -> delta refreshes to apply in after_job;
+        #: by id(job), as tenants' pre-built workflows may share job ids
         self._pending_refresh: Dict[int, List[PendingDeltaRefresh]] = {}
         #: cumulative index/pruning telemetry (reporting, benchmarks)
         self.match_totals = MatchPipelineTotals()
@@ -288,14 +284,12 @@ class ReStoreManager(JobListener):
         with self._lock:
             self._pinned.pop(id(workflow), None)
             # jobs that failed mid-workflow never reached after_job;
-            # drop their enumerated candidates or a long-lived shared
-            # manager leaks them on every failure.  Ditto their queued
-            # delta refreshes: release the entry claims (the entry is
-            # untouched, so the next probe just classifies appended
-            # again) and reclaim the scratch files
+            # drop their queued delta refreshes or a long-lived shared
+            # manager leaks them on every failure: release the entry
+            # claims (the entry is untouched, so the next probe just
+            # classifies appended again) and reclaim the scratch files
             orphaned: List[PendingDeltaRefresh] = []
             for job in workflow.jobs:
-                self._pending.pop(id(job), None)
                 orphaned.extend(self._pending_refresh.pop(id(job), []))
             for refresh in orphaned:
                 self._refreshing.discard(refresh.entry_id)
@@ -361,15 +355,12 @@ class ReStoreManager(JobListener):
         self._match_and_rewrite(job, workflow)
         if job.eliminated_by is not None:
             return False
-        candidates = self.enumerator.enumerate_and_inject(job)
-        with self._lock:
-            self._pending[id(job)] = candidates
+        self.enumerator.enumerate_and_inject(job)
         return True
 
     def after_job(self, job: MapReduceJob, stats: JobStats, workflow: Workflow) -> None:
         with self._lock:
             refreshes = self._pending_refresh.pop(id(job), [])
-            candidates = self._pending.pop(id(job), [])
         # merge delta refreshes before registration: the refreshed
         # entry must be current before any rescan can match it again
         for refresh in refreshes:
@@ -392,8 +383,11 @@ class ReStoreManager(JobListener):
             # now is not of the bytes it read, so it registers nothing
             # (and ``before_job`` injected nothing: see ``registrable``)
             return
-        for candidate in candidates:
-            offer_sub_job(self, candidate, stats, workflow)
+        # the side stores the enumerator injected, in injection order (a
+        # delta refresh's side store lives elsewhere and is not offered)
+        for store in job.plan.side_stores():
+            if store.path.startswith(SUBJOB_DIR + "/"):
+                offer_sub_job(self, job.plan, store, stats, workflow)
         offer_whole_job(self, job, stats, workflow)
 
     def protected_paths(self) -> Set[str]:

@@ -13,7 +13,8 @@ criteria; both policies ship here.
   the stored result must beat executing the producing job).
 
 After a job runs, :func:`offer_sub_job` and :func:`offer_whole_job`
-offer its outputs through :func:`register`, the one way into the
+cut what they offer from the plan that ran (sharing its operators)
+and offer it through :func:`register`, the one way into the
 repository; each takes the manager as its first argument.
 """
 
@@ -23,10 +24,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.freshness import DELTA_TMP_PREFIX
+from repro.core.heuristics import classify_operator
 from repro.core.repository import EntryStats, RepositoryEntry
 from repro.costmodel.model import CostModel, estimate_standalone_time
 from repro.dfs.namenode import InputExtent
 from repro.events import SubJobDiscarded, SubJobStored
+from repro.pig.physical.operators import POStore
 
 
 @dataclass
@@ -136,13 +139,31 @@ def registrable(plan, anchor=None) -> bool:
     return not scratch
 
 
-def offer_sub_job(manager, candidate, stats, workflow) -> None:
-    """Offer one injected side store.  The file is the repository's
-    own, so a refusal deletes it."""
-    store_stat = stats.store_for_path(candidate.store_path)
+def sub_job_plan(plan, side_store):
+    """The candidate sub-job an injected *side_store* of the
+    instrumented *plan* materializes (§4): the plan cut at the store's
+    anchor, the input of its tee, plus a Store at the same path —
+    "indistinguishable from other jobs in the repository".  The cut
+    shares *plan*'s operators, and its frontier is the anchor."""
+    (tee,) = plan.predecessors(side_store)
+    (anchor,) = plan.predecessors(tee)
+    sub_plan = plan.subplan_upto(anchor)
+    store = sub_plan.add(POStore(side_store.path, schema=anchor.schema))
+    sub_plan.connect(anchor, store)
+    return sub_plan
+
+
+def offer_sub_job(manager, plan, side_store, stats, workflow) -> None:
+    """Offer the sub-job whose output *side_store* wrote, cut from
+    *plan*, the job plan that ran (:func:`sub_job_plan`).  The file is
+    the repository's own, so a refusal deletes it."""
+    path = side_store.path
+    store_stat = stats.store_for_path(path)
     if store_stat is None:
         return
-    input_bytes = sum(stats.load_bytes.get(op.path, 0) for op in candidate.plan.loads())
+    sub_plan = sub_job_plan(plan, side_store)
+    anchor = sub_plan.frontier()
+    input_bytes = sum(stats.load_bytes.get(op.path, 0) for op in sub_plan.loads())
     entry_stats = EntryStats(
         input_bytes=input_bytes,
         output_bytes=store_stat.bytes,
@@ -156,15 +177,15 @@ def offer_sub_job(manager, candidate, stats, workflow) -> None:
     )
     if not register(
         manager,
-        candidate.plan,
-        candidate.store_path,
-        candidate.output_schema,
+        sub_plan,
+        path,
+        anchor.schema,
         entry_stats,
-        candidate.anchor_kind,
+        classify_operator(anchor, plan),
         workflow,
         owned=True,
     ):
-        manager.dfs.delete_if_exists(candidate.store_path)
+        manager.dfs.delete_if_exists(path)
 
 
 def offer_whole_job(manager, job, stats, workflow) -> None:
@@ -177,9 +198,7 @@ def offer_whole_job(manager, job, stats, workflow) -> None:
     if policy == "temporary-only" and not job.temporary:
         return
     primary = job.plan.primary_store()
-    if primary is None or len(job.plan) <= 2:
-        # nothing to offer, or the copy job a whole-job hit leaves
-        # behind: register refuses it, so do not clone it to hear so
+    if primary is None:
         return
     sim_time = stats.sim.total_without_side_stores if stats.sim is not None else 0.0
     register(

@@ -17,10 +17,13 @@ plans combine these Merkle-style (operator hash + ordered input
 hashes) into structural fingerprints that the repository indexes.
 
 Operators are values: parameters and ``schema`` are fixed by the
-constructor, so the digest is computed once and a :meth:`copy` carries
-it along.  What reads like an edit — pointing a Load at another path —
-is a structural one: a new operator swapped into the plan
-(:meth:`~repro.pig.physical.plan.PhysicalPlan.replace`).
+constructor, so the digest is computed once and plans share operators.
+What reads like an edit — pointing a Load at another path — is a
+structural one: a new operator swapped into the plan
+(:meth:`~repro.pig.physical.plan.PhysicalPlan.replace`).  A plan holds
+each op id once, so the delta rewrite, which splices a stored plan's
+operators into a job that may hold the same ones, splices :meth:`copy`
+twins (:meth:`~repro.core.rewriter.PlanRewriter.rewrite_delta`).
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class PhysicalOperator:
     def copy(self) -> "PhysicalOperator":
         """A fresh operator (new op_id) computing the same thing: a
         shallow copy sharing the parameter values and the signature
-        digest."""
+        digest, for a splice into a plan that may hold *self*."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin.op_id = next(_OP_COUNTER)

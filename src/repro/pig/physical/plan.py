@@ -10,9 +10,10 @@ so plans share them.  A plan owns its structure (operator order, edge
 lists and each operator's *rank*, the order it was added in) but not
 its operators: :meth:`PhysicalPlan.restamped`, how every submission
 gets its copy of a memoised template, shares every operator it does not
-re-path, and mutating the copy never touches the template.  Because op
-ids are shared, :meth:`~PhysicalPlan.topo_order` breaks ties by rank,
-never by op id.
+re-path, and mutating the copy never touches the template; so does
+:meth:`PhysicalPlan.subplan_upto`, which cuts the repository's plans
+from the jobs that ran.  Because op ids are shared,
+:meth:`~PhysicalPlan.topo_order` breaks ties by rank, never by op id.
 
 Plans carry Merkle-style structural fingerprints: each operator's
 fingerprint is a digest of its own :meth:`signature` hash plus the
@@ -384,49 +385,34 @@ class PhysicalPlan:
         return out
 
     def subplan_upto(self, op: PhysicalOperator) -> "PhysicalPlan":
-        """Clone of everything upstream of *op* (inclusive).
+        """Everything upstream of *op* (inclusive), as a plan of its own
+        that shares this plan's operators (they are values).
 
         This is the physical plan of the sub-job that ends at *op*
         (paper §4: the candidate sub-job ``J_P``); callers append a
-        Store to complete it.
-        """
-        return self.subplan_upto_mapped(op)[0]
-
-    def subplan_upto_mapped(
-        self, op: PhysicalOperator
-    ) -> Tuple["PhysicalPlan", Dict[int, PhysicalOperator]]:
-        """:meth:`subplan_upto` plus the old-id -> clone mapping.
-
-        The mapping is how callers locate a specific operator's twin
-        inside the extracted plan — matching clones by signature is
-        ambiguous the moment two operators compute the same thing
-        (two sinks with equal signatures would pick an arbitrary one).
-        A contracted pass-through split maps to the operator that
-        absorbed its edge.
+        Store to complete it.  A Split tee that branches to at most one
+        kept operator contracts away, so a cut from an instrumented
+        plan carries none of its instrumentation.
         """
         closure = self.upstream_closure(op)
         # in this plan's operator order, not the id set's
-        keep = [op_id for op_id in self._ops if op_id in closure]
+        keep = [
+            op_id
+            for op_id in self._ops
+            if op_id in closure and not self._passes_through(op_id, closure)
+        ]
         out = PhysicalPlan()
-        mapping: Dict[int, PhysicalOperator] = {}
         for op_id in keep:
-            if self._passes_through(op_id, closure):
-                continue
-            twin = self._ops[op_id].copy()
-            mapping[op_id] = twin
-            out.add(twin)
+            out.add(self._ops[op_id])
         # each operator's inputs connect in its own input order, which is
         # fingerprinted (a UNION's rows follow it): a Split tee injected
         # on one input edge sits late in the operator order
         for op_id in keep:
-            if op_id in mapping:
-                for pred_id in self._preds[op_id]:
-                    pred = self._image(pred_id, mapping, closure)
-                    out.connect(pred, mapping[op_id])
-        for op_id in keep:
-            if op_id not in mapping:
-                mapping[op_id] = self._image(op_id, mapping, closure)
-        return out, mapping
+            for pred_id in self._preds[op_id]:
+                while self._passes_through(pred_id, closure):
+                    pred_id = self._preds[pred_id][0]
+                out.connect(self._ops[pred_id], self._ops[op_id])
+        return out
 
     def _passes_through(self, op_id: int, closure: Set[int]) -> bool:
         """A Split tee that branches to at most one kept operator: the
@@ -436,12 +422,6 @@ class PhysicalPlan:
             and len(self._preds[op_id]) == 1
             and sum(succ in closure for succ in self._succs[op_id]) <= 1
         )
-
-    def _image(self, op_id: int, mapping, closure: Set[int]) -> PhysicalOperator:
-        """The clone standing for *op_id*: a contracted Split's input's."""
-        while self._passes_through(op_id, closure):
-            op_id = self._preds[op_id][0]
-        return mapping[op_id]
 
     # -- fingerprints / serialization ----------------------------------------------------------
 

