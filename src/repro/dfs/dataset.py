@@ -38,7 +38,7 @@ round-trip rules live; the per-type size math is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import pickle
 from functools import lru_cache, partial
 from itertools import chain
 from math import isnan
@@ -50,37 +50,74 @@ from repro.relational.tuples import COLUMN_SIZE, Bag, Row, split_nulls
 from repro.relational.types import DataType
 
 
-@dataclass(eq=False)
 class TypedDataset:
     """Parsed rows pinned to one inode, valid for one schema + generation.
 
     An append retires a dataset to its inode's ``prefixes``: it is
     still the parse of the file's first ``covers`` bytes, so the next
     reader parses only what follows them.
+
+    A dataset may also hold the pickle of its rows, the form in which a
+    file crosses a process pipe
+    (:meth:`~repro.dfs.filesystem.DistributedFileSystem.export_file`).
+    A dataset that arrived that way holds only the pickle until
+    something reads :attr:`rows`, and one sent that way keeps its
+    pickle, so a file forwarded again is not pickled twice.  Both live
+    and die with the dataset, in the cache ``INode.invalidate_datasets``
+    clears.
     """
 
-    rows: Tuple[Row, ...]
-    schema_fp: tuple
-    #: the inode generation this dataset was built at; a bump on
-    #: write/append/delete/rename invalidates every pinned dataset
-    generation: int
-    #: True when the file's payload bytes are exactly
-    #: ``serialize_rows(rows)`` (writer-pinned datasets, and clones of
-    #: them).  Parse-filled datasets are *canonical* — they round-trip
-    #: — but their serialization may still differ from the original
-    #: text (``"03"`` parses to ``3``, which renders as ``"3"``), so
-    #: only exact datasets are eligible for serialized-payload reuse.
-    exact: bool = False
-    #: byte length of the text these rows are the parse of, or None
-    #: when that text does not end on a newline (an append would then
-    #: grow its last row instead of adding rows after it)
-    covers: Optional[int] = None
+    __slots__ = ("_rows", "_pickle", "schema_fp", "generation", "exact", "covers")
+
+    def __init__(
+        self,
+        rows: Optional[Tuple[Row, ...]],
+        schema_fp: tuple,
+        generation: int,
+        exact: bool = False,
+        covers: Optional[int] = None,
+        pickled: Optional[bytes] = None,
+    ):
+        self._rows = rows
+        self._pickle = pickled
+        self.schema_fp = schema_fp
+        #: the inode generation this dataset was built at; a bump on
+        #: write/append/delete/rename invalidates every pinned dataset
+        self.generation = generation
+        #: True when the file's payload bytes are exactly
+        #: ``serialize_rows(rows)`` (writer-pinned datasets, clones of
+        #: them, and shipped ones).  Parse-filled datasets are
+        #: *canonical* — they round-trip — but their serialization may
+        #: still differ from the original text (``"03"`` parses to
+        #: ``3``, which renders as ``"3"``), so only exact datasets are
+        #: eligible for serialized-payload reuse and for shipping.
+        self.exact = exact
+        #: byte length of the text these rows are the parse of, or None
+        #: when that text does not end on a newline (an append would
+        #: then grow its last row instead of adding rows after it)
+        self.covers = covers
+
+    @property
+    def rows(self) -> Tuple[Row, ...]:
+        """The rows; a dataset that holds only their pickle unpickles
+        it here, once."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = pickle.loads(self._pickle)
+        return rows
+
+    def pickled(self) -> bytes:
+        """The pickle of :attr:`rows`, made on the first call and kept."""
+        if self._pickle is None:
+            self._pickle = pickle.dumps(self._rows, pickle.HIGHEST_PROTOCOL)
+        return self._pickle
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __repr__(self) -> str:
-        return f"TypedDataset(rows={len(self.rows)}, generation={self.generation})"
+        held = "pickled" if self._rows is None else f"rows={len(self._rows)}"
+        return f"TypedDataset({held}, generation={self.generation})"
 
 
 def rows_are_canonical(rows: Sequence[Row], schema: Schema) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.dfs.dataset import TypedDataset, canonical_ascii_size, rows_are_canonical
 from repro.dfs.namenode import FileStatus, InputExtent, LazyPayload, NameNode, Segment
@@ -40,6 +40,20 @@ class WriteStatus(FileStatus):
     #: cannot stand in: a canonical non-ASCII write is exact, and its
     #: size counts UTF-8 bytes, not characters.
     sized_from_rows: bool = False
+
+
+class RowsImage(NamedTuple):
+    """A file in transit as the pickle of its exact dataset (see
+    :meth:`DistributedFileSystem.export_file`)."""
+
+    schema_fp: tuple
+    #: the file's size: the bytes its rows render to
+    size: int
+    pickled: bytes
+
+
+#: a file as it crosses to another filesystem: its text, or its rows
+FileImage = Union[bytes, RowsImage]
 
 
 class DistributedFileSystem:
@@ -396,6 +410,55 @@ class DistributedFileSystem:
         text = self.read_text(path)
         return [line for line in text.splitlines() if line != ""]
 
+    # -- shipping ----------------------------------------------------------------------
+
+    def export_file(self, path: str) -> FileImage:
+        """*path* as one image for another filesystem's
+        :meth:`import_file`: the pickle of its rows when the file is one
+        write whose exact dataset is current and whose text was never
+        needed up front, else its text (raw input, a rendered write, an
+        appended file).
+
+        Neither form renders or parses rows; a dataset that arrived as
+        a pickle is sent on as that pickle.  Counters and the
+        ``dfs.read`` fault site act as :meth:`read_file`'s do.
+        """
+        with self._lock:
+            inode = self.namenode.lookup(path)
+            dataset = _shipped_dataset(inode)
+            if dataset is None:
+                return self.read_file(path)
+            data = faults.fire("dfs.read", data=dataset.pickled())
+            self.bytes_read += inode.size
+            return RowsImage(dataset.schema_fp, inode.size, data)
+
+    def import_file(self, path: str, image: FileImage) -> FileStatus:
+        """Create (or overwrite) *path* from an :meth:`export_file`
+        image.  Rows arrive pinned as an exact dataset that still holds
+        only their pickle, behind a lazy payload of the shipped size:
+        nothing is sized, rendered or unpickled until something reads
+        it.  Counters move as :meth:`write_file`'s do."""
+        if not isinstance(image, RowsImage):
+            return self.write_file(path, image, overwrite=True)
+        dataset = TypedDataset(
+            None,
+            image.schema_fp,
+            0,
+            exact=True,
+            covers=image.size,
+            pickled=image.pickled,
+        )
+        build = partial(_render_dataset, dataset, self._renders)
+        payload = LazyPayload(build, image.size)
+        with self._lock:
+            if self.namenode.exists(path):
+                self.delete(path)
+            inode = self.namenode.create(path)
+            self._append_segment(inode, payload)
+            dataset.generation = inode.generation
+            inode.datasets[image.schema_fp] = dataset
+            return self.namenode.stat(path)
+
     # -- namespace ---------------------------------------------------------------------
 
     def exists(self, path: str) -> bool:
@@ -471,3 +534,18 @@ class DistributedFileSystem:
 def _render_rows(rows, renders: List[int]) -> bytes:
     renders[0] += 1
     return serialize_rows(rows).encode()
+
+
+def _render_dataset(dataset: TypedDataset, renders: List[int]) -> bytes:
+    return _render_rows(dataset.rows, renders)
+
+
+def _shipped_dataset(inode) -> Optional[TypedDataset]:
+    """The exact, current dataset *inode*'s one lazy segment renders,
+    or None: only such a file ships as rows."""
+    if len(inode.segments) != 1 or not isinstance(inode.segments[0], LazyPayload):
+        return None
+    for dataset in inode.datasets.values():
+        if dataset.exact and dataset.generation == inode.generation:
+            return dataset
+    return None

@@ -199,6 +199,10 @@ class NameNode:
     def __init__(self):
         self._inodes: Dict[str, INode] = {}
         self._clock = 0
+        #: paths that have left the namespace so far (removes, and
+        #: renames' sources): a cache of paths can skip its sweep for
+        #: missing ones while this stands still
+        self.departures = 0
 
     # -- clock -----------------------------------------------------------
 
@@ -232,6 +236,7 @@ class NameNode:
     def remove(self, path: str) -> INode:
         inode = self.lookup(path)
         del self._inodes[path]
+        self.departures += 1
         inode.invalidate_datasets()
         self.tick()
         return inode
@@ -241,6 +246,7 @@ class NameNode:
             raise FileAlreadyExists(f"rename target exists: {dst}")
         inode = self.lookup(src)
         del self._inodes[src]
+        self.departures += 1
         inode.path = dst
         inode.mtime = self.tick()
         inode.invalidate_datasets()

@@ -41,6 +41,11 @@ class Bag:
         any(map(cls._rows.__set__, bags, row_lists))  # __set__ returns None
         return bags
 
+    def __reduce__(self):
+        # pickled as its row list alone, not as a slotted object's
+        # state dict; the copy is built over a list of its own
+        return (Bag, (self._rows,))
+
     def append(self, row: Row) -> None:
         self._rows.append(row)
 

@@ -277,12 +277,9 @@ class ProcessJobRunner(HadoopSimulator):
 
     def cleanup_temporaries(self, workflow: Workflow, keep=None) -> int:
         deleted = super().cleanup_temporaries(workflow, keep)
-        keep = keep or set()
-        self._service._pool.forget(
-            job.output_path
-            for job in workflow.jobs
-            if job.temporary and job.output_path not in keep
-        )
+        # the workflow's end: temps are gone, and so may be evicted
+        # outputs, deferred deletes and delta scratch
+        self._service._pool.forget_missing(self.dfs)
         return deleted
 
 

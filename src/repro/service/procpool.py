@@ -17,25 +17,38 @@ One job is one exchange over a ``multiprocessing`` pipe:
 coordinator → worker                       worker → coordinator
 =========================================  ================================
 ``{job, files, drop}`` — the job's dict     ``{stats, stores}`` — its
-form, the inputs this worker lacks, paths  statistics and every stored
-it should forget                           file's bytes; or ``{error}``
+form, the inputs this worker lacks, paths  statistics and an image of
+it should forget                           every stored file; or
+                                           ``{error}``
 =========================================  ================================
+
+A file crosses as one image
+(:meth:`~repro.dfs.filesystem.DistributedFileSystem.export_file` on the
+sending side, ``import_file`` on the receiving one): the pickle of its
+rows when it is one write whose exact dataset is current — a job's
+store, or such a file forwarded on as the pickle that brought it —
+and its text otherwise (a raw input, a rendered write).  Typed rows
+are therefore never rendered for the pipe nor parsed again on the far
+side; a received pickle is unpickled on its first ``read_rows``, and
+a file only forwarded is never unpickled.
 
 File shipping is versioned by the coordinator DFS's logical mtime: a
 per-worker ``synced`` map records which version of each path a worker
-already holds, so repeated probes against the same datasets ship bytes
-once, not per job.  A path the coordinator deletes leaves every
-worker's map and is dropped on that worker's next request.
+already holds, so repeated probes against the same datasets ship once,
+not per job.  At every workflow's end each path the coordinator no
+longer has (a temp, an evicted output, a deferred delete, delta
+scratch) leaves every worker's map and is dropped on that worker's
+next request.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import exceptions
-from repro.dfs.filesystem import DistributedFileSystem
+from repro.dfs.filesystem import DistributedFileSystem, FileImage
 from repro.faults import injector as faults
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import HadoopSimulator
@@ -83,9 +96,9 @@ def worker_main(conn, context: dict, ordinal: int = 0) -> None:
 
     Keeps a private DFS and a plain :class:`HadoopSimulator`, then
     serves job requests until ``None`` or pipe loss: forget the dropped
-    paths, write the shipped files, run the job, reply.  The worker's
-    filesystem is a cache of the coordinator's, never the source of
-    truth.
+    paths, import the shipped files, run the job, reply with an image
+    of each store.  The worker's filesystem is a cache of the
+    coordinator's, never the source of truth.
 
     ``ordinal`` is this worker's pool spawn-sequence number; a fault
     plan shipped in the context is installed keyed by it, so chaos
@@ -107,8 +120,8 @@ def worker_main(conn, context: dict, ordinal: int = 0) -> None:
             break
         for path in request["drop"]:
             dfs.delete_if_exists(path)
-        for path, payload in request["files"]:
-            dfs.write_file(path, payload, overwrite=True)
+        for path, image in request["files"]:
+            dfs.import_file(path, image)
         try:
             # injection site "worker.job": "before" is the job's
             # arrival, "after" is once it ran, before the reply
@@ -116,7 +129,7 @@ def worker_main(conn, context: dict, ordinal: int = 0) -> None:
             job = MapReduceJob.from_dict(request["job"])
             stats = runner.run_job(job)
             stores = [
-                (path, dfs.read_file(path))
+                (path, dfs.export_file(path))
                 for path in job.store_paths
                 if dfs.exists(path)
             ]
@@ -152,7 +165,10 @@ class WorkerHandle:
         self.ordinal = ordinal
         #: coordinator-DFS logical mtime of every path this worker
         #: already holds (shipped to it, or received back from it) —
-        #: the file-sync version map
+        #: the file-sync version map.  It names only paths the
+        #: coordinator still had at the last workflow's end
+        #: (:meth:`ProcessWorkerPool.forget_missing`), so a worker holds
+        #: no deleted file's rows for longer than one more exchange
         self.synced: Dict[str, int] = {}
         #: paths the coordinator deleted that this worker still holds;
         #: its next request tells it to drop them
@@ -188,6 +204,9 @@ class ProcessWorkerPool:
         self._live = 0
         self._seq = 0
         self._closed = False
+        #: the coordinator namespace's departure count at the last
+        #: :meth:`forget_missing` sweep
+        self._departures = 0
         for _ in range(n_workers):
             self._idle.append(self._spawn())
             self._live += 1
@@ -258,16 +277,23 @@ class ProcessWorkerPool:
             self._live = max(0, self._live - 1)
             self._lock.notify()
 
-    def forget(self, paths: Iterable[str]) -> None:
-        """The coordinator deleted *paths*: they leave every worker's
-        ``synced`` map, and a worker that held one drops its copy with
-        its next job."""
-        paths = list(paths)
+    def forget_missing(self, dfs: DistributedFileSystem) -> None:
+        """Every path a worker holds that *dfs* no longer has (a temp,
+        an evicted entry's output, a deferred delete, delta scratch)
+        leaves that worker's ``synced`` map, and the worker drops its
+        copy with its next job."""
+        departures = dfs.namenode.departures
         with self._lock:
-            for handle in self._idle + self._busy:
-                for path in paths:
-                    if handle.synced.pop(path, None) is not None:
-                        handle.drop.add(path)
+            if departures == self._departures:
+                return  # nothing left the namespace since the last sweep
+            self._departures = departures
+            handles = self._idle + self._busy
+        for handle in handles:
+            # a copy: a busy handle's exchange may grow the map meanwhile
+            gone = [path for path in list(handle.synced) if not dfs.exists(path)]
+            gone = [path for path in gone if handle.synced.pop(path, None) is not None]
+            with self._lock:
+                handle.drop.update(gone)
 
     def run(
         self,
@@ -287,7 +313,7 @@ class ProcessWorkerPool:
         synced = handle.synced
         with self._lock:
             drop, handle.drop = sorted(handle.drop), set()
-        files: List[Tuple[str, bytes]] = []
+        files: List[Tuple[str, FileImage]] = []
         for path in job.load_paths:
             if not dfs.exists(path):
                 # missing here, so missing there: the job fails on the
@@ -297,7 +323,7 @@ class ProcessWorkerPool:
                 continue
             version = dfs.mtime(path)
             if synced.get(path) != version:
-                files.append((path, dfs.read_file(path)))
+                files.append((path, dfs.export_file(path)))
                 synced[path] = version
         try:
             handle.conn.send({"job": job.to_dict(), "files": files, "drop": drop})
@@ -319,9 +345,8 @@ class ProcessWorkerPool:
             for path in job.store_paths:
                 synced.pop(path, None)
             raise WorkerJobError(*reply["error"])
-        for path, payload in reply["stores"]:
-            dfs.write_file(path, payload, overwrite=True)
-            synced[path] = dfs.mtime(path)
+        for path, image in reply["stores"]:
+            synced[path] = dfs.import_file(path, image).mtime
         return reply["stats"]
 
     def stop(self) -> None:

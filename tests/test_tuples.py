@@ -1,5 +1,8 @@
 """Unit tests for repro.relational.tuples (rows, bags, PigStorage)."""
 
+import copy
+import pickle
+
 from repro.relational.schema import FieldSchema, Schema
 from repro.relational.tuples import (
     Bag,
@@ -36,6 +39,16 @@ class TestBag:
     def test_repr_truncates(self):
         bag = Bag([(i,) for i in range(10)])
         assert "n=10" in repr(bag)
+
+    def test_pickles_as_its_row_list(self):
+        bag = Bag([("a", 1), ("b", 2.5)])
+        assert bag.__reduce__() == (Bag, (bag.rows,))
+        for clone in (pickle.loads(pickle.dumps(bag)), copy.copy(bag)):
+            assert type(clone) is Bag and clone == bag
+            assert clone.rows is not bag.rows, "the copy holds its own list"
+            clone.append(("c", 3))
+            assert len(bag) == 2
+        assert pickle.loads(pickle.dumps(Bag())) == Bag()
 
 
 class TestSharedBags:
